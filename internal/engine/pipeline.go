@@ -156,12 +156,16 @@ func preprocessStage(ctx context.Context, in <-chan batch, topN int) <-chan batc
 
 // newPool builds the scheduler pool the config describes: ThreadsPerRank
 // workers over per-shard chunk deques, stealing or static per
-// cfg.Stealing, cfg.ChunkSize granularity (0 = auto-tuned).
+// cfg.Stealing, cfg.ChunkSize granularity (0 = auto-tuned). cfg.TopK goes
+// down with it: workers hand back, per (shard, query) cell, only the
+// matches that can still reach the merged best TopK (ties at the cell's
+// cut included, so sortPSMs still breaks them).
 func (cfg Config) newPool() *sched.Pool {
 	return sched.NewPool(sched.Options{
 		Workers:   cfg.ThreadsPerRank,
 		ChunkSize: cfg.ChunkSize,
 		Stealing:  cfg.Stealing,
+		TopK:      cfg.TopK,
 	})
 }
 
@@ -198,7 +202,11 @@ func searchStage(ctx context.Context, ix *slm.Index, in <-chan batch, pool *sche
 // flattenWire projects a searched batch into the wire tuples a worker
 // ships to the master.
 func flattenWire(offset int, matches [][]slm.Match) []wireMatch {
-	wire := make([]wireMatch, 0, 256)
+	n := 0
+	for _, ms := range matches {
+		n += len(ms)
+	}
+	wire := make([]wireMatch, 0, n)
 	for q, ms := range matches {
 		for _, m := range ms {
 			wire = append(wire, wireMatch{

@@ -1,0 +1,239 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"testing"
+
+	"lbe/internal/core"
+	"lbe/internal/mass"
+	"lbe/internal/slm"
+	"lbe/internal/spectrum"
+)
+
+// truncatePSMs is "keep all, sort, truncate": the first k of every
+// already-sorted keep-all answer.
+func truncatePSMs(all [][]PSM, k int) [][]PSM {
+	out := make([][]PSM, len(all))
+	for q, ps := range all {
+		if k > 0 && len(ps) > k {
+			ps = ps[:k]
+		}
+		out[q] = ps
+	}
+	return out
+}
+
+// TestTopKPushdownMatchesKeepAll: a session whose workers cut every
+// (shard, query) cell to its TopK-th best score returns exactly what
+// keeping every match, sorting and truncating returns — and what
+// RunSerial returns — for every policy × shard count × TopK × precursor
+// tolerance × schedule.
+func TestTopKPushdownMatchesKeepAll(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 10, 2, 40)
+	for _, tol := range []mass.Tolerance{mass.Open(), mass.Da(0.5)} {
+		base := lightConfig()
+		base.Params.PrecursorTol = tol
+		keepAll, err := RunSerial(peptides, queries, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, topK := range []int{0, 1, 10} {
+			want := truncatePSMs(keepAll.PSMs, topK)
+			cfg := base
+			cfg.TopK = topK
+			serial, err := RunSerial(peptides, queries, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSamePSMs(t, fmt.Sprintf("%v/topk=%d serial", tol, topK), serial.PSMs, want)
+			if topK == 1 && tol.IsOpen() { // a 0.5 Da window admits one or two PSMs per query anyway
+				kept, all := 0, 0
+				for q := range want {
+					kept += len(want[q])
+					all += len(keepAll.PSMs[q])
+				}
+				if all < 2*kept {
+					t.Fatalf("%v: %d PSMs of %d survive top-1; the dataset gives the cut nothing to drop", tol, kept, all)
+				}
+			}
+			for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
+				for _, shards := range []int{1, 2, 4} {
+					scfg := SessionConfig{Config: cfg, Shards: shards}
+					scfg.Policy = policy
+					scfg.Seed = 5
+					scfg.ThreadsPerRank = 3
+					scfg.BatchSize = 7
+					sess, err := NewSession(peptides, scfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, stealing := range []bool{true, false} {
+						label := fmt.Sprintf("%v/topk=%d/%v/shards=%d/steal=%v", tol, topK, policy, shards, stealing)
+						sess.TuneScheduler(-1, stealing)
+						res, err := sess.Search(context.Background(), queries)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						requireSamePSMs(t, label, res.PSMs, want)
+						if res.CandidatePSMs() != keepAll.CandidatePSMs() {
+							t.Fatalf("%s: scored %d, keep-all serial %d: the cut moved the work units", label, res.CandidatePSMs(), keepAll.CandidatePSMs())
+						}
+					}
+					sess.Close()
+				}
+			}
+		}
+	}
+}
+
+// theoreticalQuery is seq's own fragment ladder as a query spectrum.
+func theoreticalQuery(t *testing.T, scan int, seq string) spectrum.Experimental {
+	t.Helper()
+	th, err := spectrum.Predict(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := spectrum.Experimental{Scan: scan, PrecursorMZ: mass.MZ(th.Precursor, 2), Charge: 2}
+	for i, ion := range th.Ions {
+		q.Peaks = append(q.Peaks, spectrum.Peak{MZ: ion, Intensity: float64(1 + i%4)})
+	}
+	q.SortPeaks()
+	return q
+}
+
+// TestTopKPushdownTiesAcrossShards is the adversarial case for the tie
+// rule: a database of exact duplicates, so every query's best score is
+// shared by eight peptides spread over the shards and the cut falls
+// inside the tie in every cell. Which of the tied PSMs are reported is
+// decided by the global peptide index, which no worker knows — so a
+// worker that broke the tie itself would report the wrong ones. The test
+// also looks inside the cells: they must hold more than TopK entries, all
+// but TopK-1 of them tied at the cut.
+func TestTopKPushdownTiesAcrossShards(t *testing.T) {
+	family := []string{"LGEYGFQNALIVR", "LGEYGFQNAIIVR", "VGEYGFQNALIVR"}
+	var peptides []string
+	var queries []spectrum.Experimental
+	for copies := 0; copies < 8; copies++ {
+		peptides = append(peptides, family...)
+	}
+	for i, seq := range family {
+		queries = append(queries, theoreticalQuery(t, i+1, seq))
+	}
+
+	for _, topK := range []int{1, 3, 10} {
+		cfg := lightConfig()
+		cfg.TopK = topK
+		serial, err := RunSerial(peptides, queries, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q, ps := range serial.PSMs {
+			if len(ps) != topK || (topK <= 8 && ps[0].Score != ps[topK-1].Score) {
+				t.Fatalf("topk=%d query %d: serial reports %d PSMs %+v; want the cut inside a tie", topK, q, len(ps), ps)
+			}
+		}
+		crowded := 0 // cells holding more than TopK entries
+		for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
+			for _, shards := range []int{2, 4} {
+				for seed := int64(1); seed <= 3; seed++ {
+					label := fmt.Sprintf("topk=%d/%v/shards=%d/seed=%d", topK, policy, shards, seed)
+					scfg := SessionConfig{Config: cfg, Shards: shards}
+					scfg.Policy = policy
+					scfg.Seed = seed
+					scfg.ThreadsPerRank = 2
+					sess, err := NewSession(peptides, scfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sess.Search(context.Background(), queries)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireSamePSMs(t, label, res.PSMs, serial.PSMs)
+
+					cells, err := sess.pool.Run(context.Background(), sess.shards, spectrum.PreprocessAll(queries, cfg.Params.MaxQueryPeaks))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s := range cells.Matches {
+						for q, cell := range cells.Matches[s] {
+							if len(cell) <= topK {
+								continue
+							}
+							crowded++
+							scores := make([]float64, len(cell))
+							for i, m := range cell {
+								scores[i] = m.Score
+							}
+							sort.Float64s(scores)
+							if tied := len(cell) - topK + 1; scores[0] != scores[tied-1] {
+								t.Fatalf("%s shard %d query %d: cell of %d holds entries below the tie at its cut: %v", label, s, q, len(cell), scores)
+							}
+						}
+					}
+					sess.Close()
+				}
+			}
+		}
+		if crowded == 0 && topK < 8 {
+			t.Fatalf("topk=%d: no cell kept more than TopK entries; the tie rule went untested", topK)
+		}
+	}
+}
+
+// TestRankPathShipsTopKPlusTies: on the distributed path a worker rank
+// ships flattenWire(searchStage(...)) to the master. With TopK pushed
+// down, the tuples it ships for a query are exactly the matches scoring
+// at least the query's TopK-th best on that rank — at most TopK plus the
+// ties at the cut, instead of every scored candidate.
+func TestRankPathShipsTopKPlusTies(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 10, 2, 40)
+	cfg := lightConfig()
+	cfg.TopK = 3
+	cfg.ThreadsPerRank = 2
+	ix, err := slm.Build(peptides, cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pp := preprocessStage(ctx, batchSource(ctx, queries, 7), cfg.Params.MaxQueryPeaks)
+	shipped := make([]int, len(queries))
+	for s := range searchStage(ctx, ix, pp, cfg.newPool()) {
+		for _, w := range flattenWire(s.offset, s.matches) {
+			shipped[w.Query]++
+		}
+	}
+
+	totalShipped, totalScored := 0, 0
+	for q, query := range spectrum.PreprocessAll(queries, cfg.Params.MaxQueryPeaks) {
+		all, _ := ix.Search(query, 0, nil)
+		want, ties := len(all), 0
+		if len(all) > cfg.TopK {
+			scores := make([]float64, len(all))
+			for i, m := range all {
+				scores[i] = m.Score
+			}
+			sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+			cut := scores[cfg.TopK-1]
+			want = sort.Search(len(scores), func(i int) bool { return scores[i] < cut })
+			for _, s := range scores {
+				if s == cut {
+					ties++
+				}
+			}
+		}
+		if shipped[q] != want || shipped[q] > cfg.TopK+ties {
+			t.Fatalf("query %d: %d tuples shipped, want %d (TopK %d, %d tied at the cut, %d scored)", q, shipped[q], want, cfg.TopK, ties, len(all))
+		}
+		totalShipped += shipped[q]
+		totalScored += len(all)
+	}
+	if totalShipped*2 > totalScored {
+		t.Fatalf("%d of %d scored tuples shipped; the dataset gives the cut nothing to drop", totalShipped, totalScored)
+	}
+	t.Logf("tuples on the wire: %d with TopK=%d pushed down, %d keeping all (%.1f%%)", totalShipped, cfg.TopK, totalScored, 100*float64(totalShipped)/float64(totalScored))
+}

@@ -528,8 +528,9 @@ func (st *Stream) searchShardsStage(in <-chan batch) <-chan shardSearched {
 }
 
 // mergeLoop is the stream's final stage: it maps every shard-local match
-// to its global peptide through the mapping table, sorts, applies TopK,
-// and emits the merged batch.
+// the workers kept (each cell already cut to what can reach the best
+// TopK, see Config.newPool) to its global peptide through the mapping
+// table, sorts, applies TopK, and emits the merged batch.
 func (st *Stream) mergeLoop(in <-chan shardSearched) {
 	// Release the stream's derived context once the pipeline finishes, so
 	// long-lived parents don't accumulate one cancelCtx per stream served.
@@ -546,7 +547,14 @@ func (st *Stream) mergeLoop(in <-chan shardSearched) {
 		}
 		psms := make([][]PSM, len(ss.qs))
 		for q := range ss.qs {
-			var merged []PSM
+			n := 0
+			for m := range ss.sched.Matches {
+				n += len(ss.sched.Matches[m][q])
+			}
+			var merged []PSM // stays nil for a query nothing matched
+			if n > 0 {
+				merged = make([]PSM, 0, n)
+			}
 			for m := range ss.sched.Matches {
 				for _, match := range ss.sched.Matches[m][q] {
 					gidx, err := s.table.Lookup(m, match.Peptide)

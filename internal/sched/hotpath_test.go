@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -98,7 +100,7 @@ func TestRunChunkZeroAllocWarm(t *testing.T) {
 		misses = append(misses, spectrum.Preprocess(q, 50))
 	}
 
-	ws := newWorkerState(0, 1)
+	ws := NewPool(Options{}).acquire(1, 1)[0]
 	out := [][][]slm.Match{make([][]slm.Match, len(misses))}
 	c := chunk{shard: 0, lo: 0, hi: len(misses)}
 	ws.runChunk(c, shards[0], misses, out) // warm the scratch
@@ -111,6 +113,40 @@ func TestRunChunkZeroAllocWarm(t *testing.T) {
 	for q, m := range out[0] {
 		if len(m) != 0 {
 			t.Fatalf("query %d unexpectedly matched; the guard needs all-miss queries", q)
+		}
+	}
+}
+
+// TestWarmPoolRunAllocatesHeadersOnly guards the pool-lifetime worker
+// states: once a Run has warmed the pool, another borrows the very same
+// states — so the scratch inside them, which slm's guards prove
+// allocation-free once warm, is never rebuilt — and allocates only the
+// batch's result and bookkeeping headers: the match matrix, the per-shard
+// chunk lists and deques, the telemetry slices, a goroutine and a steal
+// transfer or two per worker, and one caller-owned copy per non-empty
+// cell. The bound is 16 + 4·workers + 4·shards + shards·queries.
+func TestWarmPoolRunAllocatesHeadersOnly(t *testing.T) {
+	shards, qs := crowdedShards(t, 3)
+	const workers = 2
+	for _, stealing := range []bool{false, true} {
+		p := NewPool(Options{Workers: workers, ChunkSize: 2, Stealing: stealing, TopK: 2})
+		run := func() {
+			if _, err := p.Run(context.Background(), shards, qs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: the pool now owns one sized scratch per worker
+		warm := append([]*workerState(nil), p.free...)
+		if len(warm) != workers {
+			t.Fatalf("stealing=%v: %d idle states after one Run, want %d", stealing, len(warm), workers)
+		}
+
+		bound := float64(16 + 4*workers + 4*len(shards) + len(shards)*len(qs))
+		if n := testing.AllocsPerRun(20, run); n > bound {
+			t.Errorf("stealing=%v: warm Run allocates %.0f times, want <= %.0f", stealing, n, bound)
+		}
+		if len(p.free) != workers || !slices.Contains(warm, p.free[0]) || !slices.Contains(warm, p.free[1]) {
+			t.Errorf("stealing=%v: later Runs did not reuse the warm worker states", stealing)
 		}
 	}
 }

@@ -56,6 +56,11 @@ type Options struct {
 	// Stealing selects the work-stealing schedule. False pre-deals chunks
 	// statically (the strided baseline) and never rebalances.
 	Stealing bool
+	// TopK is how many matches per query the caller keeps after merging
+	// the shards: workers keep, per (shard, query) cell, only the matches
+	// scoring at least the cell's TopK-th best (slm.Index.SearchCut).
+	// 0 keeps every match.
+	TopK int
 }
 
 // ShardStats is one shard's share of a scheduled batch. Work is
@@ -93,8 +98,11 @@ func (w *WorkerStats) Add(b WorkerStats) {
 // Result is one scheduled batch: the per-shard match matrix plus the
 // telemetry of how the schedule played out.
 type Result struct {
-	// Matches[s][q] holds shard s's matches for query q, identical to
-	// shards[s].SearchAll(qs, 0) for every schedule.
+	// Matches[s][q] holds shard s's matches for query q, identical for
+	// every schedule: with Options.TopK == 0 what shards[s].SearchAll(qs, 0)
+	// returns, otherwise the subset of it scoring at least the cell's
+	// TopK-th best score, in the same order — so a best-TopK merge over
+	// the shards cannot tell the difference.
 	Matches [][][]slm.Match
 	Shards  []ShardStats
 	Workers []WorkerStats
@@ -114,10 +122,15 @@ func (r *Result) Work() slm.Work {
 
 // Pool runs query batches under one scheduling policy. A Pool is safe for
 // concurrent Run calls; the embedded tuner is shared across them so chunk
-// sizing keeps learning over a session's lifetime.
+// sizing keeps learning over a session's lifetime, and so are the worker
+// states: a Run borrows one per worker and returns them, so their search
+// scratch is allocated once per pool, not once per batch.
 type Pool struct {
 	opts  Options
 	tuner Tuner
+
+	mu   sync.Mutex
+	free []*workerState // idle states, scratch warm: Workers × the most Runs ever in flight at once
 }
 
 // NewPool creates a pool with the given options.
@@ -134,23 +147,45 @@ type chunk struct {
 	lo, hi int
 }
 
-// workerState is one worker's working set for a single Run: its public
-// telemetry plus the per-shard accounting reduced after the barrier.
+// workerState is one worker's working set: its telemetry for the current
+// Run, the per-shard accounting reduced after the barrier, and the search
+// scratch that outlives the Run.
 type workerState struct {
-	stats       WorkerStats
-	shardChunks []int
-	shardWork   []slm.Work
-	shardNanos  []int64
-	scratch     slm.Scratch
+	stats   WorkerStats
+	shards  []ShardStats // this worker's share of each shard
+	topK    int          // Options.TopK of the owning pool
+	scratch slm.Scratch
 }
 
-func newWorkerState(id, shards int) *workerState {
-	return &workerState{
-		stats:       WorkerStats{Worker: id},
-		shardChunks: make([]int, shards),
-		shardWork:   make([]slm.Work, shards),
-		shardNanos:  make([]int64, shards),
+// acquire hands out one worker state per worker with zeroed telemetry for
+// ns shards, reusing idle ones (and their warm scratch) before making new
+// ones. The caller returns them with release once its workers are done.
+func (p *Pool) acquire(workers, ns int) []*workerState {
+	states := make([]*workerState, workers)
+	p.mu.Lock()
+	n := copy(states, p.free[max(0, len(p.free)-workers):])
+	p.free = p.free[:len(p.free)-n]
+	p.mu.Unlock()
+	for t, ws := range states {
+		if ws == nil {
+			ws = &workerState{topK: p.opts.TopK}
+			states[t] = ws
+		}
+		ws.stats = WorkerStats{Worker: t}
+		if cap(ws.shards) < ns {
+			ws.shards = make([]ShardStats, ns)
+		}
+		ws.shards = ws.shards[:ns]
+		clear(ws.shards)
 	}
+	return states
+}
+
+// release returns a Run's worker states to the idle list.
+func (p *Pool) release(states []*workerState) {
+	p.mu.Lock()
+	p.free = append(p.free, states...)
+	p.mu.Unlock()
 }
 
 // runChunk searches one chunk's queries against its shard, writing each
@@ -161,7 +196,7 @@ func (ws *workerState) runChunk(c chunk, ix *slm.Index, qs []spectrum.Experiment
 	start := time.Now()
 	var work slm.Work
 	for q := c.lo; q < c.hi; q++ {
-		m, w := ix.Search(qs[q], 0, &ws.scratch)
+		m, w := ix.SearchCut(qs[q], ws.topK, &ws.scratch)
 		out[c.shard][q] = m
 		work.Add(w)
 	}
@@ -169,9 +204,9 @@ func (ws *workerState) runChunk(c chunk, ix *slm.Index, qs []spectrum.Experiment
 	ws.stats.Chunks++
 	ws.stats.Work.Add(work)
 	ws.stats.Nanos += nanos
-	ws.shardChunks[c.shard]++
-	ws.shardWork[c.shard].Add(work)
-	ws.shardNanos[c.shard] += nanos
+	ws.shards[c.shard].Chunks++
+	ws.shards[c.shard].Work.Add(work)
+	ws.shards[c.shard].Nanos += nanos
 }
 
 // deque holds one shard's pending chunks. Owners pop from the front;
@@ -271,10 +306,8 @@ func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []spectrum.Exper
 		}
 	}
 
-	states := make([]*workerState, workers)
-	for t := range states {
-		states[t] = newWorkerState(t, ns)
-	}
+	states := p.acquire(workers, ns)
+	defer p.release(states)
 
 	if workers == 1 {
 		ws := states[0]
@@ -410,10 +443,10 @@ func reduce(states []*workerState, res *Result) {
 	res.Workers = make([]WorkerStats, len(states))
 	for t, ws := range states {
 		res.Workers[t] = ws.stats
-		for s := range ws.shardWork {
-			res.Shards[s].Chunks += ws.shardChunks[s]
-			res.Shards[s].Work.Add(ws.shardWork[s])
-			res.Shards[s].Nanos += ws.shardNanos[s]
+		for s, sh := range ws.shards {
+			res.Shards[s].Chunks += sh.Chunks
+			res.Shards[s].Work.Add(sh.Work)
+			res.Shards[s].Nanos += sh.Nanos
 		}
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"lbe/internal/mass"
 	"lbe/internal/slm"
 	"lbe/internal/spectrum"
 )
@@ -95,6 +98,155 @@ func TestRunMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// crowdedShards builds ns indexes whose cells are crowded and tied: every
+// shard holds near-identical peptides, one of them twice (an exact score
+// tie), and the queries are those peptides' own theoretical spectra under
+// the open precursor window, so every (shard, query) cell has several
+// matches for a top-K cut to choose among.
+func crowdedShards(t testing.TB, ns int) ([]*slm.Index, []spectrum.Experimental) {
+	t.Helper()
+	family := []string{"PEPTIDEK", "PEPTIDER", "PEPTIDEH", "AEPTIDEK", "PEPTIDAK", "PEPSIDEK"}
+	params := slm.DefaultParams()
+	params.Mods.MaxPerPep = 0
+	shards := make([]*slm.Index, ns)
+	for s := range shards {
+		local := append([]string{family[s%len(family)]}, family...)
+		ix, err := slm.BuildSerial(local, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[s] = ix
+	}
+	var qs []spectrum.Experimental
+	for i, seq := range family {
+		th, err := spectrum.Predict(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := spectrum.Experimental{Scan: i + 1, PrecursorMZ: mass.MZ(th.Precursor, 1), Charge: 1}
+		for j, ion := range th.Ions {
+			q.Peaks = append(q.Peaks, spectrum.Peak{MZ: ion, Intensity: float64(1 + j%3)})
+		}
+		q.SortPeaks()
+		qs = append(qs, spectrum.Preprocess(q, 50))
+	}
+	return shards, qs
+}
+
+// cutCell is the reference for Options.TopK: the matches of one serial
+// cell scoring at least its k-th best score, in the cell's order.
+func cutCell(cell []slm.Match, k int) []slm.Match {
+	if k <= 0 || len(cell) <= k {
+		return cell
+	}
+	scores := make([]float64, len(cell))
+	for i, m := range cell {
+		scores[i] = m.Score
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
+	var kept []slm.Match
+	for _, m := range cell {
+		if m.Score >= scores[k-1] {
+			kept = append(kept, m)
+		}
+	}
+	return kept
+}
+
+// TestRunTopKCutsCells: with Options.TopK set, every (shard, query) cell
+// holds exactly the serial cell's matches scoring at least its TopK-th
+// best score — ties at the cut kept, order kept — for every schedule,
+// and the deterministic work accounting does not move.
+func TestRunTopKCutsCells(t *testing.T) {
+	shards, qs := crowdedShards(t, 3)
+	full, wantWork := serialReference(shards, qs)
+	for _, k := range []int{1, 2, 1000} {
+		want := make([][][]slm.Match, len(full))
+		dropped, ties := 0, 0
+		for s := range full {
+			want[s] = make([][]slm.Match, len(full[s]))
+			for q, cell := range full[s] {
+				want[s][q] = cutCell(cell, k)
+				dropped += len(cell) - len(want[s][q])
+				if k < len(cell) {
+					ties += len(want[s][q]) - k
+				}
+			}
+		}
+		if (dropped == 0) != (k == 1000) || (ties == 0) != (k == 1000) {
+			t.Fatalf("topk=%d dropped %d matches and kept %d ties; the test needs crowded cells with ties at the cut", k, dropped, ties)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, stealing := range []bool{false, true} {
+				p := NewPool(Options{Workers: workers, ChunkSize: 2, Stealing: stealing, TopK: k})
+				for round := 0; round < 2; round++ { // the second Run reuses the first's worker states
+					res, err := p.Run(context.Background(), shards, qs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.Matches, want) {
+						t.Fatalf("topk=%d workers=%d steal=%v round %d: cells differ from the cut serial reference", k, workers, stealing, round)
+					}
+					for s := range wantWork {
+						if res.Shards[s].Work != wantWork[s] {
+							t.Fatalf("topk=%d: shard %d work %+v, serial %+v", k, s, res.Shards[s].Work, wantWork[s])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsShareWorkerStates drives one pool from several
+// goroutines at once (run it under -race): no worker state may serve two
+// Runs at a time, every Run's matches and per-Run telemetry must be whole,
+// and afterwards the idle list holds each state exactly once.
+func TestConcurrentRunsShareWorkerStates(t *testing.T) {
+	shards, qs := testShards(t, 3)
+	want, _ := serialReference(shards, qs)
+	const workers, callers, rounds = 3, 4, 8
+	p := NewPool(Options{Workers: workers, ChunkSize: 1, Stealing: true})
+	wantChunks := len(shards) * len(qs)
+
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				res, err := p.Run(context.Background(), shards, qs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res.Matches, want) {
+					t.Error("match matrix differs from serial reference")
+				}
+				chunks := 0
+				for _, w := range res.Workers {
+					chunks += w.Chunks
+				}
+				if chunks != wantChunks {
+					t.Errorf("a Run reported %d chunks, want %d: telemetry leaked between Runs", chunks, wantChunks)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := len(p.free); n < workers || n > workers*callers {
+		t.Fatalf("idle list holds %d states, want between %d and %d", n, workers, workers*callers)
+	}
+	seen := map[*workerState]bool{}
+	for _, ws := range p.free {
+		if seen[ws] {
+			t.Fatal("a worker state is on the idle list twice")
+		}
+		seen[ws] = true
 	}
 }
 

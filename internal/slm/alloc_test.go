@@ -3,65 +3,82 @@ package slm
 import (
 	"fmt"
 	"testing"
+
+	"lbe/internal/mass"
 )
 
-// TestSearchZeroAllocWarmScratch guards the zero-alloc search path: with a
-// warm Scratch the only allocation Search may make is the single copy-out
-// of the result slice (and none at all when nothing matches).
-func TestSearchZeroAllocWarmScratch(t *testing.T) {
-	peps := []string{"PEPTIDEK", "PEPTIDER", "PEPTIDEH", "AAAAGGGGK"}
-	ix, err := Build(peps, noModParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+// warmSearchAllocs is the guard both open kinds share: with a warm Scratch
+// the only allocation Search or SearchCut may make is the single copy-out
+// of the result slice, and none at all when nothing matches. wantPruned
+// says which phase-1 scan the index must have run for the hit.
+func warmSearchAllocs(t *testing.T, label string, ix *Index, wantPruned bool) {
+	t.Helper()
 	hit := queryFor(t, "PEPTIDEK")
 	miss := queryFor(t, "WWWWWWWWK")
 
 	var scratch Scratch
-	ix.Search(hit, 5, &scratch) // warm buffers
+	ms, w := ix.Search(hit, 5, &scratch) // warm buffers
+	if len(ms) == 0 || (w.Pruned > 0) != wantPruned {
+		t.Fatalf("%s: %d matches, %d postings pruned; want a hit, windowed scan = %v", label, len(ms), w.Pruned, wantPruned)
+	}
+	ix.SearchCut(hit, 1, &scratch) // and the cut's heap
 
 	if n := testing.AllocsPerRun(100, func() {
 		ix.Search(hit, 5, &scratch)
 	}); n > 1 {
-		t.Errorf("Search with matches allocates %.1f times per run, want <= 1 (result copy only)", n)
+		t.Errorf("%s: Search with matches allocates %.1f times per run, want <= 1 (result copy only)", label, n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ix.SearchCut(hit, 1, &scratch)
+	}); n > 1 {
+		t.Errorf("%s: SearchCut with matches allocates %.1f times per run, want <= 1 (result copy only)", label, n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		ix.Search(miss, 5, &scratch)
+		ix.SearchCut(miss, 1, &scratch)
 	}); n != 0 {
-		t.Errorf("Search without matches allocates %.1f times per run, want 0", n)
+		t.Errorf("%s: searches without matches allocate %.1f times per run, want 0", label, n)
+	}
+}
+
+// scanParams returns the two parameter sets that exercise the two phase-1
+// scans: open search (flattened full scan) and a 0.5 Da window (windowed).
+func scanParams() map[string]Params {
+	narrow := noModParams()
+	narrow.PrecursorTol = mass.Da(0.5)
+	return map[string]Params{"full scan": noModParams(), "windowed scan": narrow}
+}
+
+// TestSearchZeroAllocWarmScratch guards the zero-alloc search path on a
+// heap index, for both phase-1 scans.
+func TestSearchZeroAllocWarmScratch(t *testing.T) {
+	peps := []string{"PEPTIDEK", "PEPTIDER", "PEPTIDEH", "AAAAGGGGK"}
+	for label, params := range scanParams() {
+		ix, err := Build(peps, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSearchAllocs(t, label, ix, !params.PrecursorTol.IsOpen())
 	}
 }
 
 // TestMappedSearchZeroAllocWarmScratch extends the warm zero-alloc guard
 // to the mapped search path: searching zero-copy views of a memory
 // mapping must allocate exactly like searching heap arrays — one result
-// copy with matches, nothing on a miss.
+// copy with matches, nothing on a miss — under both scans.
 func TestMappedSearchZeroAllocWarmScratch(t *testing.T) {
 	peps := []string{"PEPTIDEK", "PEPTIDER", "PEPTIDEH", "AAAAGGGGK"}
-	built, err := Build(peps, noModParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := OpenIndexMapped(saveTestIndex(t, built))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	hit := queryFor(t, "PEPTIDEK")
-	miss := queryFor(t, "WWWWWWWWK")
-
-	var scratch Scratch
-	ix.Search(hit, 5, &scratch) // warm buffers
-
-	if n := testing.AllocsPerRun(100, func() {
-		ix.Search(hit, 5, &scratch)
-	}); n > 1 {
-		t.Errorf("mapped Search with matches allocates %.1f times per run, want <= 1 (result copy only)", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		ix.Search(miss, 5, &scratch)
-	}); n != 0 {
-		t.Errorf("mapped Search without matches allocates %.1f times per run, want 0", n)
+	for label, params := range scanParams() {
+		built, err := Build(peps, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := OpenIndexMapped(saveTestIndex(t, built))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSearchAllocs(t, "mapped "+label, ix, !params.PrecursorTol.IsOpen())
+		ix.Close()
 	}
 }
 
@@ -88,7 +105,7 @@ func TestChunkedSearchZeroAllocWarmScratch(t *testing.T) {
 // TestScratchGrowthAmortized reproduces the work-stealing pool's access
 // pattern: one Scratch alternating between indexes of different row
 // counts. Capacity must be rounded up so the alternation does not
-// reallocate counts/inten on every switch.
+// reallocate the accumulator on every switch.
 func TestScratchGrowthAmortized(t *testing.T) {
 	small := make([]string, 0, 3)
 	big := make([]string, 0, 9)
@@ -122,20 +139,21 @@ func TestScratchGrowthAmortized(t *testing.T) {
 
 // TestScratchEnsureRoundsCapacityUp pins the growth policy: capacity is
 // rounded to the next power of two so a monotone-increasing run of shard
-// sizes costs O(log n) reallocations, not one per size.
+// sizes costs O(log n) reallocations, not one per size — and the touched
+// list grows at the same site, one slot longer than the accumulator.
 func TestScratchEnsureRoundsCapacityUp(t *testing.T) {
 	var s Scratch
 	s.ensure(65)
-	if len(s.counts) < 128 || len(s.inten) < 128 {
-		t.Fatalf("ensure(65) sized buffers to %d, want >= 128 (next power of two)", len(s.counts))
+	if len(s.acc) != 128 || len(s.touched) != 129 {
+		t.Fatalf("ensure(65) sized acc/touched to %d/%d, want 128/129 (next power of two, plus the always-store slot)", len(s.acc), len(s.touched))
 	}
-	before := &s.counts[0]
+	acc, touched := &s.acc[0], &s.touched[0]
 	s.ensure(100)
-	if &s.counts[0] != before {
+	if &s.acc[0] != acc || &s.touched[0] != touched {
 		t.Fatal("ensure(100) reallocated a buffer that already had capacity for it")
 	}
 	s.ensure(3)
-	if len(s.counts) < 128 {
+	if len(s.acc) != 128 || len(s.touched) != 129 {
 		t.Fatal("ensure shrank the buffers")
 	}
 }

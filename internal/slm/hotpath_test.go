@@ -68,9 +68,10 @@ func recvQualified(fd *ast.FuncDecl) string {
 
 // TestHotpathAnnotationsMatchAllocGuards pins the //lbe:hotpath set to
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
-// alloc_test.go actually exercise (Search and ChunkedIndex.Search drive
-// the full annotated call tree: searchScratch, ensure, bucketRange,
-// bucketSpan, precursorWindow, postingsLowerBound, hyperscore,
+// alloc_test.go actually exercise (Search, SearchCut and
+// ChunkedIndex.Search drive the full annotated call tree:
+// searchScratch, ensure, quantize, bucketRange, bucketSpan,
+// precursorWindow, postingsLowerBound, accumulate, hyperscore, cutTopK,
 // sortMatches, copyMatches). Annotating a new function here without
 // extending the runtime guards — or vice versa — fails this test,
 // keeping the static gate and the dynamic gate in lockstep.
@@ -79,12 +80,15 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	want := []string{
 		"ChunkedIndex.Search",
 		"Index.Search",
+		"Index.SearchCut",
 		"Index.bucketRange",
 		"Index.bucketSpan",
 		"Index.precursorWindow",
 		"Index.searchScratch",
+		"Scratch.cutTopK",
 		"Scratch.ensure",
 		"Scratch.quantize",
+		"accumulate",
 		"copyMatches",
 		"hyperscore",
 		"postingsLowerBound",

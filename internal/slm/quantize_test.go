@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lbe/internal/mass"
 	"lbe/internal/spectrum"
 )
 
@@ -92,5 +93,66 @@ func TestQuantizeScratchReuse(t *testing.T) {
 	}
 	if got := float64(s.qint[0]) * inv; math.Abs(got-0.25) > 0.5*inv {
 		t.Errorf("dequantized %v, want ~0.25", got)
+	}
+}
+
+// TestAccumulatorBounds walks the packed accumulator's stated limits at
+// their boundary: a row hit once by every admitted peak at full intensity.
+// Up to maxQueryPeaks peaks are admitted and the rest ignored; at exactly
+// 65 536 hits × 65 535 levels the intensity half is full but has not
+// carried into the count; and Match.Shared saturates instead of wrapping.
+func TestAccumulatorBounds(t *testing.T) {
+	ix, err := Build([]string{"PEPTIDEK"}, noModParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := spectrum.Predict("PEPTIDEK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mz := th.Ions[2]
+	if lo, hi := ix.bucketRange(mz); hi-lo != 1 {
+		t.Fatalf("the probe peak hits %d postings, want exactly 1", hi-lo)
+	}
+
+	for _, tc := range []struct {
+		peaks, admitted int
+		shared          uint16
+	}{
+		{4, 4, 4},
+		{math.MaxUint16, math.MaxUint16, math.MaxUint16},
+		{maxQueryPeaks, maxQueryPeaks, math.MaxUint16},     // 65 536 hits: Shared saturates
+		{maxQueryPeaks + 1, maxQueryPeaks, math.MaxUint16}, // one peak too many: ignored
+		{70000, maxQueryPeaks, math.MaxUint16},
+	} {
+		q := spectrum.Experimental{PrecursorMZ: mass.MZ(th.Precursor, 1), Charge: 1}
+		q.Peaks = make([]spectrum.Peak, tc.peaks)
+		for i := range q.Peaks {
+			q.Peaks[i] = spectrum.Peak{MZ: mz, Intensity: 3}
+		}
+		var scratch Scratch
+		ms, work := ix.Search(q, 0, &scratch)
+		if work.IonHits != int64(tc.admitted) {
+			t.Errorf("%d peaks: %d postings visited, want %d admitted peaks of one posting each", tc.peaks, work.IonHits, tc.admitted)
+		}
+		if len(ms) != 1 || ms[0].Shared != tc.shared {
+			t.Fatalf("%d peaks: matches %+v, want one with Shared %d", tc.peaks, ms, tc.shared)
+		}
+		// Every peak quantizes to the top level, so the exact sum is
+		// admitted × 65 535 — 2³² − 65 536 at the boundary.
+		_, invScale := quantScales(3)
+		sum := uint64(tc.admitted) * intensityQuantLevels
+		if sum > math.MaxUint32 {
+			t.Fatalf("%d admitted peaks overflow the intensity half: the admission bound is wrong", tc.admitted)
+		}
+		want := hyperscore(tc.shared, float64(sum)*invScale, int(ix.Row(ms[0].Row).NumIons))
+		if ms[0].Score != want {
+			t.Errorf("%d peaks: score %v, want %v (count %d, exact intensity sum %d)", tc.peaks, ms[0].Score, want, tc.admitted, sum)
+		}
+		for i, a := range scratch.acc {
+			if a != 0 {
+				t.Fatalf("%d peaks: accumulator word %d left at %#x", tc.peaks, i, a)
+			}
+		}
 	}
 }

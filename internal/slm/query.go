@@ -2,6 +2,7 @@ package slm
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"lbe/internal/spectrum"
@@ -38,21 +39,37 @@ func (w *Work) Add(w2 Work) {
 // Scratch holds reusable per-searcher buffers so concurrent searchers do
 // not contend. A zero Scratch is ready for use; one Scratch must not be
 // shared between goroutines.
+//
+// Phase 1 keeps one word per mass-sorted row position in acc: the
+// postings that hit the row (its shared-peak count) in bits 63..32, the
+// sum of their quantized peak intensities in bits 31..0. A posting is one
+// load-add-store of 1<<32|intensity; zero means untouched by this query.
+// A word is exact while its row collects at most 65 536 postings from one
+// query (65 536 × 65 535 < 2³²: the sum cannot carry into the count). A
+// row collects one posting per (peak, own ion in that peak's fragment
+// window) pair, so searchScratch admits at most maxQueryPeaks peaks — the
+// bound at one ion per window, which real tolerances give; past it only
+// that row's own word can be wrong. Match.Shared saturates at
+// math.MaxUint16 rather than truncating the count.
 type Scratch struct {
-	counts  []uint16
-	inten   []uint32 // quantized intensity accumulator (phase 1)
-	qint    []uint16 // per-peak quantized intensities for the current query
-	touched []uint32
-	matches []Match // per-query accumulator, reused across searches
-	merged  []Match // cross-chunk accumulator for ChunkedIndex.Search
+	acc     []uint64  // phase-1 accumulator, all zero between searches
+	touched []uint32  // len(acc)+1 slots: first-touched positions of the current query
+	qint    []uint16  // per-peak quantized intensities for the current query
+	matches []Match   // per-query accumulator, reused across searches
+	merged  []Match   // cross-chunk accumulator for ChunkedIndex.Search
+	cut     []float64 // cutTopK's k best scores
 }
 
-// ensure sizes the scratch buffers for an index with rows rows; a warm
-// scratch (already at capacity) does not allocate.
+// maxQueryPeaks is the most peaks one query may bring to phase 1; see the
+// accumulator bounds on Scratch.
+const maxQueryPeaks = 1 << 16
+
+// ensure sizes the accumulator and its touched list for an index with
+// rows rows; a warm scratch (already at capacity) does not allocate.
 //
 //lbe:hotpath
 func (s *Scratch) ensure(rows int) {
-	if len(s.counts) < rows {
+	if len(s.acc) < rows {
 		// Round capacity up to the next power of two: a work-stealing
 		// pool hands one Scratch shards of alternating sizes, and
 		// growing at exact rows would reallocate on every steal.
@@ -60,10 +77,11 @@ func (s *Scratch) ensure(rows int) {
 		for n < rows {
 			n <<= 1
 		}
-		s.counts = make([]uint16, n)
-		s.inten = make([]uint32, n)
+		s.acc = make([]uint64, n)
+		// One slot more than rows: accumulate stores every posting's
+		// position at touched[n] and only then decides whether to keep it.
+		s.touched = make([]uint32, n+1)
 	}
-	s.touched = s.touched[:0]
 }
 
 // intensityQuantLevels is the quantization range of peak intensities:
@@ -94,10 +112,10 @@ func quantizeIntensity(v, scale float64) uint16 {
 }
 
 // quantize fills s.qint with the query's peak intensities quantized to
-// u16 levels and returns the dequantization factor. Phase 1 then
-// accumulates 4-byte integers instead of 8-byte floats — half the
-// accumulator traffic on the random row-indexed writes — and the sum is
-// converted back to intensity units once per scored candidate.
+// u16 levels and returns the dequantization factor. Phase 1 then sums
+// integers in the low half of the row's accumulator word (see Scratch),
+// and the sum is converted back to intensity units once per scored
+// candidate.
 //
 //lbe:hotpath
 func (s *Scratch) quantize(peaks []spectrum.Peak) float64 {
@@ -136,6 +154,27 @@ func (s *Scratch) quantize(peaks []spectrum.Peak) float64 {
 //
 //lbe:hotpath
 func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]Match, Work) {
+	matches, work := ix.SearchCut(q, topK, scratch)
+	if topK > 0 && len(matches) > 0 {
+		sortMatches(matches)
+		if len(matches) > topK {
+			matches = matches[:topK]
+		}
+	}
+	return matches, work
+}
+
+// SearchCut is Search for a caller that merges several indexes' answers
+// under an ordering of its own (the scheduler's workers, whose cells the
+// engine merges by score, then global peptide): rather than sort and
+// truncate, it returns, unordered, every match scoring at least the k-th
+// best score of this (index, query) cell. Ties at the cut are all kept,
+// so a dropped match has k strictly better ones in this index alone and
+// cannot be among any merged best k, whatever breaks ties there. k <= 0
+// keeps everything.
+//
+//lbe:hotpath
+func (ix *Index) SearchCut(q spectrum.Experimental, k int, scratch *Scratch) ([]Match, Work) {
 	if err := ix.Verify(); err != nil {
 		panic(err)
 	}
@@ -143,13 +182,45 @@ func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]
 		scratch = &Scratch{}
 	}
 	matches, work := ix.searchScratch(q, scratch)
-	if topK > 0 && len(matches) > 0 {
-		sortMatches(matches)
-		if len(matches) > topK {
-			matches = matches[:topK]
+	return copyMatches(scratch.cutTopK(matches, k)), work
+}
+
+// cutTopK keeps, in place and in their phase-2 order, the matches scoring
+// at least the k-th best score in ms. It tracks the k best scores seen in
+// a descending insertion-sorted array: phase-2 order is unrelated to
+// score, so past the first k matches almost every score fails the one
+// comparison against the current k-th best.
+//
+//lbe:hotpath
+func (s *Scratch) cutTopK(ms []Match, k int) []Match {
+	if k <= 0 || len(ms) <= k {
+		return ms
+	}
+	if cap(s.cut) < k {
+		s.cut = make([]float64, k)
+	}
+	best := s.cut[:k]
+	for i := range best {
+		best[i] = math.Inf(-1)
+	}
+	for _, m := range ms {
+		if m.Score <= best[k-1] {
+			continue
+		}
+		i := k - 1
+		for ; i > 0 && best[i-1] < m.Score; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = m.Score
+	}
+	n := 0
+	for _, m := range ms {
+		if m.Score >= best[k-1] {
+			ms[n] = m
+			n++
 		}
 	}
-	return copyMatches(matches), work
+	return ms[:n]
 }
 
 // precursorWindow resolves the query's precursor tolerance to the
@@ -214,6 +285,29 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 	return lo
 }
 
+// accumulate is phase 1's one inner loop: it adds add (1<<32 | quantized
+// intensity) to the word of every posting's row position and appends each
+// position to touched[:n] the first time the query reaches it, returning
+// the new n. First touch is a coin flip on an open search, so it is
+// decided without a branch: the position is always stored at touched[n],
+// and n advances only if the word was zero ((a|-a)>>63 is a != 0).
+//
+// It stays out of line on purpose: inlined into searchScratch the loop
+// spills its counter and the loaded word to the stack on every posting
+// (batch-open 1 360 qps inlined, 1 850 out of line, same machine).
+//
+//lbe:hotpath
+//go:noinline
+func accumulate(acc []uint64, touched []uint32, n int, postings []uint32, add uint64) int {
+	for _, srid := range postings {
+		a := acc[srid]
+		touched[n] = srid
+		n += int(1 - (a|-a)>>63)
+		acc[srid] = a + add
+	}
+	return n
+}
+
 // searchScratch runs the two search phases and returns matches backed by
 // scratch.matches: valid only until the next search with this Scratch.
 //
@@ -222,64 +316,55 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 // windowed scan (narrow precursor tolerance) binary-searches each
 // bucket's ascending posting list down to the precursor-eligible range of
 // sorted row positions first, skipping postings that could never survive
-// phase 2's precursor filter. Both visit the surviving postings in the
-// same order, so phase 2 sees identical accumulators either way.
+// phase 2's precursor filter. Both hand the surviving postings to
+// accumulate in the same order, so phase 2 sees identical accumulators
+// either way.
 //
 //lbe:hotpath
 func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Match, Work) {
+	peaks := q.Peaks
+	if len(peaks) > maxQueryPeaks {
+		peaks = peaks[:maxQueryPeaks]
+	}
 	scratch.ensure(len(ix.rows))
-	invScale := scratch.quantize(q.Peaks)
+	invScale := scratch.quantize(peaks)
 	var work Work
 	qmass := q.PrecursorMass()
 
 	// Phase 1: shared-peak counting over the CSR postings, accumulating
 	// quantized intensities. Postings are mass-sorted row positions.
+	acc, touched, n := scratch.acc, scratch.touched, 0
 	if windowed, rlo, rhi := ix.precursorWindow(qmass); windowed {
-		for pi, p := range q.Peaks {
-			qi := uint32(scratch.qint[pi])
+		for pi, p := range peaks {
+			add := 1<<32 | uint64(scratch.qint[pi])
 			blo, bhi := ix.bucketSpan(p.MZ)
 			for b := blo; b <= bhi; b++ {
 				s, e := ix.offsets[b], ix.offsets[b+1]
 				lo := postingsLowerBound(ix.ids, s, e, rlo)
 				hi := postingsLowerBound(ix.ids, lo, e, rhi)
-				for i := lo; i < hi; i++ {
-					srid := ix.ids[i]
-					if scratch.counts[srid] == 0 {
-						scratch.touched = append(scratch.touched, srid)
-						scratch.inten[srid] = 0
-					}
-					scratch.counts[srid]++
-					scratch.inten[srid] += qi
-				}
+				n = accumulate(acc, touched, n, ix.ids[lo:hi], add)
 				work.IonHits += int64(hi - lo)
 				work.Pruned += int64(e-s) - int64(hi-lo)
 			}
 		}
 	} else {
-		for pi, p := range q.Peaks {
-			qi := uint32(scratch.qint[pi])
+		for pi, p := range peaks {
 			lo, hi := ix.bucketRange(p.MZ)
-			for i := lo; i < hi; i++ {
-				srid := ix.ids[i]
-				if scratch.counts[srid] == 0 {
-					scratch.touched = append(scratch.touched, srid)
-					scratch.inten[srid] = 0
-				}
-				scratch.counts[srid]++
-				scratch.inten[srid] += qi
-			}
+			n = accumulate(acc, touched, n, ix.ids[lo:hi], 1<<32|uint64(scratch.qint[pi]))
 			work.IonHits += int64(hi - lo)
 		}
 	}
 
-	// Phase 2: threshold + precursor filter + scoring. touched holds
-	// sorted positions; perm maps them back to the stable row ids every
-	// caller (and every PSM byte downstream) sees.
+	// Phase 2: threshold + precursor filter + scoring, zeroing each touched
+	// word on the way so the accumulator is clean for the next search.
+	// touched holds sorted positions; perm maps them back to the stable row
+	// ids every caller (and every PSM byte downstream) sees.
 	matches := scratch.matches[:0]
-	minShared := uint16(ix.params.MinSharedPeaks)
-	for _, srid := range scratch.touched {
-		c := scratch.counts[srid]
-		scratch.counts[srid] = 0 // reset as we go
+	minShared := uint64(ix.params.MinSharedPeaks)
+	for _, srid := range touched[:n] {
+		a := acc[srid]
+		acc[srid] = 0
+		c := a >> 32
 		if c < minShared {
 			continue
 		}
@@ -290,11 +375,12 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 			continue
 		}
 		work.Scored++
+		shared := uint16(min(c, math.MaxUint16))
 		matches = append(matches, Match{
 			Row:       rid,
 			Peptide:   row.Peptide,
-			Shared:    c,
-			Score:     hyperscore(c, float64(scratch.inten[srid])*invScale, int(row.NumIons)),
+			Shared:    shared,
+			Score:     hyperscore(shared, float64(uint32(a))*invScale, int(row.NumIons)),
 			Precursor: row.Precursor,
 		})
 	}
