@@ -7,7 +7,7 @@
 //	lbe-bench                    # everything, laptop scale (1/1000 of paper)
 //	lbe-bench -fig 6             # just the load-imbalance figure
 //	lbe-bench -scale 0.01 -out EXPERIMENTS.md
-//	lbe-bench -fig coldstart -json artifacts/
+//	lbe-bench -fig steal -json artifacts/
 //
 // Besides the markdown tables, every figure is also written as a
 // machine-readable BENCH_<id>.json artifact (series plus headline
@@ -31,11 +31,16 @@ import (
 )
 
 func main() {
+	figNames := []string{"all"}
+	for _, f := range bench.Figures {
+		figNames = append(figNames, f.ID)
+	}
+
 	log.SetFlags(0)
 	log.SetPrefix("lbe-bench: ")
 
 	var (
-		fig     = flag.String("fig", "all", "which experiment: all|setup|5|6|7|8|9|10|11|grouping|transport|hetero|filtration|kernel|session|serve|coldstart|steal|route|cache|scatter")
+		fig     = flag.String("fig", "all", "which experiment: "+strings.Join(figNames, "|"))
 		scale   = flag.Float64("scale", 1.0/1000, "fraction of the paper's index sizes")
 		ranks   = flag.Int("ranks", 16, "partitions for the LI figures")
 		queries = flag.Int("queries", 800, "query spectra per run")
@@ -57,29 +62,6 @@ func main() {
 	defer stop()
 	o.Ctx = ctx
 
-	runners := map[string]func(bench.Options) (bench.Figure, error){
-		"setup":      bench.SetupStats,
-		"5":          bench.Fig5,
-		"6":          bench.Fig6,
-		"7":          bench.Fig7,
-		"8":          bench.Fig8,
-		"9":          bench.Fig9,
-		"10":         bench.Fig10,
-		"11":         bench.Fig11,
-		"grouping":   bench.AblationGrouping,
-		"transport":  bench.AblationTransport,
-		"hetero":     bench.AblationHeterogeneous,
-		"filtration": bench.FiltrationComparison,
-		"kernel":     bench.Kernel,
-		"session":    bench.SessionThroughput,
-		"serve":      bench.ServeThroughput,
-		"coldstart":  bench.ColdStart,
-		"steal":      bench.Steal,
-		"route":      bench.Route,
-		"cache":      bench.CacheHit,
-		"scatter":    bench.Scatter,
-	}
-
 	var sb strings.Builder
 	var figs []bench.Figure
 	start := time.Now()
@@ -94,9 +76,15 @@ func main() {
 			sb.WriteString("\n")
 		}
 	} else {
-		run, ok := runners[*fig]
-		if !ok {
-			log.Fatalf("unknown -fig %q; options: all setup 5 6 7 8 9 10 11 grouping transport hetero filtration kernel session serve coldstart steal route cache scatter", *fig)
+		var run func(bench.Options) (bench.Figure, error)
+		for _, f := range bench.Figures {
+			if f.ID == *fig {
+				run = f.Run
+				break
+			}
+		}
+		if run == nil {
+			log.Fatalf("unknown -fig %q; options: %s", *fig, strings.Join(figNames, " "))
 		}
 		f, err := run(o)
 		if err != nil {

@@ -441,29 +441,6 @@ func manifestDigest(doc []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// measuredReader feeds a shard file to slm.ReadIndex while accumulating
-// the whole-file CRC. Len exposes the unread byte count so the SLMX
-// decoder can bound its allocations against the true input size.
-type measuredReader struct {
-	r   io.Reader
-	rem int64
-	crc uint32
-}
-
-func (m *measuredReader) Read(p []byte) (int, error) {
-	n, err := m.r.Read(p)
-	m.crc = crc32.Update(m.crc, crc32.IEEETable, p[:n])
-	m.rem -= int64(n)
-	return n, err
-}
-
-func (m *measuredReader) Len() int {
-	if m.rem < 0 {
-		return 0
-	}
-	return int(m.rem)
-}
-
 // checkStoredName rejects manifest file names that would escape the
 // store directory.
 func checkStoredName(name string) error {
@@ -473,19 +450,29 @@ func checkStoredName(name string) error {
 	return nil
 }
 
-// openStoredFile reads dir/name fully, verifying the manifest's size and
-// whole-file CRC.
-func openStoredFile(dir string, sf storedFile) ([]byte, error) {
+// storedPath resolves a manifest entry to dir/name, checking the name and
+// that the file has the size the manifest recorded.
+func storedPath(dir string, sf storedFile) (string, error) {
 	if err := checkStoredName(sf.Name); err != nil {
-		return nil, err
+		return "", err
 	}
 	path := filepath.Join(dir, sf.Name)
 	fi, err := os.Stat(path)
 	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
+		return "", fmt.Errorf("engine: open: %w", err)
 	}
 	if fi.Size() != sf.Size {
-		return nil, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
+		return "", fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
+	}
+	return path, nil
+}
+
+// openStoredFile reads dir/name fully, verifying the manifest's size and
+// whole-file CRC.
+func openStoredFile(dir string, sf storedFile) ([]byte, error) {
+	path, err := storedPath(dir, sf)
+	if err != nil {
+		return nil, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -497,65 +484,33 @@ func openStoredFile(dir string, sf storedFile) ([]byte, error) {
 	return data, nil
 }
 
-// openShard loads and verifies one SLMX shard file. With mapped set it
-// first attempts a zero-copy mapped open (returning lazy=true: content
-// verification is deferred, see shardVerifier); any mapped failure falls
-// back to the heap path, whose error (if the file is genuinely bad) is
-// the one reported — both readers enforce the same format checks, so a
-// file one rejects the other rejects too.
-func openShard(dir string, sf storedFile, mapped bool) (ix *slm.Index, lazy bool, err error) {
-	if err := checkStoredName(sf.Name); err != nil {
-		return nil, false, err
-	}
-	path := filepath.Join(dir, sf.Name)
+// openShard loads one SLMX shard file. With mapped set it is a zero-copy
+// mapped open: only the manifest's size and the SLMX header (CRC-protected
+// section table) are checked here — no section byte is read, which is
+// what makes a mapped warm start O(header) per shard instead of O(file) —
+// and content verification (section CRCs and the manifest's whole-file
+// CRC) is left to the session's first query via shardVerifier. Otherwise the file is read and checked against the
+// manifest's size and CRC like any stored file, then decoded and fully
+// verified in place.
+//
+// A failed mapped open is final, not retried on the heap: both opens run
+// the same slm decoder over the same bytes, and mmapio.Open itself falls
+// back to a heap read when the mapping syscall fails, so a retry could
+// only reproduce the error.
+func openShard(dir string, sf storedFile, mapped bool) (ix *slm.Index, err error) {
 	if mapped {
-		if ix, err := openShardMapped(path, sf); err == nil {
-			return ix, true, nil
+		var path string
+		if path, err = storedPath(dir, sf); err != nil {
+			return nil, err
 		}
+		ix, err = slm.OpenIndexMapped(path)
+	} else {
+		var data []byte
+		if data, err = openStoredFile(dir, sf); err != nil {
+			return nil, err
+		}
+		ix, err = slm.DecodeIndex(data)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %w", err)
-	}
-	if fi.Size() != sf.Size {
-		return nil, false, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
-	}
-	mr := &measuredReader{r: f, rem: fi.Size()}
-	ix, err = slm.ReadIndex(mr)
-	if err != nil {
-		return nil, false, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
-	}
-	// Drain read-ahead to EOF so the CRC covers the whole file; trailing
-	// junk after the SLMX checksum surfaces as a manifest CRC mismatch.
-	if _, err := io.Copy(io.Discard, mr); err != nil {
-		return nil, false, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
-	}
-	if mr.crc != sf.CRC32 {
-		return nil, false, fmt.Errorf("engine: open: %s checksum %08x does not match manifest %08x", sf.Name, mr.crc, sf.CRC32)
-	}
-	return ix, false, nil
-}
-
-// openShardMapped opens one shard with mmap backing. Only the manifest's
-// size and the SLMX header (CRC-protected section table) are checked
-// here — no section byte is read, which is what makes a mapped warm
-// start O(header) per shard instead of O(file). Content verification
-// (section CRCs and the manifest's whole-file CRC) is deferred to the
-// session's first query via shardVerifier.
-func openShardMapped(path string, sf storedFile) (*slm.Index, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
-	}
-	if fi.Size() != sf.Size {
-		return nil, fmt.Errorf("engine: open: %s is %d bytes, manifest says %d", sf.Name, fi.Size(), sf.Size)
-	}
-	ix, err := slm.OpenIndexMapped(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
 	}
@@ -602,10 +557,9 @@ type OpenOptions struct {
 	// CRCs and the manifest's whole-file CRCs — is deferred to the
 	// session's first query, so a corrupt store surfaces as a Search or
 	// Stream error instead of an open error, always before any result is
-	// produced. Results are byte-identical either way. Shards that
-	// cannot be mapped (v1 files, platforms without mmap) silently fall
-	// back to the eagerly-verified heap load; Session.MappedShards
-	// reports the outcome.
+	// produced. Results are byte-identical either way. Where shards
+	// cannot be mapped (platforms without mmap) the bytes are read into
+	// the heap instead; Session.MappedShards reports the outcome.
 	MapStore bool
 }
 
@@ -742,15 +696,14 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	// (O(header) — the near-instant warm start) and push their content
 	// verification into lazy, run by the session before its first query.
 	shards := make([]*slm.Index, p)
-	lazy := make([]func() error, 0, p)
-	lazyFor := make([]bool, p)
+	var lazy []func() error
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for m := 0; m < p; m++ {
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
-			shards[m], lazyFor[m], errs[m] = openShard(dir, man.Shards[m], opts.MapStore)
+			shards[m], errs[m] = openShard(dir, man.Shards[m], opts.MapStore)
 		}(m)
 	}
 	wg.Wait()
@@ -759,8 +712,8 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 			return nil, nil, err
 		}
 	}
-	for m, ix := range shards {
-		if lazyFor[m] {
+	if opts.MapStore {
+		for m, ix := range shards {
 			lazy = append(lazy, shardVerifier(dir, man.Shards[m], ix))
 		}
 	}

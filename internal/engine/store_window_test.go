@@ -2,17 +2,11 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"lbe/internal/core"
 	"lbe/internal/mass"
-	"lbe/internal/slm"
 )
 
 // TestWindowedSearchMatchesFullScan is the engine-level equivalence gate
@@ -52,126 +46,4 @@ func TestWindowedSearchMatchesFullScan(t *testing.T) {
 			}
 		}
 	}
-}
-
-// rewriteStoreAsV2 re-encodes every shard file of a saved store in the
-// legacy v2 SLMX format and re-anchors the manifest's size and CRC
-// records, producing the store a pre-v3 build would have written.
-func rewriteStoreAsV2(t *testing.T, dir string) {
-	t.Helper()
-	doc, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var man map[string]any
-	if err := json.Unmarshal(doc, &man); err != nil {
-		t.Fatal(err)
-	}
-	shards := man["shards"].([]any)
-	for _, e := range shards {
-		rec := e.(map[string]any)
-		path := filepath.Join(dir, rec["name"].(string))
-		ix, err := slm.LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.WriteToVersion(f, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec["size"] = len(data)
-		rec["crc32"] = crc32.ChecksumIEEE(data)
-	}
-	out, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreOpenV2Migration: a store whose shards are legacy v2 files must
-// still open — mapped opens fall back to the heap (v2 postings must be
-// rewritten into precursor order, which a read-only mapping cannot back)
-// — and serve PSMs identical to the v3 store it was derived from.
-func TestStoreOpenV2Migration(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 25)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
-	cfg.Params.PrecursorTol = mass.Da(0.5)
-	live, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	ctx := context.Background()
-	want, err := live.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := live.Save(dir, peptides); err != nil {
-		t.Fatal(err)
-	}
-	rewriteStoreAsV2(t, dir)
-
-	// Mapped open: every shard must fall back to the heap, not fail.
-	sess, gotPeps, err := OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if !reflect.DeepEqual(gotPeps, peptides) {
-		t.Fatal("reloaded peptide list differs")
-	}
-	if n := sess.MappedShards(); n != 0 {
-		t.Fatalf("%d shards report mapped backing for a v2 store", n)
-	}
-	got, err := sess.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalPSMs(t, "v2 store (mapped open)", got.PSMs, want.PSMs)
-
-	// Heap open exercises the streaming v2 decoder against the same files.
-	heap, _, err := OpenSessionOptions(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer heap.Close()
-	got2, err := heap.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalPSMs(t, "v2 store (heap open)", got2.PSMs, want.PSMs)
-
-	// Re-encoding the migrated session's shards with the current writer
-	// (what `lbe-index -out` does) must yield a store that opens mapped.
-	out := filepath.Join(t.TempDir(), "reencoded")
-	if err := sess.Save(out, peptides); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := OpenSession(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if n := re.MappedShards(); n != re.NumShards() {
-		t.Fatalf("re-encoded store mapped %d of %d shards", n, re.NumShards())
-	}
-	got3, err := re.Search(ctx, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalPSMs(t, "re-encoded store", got3.PSMs, want.PSMs)
 }

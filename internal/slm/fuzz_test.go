@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"lbe/internal/mods"
@@ -33,44 +34,38 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// v1 streams keep their own decode path alive; a mods-free v1 index
-	// puts the nrows field at the fixed offset 66 (magic 4 + version 4 +
-	// params 54 + nseries 4), so a huge-row-count seed can be forged
-	// deterministically.
 	plainParams := DefaultParams()
 	plainParams.Mods = mods.Config{}
 	plain, err := Build([]string{"PEPTIDEK"}, plainParams)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var plainV1 bytes.Buffer
-	if err := writeToV1(plain, &plainV1); err != nil {
-		f.Fatal(err)
-	}
-	var validV1 bytes.Buffer
-	if err := writeToV1(ix, &validV1); err != nil {
-		f.Fatal(err)
-	}
 
 	f.Add(valid.Bytes())
 	f.Add(emptyBuf.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
-	f.Add(validV1.Bytes())
 	f.Add([]byte("SLMX"))
 	f.Add([]byte("NOPE"))
-	// A truncated v1 header claiming a gigantic row count.
-	hugeRows := append([]byte(nil), plainV1.Bytes()[:70]...)
-	binary.LittleEndian.PutUint32(hugeRows[66:], 0xFFFFFFFF)
-	f.Add(hugeRows)
-	// The same offset in the mods-bearing v1 stream is the first mod-name
-	// length: forge that too.
-	hugeName := append([]byte(nil), validV1.Bytes()[:70]...)
+	// Headers of the retired format versions: refused at the version
+	// field with the rebuild hint, whatever follows.
+	for _, version := range []byte{1, 2} {
+		old := append([]byte(nil), valid.Bytes()...)
+		old[len(indexMagic)] = version
+		if _, err := ReadIndex(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "rebuild with `lbe-index -out`") {
+			f.Fatalf("v%d header: got %v, want the rebuild hint", version, err)
+		}
+		f.Add(old)
+	}
+	// The first mod-name length (offset 66 with no explicit ion series:
+	// magic 4 + version 4 + params 54 + nseries 4) forged huge in a
+	// truncated header.
+	hugeName := append([]byte(nil), valid.Bytes()[:70]...)
 	binary.LittleEndian.PutUint32(hugeName[66:], 0xFFFFFFFF)
 	f.Add(hugeName)
-	// v3 seeds: a forged section table — gigantic rows count at the
+	// A forged section table — gigantic rows count at the
 	// canonical offsets with a re-fixed header CRC — and a corrupt
 	// section CRC in an otherwise intact file.
-	tableOff, crcOff, headerLen := headerOffsets(plain, sectionTableEntries)
+	tableOff, crcOff, headerLen := headerOffsets(plain)
 	var plainV3 bytes.Buffer
 	if _, err := plain.WriteTo(&plainV3); err != nil {
 		f.Fatal(err)
@@ -82,17 +77,12 @@ func FuzzReadIndex(f *testing.F) {
 	badSec := append([]byte(nil), plainV3.Bytes()...)
 	badSec[len(badSec)-1] ^= 0xFF
 	f.Add(badSec)
+	f.Add(plainV3.Bytes()[:len(plainV3.Bytes())/2])
+	// Bytes after the last section: ReadIndex takes the index off the
+	// front and must still round-trip it.
+	f.Add(append(append([]byte(nil), plainV3.Bytes()...), "JUNKJUNKJUNK"...))
 
-	// A v2 stream (raw row-id postings, three sections): keeps the
-	// legacy decode-and-resort path under fuzz.
-	var plainV2 bytes.Buffer
-	if _, err := plain.WriteToVersion(&plainV2, indexVersionV2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(plainV2.Bytes())
-	f.Add(plainV2.Bytes()[:len(plainV2.Bytes())/2])
-
-	// v3 semantic-corruption seeds: bytes whose CRCs all verify but whose
+	// Semantic-corruption seeds: bytes whose CRCs all verify but whose
 	// precursor-order invariants are broken. The decoder must reject, not
 	// mis-serve, each of them.
 	//   entry 4 (precs): first two entries swapped — non-monotone column,

@@ -101,7 +101,7 @@ func (p Params) capBucket() int {
 
 // Row is one indexed theoretical spectrum: a peptide variant. The field
 // order packs it into exactly 16 bytes (one quarter cache line, no
-// padding), which doubles as the on-disk v2 record layout so a
+// padding), which doubles as the on-disk record layout so a
 // memory-mapped store can serve rows zero-copy (see OpenIndexMapped).
 type Row struct {
 	Precursor float64 // neutral mass including mod deltas
@@ -114,7 +114,7 @@ type Row struct {
 // is a bitfield (not a bool) so mapped bytes are valid for every value.
 const rowFlagModified = 1 << 0
 
-// rowMemBytes is the in-memory (and v2 on-disk) size of a Row. The array
+// rowMemBytes is the in-memory (and on-disk) size of a Row. The array
 // conversion is a compile-time assertion that the struct has no padding.
 const rowMemBytes = 16
 
@@ -398,10 +398,9 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 // rewrites the postings in terms of it: perm/precs are built by sorting
 // row ids on (precursor, id), every posting is remapped from row id to
 // sorted position, and each bucket's posting list is re-sorted ascending.
-// It runs once at the end of every build and when loading a pre-v3 file
-// (v3 files persist the result). The input postings may be in any order;
-// the output is deterministic — byte-identical for any build worker
-// count, and for a v2 file identical to rebuilding from its peptides.
+// It runs once, at the end of every build; SLMX files persist the result.
+// The input postings may be in any order; the output is deterministic —
+// byte-identical for any build worker count.
 func (ix *Index) sortByPrecursor() {
 	n := len(ix.rows)
 	rows := ix.rows

@@ -1,21 +1,13 @@
 package slm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"unsafe"
 
 	"lbe/internal/mmapio"
 )
 
-// errNotZeroCopy routes OpenIndexMapped to the heap fallback when the
-// mapped bytes cannot legally back typed views (big-endian host, or an
-// unaligned heap-fallback buffer).
-var errNotZeroCopy = errors.New("slm: mapping cannot back zero-copy views")
-
-// OpenIndexMapped opens a v3 SLMX file with its rows/offsets/ids and
+// OpenIndexMapped opens an SLMX file with its rows/offsets/ids and
 // precursor-order (perm/precs) arrays backed by zero-copy views of a
 // read-only memory mapping: no array is allocated or decoded, no section
 // byte is read at open, and the index's resident bytes are kernel page
@@ -23,8 +15,8 @@ var errNotZeroCopy = errors.New("slm: mapping cannot back zero-copy views")
 //
 // Validation is split so warm-start stays O(header) instead of O(file):
 // the header CRC, the canonical aligned section layout, every count cap
-// and the size budget are verified eagerly — a corrupt section table is
-// rejected at open — while the per-section content CRCs, the zero
+// and the exact file size are verified eagerly — a corrupt section table
+// is rejected at open — while the per-section content CRCs, the zero
 // padding between sections and the CSR shape invariants are deferred to
 // Verify, which runs at most once. Search triggers Verify implicitly, so
 // corrupt content is still detected before any match is produced; the
@@ -32,151 +24,50 @@ var errNotZeroCopy = errors.New("slm: mapping cannot back zero-copy views")
 //
 // The returned index owns the mapping: it stays valid until the index is
 // garbage-collected or Close is called, and must not be used after
-// Close. Pre-v3 files (whose postings must be rewritten into the sorted
-// layout), big-endian hosts, and platforms without usable mmap fall back
-// to a heap-loaded index (identical results; Mapped reports false,
-// Verify is a no-op because the decode already checked everything).
+// Close. Where the mapped bytes cannot back typed views — a big-endian
+// host, or a platform without usable mmap whose heap-read fallback came
+// back unaligned — the sections are copy-decoded and verified here, the
+// mapping is released, and the result is an ordinary heap index
+// (identical results; Mapped reports false, Verify is a no-op).
 func OpenIndexMapped(path string) (*Index, error) {
 	m, err := mmapio.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := indexFromMappedBytes(m)
-	if errors.Is(err, errNotZeroCopy) {
-		m.Close()
-		return LoadFile(path)
-	}
+	data := m.Bytes()
+	h, err := wholeHeader(data)
 	if err != nil {
 		m.Close()
-		return nil, fmt.Errorf("slm: mapped open %s: %w", path, err)
+		return nil, fmt.Errorf("mapped open %s: %w", path, err)
 	}
-	// Deferred-verification failures surface far from the open call, so
-	// anchor them to the file they indict.
-	fn := ix.verifyFn
+	ix, aliased := indexFromImage(h, data)
+	if !aliased {
+		err := ix.verify(h, data)
+		m.Close()
+		if err != nil {
+			return nil, fmt.Errorf("mapped open %s: %w", path, err)
+		}
+		return ix, nil
+	}
+	ix.mapping = m
+	// The pass faults in the whole file, so the first Search after it
+	// runs against a warm mapping. Its failures surface far from the open
+	// call, so anchor them to the file they indict.
 	ix.verifyFn = func() error {
-		if err := fn(); err != nil {
-			return fmt.Errorf("slm: mapped index %s: %w", path, err)
+		m.Advise(mmapio.AdviceSequential)
+		defer m.Advise(mmapio.AdviceRandom)
+		if err := ix.verify(h, data); err != nil {
+			return fmt.Errorf("mapped index %s: %w", path, err)
 		}
 		return nil
 	}
 	return ix, nil
 }
 
-// indexFromMappedBytes validates the v3 header in m and builds an Index
-// whose arrays alias the mapped bytes, leaving section content checks to
-// the deferred verifyFn. It returns errNotZeroCopy when the bytes are
-// valid but cannot be aliased on this host.
-func indexFromMappedBytes(m *mmapio.Mapping) (*Index, error) {
-	data := m.Bytes()
-	if len(data) < len(indexMagic)+4 {
-		return nil, fmt.Errorf("input of %d bytes is too short for an index", len(data))
-	}
-	if string(data[:len(indexMagic)]) != indexMagic {
-		return nil, fmt.Errorf("bad magic %q", data[:len(indexMagic)])
-	}
-
-	// Reuse the streaming header parser over the in-memory image: it
-	// verifies the header CRC and pins the section table to the canonical
-	// aligned layout (rejecting overlapping, misordered or misaligned
-	// sections) with every count capped and bounded by the input size.
-	d := &indexDecoder{
-		cr:      &crcReader{r: bytes.NewReader(data[len(indexMagic):])},
-		payload: int64(len(data) - len(indexMagic)),
-	}
-	version, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != indexVersion {
-		// v1 has no section table to map; v2 postings hold raw row ids
-		// and must be rewritten into the sorted layout, which a read-only
-		// mapping cannot back. Both re-load on the heap.
-		return nil, fmt.Errorf("version %d cannot be memory-mapped%w", version, errNotZeroCopy)
-	}
-	h, err := readHeader(d, version)
-	if err != nil {
-		return nil, err
-	}
-
-	section := func(i int) []byte {
-		e := h.secs[i]
-		// Bounds proven by readHeader against len(data).
-		return data[e.off : int64(e.off)+sectionElemBytes[i]*int64(e.count)]
-	}
-	rowsSec := section(0)
-	offsSec := section(1)
-	idsSec := section(2)
-	permSec := section(3)
-	precsSec := section(4)
-
-	if !isLittleEndian {
-		return nil, errNotZeroCopy
-	}
-	aligned := func(b []byte) bool {
-		return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
-	}
-	if !aligned(rowsSec) || !aligned(offsSec) || !aligned(idsSec) || !aligned(permSec) || !aligned(precsSec) {
-		// mmap is page-aligned, so this only happens on the heap-read
-		// fallback with an unaligned buffer.
-		return nil, errNotZeroCopy
-	}
-
-	ix := &Index{params: h.params, numBuckets: int(h.numBuckets)}
-	if n := int(h.secs[0].count); n > 0 {
-		ix.rows = unsafe.Slice((*Row)(unsafe.Pointer(&rowsSec[0])), n)
-		ix.perm = unsafe.Slice((*uint32)(unsafe.Pointer(&permSec[0])), n)
-		ix.precs = unsafe.Slice((*float64)(unsafe.Pointer(&precsSec[0])), n)
-	}
-	if n := int(h.secs[1].count); n > 0 {
-		ix.offsets = unsafe.Slice((*uint32)(unsafe.Pointer(&offsSec[0])), n)
-	}
-	if n := int(h.secs[2].count); n > 0 {
-		ix.ids = unsafe.Slice((*uint32)(unsafe.Pointer(&idsSec[0])), n)
-	}
-	ix.buildPeak = ix.MemoryBytes()
-	ix.mapping = m
-	shape := Index{
-		rows: ix.rows, offsets: ix.offsets, ids: ix.ids,
-		perm: ix.perm, precs: ix.precs, numBuckets: ix.numBuckets,
-	}
-	ix.verifyFn = func() error {
-		if err := verifyMappedSections(m, h, data); err != nil {
-			return err
-		}
-		return shape.validateShape()
-	}
-	return ix, nil
-}
-
-// verifyMappedSections is the deferred half of a mapped open: one
-// sequential pass computing every per-section CRC and requiring the
-// alignment padding between sections (the one region no section CRC
-// covers) to be zero. The pass faults in the whole file, so the first
-// Search after it runs against a warm mapping.
-func verifyMappedSections(m *mmapio.Mapping, h *fileHeader, data []byte) error {
-	m.Advise(mmapio.AdviceSequential)
-	defer m.Advise(mmapio.AdviceRandom)
-	end := h.headerLen // end of the previously verified region
-	for i, e := range h.secs {
-		lo := int64(e.off)
-		for _, v := range data[end:lo] {
-			if v != 0 {
-				return errors.New("nonzero section padding")
-			}
-		}
-		end = lo + sectionElemBytes[i]*int64(e.count)
-		sec := data[lo:end]
-		if crc := crc32.ChecksumIEEE(sec); crc != e.crc {
-			return fmt.Errorf("section %d checksum mismatch: file %08x, computed %08x", i, e.crc, crc)
-		}
-	}
-	return nil
-}
-
 // Verify runs the deferred content validation of a mapped open — section
 // CRCs, inter-section padding, CSR shape — exactly once, returning the
 // same result on every later call. It is a no-op for indexes validated
-// at build or decode time (heap loads, fallbacks). Safe for concurrent
+// at build or decode time (every heap open). Safe for concurrent
 // use; Search calls it implicitly, so the warm path below must stay
 // free of allocation-inducing constructs (no closures — hotpathalloc
 // walks through here).

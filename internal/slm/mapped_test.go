@@ -1,8 +1,9 @@
 package slm
 
 import (
-	"os"
+	"bytes"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -95,30 +96,51 @@ func TestOpenIndexMappedEmpty(t *testing.T) {
 	}
 }
 
-// TestOpenIndexMappedV1FallsBack: v1 files predate the section table and
-// cannot be mapped; the open must silently fall back to the heap loader.
-func TestOpenIndexMappedV1FallsBack(t *testing.T) {
-	ix := buildTestIndex(t)
-	path := filepath.Join(t.TempDir(), "v1.slm")
-	f, err := os.Create(path)
+// TestCopyDecodeMatchesAliased drives the per-element decode that
+// big-endian hosts and unaligned buffers take — a path no little-endian
+// runner reaches through a file — by handing the decoder a deliberately
+// misaligned image: the arrays must equal the aliased open's exactly and
+// answer the same queries byte-identically.
+func TestCopyDecodeMatchesAliased(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := buildTestIndex(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	image := alignedBytes(int64(buf.Len()) + 1)[1:]
+	copy(image, buf.Bytes())
+
+	h, err := wholeHeader(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeToV1(ix, f); err != nil {
-		t.Fatal(err)
+	if _, aliased := indexFromImage(h, image); aliased {
+		t.Fatal("an odd-address image was aliased")
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenIndexMapped(path)
+	copied, err := DecodeIndex(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mapped() {
-		t.Error("v1 file must not report as mapped")
+	if copied.Mapped() {
+		t.Error("copy-decoded index claims to be mapped")
 	}
-	if got.NumRows() != ix.NumRows() {
-		t.Errorf("v1 fallback rows = %d, want %d", got.NumRows(), ix.NumRows())
+	mapped, err := OpenIndexMapped(saveTestIndex(t, buildTestIndex(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	if !reflect.DeepEqual(copied.rows, mapped.rows) || !reflect.DeepEqual(copied.offsets, mapped.offsets) ||
+		!reflect.DeepEqual(copied.ids, mapped.ids) || !reflect.DeepEqual(copied.perm, mapped.perm) ||
+		!reflect.DeepEqual(copied.precs, mapped.precs) || copied.numBuckets != mapped.numBuckets {
+		t.Fatal("copy-decoded arrays differ from the aliased open's")
+	}
+	for _, pep := range []string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"} {
+		q := queryFor(t, pep)
+		a, wa := mapped.Search(q, 0, nil)
+		b, wb := copied.Search(q, 0, nil)
+		if !reflect.DeepEqual(a, b) || wa != wb {
+			t.Fatalf("%s: aliased %+v (widened %v), copy-decoded %+v (widened %v)", pep, a, wa, b, wb)
+		}
 	}
 }
 

@@ -2,13 +2,14 @@ package slm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"slices"
 	"unsafe"
 
 	"lbe/internal/mass"
@@ -21,7 +22,7 @@ import (
 // a compact, checksummed serialization so partial indexes can be spilled
 // and reloaded.
 //
-// Version 3 layout (little-endian), written by WriteTo:
+// Layout (little-endian), version 3 — the only version read or written:
 //
 //	magic "SLMX" | version u32 | params block | numBuckets u32 |
 //	section table (5 × {offset u64, count u64, crc32 u32}) | header crc32 |
@@ -35,48 +36,44 @@ import (
 // its own CRC. Section offsets are canonical — derivable from the header
 // size alone — so a stream reader needs no seeking and a table naming
 // overlapping, misordered or misaligned sections is rejected outright.
-// The fixed aligned layout is what lets OpenIndexMapped back an index
-// with zero-copy views of a memory mapping.
+// ids postings hold mass-sorted row positions (each bucket ascending),
+// perm maps sorted position → row id, and precs is the ascending
+// precursor column the windowed scan binary searches.
 //
-// v3 adds the precursor-mass order: ids postings hold mass-sorted row
-// positions (each bucket ascending), perm maps sorted position → row id,
-// and precs is the ascending precursor column the windowed scan binary
-// searches. Version 2 (the same layout with three sections — rows,
-// offsets, ids — and postings holding raw row ids) and version 1 (magic |
-// version | params | rows | offsets | ids | crc32, with u32 count
-// prefixes and a single trailing CRC) remain readable; both derive the
-// precursor order at load time (see sortByPrecursor).
+// Every open — ReadIndex, LoadFile, DecodeIndex, OpenIndexMapped — is the
+// same three steps over one byte image of the file: readHeader parses and
+// CRC-checks the header and pins the section table to the canonical
+// layout, indexFromImage takes the five section views (the fixed aligned
+// layout is what lets them alias the image, heap buffer or memory mapping
+// alike, with no per-element decoding), and verify checks the section
+// CRCs, the zero padding and the cross-array shape. Only the mapped open
+// defers verify (see OpenIndexMapped).
 //
 // Counts come from the (not yet checksum-verified) input, so the reader
 // treats them as hostile: each is bounded by an absolute cap AND, when
 // the input's size is knowable (regular files, in-memory readers), by the
-// bytes actually present. On sized input the arrays are then allocated
-// exactly and bulk-read; on an opaque stream payloads are read in
-// fixed-size chunks so the decoder never allocates more than a small
-// multiple of the bytes it has actually consumed.
+// bytes actually present. On sized input the image is then allocated
+// exactly and filled with one read; on an opaque stream it grows in
+// doubling chunks as bytes actually arrive, so the decoder never
+// allocates more than a small multiple of the bytes it has consumed.
 
 const (
-	indexMagic     = "SLMX"
-	indexVersion   = 3
-	indexVersionV2 = 2
-	indexVersionV1 = 1
+	indexMagic   = "SLMX"
+	indexVersion = 3
 
 	// Wire sizes of the variable-length record types.
-	rowWireBytesV1   = 4 + 8 + 2 + 1 // v1: Peptide u32, Precursor f64, NumIons u16, Modified u8
-	rowWireBytes     = rowMemBytes   // v2+: the in-memory Row layout
+	rowWireBytes     = rowMemBytes // the in-memory Row layout
 	postingWireBytes = 4
 
-	// sectionAlign is the file-offset alignment of every v2+ data section:
+	// sectionAlign is the file-offset alignment of every data section:
 	// a cache line, and a divisor of the page size, so a page-aligned
 	// mapping yields aligned (and cache-line-friendly) array views.
 	sectionAlign = 64
 
 	// sectionTableEntries and sectionEntryBytes fix the table shape: rows,
 	// offsets, ids, perm, precs — each {offset u64, count u64, crc32 u32}.
-	// v2 tables carry only the first three sections.
-	sectionTableEntries   = 5
-	sectionTableEntriesV2 = 3
-	sectionEntryBytes     = 8 + 8 + 4
+	sectionTableEntries = 5
+	sectionEntryBytes   = 8 + 8 + 4
 
 	// Absolute sanity caps on count fields, enforced before any
 	// allocation. They bound a single shard file at sizes far beyond the
@@ -91,39 +88,22 @@ const (
 )
 
 // isLittleEndian reports whether the host lays out multi-byte integers
-// the way the SLMX wire format does; when true, v2 section payloads are
-// bulk-copied (and memory-mapped) without per-element decoding.
+// the way the SLMX wire format does; when true, section payloads are
+// written from, and aliased as, the in-memory arrays without per-element
+// coding.
 var isLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// rowsBytes returns the raw little-endian byte view of a Row slice. Only
-// valid on little-endian hosts, where the in-memory layout is the v2
-// wire layout.
-func rowsBytes(rows []Row) []byte {
-	if len(rows) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&rows[0])), rowMemBytes*len(rows))
-}
-
-// u32sBytes returns the raw little-endian byte view of a uint32 slice.
-// Only valid on little-endian hosts.
-func u32sBytes(vs []uint32) []byte {
+// bytesOf returns the raw byte view of an element slice — its wire
+// encoding on little-endian hosts, where the in-memory layout is the wire
+// layout, and only there. viewAs is its inverse.
+func bytesOf[T any](vs []T) []byte {
 	if len(vs) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 4*len(vs))
-}
-
-// f64sBytes returns the raw little-endian byte view of a float64 slice.
-// Only valid on little-endian hosts.
-func f64sBytes(vs []float64) []byte {
-	if len(vs) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), 8*len(vs))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*int(unsafe.Sizeof(vs[0])))
 }
 
 // sectionElemBytes[i] is the wire size of one element of section i:
@@ -211,12 +191,12 @@ func (e *indexEncoder) str(s string) {
 	}
 }
 
-// rows encodes the row records in the 16-byte v2 layout through a
+// rows encodes the row records in the 16-byte wire layout through a
 // reusable fixed buffer; on little-endian hosts the records are the
 // in-memory bytes and are written directly.
 func (e *indexEncoder) rows(rows []Row) {
 	if isLittleEndian {
-		e.write(rowsBytes(rows))
+		e.write(bytesOf(rows))
 		return
 	}
 	var b [rowWireBytes]byte
@@ -238,7 +218,7 @@ func (e *indexEncoder) rows(rows []Row) {
 // fixed-size chunks.
 func (e *indexEncoder) u32s(vs []uint32) {
 	if isLittleEndian {
-		e.write(u32sBytes(vs))
+		e.write(bytesOf(vs))
 		return
 	}
 	var b [4 << 10]byte
@@ -257,7 +237,7 @@ func (e *indexEncoder) u32s(vs []uint32) {
 // fixed-size chunks.
 func (e *indexEncoder) f64s(vs []float64) {
 	if isLittleEndian {
-		e.write(f64sBytes(vs))
+		e.write(bytesOf(vs))
 		return
 	}
 	var b [4 << 10]byte
@@ -282,7 +262,7 @@ func (e *indexEncoder) pad(n int64) {
 	}
 }
 
-// params encodes the params block (identical field order in v1 and v2).
+// params encodes the params block.
 func (e *indexEncoder) params(p Params) {
 	e.f64(p.Resolution)
 	e.f64(p.FragmentTol.Value)
@@ -335,8 +315,7 @@ func (ix *Index) checkEncodable() error {
 }
 
 // sectionLayout is the computed file geometry: canonical aligned section
-// offsets derived from the header size. Only the first nsecs entries of
-// offs are meaningful for a v2 file.
+// offsets derived from the header size.
 type sectionLayout struct {
 	offs [sectionTableEntries]int64
 	end  int64 // total file size
@@ -348,12 +327,12 @@ func alignUp(n int64) int64 {
 }
 
 // fileLayout derives the canonical section offsets for an index whose
-// header (magic through header CRC) spans headerLen bytes and whose first
-// nsecs sections hold counts[i] elements each.
-func fileLayout(nsecs int, headerLen int64, counts []int64) sectionLayout {
+// header (magic through header CRC) spans headerLen bytes and whose
+// sections hold counts[i] elements each.
+func fileLayout(headerLen int64, counts [sectionTableEntries]int64) sectionLayout {
 	var l sectionLayout
 	off := headerLen
-	for i := 0; i < nsecs; i++ {
+	for i := range counts {
 		off = alignUp(off)
 		l.offs[i] = off
 		off += sectionElemBytes[i] * counts[i]
@@ -382,41 +361,10 @@ func sectionCRC(fill func(e *indexEncoder)) (uint32, error) {
 	return cw.crc, e.err
 }
 
-// legacyIDs reconstructs the v2 postings array: raw row ids, each
-// bucket's list ascending — the exact bytes the v2 encoder produced for
-// the same build, so a v2 round trip is lossless.
-func (ix *Index) legacyIDs() []uint32 {
-	ids := make([]uint32, len(ix.ids))
-	for i, srid := range ix.ids {
-		ids[i] = ix.perm[srid]
-	}
-	for b := 0; b < ix.numBuckets; b++ {
-		slices.Sort(ids[ix.offsets[b]:ix.offsets[b+1]])
-	}
-	return ids
-}
-
-// WriteTo serializes the index in the v3 section-table format. It
+// WriteTo serializes the index in the section-table format. It
 // implements io.WriterTo: on error it returns the number of bytes the
 // underlying writer actually accepted before the failure, not zero.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	return ix.writeTo(w, indexVersion)
-}
-
-// WriteToVersion serializes the index in an older SLMX format version so
-// compatibility fixtures and downgrade tooling can produce stores older
-// readers accept: version 2 emits the three-section layout with postings
-// holding raw row ids (re-reading it derives the identical precursor
-// order back); version 3 is WriteTo.
-func (ix *Index) WriteToVersion(w io.Writer, version uint32) (int64, error) {
-	if version != indexVersion && version != indexVersionV2 {
-		return 0, fmt.Errorf("slm: cannot write index version %d (want %d or %d)",
-			version, indexVersion, indexVersionV2)
-	}
-	return ix.writeTo(w, version)
-}
-
-func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	// A mapped index defers content validation; run it before
 	// re-encoding, or a corrupt mapping would be rewritten under fresh
 	// CRCs that bless the corruption.
@@ -426,30 +374,24 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	if err := ix.checkEncodable(); err != nil {
 		return 0, err
 	}
-	nsecs := sectionTableEntries
-	ids := ix.ids
-	if version == indexVersionV2 {
-		nsecs = sectionTableEntriesV2
-		ids = ix.legacyIDs()
-	}
 	fills := [sectionTableEntries]func(e *indexEncoder){
 		func(e *indexEncoder) { e.rows(ix.rows) },
 		func(e *indexEncoder) { e.u32s(ix.offsets) },
-		func(e *indexEncoder) { e.u32s(ids) },
+		func(e *indexEncoder) { e.u32s(ix.ids) },
 		func(e *indexEncoder) { e.u32s(ix.perm) },
 		func(e *indexEncoder) { e.f64s(ix.precs) },
 	}
 	counts := [sectionTableEntries]int64{
-		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ids)),
+		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
 		int64(len(ix.perm)), int64(len(ix.precs)),
 	}
 	headerLen := int64(len(indexMagic)) + 4 + paramsBlockLen(ix.params) + 4 +
-		int64(nsecs)*sectionEntryBytes + 4
-	layout := fileLayout(nsecs, headerLen, counts[:nsecs])
+		sectionTableEntries*sectionEntryBytes + 4
+	layout := fileLayout(headerLen, counts)
 
 	// Pass 1: per-section CRCs (streamed, nothing buffered).
 	var crcs [sectionTableEntries]uint32
-	for i := 0; i < nsecs; i++ {
+	for i := range fills {
 		crc, err := sectionCRC(fills[i])
 		if err != nil {
 			return 0, err
@@ -467,10 +409,10 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	cw := &crcWriter{w: bw}
 	e := &indexEncoder{cw: cw}
 
-	e.u32(version)
+	e.u32(indexVersion)
 	e.params(ix.params)
 	e.u32(uint32(ix.numBuckets))
-	for i := 0; i < nsecs; i++ {
+	for i := range fills {
 		e.u64(uint64(layout.offs[i]))
 		e.u64(uint64(counts[i]))
 		e.u32(crcs[i])
@@ -478,7 +420,7 @@ func (ix *Index) writeTo(w io.Writer, version uint32) (int64, error) {
 	e.u32(cw.crc) // header CRC: covers version..section table
 
 	pos := func() int64 { return int64(len(indexMagic)) + cw.n }
-	for i := 0; i < nsecs; i++ {
+	for i := range fills {
 		e.pad(layout.offs[i] - pos())
 		fills[i](e)
 	}
@@ -524,8 +466,7 @@ func inputSize(r io.Reader) int64 {
 type indexDecoder struct {
 	cr *crcReader
 	// payload is the decoder's byte budget — the input size minus the
-	// magic (and, for v1, the trailing checksum) — or -1 when the size is
-	// unknown.
+	// magic — or -1 when the size is unknown.
 	payload int64
 }
 
@@ -539,11 +480,6 @@ func (d *indexDecoder) remaining() int64 {
 	}
 	return 0
 }
-
-// sized reports whether the input size is known, enabling the bulk fast
-// path: exact-size allocation and a single large read per array, instead
-// of the chunked defensive copies the hostile-stream path uses.
-func (d *indexDecoder) sized() bool { return d.payload >= 0 }
 
 // checkCount validates a decoded length field before anything is
 // allocated for it: n elements of elem wire bytes each must fit under the
@@ -596,7 +532,7 @@ func (d *indexDecoder) str() (string, error) {
 	if err := d.checkCount(uint64(n), 1, maxStringLen, "string byte"); err != nil {
 		return "", err
 	}
-	// Same chunked discipline as u32s: on an unsized stream, a forged
+	// Same discipline as readImage: on an unsized stream, a forged
 	// length only grows the buffer as bytes actually arrive.
 	const chunk = 4096
 	var tmp [chunk]byte
@@ -611,165 +547,7 @@ func (d *indexDecoder) str() (string, error) {
 	return string(b), nil
 }
 
-// discardZero consumes n bytes of v2 section padding, requiring every
-// byte to be zero: padding is the one region no section CRC covers, so
-// this check keeps "any flipped byte is detected" true for the whole
-// file.
-func (d *indexDecoder) discardZero(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("slm: corrupt section layout")
-	}
-	var b [sectionAlign]byte
-	for n > 0 {
-		take := min(n, int64(len(b)))
-		if err := d.full(b[:take]); err != nil {
-			return err
-		}
-		for _, v := range b[:take] {
-			if v != 0 {
-				return fmt.Errorf("slm: nonzero section padding")
-			}
-		}
-		n -= take
-	}
-	return nil
-}
-
-// u32s reads n little-endian uint32s. On sized input the output is
-// allocated exactly and filled with one bulk read (zero per-element
-// decoding on little-endian hosts); on an opaque stream it is read in
-// fixed-size chunks, growing as bytes actually arrive, so a corrupt
-// count stalls at the first short read instead of provoking one huge
-// upfront allocation.
-func (d *indexDecoder) u32s(n int) ([]uint32, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]uint32, n)
-		if err := d.full(u32sBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkElems = (16 << 10) / 4
-	var b [16 << 10]byte
-	le := binary.LittleEndian
-	out := make([]uint32, 0, min(n, chunkElems))
-	for len(out) < n {
-		take := min(n-len(out), chunkElems)
-		if err := d.full(b[:4*take]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, le.Uint32(b[4*i:]))
-		}
-	}
-	return out, nil
-}
-
-// f64s reads n little-endian float64s under the same allocation
-// discipline as u32s: bulk on sized input, chunked on opaque streams.
-func (d *indexDecoder) f64s(n int) ([]float64, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]float64, n)
-		if err := d.full(f64sBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkElems = (16 << 10) / 8
-	var b [16 << 10]byte
-	le := binary.LittleEndian
-	out := make([]float64, 0, min(n, chunkElems))
-	for len(out) < n {
-		take := min(n-len(out), chunkElems)
-		if err := d.full(b[:8*take]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, math.Float64frombits(le.Uint64(b[8*i:])))
-		}
-	}
-	return out, nil
-}
-
-// rowRecordsV1 reads n v1 15-byte row records. Sized input is decoded
-// into an exactly-sized slice; opaque streams keep the chunked
-// allocation discipline.
-func (d *indexDecoder) rowRecordsV1(n int) ([]Row, error) {
-	const chunkRows = 1024
-	var b [chunkRows * rowWireBytesV1]byte
-	le := binary.LittleEndian
-	decode := func(rec []byte) Row {
-		var flags uint16
-		if rec[14] != 0 {
-			flags |= rowFlagModified
-		}
-		return Row{
-			Peptide:   le.Uint32(rec[0:4]),
-			Precursor: math.Float64frombits(le.Uint64(rec[4:12])),
-			NumIons:   le.Uint16(rec[12:14]),
-			Flags:     flags,
-		}
-	}
-	if d.sized() {
-		out := make([]Row, n)
-		for done := 0; done < n; {
-			take := min(n-done, chunkRows)
-			if err := d.full(b[:take*rowWireBytesV1]); err != nil {
-				return nil, err
-			}
-			for i := 0; i < take; i++ {
-				out[done+i] = decode(b[i*rowWireBytesV1:])
-			}
-			done += take
-		}
-		return out, nil
-	}
-	out := make([]Row, 0, min(n, chunkRows))
-	for len(out) < n {
-		take := min(n-len(out), chunkRows)
-		if err := d.full(b[:take*rowWireBytesV1]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			out = append(out, decode(b[i*rowWireBytesV1:]))
-		}
-	}
-	return out, nil
-}
-
-// rowRecords reads n v2 16-byte row records. On sized little-endian
-// input the records are bulk-read straight into the Row array.
-func (d *indexDecoder) rowRecords(n int) ([]Row, error) {
-	if isLittleEndian && d.sized() {
-		out := make([]Row, n)
-		if err := d.full(rowsBytes(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	const chunkRows = 1024
-	var b [chunkRows * rowWireBytes]byte
-	le := binary.LittleEndian
-	out := make([]Row, 0, min(n, chunkRows))
-	for len(out) < n {
-		take := min(n-len(out), chunkRows)
-		if err := d.full(b[:take*rowWireBytes]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < take; i++ {
-			rec := b[i*rowWireBytes:]
-			out = append(out, Row{
-				Precursor: math.Float64frombits(le.Uint64(rec[0:8])),
-				Peptide:   le.Uint32(rec[8:12]),
-				NumIons:   le.Uint16(rec[12:14]),
-				Flags:     le.Uint16(rec[14:16]),
-			})
-		}
-	}
-	return out, nil
-}
-
-// readParams decodes the params block (shared by v1 and v2).
+// readParams decodes the params block.
 func (d *indexDecoder) readParams(p *Params) error {
 	var fail error
 	get := func(dst *float64) {
@@ -837,14 +615,13 @@ func (d *indexDecoder) readParams(p *Params) error {
 	return nil
 }
 
-// validateShape runs the cross-array sanity checks shared by every
-// decode path: monotone offsets ending at the posting count, in-range
-// postings, sane row precursors — and, when the precursor-order columns
-// are present (v3 files; derived columns are correct by construction),
-// their own invariants: perm a true permutation, precs ascending and
-// agreeing with the rows, every bucket's posting list sorted. The
-// windowed scan trusts all of these, so a corrupt file claiming them
-// must be rejected here rather than silently dropping matches.
+// validateShape runs the cross-array sanity checks every open ends with:
+// monotone offsets ending at the posting count, in-range postings, sane
+// row precursors, and the precursor-order invariants — perm a true
+// permutation, precs ascending and agreeing with the rows, every bucket's
+// posting list sorted. The windowed scan trusts all of these, so a
+// corrupt file claiming them must be rejected here rather than silently
+// dropping matches.
 func (ix *Index) validateShape() error {
 	for i := 1; i < len(ix.offsets); i++ {
 		if ix.offsets[i] < ix.offsets[i-1] {
@@ -863,9 +640,6 @@ func (ix *Index) validateShape() error {
 		if math.IsNaN(r.Precursor) || r.Precursor < 0 {
 			return fmt.Errorf("slm: corrupt row precursor")
 		}
-	}
-	if ix.perm == nil && ix.precs == nil {
-		return nil // pre-v3 decode: the columns are derived after this check
 	}
 	if len(ix.perm) != len(ix.rows) || len(ix.precs) != len(ix.rows) {
 		return fmt.Errorf("slm: precursor-order columns of %d/%d entries do not match %d rows",
@@ -903,30 +677,50 @@ type sectionEntry struct {
 	crc   uint32
 }
 
-// fileHeader is the decoded v2/v3 header: everything before the first
-// data section.
+// fileHeader is the decoded header: everything before the first data
+// section, plus the file size its section table implies.
 type fileHeader struct {
-	version    uint32
 	params     Params
 	numBuckets uint32
-	secs       []sectionEntry // rows, offsets, ids[, perm, precs]
-	headerLen  int64          // magic through header CRC
+	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids, perm, precs
+	headerLen  int64                             // magic through header CRC
+	end        int64                             // end of the last section: the canonical file size
 }
 
-// readHeader decodes and validates a v2 or v3 header from d, which must
-// be positioned just after the version field. The header CRC is verified
-// and the section table checked against the canonical layout: ordered,
-// 64-byte aligned, non-overlapping offsets derived from the header size,
-// with counts under the absolute caps (and the input size when known).
-// For v3, the perm and precs sections must hold exactly one entry per
-// row. All of this is O(header) — no section byte is touched — so a
-// mapped open stays cheap.
-func readHeader(d *indexDecoder, version uint32) (*fileHeader, error) {
-	nsecs := sectionTableEntries
-	if version == indexVersionV2 {
-		nsecs = sectionTableEntriesV2
+// readHeader decodes and validates the header of an index from r, whose
+// unread size is size bytes (-1 when unknown). The magic and version are
+// checked first, so a foreign or outdated file is refused before anything
+// else is read. The header CRC is then verified and the section table
+// checked against the canonical layout: ordered, 64-byte aligned,
+// non-overlapping offsets derived from the header size, with counts under
+// the absolute caps (and the input size when known), perm and precs
+// holding exactly one entry per row. All of this is O(header) — no
+// section byte is touched — so a mapped open stays cheap.
+func readHeader(r io.Reader, size int64) (*fileHeader, error) {
+	magic := make([]byte, len(indexMagic))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return nil, fmt.Errorf("slm: reading magic: %w", err)
 	}
-	h := &fileHeader{version: version, secs: make([]sectionEntry, nsecs)}
+	if string(magic) != indexMagic {
+		return nil, fmt.Errorf("slm: bad magic %q", magic)
+	}
+	d := &indexDecoder{cr: &crcReader{r: r}, payload: -1}
+	if size >= 0 {
+		d.payload = size - int64(len(indexMagic))
+	}
+	version, err := d.u32()
+	if err != nil {
+		return nil, err
+	}
+	if version != indexVersion {
+		hint := ""
+		if version < indexVersion {
+			hint = "; rebuild with `lbe-index -out`"
+		}
+		return nil, fmt.Errorf("slm: unsupported index version %d (want %d)%s", version, indexVersion, hint)
+	}
+
+	h := &fileHeader{}
 	if err := d.readParams(&h.params); err != nil {
 		return nil, err
 	}
@@ -956,7 +750,7 @@ func readHeader(d *indexDecoder, version uint32) (*fileHeader, error) {
 	}
 	h.headerLen = int64(len(indexMagic)) + d.cr.n
 
-	rows, offs, ids := h.secs[0], h.secs[1], h.secs[2]
+	rows, offs, ids, perm, precs := h.secs[0], h.secs[1], h.secs[2], h.secs[3], h.secs[4]
 	if err := d.checkCount(rows.count, rowWireBytes, maxRowCount, "row"); err != nil {
 		return nil, err
 	}
@@ -972,24 +766,21 @@ func readHeader(d *indexDecoder, version uint32) (*fileHeader, error) {
 	if err := d.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting"); err != nil {
 		return nil, err
 	}
-	if nsecs > sectionTableEntriesV2 {
-		perm, precs := h.secs[3], h.secs[4]
-		if perm.count != rows.count || precs.count != rows.count {
-			return nil, fmt.Errorf("slm: precursor-order sections of %d/%d entries do not match %d rows",
-				perm.count, precs.count, rows.count)
-		}
-		if err := d.checkCount(perm.count, 4, maxRowCount, "perm"); err != nil {
-			return nil, err
-		}
-		if err := d.checkCount(precs.count, 8, maxRowCount, "precursor"); err != nil {
-			return nil, err
-		}
+	if perm.count != rows.count || precs.count != rows.count {
+		return nil, fmt.Errorf("slm: precursor-order sections of %d/%d entries do not match %d rows",
+			perm.count, precs.count, rows.count)
 	}
-	counts := make([]int64, nsecs)
+	if err := d.checkCount(perm.count, 4, maxRowCount, "perm"); err != nil {
+		return nil, err
+	}
+	if err := d.checkCount(precs.count, 8, maxRowCount, "precursor"); err != nil {
+		return nil, err
+	}
+	var counts [sectionTableEntries]int64
 	for i, s := range h.secs {
 		counts[i] = int64(s.count)
 	}
-	layout := fileLayout(nsecs, h.headerLen, counts)
+	layout := fileLayout(h.headerLen, counts)
 	for i, s := range h.secs {
 		if int64(s.off) != layout.offs[i] {
 			return nil, fmt.Errorf("slm: section %d at offset %d, canonical layout says %d (overlapping, misordered or misaligned sections)",
@@ -1000,210 +791,201 @@ func readHeader(d *indexDecoder, version uint32) (*fileHeader, error) {
 		return nil, fmt.Errorf("slm: sections need %d bytes but only %d remain (truncated or corrupt)",
 			layout.end-h.headerLen, rem)
 	}
+	h.end = layout.end
 	return h, nil
 }
 
-// readIndexBody decodes a v2 or v3 body from a stream already past the
-// version field: header, then each aligned section in file order with its
-// CRC verified as it streams by. A v2 body derives the precursor-order
-// columns after validation, so the returned index always serves the
-// windowed scan.
-func readIndexBody(d *indexDecoder, version uint32) (*Index, error) {
-	h, err := readHeader(d, version)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{params: h.params, numBuckets: int(h.numBuckets)}
-
-	pos := func() int64 { return int64(len(indexMagic)) + d.cr.n }
-
-	// Sections stream in file order. Each one's CRC must cover exactly
-	// its payload bytes, so the typed readers run through a dedicated
-	// section-scoped checksum reader that is reset at each section start.
-	sec := &crcReader{r: d.cr}
-	sd := &indexDecoder{cr: sec, payload: -1}
-	nextSection := func(entry sectionEntry) error {
-		if err := d.discardZero(int64(entry.off) - pos()); err != nil {
-			return err
-		}
-		sec.crc = 0
-		if d.sized() {
-			sd.payload = sec.n + d.remaining()
-		}
+// alignedBytes returns n zeroed bytes starting at an 8-byte-aligned
+// address — the strictest alignment a section's element type needs — so
+// indexFromImage can alias an image read into them.
+func alignedBytes(n int64) []byte {
+	if n == 0 {
 		return nil
 	}
-	checkSection := func(entry sectionEntry, what string) error {
-		if sec.crc != entry.crc {
-			return fmt.Errorf("slm: %s section checksum mismatch: file %08x, computed %08x", what, entry.crc, sec.crc)
-		}
-		return nil
-	}
-	section := func(i int, what string, read func(count int) error) error {
-		if err := nextSection(h.secs[i]); err != nil {
-			return err
-		}
-		if err := read(int(h.secs[i].count)); err != nil {
-			return err
-		}
-		return checkSection(h.secs[i], what)
-	}
-
-	if err := section(0, "rows", func(n int) (err error) {
-		ix.rows, err = sd.rowRecords(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if err := section(1, "offsets", func(n int) (err error) {
-		ix.offsets, err = sd.u32s(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if err := section(2, "ids", func(n int) (err error) {
-		ix.ids, err = sd.u32s(n)
-		return
-	}); err != nil {
-		return nil, err
-	}
-	if version >= indexVersion {
-		if err := section(3, "perm", func(n int) (err error) {
-			ix.perm, err = sd.u32s(n)
-			return
-		}); err != nil {
-			return nil, err
-		}
-		if err := section(4, "precs", func(n int) (err error) {
-			ix.precs, err = sd.f64s(n)
-			return
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := ix.validateShape(); err != nil {
-		return nil, err
-	}
-	if version < indexVersion {
-		ix.sortByPrecursor()
-	}
-	ix.buildPeak = ix.MemoryBytes()
-	return ix, nil
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
-// readIndexV1 decodes the legacy v1 body (count-prefixed arrays, single
-// trailing CRC) from a stream already past the version field.
-func readIndexV1(d *indexDecoder, br io.Reader) (*Index, error) {
-	ix := &Index{}
-	if err := d.readParams(&ix.params); err != nil {
-		return nil, err
+// readImage completes the byte image of the index whose header bytes
+// (magic through header CRC) are head, reading exactly end-len(head) more
+// bytes from r. When the input size is known readHeader has already
+// proven those bytes present, so the image is allocated once; on an
+// opaque stream end is still an unproven claim, so the image starts small
+// and doubles only as bytes actually arrive — a forged count stalls at
+// the first short read instead of provoking one huge allocation.
+func readImage(r io.Reader, head []byte, end int64, sized bool) ([]byte, error) {
+	n := end
+	if !sized {
+		n = min(end, max(2*int64(len(head)), 64<<10))
 	}
-
-	nrows, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(nrows), rowWireBytesV1, maxRowCount, "row"); err != nil {
-		return nil, err
-	}
-	if ix.rows, err = d.rowRecordsV1(int(nrows)); err != nil {
-		return nil, err
-	}
-
-	numBuckets, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	noffsets, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(numBuckets), 4, maxBucketCount, "bucket"); err != nil {
-		return nil, err
-	}
-	if noffsets != numBuckets+1 && !(numBuckets == 0 && noffsets <= 1) {
-		return nil, fmt.Errorf("slm: offsets length %d does not match %d buckets", noffsets, numBuckets)
-	}
-	if err := d.checkCount(uint64(noffsets), 4, maxBucketCount+1, "offset"); err != nil {
-		return nil, err
-	}
-	ix.numBuckets = int(numBuckets)
-	if ix.offsets, err = d.u32s(int(noffsets)); err != nil {
-		return nil, err
-	}
-	nids, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(nids), postingWireBytes, maxPostingCount, "posting"); err != nil {
-		return nil, err
-	}
-	if ix.ids, err = d.u32s(int(nids)); err != nil {
-		return nil, err
-	}
-
-	want := d.cr.crc
-	var gotb [4]byte
-	if _, err := io.ReadFull(br, gotb[:]); err != nil {
-		return nil, fmt.Errorf("slm: reading checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(gotb[:]); got != want {
-		return nil, fmt.Errorf("slm: checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	if err := ix.validateShape(); err != nil {
-		return nil, err
-	}
-	ix.sortByPrecursor()
-	ix.buildPeak = ix.MemoryBytes()
-	return ix, nil
-}
-
-// ReadIndex deserializes an index written by WriteTo (v3), by a v2
-// writer, or by the v1 writer, verifying checksums and the format
-// version. Pre-v3 inputs derive the precursor-mass order at load time,
-// so every returned index serves the windowed scan. Length fields are
-// bounded against both absolute caps and (when r's size is knowable) the
-// input size, so a truncated or corrupted file can never force an
-// allocation larger than a small multiple of the bytes actually present.
-// Sized, trusted input (regular files, in-memory readers) additionally
-// takes a bulk fast path: arrays are allocated exactly once and filled
-// with single large reads instead of chunked defensive copies.
-func ReadIndex(r io.Reader) (*Index, error) {
-	size := inputSize(r) // before bufio wraps r and reads ahead
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("slm: reading magic: %w", err)
-	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("slm: bad magic %q", magic)
-	}
-	d := &indexDecoder{cr: &crcReader{r: br}, payload: -1}
-
-	version, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case indexVersion, indexVersionV2:
-		if size >= 0 {
-			d.payload = size - int64(len(indexMagic))
-		}
-		return readIndexBody(d, version)
-	case indexVersionV1:
-		if size >= 0 {
-			// Budget for the CRC-covered payload: total minus magic and
-			// the trailing checksum.
-			if size < int64(len(indexMagic))+4 {
-				return nil, fmt.Errorf("slm: input of %d bytes is too short for an index", size)
+	image := alignedBytes(n)
+	got := copy(image, head)
+	for {
+		if _, err := io.ReadFull(r, image[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			d.payload = size - int64(len(indexMagic)) - 4
+			return nil, fmt.Errorf("slm: reading sections: %w", err)
 		}
-		return readIndexV1(d, br)
-	default:
-		return nil, fmt.Errorf("slm: unsupported index version %d (want %d, %d or %d)",
-			version, indexVersion, indexVersionV2, indexVersionV1)
+		got = len(image)
+		if int64(got) == end {
+			return image, nil
+		}
+		grown := alignedBytes(min(end, 2*int64(got)))
+		copy(grown, image)
+		image = grown
 	}
+}
+
+// viewAs reinterprets an aligned little-endian section payload as its
+// element array, without copying.
+func viewAs[T any](b []byte) []T {
+	if len(b) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(*new(T))))
+}
+
+// decodeSection copy-decodes a section payload of elem-byte records one
+// element at a time: the only way in on a big-endian host or from an
+// unaligned buffer, where the payload cannot be aliased.
+func decodeSection[T any](b []byte, elem int, get func(rec []byte) T) []T {
+	if len(b) == 0 {
+		return nil
+	}
+	out := make([]T, len(b)/elem)
+	for i := range out {
+		out[i] = get(b[i*elem:])
+	}
+	return out
+}
+
+// decodeRow decodes one 16-byte wire row record.
+func decodeRow(rec []byte) Row {
+	le := binary.LittleEndian
+	return Row{
+		Precursor: math.Float64frombits(le.Uint64(rec[0:8])),
+		Peptide:   le.Uint32(rec[8:12]),
+		NumIons:   le.Uint16(rec[12:14]),
+		Flags:     le.Uint16(rec[14:16]),
+	}
+}
+
+// indexFromImage builds the index h describes over image, which must hold
+// at least h.end bytes (readHeader proves this for sized input). On a
+// little-endian host with every section 8-byte aligned in memory the five
+// arrays alias image — no copy, no decoding; image must then outlive the
+// index and never change — and aliased reports true. Otherwise each
+// section is copy-decoded into a fresh array. No section byte is
+// validated here: that is verify's job.
+func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
+	var secs [sectionTableEntries][]byte
+	aliased = isLittleEndian
+	for i, e := range h.secs {
+		secs[i] = image[e.off : int64(e.off)+sectionElemBytes[i]*int64(e.count)]
+		if len(secs[i]) > 0 && uintptr(unsafe.Pointer(&secs[i][0]))%8 != 0 {
+			aliased = false
+		}
+	}
+	ix = &Index{params: h.params, numBuckets: int(h.numBuckets)}
+	if aliased {
+		ix.rows = viewAs[Row](secs[0])
+		ix.offsets = viewAs[uint32](secs[1])
+		ix.ids = viewAs[uint32](secs[2])
+		ix.perm = viewAs[uint32](secs[3])
+		ix.precs = viewAs[float64](secs[4])
+	} else {
+		le := binary.LittleEndian
+		ix.rows = decodeSection(secs[0], rowWireBytes, decodeRow)
+		ix.offsets = decodeSection(secs[1], 4, le.Uint32)
+		ix.ids = decodeSection(secs[2], 4, le.Uint32)
+		ix.perm = decodeSection(secs[3], 4, le.Uint32)
+		ix.precs = decodeSection(secs[4], 8, func(rec []byte) float64 {
+			return math.Float64frombits(le.Uint64(rec))
+		})
+	}
+	ix.buildPeak = ix.MemoryBytes()
+	return ix, aliased
+}
+
+// verify is the content half of every open: one sequential pass over
+// image checking each section's CRC and requiring the alignment padding
+// between sections — the one region no CRC covers — to be zero, so any
+// flipped byte up to h.end is detected, then the cross-array shape.
+func (ix *Index) verify(h *fileHeader, image []byte) error {
+	end := h.headerLen // end of the previously verified region
+	for i, e := range h.secs {
+		lo := int64(e.off)
+		for _, v := range image[end:lo] {
+			if v != 0 {
+				return errors.New("slm: nonzero section padding")
+			}
+		}
+		end = lo + sectionElemBytes[i]*int64(e.count)
+		if crc := crc32.ChecksumIEEE(image[lo:end]); crc != e.crc {
+			return fmt.Errorf("slm: section %d checksum mismatch: file %08x, computed %08x", i, e.crc, crc)
+		}
+	}
+	return ix.validateShape()
+}
+
+// decodeVerified is the eager open every entry point but the mapped one
+// ends with: section views, then verify.
+func decodeVerified(h *fileHeader, image []byte) (*Index, error) {
+	ix, _ := indexFromImage(h, image)
+	if err := ix.verify(h, image); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// wholeHeader is readHeader for an image that must be exactly one index:
+// a file shorter than its layout is refused by readHeader, a longer one
+// here, so no byte of a store file escapes the checksums.
+func wholeHeader(image []byte) (*fileHeader, error) {
+	h, err := readHeader(bytes.NewReader(image), int64(len(image)))
+	if err != nil {
+		return nil, err
+	}
+	if extra := int64(len(image)) - h.end; extra != 0 {
+		return nil, fmt.Errorf("slm: %d trailing bytes after the last section", extra)
+	}
+	return h, nil
+}
+
+// ReadIndex deserializes one index written by WriteTo from r, consuming
+// exactly its bytes — the header first, then the sections its table names
+// — and verifying every checksum and the format version; files written
+// by an older format version are refused with a hint to rebuild them.
+// Length fields are bounded against both absolute caps and (when r's size
+// is knowable) the input size, so a truncated or corrupted input can
+// never force an allocation larger than a small multiple of the bytes
+// actually present.
+func ReadIndex(r io.Reader) (*Index, error) {
+	size := inputSize(r)
+	var head bytes.Buffer
+	h, err := readHeader(io.TeeReader(r, &head), size)
+	if err != nil {
+		return nil, err
+	}
+	image, err := readImage(r, head.Bytes(), h.end, size >= 0)
+	if err != nil {
+		return nil, err
+	}
+	return decodeVerified(h, image)
+}
+
+// DecodeIndex deserializes an index from the complete bytes of a store
+// file, with the same checks as ReadIndex plus the whole-file one: image
+// must hold the index and nothing after it. Where the host allows it the
+// returned index aliases image instead of copying it, so the caller must
+// not modify image afterwards.
+func DecodeIndex(image []byte) (*Index, error) {
+	h, err := wholeHeader(image)
+	if err != nil {
+		return nil, err
+	}
+	return decodeVerified(h, image)
 }
 
 // SaveFile writes the index to the named file.
@@ -1219,12 +1001,20 @@ func (ix *Index) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadFile reads an index from the named file.
+// LoadFile reads an index from the named file, which must hold nothing
+// else.
 func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadIndex(f)
+	ix, err := ReadIndex(f)
+	if err != nil {
+		return nil, err
+	}
+	if extra := inputSize(f); extra > 0 {
+		return nil, fmt.Errorf("slm: %s: %d trailing bytes after the last section", path, extra)
+	}
+	return ix, nil
 }

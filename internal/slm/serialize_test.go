@@ -2,6 +2,7 @@ package slm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"lbe/internal/mass"
@@ -144,10 +147,7 @@ func TestSerializeTruncated(t *testing.T) {
 }
 
 // buildPlainIndex builds an index with no mods and no explicit ion
-// series, giving the serialized stream a fixed header layout:
-//
-//	magic 4 | version 4 | params 54 | nseries 4 | nrows 4 | rows ... |
-//	numBuckets 4 | noffsets 4 | offsets ... | nids 4 | ids ... | crc 4
+// series: the smallest params block, and a second pinned encoding.
 func buildPlainIndex(t *testing.T) *Index {
 	t.Helper()
 	params := DefaultParams()
@@ -165,13 +165,12 @@ type opaqueReader struct{ r io.Reader }
 
 func (o opaqueReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
-// headerOffsets computes the fixed header geometry for ix's stream with
-// nsecs section-table entries (sectionTableEntries for WriteTo's v3,
-// sectionTableEntriesV2 for WriteToVersion's v2): the file offsets of the
-// section table and the header CRC, and the total header length.
-func headerOffsets(ix *Index, nsecs int) (tableOff, crcOff, headerLen int) {
+// headerOffsets computes the fixed header geometry for ix's stream: the
+// file offsets of the section table and the header CRC, and the total
+// header length.
+func headerOffsets(ix *Index) (tableOff, crcOff, headerLen int) {
 	tableOff = len(indexMagic) + 4 + int(paramsBlockLen(ix.params)) + 4
-	crcOff = tableOff + nsecs*sectionEntryBytes
+	crcOff = tableOff + sectionTableEntries*sectionEntryBytes
 	headerLen = crcOff + 4
 	return
 }
@@ -184,29 +183,38 @@ func refixHeaderCRC(data []byte, crcOff int) {
 	binary.LittleEndian.PutUint32(data[crcOff:], crc)
 }
 
-// mustReject asserts every decode path — the sized reader, the opaque
-// stream reader, and the mapped open — refuses the corrupt image. The
-// mapped open validates the header eagerly and section content lazily,
-// so its rejection surface is OpenIndexMapped + Verify.
-func mustReject(t *testing.T, name string, data []byte) {
+// openAll runs data through every entry point — the sized reader, the
+// opaque stream reader, the whole-file opens (LoadFile, DecodeIndex) and
+// the mapped open — and returns each one's error by name. The mapped
+// open validates the header eagerly and section content lazily, so its
+// verdict is OpenIndexMapped + Verify.
+func openAll(t *testing.T, data []byte) map[string]error {
 	t.Helper()
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Errorf("%s: ReadIndex (sized) accepted corrupt input", name)
-	}
-	if _, err := ReadIndex(opaqueReader{bytes.NewReader(data)}); err == nil {
-		t.Errorf("%s: ReadIndex (opaque) accepted corrupt input", name)
-	}
-	path := filepath.Join(t.TempDir(), "bad.slm")
+	errs := map[string]error{}
+	_, errs["ReadIndex (sized)"] = ReadIndex(bytes.NewReader(data))
+	_, errs["ReadIndex (opaque)"] = ReadIndex(opaqueReader{bytes.NewReader(data)})
+	_, errs["DecodeIndex"] = DecodeIndex(append([]byte(nil), data...))
+	path := filepath.Join(t.TempDir(), "image.slm")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	_, errs["LoadFile"] = LoadFile(path)
 	ix, err := OpenIndexMapped(path)
 	if err == nil {
 		err = ix.Verify()
 		ix.Close()
 	}
-	if err == nil {
-		t.Errorf("%s: OpenIndexMapped+Verify accepted corrupt input", name)
+	errs["OpenIndexMapped+Verify"] = err
+	return errs
+}
+
+// mustReject asserts every entry point refuses the corrupt image.
+func mustReject(t *testing.T, name string, data []byte) {
+	t.Helper()
+	for path, err := range openAll(t, data) {
+		if err == nil {
+			t.Errorf("%s: %s accepted corrupt input", name, path)
+		}
 	}
 }
 
@@ -221,8 +229,8 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	tableOff, crcOff, headerLen := headerOffsets(ix, sectionTableEntries)
-	layout := fileLayout(sectionTableEntries, int64(headerLen), []int64{
+	tableOff, crcOff, headerLen := headerOffsets(ix)
+	layout := fileLayout(int64(headerLen), [sectionTableEntries]int64{
 		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
 		int64(len(ix.perm)), int64(len(ix.precs)),
 	})
@@ -301,6 +309,127 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 	for _, cut := range []int{7, headerLen - 1, headerLen, int(layout.offs[2]), int(layout.offs[4]), len(valid) - 1} {
 		mustReject(t, fmt.Sprintf("truncated at %d", cut), append([]byte(nil), valid[:cut]...))
 	}
+
+	// Older format versions are refused at the version field — before the
+	// header CRC, which the patched byte would also break — by an error
+	// that names the version and the way out.
+	for _, version := range []byte{1, 2} {
+		data = append([]byte(nil), valid...)
+		data[len(indexMagic)] = version
+		want := fmt.Sprintf("version %d (want %d); rebuild with `lbe-index -out`", version, indexVersion)
+		for path, err := range openAll(t, data) {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d header: %s returned %v, want the rebuild hint %q", version, path, err, want)
+			}
+		}
+	}
+}
+
+// TestSerializeTrailingBytes: bytes after the last section are covered by
+// no checksum, so the whole-file opens must refuse them; ReadIndex reads
+// one index off the front of a stream and leaves the rest unread.
+func TestSerializeTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := buildTestIndex(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size := buf.Len()
+	buf.WriteString("JUNKJUNKJUNK")
+	for path, err := range openAll(t, buf.Bytes()) {
+		if stream := strings.HasPrefix(path, "ReadIndex"); stream != (err == nil) {
+			t.Errorf("%s on an image with trailing bytes: %v", path, err)
+		}
+	}
+	if _, err := ReadIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "JUNKJUNKJUNK" {
+		t.Errorf("ReadIndex consumed %d bytes of a %d-byte index", size+12-buf.Len(), size)
+	}
+}
+
+// TestWriteToBytesPinned pins the encoder's output: a change to the SLMX
+// bytes must come with a format version bump and new digests here.
+func TestWriteToBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		want string
+	}{
+		{"buildTestIndex", buildTestIndex(t), "bc68c7d9bbb45b3b9825dbd143288e277aaf0e3c45662b1e18c9bcf46be71a26"},
+		{"buildPlainIndex", buildPlainIndex(t), "440b6fcc504f389dfb62ef7a1dd7bdabdf9d03886c42e95fdc8f9623942278ca"},
+	} {
+		var buf bytes.Buffer
+		if _, err := tc.ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: WriteTo output hashes to %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSerializeCorruptStringLength forges the first mod-name length (with
+// no explicit ion series it sits right after the fixed params fields:
+// magic 4 + version 4 + params 54 + nseries 4): the reader must fail on
+// the count, sized or not, rather than allocate for it.
+func TestSerializeCorruptStringLength(t *testing.T) {
+	ix := buildTestIndex(t) // three mods
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	const nameLenOff = 66
+	if got := binary.LittleEndian.Uint32(data[nameLenOff:]); got != uint32(len(ix.params.Mods.Mods[0].Name)) {
+		t.Fatalf("layout drift: name length field holds %d", got)
+	}
+	binary.LittleEndian.PutUint32(data[nameLenOff:], 0xFFFFFF)
+	mustReject(t, "huge string length", data)
+}
+
+// TestReadIndexAllocationBounded asserts the core promise of the
+// hardened reader: a tiny input claiming a gigantic array provokes only
+// a small allocation, not one proportional to the forged count.
+func TestReadIndexAllocationBounded(t *testing.T) {
+	ix := buildPlainIndex(t)
+
+	// Forge a gigantic rows count in the section table — the header
+	// requires perm and precs counts to match rows, so forge all three,
+	// with every entry moved to its matching canonical offset and the
+	// header CRC re-fixed, so the decoder gets past the layout checks and
+	// must survive the forged counts themselves — then truncate the
+	// sections away.
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tableOff, crcOff, headerLen := headerOffsets(ix)
+	data := append([]byte(nil), buf.Bytes()[:headerLen]...)
+	counts := [sectionTableEntries]int64{1 << 27, int64(len(ix.offsets)), int64(len(ix.ids)), 1 << 27, 1 << 27}
+	forged := fileLayout(int64(headerLen), counts)
+	le := binary.LittleEndian
+	for i := 0; i < sectionTableEntries; i++ {
+		le.PutUint64(data[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
+		le.PutUint64(data[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows/perm/precs claim ~2 GiB
+	}
+	refixHeaderCRC(data, crcOff)
+	// Supply the padding and the first 64 KiB of (zero) row bytes so the
+	// decoder genuinely enters the rows section before hitting EOF.
+	data = append(data, make([]byte, int(forged.offs[0])-headerLen+64<<10)...)
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 16; i++ {
+		if _, err := ReadIndex(opaqueReader{bytes.NewReader(data)}); err == nil {
+			t.Fatal("truncated huge-count input must fail")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("16 corrupt reads allocated %d bytes; the forged count leaked into allocation", grew)
+	}
 }
 
 // corruptSection applies mutate to section sec of a valid v3 image, then
@@ -310,7 +439,7 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 // catch the corruption.
 func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(data []byte, lo int64)) []byte {
 	t.Helper()
-	tableOff, crcOff, _ := headerOffsets(ix, sectionTableEntries)
+	tableOff, crcOff, _ := headerOffsets(ix)
 	le := binary.LittleEndian
 	data := append([]byte(nil), valid...)
 	entry := data[tableOff+sec*sectionEntryBytes:]

@@ -1,9 +1,7 @@
 package slm
 
 import (
-	"bytes"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -180,66 +178,5 @@ func TestWithPrecursorTol(t *testing.T) {
 				t.Fatalf("trial %d match %d: %+v vs %+v", trial, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-// TestWriteToVersionV2RoundTrip: a v3 index re-encoded as v2 must decode
-// to an index with identical search behavior (the decode re-derives the
-// precursor order), and the v2 bytes must be stable across an
-// encode/decode/encode cycle — the property the store migration path
-// relies on.
-func TestWriteToVersionV2RoundTrip(t *testing.T) {
-	ix := buildTestIndex(t)
-	var v2 bytes.Buffer
-	if _, err := ix.WriteToVersion(&v2, indexVersionV2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != ix.NumRows() || got.NumIons() != ix.NumIons() {
-		t.Fatalf("shape: %d/%d rows, %d/%d ions", got.NumRows(), ix.NumRows(), got.NumIons(), ix.NumIons())
-	}
-	q := queryFor(t, "PEPTIDEK")
-	a, wa := ix.Search(q, 0, nil)
-	b, wb := got.Search(q, 0, nil)
-	if len(a) != len(b) || wa != wb {
-		t.Fatalf("results differ after v2 round trip: %d vs %d matches, work %+v vs %+v", len(a), len(b), wa, wb)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("match %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	var again bytes.Buffer
-	if _, err := got.WriteToVersion(&again, indexVersionV2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2.Bytes(), again.Bytes()) {
-		t.Error("v2 encoding is not stable across a round trip")
-	}
-	// A v2 file cannot back a read-only mapping (its postings must be
-	// rewritten): the mapped open must fall back to the heap, not fail.
-	path := filepath.Join(t.TempDir(), "legacy.slm")
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := OpenIndexMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if legacy.Mapped() {
-		t.Error("v2 store must not report a zero-copy mapping")
-	}
-	c, _ := legacy.Search(q, 0, nil)
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("heap-fallback match %d: %+v vs %+v", i, a[i], c[i])
-		}
-	}
-	if _, err := ix.WriteToVersion(&bytes.Buffer{}, 7); err == nil {
-		t.Error("WriteToVersion must reject unknown versions")
 	}
 }
