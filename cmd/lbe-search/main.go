@@ -54,7 +54,7 @@ func main() {
 		maxMods = flag.Int("max-mods", 2, "max modified residues per peptide")
 		serial  = flag.Bool("serial", false, "run the shared-memory baseline instead")
 		tcp     = flag.Bool("tcp", false, "connect ranks over loopback TCP instead of a Session")
-		threads = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core; with -tcp, per-rank hybrid threads where 0 = serial)")
+		threads = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
 		batch   = flag.Int("batch", 256, "pipeline batch size in queries (0 = one batch)")
 		chunk   = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
 		steal   = flag.Bool("steal", true, "work-stealing scheduler (false = static per-shard chunks)")
@@ -173,7 +173,7 @@ func main() {
 	case *serial:
 		res, err = lbe.RunSerial(peptides, queries, cfg)
 	case *tcp:
-		res, err = lbe.RunOverTCPCtx(ctx, *ranks, peptides, queries, cfg)
+		res, err = lbe.RunOverTCP(ctx, *ranks, peptides, queries, cfg)
 	case sess != nil: // warm-started from -index
 		sess.SetFullScan(*noWin)
 		res, err = sess.Search(ctx, queries)

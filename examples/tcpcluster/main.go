@@ -3,13 +3,14 @@
 // that join it, exactly as separate machines would. Here all ranks live in
 // one process for convenience; point workers at a remote address to span
 // hosts. (For single-host serving, prefer the streaming Session API —
-// see examples/quickstart; every rank below runs the same channel-based
-// pipeline the Session uses.)
+// see examples/quickstart; every rank below is a one-shard Session
+// behind its endpoint.)
 //
 //	go run ./examples/tcpcluster
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -66,7 +67,7 @@ func main() {
 			return
 		}
 		defer comm.Close()
-		res, err := lbe.RunRank(comm, peptides, queries, cfg)
+		res, err := lbe.RunRank(context.Background(), comm, peptides, queries, cfg)
 		if err != nil {
 			errs[idx] = err
 			return

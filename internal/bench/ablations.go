@@ -52,7 +52,7 @@ func AblationGrouping(o Options) (Figure, error) {
 			if !v.raw {
 				cfg.Group = v.gcfg
 			}
-			res, err := engine.RunInProcess(o.Ranks, c.Peptides, c.Queries, cfg)
+			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return fig, err
 			}
@@ -87,14 +87,14 @@ func AblationTransport(o Options) (Figure, error) {
 	for _, p := range []int{2, 4} {
 		cfg := engineConfig()
 		start := time.Now()
-		if _, err := engine.RunInProcess(p, c.Peptides, c.Queries, cfg); err != nil {
+		if _, err := engine.RunInProcess(o.ctx(), p, c.Peptides, c.Queries, cfg); err != nil {
 			return fig, err
 		}
 		inproc.X = append(inproc.X, float64(p))
 		inproc.Y = append(inproc.Y, time.Since(start).Seconds())
 
 		start = time.Now()
-		if _, err := engine.RunOverTCP(p, c.Peptides, c.Queries, cfg); err != nil {
+		if _, err := engine.RunOverTCP(o.ctx(), p, c.Peptides, c.Queries, cfg); err != nil {
 			return fig, err
 		}
 		tcp.X = append(tcp.X, float64(p))
@@ -140,7 +140,7 @@ func AblationHeterogeneous(o Options) (Figure, error) {
 			if useWeights {
 				cfg.Weights = speeds
 			}
-			res, err := engine.RunInProcess(o.Ranks, c.Peptides, c.Queries, cfg)
+			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return fig, err
 			}

@@ -78,7 +78,7 @@ func TestCalibrateAndModel(t *testing.T) {
 	if model.QueryRate <= 0 || model.BuildRate <= 0 {
 		t.Fatalf("model = %+v", model)
 	}
-	res, err := engine.RunInProcess(3, c.Peptides, c.Queries, cfg)
+	res, err := Options{}.partitioned(3, c.Peptides, c.Queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"lbe/internal/core"
 	"lbe/internal/engine"
 	"lbe/internal/mods"
+	"lbe/internal/spectrum"
 	"lbe/internal/stats"
 )
 
@@ -75,6 +76,18 @@ func (o Options) corpusAt(sizeM float64) (Corpus, error) {
 	return SizedCorpus(o.sizeRows(sizeM), o.Queries, o.Seed, modConfig())
 }
 
+// partitioned searches queries over a p-way LBE partition of the peptides
+// and returns the per-partition accounting the figures are computed from:
+// the production engine's own counters, one p-shard Session.
+func (o Options) partitioned(p int, peptides []string, queries []spectrum.Experimental, cfg engine.Config) (*engine.Result, error) {
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: cfg, Shards: p})
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.Search(o.ctx(), queries)
+}
+
 // Fig5 reproduces the memory-footprint comparison: resident index bytes of
 // the shared-memory SLM index versus the distributed index (sum of partial
 // indexes plus the master mapping table) for growing index size.
@@ -98,7 +111,7 @@ func Fig5(o Options) (Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		res, err := engine.RunInProcess(o.Ranks, c.Peptides, nil, cfg)
+		res, err := o.partitioned(o.Ranks, c.Peptides, nil, cfg)
 		if err != nil {
 			return fig, err
 		}
@@ -146,7 +159,7 @@ func Fig6(o Options) (Figure, error) {
 			cfg := engineConfig()
 			cfg.Policy = policy
 			cfg.Seed = int64(o.Seed)
-			res, err := engine.RunInProcess(o.Ranks, c.Peptides, c.Queries, cfg)
+			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return fig, err
 			}
@@ -199,7 +212,7 @@ func (o Options) scalability() ([]scalabilityRun, error) {
 
 		run := scalabilityRun{sizeM: sizeM, rows: c.Rows}
 		for _, p := range o.RankSweep {
-			res, err := engine.RunInProcess(p, c.Peptides, c.Queries, cfg)
+			res, err := o.partitioned(p, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +345,7 @@ func Fig11(o Options) (Figure, error) {
 			cfg := engineConfig()
 			cfg.Policy = policy
 			cfg.Seed = int64(o.Seed)
-			res, err := engine.RunInProcess(o.Ranks, c.Peptides, c.Queries, cfg)
+			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return fig, err
 			}
@@ -371,7 +384,7 @@ func SetupStats(o Options) (Figure, error) {
 	cfg := engineConfig()
 	cfg.TopK = 10
 	start := time.Now()
-	res, err := engine.RunInProcess(o.Ranks, c.Peptides, c.Queries, cfg)
+	res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 	if err != nil {
 		return fig, err
 	}

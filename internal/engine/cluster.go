@@ -12,17 +12,10 @@ import (
 
 // RunInProcess runs the full distributed search on a virtual cluster of p
 // ranks inside this process (one goroutine per rank over the in-process
-// transport) and returns the master's result. It is the workhorse of the
-// experiments and examples.
-func RunInProcess(p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
-	//lbe:ignore ctxflow uncancellable convenience wrapper; callers needing cancellation use RunInProcessCtx
-	return RunInProcessCtx(context.Background(), p, peptides, queries, cfg)
-}
-
-// RunInProcessCtx is RunInProcess with cancellation: when ctx is cancelled
-// the communicators are closed, every rank unblocks promptly, and ctx's
-// error is returned.
-func RunInProcessCtx(ctx context.Context, p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
+// transport) and returns the master's result. When ctx is cancelled the
+// communicators are closed, every rank unblocks promptly, and ctx's error
+// is returned.
+func RunInProcess(ctx context.Context, p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
 	world := mpi.NewWorld(p)
 	defer world.Close()
 	return runOnComms(ctx, world.Comms(), peptides, queries, cfg)
@@ -30,15 +23,8 @@ func RunInProcessCtx(ctx context.Context, p int, peptides []string, queries []sp
 
 // RunOverTCP runs the same search with the p ranks connected through real
 // loopback TCP links, demonstrating wire-level operation; used by the
-// transport ablation.
-func RunOverTCP(p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
-	//lbe:ignore ctxflow uncancellable convenience wrapper; callers needing cancellation use RunOverTCPCtx
-	return RunOverTCPCtx(context.Background(), p, peptides, queries, cfg)
-}
-
-// RunOverTCPCtx is RunOverTCP with cancellation semantics matching
-// RunInProcessCtx.
-func RunOverTCPCtx(ctx context.Context, p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
+// transport ablation. Cancellation behaves as in RunInProcess.
+func RunOverTCP(ctx context.Context, p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
 	comms, err := mpi.NewTCPCluster(p)
 	if err != nil {
 		return nil, err
@@ -51,16 +37,18 @@ func RunOverTCPCtx(ctx context.Context, p int, peptides []string, queries []spec
 	return runOnComms(ctx, comms, peptides, queries, cfg)
 }
 
-// runOnComms drives one RunRankCtx goroutine per endpoint. On ctx
+// runOnComms drives one RunRank goroutine per endpoint. On ctx
 // cancellation — or the first rank failure — it closes every endpoint so
 // ranks blocked in communicator receives (Barrier included) unblock
 // instead of deadlocking; both transports make Close idempotent, so the
 // caller's deferred cleanup stays safe.
 func runOnComms(outer context.Context, comms []mpi.Comm, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
-	// Every rank lives in this process and builds concurrently, so divide
-	// the construction worker budget across them (RunRank on a real
-	// multi-process cluster keeps the full per-machine budget).
-	cfg.BuildWorkers = divideBuildWorkers(cfg.BuildWorkers, len(comms))
+	// Every rank lives in this process, building and then searching
+	// beside the others, so divide both worker budgets across them
+	// (RunRank on a real multi-process cluster keeps the full per-machine
+	// budgets).
+	cfg.BuildWorkers = divideBudget(cfg.BuildWorkers, len(comms))
+	cfg.ThreadsPerRank = divideBudget(cfg.ThreadsPerRank, len(comms))
 
 	ctx, cancel := context.WithCancel(outer)
 	defer cancel()
@@ -83,7 +71,7 @@ func runOnComms(outer context.Context, comms []mpi.Comm, peptides []string, quer
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = RunRankCtx(ctx, comms[r], peptides, queries, cfg)
+			results[r], errs[r] = RunRank(ctx, comms[r], peptides, queries, cfg)
 			if errs[r] != nil {
 				cancel() // tear the cluster down so peers don't wait forever
 			}

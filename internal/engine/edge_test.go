@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"lbe/internal/core"
@@ -12,7 +13,7 @@ import (
 func TestEmptyQueries(t *testing.T) {
 	peptides, _, _ := testDataset(t, 4, 1, 0)
 	cfg := lightConfig()
-	res, err := RunInProcess(3, peptides, nil, cfg)
+	res, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestEmptyQueries(t *testing.T) {
 func TestEmptyDatabase(t *testing.T) {
 	_, queries, _ := testDataset(t, 4, 1, 5)
 	cfg := lightConfig()
-	res, err := RunInProcess(2, nil, queries, cfg)
+	res, err := RunInProcess(context.Background(), 2, nil, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +55,17 @@ func TestInvalidConfigFails(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 4, 1, 3)
 	cfg := lightConfig()
 	cfg.Group = core.GroupConfig{GroupSize: 0}
-	if _, err := RunInProcess(3, peptides, queries, cfg); err == nil {
+	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
 		t.Error("invalid grouping config must fail")
 	}
 	cfg = lightConfig()
 	cfg.Params.Resolution = -1
-	if _, err := RunInProcess(3, peptides, queries, cfg); err == nil {
+	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
 		t.Error("invalid index params must fail")
 	}
 	cfg = lightConfig()
 	cfg.Policy = core.Policy(99)
-	if _, err := RunInProcess(3, peptides, queries, cfg); err == nil {
+	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
 		t.Error("unknown policy must fail")
 	}
 }
@@ -91,7 +92,7 @@ func TestRawOrderStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.RawOrder = true
-	res, err := RunInProcess(3, peptides, queries, cfg)
+	res, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,27 @@
 // Package engine runs LBE-distributed peptide search: it partitions the
-// peptide database across a communicator with the configured LBE policy,
-// builds one partial SLM index per rank, searches every query spectrum on
-// every rank concurrently, and merges results at the master through the
+// peptide database with the configured LBE policy, builds one partial SLM
+// index per partition, searches every query spectrum on every partition
+// concurrently, and merges the per-partition best matches through the
 // O(1) mapping table (paper §III-D/E, Fig. 3 and Fig. 4).
 //
-// Every run mode is built on one channel-based query pipeline (see
+// Every run mode is built on one pipeline, Session's Stream (session.go,
 // pipeline.go): queries flow in configurable batches through preprocess →
-// search → incremental merge stages with context cancellation threaded
-// through every stage. RunRankCtx wires the pipeline to a communicator;
-// Session keeps it hot over in-process shards for repeated streaming
-// query batches.
+// search → merge stages with context cancellation threaded through every
+// stage. A Session keeps it hot over in-process shards for repeated
+// streaming query batches; RunRank puts a one-shard Session behind a
+// communicator and forwards its merged batches to the master, which only
+// re-sorts the per-rank lists (rank.go, cluster.go).
+//
+// The mapping table is applied where a partition is searched: a rank, like
+// a shard-set holder on the scatter path, maps its own matches through its
+// MappingTable.Subset and ships global peptide indices. The paper maps at
+// the master, which holds the whole table; here no process does, and
+// Result.MappingBytes is the per-rank subsets added up — the footprint of
+// that one table, so the memory figures read the same number either way.
 //
 // The same search can be run serially (RunSerial) as the correctness
 // reference and as the shared-memory baseline for the memory-footprint
-// comparison.
+// comparison; it shares no scheduler, pipeline or merge code with Session.
 package engine
 
 import (
@@ -38,11 +46,11 @@ type Config struct {
 	RawOrder bool
 	// ThreadsPerRank enables the hybrid "OpenMP within MPI" parallelism
 	// of the paper's future work (§VIII): each rank searches its query
-	// batch with a pool of this many scheduler workers (internal/sched).
-	// In the distributed runners 0 or 1 means serial (the per-machine
-	// parallelism is the ranks). In a Session the budget is shared across
-	// every in-process shard and 0 defaults to one worker per core.
-	// Results are invariant to the count.
+	// batch with a pool of this many scheduler workers (internal/sched);
+	// 0 means one worker per core. The budget is per process: a Session
+	// shares it across every in-process shard, and the in-process cluster
+	// runners divide it among their ranks. Results are invariant to the
+	// count.
 	ThreadsPerRank int
 	// ChunkSize is the scheduler's task granularity: queries per chunk on
 	// the per-shard work deques. 0 auto-tunes from the observed work per
@@ -61,14 +69,10 @@ type Config struct {
 	Weights []float64
 	// BatchSize is the pipeline granularity: queries flow through the
 	// preprocess → search → merge stages in batches of this many spectra,
-	// overlapping compute with communication. 0 falls back to ResultBatch,
-	// and if that is also 0 the whole run is one batch (one message per
-	// worker, the paper's description). Results are identical for every
-	// batch size.
+	// overlapping compute with communication. 0 makes the whole run one
+	// batch (one message per worker, the paper's description). Results
+	// are identical for every batch size.
 	BatchSize int
-	// ResultBatch is the legacy name of BatchSize, honored when BatchSize
-	// is 0.
-	ResultBatch int
 	// BuildWorkers is the per-rank index construction parallelism; 0 uses
 	// one worker per available core. The built index is byte-identical
 	// for any worker count.
@@ -134,7 +138,9 @@ type Result struct {
 	PSMs [][]PSM
 	// Stats holds one entry per rank.
 	Stats []RankStats
-	// MappingBytes is the master mapping table footprint.
+	// MappingBytes is the mapping table footprint: the whole table in a
+	// Session, the per-rank subsets added up in a distributed run (the
+	// same number).
 	MappingBytes int
 	// GroupingNanos, PartitionNanos cover the serial LBE preprocessing.
 	GroupingNanos  int64

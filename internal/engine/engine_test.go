@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -90,7 +91,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			cfg := cfg
 			cfg.Policy = policy
 			cfg.Seed = 5
-			res, err := RunInProcess(p, peptides, queries, cfg)
+			res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
 			if err != nil {
 				t.Fatalf("%v p=%d: %v", policy, p, err)
 			}
@@ -123,7 +124,7 @@ func TestTopKConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunInProcess(4, peptides, queries, cfg)
+	res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestIdentificationRate(t *testing.T) {
 	peptides, queries, truth := testDataset(t, 10, 2, 80)
 	cfg := lightConfig()
 	cfg.TopK = 5
-	res, err := RunInProcess(3, peptides, queries, cfg)
+	res, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestPartitionStatsShape(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 20)
 	cfg := lightConfig()
 	const p = 4
-	res, err := RunInProcess(p, peptides, queries, cfg)
+	res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestCyclicBeatsChunkOnSkewedLoad(t *testing.T) {
 	li := map[core.Policy]float64{}
 	for _, policy := range []core.Policy{core.Chunk, core.Cyclic} {
 		cfg.Policy = policy
-		res, err := RunInProcess(p, peptides, queries, cfg)
+		res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,11 +236,11 @@ func TestCyclicBeatsChunkOnSkewedLoad(t *testing.T) {
 func TestRunOverTCPMatchesInProcess(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 20)
 	cfg := lightConfig()
-	a, err := RunInProcess(3, peptides, queries, cfg)
+	a, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOverTCP(3, peptides, queries, cfg)
+	b, err := RunOverTCP(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestSingleRankDistributedEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunInProcess(1, peptides, queries, cfg)
+	dist, err := RunInProcess(context.Background(), 1, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestWorkConservation(t *testing.T) {
 	}
 	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random} {
 		cfg.Policy = policy
-		res, err := RunInProcess(5, peptides, queries, cfg)
+		res, err := RunInProcess(context.Background(), 5, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,11 +303,11 @@ func TestWorkConservation(t *testing.T) {
 func TestResultPSMsSortedDeterministically(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 20)
 	cfg := lightConfig()
-	a, err := RunInProcess(4, peptides, queries, cfg)
+	a, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunInProcess(4, peptides, queries, cfg)
+	b, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

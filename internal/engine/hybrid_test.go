@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"lbe/internal/core"
@@ -12,7 +13,7 @@ import (
 func TestThreadsPerRankResultsInvariant(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 40)
 	base := lightConfig()
-	ref, err := RunInProcess(3, peptides, queries, base)
+	ref, err := RunInProcess(context.Background(), 3, peptides, queries, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestThreadsPerRankResultsInvariant(t *testing.T) {
 	for _, threads := range []int{2, 4, 9} {
 		cfg := base
 		cfg.ThreadsPerRank = threads
-		res, err := RunInProcess(3, peptides, queries, cfg)
+		res, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestWeightedEngineResultsInvariant(t *testing.T) {
 	cfg.Weights = []float64{4, 2, 1, 1}
 	for _, policy := range []core.Policy{core.Chunk, core.Cyclic} {
 		cfg.Policy = policy
-		res, err := RunInProcess(4, peptides, queries, cfg)
+		res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestWeightedBalancesHeterogeneousCluster(t *testing.T) {
 		cfg := lightConfig()
 		cfg.Policy = core.Cyclic
 		cfg.Weights = weights
-		res, err := RunInProcess(4, peptides, queries, cfg)
+		res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,26 +112,26 @@ func TestWeightsLengthMismatch(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 4, 1, 5)
 	cfg := lightConfig()
 	cfg.Weights = []float64{1, 2}
-	if _, err := RunInProcess(4, peptides, queries, cfg); err == nil {
+	if _, err := RunInProcess(context.Background(), 4, peptides, queries, cfg); err == nil {
 		t.Error("mismatched weights must fail")
 	}
 }
 
-// TestResultBatchStreamingInvariant: streaming workers' results in slabs
+// TestBatchSizeStreamingInvariant: streaming workers' results in slabs
 // must not change the merged PSMs or the work accounting, for any batch
 // size including degenerate ones.
-func TestResultBatchStreamingInvariant(t *testing.T) {
+func TestBatchSizeStreamingInvariant(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 37)
 	base := lightConfig()
-	ref, err := RunInProcess(4, peptides, queries, base)
+	ref, err := RunInProcess(context.Background(), 4, peptides, queries, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := psmSet(ref.PSMs)
 	for _, batch := range []int{1, 7, 36, 37, 1000} {
 		cfg := base
-		cfg.ResultBatch = batch
-		res, err := RunInProcess(4, peptides, queries, cfg)
+		cfg.BatchSize = batch
+		res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -149,13 +150,13 @@ func TestResultBatchStreamingInvariant(t *testing.T) {
 	}
 }
 
-// TestResultBatchWithNoQueries: streaming mode with an empty query set
+// TestBatchSizeWithNoQueries: streaming mode with an empty query set
 // must not deadlock the exchange.
-func TestResultBatchWithNoQueries(t *testing.T) {
+func TestBatchSizeWithNoQueries(t *testing.T) {
 	peptides, _, _ := testDataset(t, 4, 1, 0)
 	cfg := lightConfig()
-	cfg.ResultBatch = 8
-	res, err := RunInProcess(3, peptides, nil, cfg)
+	cfg.BatchSize = 8
+	res, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +165,16 @@ func TestResultBatchWithNoQueries(t *testing.T) {
 	}
 }
 
-// TestResultBatchOverTCP: streaming must also work over the wire.
-func TestResultBatchOverTCP(t *testing.T) {
+// TestBatchSizeOverTCP: streaming must also work over the wire.
+func TestBatchSizeOverTCP(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 5, 1, 12)
 	cfg := lightConfig()
-	cfg.ResultBatch = 3
-	a, err := RunInProcess(3, peptides, queries, cfg)
+	cfg.BatchSize = 3
+	a, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOverTCP(3, peptides, queries, cfg)
+	b, err := RunOverTCP(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"lbe/internal/core"
 	"lbe/internal/mass"
-	"lbe/internal/slm"
 	"lbe/internal/spectrum"
 )
 
@@ -103,15 +102,11 @@ func theoreticalQuery(t *testing.T, scan int, seq string) spectrum.Experimental 
 	return q
 }
 
-// TestTopKPushdownTiesAcrossShards is the adversarial case for the tie
-// rule: a database of exact duplicates, so every query's best score is
-// shared by eight peptides spread over the shards and the cut falls
-// inside the tie in every cell. Which of the tied PSMs are reported is
-// decided by the global peptide index, which no worker knows — so a
-// worker that broke the tie itself would report the wrong ones. The test
-// also looks inside the cells: they must hold more than TopK entries, all
-// but TopK-1 of them tied at the cut.
-func TestTopKPushdownTiesAcrossShards(t *testing.T) {
+// duplicatesDataset is a database of exact duplicates — three sequences,
+// eight copies each — queried with each sequence's own fragment ladder, so
+// every query's best score is shared by eight peptides.
+func duplicatesDataset(t *testing.T) ([]string, []spectrum.Experimental) {
+	t.Helper()
 	family := []string{"LGEYGFQNALIVR", "LGEYGFQNAIIVR", "VGEYGFQNALIVR"}
 	var peptides []string
 	var queries []spectrum.Experimental
@@ -121,6 +116,19 @@ func TestTopKPushdownTiesAcrossShards(t *testing.T) {
 	for i, seq := range family {
 		queries = append(queries, theoreticalQuery(t, i+1, seq))
 	}
+	return peptides, queries
+}
+
+// TestTopKPushdownTiesAcrossShards is the adversarial case for the tie
+// rule: a database of exact duplicates, so every query's best score is
+// shared by eight peptides spread over the shards and the cut falls
+// inside the tie in every cell. Which of the tied PSMs are reported is
+// decided by the global peptide index, which no worker knows — so a
+// worker that broke the tie itself would report the wrong ones. The test
+// also looks inside the cells: they must hold more than TopK entries, all
+// but TopK-1 of them tied at the cut.
+func TestTopKPushdownTiesAcrossShards(t *testing.T) {
+	peptides, queries := duplicatesDataset(t)
 
 	for _, topK := range []int{1, 3, 10} {
 		cfg := lightConfig()
@@ -181,59 +189,4 @@ func TestTopKPushdownTiesAcrossShards(t *testing.T) {
 			t.Fatalf("topk=%d: no cell kept more than TopK entries; the tie rule went untested", topK)
 		}
 	}
-}
-
-// TestRankPathShipsTopKPlusTies: on the distributed path a worker rank
-// ships flattenWire(searchStage(...)) to the master. With TopK pushed
-// down, the tuples it ships for a query are exactly the matches scoring
-// at least the query's TopK-th best on that rank — at most TopK plus the
-// ties at the cut, instead of every scored candidate.
-func TestRankPathShipsTopKPlusTies(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 40)
-	cfg := lightConfig()
-	cfg.TopK = 3
-	cfg.ThreadsPerRank = 2
-	ix, err := slm.Build(peptides, cfg.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pp := preprocessStage(ctx, batchSource(ctx, queries, 7), cfg.Params.MaxQueryPeaks)
-	shipped := make([]int, len(queries))
-	for s := range searchStage(ctx, ix, pp, cfg.newPool()) {
-		for _, w := range flattenWire(s.offset, s.matches) {
-			shipped[w.Query]++
-		}
-	}
-
-	totalShipped, totalScored := 0, 0
-	for q, query := range spectrum.PreprocessAll(queries, cfg.Params.MaxQueryPeaks) {
-		all, _ := ix.Search(query, 0, nil)
-		want, ties := len(all), 0
-		if len(all) > cfg.TopK {
-			scores := make([]float64, len(all))
-			for i, m := range all {
-				scores[i] = m.Score
-			}
-			sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-			cut := scores[cfg.TopK-1]
-			want = sort.Search(len(scores), func(i int) bool { return scores[i] < cut })
-			for _, s := range scores {
-				if s == cut {
-					ties++
-				}
-			}
-		}
-		if shipped[q] != want || shipped[q] > cfg.TopK+ties {
-			t.Fatalf("query %d: %d tuples shipped, want %d (TopK %d, %d tied at the cut, %d scored)", q, shipped[q], want, cfg.TopK, ties, len(all))
-		}
-		totalShipped += shipped[q]
-		totalScored += len(all)
-	}
-	if totalShipped*2 > totalScored {
-		t.Fatalf("%d of %d scored tuples shipped; the dataset gives the cut nothing to drop", totalShipped, totalScored)
-	}
-	t.Logf("tuples on the wire: %d with TopK=%d pushed down, %d keeping all (%.1f%%)", totalShipped, cfg.TopK, totalScored, 100*float64(totalShipped)/float64(totalScored))
 }

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"lbe/internal/core"
 	"lbe/internal/mpi"
-	"lbe/internal/slm"
 	"lbe/internal/spectrum"
 )
 
@@ -18,94 +16,46 @@ const (
 	tagStats   mpi.Tag = 0x11
 )
 
-// wireMatch is the result tuple a worker returns to the master: a virtual
-// (local) peptide index plus scoring data; the master resolves Virtual
-// through the mapping table (Fig. 4).
-type wireMatch struct {
-	Query     int32
-	Virtual   uint32
-	Shared    uint16
-	Score     float64
-	Precursor float64
+// rankReport is a worker's closing message to the master: its lifetime
+// load accounting and the footprint of its slice of the mapping table.
+type rankReport struct {
+	Stats        RankStats
+	MappingBytes int
 }
 
-// lbePrep is the deterministic serial LBE preprocessing every rank (and
-// the Session) replicates: Algorithm 1 grouping plus the policy partition.
-type lbePrep struct {
-	grouping  core.Grouping
-	partition core.Partition
-	groupNs   int64
-	partNs    int64
-}
-
-// prepare runs grouping and partitioning of the peptide database over p
-// machines under cfg.
-func prepare(peptides []string, cfg Config, p int) (lbePrep, error) {
-	var out lbePrep
-	groupStart := time.Now()
-	if cfg.RawOrder {
-		out.grouping = core.IdentityGrouping(len(peptides))
-	} else {
-		var err error
-		out.grouping, err = core.Group(peptides, cfg.Group)
-		if err != nil {
-			return out, fmt.Errorf("engine: grouping: %w", err)
-		}
-	}
-	out.groupNs = time.Since(groupStart).Nanoseconds()
-
-	partStart := time.Now()
-	var err error
-	if len(cfg.Weights) > 0 {
-		if len(cfg.Weights) != p {
-			return out, fmt.Errorf("engine: %d weights for %d ranks", len(cfg.Weights), p)
-		}
-		out.partition, err = core.PartitionWeighted(out.grouping, cfg.Weights, cfg.Policy, cfg.Seed)
-	} else {
-		out.partition, err = core.PartitionClustered(out.grouping, p, cfg.Policy, cfg.Seed)
-	}
-	if err != nil {
-		return out, fmt.Errorf("engine: partition: %w", err)
-	}
-	out.partNs = time.Since(partStart).Nanoseconds()
-	return out, nil
-}
-
-// localPeptides extracts machine m's partition of the peptide list.
-func (pr lbePrep) localPeptides(peptides []string, m int) []string {
-	mine := pr.partition.GlobalIndices(pr.grouping, m)
-	local := make([]string, len(mine))
-	for i, gidx := range mine {
-		local[i] = peptides[gidx]
-	}
-	return local
-}
+// mappingBoundaryBytes is what core.MappingTable.MemoryBytes counts per
+// chunk boundary. Every rank's slice of the table carries its own two;
+// laid end to end the slices share all but the outer pair, which is how
+// Result.MappingBytes (and a whole-store Session's) counts them.
+const mappingBoundaryBytes = 8
 
 // RunRank executes one rank of the LBE distributed search. Every rank must
 // call it with the same peptide list, query list and configuration (in the
 // paper, every machine reads the clustered database and the MS2 dataset).
 // The master (rank 0) returns the merged Result; workers return nil.
 //
-// Each rank builds its partial index with the full cfg.BuildWorkers budget
+// A rank is a one-shard Session behind a communicator: it builds the slice
+// of the Size()-way partition that carries its rank, streams the queries
+// through it in cfg.BatchSize batches and ships every merged batch to the
+// master as it leaves the stream, so the next batch's search overlaps the
+// send. The PSMs it ships are already global (each rank maps through its
+// own subset of the mapping table, as a shard-set holder does on the
+// scatter path; the paper maps at the master) and already cut to TopK, so
+// the master only re-sorts the union per query and cuts it once more.
+//
+// Each rank uses the full cfg.BuildWorkers and cfg.ThreadsPerRank budgets
 // (default: one worker per core), which is right when ranks are separate
-// machines. Callers running several ranks inside one process should set
-// cfg.BuildWorkers to divide the cores among them; the in-process cluster
-// runners do this automatically.
-func RunRank(c mpi.Comm, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
-	//lbe:ignore ctxflow uncancellable convenience wrapper; callers needing cancellation use RunRankCtx
-	return RunRankCtx(context.Background(), c, peptides, queries, cfg)
-}
-
-// RunRankCtx is RunRank with cancellation: when ctx is cancelled the
-// pipeline stages shut down between batches and the rank returns ctx's
-// error. A rank blocked in a communicator receive is only released when
-// the communicator is closed; the cluster runners (RunInProcessCtx,
-// RunOverTCPCtx) do that automatically on cancellation.
-func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
+// machines; the in-process cluster runners divide both among their ranks.
+//
+// When ctx is cancelled the stream shuts down between batches and the rank
+// returns ctx's error. A rank blocked in a communicator receive is only
+// released when the communicator is closed; the cluster runners
+// (RunInProcess, RunOverTCP) do that automatically on cancellation.
+func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
 	start := time.Now()
 	rank, size := c.Rank(), c.Size()
 
-	// Internal cancellation lets the master stop its own pipeline the
+	// Internal cancellation lets the master stop its own stream the
 	// moment merging fails, instead of searching the rest of the run just
 	// to report the error. Remote messages are still drained so no
 	// goroutine is left parked in a communicator receive.
@@ -113,110 +63,106 @@ func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []sp
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// --- LBE preprocessing (deterministic, replicated on every rank) ---
-	prep, err := prepare(peptides, cfg, size)
+	sess, err := buildSession(peptides, cfg, size, rank, size)
 	if err != nil {
 		return nil, fmt.Errorf("engine: rank %d: %w", rank, err)
 	}
+	defer sess.Close()
 
-	// --- local partial index over this rank's peptides ---
-	local := prep.localPeptides(peptides, rank)
-	buildStart := time.Now()
-	ix, err := slm.BuildWorkers(local, cfg.Params, cfg.BuildWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("engine: rank %d build: %w", rank, err)
-	}
-	buildNanos := time.Since(buildStart).Nanoseconds()
-
-	// Master constructs the mapping table; workers discard partition
-	// metadata after construction (paper §III-D).
-	var table core.MappingTable
-	if rank == 0 {
-		table = core.BuildMappingTable(prep.grouping, prep.partition)
-	}
-
-	// --- pipelined query phase ---
 	if err := mpi.Barrier(c); err != nil {
 		return nil, err
 	}
 	queryPhaseStart := time.Now()
 
-	bsize := cfg.effectiveBatch(len(queries))
-	nb := numBatches(len(queries), bsize)
-	src := batchSource(ctx, queries, bsize)
-	pp := preprocessStage(ctx, src, cfg.Params.MaxQueryPeaks)
-	sr := searchStage(ctx, ix, pp, cfg.newPool())
-
-	var work slm.Work
-	var queryNanos int64
+	st, err := sess.streamAll(ctx, queries)
+	if err != nil {
+		return nil, err
+	}
 
 	if rank != 0 {
-		// Worker: stream each searched batch to the master as soon as it
-		// is ready, overlapping the next batch's search with the send.
-		for s := range sr {
-			work.Add(s.work)
-			queryNanos += s.nanos
-			if err := mpi.SendGob(c, 0, tagResults, flattenWire(s.offset, s.matches)); err != nil {
+		for br := range st.Results() {
+			if err := mpi.SendGob(c, 0, tagResults, br); err != nil {
 				return nil, err
 			}
 		}
-		if err := ctx.Err(); err != nil {
+		if err := st.Err(); err != nil {
 			return nil, err
 		}
-		myStats := rankStats(rank, local, ix, buildNanos, queryNanos, work)
-		if err := mpi.SendGob(c, 0, tagStats, myStats); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		report := rankReport{Stats: sess.Stats()[0], MappingBytes: sess.MappingBytes()}
+		return nil, mpi.SendGob(c, 0, tagStats, report)
 	}
 
 	// --- master: incremental merge, overlapped with its own search ---
 	res := &Result{
 		PSMs:           make([][]PSM, len(queries)),
 		Stats:          make([]RankStats, size),
-		MappingBytes:   table.MemoryBytes(),
-		GroupingNanos:  prep.groupNs,
-		PartitionNanos: prep.partNs,
-		Groups:         prep.grouping.NumGroups(),
+		MappingBytes:   sess.MappingBytes(),
+		GroupingNanos:  sess.groupingNanos,
+		PartitionNanos: sess.partitionNs,
+		Groups:         sess.groups,
 	}
 
 	type gathered struct {
-		from int
-		wire []wireMatch
-		err  error
+		from  int
+		batch BatchResult
+		err   error
 	}
 	mergeCh := make(chan gathered, size)
 	var producers sync.WaitGroup
 
-	// Local feeder: the master's own searched batches.
+	// Local feeder: the master's own merged batches.
 	producers.Add(1)
 	go func() {
 		defer producers.Done()
-		for s := range sr {
-			work.Add(s.work)
-			queryNanos += s.nanos
-			if !send(ctx, mergeCh, gathered{from: 0, wire: flattenWire(s.offset, s.matches)}) {
+		for br := range st.Results() {
+			if !send(ctx, mergeCh, gathered{from: 0, batch: br}) {
 				return
 			}
 		}
 	}()
-	// Remote drainer: every worker sends exactly nb result messages;
-	// accept them from any source so fast workers are never blocked
-	// behind slow ones. Sends below are unconditional (no ctx select):
-	// the merge loop consumes mergeCh until it closes even after an
-	// error, so the drainer always runs to completion instead of leaking
-	// into a receive on a still-open communicator.
+	// Remote drainer: every worker owes exactly nb batches; accept them
+	// from any source so early arrivals are merged while slow workers
+	// still search. Once a single worker is left owing, the receive names
+	// it: nothing else can arrive on this tag, and a named receive fails
+	// when that peer's link goes down where an any-source one would wait
+	// forever. Sends below are unconditional (no ctx select): the merge
+	// loop consumes mergeCh until it closes even after an error, so the
+	// drainer always runs to completion instead of leaking into a
+	// receive on a still-open communicator.
+	bsize := cfg.effectiveBatch(len(queries))
+	nb := (len(queries) + bsize - 1) / bsize
 	producers.Add(1)
 	go func() {
 		defer producers.Done()
-		for received := 0; received < (size-1)*nb; received++ {
-			var ws []wireMatch
-			src, err := mpi.RecvGob(c, mpi.AnySource, tagResults, &ws)
+		owed := make([]int, size) // batches each worker has yet to send
+		for peer := 1; peer < size; peer++ {
+			owed[peer] = nb
+		}
+		for {
+			from, owing := mpi.AnySource, 0
+			for peer, n := range owed {
+				if n > 0 {
+					from = peer
+					owing++
+				}
+			}
+			if owing == 0 {
+				return
+			}
+			if owing > 1 {
+				from = mpi.AnySource
+			}
+			var br BatchResult
+			src, err := mpi.RecvGob(c, from, tagResults, &br)
+			if err == nil && owed[src] == 0 {
+				err = fmt.Errorf("engine: rank %d sent more than its %d batches", src, nb)
+			}
 			if err != nil {
 				mergeCh <- gathered{err: err}
 				return
 			}
-			mergeCh <- gathered{from: src, wire: ws}
+			owed[src]--
+			mergeCh <- gathered{from: src, batch: br}
 		}
 	}()
 	go func() {
@@ -232,10 +178,10 @@ func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []sp
 		if g.err != nil {
 			mergeErr = g.err
 		} else {
-			mergeErr = mergeWire(res, table, g.from, g.wire, len(queries))
+			mergeErr = appendGathered(res.PSMs, len(peptides), g.from, g.batch)
 		}
 		if mergeErr != nil {
-			// Stop the master's own (expensive) search pipeline; the
+			// Stop the master's own (expensive) search stream; the
 			// drainer keeps receiving the remaining (cheap) messages so
 			// the communicator is left without a parked receiver.
 			cancel()
@@ -247,14 +193,18 @@ func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []sp
 	if err := outer.Err(); err != nil {
 		return nil, err
 	}
+	if err := st.Err(); err != nil {
+		return nil, err
+	}
 
-	res.Stats[0] = rankStats(0, local, ix, buildNanos, queryNanos, work)
+	res.Stats[0] = sess.Stats()[0]
 	for peer := 1; peer < size; peer++ {
-		var st RankStats
-		if _, err := mpi.RecvGob(c, peer, tagStats, &st); err != nil {
+		var report rankReport
+		if _, err := mpi.RecvGob(c, peer, tagStats, &report); err != nil {
 			return nil, err
 		}
-		res.Stats[peer] = st
+		res.Stats[peer] = report.Stats
+		res.MappingBytes += report.MappingBytes - mappingBoundaryBytes
 	}
 
 	for q := range res.PSMs {
@@ -268,38 +218,20 @@ func RunRankCtx(ctx context.Context, c mpi.Comm, peptides []string, queries []sp
 	return res, nil
 }
 
-// mergeWire resolves one gathered wire batch through the mapping table
-// into the master result.
-func mergeWire(res *Result, table core.MappingTable, from int, wire []wireMatch, nQueries int) error {
-	for _, w := range wire {
-		if int(w.Query) < 0 || int(w.Query) >= nQueries {
-			return fmt.Errorf("engine: rank %d sent query index %d out of range", from, w.Query)
+// appendGathered adds one rank's merged batch to the master's per-query
+// lists. The batch arrived off the wire, so its query range and peptide
+// indices are checked before anything is indexed by them.
+func appendGathered(psms [][]PSM, nPeptides, from int, br BatchResult) error {
+	if br.Offset < 0 || br.Offset > len(psms) || len(br.PSMs) > len(psms)-br.Offset {
+		return fmt.Errorf("engine: rank %d sent %d queries at offset %d of a %d-query run", from, len(br.PSMs), br.Offset, len(psms))
+	}
+	for q, ms := range br.PSMs {
+		for _, m := range ms {
+			if int(m.Peptide) >= nPeptides {
+				return fmt.Errorf("engine: rank %d sent peptide index %d of a %d-peptide database", from, m.Peptide, nPeptides)
+			}
 		}
-		gidx, err := table.Lookup(from, w.Virtual)
-		if err != nil {
-			return fmt.Errorf("engine: mapping rank %d: %w", from, err)
-		}
-		res.PSMs[w.Query] = append(res.PSMs[w.Query], PSM{
-			Peptide:   gidx,
-			Shared:    w.Shared,
-			Score:     w.Score,
-			Precursor: w.Precursor,
-			Origin:    from,
-		})
+		psms[br.Offset+q] = append(psms[br.Offset+q], ms...)
 	}
 	return nil
-}
-
-// rankStats assembles one rank's load accounting.
-func rankStats(rank int, local []string, ix *slm.Index, buildNanos, queryNanos int64, work slm.Work) RankStats {
-	return RankStats{
-		Rank:           rank,
-		Peptides:       len(local),
-		Rows:           ix.NumRows(),
-		IndexBytes:     ix.MemoryBytes(),
-		BuildPeakBytes: ix.BuildPeakBytes(),
-		BuildNanos:     buildNanos,
-		QueryNanos:     queryNanos,
-		Work:           work,
-	}
 }

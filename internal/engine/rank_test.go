@@ -1,0 +1,247 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"lbe/internal/core"
+	"lbe/internal/mpi"
+	"lbe/internal/spectrum"
+)
+
+// spyComm is a master endpoint that keeps a decoded copy of every result
+// batch it receives, so a test can look at what crossed the wire.
+type spyComm struct {
+	mpi.Comm
+	mu      sync.Mutex
+	batches []BatchResult
+}
+
+func (s *spyComm) Recv(from int, tag mpi.Tag) (int, []byte, error) {
+	src, data, err := s.Comm.Recv(from, tag)
+	if err == nil && tag == tagResults {
+		var br BatchResult
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&br); err != nil {
+			return src, nil, fmt.Errorf("spy: %w", err)
+		}
+		s.mu.Lock()
+		s.batches = append(s.batches, br)
+		s.mu.Unlock()
+	}
+	return src, data, err
+}
+
+// TestRankShipsAtMostTopK: a worker rank ships the batches of its one-shard
+// session, whose merge stage has already cut every query to TopK — ties at
+// the cut are broken at the rank, by the global peptide index its mapping
+// subset gives it, not shipped for the master to break. So with TopK 3 no
+// gathered batch carries more than three PSMs for a query, a small
+// fraction of the scored candidates crosses the wire, and the merged
+// answer is still RunSerial's — also on the all-duplicates database, where
+// every cut falls inside a tie.
+func TestRankShipsAtMostTopK(t *testing.T) {
+	const ranks, topK = 3, 3
+	generated, genQueries, _ := testDataset(t, 10, 2, 40)
+	dupes, dupeQueries := duplicatesDataset(t)
+	for _, tc := range []struct {
+		name     string
+		peptides []string
+		queries  []spectrum.Experimental
+		wantDrop bool // the dataset scores enough candidates for the cut to matter
+	}{
+		{"generated", generated, genQueries, true},
+		{"duplicates", dupes, dupeQueries, false},
+	} {
+		cfg := lightConfig()
+		cfg.TopK = topK
+		cfg.BatchSize = 7
+		serial, err := RunSerial(tc.peptides, tc.queries, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		world := mpi.NewWorld(ranks)
+		comms := world.Comms()
+		spy := &spyComm{Comm: comms[0]}
+		comms[0] = spy
+		res, err := runOnComms(context.Background(), comms, tc.peptides, tc.queries, cfg)
+		world.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireSamePSMs(t, tc.name, res.PSMs, serial.PSMs)
+
+		nb := (len(tc.queries) + cfg.BatchSize - 1) / cfg.BatchSize
+		if len(spy.batches) != (ranks-1)*nb {
+			t.Fatalf("%s: %d batches gathered, want %d", tc.name, len(spy.batches), (ranks-1)*nb)
+		}
+		shipped := 0
+		for _, br := range spy.batches {
+			for q, ms := range br.PSMs {
+				if len(ms) > topK {
+					t.Fatalf("%s: query %d arrived with %d PSMs, TopK is %d", tc.name, br.Offset+q, len(ms), topK)
+				}
+				shipped += len(ms)
+			}
+		}
+		var scored int64
+		for _, st := range res.Stats[1:] {
+			scored += st.Work.Scored
+		}
+		if tc.wantDrop && int64(shipped)*2 > scored {
+			t.Fatalf("%s: %d of %d scored candidates shipped; the dataset gives the cut nothing to drop", tc.name, shipped, scored)
+		}
+		t.Logf("%s: %d PSMs on the wire from %d workers with TopK=%d, %d candidates scored there (%.1f%%)",
+			tc.name, shipped, ranks-1, topK, scored, 100*float64(shipped)/float64(scored))
+	}
+}
+
+// TestRunInProcessMatchesSession: a cluster of p one-shard rank sessions
+// and one p-shard session are the same engine, so they agree on every PSM
+// (Origin included), on the mapping footprint and on every deterministic
+// per-rank counter the paper's figures read.
+func TestRunInProcessMatchesSession(t *testing.T) {
+	const p = 4
+	peptides, queries, _ := testDataset(t, 10, 2, 40)
+	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random} {
+		for _, weights := range [][]float64{nil, {4, 2, 1, 1}} {
+			label := fmt.Sprintf("%v/weights=%v", policy, weights)
+			cfg := lightConfig()
+			cfg.Policy = policy
+			cfg.Seed = 3
+			cfg.Weights = weights
+			cfg.TopK = 5
+			cfg.BatchSize = 7
+
+			dist, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: p})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want, err := sess.Search(context.Background(), queries)
+			sess.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+
+			if !reflect.DeepEqual(dist.PSMs, want.PSMs) {
+				t.Fatalf("%s: PSMs differ between the rank cluster and the session", label)
+			}
+			if dist.MappingBytes != want.MappingBytes || dist.Groups != want.Groups {
+				t.Fatalf("%s: mapping bytes %d groups %d, session has %d and %d",
+					label, dist.MappingBytes, dist.Groups, want.MappingBytes, want.Groups)
+			}
+			for r := range want.Stats {
+				g, w := dist.Stats[r], want.Stats[r]
+				if g.Rank != w.Rank || g.Peptides != w.Peptides || g.Rows != w.Rows || g.IndexBytes != w.IndexBytes || g.Work != w.Work {
+					t.Fatalf("%s rank %d: %+v, session shard has %+v", label, r, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMisbehavingRankIsAnError plays the worker ranks of a small world by
+// hand against a real master. Whatever arrives off the wire — a batch
+// outside the query range, a peptide index outside the database, a rank
+// that hangs up early, a rank that sends more than it owes — the master
+// returns an error naming rank 1, leaves no goroutine parked in a receive,
+// and the world closes cleanly.
+func TestMisbehavingRankIsAnError(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 4, 1, 10)
+	cfg := lightConfig()
+	cfg.BatchSize = 4 // three batches owed by every worker
+	empty := func(off, n int) BatchResult { return BatchResult{Offset: off, PSMs: make([][]PSM, n)} }
+	sendAll := func(c mpi.Comm, brs ...BatchResult) error {
+		for _, br := range brs {
+			if err := mpi.SendGob(c, 0, tagResults, br); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	for _, tc := range []struct {
+		name string
+		size int
+		play func(c mpi.Comm) error // a worker rank, after the barrier
+	}{
+		{"batch past the last query", 2, func(c mpi.Comm) error {
+			// The bad batch comes first; the other two still have to be
+			// taken off the wire after the merge has failed.
+			return sendAll(c, empty(8, 4), empty(0, 4), empty(4, 4))
+		}},
+		{"negative offset", 2, func(c mpi.Comm) error {
+			if err := sendAll(c, empty(-1, 1)); err != nil {
+				return err
+			}
+			return c.Close()
+		}},
+		{"peptide outside the database", 2, func(c mpi.Comm) error {
+			br := empty(0, 4)
+			br.PSMs[2] = []PSM{{Peptide: uint32(len(peptides)), Score: 1}}
+			if err := sendAll(c, br); err != nil {
+				return err
+			}
+			return c.Close()
+		}},
+		{"hangs up after one batch of three", 2, func(c mpi.Comm) error {
+			if err := sendAll(c, empty(0, 4)); err != nil {
+				return err
+			}
+			return c.Close()
+		}},
+		{"a fourth batch while two other ranks still owe theirs", 4, func(c mpi.Comm) error {
+			if c.Rank() != 1 {
+				return nil
+			}
+			return sendAll(c, empty(0, 4), empty(4, 4), empty(8, 2), empty(0, 4))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			world := mpi.NewWorld(tc.size)
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunRank(context.Background(), world.Comm(0), peptides, queries, cfg)
+				done <- err
+			}()
+			var workers sync.WaitGroup
+			for r := 1; r < tc.size; r++ {
+				workers.Add(1)
+				go func(c mpi.Comm) {
+					defer workers.Done()
+					if err := mpi.Barrier(c); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := tc.play(c); err != nil {
+						t.Error(err)
+					}
+				}(world.Comm(r))
+			}
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "rank 1") {
+					t.Errorf("master returned %v, want an error naming rank 1", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("master still waiting on the misbehaving rank")
+			}
+			workers.Wait()
+			waitForGoroutines(t, base)
+			world.Close()
+		})
+	}
+}

@@ -101,50 +101,64 @@ type Session struct {
 }
 
 // NewSession groups and partitions the peptide database under cfg and
-// builds every shard's partial index (shards build concurrently, each with
+// builds every shard's partial index (shards build concurrently, sharing
 // cfg.BuildWorkers construction workers).
 func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
 	p := cfg.Shards
 	if p < 1 {
 		p = 1
 	}
+	return buildSession(peptides, cfg.Config, p, 0, 1)
+}
+
+// buildSession builds shard-set `set` of `sets` over a p-way partition of
+// the database: shards [set·p/sets, (set+1)·p/sets), the slice
+// SavePartitioned would store under that number. NewSession builds the one
+// set that is everything; a distributed rank builds set rank of p (RunRank).
+// Grouping and partitioning always cover the whole database — they are the
+// deterministic preprocessing every holder of a slice replicates — but only
+// the set's own shards are indexed and only their chunks of the mapping
+// table are kept.
+func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
-	prep, err := prepare(peptides, cfg.Config, p)
+	prep, err := prepare(peptides, cfg, p)
 	if err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
+	lo, hi := set*p/sets, (set+1)*p/sets
+	n := hi - lo
 
 	s := &Session{
-		cfg:           cfg.Config,
-		shards:        make([]*slm.Index, p),
+		cfg:           cfg,
+		shards:        make([]*slm.Index, n),
 		groups:        prep.grouping.NumGroups(),
 		groupingNanos: prep.groupNs,
 		partitionNs:   prep.partNs,
-		build:         make([]RankStats, p),
+		build:         make([]RankStats, n),
 	}
 	// Shards build concurrently, so split the construction worker budget
 	// across them rather than multiplying it (the index is byte-identical
 	// for any worker count).
-	buildWorkers := divideBuildWorkers(cfg.BuildWorkers, p)
+	buildWorkers := divideBudget(cfg.BuildWorkers, n)
 
 	var wg sync.WaitGroup
-	errs := make([]error, p)
-	for m := 0; m < p; m++ {
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(m int) {
+		go func(i int) {
 			defer wg.Done()
-			local := prep.localPeptides(peptides, m)
+			local := prep.localPeptides(peptides, lo+i)
 			buildStart := time.Now()
 			ix, err := slm.BuildWorkers(local, cfg.Params, buildWorkers)
 			if err != nil {
-				errs[m] = fmt.Errorf("engine: session shard %d build: %w", m, err)
+				errs[i] = fmt.Errorf("engine: session shard %d build: %w", lo+i, err)
 				return
 			}
-			s.shards[m] = ix
-			s.build[m] = rankStats(m, local, ix, time.Since(buildStart).Nanoseconds(), 0, slm.Work{})
-		}(m)
+			s.shards[i] = ix
+			s.build[i] = rankStats(lo+i, local, ix, time.Since(buildStart).Nanoseconds(), 0, slm.Work{})
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -154,11 +168,92 @@ func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
 	}
 	s.table = core.BuildMappingTable(prep.grouping, prep.partition)
 	s.load = append([]RankStats(nil), s.build...)
-	s.pool = s.cfg.newSessionPool()
-	if s.digest, err = canonicalDigest(peptides, cfg.Config, p); err != nil {
+	s.pool = s.cfg.newPool()
+	if sets == 1 {
+		s.digest, err = canonicalDigest(peptides, cfg, p)
+	} else {
+		// A slice keeps its own chunks of the table, renumbered from
+		// zero, and reports matches under the shards' global ids. It has
+		// no digest: that names a store a replica can serve, and a slice
+		// built in memory is only ever one rank of one run.
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = lo + i
+		}
+		s.shardSet = &ShardSetInfo{Set: set, Sets: sets, TotalShards: p, ShardIDs: ids}
+		s.table, err = s.table.Subset(ids)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
 	return s, nil
+}
+
+// lbePrep is the deterministic serial LBE preprocessing every holder of a
+// slice of the database replicates: Algorithm 1 grouping plus the policy
+// partition.
+type lbePrep struct {
+	grouping  core.Grouping
+	partition core.Partition
+	groupNs   int64
+	partNs    int64
+}
+
+// prepare runs grouping and partitioning of the peptide database over p
+// machines under cfg.
+func prepare(peptides []string, cfg Config, p int) (lbePrep, error) {
+	var out lbePrep
+	groupStart := time.Now()
+	if cfg.RawOrder {
+		out.grouping = core.IdentityGrouping(len(peptides))
+	} else {
+		var err error
+		out.grouping, err = core.Group(peptides, cfg.Group)
+		if err != nil {
+			return out, fmt.Errorf("engine: grouping: %w", err)
+		}
+	}
+	out.groupNs = time.Since(groupStart).Nanoseconds()
+
+	partStart := time.Now()
+	var err error
+	if len(cfg.Weights) > 0 {
+		if len(cfg.Weights) != p {
+			return out, fmt.Errorf("engine: %d weights for %d ranks", len(cfg.Weights), p)
+		}
+		out.partition, err = core.PartitionWeighted(out.grouping, cfg.Weights, cfg.Policy, cfg.Seed)
+	} else {
+		out.partition, err = core.PartitionClustered(out.grouping, p, cfg.Policy, cfg.Seed)
+	}
+	if err != nil {
+		return out, fmt.Errorf("engine: partition: %w", err)
+	}
+	out.partNs = time.Since(partStart).Nanoseconds()
+	return out, nil
+}
+
+// localPeptides extracts machine m's partition of the peptide list.
+func (pr lbePrep) localPeptides(peptides []string, m int) []string {
+	mine := pr.partition.GlobalIndices(pr.grouping, m)
+	local := make([]string, len(mine))
+	for i, gidx := range mine {
+		local[i] = peptides[gidx]
+	}
+	return local
+}
+
+// rankStats assembles one rank's load accounting.
+func rankStats(rank int, local []string, ix *slm.Index, buildNanos, queryNanos int64, work slm.Work) RankStats {
+	return RankStats{
+		Rank:           rank,
+		Peptides:       len(local),
+		Rows:           ix.NumRows(),
+		IndexBytes:     ix.MemoryBytes(),
+		BuildPeakBytes: ix.BuildPeakBytes(),
+		BuildNanos:     buildNanos,
+		QueryNanos:     queryNanos,
+		Work:           work,
+	}
 }
 
 // canonicalDigest fingerprints a freshly built session: a hash over the
@@ -212,20 +307,6 @@ func (s *Session) setDigest(d string) {
 	s.mu.Lock()
 	s.digest = d
 	s.mu.Unlock()
-}
-
-// newSessionPool builds a Session's scheduler pool. Unlike the
-// distributed rank pipeline — where 0 threads means serial because the
-// per-machine parallelism comes from the ranks themselves — a Session is
-// the whole process's engine, so an unset ThreadsPerRank defaults to one
-// worker per core (the pre-scheduler Session ran one goroutine per shard
-// unconditionally; defaulting preserves that parallelism for library
-// callers that never touch the knob).
-func (cfg Config) newSessionPool() *sched.Pool {
-	if cfg.ThreadsPerRank <= 0 {
-		cfg.ThreadsPerRank = runtime.GOMAXPROCS(0)
-	}
-	return cfg.newPool()
 }
 
 // NumShards returns the number of in-process partitions.
@@ -650,12 +731,12 @@ func (st *Stream) PushAll(qs []spectrum.Experimental, size int) error {
 	if size < 1 {
 		size = len(qs)
 	}
-	var err error
-	forEachBatch(qs, size, func(_ int, b []spectrum.Experimental) bool {
-		err = st.Push(b)
-		return err == nil
-	})
-	return err
+	for off := 0; off < len(qs); off += size {
+		if err := st.Push(qs[off:min(off+size, len(qs))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Close seals the input end of the stream: in-flight batches drain and
@@ -694,22 +775,34 @@ func (st *Stream) Err() error {
 	return st.err
 }
 
+// streamAll opens a stream and feeds it the whole query set in
+// cfg.BatchSize batches from a goroutine of its own, sealing the input
+// after the last one; the caller drains Results. A push only fails once
+// the stream's context is cancelled, which the merge stage reports
+// through Err.
+func (s *Session) streamAll(ctx context.Context, queries []spectrum.Experimental) (*Stream, error) {
+	st, err := s.Stream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		defer st.Close()
+		st.PushAll(queries, s.cfg.effectiveBatch(len(queries)))
+	}()
+	return st, nil
+}
+
 // Search runs one whole query set through a fresh stream and assembles
 // the master Result, exactly equal to RunSerial's reference output (up to
 // PSM Origin, which records the owning shard). The session's indexes are
 // reused as-is; nothing is rebuilt.
 func (s *Session) Search(ctx context.Context, queries []spectrum.Experimental) (*Result, error) {
 	start := time.Now()
-	st, err := s.Stream(ctx)
+	st, err := s.streamAll(ctx, queries)
 	if err != nil {
 		return nil, err
 	}
 	defer st.cancel()
-
-	go func() {
-		defer st.Close()
-		st.PushAll(queries, s.cfg.effectiveBatch(len(queries)))
-	}()
 
 	res := &Result{
 		PSMs:           make([][]PSM, len(queries)),

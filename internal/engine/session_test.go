@@ -315,9 +315,9 @@ func TestSearchCancellation(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunInProcessCtxCancellation: the distributed runner must unblock all
+// TestRunInProcessCancellation: the distributed runner must unblock all
 // ranks and return promptly when cancelled.
-func TestRunInProcessCtxCancellation(t *testing.T) {
+func TestRunInProcessCancellation(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 10, 2, 80)
 	cfg := lightConfig()
 	cfg.BatchSize = 1
@@ -329,7 +329,7 @@ func TestRunInProcessCtxCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := RunInProcessCtx(ctx, 4, peptides, queries, cfg)
+	res, err := RunInProcess(ctx, 4, peptides, queries, cfg)
 	if err == nil && res == nil {
 		t.Fatal("nil result without error")
 	}
@@ -404,7 +404,7 @@ func TestSingleRankFailureDoesNotHang(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunInProcess(3, peptides, nil, cfg)
+		_, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
 		done <- err
 	}()
 	select {

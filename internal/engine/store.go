@@ -756,7 +756,7 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 		}
 	}
 	s.load = append([]RankStats(nil), s.build...)
-	s.pool = s.cfg.newSessionPool()
+	s.pool = s.cfg.newPool()
 	s.digest = manifestDigest(doc)
 	s.storeVerify = lazy
 	return s, peptides, nil
@@ -789,7 +789,7 @@ func (s *Session) Tune(threads, batch int) {
 	if batch > 0 {
 		s.cfg.BatchSize = batch
 	}
-	s.pool = s.cfg.newSessionPool()
+	s.pool = s.cfg.newPool()
 }
 
 // TuneScheduler adjusts the execution-layer knobs: the chunk granularity
@@ -804,5 +804,5 @@ func (s *Session) TuneScheduler(chunk int, stealing bool) {
 		s.cfg.ChunkSize = chunk
 	}
 	s.cfg.Stealing = stealing
-	s.pool = s.cfg.newSessionPool()
+	s.pool = s.cfg.newPool()
 }

@@ -10,11 +10,6 @@ import (
 const (
 	tagBarrierIn  = ReservedTagBase + 0
 	tagBarrierOut = ReservedTagBase + 1
-	tagBcast      = ReservedTagBase + 2
-	tagGather     = ReservedTagBase + 3
-	tagScatter    = ReservedTagBase + 4
-	tagReduce     = ReservedTagBase + 5
-	tagAllReduce  = ReservedTagBase + 6
 )
 
 // Barrier blocks until every rank in the communicator has entered it.
@@ -41,162 +36,6 @@ func Barrier(c Comm) error {
 	}
 	_, _, err := c.Recv(0, tagBarrierOut)
 	return err
-}
-
-// Bcast distributes root's data to every rank and returns it; non-root
-// ranks ignore their data argument.
-func Bcast(c Comm, root int, data []byte) ([]byte, error) {
-	if err := checkPeer(root, c.Size()); err != nil {
-		return nil, err
-	}
-	if c.Rank() == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tagBcast, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	_, got, err := c.Recv(root, tagBcast)
-	return got, err
-}
-
-// Gather collects each rank's data at root. At root it returns a slice
-// indexed by rank (including root's own contribution); at other ranks it
-// returns nil.
-func Gather(c Comm, root int, data []byte) ([][]byte, error) {
-	if err := checkPeer(root, c.Size()); err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return nil, c.Send(root, tagGather, data)
-	}
-	// Receive per rank rather than from AnySource: per-source FIFO order
-	// keeps back-to-back Gathers from stealing each other's messages.
-	out := make([][]byte, c.Size())
-	out[root] = data
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		_, got, err := c.Recv(r, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = got
-	}
-	return out, nil
-}
-
-// Scatter distributes parts[r] from root to each rank r and returns this
-// rank's part. Only root's parts argument is consulted; it must have
-// exactly Size() entries.
-func Scatter(c Comm, root int, parts [][]byte) ([]byte, error) {
-	if err := checkPeer(root, c.Size()); err != nil {
-		return nil, err
-	}
-	if c.Rank() == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", c.Size(), len(parts))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tagScatter, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	_, got, err := c.Recv(root, tagScatter)
-	return got, err
-}
-
-// AllGather collects every rank's data everywhere: a Gather to rank 0
-// followed by a broadcast of the gob-encoded table.
-func AllGather(c Comm, data []byte) ([][]byte, error) {
-	all, err := Gather(c, 0, data)
-	if err != nil {
-		return nil, err
-	}
-	var blob []byte
-	if c.Rank() == 0 {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(all); err != nil {
-			return nil, err
-		}
-		blob = buf.Bytes()
-	}
-	blob, err = Bcast(c, 0, blob)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReduceInt64 folds one int64 per rank at root with the given operation
-// (e.g. addition); non-root ranks receive 0. Deterministic: the fold is
-// applied in rank order.
-func ReduceInt64(c Comm, root int, value int64, op func(a, b int64) int64) (int64, error) {
-	enc := func(v int64) []byte {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		return buf[:]
-	}
-	dec := func(b []byte) int64 {
-		var v int64
-		for i := 0; i < 8; i++ {
-			v |= int64(b[i]) << (8 * i)
-		}
-		return v
-	}
-	all, err := Gather(c, root, enc(value))
-	if err != nil {
-		return 0, err
-	}
-	if c.Rank() != root {
-		return 0, nil
-	}
-	acc := dec(all[0])
-	for r := 1; r < len(all); r++ {
-		acc = op(acc, dec(all[r]))
-	}
-	return acc, nil
-}
-
-// AllReduceInt64 is ReduceInt64 followed by a broadcast of the result.
-func AllReduceInt64(c Comm, value int64, op func(a, b int64) int64) (int64, error) {
-	acc, err := ReduceInt64(c, 0, value, op)
-	if err != nil {
-		return 0, err
-	}
-	var blob []byte
-	if c.Rank() == 0 {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(acc >> (8 * i))
-		}
-		blob = buf[:]
-	}
-	blob, err = Bcast(c, 0, blob)
-	if err != nil {
-		return 0, err
-	}
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(blob[i]) << (8 * i)
-	}
-	return v, nil
 }
 
 // SendGob gob-encodes v and sends it.

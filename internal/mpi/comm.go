@@ -1,8 +1,8 @@
 // Package mpi is a small message-passing runtime that stands in for the
 // MPI library used by the original LBDSLIM implementation. It provides
-// ranked communicators with blocking tagged point-to-point messaging and
-// the collective operations the engine needs (barrier, broadcast, gather,
-// scatter, reduce), over two interchangeable transports:
+// ranked communicators with blocking tagged point-to-point messaging, gob
+// helpers over it and the one collective the engine needs (barrier), over
+// two interchangeable transports:
 //
 //   - an in-process transport (goroutines + shared inboxes), used for
 //     virtual clusters, tests and benchmarks;

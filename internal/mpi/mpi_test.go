@@ -280,163 +280,6 @@ func TestBarrierSingleRank(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			comms := tr.make(t, 4)
-			runRanks(t, comms, func(c Comm) error {
-				var in []byte
-				if c.Rank() == 2 {
-					in = []byte("payload")
-				}
-				got, err := Bcast(c, 2, in)
-				if err != nil {
-					return err
-				}
-				if string(got) != "payload" {
-					return fmt.Errorf("bcast got %q", got)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			comms := tr.make(t, 4)
-			runRanks(t, comms, func(c Comm) error {
-				// Gather rank ids at root 1.
-				all, err := Gather(c, 1, []byte{byte(c.Rank())})
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 1 {
-					for r, d := range all {
-						if len(d) != 1 || int(d[0]) != r {
-							return fmt.Errorf("gather[%d] = %v", r, d)
-						}
-					}
-				} else if all != nil {
-					return fmt.Errorf("non-root gather returned %v", all)
-				}
-				// Scatter doubled ranks from root 1.
-				var parts [][]byte
-				if c.Rank() == 1 {
-					parts = [][]byte{{0}, {2}, {4}, {6}}
-				}
-				part, err := Scatter(c, 1, parts)
-				if err != nil {
-					return err
-				}
-				if len(part) != 1 || int(part[0]) != 2*c.Rank() {
-					return fmt.Errorf("scatter part = %v", part)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestConsecutiveGathersDoNotInterfere(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			comms := tr.make(t, 3)
-			runRanks(t, comms, func(c Comm) error {
-				for round := 0; round < 10; round++ {
-					payload := []byte{byte(c.Rank()), byte(round)}
-					all, err := Gather(c, 0, payload)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						for r, d := range all {
-							if int(d[0]) != r || int(d[1]) != round {
-								return fmt.Errorf("round %d gather[%d] = %v", round, r, d)
-							}
-						}
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestAllGather(t *testing.T) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			comms := tr.make(t, 3)
-			runRanks(t, comms, func(c Comm) error {
-				all, err := AllGather(c, []byte{byte(c.Rank() * 10)})
-				if err != nil {
-					return err
-				}
-				if len(all) != 3 {
-					return fmt.Errorf("allgather size %d", len(all))
-				}
-				for r, d := range all {
-					if int(d[0]) != r*10 {
-						return fmt.Errorf("allgather[%d] = %v", r, d)
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestReduceAndAllReduce(t *testing.T) {
-	add := func(a, b int64) int64 { return a + b }
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) {
-			comms := tr.make(t, 4)
-			runRanks(t, comms, func(c Comm) error {
-				v := int64(c.Rank() + 1) // 1+2+3+4 = 10
-				sum, err := ReduceInt64(c, 0, v, add)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 && sum != 10 {
-					return fmt.Errorf("reduce = %d, want 10", sum)
-				}
-				if c.Rank() != 0 && sum != 0 {
-					return fmt.Errorf("non-root reduce = %d, want 0", sum)
-				}
-				all, err := AllReduceInt64(c, v, add)
-				if err != nil {
-					return err
-				}
-				if all != 10 {
-					return fmt.Errorf("allreduce = %d, want 10", all)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestReduceNegativeValues(t *testing.T) {
-	add := func(a, b int64) int64 { return a + b }
-	w := NewWorld(2)
-	defer w.Close()
-	runRanks(t, w.Comms(), func(c Comm) error {
-		v := int64(-100)
-		if c.Rank() == 1 {
-			v = 1
-		}
-		got, err := AllReduceInt64(c, v, add)
-		if err != nil {
-			return err
-		}
-		if got != -99 {
-			return fmt.Errorf("allreduce = %d, want -99", got)
-		}
-		return nil
-	})
-}
-
 func TestGobRoundTrip(t *testing.T) {
 	type payload struct {
 		Name   string
@@ -532,14 +375,22 @@ func TestHostJoinTCPBootstrap(t *testing.T) {
 			}
 		}
 	}()
-	// Verify the mesh with an AllReduce.
+	// Verify the mesh: a barrier crosses every link to and from rank 0,
+	// a ring of gob messages the links between the joiners.
 	runRanks(t, comms, func(c Comm) error {
-		sum, err := AllReduceInt64(c, int64(c.Rank()), func(a, b int64) int64 { return a + b })
-		if err != nil {
+		if err := Barrier(c); err != nil {
 			return err
 		}
-		if sum != 3 { // 0+1+2
-			return fmt.Errorf("allreduce over bootstrap mesh = %d", sum)
+		if err := SendGob(c, (c.Rank()+1)%size, 21, c.Rank()); err != nil {
+			return err
+		}
+		prev := (c.Rank() + size - 1) % size
+		var got int
+		if _, err := RecvGob(c, prev, 21, &got); err != nil {
+			return err
+		}
+		if got != prev {
+			return fmt.Errorf("ring over bootstrap mesh delivered %d from rank %d", got, prev)
 		}
 		return nil
 	})

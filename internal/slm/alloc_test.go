@@ -82,26 +82,6 @@ func TestMappedSearchZeroAllocWarmScratch(t *testing.T) {
 	}
 }
 
-// TestChunkedSearchZeroAllocWarmScratch extends the guard across the
-// chunked index's merge path.
-func TestChunkedSearchZeroAllocWarmScratch(t *testing.T) {
-	peps := []string{"PEPTIDEK", "PEPTIDER", "PEPTIDEH", "AAAAGGGGK", "LLLLSSSSK", "MMMMTTTTK"}
-	ci, err := BuildChunked(peps, noModParams(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queryFor(t, "PEPTIDEK")
-
-	var scratch Scratch
-	ci.Search(q, 5, &scratch) // warm buffers
-
-	if n := testing.AllocsPerRun(100, func() {
-		ci.Search(q, 5, &scratch)
-	}); n > 1 {
-		t.Errorf("ChunkedIndex.Search allocates %.1f times per run, want <= 1 (result copy only)", n)
-	}
-}
-
 // TestScratchGrowthAmortized reproduces the work-stealing pool's access
 // pattern: one Scratch alternating between indexes of different row
 // counts. Capacity must be rounded up so the alternation does not

@@ -57,7 +57,7 @@ func TestCutTopKMatchesSortReference(t *testing.T) {
 // best k cannot tell the cut from the full answer.
 func TestSearchCutAgreesWithSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	peps := chunkTestPeptides(rng, 80)
+	peps := randPeptides(rng, 80)
 	peps = append(peps, peps[:20]...) // duplicate peptides: exact score ties
 	params := DefaultParams()
 	params.Mods.MaxPerPep = 1

@@ -68,8 +68,8 @@ func recvQualified(fd *ast.FuncDecl) string {
 
 // TestHotpathAnnotationsMatchAllocGuards pins the //lbe:hotpath set to
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
-// alloc_test.go actually exercise (Search, SearchCut and
-// ChunkedIndex.Search drive the full annotated call tree:
+// alloc_test.go actually exercise (Search and SearchCut drive the full
+// annotated call tree:
 // searchScratch, ensure, quantize, bucketRange, bucketSpan,
 // precursorWindow, postingsLowerBound, accumulate, hyperscore, cutTopK,
 // sortMatches, copyMatches). Annotating a new function here without
@@ -78,7 +78,6 @@ func recvQualified(fd *ast.FuncDecl) string {
 func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	got := hotpathFuncs(t, ".")
 	want := []string{
-		"ChunkedIndex.Search",
 		"Index.Search",
 		"Index.SearchCut",
 		"Index.bucketRange",

@@ -56,7 +56,6 @@ type Scratch struct {
 	touched []uint32  // len(acc)+1 slots: first-touched positions of the current query
 	qint    []uint16  // per-peak quantized intensities for the current query
 	matches []Match   // per-query accumulator, reused across searches
-	merged  []Match   // cross-chunk accumulator for ChunkedIndex.Search
 	cut     []float64 // cutTopK's k best scores
 }
 

@@ -234,6 +234,32 @@ func randPeptide(rng *rand.Rand, minLen, maxLen int) string {
 	return sb.String()
 }
 
+// randPeptides draws n random 6–16-residue peptides.
+func randPeptides(rng *rand.Rand, n int) []string {
+	peps := make([]string, n)
+	for i := range peps {
+		peps[i] = randPeptide(rng, 6, 16)
+	}
+	return peps
+}
+
+// noisyQuery is seq's fragment ladder as an experimental spectrum: 85 % of
+// the ions, each jittered by up to ±0.02 Da, with random intensities.
+func noisyQuery(rng *rand.Rand, seq string) spectrum.Experimental {
+	th, _ := spectrum.Predict(seq)
+	q := spectrum.Experimental{PrecursorMZ: mass.MZ(th.Precursor, 1), Charge: 1}
+	for _, ion := range th.Ions {
+		if rng.Float64() < 0.85 {
+			q.Peaks = append(q.Peaks, spectrum.Peak{
+				MZ:        ion + (rng.Float64()-0.5)*0.04,
+				Intensity: rng.Float64()*90 + 10,
+			})
+		}
+	}
+	q.SortPeaks()
+	return q
+}
+
 // TestIndexMatchesBruteForce is the central correctness property: the CSR
 // index query must produce exactly the matches of the quadratic reference.
 func TestIndexMatchesBruteForce(t *testing.T) {

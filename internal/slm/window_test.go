@@ -17,7 +17,7 @@ import (
 // scan's IonHits, and the scored-set size never changes.
 func TestWindowedScanMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
-	peps := chunkTestPeptides(rng, 50)
+	peps := randPeptides(rng, 50)
 	for _, tol := range []mass.Tolerance{
 		mass.Da(0.01), mass.Da(0.5), mass.Da(3.0),
 		mass.Ppm(10), mass.Ppm(500),
@@ -72,7 +72,7 @@ func TestWindowedScanMatchesFullScan(t *testing.T) {
 // point of the layout, not just its safety.
 func TestWindowedScanPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
-	peps := chunkTestPeptides(rng, 80)
+	peps := randPeptides(rng, 80)
 	params := DefaultParams()
 	params.PrecursorTol = mass.Da(0.5)
 	ix, err := Build(peps, params)
@@ -97,7 +97,7 @@ func TestWindowedScanPrunes(t *testing.T) {
 // results as the heap index that produced the file.
 func TestWindowedScanMapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
-	peps := chunkTestPeptides(rng, 40)
+	peps := randPeptides(rng, 40)
 	params := DefaultParams()
 	params.PrecursorTol = mass.Da(0.5)
 	ix, err := Build(peps, params)
@@ -142,7 +142,7 @@ func TestWindowedScanMapped(t *testing.T) {
 // like an index built with that tolerance, and leave its parent intact.
 func TestWithPrecursorTol(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
-	peps := chunkTestPeptides(rng, 40)
+	peps := randPeptides(rng, 40)
 	open := DefaultParams()
 	open.Mods.MaxPerPep = 1
 	open.PrecursorTol = mass.Open()

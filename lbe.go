@@ -142,17 +142,6 @@ func BuildIndexWorkers(peptides []string, params SearchParams, workers int) (*In
 	return slm.BuildWorkers(peptides, params, workers)
 }
 
-// ChunkedIndex is a precursor-mass-partitioned index (the shared-memory
-// internal partitioning of the paper's Fig. 1).
-type ChunkedIndex = slm.ChunkedIndex
-
-// BuildChunkedIndex constructs an internally partitioned index with the
-// given chunk count; closed-search queries only touch compatible chunks
-// and the transient construction footprint drops to one chunk's worth.
-func BuildChunkedIndex(peptides []string, params SearchParams, chunks int) (*ChunkedIndex, error) {
-	return slm.BuildChunked(peptides, params, chunks)
-}
-
 // SaveIndex writes an index to the named file in the checksummed SLMX
 // binary format.
 func SaveIndex(ix *Index, path string) error { return ix.SaveFile(path) }
@@ -301,38 +290,22 @@ func RunSerial(peptides []string, queries []Spectrum, cfg EngineConfig) (*Result
 	return engine.RunSerial(peptides, queries, cfg)
 }
 
-// RunInProcess runs the distributed search on p in-process ranks.
-func RunInProcess(p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunInProcess(p, peptides, queries, cfg)
+// RunInProcess runs the distributed search on p in-process ranks;
+// cancelling ctx unblocks every rank and returns ctx's error.
+func RunInProcess(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
+	return engine.RunInProcess(ctx, p, peptides, queries, cfg)
 }
 
-// RunInProcessCtx is RunInProcess with cancellation: when ctx is
-// cancelled every rank unblocks promptly and ctx's error is returned.
-func RunInProcessCtx(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunInProcessCtx(ctx, p, peptides, queries, cfg)
-}
-
-// RunOverTCP runs the distributed search over loopback TCP links.
-func RunOverTCP(p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunOverTCP(p, peptides, queries, cfg)
-}
-
-// RunOverTCPCtx is RunOverTCP with cancellation semantics matching
-// RunInProcessCtx.
-func RunOverTCPCtx(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunOverTCPCtx(ctx, p, peptides, queries, cfg)
+// RunOverTCP is RunInProcess over loopback TCP links.
+func RunOverTCP(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
+	return engine.RunOverTCP(ctx, p, peptides, queries, cfg)
 }
 
 // RunRank executes one rank of the distributed search on an existing
-// communicator (for multi-process deployments via HostTCP/JoinTCP).
-func RunRank(c Comm, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunRank(c, peptides, queries, cfg)
-}
-
-// RunRankCtx is RunRank with cancellation: pipeline stages shut down
-// between batches when ctx is cancelled.
-func RunRankCtx(ctx context.Context, c Comm, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunRankCtx(ctx, c, peptides, queries, cfg)
+// communicator (for multi-process deployments via HostTCP/JoinTCP),
+// stopping between batches once ctx is cancelled.
+func RunRank(ctx context.Context, c Comm, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
+	return engine.RunRank(ctx, c, peptides, queries, cfg)
 }
 
 // NewWorld creates p in-process communicator endpoints.

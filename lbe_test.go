@@ -1,6 +1,7 @@
 package lbe_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -43,7 +44,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	ecfg := lbe.DefaultEngineConfig()
 	ecfg.Params.Mods.MaxPerPep = 1
 	ecfg.TopK = 5
-	res, err := lbe.RunInProcess(4, peptides, queries, ecfg)
+	res, err := lbe.RunInProcess(context.Background(), 4, peptides, queries, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestFacadeIndexSearch(t *testing.T) {
 }
 
 // TestFacadeExtendedFeatures exercises the v2 surface: serialization,
-// chunked index, weighted partitioning, tolerances, decoys and q-values.
+// weighted partitioning, tolerances, decoys and q-values.
 func TestFacadeExtendedFeatures(t *testing.T) {
 	peptides := []string{"PEPTIDEK", "AAAAGGGGK", "WWYYFFLLK", "NQKCMAAR"}
 
@@ -179,15 +180,6 @@ func TestFacadeExtendedFeatures(t *testing.T) {
 	}
 	if loaded.NumRows() != ix.NumRows() {
 		t.Errorf("rows after reload: %d vs %d", loaded.NumRows(), ix.NumRows())
-	}
-
-	// Chunked index.
-	ci, err := lbe.BuildChunkedIndex(peptides, params, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.NumChunks() != 2 || ci.NumRows() != len(peptides) {
-		t.Errorf("chunked shape: %d chunks, %d rows", ci.NumChunks(), ci.NumRows())
 	}
 
 	// Tolerances.
@@ -267,7 +259,7 @@ func TestFacadeHybridAndWeightedRun(t *testing.T) {
 	cfg.Params.Mods.MaxPerPep = 1
 	cfg.ThreadsPerRank = 2
 	cfg.Weights = []float64{2, 1, 1}
-	res, err := lbe.RunInProcess(3, peptides, queries, cfg)
+	res, err := lbe.RunInProcess(context.Background(), 3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
