@@ -7,18 +7,19 @@
 // /stats and /metrics surface as a replica, so lbe-client works
 // unchanged through it.
 //
-// With -scatter the replicas are holders of a partitioned store's
+// The replicas may equally be holders of a partitioned store's
 // shard-sets (lbe-index -shard-sets): every /search fans out to one
 // healthy holder per set and the per-set top-K results are merged into
 // the bytes a whole-store session would return. The topology is
-// discovered from the holders' /healthz announcements; no static
-// configuration beyond the replica list is needed.
+// discovered from the holders' /healthz announcements — whole-store
+// replicas are the one-set case — so no configuration beyond the
+// replica list is needed.
 //
 // Usage:
 //
 //	lbe-router -addr :8420 -replicas http://10.0.0.1:8417,http://10.0.0.2:8417
 //	lbe-router -addr :8420 -replicas-file replicas.txt -probe 1s -retries 2
-//	lbe-router -addr :8420 -scatter -replicas-file holders.txt
+//	lbe-router -addr :8420 -replicas-file holders.txt
 //
 // The replicas file lists one base URL per line; blank lines and lines
 // starting with '#' are ignored.
@@ -85,7 +86,6 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown grace period")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "merged-response cache byte budget (0 disables caching)")
 		cacheTTL = flag.Duration("cache-ttl", 0, "cache entry TTL (0 = until evicted or digest change)")
-		scatter  = flag.Bool("scatter", false, "scatter/gather mode: replicas hold shard-sets of one partitioned store")
 	)
 	flag.Parse()
 
@@ -105,7 +105,6 @@ func main() {
 		StatsStaleAfter: *stale,
 		CacheBytes:      *cacheB,
 		CacheTTL:        *cacheTTL,
-		Scatter:         *scatter,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -126,11 +125,9 @@ func main() {
 		}
 		log.Printf("replica %s: %s", r.URL, state)
 	}
-	if st.Scatter != nil {
-		log.Printf("scatter/gather over %d shard-sets (%d covered, %d total shards), cluster digest %.12s",
-			st.Scatter.Sets, st.Scatter.Covered, st.Scatter.TotalShards, st.Digest)
-	} else {
-		log.Printf("routing over %d replicas (%d healthy), digest %.12s", len(urls), healthy, st.Digest)
+	log.Printf("routing over %d replicas (%d healthy), digest %.12s", len(urls), healthy, st.Digest)
+	if sc := st.Scatter; sc != nil {
+		log.Printf("discovered %d shard-sets (%d covered, %d total shards)", sc.Sets, sc.Covered, sc.TotalShards)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

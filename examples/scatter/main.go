@@ -1,7 +1,8 @@
 // Partitioned serving walkthrough: build a session once, cut its store
 // into three shard-sets with SavePartitioned, warm-start one holder per
-// set (and a spare for set 0), and put an lbe-router in scatter/gather
-// mode over them. Every /search fans out to one holder per shard-set
+// set (and a spare for set 0), and put an lbe-router over them — it
+// discovers the partition from what the holders announce; nothing tells
+// it the shape. Every /search fans out to one holder per shard-set
 // and the per-set top-K lists are merged at the front-end into exactly
 // the bytes a whole-store session would return — the example proves it
 // by searching both paths and comparing. The finale kills the primary
@@ -123,11 +124,10 @@ func main() {
 	fmt.Printf("set 0 holders: %s (primary), %s (spare)\n", primary.base, spare.base)
 	fmt.Printf("set 1 holder:  %s\nset 2 holder:  %s\n", holders[2].base, holders[3].base)
 
-	// The scatter router discovers the topology from the holders'
+	// The router discovers the topology from the holders'
 	// announcements and composes the cluster digest from the per-set ones.
 	rt, err := router.New(urls, router.Config{
 		ProbeInterval: 100 * time.Millisecond,
-		Scatter:       true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -185,6 +185,10 @@ func main() {
 	st = rt.Stats()
 	fmt.Printf("\nall %d requests answered; %d failovers, %d/%d sets still covered\n",
 		st.Routed, st.Failovers, st.Scatter.Covered, st.Scatter.Sets)
+	// What the design costs on the wire: the spectrum travels to every
+	// set, at most TopK candidates per set travel back.
+	fmt.Printf("router→holder hop: %d B sent, %d B received per query (%d sets, TopK %d)\n",
+		st.BytesSent/st.Routed, st.BytesReceived/st.Routed, st.Scatter.Sets, sesscfg.TopK)
 
 	// Drain everything that is still up.
 	shutCtx, cancel := context.WithTimeout(ctx, 5*time.Second)

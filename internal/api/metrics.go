@@ -177,8 +177,11 @@ func FormatRouterMetrics(st *RouterStatsResponse) []byte {
 		m.header("lbe_router_index_info", "Cluster store identity: the digest the router requires replicas to match (always 1).", "gauge")
 		m.value("lbe_router_index_info", fmt.Sprintf(`digest=%q`, st.Digest), 1)
 	}
-	m.simple("lbe_router_requests_routed_total", "Requests routed to a replica successfully.", "counter", float64(st.Routed))
+	m.simple("lbe_router_requests_routed_total", "Requests answered with a reply that stands: a 200 merged or relayed, or a relayed 4xx.", "counter", float64(st.Routed))
 	m.simple("lbe_router_failovers_total", "Attempts retried on another replica after a failure.", "counter", float64(st.Failovers))
+	m.header("lbe_router_bytes_total", "/search body bytes that crossed the router-replica hop, by direction.", "counter")
+	m.value("lbe_router_bytes_total", `dir="sent"`, float64(st.BytesSent))
+	m.value("lbe_router_bytes_total", `dir="received"`, float64(st.BytesReceived))
 	m.header("lbe_router_requests_rejected_total", "Requests the router rejected, by reason.", "counter")
 	m.value("lbe_router_requests_rejected_total", `reason="draining"`, float64(st.RejectedDrain))
 	m.value("lbe_router_requests_rejected_total", `reason="no_replica"`, float64(st.RejectedNoReplica))
@@ -215,6 +218,11 @@ func FormatRouterMetrics(st *RouterStatsResponse) []byte {
 		for _, r := range st.Replicas {
 			m.value("lbe_router_replica_failed_total", fmt.Sprintf(`replica=%q`, r.URL), float64(r.Failed))
 		}
+		m.header("lbe_router_replica_bytes_total", "/search body bytes exchanged with the replica, by direction.", "counter")
+		for _, r := range st.Replicas {
+			m.value("lbe_router_replica_bytes_total", fmt.Sprintf(`replica=%q,dir="sent"`, r.URL), float64(r.BytesSent))
+			m.value("lbe_router_replica_bytes_total", fmt.Sprintf(`replica=%q,dir="received"`, r.URL), float64(r.BytesReceived))
+		}
 		m.header("lbe_router_replica_queue_len", "Admission queue length last reported by the replica.", "gauge")
 		for _, r := range st.Replicas {
 			m.value("lbe_router_replica_queue_len", fmt.Sprintf(`replica=%q`, r.URL), float64(r.QueueLen))
@@ -235,7 +243,7 @@ func FormatRouterMetrics(st *RouterStatsResponse) []byte {
 		for _, r := range st.Replicas {
 			m.value("lbe_router_replica_stats_age_ms", fmt.Sprintf(`replica=%q`, r.URL), float64(r.StatsAgeMillis))
 		}
-		m.header("lbe_router_replica_info", "Replica identity: store digest and shard-set ordinal (-1 for whole-store replicas; always 1).", "gauge")
+		m.header("lbe_router_replica_info", "Replica identity: store digest and shard-set ordinal (0 for a whole store, -1 before the first probe; always 1).", "gauge")
 		for _, r := range st.Replicas {
 			set := -1
 			if r.ShardSet != nil {

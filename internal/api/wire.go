@@ -120,11 +120,12 @@ func BuildSearchResponse(qs []spectrum.Experimental, psms [][]engine.PSM, peptid
 }
 
 // ShardSetJSON announces on /healthz and /stats which slice of a
-// partitioned store a replica holds (engine.Session.ShardSet). A
-// scatter/gather router discovers the cluster topology entirely from
-// these announcements: no static topology file exists. TopK rides along
-// because the front-end merge must truncate the per-set union to the
-// same depth a whole-store session would.
+// partitioned store a replica holds (engine.Session.ShardSet). The
+// router discovers the cluster topology entirely from these
+// announcements: no static topology file exists, and a replica that
+// announces none is read as {set 0 of 1} — a whole store is the one-set
+// partition. TopK rides along because the front-end merge must truncate
+// the per-set union to the same depth a whole-store session would.
 type ShardSetJSON struct {
 	Set         int `json:"set"`
 	Sets        int `json:"sets"`
@@ -256,9 +257,14 @@ type RouterReplicaJSON struct {
 	Failed         int64         `json:"failed"`
 	ProbeAgeMillis int64         `json:"probe_age_ms"` // -1 before the first successful probe
 	StatsAgeMillis int64         `json:"stats_age_ms"` // -1 before the first stats snapshot
+	// What crossed the router→replica hop: /search request body bytes
+	// sent (every attempt) and reply body bytes read back (any status).
+	BytesSent     int64 `json:"bytes_sent"`
+	BytesReceived int64 `json:"bytes_received"`
 }
 
-// RouterScatterJSON is the scatter/gather block of the router's /stats:
+// RouterScatterJSON is the topology block of the router's /stats,
+// present whenever a replica is healthy (sets is 1 over whole stores):
 // the discovered cluster shape, how many shard-sets currently have a
 // consistent healthy holder, the per-set digests the cluster digest
 // composes from, and the requests rejected because a shard-set had no
@@ -287,6 +293,9 @@ type RouterStatsResponse struct {
 	Replicas          []RouterReplicaJSON `json:"replicas"`
 	Cache             *CacheStatsJSON     `json:"cache,omitempty"`
 	Aggregate         StatsResponse       `json:"aggregate"`
+	// The per-replica hop byte counters, summed over Replicas.
+	BytesSent     int64 `json:"bytes_sent"`
+	BytesReceived int64 `json:"bytes_received"`
 }
 
 // ErrorResponse is the JSON body of every non-200 reply.

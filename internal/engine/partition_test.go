@@ -64,6 +64,10 @@ func TestSavePartitionedScatterGatherEquivalence(t *testing.T) {
 		if cm.ClusterDigest != ComposeClusterDigest(cm.SetDigests) {
 			t.Fatalf("sets=%d: cluster digest does not compose", sets)
 		}
+		if sets == 1 && cm.ClusterDigest != cm.SetDigests[0] {
+			// A cluster of one is a plain store: ComposeClusterDigest([d]) == d.
+			t.Fatalf("one-set cluster digest %s is not its store's %s", cm.ClusterDigest, cm.SetDigests[0])
+		}
 		reread, err := ReadClusterManifest(dir)
 		if err != nil {
 			t.Fatalf("sets=%d: reread cluster manifest: %v", sets, err)

@@ -305,8 +305,12 @@ type ClusterManifest struct {
 // and a scatter/gather router recomputes it from the digests its probes
 // observe; the two agree exactly when every shard-set serves the store
 // the partitioning emitted, so answer-cache keys and the router's
-// consistency gate compose across the partition boundary.
+// consistency gate compose across the partition boundary. A cluster of
+// one set is its store: the digest of exactly one set is that set's.
 func ComposeClusterDigest(setDigests []string) string {
+	if len(setDigests) == 1 {
+		return setDigests[0]
+	}
 	h := sha256.New()
 	io.WriteString(h, "lbe-cluster/v1\x00")
 	for _, d := range setDigests {

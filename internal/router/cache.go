@@ -10,13 +10,13 @@ import (
 )
 
 // The router's answer cache stores whole rendered response bodies under
-// the cluster digest: replicas already guarantee byte-identical answers
+// the cluster digest: holders already guarantee byte-identical answers
 // for a given digest (the consistency gate refuses to mix digests), so a
-// 200 body replayed from the cache is exactly what a replica would send.
-// In scatter mode the digest is the composed cluster digest
-// (engine.ComposeClusterDigest over the per-set digests) and goes empty
-// whenever a shard-set is dark, so partial topologies bypass the cache
-// entirely — a merged body is only ever cached under full coverage.
+// 200 body replayed from the cache is exactly what the holders would
+// produce. The digest is engine.ComposeClusterDigest over the per-set
+// digests (one set's digest is the cluster's) and goes empty whenever a
+// shard-set is dark, so partial topologies bypass the cache entirely — a
+// body is only ever cached under full coverage.
 // Keys embed the digest, making entries from a retired store unreachable
 // the moment a probe observes the flip; probeAll additionally purges the
 // cache then, returning the memory and making the invalidation
@@ -27,7 +27,7 @@ import (
 // would (sorted peaks, validation), so textually different encodings of
 // the same request share an entry. ok is false when the body does not
 // decode, a spectrum is invalid, or no cluster digest is known — those
-// requests are proxied uncached (the replica owns the error reply).
+// requests are forwarded uncached (the holder owns the error reply).
 func (rt *Router) cacheKey(body []byte) (string, bool) {
 	var req api.SearchRequest
 	if err := json.Unmarshal(body, &req); err != nil || len(req.Spectra) == 0 {
@@ -59,15 +59,14 @@ func writeCached(w http.ResponseWriter, body []byte) {
 
 // searchCached serves one /search through the cache: hits replay the
 // stored body, duplicates of an in-flight request wait for its reply,
-// and only the singleflight leader dispatches (a whole-store proxy or a
-// scatter/gather round — the merged body is byte-identical either way,
-// so both modes cache alike). Only a 200 is cached; any other outcome
-// aborts the flight so waiters retry (or lead their own attempt) — a
-// failed or cancelled dispatch can never poison an entry.
+// and only the singleflight leader runs the scatter/gather round. Only a
+// 200 is cached; any other outcome aborts the flight so waiters retry
+// (or lead their own attempt) — a failed or cancelled round can never
+// poison an entry.
 func (rt *Router) searchCached(w http.ResponseWriter, r *http.Request, body []byte) {
 	key, ok := rt.cacheKey(body)
 	if !ok {
-		rt.dispatchSearch(w, r, body)
+		rt.scatterSearch(w, r, body)
 		return
 	}
 	for {
@@ -77,7 +76,7 @@ func (rt *Router) searchCached(w http.ResponseWriter, r *http.Request, body []by
 			writeCached(w, v)
 			return
 		case qcache.Lead:
-			status, data := rt.dispatchSearch(w, r, body)
+			status, data := rt.scatterSearch(w, r, body)
 			if status == http.StatusOK {
 				f.Complete(data)
 			} else {

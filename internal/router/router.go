@@ -4,42 +4,46 @@
 // replicas across nodes — the cluster-level analogue of HiCOPS-style
 // overlapped scheduling the ROADMAP points at.
 //
+// There is one topology, the paper's: a database cut into p >= 1
+// shard-sets (lbe-index -shard-sets), each searched where it lives, the
+// per-set best matches merged at the front. Every replica is a holder of
+// one set and says which on /healthz; a replica announcing no shard_set
+// serves a whole store, which is the one-set partition {set 0 of 1}. The
+// router discovers the shape from those announcements — no flag, no
+// topology file — and fans each /search to one healthy holder per set
+// (see scatter.go). With one set the holder's reply is relayed byte for
+// byte; with several the per-set top-K merge into the bytes a whole-store
+// session would render (api.MergeSearchResponses). A set with no healthy
+// holder fails the query explicitly — partial coverage never truncates
+// silently.
+//
 // The router keeps a replica registry that it probes periodically:
-// /healthz for liveness and the store-consistency digest, /stats for the
-// live load figures (admission queue length and in-flight batches).
-// Dispatch picks the least-loaded healthy replica when its load snapshot
-// is fresh, and falls back to round-robin when every snapshot has gone
-// stale. A replica that fails an attempt is marked down until the next
-// probe revives it, and the failed request fails over to a different
-// replica within a bounded retry budget — searches are pure reads, so
-// re-sending is safe.
+// /healthz for liveness, the announced slice and the store-consistency
+// digest, /stats for the live load figures (admission queue length and
+// in-flight batches). Dispatch picks the least-loaded healthy holder of
+// a set when its load snapshot is fresh, and falls back to round-robin
+// when every snapshot has gone stale. A holder that fails an attempt is
+// marked down until the next probe revives it, and the failed request
+// fails over to a different holder of the same set within a bounded
+// retry budget — searches are pure reads, so re-sending is safe.
 //
-// Consistency gate: replicas are only mixed when their digests
-// (engine.Session.Digest, surfaced on /healthz) agree. The cluster's
-// contract is the digest of the lowest-indexed healthy replica; healthy
-// replicas answering with a different digest are excluded from routing
+// Consistency gate: holders of one set are only mixed when their digests
+// (engine.Session.Digest, surfaced on /healthz) agree. The partition
+// shape is the lowest-indexed healthy replica's; each set's digest is
+// its lowest-indexed conforming healthy holder's; healthy replicas
+// announcing another shape or another digest are excluded from routing
 // and flagged in /stats — serving a blend of two databases would return
-// answers no single Session could produce.
-//
-// Scatter/gather: with Config.Scatter the replicas are holders of a
-// partitioned store's shard-sets (lbe-index -shard-sets) announcing
-// their slice on /healthz. The router discovers the partition shape from
-// those announcements, gates consistency per shard-set, fans each
-// /search to one healthy holder per set with the same failover budget,
-// and merges the per-set top-K into the bytes a whole-store session
-// would render (see scatter.go and api.MergeSearchResponses). A set with
-// no healthy holder fails the query explicitly — partial coverage never
-// truncates silently.
+// answers no single Session could produce. The cluster digest composes
+// the per-set digests (engine.ComposeClusterDigest; one set's digest is
+// the cluster's).
 //
 // The router serves the same /search, /healthz, /stats and /metrics
 // surface as a replica, so lbe-client (and anything else speaking
-// internal/api) works unchanged through it. /search bodies and replica
-// responses are passed through byte for byte.
+// internal/api) works unchanged through it.
 package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,13 +84,12 @@ type Config struct {
 	// CacheTTL expires cache entries after this duration; 0 means
 	// entries live until evicted or invalidated by a digest change.
 	CacheTTL time.Duration
-	// Scatter enables shard-set scatter/gather mode: the replicas are
-	// holders of a partitioned store's shard-sets (announced on their
-	// /healthz), and every /search fans out to one healthy holder per
-	// set, with the per-set top-K merged at the router into the response
-	// a whole-store session would produce. In this mode the consistency
-	// gate works per shard-set and the cluster digest composes the
-	// per-set digests (engine.ComposeClusterDigest).
+	// Scatter is ignored: the topology is discovered from the holders'
+	// announcements, and a whole store is the one-set partition.
+	//
+	// Deprecated: kept only because benchmark/rig.go still sets it and
+	// may not change in the same PR that removed the mode switch;
+	// deleting the field is a one-line follow-up there.
 	Scatter bool
 }
 
@@ -137,8 +140,7 @@ type replica struct {
 	healthy  bool
 	mismatch bool              // digest differs from the cluster digest
 	digest   string            // last probed digest
-	shardSet *api.ShardSetJSON // announced shard-set slice; nil for a whole store
-	shards   int
+	shardSet *api.ShardSetJSON // the slice it holds ({0 of 1} when it announces none); nil before the first probe
 	groups   int
 	probedAt time.Time // last successful health probe
 	statsAt  time.Time // last successful stats snapshot
@@ -146,9 +148,11 @@ type replica struct {
 	busy     int       // replica's in-flight batch count at statsAt
 	stats    api.StatsResponse
 
-	inflight atomic.Int64 // requests this router currently has on the replica
-	routed   atomic.Int64 // requests the replica answered (any pass-through status)
-	failed   atomic.Int64 // attempts that errored or answered retryably
+	inflight  atomic.Int64 // requests this router currently has on the replica
+	routed    atomic.Int64 // requests the replica answered (any pass-through status)
+	failed    atomic.Int64 // attempts that errored or answered retryably
+	bytesSent atomic.Int64 // /search request body bytes sent, every attempt
+	bytesRecv atomic.Int64 // /search reply body bytes received, any status
 }
 
 // markDown records a failed probe or proxied attempt; the next
@@ -171,7 +175,7 @@ type Router struct {
 	failovers         atomic.Int64
 	rejectedDrain     atomic.Int64
 	rejectedNoReplica atomic.Int64
-	rejectedSetDown   atomic.Int64 // scatter requests refused for an uncovered shard-set
+	rejectedSetDown   atomic.Int64 // requests refused for an uncovered shard-set
 
 	quit      chan struct{}
 	probeDone chan struct{}
@@ -186,7 +190,7 @@ type Router struct {
 	mu            sync.RWMutex
 	draining      bool
 	clusterDigest string
-	scatter       *scatterState // discovered shard-set topology; nil until a probe finds one
+	scatter       *scatterState // discovered shard-set topology; nil while no replica is healthy
 
 	// cache holds merged 200 response bodies keyed under the cluster
 	// digest; nil when Config.CacheBytes is 0.
@@ -250,8 +254,7 @@ func (rt *Router) probeLoop() {
 }
 
 // probeAll refreshes every replica concurrently, then re-derives the
-// cluster digest and each replica's consistency flag — per shard-set in
-// scatter mode, cluster-wide otherwise.
+// topology, the cluster digest and each replica's consistency flag.
 func (rt *Router) probeAll() {
 	var wg sync.WaitGroup
 	for _, r := range rt.replicas {
@@ -262,11 +265,7 @@ func (rt *Router) probeAll() {
 		}(r)
 	}
 	wg.Wait()
-	if rt.cfg.Scatter {
-		rt.gateScatter()
-		return
-	}
-	rt.gateUniform()
+	rt.gate()
 }
 
 // setClusterDigest publishes the freshly derived cluster digest. A store
@@ -286,36 +285,6 @@ func (rt *Router) setClusterDigest(digest string, sc *scatterState) {
 	}
 }
 
-// gateUniform derives the replicated-store consistency view: the cluster
-// digest is the lowest-indexed healthy replica's — a deterministic
-// choice that follows a coordinated store upgrade by itself. Replicas
-// disagreeing with it are gated out of routing, as are holders of a
-// multi-set store slice: routing a whole-database request to a partial
-// holder would silently truncate results.
-func (rt *Router) gateUniform() {
-	digest := ""
-	for _, r := range rt.replicas {
-		r.mu.Lock()
-		if r.healthy && digest == "" && !isPartialHolder(r.shardSet) {
-			digest = r.digest
-		}
-		r.mu.Unlock()
-	}
-	rt.setClusterDigest(digest, nil)
-	for _, r := range rt.replicas {
-		r.mu.Lock()
-		r.mismatch = r.healthy && (r.digest != digest || isPartialHolder(r.shardSet))
-		r.mu.Unlock()
-	}
-}
-
-// isPartialHolder reports whether the announced shard-set slice covers
-// less than the whole database (a single-set "partition" is complete and
-// may serve whole-database traffic).
-func isPartialHolder(ss *api.ShardSetJSON) bool {
-	return ss != nil && ss.Sets > 1
-}
-
 // probeOne refreshes one replica's health and load snapshot.
 func (rt *Router) probeOne(r *replica) {
 	ctx, cancel := context.WithTimeout(rt.probeCtx, rt.cfg.ProbeTimeout)
@@ -329,9 +298,13 @@ func (rt *Router) probeOne(r *replica) {
 	r.mu.Lock()
 	r.healthy = true
 	r.digest = h.Digest
-	r.shards = h.Shards
 	r.groups = h.Groups
 	r.shardSet = h.ShardSet
+	if r.shardSet == nil {
+		// No announcement means a whole store: the one-set partition.
+		// TopK stays 0 — a one-set reply is relayed, never re-cut.
+		r.shardSet = &api.ShardSetJSON{Set: 0, Sets: 1, TotalShards: h.Shards}
+	}
 	r.probedAt = now
 	r.mu.Unlock()
 
@@ -347,11 +320,15 @@ func (rt *Router) probeOne(r *replica) {
 	r.mu.Unlock()
 }
 
-// routable reports whether the replica may receive traffic.
-func (r *replica) routable() bool {
+// heldSet returns the shard-set the replica may receive traffic for and
+// the groups in its slice; ok is false while it is down or gated out.
+func (r *replica) heldSet() (set, groups int, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.healthy && !r.mismatch
+	if !r.healthy || r.mismatch || r.shardSet == nil {
+		return 0, 0, false
+	}
+	return r.shardSet.Set, r.groups, true
 }
 
 // load returns the replica's dispatch score and whether its snapshot is
@@ -366,14 +343,13 @@ func (r *replica) load(staleAfter time.Duration) (score int64, fresh bool) {
 	return score, !at.IsZero() && time.Since(at) <= staleAfter
 }
 
-// pick selects the dispatch target among routable replicas not in
-// tried and accepted by want (nil accepts all): the least-loaded replica
-// with a fresh load snapshot, or plain round-robin when no candidate's
-// snapshot is fresh.
-func (rt *Router) pick(tried map[*replica]bool, want func(*replica) bool) *replica {
+// pick selects the dispatch target among the routable holders of set
+// not in tried: the least-loaded one with a fresh load snapshot, or plain
+// round-robin when no candidate's snapshot is fresh.
+func (rt *Router) pick(set int, tried map[*replica]bool) *replica {
 	var candidates []*replica
 	for _, r := range rt.replicas {
-		if !tried[r] && r.routable() && (want == nil || want(r)) {
+		if held, _, ok := r.heldSet(); ok && held == set && !tried[r] {
 			candidates = append(candidates, r)
 		}
 	}
@@ -432,11 +408,8 @@ func (rt *Router) admit() bool {
 }
 
 // handleSearch answers one /search request: from the answer cache when
-// enabled and hit, otherwise by proxying — the raw body is forwarded to
-// the picked replica and the replica's response is returned byte for
-// byte. On a transport error, timeout or overload status the replica is
-// marked down (transport errors only) and the request fails over to a
-// replica not yet tried, within the FailoverRetries budget.
+// enabled and hit, otherwise by forwarding the raw body to one holder
+// per shard-set (scatterSearch).
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -460,135 +433,47 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		rt.searchCached(w, r, body)
 		return
 	}
-	rt.dispatchSearch(w, r, body)
+	rt.scatterSearch(w, r, body)
 }
 
-// proxySearch runs the failover attempt loop for one raw /search body
-// and writes the outcome. It returns the pass-through reply's (status,
-// data) so a caching caller can store a successful body; a synthesized
-// reply (no replica, every attempt failed, caller cancelled) returns
-// (0, nil).
-func (rt *Router) proxySearch(w http.ResponseWriter, r *http.Request, body []byte) (int, []byte) {
-	tried := make(map[*replica]bool)
-	attempts := 1 + rt.cfg.FailoverRetries
-	var lastErr error
-	lastStatus, lastData := 0, []byte(nil) // last failed attempt's HTTP reply, if it had one
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := r.Context().Err(); err != nil {
-			api.WriteError(w, http.StatusGatewayTimeout, "request cancelled: %v", err)
-			return 0, nil
+// liveCoverage walks the routable holders once: how many of the sets
+// have one right now (a transport failure marks a holder down between
+// probes), and the groups of one holder per set — each holder carries a
+// slice of the store, and one slice per set adds up to the whole store's.
+func (rt *Router) liveCoverage(sets int) (covered, groups int) {
+	seen := make([]bool, sets)
+	for _, rep := range rt.replicas {
+		// The bounds check covers a gate re-deriving the shape between
+		// the caller's read of it and this walk.
+		if set, g, ok := rep.heldSet(); ok && set >= 0 && set < sets && !seen[set] {
+			seen[set] = true
+			covered++
+			groups += g
 		}
-		rep := rt.pick(tried, nil)
-		if rep == nil {
-			break
-		}
-		tried[rep] = true
-		if attempt > 0 {
-			rt.failovers.Add(1)
-		}
-
-		rep.inflight.Add(1)
-		status, data, err := rep.client.Do(r.Context(), http.MethodPost, "/search", body)
-		rep.inflight.Add(-1)
-
-		if err != nil {
-			if r.Context().Err() != nil {
-				// The caller hung up or timed out mid-proxy; that is not
-				// the replica's failure, so its health stands.
-				api.WriteError(w, http.StatusGatewayTimeout, "request cancelled: %v", r.Context().Err())
-				return 0, nil
-			}
-			// Transport failure: the replica is likely gone; stop routing
-			// to it until a probe says otherwise.
-			rep.failed.Add(1)
-			rep.markDown()
-			lastErr = err
-			lastStatus, lastData = 0, nil
-			continue
-		}
-		if status >= http.StatusInternalServerError || status == http.StatusTooManyRequests {
-			// The replica answered but cannot serve this request (drain,
-			// overload, engine failure). It is alive — leave its health to
-			// the prober — but give the request to someone else.
-			rep.failed.Add(1)
-			lastErr = &api.StatusError{Code: status, Message: fmt.Sprintf("replica %s", rep.url)}
-			lastStatus, lastData = status, data
-			continue
-		}
-		rep.routed.Add(1)
-		rt.routed.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(data)
-		return status, data
 	}
-
-	switch {
-	case lastErr == nil:
-		rt.rejectedNoReplica.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, "no consistent healthy replica available")
-	case lastStatus != 0:
-		// Every failover attempt was spent and the final one got a real
-		// reply (429 backpressure, 503 drain, engine 5xx): relay it
-		// verbatim, preserving the replica's error body and the
-		// Retry-After semantics a backoff-aware client depends on,
-		// instead of masking it behind a synthesized 502.
-		if lastStatus == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(lastStatus)
-		_, _ = w.Write(lastData)
-	case errors.Is(lastErr, context.Canceled) || errors.Is(lastErr, context.DeadlineExceeded):
-		api.WriteError(w, http.StatusGatewayTimeout, "request cancelled or deadline exceeded: %v", lastErr)
-	default:
-		api.WriteError(w, http.StatusBadGateway, "every attempted replica failed: %v", lastErr)
-	}
-	return 0, nil
+	return covered, groups
 }
 
-// handleHealthz answers with the cluster view: ok while at least one
-// consistent healthy replica is routable — in scatter mode, while every
-// shard-set has one, since a partially covered partition cannot answer
-// any query. Shards and Groups describe the whole logical store either
-// way.
+// handleHealthz answers with the cluster view: ok while every shard-set
+// has a consistent healthy holder, since a partially covered partition
+// cannot answer any query. Shards and Groups describe the whole logical
+// store.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RLock()
 	digest := rt.clusterDigest
 	sc := rt.scatter
 	rt.mu.RUnlock()
 	h := api.HealthResponse{Status: "ok", Digest: digest}
-	routable := 0
-	seenSet := make(map[int]bool)
-	for _, rep := range rt.replicas {
-		if !rep.routable() {
-			continue
-		}
-		routable++
-		rep.mu.Lock()
-		if sc != nil {
-			// Per-set holders each carry a slice of the store; the groups
-			// of one holder per set sum to the whole store's.
-			if ss := rep.shardSet; ss != nil && !seenSet[ss.Set] {
-				seenSet[ss.Set] = true
-				h.Groups += rep.groups
-			}
-		} else {
-			h.Shards, h.Groups = rep.shards, rep.groups
-		}
-		rep.mu.Unlock()
-	}
+	covered := false
 	if sc != nil {
-		h.Shards = sc.totalShards
+		var n int
+		n, h.Groups = rt.liveCoverage(sc.sets)
+		h.Shards, covered = sc.totalShards, n == sc.sets
 	}
 	switch {
 	case rt.isDraining():
 		h.Status = "draining"
-	case routable == 0:
-		h.Status = "unavailable"
-	case sc != nil && sc.covered < sc.sets:
-		h.Status = "unavailable"
-	case rt.cfg.Scatter && sc == nil:
+	case !covered:
 		h.Status = "unavailable"
 	}
 	if h.Status != "ok" {
@@ -637,7 +522,12 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 		RejectedNoReplica: rt.rejectedNoReplica.Load(),
 		Cache:             rt.cacheStats(),
 	}
+	agg := &out.Aggregate
 	if sc != nil {
+		// Replica snapshots describe shard-set slices; the aggregate
+		// describes the whole logical store.
+		agg.Shards = sc.totalShards
+		_, agg.Groups = rt.liveCoverage(sc.sets)
 		out.Scatter = &api.RouterScatterJSON{
 			Sets:            sc.sets,
 			TotalShards:     sc.totalShards,
@@ -650,7 +540,6 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 		out.Status = "draining"
 	}
 	now := time.Now()
-	agg := &out.Aggregate
 	agg.Status = out.Status
 	agg.Digest = digest
 	for _, rep := range rt.replicas {
@@ -666,14 +555,16 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 			RouterInFlight: rep.inflight.Load(),
 			Routed:         rep.routed.Load(),
 			Failed:         rep.failed.Load(),
+			BytesSent:      rep.bytesSent.Load(),
+			BytesReceived:  rep.bytesRecv.Load(),
 			ProbeAgeMillis: ageMillis(rep.probedAt, now),
 			StatsAgeMillis: ageMillis(rep.statsAt, now),
 		}
 		st, hasStats := rep.stats, !rep.statsAt.IsZero()
 		rep.mu.Unlock()
+		out.BytesSent += rj.BytesSent
+		out.BytesReceived += rj.BytesReceived
 		if hasStats {
-			agg.Shards = st.Shards // same store everywhere; not summed
-			agg.Groups = st.Groups
 			agg.IndexBytes += st.IndexBytes
 			agg.MappingBytes += st.MappingBytes
 			agg.Searched += st.Searched
@@ -702,23 +593,6 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 			}
 		}
 		out.Replicas = append(out.Replicas, rj)
-	}
-	if sc != nil {
-		// Replica snapshots describe shard-set slices; the aggregate
-		// describes the whole logical store.
-		agg.Shards = sc.totalShards
-		agg.Groups = 0
-		seenSet := make(map[int]bool)
-		for i, rep := range rt.replicas {
-			ss := out.Replicas[i].ShardSet
-			if ss == nil || seenSet[ss.Set] || !rep.routable() {
-				continue
-			}
-			seenSet[ss.Set] = true
-			rep.mu.Lock()
-			agg.Groups += rep.stats.Groups
-			rep.mu.Unlock()
-		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sync"
 
@@ -11,14 +12,17 @@ import (
 	"lbe/internal/engine"
 )
 
-// Scatter/gather mode: the replicas hold shard-sets of one partitioned
-// store (lbe-index -shard-sets) and announce their slice on /healthz.
-// The router discovers the topology from those announcements — no static
-// configuration — fans each /search to one healthy holder per set, and
-// merges the per-set top-K with api.MergeSearchResponses into the bytes
-// a whole-store session would have produced. Partial coverage is an
-// explicit failure: a set with no consistent healthy holder fails the
-// query with a 503 naming the set, never a silently truncated answer.
+// Scatter/gather: the one gate, the one failover loop and the one reply
+// policy. The replicas hold shard-sets of one store and announce their
+// slice on /healthz (probeOne reads a missing announcement as the
+// one-set partition a whole store is). The router discovers the topology
+// from those announcements — no static configuration — and fans each
+// /search to one healthy holder per set. One set: the holder's reply is
+// the answer and is relayed untouched. Several: the per-set top-K merge
+// with api.MergeSearchResponses into the bytes a whole-store session
+// would have produced. Partial coverage is an explicit failure: a set
+// with no consistent healthy holder fails the query with a 503 naming
+// the set, never a silently truncated answer.
 
 // scatterState is the topology the probe loop discovered: the partition
 // shape, the per-set store digests, and how many sets currently have a
@@ -39,28 +43,31 @@ func conforms(ss, shape *api.ShardSetJSON) bool {
 		ss.TopK == shape.TopK && ss.Set >= 0 && ss.Set < shape.Sets
 }
 
-// gateScatter derives the partitioned-store consistency view. The
-// partition shape comes from the lowest-indexed healthy replica that
-// announces one; each set's digest is its lowest-indexed conforming
-// healthy holder's, and holders disagreeing with their set's digest (or
-// with the shape, or announcing no slice at all) are gated out of
-// routing. The cluster digest composes the per-set digests — but only
-// once every set is covered; with a set dark there is no whole-store
-// contract to cache under, so the digest goes empty and the answer cache
-// is bypassed rather than fed partial answers.
-func (rt *Router) gateScatter() {
+// gate derives the consistency view. The partition shape is the
+// lowest-indexed healthy replica's — a deterministic choice that follows
+// a coordinated store upgrade by itself, and means a registry mixing
+// whole-store replicas with partial holders locks onto whichever shape
+// is listed first, never a blend. Each set's digest is its
+// lowest-indexed conforming healthy holder's, and holders disagreeing
+// with their set's digest or with the shape are gated out of routing.
+// The cluster digest composes the per-set digests — but only once every
+// set is covered; with a set dark there is no whole-store contract to
+// cache under, so the digest goes empty and the answer cache is bypassed
+// rather than fed partial answers.
+func (rt *Router) gate() {
 	var shape *api.ShardSetJSON
 	for _, r := range rt.replicas {
 		r.mu.Lock()
-		if r.healthy && shape == nil && r.shardSet != nil {
+		if r.healthy && shape == nil && r.shardSet.Sets >= 1 {
 			ss := *r.shardSet
 			shape = &ss
 		}
 		r.mu.Unlock()
 	}
 	if shape == nil {
-		// Nothing announces a topology: keep any previously discovered
-		// shape out of play and route nowhere until a holder returns.
+		// No healthy replica announces a usable shape: keep any
+		// previously discovered one out of play and route nowhere until
+		// a holder returns.
 		rt.setClusterDigest("", nil)
 		for _, r := range rt.replicas {
 			r.mu.Lock()
@@ -75,10 +82,13 @@ func (rt *Router) gateScatter() {
 		topK:        shape.TopK,
 		setDigests:  make([]string, shape.Sets),
 	}
+	held := make([]bool, shape.Sets)
 	for _, r := range rt.replicas {
 		r.mu.Lock()
-		if r.healthy && conforms(r.shardSet, shape) && sc.setDigests[r.shardSet.Set] == "" {
+		if r.healthy && conforms(r.shardSet, shape) && !held[r.shardSet.Set] {
+			held[r.shardSet.Set] = true
 			sc.setDigests[r.shardSet.Set] = r.digest
+			sc.covered++
 		}
 		r.mu.Unlock()
 	}
@@ -88,11 +98,6 @@ func (rt *Router) gateScatter() {
 			(!conforms(r.shardSet, shape) || r.digest != sc.setDigests[r.shardSet.Set])
 		r.mu.Unlock()
 	}
-	for _, d := range sc.setDigests {
-		if d != "" {
-			sc.covered++
-		}
-	}
 	digest := ""
 	if sc.covered == sc.sets {
 		digest = engine.ComposeClusterDigest(sc.setDigests)
@@ -100,22 +105,12 @@ func (rt *Router) gateScatter() {
 	rt.setClusterDigest(digest, sc)
 }
 
-// scatterView snapshots the discovered topology, nil before any probe
-// found one.
+// scatterView snapshots the discovered topology, nil while no replica
+// is healthy.
 func (rt *Router) scatterView() *scatterState {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return rt.scatter
-}
-
-// holderOf is the pick filter selecting routable holders of one set.
-func holderOf(set int) func(*replica) bool {
-	return func(r *replica) bool {
-		r.mu.Lock()
-		ss := r.shardSet
-		r.mu.Unlock()
-		return ss != nil && ss.Set == set
-	}
 }
 
 // setReply is one shard-set's outcome of a scatter round.
@@ -126,11 +121,14 @@ type setReply struct {
 	noHolder bool   // no routable holder was available for the set
 }
 
-// fetchSet runs the per-set failover loop: each attempt goes to a
-// routable holder of the set not yet tried, within the same
-// FailoverRetries budget the uniform path uses. Transport failures mark
-// the holder down (the next probe revives it); retryable statuses (429,
-// 5xx) leave health to the prober and try the next holder.
+// fetchSet runs the failover loop for one set: each attempt goes to a
+// routable holder of the set not yet tried, within the FailoverRetries
+// budget. A transport failure (a per-attempt timeout included) marks the
+// holder down until the next probe revives it — it is likely gone. A
+// retryable status (429, 5xx) means the holder is alive but cannot serve
+// this request (drain, overload, engine failure): its health is left to
+// the prober and the request goes to the next holder. A caller that hung
+// up or timed out is not the holder's failure, so its health stands.
 func (rt *Router) fetchSet(ctx context.Context, set int, body []byte) setReply {
 	tried := make(map[*replica]bool)
 	attempts := 1 + rt.cfg.FailoverRetries
@@ -140,7 +138,7 @@ func (rt *Router) fetchSet(ctx context.Context, set int, body []byte) setReply {
 		if err := ctx.Err(); err != nil {
 			return setReply{err: err}
 		}
-		rep := rt.pick(tried, holderOf(set))
+		rep := rt.pick(set, tried)
 		if rep == nil {
 			break
 		}
@@ -151,7 +149,9 @@ func (rt *Router) fetchSet(ctx context.Context, set int, body []byte) setReply {
 		}
 
 		rep.inflight.Add(1)
+		rep.bytesSent.Add(int64(len(body)))
 		status, data, err := rep.client.Do(ctx, http.MethodPost, "/search", body)
+		rep.bytesRecv.Add(int64(len(data)))
 		rep.inflight.Add(-1)
 
 		if err != nil {
@@ -188,34 +188,40 @@ func relay(w http.ResponseWriter, status int, data []byte) {
 	_, _ = w.Write(data)
 }
 
-// scatterSearch fans one raw /search body to every shard-set
-// concurrently, gathers the per-set responses, and writes the merged
-// outcome. Like proxySearch it returns the (status, data) it wrote when
-// that reply is cacheable-shaped, and (0, nil) for synthesized errors.
+// scatterSearch fans one raw /search body to one holder of every
+// shard-set concurrently, gathers the per-set replies, and writes the
+// outcome. It returns the (status, data) it wrote when that is a holder's
+// or the merged reply, so a caching caller can store a 200 body, and
+// (0, nil) for synthesized errors.
 //
-// Aggregation order, strictest first: a cancelled caller wins (504);
-// then an uncovered set (503 naming the set — explicit partial-failure,
-// never truncation); then a definitive non-retryable replica reply such
-// as a 400, relayed verbatim (every set saw the same request, so one
-// set's verdict is the request's); then a final retryable reply (429,
-// 503, 5xx) relayed verbatim; then a transport failure (502). Only when
-// every set answered 200 do the parts merge.
+// Reply policy, strictest first: a cancelled caller wins (504); then an
+// uncovered set (503 naming the set — explicit partial-failure, never
+// truncation); then a definitive non-retryable holder reply such as a
+// 400, relayed verbatim (every set saw the same request, so one set's
+// verdict is the request's); then a final retryable reply (429, 503,
+// 5xx) relayed verbatim, preserving the holder's error body and the
+// Retry-After semantics a backoff-aware client depends on; then a
+// transport failure (504 when the last attempt ran out its per-attempt
+// deadline, 502 otherwise). Only when every set answered 200 is there an
+// answer: the one set's bytes as they arrived, or the merge of several.
 func (rt *Router) scatterSearch(w http.ResponseWriter, r *http.Request, body []byte) (int, []byte) {
 	sc := rt.scatterView()
 	if sc == nil {
 		rt.rejectedNoReplica.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, "no shard-set topology discovered")
+		api.WriteError(w, http.StatusServiceUnavailable, "no healthy replica available")
 		return 0, nil
 	}
+	// Set 0 is fetched on this goroutine: a one-set topology spawns none.
 	replies := make([]setReply, sc.sets)
 	var wg sync.WaitGroup
-	for s := 0; s < sc.sets; s++ {
+	for s := 1; s < sc.sets; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			replies[s] = rt.fetchSet(r.Context(), s, body)
 		}(s)
 	}
+	replies[0] = rt.fetchSet(r.Context(), 0, body)
 	wg.Wait()
 
 	if err := r.Context().Err(); err != nil {
@@ -233,6 +239,7 @@ func (rt *Router) scatterSearch(w http.ResponseWriter, r *http.Request, body []b
 	for _, rep := range replies {
 		if rep.status != 0 && rep.status != http.StatusOK &&
 			rep.status < http.StatusInternalServerError && rep.status != http.StatusTooManyRequests {
+			rt.routed.Add(1)
 			relay(w, rep.status, rep.data)
 			return rep.status, rep.data
 		}
@@ -244,23 +251,43 @@ func (rt *Router) scatterSearch(w http.ResponseWriter, r *http.Request, body []b
 		}
 	}
 	for s, rep := range replies {
-		if rep.err != nil {
+		switch {
+		case rep.err == nil:
+		case errors.Is(rep.err, context.Canceled) || errors.Is(rep.err, context.DeadlineExceeded):
+			api.WriteError(w, http.StatusGatewayTimeout, "shard-set %d: deadline exceeded: %v", s, rep.err)
+			return 0, nil
+		default:
 			api.WriteError(w, http.StatusBadGateway, "shard-set %d: every attempted holder failed: %v", s, rep.err)
 			return 0, nil
 		}
 	}
 
-	parts := make([]api.SearchResponse, sc.sets)
-	for s, rep := range replies {
-		if err := json.Unmarshal(rep.data, &parts[s]); err != nil {
-			api.WriteError(w, http.StatusBadGateway, "shard-set %d returned an undecodable body: %v", s, err)
+	data := replies[0].data
+	if sc.sets > 1 {
+		var ok bool
+		if data, ok = rt.mergeReplies(w, replies, sc.topK); !ok {
 			return 0, nil
 		}
 	}
-	merged, err := api.MergeSearchResponses(parts, sc.topK)
+	rt.routed.Add(1)
+	relay(w, http.StatusOK, data)
+	return http.StatusOK, data
+}
+
+// mergeReplies decodes every set's 200 body and renders the merged
+// response; on failure it writes the 502 itself and reports false.
+func (rt *Router) mergeReplies(w http.ResponseWriter, replies []setReply, topK int) ([]byte, bool) {
+	parts := make([]api.SearchResponse, len(replies))
+	for s, rep := range replies {
+		if err := json.Unmarshal(rep.data, &parts[s]); err != nil {
+			api.WriteError(w, http.StatusBadGateway, "shard-set %d returned an undecodable body: %v", s, err)
+			return nil, false
+		}
+	}
+	merged, err := api.MergeSearchResponses(parts, topK)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, "gather: %v", err)
-		return 0, nil
+		return nil, false
 	}
 	// Encode exactly as api.WriteJSON does (json.Encoder, so the body is
 	// newline-terminated): the merged bytes must be indistinguishable
@@ -268,22 +295,7 @@ func (rt *Router) scatterSearch(w http.ResponseWriter, r *http.Request, body []b
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(merged); err != nil {
 		api.WriteError(w, http.StatusInternalServerError, "encoding merged response: %v", err)
-		return 0, nil
+		return nil, false
 	}
-	data := buf.Bytes()
-	rt.routed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-	return http.StatusOK, data
-}
-
-// dispatchSearch routes one raw /search body through the mode the router
-// was configured for: scatter/gather over shard-sets, or whole-store
-// replica proxying.
-func (rt *Router) dispatchSearch(w http.ResponseWriter, r *http.Request, body []byte) (int, []byte) {
-	if rt.cfg.Scatter {
-		return rt.scatterSearch(w, r, body)
-	}
-	return rt.proxySearch(w, r, body)
+	return buf.Bytes(), true
 }

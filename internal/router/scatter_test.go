@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lbe/internal/api"
 	"lbe/internal/engine"
@@ -19,7 +20,7 @@ import (
 
 // scatterFixtures is the shared partitioned-store fixture: one 4-shard
 // session over the corpus peptides, saved whole (the byte-identity
-// reference) and partitioned into 2 and 4 shard-sets.
+// reference) and partitioned into 1, 2 and 4 shard-sets.
 type scatterFixtures struct {
 	wholeDir string
 	dirs     map[int]string                  // sets -> cluster dir
@@ -53,7 +54,7 @@ func testScatterFixtures(t *testing.T) scatterFixtures {
 		}
 		dirs := make(map[int]string)
 		cms := make(map[int]*engine.ClusterManifest)
-		for _, sets := range []int{2, 4} {
+		for _, sets := range []int{1, 2, 4} {
 			dir := filepath.Join(corpusTmp, fmt.Sprintf("scatter-cluster-%d", sets))
 			cm, err := sess.SavePartitioned(dir, c.peptides, sets)
 			if err != nil {
@@ -81,12 +82,6 @@ func scatterCorpus(t *testing.T) (corpus, scatterFixtures) {
 	return corpus{peptides: c.peptides, queries: c.queries, storeDir: f.wholeDir}, f
 }
 
-func scatterProbes() Config {
-	cfg := fastProbes()
-	cfg.Scatter = true
-	return cfg
-}
-
 // startSetReplicas boots count replicas per shard-set of the given
 // cluster and returns them with their URLs in set-major order.
 func startSetReplicas(t *testing.T, dir string, sets, count int) ([]*testReplica, []string) {
@@ -104,17 +99,44 @@ func startSetReplicas(t *testing.T, dir string, sets, count int) ([]*testReplica
 }
 
 // TestScatterMatchesSessionSearch is the tentpole acceptance test: a
-// scatter router over one holder per shard-set, at two different
-// partition counts, answers every query with bytes identical to a direct
-// whole-store Session.Search — and adopts the composed cluster digest
-// the indexer recorded.
+// router over one holder per shard-set, at several partition counts,
+// answers every query with bytes identical to a direct whole-store
+// Session.Search — and adopts the composed cluster digest the indexer
+// recorded. One set is the same path: a SavePartitioned(…, 1) cluster,
+// and the whole-store directory itself behind two replicas that announce
+// no slice at all.
 func TestScatterMatchesSessionSearch(t *testing.T) {
 	cw, f := scatterCorpus(t)
 	ref := referencePSMs(t, cw)
-	for _, sets := range []int{2, 4} {
-		t.Run(fmt.Sprintf("sets=%d", sets), func(t *testing.T) {
-			_, urls := startSetReplicas(t, f.dirs[sets], sets, 1)
-			rt, ts := testRouter(t, scatterProbes(), urls...)
+	whole, _, err := engine.OpenSession(f.wholeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wholeDigest := whole.Digest()
+	whole.Close()
+
+	type input struct {
+		name   string
+		sets   int
+		digest string
+		start  func(t *testing.T) []string // boots the holders, returns their URLs
+	}
+	inputs := []input{{name: "whole", sets: 1, digest: wholeDigest, start: func(t *testing.T) []string {
+		return []string{startReplicaDir(t, f.wholeDir).ts.URL, startReplicaDir(t, f.wholeDir).ts.URL}
+	}}}
+	for _, sets := range []int{1, 2, 4} {
+		inputs = append(inputs, input{
+			name: fmt.Sprintf("sets=%d", sets), sets: sets, digest: f.clusters[sets].ClusterDigest,
+			start: func(t *testing.T) []string {
+				_, urls := startSetReplicas(t, f.dirs[sets], sets, 1)
+				return urls
+			},
+		})
+	}
+	for _, in := range inputs {
+		sets := in.sets
+		t.Run(in.name, func(t *testing.T) {
+			rt, ts := testRouter(t, fastProbes(), in.start(t)...)
 
 			got := driveConcurrent(t, ts, cw, nil)
 			requireMatchesReference(t, cw, ref, got)
@@ -126,9 +148,9 @@ func TestScatterMatchesSessionSearch(t *testing.T) {
 			if st.Scatter == nil || st.Scatter.Sets != sets || st.Scatter.Covered != sets {
 				t.Fatalf("scatter stats do not show full coverage: %+v", st.Scatter)
 			}
-			if st.Digest != f.clusters[sets].ClusterDigest {
+			if st.Digest != in.digest {
 				t.Fatalf("router digest %q, want composed cluster digest %q",
-					st.Digest, f.clusters[sets].ClusterDigest)
+					st.Digest, in.digest)
 			}
 			for _, rep := range st.Replicas {
 				if !rep.Healthy || rep.DigestMismatch || rep.ShardSet == nil {
@@ -136,6 +158,9 @@ func TestScatterMatchesSessionSearch(t *testing.T) {
 				}
 				if rep.Routed == 0 {
 					t.Fatalf("holder %s (set %d) carried no traffic", rep.URL, rep.ShardSet.Set)
+				}
+				if rep.BytesSent == 0 || rep.BytesReceived == 0 {
+					t.Fatalf("holder %s carried traffic but counted no bytes: %+v", rep.URL, rep)
 				}
 			}
 
@@ -154,6 +179,35 @@ func TestScatterMatchesSessionSearch(t *testing.T) {
 			}
 		})
 	}
+
+	// A one-set cluster is a plain store: its cluster digest is its
+	// store's manifest digest, which is what its holder serves under.
+	if cm := f.clusters[1]; cm.ClusterDigest != cm.SetDigests[0] {
+		t.Fatalf("one-set cluster digest %q is not its store's %q", cm.ClusterDigest, cm.SetDigests[0])
+	}
+
+	// One set means relay, not merge: a 200 body that is valid but not
+	// canonical JSON comes back byte for byte, so nothing re-encoded it.
+	t.Run("one set relays verbatim", func(t *testing.T) {
+		odd := []byte("{ \"results\" : [ { \"scan\":7, \"psms\":[ ] } ] }\n\n")
+		holder := startScatterFake(t, 0, 1, "dig-one", 0, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(odd)
+		})
+		_, ts := testRouter(t, fastProbes(), holder.ts.URL)
+		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, odd) {
+			t.Fatalf("one-set reply was not relayed verbatim: %d %q, want %q", resp.StatusCode, data, odd)
+		}
+	})
 }
 
 // TestScatterSurvivesHolderKill re-runs the equivalence check with two
@@ -164,7 +218,7 @@ func TestScatterSurvivesHolderKill(t *testing.T) {
 	cw, f := scatterCorpus(t)
 	ref := referencePSMs(t, cw)
 	reps, urls := startSetReplicas(t, f.dirs[2], 2, 2)
-	rt, ts := testRouter(t, scatterProbes(), urls...)
+	rt, ts := testRouter(t, fastProbes(), urls...)
 
 	got := driveConcurrent(t, ts, cw, reps[0].kill)
 	requireMatchesReference(t, cw, ref, got)
@@ -233,11 +287,23 @@ func failSet(status int, msg string) http.HandlerFunc {
 	}
 }
 
-// TestScatterPartialFailureTable drives the gather aggregation through
-// its partial-failure paths with scripted holders: an uncovered set, a
+// hangSet scripts a holder that never answers: it holds the request
+// until the router's per-attempt deadline closes the connection.
+func hangSet(w http.ResponseWriter, r *http.Request) {
+	// Drain the body so the server's background read can detect the
+	// router abandoning the request and cancel r.Context().
+	io.Copy(io.Discard, r.Body)
+	<-r.Context().Done()
+}
+
+// TestScatterPartialFailureTable drives the reply policy through its
+// partial-failure paths with scripted holders: an uncovered set, a
 // holder failing over within its set, a final retryable reply, a
-// definitive client error, duplicate and empty per-set results, and an
-// undecodable body.
+// definitive client error, duplicate and empty per-set results, an
+// undecodable body, and a holder outliving the per-attempt deadline.
+// Rows marked oneSetToo put their faulty holder on set 0 and run a
+// second time as a one-set topology (only the set-0 holders, announcing
+// {0 of 1}): the one loop must answer alike on both shapes.
 func TestScatterPartialFailureTable(t *testing.T) {
 	psmHi := api.PSMJSON{Peptide: 2, Sequence: "HIK", Score: 9, Shared: 3, Precursor: 500.25, Shard: 0}
 	psmLo := api.PSMJSON{Peptide: 7, Sequence: "LOK", Score: 4, Shared: 2, Precursor: 501.5, Shard: 1}
@@ -254,8 +320,11 @@ func TestScatterPartialFailureTable(t *testing.T) {
 		wantBody       string // exact body (trimmed) when non-empty
 		wantContains   string // substring expectation otherwise
 		wantSetDown    int64
+		wantRouted     int64 // requests_routed: holder replies that stand (200, relayed 4xx)
 		wantFailovers  bool
 		wantRetryAfter bool
+		requestTimeout time.Duration // per-attempt deadline; 0 keeps fastProbes'
+		oneSetToo      bool
 	}{
 		{
 			name:         "uncovered shard-set fails explicitly",
@@ -275,6 +344,7 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			wantBody: `{"results":[{"scan":0,"psms":[` +
 				`{"peptide":2,"sequence":"HIK","score":9,"shared":3,"precursor":500.25,"shard":0},` +
 				`{"peptide":7,"sequence":"LOK","score":4,"shared":2,"precursor":501.5,"shard":1}]}]}`,
+			wantRouted:    1,
 			wantFailovers: true,
 		},
 		{
@@ -295,6 +365,7 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			},
 			wantStatus:   http.StatusBadRequest,
 			wantContains: "spectrum 0: no peaks",
+			wantRouted:   1,
 		},
 		{
 			name: "duplicate rows from two sets merge deterministically",
@@ -306,6 +377,7 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			wantBody: `{"results":[{"scan":0,"psms":[` +
 				`{"peptide":2,"sequence":"HIK","score":9,"shared":3,"precursor":500.25,"shard":0},` +
 				`{"peptide":2,"sequence":"HIK","score":9,"shared":3,"precursor":500.25,"shard":0}]}]}`,
+			wantRouted: 1,
 		},
 		{
 			name: "empty shard-set results merge to an empty array",
@@ -315,6 +387,7 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			},
 			wantStatus: http.StatusOK,
 			wantBody:   `{"results":[{"scan":0,"psms":[]}]}`,
+			wantRouted: 1,
 		},
 		{
 			name: "undecodable holder body is a gateway error",
@@ -328,49 +401,90 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			wantStatus:   http.StatusBadGateway,
 			wantContains: "undecodable",
 		},
+		{
+			name: "attempt outliving the per-attempt deadline is a gateway timeout",
+			holders: []holder{
+				{set: 0, search: hangSet},
+				{set: 1, search: okSet(psmLo)},
+			},
+			requestTimeout: 50 * time.Millisecond,
+			wantStatus:     http.StatusGatewayTimeout,
+			wantContains:   "deadline exceeded",
+			oneSetToo:      true,
+		},
+		{
+			name: "relayed client error counts as routed",
+			holders: []holder{
+				{set: 0, search: failSet(http.StatusBadRequest, "spectrum 0: no peaks")},
+				{set: 1, search: okSet(psmLo)},
+			},
+			wantStatus:   http.StatusBadRequest,
+			wantContains: "spectrum 0: no peaks",
+			wantRouted:   1,
+			oneSetToo:    true,
+		},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var urls []string
-			for _, h := range tc.holders {
-				f := startScatterFake(t, h.set, 2, fmt.Sprintf("set-digest-%d", h.set), h.queueLen, h.search)
-				urls = append(urls, f.ts.URL)
+		for _, sets := range []int{2, 1} {
+			name := tc.name
+			if sets == 1 {
+				if !tc.oneSetToo {
+					continue
+				}
+				name += " (one set)"
 			}
-			rt, ts := testRouter(t, scatterProbes(), urls...)
+			t.Run(name, func(t *testing.T) {
+				var urls []string
+				for _, h := range tc.holders {
+					if h.set >= sets {
+						continue
+					}
+					f := startScatterFake(t, h.set, sets, fmt.Sprintf("set-digest-%d", h.set), h.queueLen, h.search)
+					urls = append(urls, f.ts.URL)
+				}
+				cfg := fastProbes()
+				if tc.requestTimeout > 0 {
+					cfg.RequestTimeout = tc.requestTimeout
+				}
+				rt, ts := testRouter(t, cfg, urls...)
 
-			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != tc.wantStatus {
-				t.Fatalf("status %d, want %d; body %s", resp.StatusCode, tc.wantStatus, data)
-			}
-			body := string(bytes.TrimSpace(data))
-			if tc.wantBody != "" && body != tc.wantBody {
-				t.Fatalf("body:\n got %s\nwant %s", body, tc.wantBody)
-			}
-			if tc.wantContains != "" && !bytes.Contains(data, []byte(tc.wantContains)) {
-				t.Fatalf("body %s does not mention %q", data, tc.wantContains)
-			}
-			if tc.wantRetryAfter && resp.Header.Get("Retry-After") == "" {
-				t.Error("relayed 429 lost its Retry-After header")
-			}
-			st := rt.Stats()
-			if st.Scatter == nil {
-				t.Fatal("scatter stats block missing")
-			}
-			if st.Scatter.RejectedSetDown != tc.wantSetDown {
-				t.Fatalf("rejected_shard_set_down %d, want %d", st.Scatter.RejectedSetDown, tc.wantSetDown)
-			}
-			if tc.wantFailovers && st.Failovers == 0 {
-				t.Fatal("expected an in-set failover to be counted")
-			}
-		})
+				resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != tc.wantStatus {
+					t.Fatalf("status %d, want %d; body %s", resp.StatusCode, tc.wantStatus, data)
+				}
+				body := string(bytes.TrimSpace(data))
+				if tc.wantBody != "" && body != tc.wantBody {
+					t.Fatalf("body:\n got %s\nwant %s", body, tc.wantBody)
+				}
+				if tc.wantContains != "" && !bytes.Contains(data, []byte(tc.wantContains)) {
+					t.Fatalf("body %s does not mention %q", data, tc.wantContains)
+				}
+				if tc.wantRetryAfter && resp.Header.Get("Retry-After") == "" {
+					t.Error("relayed 429 lost its Retry-After header")
+				}
+				st := rt.Stats()
+				if st.Scatter == nil {
+					t.Fatal("scatter stats block missing")
+				}
+				if st.Scatter.RejectedSetDown != tc.wantSetDown {
+					t.Fatalf("rejected_shard_set_down %d, want %d", st.Scatter.RejectedSetDown, tc.wantSetDown)
+				}
+				if st.Routed != tc.wantRouted {
+					t.Fatalf("requests_routed %d, want %d", st.Routed, tc.wantRouted)
+				}
+				if tc.wantFailovers && st.Failovers == 0 {
+					t.Fatal("expected an in-set failover to be counted")
+				}
+			})
+		}
 	}
 }
 
@@ -383,7 +497,7 @@ func TestScatterGateExcludesNonconforming(t *testing.T) {
 	stale0 := startScatterFake(t, 0, 2, "dig-old", 0, okSet())
 	shape3 := startScatterFake(t, 1, 3, "dig-x", 0, okSet())
 	good1 := startScatterFake(t, 1, 2, "dig-b", 0, okSet())
-	rt, ts := testRouter(t, scatterProbes(), good0.ts.URL, stale0.ts.URL, shape3.ts.URL, good1.ts.URL)
+	rt, ts := testRouter(t, fastProbes(), good0.ts.URL, stale0.ts.URL, shape3.ts.URL, good1.ts.URL)
 
 	for i := 0; i < 4; i++ {
 		if status := postBody(t, ts.Client(), ts.URL); status != http.StatusOK {
@@ -411,27 +525,73 @@ func TestScatterGateExcludesNonconforming(t *testing.T) {
 	}
 }
 
-// TestUniformGateExcludesPartialHolder: a non-scatter router must never
-// route whole-database traffic to a holder announcing a multi-set slice
-// — that would silently truncate results.
-func TestUniformGateExcludesPartialHolder(t *testing.T) {
-	partial := startScatterFake(t, 0, 2, "dig-a", 0, okSet())
-	whole := startFake(t, "dig-w", 0, true)
-	rt, ts := testRouter(t, fastProbes(), partial.ts.URL, whole.ts.URL)
+// TestMixedRegistryNeverTruncates: a partial holder never answers for the
+// whole database, whichever way a registry mixes shapes. The gate locks
+// onto the lowest-indexed healthy replica's shape; listed first, the
+// whole store serves alone; listed second, it is the one gated out and
+// the half-covered partition refuses every query rather than answer
+// from set 0 only.
+func TestMixedRegistryNeverTruncates(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		wholeFirst bool
+	}{
+		{"whole store first", true},
+		{"partial holder first", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			partial := startScatterFake(t, 0, 2, "dig-a", 0, okSet())
+			whole := startFake(t, "dig-w", 0, true)
+			urls := []string{whole.ts.URL, partial.ts.URL}
+			if !tc.wholeFirst {
+				urls = []string{partial.ts.URL, whole.ts.URL}
+			}
+			rt, ts := testRouter(t, fastProbes(), urls...)
 
-	for i := 0; i < 4; i++ {
-		if status := postBody(t, ts.Client(), ts.URL); status != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, status)
-		}
-	}
-	if got := partial.searches.Load(); got != 0 {
-		t.Fatalf("partial holder served %d whole-database requests", got)
-	}
-	st := rt.Stats()
-	if st.Digest != "dig-w" {
-		t.Fatalf("cluster digest %q, want the whole store's", st.Digest)
-	}
-	if !st.Replicas[0].DigestMismatch {
-		t.Fatalf("partial holder not flagged: %+v", st.Replicas[0])
+			wantStatus := http.StatusServiceUnavailable
+			if tc.wholeFirst {
+				wantStatus = http.StatusOK
+			}
+			for i := 0; i < 4; i++ {
+				resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != wantStatus {
+					t.Fatalf("request %d: status %d, want %d; body %s", i, resp.StatusCode, wantStatus, data)
+				}
+				if !tc.wholeFirst && !bytes.Contains(data, []byte("shard-set 1")) {
+					t.Fatalf("request %d: 503 does not name the uncovered set: %s", i, data)
+				}
+			}
+
+			st := rt.Stats()
+			if !st.Replicas[1].DigestMismatch || st.Replicas[0].DigestMismatch {
+				t.Fatalf("the second-listed shape must be the one flagged: %+v", st.Replicas)
+			}
+			if st.Scatter == nil {
+				t.Fatal("scatter stats block missing")
+			}
+			if tc.wholeFirst {
+				if got := partial.searches.Load(); got != 0 {
+					t.Fatalf("partial holder served %d whole-database requests", got)
+				}
+				if st.Digest != "dig-w" || st.Scatter.Sets != 1 {
+					t.Fatalf("shape is not the whole store's: digest %q, %+v", st.Digest, st.Scatter)
+				}
+				return
+			}
+			if got := whole.searches.Load(); got != 0 {
+				t.Fatalf("gated whole store served %d requests", got)
+			}
+			if st.Scatter.Sets != 2 || st.Scatter.Covered != 1 || st.Scatter.RejectedSetDown != 4 || st.Routed != 0 {
+				t.Fatalf("half-covered partition not refused as such: routed %d, %+v", st.Routed, st.Scatter)
+			}
+			if st.Digest != "" {
+				t.Fatalf("cluster digest %q under partial coverage; the cache must be bypassed", st.Digest)
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func OpenIndexMapped(path string) (*Index, error) {
 		return nil, err
 	}
 	data := m.Bytes()
-	h, err := wholeHeader(data)
+	h, err := readHeader(data)
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("mapped open %s: %w", path, err)

@@ -1,8 +1,6 @@
 package slm
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,28 +32,33 @@ import (
 // table, holds count fixed-size records (rows are the in-memory 16-byte
 // Row layout; offsets, ids and perm are u32; precs is f64), and carries
 // its own CRC. Section offsets are canonical — derivable from the header
-// size alone — so a stream reader needs no seeking and a table naming
-// overlapping, misordered or misaligned sections is rejected outright.
-// ids postings hold mass-sorted row positions (each bucket ascending),
-// perm maps sorted position → row id, and precs is the ascending
-// precursor column the windowed scan binary searches.
+// size alone — so a table naming overlapping, misordered or misaligned
+// sections is rejected outright. ids postings hold mass-sorted row
+// positions (each bucket ascending), perm maps sorted position → row id,
+// and precs is the ascending precursor column the windowed scan binary
+// searches.
 //
-// Every open — ReadIndex, LoadFile, DecodeIndex, OpenIndexMapped — is the
-// same three steps over one byte image of the file: readHeader parses and
-// CRC-checks the header and pins the section table to the canonical
-// layout, indexFromImage takes the five section views (the fixed aligned
-// layout is what lets them alias the image, heap buffer or memory mapping
-// alike, with no per-element decoding), and verify checks the section
-// CRCs, the zero padding and the cross-array shape. Only the mapped open
-// defers verify (see OpenIndexMapped).
+// An SLMX file is known here only as that layout over one []byte — its
+// image — for writing and reading alike. WriteTo builds the header into a
+// small buffer and writes it, the zero padding and the five section
+// payloads in order; on a little-endian host a payload is the in-memory
+// array's own bytes (bytesOf), checksummed once and never copied. Every
+// open — DecodeIndex, LoadFile, OpenIndexMapped — is the same three steps
+// over the complete image, heap buffer or memory mapping alike:
+// readHeader parses and CRC-checks the header, pins the section table to
+// the canonical layout and refuses an image longer or shorter than it;
+// indexFromImage takes the five section views (the fixed aligned layout
+// is what lets them alias the image with no per-element decoding); verify
+// checks the section CRCs, the zero padding and the cross-array shape.
+// Only the mapped open defers verify (see OpenIndexMapped). A big-endian
+// host, or an unaligned image, goes through encodeSection/decodeSection
+// element by element instead — the only path there.
 //
 // Counts come from the (not yet checksum-verified) input, so the reader
-// treats them as hostile: each is bounded by an absolute cap AND, when
-// the input's size is knowable (regular files, in-memory readers), by the
-// bytes actually present. On sized input the image is then allocated
-// exactly and filled with one read; on an opaque stream it grows in
-// doubling chunks as bytes actually arrive, so the decoder never
-// allocates more than a small multiple of the bytes it has consumed.
+// treats them as hostile: each is bounded by an absolute cap AND by the
+// bytes actually present — the image's size is a fact, never a claim — so
+// an open allocates O(header) when it aliases and at most the image's own
+// size when it copy-decodes.
 
 const (
 	indexMagic   = "SLMX"
@@ -77,8 +80,8 @@ const (
 
 	// Absolute sanity caps on count fields, enforced before any
 	// allocation. They bound a single shard file at sizes far beyond the
-	// paper's full 49.45M-spectra run while keeping the worst-case
-	// allocation from a corrupt count on an unsized stream in check.
+	// paper's full 49.45M-spectra run, and are what checkEncodable holds
+	// the writer to.
 	maxStringLen    = 1 << 20
 	maxModCount     = 1 << 16
 	maxSeriesCount  = 16
@@ -110,184 +113,76 @@ func bytesOf[T any](vs []T) []byte {
 // rows, offsets, ids, perm, precs.
 var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, 4, 4, 8}
 
-// countWriter counts the bytes the underlying writer actually accepted,
-// so WriteTo can report a faithful running total on mid-stream errors.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
-	cw.n += int64(n)
-	return n, err
-}
-
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	cr.n += int64(n)
-	return n, err
-}
-
-// indexEncoder writes the fixed-layout wire fields with a sticky error,
-// avoiding reflection-based binary.Write in the hot per-row loop. The
-// byte layout is identical to encoding each field with binary.Write.
-type indexEncoder struct {
-	cw  *crcWriter
-	err error
-}
-
-func (e *indexEncoder) write(b []byte) {
-	if e.err != nil {
-		return
+// encodeSection is decodeSection's mirror: the wire payload of a section
+// built one elem-byte record at a time, which is how a big-endian host
+// writes — there the in-memory array is not the wire layout.
+func encodeSection[T any](vs []T, elem int, put func(rec []byte, v T)) []byte {
+	out := make([]byte, len(vs)*elem)
+	for i, v := range vs {
+		put(out[i*elem:], v)
 	}
-	_, e.err = e.cw.Write(b)
+	return out
 }
 
-func (e *indexEncoder) u8(v uint8) { e.write([]byte{v}) }
-
-func (e *indexEncoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.write(b[:])
-}
-
-func (e *indexEncoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.write(b[:])
-}
-
-func (e *indexEncoder) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	e.write(b[:])
-}
-
-func (e *indexEncoder) str(s string) {
-	e.u32(uint32(len(s)))
-	if e.err == nil {
-		_, e.err = io.WriteString(e.cw, s)
-	}
-}
-
-// rows encodes the row records in the 16-byte wire layout through a
-// reusable fixed buffer; on little-endian hosts the records are the
-// in-memory bytes and are written directly.
-func (e *indexEncoder) rows(rows []Row) {
-	if isLittleEndian {
-		e.write(bytesOf(rows))
-		return
-	}
-	var b [rowWireBytes]byte
+// encodeRow encodes one 16-byte wire row record.
+func encodeRow(rec []byte, r Row) {
 	le := binary.LittleEndian
-	for i := range rows {
-		if e.err != nil {
-			return
-		}
-		r := &rows[i]
-		le.PutUint64(b[0:8], math.Float64bits(r.Precursor))
-		le.PutUint32(b[8:12], r.Peptide)
-		le.PutUint16(b[12:14], r.NumIons)
-		le.PutUint16(b[14:16], r.Flags)
-		e.write(b[:])
-	}
+	le.PutUint64(rec[0:8], math.Float64bits(r.Precursor))
+	le.PutUint32(rec[8:12], r.Peptide)
+	le.PutUint16(rec[12:14], r.NumIons)
+	le.PutUint16(rec[14:16], r.Flags)
 }
 
-// u32s encodes a uint32 slice; bulk on little-endian hosts, otherwise in
-// fixed-size chunks.
-func (e *indexEncoder) u32s(vs []uint32) {
-	if isLittleEndian {
-		e.write(bytesOf(vs))
-		return
+// sectionPayloads returns the wire bytes of the five sections: views of
+// the arrays themselves when alias is set (legal only on a little-endian
+// host), fresh per-element encodings otherwise.
+func (ix *Index) sectionPayloads(alias bool) [sectionTableEntries][]byte {
+	if alias {
+		return [sectionTableEntries][]byte{
+			bytesOf(ix.rows), bytesOf(ix.offsets), bytesOf(ix.ids), bytesOf(ix.perm), bytesOf(ix.precs),
+		}
 	}
-	var b [4 << 10]byte
 	le := binary.LittleEndian
-	for len(vs) > 0 && e.err == nil {
-		n := min(len(vs), len(b)/4)
-		for i := 0; i < n; i++ {
-			le.PutUint32(b[4*i:], vs[i])
-		}
-		e.write(b[:4*n])
-		vs = vs[n:]
+	return [sectionTableEntries][]byte{
+		encodeSection(ix.rows, rowWireBytes, encodeRow),
+		encodeSection(ix.offsets, 4, le.PutUint32),
+		encodeSection(ix.ids, 4, le.PutUint32),
+		encodeSection(ix.perm, 4, le.PutUint32),
+		encodeSection(ix.precs, 8, func(rec []byte, v float64) { le.PutUint64(rec, math.Float64bits(v)) }),
 	}
 }
 
-// f64s encodes a float64 slice; bulk on little-endian hosts, otherwise in
-// fixed-size chunks.
-func (e *indexEncoder) f64s(vs []float64) {
-	if isLittleEndian {
-		e.write(bytesOf(vs))
-		return
-	}
-	var b [4 << 10]byte
+// appendParams appends the params block to b.
+func appendParams(b []byte, p Params) []byte {
 	le := binary.LittleEndian
-	for len(vs) > 0 && e.err == nil {
-		n := min(len(vs), len(b)/8)
-		for i := 0; i < n; i++ {
-			le.PutUint64(b[8*i:], math.Float64bits(vs[i]))
-		}
-		e.write(b[:8*n])
-		vs = vs[n:]
-	}
-}
-
-// pad writes n zero bytes.
-func (e *indexEncoder) pad(n int64) {
-	var zeros [sectionAlign]byte
-	for n > 0 && e.err == nil {
-		take := min(n, int64(len(zeros)))
-		e.write(zeros[:take])
-		n -= take
-	}
-}
-
-// params encodes the params block.
-func (e *indexEncoder) params(p Params) {
-	e.f64(p.Resolution)
-	e.f64(p.FragmentTol.Value)
-	e.u8(uint8(p.FragmentTol.Unit))
-	e.f64(p.PrecursorTol.Value)
-	e.u8(uint8(p.PrecursorTol.Unit))
-	e.u32(uint32(p.MinSharedPeaks))
-	e.u32(uint32(p.MaxQueryPeaks))
-	e.f64(p.MaxFragmentMZ)
-	e.u32(uint32(p.Mods.MaxPerPep))
-	e.u32(uint32(p.Mods.MaxVariant))
-	e.u32(uint32(len(p.Mods.Mods)))
-	e.u32(uint32(len(p.IonSeries)))
+	f64 := func(v float64) { b = le.AppendUint64(b, math.Float64bits(v)) }
+	u32 := func(v int) { b = le.AppendUint32(b, uint32(v)) }
+	str := func(v string) { u32(len(v)); b = append(b, v...) }
+	f64(p.Resolution)
+	f64(p.FragmentTol.Value)
+	b = append(b, uint8(p.FragmentTol.Unit))
+	f64(p.PrecursorTol.Value)
+	b = append(b, uint8(p.PrecursorTol.Unit))
+	u32(p.MinSharedPeaks)
+	u32(p.MaxQueryPeaks)
+	f64(p.MaxFragmentMZ)
+	u32(p.Mods.MaxPerPep)
+	u32(p.Mods.MaxVariant)
+	u32(len(p.Mods.Mods))
+	u32(len(p.IonSeries))
 	for _, k := range p.IonSeries {
-		e.u8(uint8(k))
+		b = append(b, uint8(k))
 	}
 	for _, m := range p.Mods.Mods {
-		e.str(m.Name)
-		e.str(m.Residues)
-		e.f64(m.Delta)
+		str(m.Name)
+		str(m.Residues)
+		f64(m.Delta)
 	}
+	return b
 }
 
 // checkEncodable rejects an index whose counts exceed the decoder caps,
-// so WriteTo can never persist a stream ReadIndex refuses (or, past
+// so WriteTo can never persist an image readHeader refuses (or, past
 // uint32, silently truncates).
 func (ix *Index) checkEncodable() error {
 	if len(ix.rows) > maxRowCount {
@@ -341,26 +236,6 @@ func fileLayout(headerLen int64, counts [sectionTableEntries]int64) sectionLayou
 	return l
 }
 
-// paramsBlockLen returns the encoded byte length of the params block.
-func paramsBlockLen(p Params) int64 {
-	n := int64(8 + 8 + 1 + 8 + 1 + 4 + 4 + 8 + 4 + 4 + 4 + 4)
-	n += int64(len(p.IonSeries))
-	for _, m := range p.Mods.Mods {
-		n += 4 + int64(len(m.Name)) + 4 + int64(len(m.Residues)) + 8
-	}
-	return n
-}
-
-// sectionCRC computes the CRC an encoder pass produces for one section's
-// payload without retaining it: the section is streamed into a discard
-// writer through the same encoder used for the real write.
-func sectionCRC(fill func(e *indexEncoder)) (uint32, error) {
-	cw := &crcWriter{w: io.Discard}
-	e := &indexEncoder{cw: cw}
-	fill(e)
-	return cw.crc, e.err
-}
-
 // WriteTo serializes the index in the section-table format. It
 // implements io.WriterTo: on error it returns the number of bytes the
 // underlying writer actually accepted before the failure, not zero.
@@ -374,245 +249,154 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := ix.checkEncodable(); err != nil {
 		return 0, err
 	}
-	fills := [sectionTableEntries]func(e *indexEncoder){
-		func(e *indexEncoder) { e.rows(ix.rows) },
-		func(e *indexEncoder) { e.u32s(ix.offsets) },
-		func(e *indexEncoder) { e.u32s(ix.ids) },
-		func(e *indexEncoder) { e.u32s(ix.perm) },
-		func(e *indexEncoder) { e.f64s(ix.precs) },
-	}
+	payloads := ix.sectionPayloads(isLittleEndian)
 	counts := [sectionTableEntries]int64{
 		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
 		int64(len(ix.perm)), int64(len(ix.precs)),
 	}
-	headerLen := int64(len(indexMagic)) + 4 + paramsBlockLen(ix.params) + 4 +
-		sectionTableEntries*sectionEntryBytes + 4
-	layout := fileLayout(headerLen, counts)
 
-	// Pass 1: per-section CRCs (streamed, nothing buffered).
-	var crcs [sectionTableEntries]uint32
-	for i := range fills {
-		crc, err := sectionCRC(fills[i])
-		if err != nil {
-			return 0, err
+	le := binary.LittleEndian
+	head := le.AppendUint32([]byte(indexMagic), indexVersion)
+	head = appendParams(head, ix.params)
+	head = le.AppendUint32(head, uint32(ix.numBuckets))
+	layout := fileLayout(int64(len(head))+sectionTableEntries*sectionEntryBytes+4, counts)
+	for i, p := range payloads {
+		head = le.AppendUint64(head, uint64(layout.offs[i]))
+		head = le.AppendUint64(head, uint64(counts[i]))
+		head = le.AppendUint32(head, crc32.ChecksumIEEE(p))
+	}
+	head = le.AppendUint32(head, crc32.ChecksumIEEE(head[len(indexMagic):])) // covers version..section table
+
+	var wrote int64
+	put := func(b []byte) error {
+		if len(b) == 0 {
+			return nil
 		}
-		crcs[i] = crc
+		n, err := w.Write(b)
+		wrote += int64(n)
+		if err == nil && n < len(b) {
+			err = io.ErrShortWrite // or wrote would stop being the file position
+		}
+		return err
 	}
-
-	// Pass 2: the actual write.
-	bot := &countWriter{w: w}
-	bw := bufio.NewWriter(bot)
-	if _, err := bw.WriteString(indexMagic); err != nil {
-		bw.Flush()
-		return bot.n, err
+	if err := put(head); err != nil {
+		return wrote, err
 	}
-	cw := &crcWriter{w: bw}
-	e := &indexEncoder{cw: cw}
-
-	e.u32(indexVersion)
-	e.params(ix.params)
-	e.u32(uint32(ix.numBuckets))
-	for i := range fills {
-		e.u64(uint64(layout.offs[i]))
-		e.u64(uint64(counts[i]))
-		e.u32(crcs[i])
+	var zeros [sectionAlign]byte
+	for i, p := range payloads {
+		// Every put so far was accepted whole, so wrote is the file
+		// position and the gap to the next section is under one alignment.
+		if err := put(zeros[:layout.offs[i]-wrote]); err != nil {
+			return wrote, err
+		}
+		if err := put(p); err != nil {
+			return wrote, err
+		}
 	}
-	e.u32(cw.crc) // header CRC: covers version..section table
-
-	pos := func() int64 { return int64(len(indexMagic)) + cw.n }
-	for i := range fills {
-		e.pad(layout.offs[i] - pos())
-		fills[i](e)
+	if wrote != layout.end {
+		return wrote, fmt.Errorf("slm: internal: wrote %d bytes, layout says %d", wrote, layout.end)
 	}
-	if e.err != nil {
-		bw.Flush()
-		return bot.n, e.err
-	}
-	if err := bw.Flush(); err != nil {
-		return bot.n, err
-	}
-	if got := pos(); got != layout.end {
-		return bot.n, fmt.Errorf("slm: internal: wrote %d bytes, layout says %d", got, layout.end)
-	}
-	return bot.n, nil
+	return wrote, nil
 }
 
-// inputSize reports how many unread bytes r holds when that is knowable —
-// regular files and in-memory readers (bytes.Reader, bytes.Buffer,
-// strings.Reader) — or -1 for opaque streams.
-func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case *os.File:
-		fi, err := v.Stat()
-		if err != nil || !fi.Mode().IsRegular() {
-			return -1
-		}
-		cur, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return -1
-		}
-		if rem := fi.Size() - cur; rem >= 0 {
-			return rem
-		}
-		return 0
-	case interface{ Len() int }:
-		return int64(v.Len())
-	}
-	return -1
+// cursor walks the header of an image. Every read is bounds-checked
+// against the bytes that remain; the first that runs short — or the first
+// count checkCount refuses — latches err, after which every read returns
+// zero, so a decode is written straight-line and checked where it
+// matters. Every length prefix is untrusted until a CRC verifies.
+type cursor struct {
+	image []byte
+	pos   int
+	err   error
 }
 
-// indexDecoder reads the wire fields, treating every length prefix as
-// untrusted until a CRC verifies.
-type indexDecoder struct {
-	cr *crcReader
-	// payload is the decoder's byte budget — the input size minus the
-	// magic — or -1 when the size is unknown.
-	payload int64
+// take returns the next n bytes, or nil once the cursor has failed.
+func (c *cursor) take(n int) []byte {
+	if c.err == nil && n > len(c.image)-c.pos {
+		c.err = fmt.Errorf("slm: header runs past the %d bytes present: %w", len(c.image), io.ErrUnexpectedEOF)
+	}
+	if c.err != nil {
+		return nil
+	}
+	b := c.image[c.pos : c.pos+n]
+	c.pos += n
+	return b
 }
 
-// remaining returns the unread payload budget, or -1 when unknown.
-func (d *indexDecoder) remaining() int64 {
-	if d.payload < 0 {
-		return -1
-	}
-	if rem := d.payload - d.cr.n; rem > 0 {
-		return rem
+func (c *cursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
 	return 0
 }
 
-// checkCount validates a decoded length field before anything is
-// allocated for it: n elements of elem wire bytes each must fit under the
-// absolute cap and, when the input size is known, in the bytes present.
-func (d *indexDecoder) checkCount(n uint64, elem int64, limit uint64, what string) error {
-	if n > limit {
-		return fmt.Errorf("slm: %s count %d implausible (cap %d)", what, n, limit)
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	if rem := d.remaining(); rem >= 0 && int64(n) > rem/elem {
-		return fmt.Errorf("slm: %s count %d needs %d bytes but only %d remain (truncated or corrupt)",
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+
+func (c *cursor) str() string {
+	n := c.u32()
+	c.checkCount(uint64(n), 1, maxStringLen, "string byte")
+	return string(c.take(int(n)))
+}
+
+// checkCount validates a decoded length field before anything is
+// allocated or sliced for it: n elements of elem wire bytes each must fit
+// under the absolute cap and in the bytes that remain.
+func (c *cursor) checkCount(n uint64, elem int64, limit uint64, what string) {
+	if c.err != nil {
+		return
+	}
+	rem := int64(len(c.image) - c.pos)
+	switch {
+	case n > limit:
+		c.err = fmt.Errorf("slm: %s count %d implausible (cap %d)", what, n, limit)
+	case int64(n) > rem/elem:
+		c.err = fmt.Errorf("slm: %s count %d needs %d bytes but only %d remain (truncated or corrupt)",
 			what, n, int64(n)*elem, rem)
 	}
-	return nil
 }
 
-func (d *indexDecoder) full(b []byte) error {
-	_, err := io.ReadFull(d.cr, b)
-	return err
-}
-
-func (d *indexDecoder) u8() (uint8, error) {
-	var b [1]byte
-	err := d.full(b[:])
-	return b[0], err
-}
-
-func (d *indexDecoder) u32() (uint32, error) {
-	var b [4]byte
-	err := d.full(b[:])
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-func (d *indexDecoder) u64() (uint64, error) {
-	var b [8]byte
-	err := d.full(b[:])
-	return binary.LittleEndian.Uint64(b[:]), err
-}
-
-func (d *indexDecoder) f64() (float64, error) {
-	var b [8]byte
-	err := d.full(b[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), err
-}
-
-func (d *indexDecoder) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
+// params decodes the params block.
+func (c *cursor) params() Params {
+	var p Params
+	p.Resolution = c.f64()
+	p.FragmentTol.Value = c.f64()
+	p.FragmentTol.Unit = mass.ToleranceUnit(c.u8())
+	p.PrecursorTol.Value = c.f64()
+	p.PrecursorTol.Unit = mass.ToleranceUnit(c.u8())
+	p.MinSharedPeaks = int(c.u32())
+	p.MaxQueryPeaks = int(c.u32())
+	p.MaxFragmentMZ = c.f64()
+	p.Mods.MaxPerPep = int(c.u32())
+	p.Mods.MaxVariant = int(c.u32())
+	nmods := c.u32()
+	nseries := c.u32()
+	c.checkCount(uint64(nmods), 16, maxModCount, "mod")
+	c.checkCount(uint64(nseries), 1, maxSeriesCount, "ion series")
+	for i := uint32(0); i < nseries && c.err == nil; i++ {
+		p.IonSeries = append(p.IonSeries, spectrum.IonKind(c.u8()))
 	}
-	if err := d.checkCount(uint64(n), 1, maxStringLen, "string byte"); err != nil {
-		return "", err
-	}
-	// Same discipline as readImage: on an unsized stream, a forged
-	// length only grows the buffer as bytes actually arrive.
-	const chunk = 4096
-	var tmp [chunk]byte
-	b := make([]byte, 0, min(int(n), chunk))
-	for len(b) < int(n) {
-		take := min(int(n)-len(b), chunk)
-		if err := d.full(tmp[:take]); err != nil {
-			return "", err
-		}
-		b = append(b, tmp[:take]...)
-	}
-	return string(b), nil
-}
-
-// readParams decodes the params block.
-func (d *indexDecoder) readParams(p *Params) error {
-	var fail error
-	get := func(dst *float64) {
-		if fail == nil {
-			*dst, fail = d.f64()
-		}
-	}
-	getU32 := func() uint32 {
-		var v uint32
-		if fail == nil {
-			v, fail = d.u32()
-		}
-		return v
-	}
-	getU8 := func() uint8 {
-		var v uint8
-		if fail == nil {
-			v, fail = d.u8()
-		}
-		return v
-	}
-
-	get(&p.Resolution)
-	get(&p.FragmentTol.Value)
-	p.FragmentTol.Unit = mass.ToleranceUnit(getU8())
-	get(&p.PrecursorTol.Value)
-	p.PrecursorTol.Unit = mass.ToleranceUnit(getU8())
-	p.MinSharedPeaks = int(getU32())
-	p.MaxQueryPeaks = int(getU32())
-	get(&p.MaxFragmentMZ)
-	p.Mods.MaxPerPep = int(getU32())
-	p.Mods.MaxVariant = int(getU32())
-	nmods := getU32()
-	nseries := getU32()
-	if fail != nil {
-		return fail
-	}
-	if err := d.checkCount(uint64(nmods), 16, maxModCount, "mod"); err != nil {
-		return err
-	}
-	if err := d.checkCount(uint64(nseries), 1, maxSeriesCount, "ion series"); err != nil {
-		return err
-	}
-	for i := uint32(0); i < nseries; i++ {
-		k, err := d.u8()
-		if err != nil {
-			return err
-		}
-		p.IonSeries = append(p.IonSeries, spectrum.IonKind(k))
-	}
-	for i := uint32(0); i < nmods; i++ {
+	for i := uint32(0); i < nmods && c.err == nil; i++ {
 		var m mods.Mod
-		var err error
-		if m.Name, err = d.str(); err != nil {
-			return err
-		}
-		if m.Residues, err = d.str(); err != nil {
-			return err
-		}
-		if m.Delta, err = d.f64(); err != nil {
-			return err
-		}
+		m.Name = c.str()
+		m.Residues = c.str()
+		m.Delta = c.f64()
 		p.Mods.Mods = append(p.Mods.Mods, m)
 	}
-	return nil
+	return p
 }
 
 // validateShape runs the cross-array sanity checks every open ends with:
@@ -678,41 +462,32 @@ type sectionEntry struct {
 }
 
 // fileHeader is the decoded header: everything before the first data
-// section, plus the file size its section table implies.
+// section. The image it was read from is exactly as long as its section
+// table implies (readHeader refuses any other).
 type fileHeader struct {
 	params     Params
 	numBuckets uint32
 	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids, perm, precs
 	headerLen  int64                             // magic through header CRC
-	end        int64                             // end of the last section: the canonical file size
 }
 
-// readHeader decodes and validates the header of an index from r, whose
-// unread size is size bytes (-1 when unknown). The magic and version are
+// readHeader decodes and validates the header of the index image holds,
+// which must be that index and nothing else. The magic and version are
 // checked first, so a foreign or outdated file is refused before anything
-// else is read. The header CRC is then verified and the section table
-// checked against the canonical layout: ordered, 64-byte aligned,
+// else is looked at. The header CRC is then verified and the section
+// table checked against the canonical layout: ordered, 64-byte aligned,
 // non-overlapping offsets derived from the header size, with counts under
-// the absolute caps (and the input size when known), perm and precs
-// holding exactly one entry per row. All of this is O(header) — no
-// section byte is touched — so a mapped open stays cheap.
-func readHeader(r io.Reader, size int64) (*fileHeader, error) {
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("slm: reading magic: %w", err)
-	}
-	if string(magic) != indexMagic {
+// the absolute caps and within the bytes present, perm and precs holding
+// exactly one entry per row. An image shorter than its layout is
+// truncated; a longer one carries bytes no checksum covers; both are
+// refused. All of this is O(header) — no section byte is touched — so a
+// mapped open stays cheap.
+func readHeader(image []byte) (*fileHeader, error) {
+	c := &cursor{image: image}
+	if magic := c.take(len(indexMagic)); c.err == nil && string(magic) != indexMagic {
 		return nil, fmt.Errorf("slm: bad magic %q", magic)
 	}
-	d := &indexDecoder{cr: &crcReader{r: r}, payload: -1}
-	if size >= 0 {
-		d.payload = size - int64(len(indexMagic))
-	}
-	version, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != indexVersion {
+	if version := c.u32(); c.err == nil && version != indexVersion {
 		hint := ""
 		if version < indexVersion {
 			hint = "; rebuild with `lbe-index -out`"
@@ -720,61 +495,37 @@ func readHeader(r io.Reader, size int64) (*fileHeader, error) {
 		return nil, fmt.Errorf("slm: unsupported index version %d (want %d)%s", version, indexVersion, hint)
 	}
 
-	h := &fileHeader{}
-	if err := d.readParams(&h.params); err != nil {
-		return nil, err
-	}
-	var fail error
-	if h.numBuckets, fail = d.u32(); fail != nil {
-		return nil, fail
-	}
+	h := &fileHeader{params: c.params()}
+	h.numBuckets = c.u32()
 	for i := range h.secs {
-		s := &h.secs[i]
-		if s.off, fail = d.u64(); fail != nil {
-			return nil, fail
-		}
-		if s.count, fail = d.u64(); fail != nil {
-			return nil, fail
-		}
-		if s.crc, fail = d.u32(); fail != nil {
-			return nil, fail
-		}
+		h.secs[i] = sectionEntry{off: c.u64(), count: c.u64(), crc: c.u32()}
 	}
-	want := d.cr.crc
-	got, err := d.u32()
-	if err != nil {
-		return nil, err
+	crcEnd := c.pos
+	got := c.u32()
+	if c.err != nil {
+		return nil, c.err
 	}
-	if got != want {
+	if want := crc32.ChecksumIEEE(image[len(indexMagic):crcEnd]); got != want {
 		return nil, fmt.Errorf("slm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	h.headerLen = int64(len(indexMagic)) + d.cr.n
+	h.headerLen = int64(c.pos)
 
 	rows, offs, ids, perm, precs := h.secs[0], h.secs[1], h.secs[2], h.secs[3], h.secs[4]
-	if err := d.checkCount(rows.count, rowWireBytes, maxRowCount, "row"); err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket"); err != nil {
-		return nil, err
-	}
-	if offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
+	c.checkCount(rows.count, rowWireBytes, maxRowCount, "row")
+	c.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket")
+	if c.err == nil && offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
 		return nil, fmt.Errorf("slm: offsets length %d does not match %d buckets", offs.count, h.numBuckets)
 	}
-	if err := d.checkCount(offs.count, 4, maxBucketCount+1, "offset"); err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting"); err != nil {
-		return nil, err
-	}
-	if perm.count != rows.count || precs.count != rows.count {
+	c.checkCount(offs.count, 4, maxBucketCount+1, "offset")
+	c.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting")
+	if c.err == nil && (perm.count != rows.count || precs.count != rows.count) {
 		return nil, fmt.Errorf("slm: precursor-order sections of %d/%d entries do not match %d rows",
 			perm.count, precs.count, rows.count)
 	}
-	if err := d.checkCount(perm.count, 4, maxRowCount, "perm"); err != nil {
-		return nil, err
-	}
-	if err := d.checkCount(precs.count, 8, maxRowCount, "precursor"); err != nil {
-		return nil, err
+	c.checkCount(perm.count, 4, maxRowCount, "perm")
+	c.checkCount(precs.count, 8, maxRowCount, "precursor")
+	if c.err != nil {
+		return nil, c.err
 	}
 	var counts [sectionTableEntries]int64
 	for i, s := range h.secs {
@@ -787,54 +538,15 @@ func readHeader(r io.Reader, size int64) (*fileHeader, error) {
 				i, s.off, layout.offs[i])
 		}
 	}
-	if rem := d.remaining(); rem >= 0 && layout.end-h.headerLen > rem {
-		return nil, fmt.Errorf("slm: sections need %d bytes but only %d remain (truncated or corrupt)",
-			layout.end-h.headerLen, rem)
+	// No byte of a store file may escape the checksums, at either end.
+	switch extra := int64(len(image)) - layout.end; {
+	case extra < 0:
+		return nil, fmt.Errorf("slm: sections end at byte %d but only %d are present (truncated or corrupt)",
+			layout.end, len(image))
+	case extra > 0:
+		return nil, fmt.Errorf("slm: %d trailing bytes after the last section", extra)
 	}
-	h.end = layout.end
 	return h, nil
-}
-
-// alignedBytes returns n zeroed bytes starting at an 8-byte-aligned
-// address — the strictest alignment a section's element type needs — so
-// indexFromImage can alias an image read into them.
-func alignedBytes(n int64) []byte {
-	if n == 0 {
-		return nil
-	}
-	words := make([]uint64, (n+7)/8)
-	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
-}
-
-// readImage completes the byte image of the index whose header bytes
-// (magic through header CRC) are head, reading exactly end-len(head) more
-// bytes from r. When the input size is known readHeader has already
-// proven those bytes present, so the image is allocated once; on an
-// opaque stream end is still an unproven claim, so the image starts small
-// and doubles only as bytes actually arrive — a forged count stalls at
-// the first short read instead of provoking one huge allocation.
-func readImage(r io.Reader, head []byte, end int64, sized bool) ([]byte, error) {
-	n := end
-	if !sized {
-		n = min(end, max(2*int64(len(head)), 64<<10))
-	}
-	image := alignedBytes(n)
-	got := copy(image, head)
-	for {
-		if _, err := io.ReadFull(r, image[got:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("slm: reading sections: %w", err)
-		}
-		got = len(image)
-		if int64(got) == end {
-			return image, nil
-		}
-		grown := alignedBytes(min(end, 2*int64(got)))
-		copy(grown, image)
-		image = grown
-	}
 }
 
 // viewAs reinterprets an aligned little-endian section payload as its
@@ -871,13 +583,12 @@ func decodeRow(rec []byte) Row {
 	}
 }
 
-// indexFromImage builds the index h describes over image, which must hold
-// at least h.end bytes (readHeader proves this for sized input). On a
-// little-endian host with every section 8-byte aligned in memory the five
-// arrays alias image — no copy, no decoding; image must then outlive the
-// index and never change — and aliased reports true. Otherwise each
-// section is copy-decoded into a fresh array. No section byte is
-// validated here: that is verify's job.
+// indexFromImage builds the index h describes over image, the bytes
+// readHeader parsed h from. On a little-endian host with every section
+// 8-byte aligned in memory the five arrays alias image — no copy, no
+// decoding; image must then outlive the index and never change — and
+// aliased reports true. Otherwise each section is copy-decoded into a
+// fresh array. No section byte is validated here: that is verify's job.
 func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
 	var secs [sectionTableEntries][]byte
 	aliased = isLittleEndian
@@ -911,7 +622,7 @@ func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
 // verify is the content half of every open: one sequential pass over
 // image checking each section's CRC and requiring the alignment padding
 // between sections — the one region no CRC covers — to be zero, so any
-// flipped byte up to h.end is detected, then the cross-array shape.
+// flipped byte of the image is detected, then the cross-array shape.
 func (ix *Index) verify(h *fileHeader, image []byte) error {
 	end := h.headerLen // end of the previously verified region
 	for i, e := range h.secs {
@@ -929,63 +640,22 @@ func (ix *Index) verify(h *fileHeader, image []byte) error {
 	return ix.validateShape()
 }
 
-// decodeVerified is the eager open every entry point but the mapped one
-// ends with: section views, then verify.
-func decodeVerified(h *fileHeader, image []byte) (*Index, error) {
+// DecodeIndex deserializes an index from the complete bytes of a store
+// file — the index and nothing after it — verifying every checksum and
+// the format version; files written by an older format version are
+// refused with a hint to rebuild them. Where the host allows it the
+// returned index aliases image instead of copying it, so the caller must
+// not modify image afterwards.
+func DecodeIndex(image []byte) (*Index, error) {
+	h, err := readHeader(image)
+	if err != nil {
+		return nil, err
+	}
 	ix, _ := indexFromImage(h, image)
 	if err := ix.verify(h, image); err != nil {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// wholeHeader is readHeader for an image that must be exactly one index:
-// a file shorter than its layout is refused by readHeader, a longer one
-// here, so no byte of a store file escapes the checksums.
-func wholeHeader(image []byte) (*fileHeader, error) {
-	h, err := readHeader(bytes.NewReader(image), int64(len(image)))
-	if err != nil {
-		return nil, err
-	}
-	if extra := int64(len(image)) - h.end; extra != 0 {
-		return nil, fmt.Errorf("slm: %d trailing bytes after the last section", extra)
-	}
-	return h, nil
-}
-
-// ReadIndex deserializes one index written by WriteTo from r, consuming
-// exactly its bytes — the header first, then the sections its table names
-// — and verifying every checksum and the format version; files written
-// by an older format version are refused with a hint to rebuild them.
-// Length fields are bounded against both absolute caps and (when r's size
-// is knowable) the input size, so a truncated or corrupted input can
-// never force an allocation larger than a small multiple of the bytes
-// actually present.
-func ReadIndex(r io.Reader) (*Index, error) {
-	size := inputSize(r)
-	var head bytes.Buffer
-	h, err := readHeader(io.TeeReader(r, &head), size)
-	if err != nil {
-		return nil, err
-	}
-	image, err := readImage(r, head.Bytes(), h.end, size >= 0)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVerified(h, image)
-}
-
-// DecodeIndex deserializes an index from the complete bytes of a store
-// file, with the same checks as ReadIndex plus the whole-file one: image
-// must hold the index and nothing after it. Where the host allows it the
-// returned index aliases image instead of copying it, so the caller must
-// not modify image afterwards.
-func DecodeIndex(image []byte) (*Index, error) {
-	h, err := wholeHeader(image)
-	if err != nil {
-		return nil, err
-	}
-	return decodeVerified(h, image)
 }
 
 // SaveFile writes the index to the named file.
@@ -1004,17 +674,13 @@ func (ix *Index) SaveFile(path string) error {
 // LoadFile reads an index from the named file, which must hold nothing
 // else.
 func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
+	image, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	ix, err := ReadIndex(f)
+	ix, err := DecodeIndex(image)
 	if err != nil {
-		return nil, err
-	}
-	if extra := inputSize(f); extra > 0 {
-		return nil, fmt.Errorf("slm: %s: %d trailing bytes after the last section", path, extra)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ix, nil
 }

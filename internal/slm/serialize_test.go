@@ -7,10 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -40,7 +40,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadIndex(&buf)
+	got, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSerializeEmptyIndex(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +111,11 @@ func TestSerializeDetectsCorruption(t *testing.T) {
 	// Flip one byte in the middle of the payload.
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xFF
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("corrupted index must fail the checksum")
-	}
+	mustReject(t, "byte flipped mid-payload", data)
 }
 
 func TestSerializeRejectsBadMagicAndVersion(t *testing.T) {
-	if _, err := ReadIndex(bytes.NewReader([]byte("NOPE1234"))); err == nil {
-		t.Error("bad magic must fail")
-	}
+	mustReject(t, "bad magic", []byte("NOPE1234"))
 	ix := buildTestIndex(t)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -127,9 +123,7 @@ func TestSerializeRejectsBadMagicAndVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[4] = 99 // version field
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("future version must fail")
-	}
+	mustReject(t, "future version", data)
 }
 
 func TestSerializeTruncated(t *testing.T) {
@@ -140,9 +134,7 @@ func TestSerializeTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{3, 10, len(data) / 2, len(data) - 1} {
-		if _, err := ReadIndex(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("truncation at %d must fail", cut)
-		}
+		mustReject(t, fmt.Sprintf("truncation at %d", cut), data[:cut])
 	}
 }
 
@@ -159,17 +151,11 @@ func buildPlainIndex(t *testing.T) *Index {
 	return ix
 }
 
-// opaqueReader hides Len/Seek so ReadIndex cannot learn the input size
-// and must rely on chunked allocation alone.
-type opaqueReader struct{ r io.Reader }
-
-func (o opaqueReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
 // headerOffsets computes the fixed header geometry for ix's stream: the
 // file offsets of the section table and the header CRC, and the total
 // header length.
 func headerOffsets(ix *Index) (tableOff, crcOff, headerLen int) {
-	tableOff = len(indexMagic) + 4 + int(paramsBlockLen(ix.params)) + 4
+	tableOff = len(indexMagic) + 4 + len(appendParams(nil, ix.params)) + 4
 	crcOff = tableOff + sectionTableEntries*sectionEntryBytes
 	headerLen = crcOff + 4
 	return
@@ -183,16 +169,13 @@ func refixHeaderCRC(data []byte, crcOff int) {
 	binary.LittleEndian.PutUint32(data[crcOff:], crc)
 }
 
-// openAll runs data through every entry point — the sized reader, the
-// opaque stream reader, the whole-file opens (LoadFile, DecodeIndex) and
-// the mapped open — and returns each one's error by name. The mapped
-// open validates the header eagerly and section content lazily, so its
-// verdict is OpenIndexMapped + Verify.
+// openAll runs data through every opener — DecodeIndex over the bytes,
+// LoadFile and the mapped open over a file holding them — and returns
+// each one's error by name. The mapped open validates the header eagerly
+// and section content lazily, so its verdict is OpenIndexMapped + Verify.
 func openAll(t *testing.T, data []byte) map[string]error {
 	t.Helper()
 	errs := map[string]error{}
-	_, errs["ReadIndex (sized)"] = ReadIndex(bytes.NewReader(data))
-	_, errs["ReadIndex (opaque)"] = ReadIndex(opaqueReader{bytes.NewReader(data)})
 	_, errs["DecodeIndex"] = DecodeIndex(append([]byte(nil), data...))
 	path := filepath.Join(t.TempDir(), "image.slm")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -221,7 +204,7 @@ func mustReject(t *testing.T, name string, data []byte) {
 // TestSerializeCorruptSectionTable drives the section-table defenses: a
 // corrupt section CRC, overlapping / misordered / misaligned section
 // offsets, forged counts, a violated header CRC and nonzero padding must
-// all be rejected by both the streaming reader and OpenIndexMapped.
+// all be rejected by every opener.
 func TestSerializeCorruptSectionTable(t *testing.T) {
 	ix := buildTestIndex(t)
 	var buf bytes.Buffer
@@ -326,25 +309,17 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 }
 
 // TestSerializeTrailingBytes: bytes after the last section are covered by
-// no checksum, so the whole-file opens must refuse them; ReadIndex reads
-// one index off the front of a stream and leaves the rest unread.
+// no checksum, so every open must refuse them.
 func TestSerializeTrailingBytes(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := buildTestIndex(t).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	size := buf.Len()
 	buf.WriteString("JUNKJUNKJUNK")
 	for path, err := range openAll(t, buf.Bytes()) {
-		if stream := strings.HasPrefix(path, "ReadIndex"); stream != (err == nil) {
+		if err == nil || !strings.Contains(err.Error(), "12 trailing bytes") {
 			t.Errorf("%s on an image with trailing bytes: %v", path, err)
 		}
-	}
-	if _, err := ReadIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "JUNKJUNKJUNK" {
-		t.Errorf("ReadIndex consumed %d bytes of a %d-byte index", size+12-buf.Len(), size)
 	}
 }
 
@@ -372,7 +347,7 @@ func TestWriteToBytesPinned(t *testing.T) {
 // TestSerializeCorruptStringLength forges the first mod-name length (with
 // no explicit ion series it sits right after the fixed params fields:
 // magic 4 + version 4 + params 54 + nseries 4): the reader must fail on
-// the count, sized or not, rather than allocate for it.
+// the count rather than allocate for it.
 func TestSerializeCorruptStringLength(t *testing.T) {
 	ix := buildTestIndex(t) // three mods
 	var buf bytes.Buffer
@@ -388,55 +363,96 @@ func TestSerializeCorruptStringLength(t *testing.T) {
 	mustReject(t, "huge string length", data)
 }
 
-// TestReadIndexAllocationBounded asserts the core promise of the
-// hardened reader: a tiny input claiming a gigantic array provokes only
-// a small allocation, not one proportional to the forged count.
-func TestReadIndexAllocationBounded(t *testing.T) {
-	ix := buildPlainIndex(t)
-
-	// Forge a gigantic rows count in the section table — the header
-	// requires perm and precs counts to match rows, so forge all three,
-	// with every entry moved to its matching canonical offset and the
-	// header CRC re-fixed, so the decoder gets past the layout checks and
-	// must survive the forged counts themselves — then truncate the
-	// sections away.
+// TestDecodeIndexAllocationBounded asserts the core promise of the
+// hardened reader: a tiny image claiming a gigantic array or string is
+// refused on the count, with allocations that do not depend on the forged
+// number — readHeader allocates the header struct, the decoded mods and
+// the error, nothing else. Bound: 4 KiB per refused open.
+func TestDecodeIndexAllocationBounded(t *testing.T) {
+	ix := buildTestIndex(t) // three mods: there is a string to forge
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tableOff, crcOff, headerLen := headerOffsets(ix)
-	data := append([]byte(nil), buf.Bytes()[:headerLen]...)
-	counts := [sectionTableEntries]int64{1 << 27, int64(len(ix.offsets)), int64(len(ix.ids)), 1 << 27, 1 << 27}
-	forged := fileLayout(int64(headerLen), counts)
 	le := binary.LittleEndian
-	for i := 0; i < sectionTableEntries; i++ {
-		le.PutUint64(data[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
-		le.PutUint64(data[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows/perm/precs claim ~2 GiB
-	}
-	refixHeaderCRC(data, crcOff)
-	// Supply the padding and the first 64 KiB of (zero) row bytes so the
-	// decoder genuinely enters the rows section before hitting EOF.
-	data = append(data, make([]byte, int(forged.offs[0])-headerLen+64<<10)...)
 
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 16; i++ {
-		if _, err := ReadIndex(opaqueReader{bytes.NewReader(data)}); err == nil {
-			t.Fatal("truncated huge-count input must fail")
+	// 2^28 rows (the cap itself, so only the bytes-present check can
+	// refuse it) — the header requires perm and precs counts to match
+	// rows, so forge all three, every entry moved to its matching
+	// canonical offset and the header CRC re-fixed, so the decoder gets
+	// past the layout checks and must survive the forged counts
+	// themselves — over an image holding the header alone.
+	hugeRows := append([]byte(nil), buf.Bytes()[:headerLen]...)
+	counts := [sectionTableEntries]int64{1 << 28, int64(len(ix.offsets)), int64(len(ix.ids)), 1 << 28, 1 << 28}
+	forged := fileLayout(int64(headerLen), counts)
+	for i := 0; i < sectionTableEntries; i++ {
+		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
+		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows/perm/precs claim ~8 GiB
+	}
+	refixHeaderCRC(hugeRows, crcOff)
+
+	// A 1 MiB mod name (the cap itself) in the first 200 bytes of the
+	// valid image; see TestSerializeCorruptStringLength for the offset.
+	hugeName := append([]byte(nil), buf.Bytes()[:200]...)
+	le.PutUint32(hugeName[66:], maxStringLen)
+
+	for name, data := range map[string][]byte{"2^28 rows": hugeRows, "1 MiB string": hugeName} {
+		if len(data) > 256 {
+			t.Fatalf("%s: image is %d bytes; the case is about tiny inputs", name, len(data))
+		}
+		const runs = 16
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := DecodeIndex(data); err == nil {
+				t.Fatalf("%s: forged count must fail", name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > runs*4<<10 {
+			t.Errorf("%s: %d refused opens allocated %d bytes; the forged count leaked into allocation", name, runs, grew)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
-		t.Errorf("16 corrupt reads allocated %d bytes; the forged count leaked into allocation", grew)
+}
+
+// TestEncodeSectionMirrorsDecodeSection drives the per-element encoder a
+// big-endian host writes with — a path no little-endian runner reaches
+// through WriteTo — the way TestCopyDecodeMatchesAliased drives its
+// mirror: every section of the test index must encode to exactly the
+// bytes the aliasing writer emits, and decode back to the array.
+func TestEncodeSectionMirrorsDecodeSection(t *testing.T) {
+	if !isLittleEndian {
+		t.Skip("bytesOf is the wire layout only on little-endian hosts")
+	}
+	ix := buildTestIndex(t)
+	encoded, aliased := ix.sectionPayloads(false), ix.sectionPayloads(true)
+	for i := range encoded {
+		if len(encoded[i]) == 0 || !bytes.Equal(encoded[i], aliased[i]) {
+			t.Errorf("section %d: per-element encoding differs from the array's own bytes", i)
+		}
+	}
+	le := binary.LittleEndian
+	if got := decodeSection(encoded[0], rowWireBytes, decodeRow); !reflect.DeepEqual(got, ix.rows) {
+		t.Error("rows do not survive encodeSection then decodeSection")
+	}
+	for i, want := range map[int][]uint32{1: ix.offsets, 2: ix.ids, 3: ix.perm} {
+		if !reflect.DeepEqual(decodeSection(encoded[i], 4, le.Uint32), want) {
+			t.Errorf("section %d does not survive encodeSection then decodeSection", i)
+		}
+	}
+	precs := decodeSection(encoded[4], 8, func(rec []byte) float64 { return math.Float64frombits(le.Uint64(rec)) })
+	if !reflect.DeepEqual(precs, ix.precs) {
+		t.Error("precs do not survive encodeSection then decodeSection")
 	}
 }
 
 // corruptSection applies mutate to section sec of a valid v3 image, then
 // re-fixes that section's table CRC and the header CRC — so the bytes
 // are internally consistent and only the semantic validation (eager for
-// the streaming readers, deferred to Verify for the mapped open) can
-// catch the corruption.
+// the heap opens, deferred to Verify for the mapped open) can catch the
+// corruption.
 func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(data []byte, lo int64)) []byte {
 	t.Helper()
 	tableOff, crcOff, _ := headerOffsets(ix)
@@ -456,8 +472,8 @@ func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(
 // every CRC but violate the invariants the windowed scan relies on: a
 // non-monotone precursor column, a precursor column disagreeing with the
 // rows, a perm that is not a permutation, out-of-range postings and an
-// unsorted bucket posting list. All must fail at open (streaming) or
-// Verify (mapped) — never serve.
+// unsorted bucket posting list. All must fail at open (heap) or Verify
+// (mapped) — never serve.
 func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 	ix := buildTestIndex(t)
 	if len(ix.rows) < 3 || len(ix.ids) < 2 {
@@ -592,7 +608,7 @@ func TestSerializePreservesTolerances(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

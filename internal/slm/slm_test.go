@@ -440,7 +440,7 @@ func TestSerializePreservesIonSeries(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	got, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
