@@ -16,7 +16,8 @@
 // single-index shared-memory baseline. With -index the session is
 // warm-started from a persistent store written by lbe-index -out
 // instead of rebuilt from FASTA; the store fixes the database-shape
-// knobs, so only -threads and -batch still apply.
+// knobs and nothing else: -threads, -batch, -chunk and -steal mean the
+// same as on a fresh build.
 package main
 
 import (
@@ -87,6 +88,7 @@ func main() {
 	var peptides []string
 	var sess *lbe.Session
 	cfg := lbe.DefaultEngineConfig()
+	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch, ChunkSize: *chunk, Stealing: *steal}
 	if *index == "" {
 		recs, err := lbe.ReadFasta(*db)
 		if err != nil {
@@ -105,10 +107,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Policy = pol
-		cfg.ThreadsPerRank = *threads
-		cfg.BatchSize = *batch
-		cfg.ChunkSize = *chunk
-		cfg.Stealing = *steal
+		cfg.Schedule = schedule
 		if *weights != "" {
 			for _, tok := range strings.Split(*weights, ",") {
 				w, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
@@ -129,8 +128,7 @@ func main() {
 		if peptides == nil {
 			log.Fatal("store was saved without its peptide list; rebuild it with lbe-index -out")
 		}
-		sess.Tune(*threads, *batch)
-		cliutil.TuneSchedulerFromFlags(sess, *chunk, *steal)
+		sess.SetSchedule(schedule)
 		cfg = sess.Config()
 		log.Printf("session restored from %s: %d shards (%d mmap-backed), %d groups, index %.2f MB, loaded in %v",
 			*index, sess.NumShards(), sess.MappedShards(), sess.Groups(), float64(sess.IndexBytes())/(1<<20),
@@ -147,11 +145,6 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("database: %d peptides; queries: %d spectra", firstDecoy, len(queries))
-	if sess != nil && *batch <= 0 {
-		// Honor the documented "-batch 0 = one batch" contract in
-		// warm-start mode too; Tune alone would keep the stored size.
-		sess.Tune(0, max(len(queries), 1))
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -17,8 +17,8 @@
 // every shard index (minutes of cold start on real databases), the
 // saved indexes are loaded in parallel — O(index bytes) instead of
 // O(database). The store fixes the database-shape knobs (shards,
-// policy, mods, topk); only runtime knobs (-threads, -batch, and the
-// serving flags) still apply.
+// policy, mods, topk) and nothing else: -threads, -batch, -chunk, -steal
+// and the serving flags mean the same as on a fresh build.
 //
 // The first SIGINT/SIGTERM drains gracefully: admission stops (503),
 // queued and in-flight requests complete, then the process exits. A
@@ -73,6 +73,7 @@ func main() {
 		cacheTTL = flag.Duration("cache-ttl", 0, "answer cache entry TTL (0 = until evicted)")
 	)
 	flag.Parse()
+	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch, ChunkSize: *chunk, Stealing: *steal}
 
 	var sess *lbe.Session
 	var peptides []string
@@ -88,8 +89,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess.Tune(*threads, *batch)
-		cliutil.TuneSchedulerFromFlags(sess, *chunk, *steal)
+		sess.SetSchedule(schedule)
 		log.Printf("session restored from %s: %d peptides, %d shards (%d mmap-backed), %d groups, index %.2f MB, loaded in %v",
 			*index, len(peptides), sess.NumShards(), sess.MappedShards(), sess.Groups(), float64(sess.IndexBytes())/(1<<20),
 			time.Since(loadStart).Round(time.Millisecond))
@@ -129,12 +129,7 @@ func main() {
 			log.Fatal(err)
 		}
 		scfg.Policy = pol
-		if *threads > 0 {
-			scfg.ThreadsPerRank = *threads
-		}
-		scfg.BatchSize = *batch
-		scfg.ChunkSize = *chunk
-		scfg.Stealing = *steal
+		scfg.Schedule = schedule
 		scfg.Shards = *ranks
 
 		buildStart := time.Now()

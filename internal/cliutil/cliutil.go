@@ -6,7 +6,6 @@ import (
 	"flag"
 
 	"lbe/internal/digest"
-	"lbe/internal/engine"
 )
 
 // ExplicitlySet reports which of the named flags were set on the command
@@ -25,24 +24,6 @@ func ExplicitlySet(names ...string) []string {
 		}
 	})
 	return out
-}
-
-// TuneSchedulerFromFlags applies the -chunk/-steal flags to a
-// warm-started session, honoring the values the store manifest restored
-// when a flag was left at its default: TuneScheduler treats chunk 0 as
-// "re-enable auto-tuning" and takes stealing unconditionally, so passing
-// the defaults through verbatim would silently clobber the stored knobs
-// on every warm start.
-func TuneSchedulerFromFlags(sess *engine.Session, chunk int, steal bool) {
-	chunkArg := -1 // keep the stored granularity
-	if len(ExplicitlySet("chunk")) > 0 {
-		chunkArg = chunk
-	}
-	stealing := sess.Config().Stealing
-	if len(ExplicitlySet("steal")) > 0 {
-		stealing = steal
-	}
-	sess.TuneScheduler(chunkArg, stealing)
 }
 
 // DigestPeptides runs the default in-silico tryptic digestion over

@@ -34,8 +34,13 @@ import (
 	"lbe/internal/spectrum"
 )
 
-// Config assembles all the knobs of a distributed search run.
-type Config struct {
+// Shape is everything that decides which bytes a search returns: what
+// is indexed, how the database is grouped and dealt to shards, and how
+// deep the report goes. It is the one definition of a built engine's
+// identity — the store manifest persists it, canonicalDigest hashes it,
+// and the answer cache binds to the digest — and a Session cannot change
+// it after construction.
+type Shape struct {
 	Params slm.Params       // SLM index/search parameters
 	Group  core.GroupConfig // Algorithm 1 grouping parameters
 	Policy core.Policy      // data distribution policy
@@ -44,50 +49,62 @@ type Config struct {
 	// RawOrder disables LBE grouping and partitions the database in its
 	// original order (the no-clustering ablation baseline).
 	RawOrder bool
+	// Weights gives relative machine speeds for heterogeneous clusters
+	// (§VIII's load-predicting model); peptide shares are proportional.
+	// Nil or empty means a symmetric cluster. When set, its length must
+	// equal the communicator size.
+	Weights []float64 `json:",omitempty"`
+}
+
+// Schedule is how this process spends its cores. Results are invariant
+// to all five fields, so none of them is part of a store or a digest: a
+// process sets its own (Session.SetSchedule) whatever built the index.
+type Schedule struct {
 	// ThreadsPerRank enables the hybrid "OpenMP within MPI" parallelism
 	// of the paper's future work (§VIII): each rank searches its query
 	// batch with a pool of this many scheduler workers (internal/sched);
 	// 0 means one worker per core. The budget is per process: a Session
 	// shares it across every in-process shard, and the in-process cluster
-	// runners divide it among their ranks. Results are invariant to the
-	// count.
+	// runners divide it among their ranks.
 	ThreadsPerRank int
+	// BatchSize is the pipeline granularity: queries flow through the
+	// preprocess → search → merge stages in batches of this many spectra,
+	// overlapping compute with communication. 0 makes the whole run one
+	// batch (one message per worker, the paper's description).
+	BatchSize int
 	// ChunkSize is the scheduler's task granularity: queries per chunk on
 	// the per-shard work deques. 0 auto-tunes from the observed work per
-	// query (sched.Tuner). Results are invariant to the chunk size.
+	// query (sched.Tuner).
 	ChunkSize int
 	// Stealing selects the work-stealing scheduler: idle workers steal
 	// half of the fullest shard deque instead of idling beside a skewed
 	// partition. False keeps the chunks statically pre-dealt (the legacy
-	// strided/per-shard baseline measured by bench.Steal). Results are
-	// invariant to the schedule.
+	// strided/per-shard baseline measured by bench.Steal).
 	Stealing bool
-	// Weights gives relative machine speeds for heterogeneous clusters
-	// (§VIII's load-predicting model); peptide shares are proportional.
-	// Nil or empty means a symmetric cluster. When set, its length must
-	// equal the communicator size.
-	Weights []float64
-	// BatchSize is the pipeline granularity: queries flow through the
-	// preprocess → search → merge stages in batches of this many spectra,
-	// overlapping compute with communication. 0 makes the whole run one
-	// batch (one message per worker, the paper's description). Results
-	// are identical for every batch size.
-	BatchSize int
 	// BuildWorkers is the per-rank index construction parallelism; 0 uses
 	// one worker per available core. The built index is byte-identical
 	// for any worker count.
 	BuildWorkers int
 }
 
+// Config assembles all the knobs of a distributed search run: what is
+// built (Shape) and how this process runs it (Schedule).
+type Config struct {
+	Shape
+	Schedule
+}
+
 // DefaultConfig mirrors the paper's experimental setup with the cyclic
 // policy and top-10 PSMs per query.
 func DefaultConfig() Config {
 	return Config{
-		Params:   slm.DefaultParams(),
-		Group:    core.DefaultGroupConfig(),
-		Policy:   core.Cyclic,
-		TopK:     10,
-		Stealing: true,
+		Shape: Shape{
+			Params: slm.DefaultParams(),
+			Group:  core.DefaultGroupConfig(),
+			Policy: core.Cyclic,
+			TopK:   10,
+		},
+		Schedule: Schedule{Stealing: true},
 	}
 }
 

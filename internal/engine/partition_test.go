@@ -87,7 +87,7 @@ func TestSavePartitionedScatterGatherEquivalence(t *testing.T) {
 				t.Fatalf("sets=%d: set %d peptide list is not the global list", sets, i)
 			}
 			info := slice.ShardSet()
-			if info == nil || info.Set != i || info.Sets != sets || info.TotalShards != 5 {
+			if info.Set != i || info.Sets != sets || info.TotalShards != 5 {
 				t.Fatalf("sets=%d: set %d shard-set info %+v", sets, i, info)
 			}
 			if len(info.ShardIDs) != slice.NumShards() {

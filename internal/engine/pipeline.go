@@ -63,9 +63,9 @@ func recv[T any](ctx context.Context, ch <-chan T) (T, bool) {
 // effectiveBatch resolves the pipeline batch size for an n-query run:
 // BatchSize if set, else the whole run as a single batch (the paper's
 // one-message-per-worker description).
-func (cfg Config) effectiveBatch(n int) int {
-	if cfg.BatchSize > 0 {
-		return cfg.BatchSize
+func (sc Schedule) effectiveBatch(n int) int {
+	if sc.BatchSize > 0 {
+		return sc.BatchSize
 	}
 	return max(n, 1)
 }
@@ -90,21 +90,21 @@ func preprocessStage(ctx context.Context, in <-chan batch, topN int) <-chan batc
 	return out
 }
 
-// newPool builds the scheduler pool the config describes: ThreadsPerRank
+// newPool builds the scheduler pool the schedule describes: ThreadsPerRank
 // workers (0 = one per core) over per-shard chunk deques, stealing or
-// static per cfg.Stealing, cfg.ChunkSize granularity (0 = auto-tuned).
-// cfg.TopK goes down with it: workers hand back, per (shard, query) cell,
-// only the matches that can still reach the merged best TopK (ties at the
-// cell's cut included, so sortPSMs still breaks them).
-func (cfg Config) newPool() *sched.Pool {
-	workers := cfg.ThreadsPerRank
+// static per sc.Stealing, sc.ChunkSize granularity (0 = auto-tuned). The
+// shape's topK goes down with it: workers hand back, per (shard, query)
+// cell, only the matches that can still reach the merged best topK (ties
+// at the cell's cut included, so sortPSMs still breaks them).
+func newPool(sc Schedule, topK int) *sched.Pool {
+	workers := sc.ThreadsPerRank
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return sched.NewPool(sched.Options{
 		Workers:   workers,
-		ChunkSize: cfg.ChunkSize,
-		Stealing:  cfg.Stealing,
-		TopK:      cfg.TopK,
+		ChunkSize: sc.ChunkSize,
+		Stealing:  sc.Stealing,
+		TopK:      topK,
 	})
 }

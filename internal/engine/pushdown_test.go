@@ -70,7 +70,9 @@ func TestTopKPushdownMatchesKeepAll(t *testing.T) {
 					}
 					for _, stealing := range []bool{true, false} {
 						label := fmt.Sprintf("%v/topk=%d/%v/shards=%d/steal=%v", tol, topK, policy, shards, stealing)
-						sess.TuneScheduler(-1, stealing)
+						sc := scfg.Schedule
+						sc.Stealing = stealing
+						sess.SetSchedule(sc)
 						res, err := sess.Search(context.Background(), queries)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)

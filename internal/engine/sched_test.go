@@ -50,8 +50,7 @@ func TestSchedulerMatchesSerial(t *testing.T) {
 					for _, stealing := range []bool{false, true} {
 						label := fmt.Sprintf("%v/shards=%d/workers=%d/chunk=%d/steal=%v",
 							policy, shards, workers, chunk, stealing)
-						sess.Tune(workers, 0)
-						sess.TuneScheduler(chunk, stealing)
+						sess.SetSchedule(Schedule{ThreadsPerRank: workers, BatchSize: cfg.BatchSize, ChunkSize: chunk, Stealing: stealing})
 						res, err := sess.Search(context.Background(), queries)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
@@ -116,7 +115,9 @@ func TestSchedulerTelemetry(t *testing.T) {
 	}
 
 	// Static mode must stay steal-free.
-	sess.TuneScheduler(2, false)
+	static := sess.Config().Schedule
+	static.ChunkSize, static.Stealing = 2, false
+	sess.SetSchedule(static)
 	before := sess.SchedulerStats().Steals
 	if _, err := sess.Search(context.Background(), queries); err != nil {
 		t.Fatal(err)
@@ -145,7 +146,9 @@ func TestSchedulerCancelledRunsLeakNothing(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	for _, stealing := range []bool{true, false} {
-		sess.TuneScheduler(1, stealing)
+		sc := cfg.Schedule
+		sc.ChunkSize, sc.Stealing = 1, stealing
+		sess.SetSchedule(sc)
 		for i := 0; i < 3; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {

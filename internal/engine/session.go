@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -31,20 +30,14 @@ type SessionConfig struct {
 	// cluster size); 0 or negative means 1. Results are identical for
 	// every shard count.
 	Shards int
-	// MapStore asks store-opening entry points to back shard indexes
-	// with read-only memory mappings of the SLMX files instead of heap
-	// copies (see OpenOptions.MapStore). It is a runtime preference, not
-	// part of the store's identity: the json:"-" tag keeps it out of
-	// manifests, so digests are invariant to how a store is opened.
-	MapStore bool `json:"-"`
 }
 
 // DefaultSessionConfig returns a traffic-serving setup: the paper's cyclic
-// policy, one shard, one search thread per available core, and 256-query
-// pipeline batches.
+// policy, one shard, one search thread per available core (ThreadsPerRank
+// 0), and 256-query pipeline batches. Its Schedule is also what a session
+// opened from a store starts with.
 func DefaultSessionConfig() SessionConfig {
 	cfg := DefaultConfig()
-	cfg.ThreadsPerRank = runtime.GOMAXPROCS(0)
 	cfg.BatchSize = 256
 	return SessionConfig{Config: cfg, Shards: 1}
 }
@@ -73,15 +66,15 @@ type SchedulerStats struct {
 // A Session is safe for concurrent use: multiple Streams and Searches may
 // run at once over the same immutable indexes.
 type Session struct {
-	cfg    Config
+	shape  Shape // fixed at construction; Digest covers it
 	shards []*slm.Index
 	table  core.MappingTable
 
 	groups        int
 	groupingNanos int64
 	partitionNs   int64
-	build         []RankStats   // per-shard construction stats (zero query load)
-	shardSet      *ShardSetInfo // non-nil when this session holds one slice of a partitioned store
+	build         []RankStats  // per-shard construction stats (zero query load)
+	shardSet      ShardSetInfo // the slice of the partition held; a whole store is set 0 of 1
 
 	// storeVerify holds the deferred content verification of mapped shard
 	// opens (section CRCs + manifest whole-file CRCs); verifyOnce runs it
@@ -91,7 +84,8 @@ type Session struct {
 	verifyErr   error
 
 	mu       sync.Mutex
-	pool     *sched.Pool // query-time execution layer; swapped by Tune*
+	schedule Schedule    // this process's runtime knobs; see SetSchedule
+	pool     *sched.Pool // query-time execution layer; swapped by SetSchedule
 	digest   string      // store-consistency digest; see Digest
 	closed   bool
 	searched int64          // lifetime queries served
@@ -111,9 +105,21 @@ func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
 	return buildSession(peptides, cfg.Config, p, 0, 1)
 }
 
+// setOf names shard-set `set` of `sets` over a p-way partition: the
+// contiguous shards [set·p/sets, (set+1)·p/sets), at least one when
+// sets <= p. buildSession and SavePartitioned share this one layout.
+func setOf(set, sets, p int) ShardSetInfo {
+	lo, hi := set*p/sets, (set+1)*p/sets
+	ids := make([]int, hi-lo)
+	for i := range ids {
+		ids[i] = lo + i
+	}
+	return ShardSetInfo{Set: set, Sets: sets, TotalShards: p, ShardIDs: ids}
+}
+
 // buildSession builds shard-set `set` of `sets` over a p-way partition of
-// the database: shards [set·p/sets, (set+1)·p/sets), the slice
-// SavePartitioned would store under that number. NewSession builds the one
+// the database, the slice SavePartitioned would store under that number
+// (sets <= p). NewSession builds the one
 // set that is everything; a distributed rank builds set rank of p (RunRank).
 // Grouping and partitioning always cover the whole database — they are the
 // deterministic preprocessing every holder of a slice replicates — but only
@@ -127,11 +133,13 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 	if err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
-	lo, hi := set*p/sets, (set+1)*p/sets
-	n := hi - lo
+	ss := setOf(set, sets, p)
+	lo, n := ss.ShardIDs[0], len(ss.ShardIDs)
 
 	s := &Session{
-		cfg:           cfg,
+		shape:         cfg.Shape,
+		schedule:      cfg.Schedule,
+		shardSet:      ss,
 		shards:        make([]*slm.Index, n),
 		groups:        prep.grouping.NumGroups(),
 		groupingNanos: prep.groupNs,
@@ -157,7 +165,7 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 				return
 			}
 			s.shards[i] = ix
-			s.build[i] = rankStats(lo+i, local, ix, time.Since(buildStart).Nanoseconds(), 0, slm.Work{})
+			s.build[i] = rankStats(lo+i, len(local), ix, time.Since(buildStart).Nanoseconds())
 		}(i)
 	}
 	wg.Wait()
@@ -166,22 +174,15 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 			return nil, err
 		}
 	}
-	s.table = core.BuildMappingTable(prep.grouping, prep.partition)
 	s.load = append([]RankStats(nil), s.build...)
-	s.pool = s.cfg.newPool()
-	if sets == 1 {
-		s.digest, err = canonicalDigest(peptides, cfg, p)
-	} else {
-		// A slice keeps its own chunks of the table, renumbered from
-		// zero, and reports matches under the shards' global ids. It has
-		// no digest: that names a store a replica can serve, and a slice
-		// built in memory is only ever one rank of one run.
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = lo + i
-		}
-		s.shardSet = &ShardSetInfo{Set: set, Sets: sets, TotalShards: p, ShardIDs: ids}
-		s.table, err = s.table.Subset(ids)
+	s.pool = newPool(s.schedule, s.shape.TopK)
+	// A session keeps its own chunks of the table, renumbered from zero,
+	// and reports matches under the shards' global ids.
+	s.table, err = core.BuildMappingTable(prep.grouping, prep.partition).Subset(ss.ShardIDs)
+	if err == nil && sets == 1 {
+		// A slice has no digest: that names a store a replica can serve,
+		// and a slice built in memory is only ever one rank of one run.
+		s.digest, err = canonicalDigest(peptides, cfg.Shape, p)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
@@ -242,39 +243,29 @@ func (pr lbePrep) localPeptides(peptides []string, m int) []string {
 	return local
 }
 
-// rankStats assembles one rank's load accounting.
-func rankStats(rank int, local []string, ix *slm.Index, buildNanos, queryNanos int64, work slm.Work) RankStats {
+// rankStats is a shard's accounting before any query: its identity and
+// sizes, which an open recomputes from the index and the mapping table,
+// and the build cost only the process that built it knows (zero at open).
+func rankStats(rank, peptides int, ix *slm.Index, buildNanos int64) RankStats {
 	return RankStats{
 		Rank:           rank,
-		Peptides:       len(local),
+		Peptides:       peptides,
 		Rows:           ix.NumRows(),
 		IndexBytes:     ix.MemoryBytes(),
 		BuildPeakBytes: ix.BuildPeakBytes(),
 		BuildNanos:     buildNanos,
-		QueryNanos:     queryNanos,
-		Work:           work,
 	}
 }
 
-// canonicalDigest fingerprints a freshly built session: a hash over the
-// result-shaping configuration (search params, grouping, policy, seed,
-// TopK, shard count — the runtime knobs that only change the schedule
-// are deliberately excluded) and the full peptide list. Two replicas
-// that build from the same database with the same shape flags agree;
-// replicas warm-started from a store agree through the manifest hash
-// instead (see OpenSession). The router's consistency gate compares
-// these digests before mixing replicas.
-func canonicalDigest(peptides []string, cfg Config, shards int) (string, error) {
-	shape := struct {
-		Params   slm.Params       `json:"params"`
-		Group    core.GroupConfig `json:"group"`
-		Policy   core.Policy      `json:"policy"`
-		Seed     int64            `json:"seed"`
-		TopK     int              `json:"topk"`
-		RawOrder bool             `json:"raw_order"`
-		Shards   int              `json:"shards"`
-	}{cfg.Params, cfg.Group, cfg.Policy, cfg.Seed, cfg.TopK, cfg.RawOrder, shards}
-	doc, err := json.Marshal(shape)
+// canonicalDigest fingerprints a freshly built session: a hash over what
+// the store manifest records of the configuration (the Shape and the
+// shard count; no Schedule) and the full peptide list. Two replicas that
+// build from the same database with the same shape flags agree; replicas
+// warm-started from a store agree through the manifest hash instead (see
+// OpenSession). The router's consistency gate compares these digests
+// before mixing replicas.
+func canonicalDigest(peptides []string, shape Shape, shards int) (string, error) {
+	doc, err := json.Marshal(storeConfig{Shape: shape, Shards: shards})
 	if err != nil {
 		return "", err
 	}
@@ -299,14 +290,6 @@ func (s *Session) Digest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.digest
-}
-
-// setDigest replaces the digest after Save re-anchors the session's
-// identity to the store manifest it just wrote.
-func (s *Session) setDigest(d string) {
-	s.mu.Lock()
-	s.digest = d
-	s.mu.Unlock()
 }
 
 // NumShards returns the number of in-process partitions.
@@ -343,34 +326,24 @@ func (s *Session) SetFullScan(v bool) {
 
 // ShardSetInfo identifies the slice of a partitioned store a session
 // holds: which shard-set it is, the cluster shape, and the global id of
-// each local shard (see Session.SavePartitioned).
+// each local shard (see Session.SavePartitioned). A whole store is the
+// one-set partition: set 0 of 1 holding shards 0..P-1. It is the
+// manifest's shard_set block as written.
 type ShardSetInfo struct {
-	Set         int   // this set's index in [0, Sets)
-	Sets        int   // shard-sets the cluster was partitioned into
-	TotalShards int   // shards across the whole cluster
-	ShardIDs    []int // global shard id of each local shard, in local order
+	Set         int   `json:"set"`          // this set's index in [0, Sets)
+	Sets        int   `json:"sets"`         // shard-sets the cluster was partitioned into
+	TotalShards int   `json:"total_shards"` // shards across the whole cluster
+	ShardIDs    []int `json:"shard_ids"`    // global shard id of each local shard, in local order
 }
 
-// ShardSet returns the shard-set slice this session holds, or nil for a
-// whole-store session. The returned struct is a copy.
-func (s *Session) ShardSet() *ShardSetInfo {
-	if s.shardSet == nil {
-		return nil
-	}
-	out := *s.shardSet
+// ShardSet returns the shard-set slice this session holds. Merged PSMs
+// carry ShardIDs[m] as the Origin of local shard m, so a slice session
+// reports the same shard identities the whole-store session would. The
+// returned struct is a copy.
+func (s *Session) ShardSet() ShardSetInfo {
+	out := s.shardSet
 	out.ShardIDs = append([]int(nil), s.shardSet.ShardIDs...)
-	return &out
-}
-
-// globalShardID maps a local shard index to its cluster-wide id: the
-// identity for a whole-store session, the saved shard_ids entry for a
-// shard-set slice. Merged PSMs carry it as Origin, so a slice session
-// reports the same shard identities the whole-store session would.
-func (s *Session) globalShardID(m int) int {
-	if s.shardSet == nil {
-		return m
-	}
-	return s.shardSet.ShardIDs[m]
+	return out
 }
 
 // Groups returns the number of LBE groups formed over the database.
@@ -406,8 +379,25 @@ func (s *Session) Batches() int64 {
 	return s.batches
 }
 
-// Config returns the engine configuration the session was built with.
-func (s *Session) Config() Config { return s.cfg }
+// Config returns the Shape the session was built with beside the
+// Schedule it currently runs under.
+func (s *Session) Config() Config {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Config{Shape: s.shape, Schedule: s.schedule}
+}
+
+// SetSchedule replaces the session's runtime knobs, whole value in: every
+// field means what it means on a fresh build (zeros included), and
+// nothing is kept from the previous schedule. Results are invariant to
+// it. Streams already open keep the pool they snapshotted; BuildWorkers
+// has nothing left to build.
+func (s *Session) SetSchedule(sc Schedule) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.schedule = sc
+	s.pool = newPool(sc, s.shape.TopK)
+}
 
 // Stats returns the lifetime per-shard load: construction stats plus the
 // query work accumulated over every Search and Stream so far.
@@ -425,7 +415,7 @@ func (s *Session) SchedulerStats() SchedulerStats {
 	defer s.mu.Unlock()
 	out := s.sched
 	out.Workers = append([]sched.WorkerStats(nil), s.sched.Workers...)
-	out.Stealing = s.cfg.Stealing
+	out.Stealing = s.schedule.Stealing
 	return out
 }
 
@@ -499,7 +489,7 @@ type shardSearched struct {
 type Stream struct {
 	session *Session
 	shards  []*slm.Index // snapshot, so Session.Close cannot race a live stream
-	pool    *sched.Pool  // snapshot, so Session.Tune* cannot race a live stream
+	pool    *sched.Pool  // snapshot, so Session.SetSchedule cannot race a live stream
 	ctx     context.Context
 	cancel  context.CancelFunc
 	in      chan batch
@@ -576,7 +566,7 @@ func (s *Session) Stream(ctx context.Context) (*Stream, error) {
 		in:      make(chan batch, pipeDepth),
 		out:     make(chan BatchResult, pipeDepth),
 	}
-	pp := preprocessStage(ctx, st.in, s.cfg.Params.MaxQueryPeaks)
+	pp := preprocessStage(ctx, st.in, s.shape.Params.MaxQueryPeaks)
 	sr := st.searchShardsStage(pp)
 	go st.mergeLoop(sr)
 	return st, nil
@@ -610,7 +600,7 @@ func (st *Stream) searchShardsStage(in <-chan batch) <-chan shardSearched {
 
 // mergeLoop is the stream's final stage: it maps every shard-local match
 // the workers kept (each cell already cut to what can reach the best
-// TopK, see Config.newPool) to its global peptide through the mapping
+// TopK, see newPool) to its global peptide through the mapping
 // table, sorts, applies TopK, and emits the merged batch.
 func (st *Stream) mergeLoop(in <-chan shardSearched) {
 	// Release the stream's derived context once the pipeline finishes, so
@@ -648,13 +638,13 @@ func (st *Stream) mergeLoop(in <-chan shardSearched) {
 						Shared:    match.Shared,
 						Score:     match.Score,
 						Precursor: match.Precursor,
-						Origin:    s.globalShardID(m),
+						Origin:    s.shardSet.ShardIDs[m],
 					})
 				}
 			}
 			sortPSMs(merged)
-			if s.cfg.TopK > 0 && len(merged) > s.cfg.TopK {
-				merged = merged[:s.cfg.TopK]
+			if s.shape.TopK > 0 && len(merged) > s.shape.TopK {
+				merged = merged[:s.shape.TopK]
 			}
 			psms[q] = merged
 		}
@@ -787,7 +777,7 @@ func (s *Session) streamAll(ctx context.Context, queries []spectrum.Experimental
 	}
 	go func() {
 		defer st.Close()
-		st.PushAll(queries, s.cfg.effectiveBatch(len(queries)))
+		st.PushAll(queries, s.Config().effectiveBatch(len(queries)))
 	}()
 	return st, nil
 }

@@ -26,12 +26,17 @@ import (
 //
 // On-disk layout of a store directory:
 //
-//	manifest.json    format version, the full SessionConfig (tolerances
-//	                 in their string form, policy by name), grouping and
-//	                 partition metadata (group count, preprocessing
-//	                 nanos, per-shard build RankStats), the number of
-//	                 peptides, and one {name, size, crc32} record per
-//	                 companion file
+//	manifest.json    what was built, and nothing about how, where or when:
+//	                 format version, the Shape (tolerances in their
+//	                 string form, policy by name) with the shard count,
+//	                 the group count, the number of peptides, the
+//	                 shard_set block (a whole store is set 0 of 1 over
+//	                 shards 0..P-1), and one {name, size, crc32} record
+//	                 per companion file — {…, rows} for a shard. No
+//	                 Schedule field and no timing is stored, so the
+//	                 manifest is a pure function of (peptides, Shape,
+//	                 shard count, sets): two builds of one database are
+//	                 byte-identical directories
 //	mapping.lbmt     the master mapping table in the checksummed "LBMT"
 //	                 binary format (internal/core/mapping_serialize.go)
 //	peptides.txt     optional: the global peptide list, one sequence per
@@ -48,7 +53,7 @@ import (
 // other before constructing the session.
 
 const (
-	storeFormatVersion = 1
+	storeFormatVersion = 2
 
 	manifestFile = "manifest.json"
 	mappingFile  = "mapping.lbmt"
@@ -74,29 +79,56 @@ type storedFile struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// shardSetManifest is the optional manifest block marking a store as one
-// shard-set slice of a partitioned cluster (see SavePartitioned): which
-// set it is, the cluster shape, and the global id of each local shard.
-type shardSetManifest struct {
-	Set         int   `json:"set"`
-	Sets        int   `json:"sets"`
-	TotalShards int   `json:"total_shards"`
-	ShardIDs    []int `json:"shard_ids"`
+// storedShard is a shard file's record plus the row count its index must
+// decode to.
+type storedShard struct {
+	storedFile
+	Rows int `json:"rows"`
+}
+
+// storeConfig is what a store records of the configuration: the Shape and
+// the number of shards in this directory. canonicalDigest hashes the same
+// document for a session no store backs yet.
+type storeConfig struct {
+	Shape
+	Shards int
 }
 
 // storeManifest is the JSON document tying the store together.
 type storeManifest struct {
-	FormatVersion  int               `json:"format_version"`
-	Config         SessionConfig     `json:"config"`
-	Groups         int               `json:"groups"`
-	GroupingNanos  int64             `json:"grouping_nanos"`
-	PartitionNanos int64             `json:"partition_nanos"`
-	Build          []RankStats       `json:"build"`
-	NumPeptides    int               `json:"num_peptides,omitempty"`
-	ShardSet       *shardSetManifest `json:"shard_set,omitempty"`
-	Mapping        storedFile        `json:"mapping"`
-	Peptides       *storedFile       `json:"peptides,omitempty"`
-	Shards         []storedFile      `json:"shards"`
+	FormatVersion int           `json:"format_version"`
+	Config        storeConfig   `json:"config"`
+	Groups        int           `json:"groups"`
+	NumPeptides   int           `json:"num_peptides,omitempty"`
+	ShardSet      ShardSetInfo  `json:"shard_set"`
+	Mapping       storedFile    `json:"mapping"`
+	Peptides      *storedFile   `json:"peptides,omitempty"`
+	Shards        []storedShard `json:"shards"`
+}
+
+// checkFormatVersion refuses a manifest (or cluster.json) of another
+// format version; an older one names the way forward.
+func checkFormatVersion(what string, v int) error {
+	if v == storeFormatVersion {
+		return nil
+	}
+	hint := ""
+	if v < storeFormatVersion {
+		hint = "; rebuild with `lbe-index -out`"
+	}
+	return fmt.Errorf("engine: open: unsupported %s format version %d (want %d)%s", what, v, storeFormatVersion, hint)
+}
+
+// checkPeptides holds a store's peptide list against its mapping table.
+// A whole store's list matches the table exactly; a shard-set slice
+// carries the full global list — its subset mapping returns global
+// indices, so sequence lookup needs every entry — of which the table
+// covers only its own shards' share.
+func (ss ShardSetInfo) checkPeptides(n, mapped int) error {
+	if n < mapped || (ss.Sets == 1 && n != mapped) {
+		return fmt.Errorf("%d peptides do not match the %d mapped entries of set %d of %d", n, mapped, ss.Set, ss.Sets)
+	}
+	return nil
 }
 
 // checksumWriter accumulates the whole-file CRC and byte count recorded
@@ -132,47 +164,34 @@ func writeStoreFile(dir, name string, fill func(io.Writer) error) (storedFile, e
 	return storedFile{Name: name, Size: cw.n, CRC32: cw.crc}, nil
 }
 
-// storeSpec is everything saveStore persists into one store directory.
-type storeSpec struct {
-	cfg      SessionConfig
-	groups   int
-	groupNs  int64
-	partNs   int64
-	build    []RankStats
-	shards   []*slm.Index
-	table    core.MappingTable
-	peptides []string          // may be nil
-	shardSet *shardSetManifest // nil for a whole-store directory
-}
-
-// saveStore writes one store directory and returns its manifest digest.
-// Both Save (the whole session) and SavePartitioned (one shard-set slice
-// per call) funnel through it, so the two layouts cannot drift.
-func saveStore(dir string, spec storeSpec) (string, error) {
+// saveSet writes shard-set ss of the session — shards and their chunks of
+// the mapping table, with peptides (may be nil) beside them — as one store
+// directory and returns its manifest digest. Both Save (the session's own
+// set) and SavePartitioned (one slice per call) funnel through it, so the
+// two layouts cannot drift.
+func (s *Session) saveSet(dir string, shards []*slm.Index, table core.MappingTable, ss ShardSetInfo, peptides []string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("engine: save: %w", err)
 	}
 
 	man := storeManifest{
-		FormatVersion:  storeFormatVersion,
-		Config:         spec.cfg,
-		Groups:         spec.groups,
-		GroupingNanos:  spec.groupNs,
-		PartitionNanos: spec.partNs,
-		Build:          append([]RankStats(nil), spec.build...),
-		ShardSet:       spec.shardSet,
+		FormatVersion: storeFormatVersion,
+		Config:        storeConfig{Shape: s.shape, Shards: len(shards)},
+		Groups:        s.groups,
+		ShardSet:      ss,
 	}
 
 	// Shards write in parallel, mirroring the parallel load: each file is
 	// independent, so save time does not grow linearly with shard count.
-	man.Shards = make([]storedFile, len(spec.shards))
-	werrs := make([]error, len(spec.shards))
+	man.Shards = make([]storedShard, len(shards))
+	werrs := make([]error, len(shards))
 	var wwg sync.WaitGroup
-	for m, ix := range spec.shards {
+	for m, ix := range shards {
 		wwg.Add(1)
 		go func(m int, ix *slm.Index) {
 			defer wwg.Done()
-			man.Shards[m], werrs[m] = writeStoreFile(dir, fmt.Sprintf(shardPattern, m), func(w io.Writer) error {
+			man.Shards[m].Rows = ix.NumRows()
+			man.Shards[m].storedFile, werrs[m] = writeStoreFile(dir, fmt.Sprintf(shardPattern, m), func(w io.Writer) error {
 				_, err := ix.WriteTo(w)
 				return err
 			})
@@ -185,7 +204,7 @@ func saveStore(dir string, spec storeSpec) (string, error) {
 		}
 	}
 
-	blob, err := spec.table.MarshalBinary()
+	blob, err := table.MarshalBinary()
 	if err != nil {
 		return "", fmt.Errorf("engine: save: %w", err)
 	}
@@ -196,27 +215,19 @@ func saveStore(dir string, spec storeSpec) (string, error) {
 		return "", err
 	}
 
-	if spec.peptides != nil {
+	if peptides != nil {
 		// Fail fast on the wrong list (e.g. pre-digest proteins) instead
-		// of persisting a store OpenSession will refuse. A shard-set
-		// slice carries the full global list — its subset mapping returns
-		// global indices, so sequence lookup needs every entry — while a
-		// whole store's list matches the table exactly.
-		if spec.shardSet == nil && len(spec.peptides) != spec.table.Len() {
-			return "", fmt.Errorf("engine: save: %d peptides do not match the session's %d mapped entries",
-				len(spec.peptides), spec.table.Len())
+		// of persisting a store OpenSession will refuse.
+		if err := ss.checkPeptides(len(peptides), table.Len()); err != nil {
+			return "", fmt.Errorf("engine: save: %w", err)
 		}
-		if spec.shardSet != nil && len(spec.peptides) < spec.table.Len() {
-			return "", fmt.Errorf("engine: save: %d peptides cannot cover the set's %d mapped entries",
-				len(spec.peptides), spec.table.Len())
-		}
-		for i, p := range spec.peptides {
+		for i, p := range peptides {
 			if strings.ContainsAny(p, "\r\n") {
 				return "", fmt.Errorf("engine: save: peptide %d contains a line break", i)
 			}
 		}
 		sf, err := writeStoreFile(dir, peptidesFile, func(w io.Writer) error {
-			for _, p := range spec.peptides {
+			for _, p := range peptides {
 				if _, err := io.WriteString(w, p); err != nil {
 					return err
 				}
@@ -230,7 +241,7 @@ func saveStore(dir string, spec storeSpec) (string, error) {
 			return "", err
 		}
 		man.Peptides = &sf
-		man.NumPeptides = len(spec.peptides)
+		man.NumPeptides = len(peptides)
 	}
 
 	// The manifest goes last: a store interrupted mid-save has no
@@ -253,37 +264,36 @@ func saveStore(dir string, spec storeSpec) (string, error) {
 // files in it are overwritten. Saving a shard-set session preserves its
 // shard-set identity.
 func (s *Session) Save(dir string, peptides []string) error {
-	// A mapped session may not have run its deferred store verification
-	// yet; saving would re-encode the mapped bytes under fresh checksums,
-	// so verify first rather than bless latent corruption.
-	if err := s.verifyStore(); err != nil {
+	shards, err := s.verifiedShards()
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	closed := s.closed
-	shards := s.shards
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("engine: save: session is closed")
-	}
-	digest, err := saveStore(dir, storeSpec{
-		cfg:      SessionConfig{Config: s.cfg, Shards: len(shards)},
-		groups:   s.groups,
-		groupNs:  s.groupingNanos,
-		partNs:   s.partitionNs,
-		build:    s.build,
-		shards:   shards,
-		table:    s.table,
-		peptides: peptides,
-		shardSet: s.shardSetManifest(),
-	})
+	digest, err := s.saveSet(dir, shards, s.table, s.shardSet, peptides)
 	if err != nil {
 		return err
 	}
 	// The session's identity is now the store: adopt the manifest hash so
 	// this process agrees with every replica that warm-starts from dir.
-	s.setDigest(digest)
+	s.mu.Lock()
+	s.digest = digest
+	s.mu.Unlock()
 	return nil
+}
+
+// verifiedShards returns the shard indexes a save may encode. A mapped
+// session may not have run its deferred store verification yet; saving
+// would re-encode the mapped bytes under fresh checksums, so verify first
+// rather than bless latent corruption.
+func (s *Session) verifiedShards() ([]*slm.Index, error) {
+	if err := s.verifyStore(); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("engine: save: session is closed")
+	}
+	return s.shards, nil
 }
 
 // ClusterManifest is the cluster.json document of a partitioned store: it
@@ -324,29 +334,22 @@ func ComposeClusterDigest(setDigests []string) string {
 // sets shard-set directories (set-%02d, each a self-contained store a
 // shard-set holder warm-starts from with OpenSession) plus a cluster.json
 // manifest composing their digests. Set i holds the contiguous shard
-// range [i*P/sets, (i+1)*P/sets); each set's manifest records the global
-// id of every local shard and its mapping subset still returns global
-// peptide indices, so per-set search results carry whole-store
-// identities and a front-end merge of the per-set top-K reproduces
-// Session.Search byte for byte.
+// range setOf gives it; each set's manifest records the global id of
+// every local shard and its mapping subset still returns global peptide
+// indices, so per-set search results carry whole-store identities and a
+// front-end merge of the per-set top-K reproduces Session.Search byte for
+// byte.
 //
 // peptides is the global peptide list; every set stores the full list
 // (nil omits it everywhere). Unlike Save, the session's own digest is
 // left untouched — the partitioning creates sets new store identities,
 // not a new identity for this session.
 func (s *Session) SavePartitioned(dir string, peptides []string, sets int) (*ClusterManifest, error) {
-	// Same rationale as Save: never re-encode unverified mapped bytes.
-	if err := s.verifyStore(); err != nil {
+	shards, err := s.verifiedShards()
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	closed := s.closed
-	shards := s.shards
-	s.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("engine: save: session is closed")
-	}
-	if s.shardSet != nil {
+	if s.shardSet.Sets != 1 {
 		return nil, fmt.Errorf("engine: save: session is already a shard-set slice; partition the whole-store session")
 	}
 	p := len(shards)
@@ -366,30 +369,15 @@ func (s *Session) SavePartitioned(dir string, peptides []string, sets int) (*Clu
 		SetDigests:    make([]string, sets),
 	}
 	for i := 0; i < sets; i++ {
-		lo, hi := i*p/sets, (i+1)*p/sets
-		ids := make([]int, hi-lo)
-		for j := range ids {
-			ids[j] = lo + j
-		}
-		sub, err := s.table.Subset(ids)
+		ss := setOf(i, sets, p)
+		lo := ss.ShardIDs[0]
+		sub, err := s.table.Subset(ss.ShardIDs)
 		if err != nil {
 			return nil, fmt.Errorf("engine: save: set %d: %w", i, err)
 		}
 		setDir := fmt.Sprintf(setDirPattern, i)
-		digest, err := saveStore(filepath.Join(dir, setDir), storeSpec{
-			cfg:     SessionConfig{Config: s.cfg, Shards: hi - lo},
-			groups:  s.groups,
-			groupNs: s.groupingNanos,
-			partNs:  s.partitionNs,
-			build:   s.build[lo:hi],
-			shards:  shards[lo:hi],
-			table:   sub,
-			// Every set carries the full global list: its mapping subset
-			// returns global indices, so sequence reporting needs all
-			// entries.
-			peptides: peptides,
-			shardSet: &shardSetManifest{Set: i, Sets: sets, TotalShards: p, ShardIDs: ids},
-		})
+		// peptides is the full global list in every set; see checkPeptides.
+		digest, err := s.saveSet(filepath.Join(dir, setDir), shards[lo:lo+len(ss.ShardIDs)], sub, ss, peptides)
 		if err != nil {
 			return nil, err
 		}
@@ -422,9 +410,8 @@ func ReadClusterManifest(dir string) (*ClusterManifest, error) {
 	if err := dec.Decode(&cm); err != nil {
 		return nil, fmt.Errorf("engine: open: parsing %s: %w", clusterFile, err)
 	}
-	if cm.FormatVersion != storeFormatVersion {
-		return nil, fmt.Errorf("engine: open: unsupported cluster format version %d (want %d)",
-			cm.FormatVersion, storeFormatVersion)
+	if err := checkFormatVersion("cluster", cm.FormatVersion); err != nil {
+		return nil, err
 	}
 	if cm.Sets < 1 || len(cm.SetDirs) != cm.Sets || len(cm.SetDigests) != cm.Sets {
 		return nil, fmt.Errorf("engine: open: %s lists %d dirs / %d digests for %d sets",
@@ -606,15 +593,22 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	if len(doc) > maxManifestBytes {
 		return nil, nil, fmt.Errorf("engine: open: manifest exceeds %d bytes", maxManifestBytes)
 	}
+	// The version is read on its own first: an older manifest has fields
+	// the strict decode below would trip over before it could be named.
+	var ver struct {
+		FormatVersion int `json:"format_version"`
+	}
+	if err := json.Unmarshal(doc, &ver); err != nil {
+		return nil, nil, fmt.Errorf("engine: open: parsing manifest: %w", err)
+	}
+	if err := checkFormatVersion("store", ver.FormatVersion); err != nil {
+		return nil, nil, err
+	}
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.DisallowUnknownFields()
 	var man storeManifest
 	if err := dec.Decode(&man); err != nil {
 		return nil, nil, fmt.Errorf("engine: open: parsing manifest: %w", err)
-	}
-	if man.FormatVersion != storeFormatVersion {
-		return nil, nil, fmt.Errorf("engine: open: unsupported store format version %d (want %d)",
-			man.FormatVersion, storeFormatVersion)
 	}
 	p := man.Config.Shards
 	if p < 1 {
@@ -623,31 +617,27 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	if len(man.Shards) != p {
 		return nil, nil, fmt.Errorf("engine: open: manifest lists %d shard files for %d shards", len(man.Shards), p)
 	}
-	if len(man.Build) != p {
-		return nil, nil, fmt.Errorf("engine: open: manifest has %d build stats for %d shards", len(man.Build), p)
-	}
 	if err := man.Config.Params.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("engine: open: stored config: %w", err)
 	}
-	if ss := man.ShardSet; ss != nil {
-		if ss.Sets < 1 || ss.Set < 0 || ss.Set >= ss.Sets {
-			return nil, nil, fmt.Errorf("engine: open: manifest names shard-set %d of %d", ss.Set, ss.Sets)
+	ss := man.ShardSet
+	if ss.Sets < 1 || ss.Set < 0 || ss.Set >= ss.Sets {
+		return nil, nil, fmt.Errorf("engine: open: manifest names shard-set %d of %d", ss.Set, ss.Sets)
+	}
+	if len(ss.ShardIDs) != p {
+		return nil, nil, fmt.Errorf("engine: open: manifest lists %d global shard ids for %d shards",
+			len(ss.ShardIDs), p)
+	}
+	if ss.TotalShards < p || (ss.Sets == 1 && ss.TotalShards != p) {
+		return nil, nil, fmt.Errorf("engine: open: set %d of %d holds %d shards of a %d-shard cluster",
+			ss.Set, ss.Sets, p, ss.TotalShards)
+	}
+	for i, id := range ss.ShardIDs {
+		if id < 0 || id >= ss.TotalShards {
+			return nil, nil, fmt.Errorf("engine: open: global shard id %d out of range [0,%d)", id, ss.TotalShards)
 		}
-		if len(ss.ShardIDs) != p {
-			return nil, nil, fmt.Errorf("engine: open: manifest lists %d global shard ids for %d shards",
-				len(ss.ShardIDs), p)
-		}
-		if ss.TotalShards < p {
-			return nil, nil, fmt.Errorf("engine: open: shard-set holds %d shards of a %d-shard cluster",
-				p, ss.TotalShards)
-		}
-		for i, id := range ss.ShardIDs {
-			if id < 0 || id >= ss.TotalShards {
-				return nil, nil, fmt.Errorf("engine: open: global shard id %d out of range [0,%d)", id, ss.TotalShards)
-			}
-			if i > 0 && id <= ss.ShardIDs[i-1] {
-				return nil, nil, fmt.Errorf("engine: open: global shard ids are not strictly increasing")
-			}
+		if i > 0 && id <= ss.ShardIDs[i-1] {
+			return nil, nil, fmt.Errorf("engine: open: global shard ids are not strictly increasing")
 		}
 	}
 
@@ -682,16 +672,8 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 			return nil, nil, fmt.Errorf("engine: open: %s holds %d peptides, manifest says %d",
 				man.Peptides.Name, len(peptides), man.NumPeptides)
 		}
-		// A whole store's list matches the mapping exactly; a shard-set
-		// slice stores the full global list, of which its subset mapping
-		// covers only its own shards' share.
-		if man.ShardSet == nil && table.Len() != len(peptides) {
-			return nil, nil, fmt.Errorf("engine: open: mapping covers %d peptides, store holds %d",
-				table.Len(), len(peptides))
-		}
-		if man.ShardSet != nil && table.Len() > len(peptides) {
-			return nil, nil, fmt.Errorf("engine: open: mapping covers %d peptides, store holds only %d",
-				table.Len(), len(peptides))
+		if err := ss.checkPeptides(len(peptides), table.Len()); err != nil {
+			return nil, nil, fmt.Errorf("engine: open: %w", err)
 		}
 	}
 
@@ -707,7 +689,7 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
-			shards[m], errs[m] = openShard(dir, man.Shards[m], opts.MapStore)
+			shards[m], errs[m] = openShard(dir, man.Shards[m].storedFile, opts.MapStore)
 		}(m)
 	}
 	wg.Wait()
@@ -718,95 +700,47 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	}
 	if opts.MapStore {
 		for m, ix := range shards {
-			lazy = append(lazy, shardVerifier(dir, man.Shards[m], ix))
+			lazy = append(lazy, shardVerifier(dir, man.Shards[m].storedFile, ix))
 		}
 	}
 
-	// Cross-file shape checks: every shard must agree with the manifest's
-	// build stats and fit inside its mapping chunk, so a query can never
+	// Cross-file shape checks: every shard must hold the rows the manifest
+	// recorded and fit inside its mapping chunk, so a query can never
 	// hit an unmappable virtual index. The params check closes the gap
 	// between the human-editable JSON manifest and the CRC-protected
 	// SLMX files: query preprocessing runs off the manifest's Params
 	// while matching runs off each shard's, so they must be identical.
+	build := make([]RankStats, p)
 	for m, ix := range shards {
 		if !reflect.DeepEqual(ix.Params(), man.Config.Params) {
 			return nil, nil, fmt.Errorf("engine: open: shard %d params disagree with the manifest", m)
 		}
-		if ix.NumRows() != man.Build[m].Rows {
+		if ix.NumRows() != man.Shards[m].Rows {
 			return nil, nil, fmt.Errorf("engine: open: shard %d has %d rows, manifest says %d",
-				m, ix.NumRows(), man.Build[m].Rows)
+				m, ix.NumRows(), man.Shards[m].Rows)
 		}
 		if np := ix.NumPeptides(); np > table.MachineLen(m) {
 			return nil, nil, fmt.Errorf("engine: open: shard %d indexes %d peptides but the mapping grants it %d",
 				m, np, table.MachineLen(m))
 		}
+		build[m] = rankStats(ss.ShardIDs[m], table.MachineLen(m), ix, 0)
 	}
 
+	// The store says what was built; how to run it is this process's own
+	// business, so the session starts on the default schedule whatever the
+	// builder ran under.
 	s := &Session{
-		cfg:           man.Config.Config,
-		shards:        shards,
-		table:         table,
-		groups:        man.Groups,
-		groupingNanos: man.GroupingNanos,
-		partitionNs:   man.PartitionNanos,
-		build:         man.Build,
+		shape:       man.Config.Shape,
+		schedule:    DefaultSessionConfig().Schedule,
+		shards:      shards,
+		table:       table,
+		groups:      man.Groups,
+		build:       build,
+		shardSet:    ss,
+		load:        append([]RankStats(nil), build...),
+		digest:      manifestDigest(doc),
+		storeVerify: lazy,
 	}
-	if ss := man.ShardSet; ss != nil {
-		s.shardSet = &ShardSetInfo{
-			Set:         ss.Set,
-			Sets:        ss.Sets,
-			TotalShards: ss.TotalShards,
-			ShardIDs:    append([]int(nil), ss.ShardIDs...),
-		}
-	}
-	s.load = append([]RankStats(nil), s.build...)
-	s.pool = s.cfg.newPool()
-	s.digest = manifestDigest(doc)
-	s.storeVerify = lazy
+	s.pool = newPool(s.schedule, s.shape.TopK)
 	return s, peptides, nil
-}
-
-// shardSetManifest renders the session's shard-set identity for a saved
-// manifest, nil for a whole-store session.
-func (s *Session) shardSetManifest() *shardSetManifest {
-	if s.shardSet == nil {
-		return nil
-	}
-	return &shardSetManifest{
-		Set:         s.shardSet.Set,
-		Sets:        s.shardSet.Sets,
-		TotalShards: s.shardSet.TotalShards,
-		ShardIDs:    append([]int(nil), s.shardSet.ShardIDs...),
-	}
-}
-
-// Tune adjusts the session's runtime knobs after OpenSession: the
-// scheduler worker budget and the pipeline batch size (values <= 0 keep
-// the stored setting). Results are invariant to both. Streams already
-// open keep the pool they snapshotted; call Tune before serving.
-func (s *Session) Tune(threads, batch int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if threads > 0 {
-		s.cfg.ThreadsPerRank = threads
-	}
-	if batch > 0 {
-		s.cfg.BatchSize = batch
-	}
-	s.pool = s.cfg.newPool()
-}
-
-// TuneScheduler adjusts the execution-layer knobs: the chunk granularity
-// (chunk < 0 keeps the current setting, 0 restores auto-tuning) and the
-// scheduling mode. Results are invariant to both; only the schedule and
-// its telemetry change. Streams already open keep the pool they
-// snapshotted.
-func (s *Session) TuneScheduler(chunk int, stealing bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if chunk >= 0 {
-		s.cfg.ChunkSize = chunk
-	}
-	s.cfg.Stealing = stealing
-	s.pool = s.cfg.newPool()
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"lbe/internal/core"
@@ -120,6 +122,40 @@ func TestStoreWithoutPeptides(t *testing.T) {
 	}
 }
 
+// TestSaveRejectsWrongPeptideList: one rule, keyed on the set count — a
+// whole store's list is exactly the mapped peptides, a slice's is the
+// global list that covers them.
+func TestSaveRejectsWrongPeptideList(t *testing.T) {
+	peptides, _, _ := testDataset(t, 6, 2, 0)
+	whole, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	slice, err := buildSession(peptides, lightConfig(), 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slice.Close()
+	longer := append(append([]string(nil), peptides...), "PEPTIDEK")
+	for _, tc := range []struct {
+		name string
+		sess *Session
+		list []string
+		ok   bool
+	}{
+		{"whole/short", whole, peptides[:len(peptides)-1], false},
+		{"whole/long", whole, longer, false},
+		{"whole/exact", whole, peptides, true},
+		{"slice/short", slice, peptides[:slice.table.Len()-1], false},
+		{"slice/global", slice, peptides, true},
+	} {
+		if err := tc.sess.Save(t.TempDir(), tc.list); (err == nil) != tc.ok {
+			t.Errorf("%s: Save error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // editManifest applies fn to the parsed manifest JSON and writes it back.
 func editManifest(t *testing.T, dir string, fn func(map[string]any)) {
 	t.Helper()
@@ -152,6 +188,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		name    string
 		tamper  func(t *testing.T, dir string)
 		message string
+		names   []string // what the refusal must say, heap and mapped
 	}{
 		{"bit-flipped shard", func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "shard-0001.slmx")
@@ -163,7 +200,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "a flipped bit in a shard file must fail the checksum"},
+		}, "a flipped bit in a shard file must fail the checksum", nil},
 		{"truncated shard", func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "shard-0000.slmx")
 			data, err := os.ReadFile(path)
@@ -173,20 +210,28 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "a truncated shard file must fail"},
+		}, "a truncated shard file must fail", nil},
 		{"version bump", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m map[string]any) { m["format_version"] = 2 })
-		}, "a future manifest version must be refused"},
+			editManifest(t, dir, func(m map[string]any) { m["format_version"] = storeFormatVersion + 1 })
+		}, "a future manifest version must be refused", nil},
+		{"format version 1", func(t *testing.T, dir string) {
+			// With a field only a v1 manifest had, so the refusal has to
+			// come from the version and not from the strict decode.
+			editManifest(t, dir, func(m map[string]any) {
+				m["format_version"] = 1
+				m["build"] = []any{}
+			})
+		}, "a v1 store must be refused", []string{"format version 1", "lbe-index -out"}},
 		{"shard count mismatch", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m map[string]any) {
 				m["config"].(map[string]any)["Shards"] = 3
 			})
-		}, "a manifest/shard-count mismatch must be refused"},
+		}, "a manifest/shard-count mismatch must be refused", nil},
 		{"missing shard file", func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, "shard-0001.slmx")); err != nil {
 				t.Fatal(err)
 			}
-		}, "a missing shard file must fail"},
+		}, "a missing shard file must fail", nil},
 		{"swapped shard files", func(t *testing.T, dir string) {
 			a := filepath.Join(dir, "shard-0000.slmx")
 			b := filepath.Join(dir, "shard-0001.slmx")
@@ -196,28 +241,56 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}, "shard files swapped between slots must fail the manifest CRC"},
+		}, "shard files swapped between slots must fail the manifest CRC", nil},
 		{"tampered manifest params", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m map[string]any) {
 				m["config"].(map[string]any)["Params"].(map[string]any)["MaxQueryPeaks"] = 7
 			})
-		}, "manifest params disagreeing with the shard-embedded params must be refused"},
+		}, "manifest params disagreeing with the shard-embedded params must be refused", nil},
+		{"shard ids out of order", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				m["shard_set"].(map[string]any)["shard_ids"] = []int{1, 0}
+			})
+		}, "global shard ids must be strictly increasing", nil},
+		{"shard id out of range", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				m["shard_set"].(map[string]any)["shard_ids"] = []int{0, 2}
+			})
+		}, "a global shard id beyond total_shards must be refused", nil},
+		{"one set of a larger cluster", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				m["shard_set"].(map[string]any)["total_shards"] = 3
+			})
+		}, "a one-set store must hold every shard of its cluster", nil},
+		{"no shard set", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) { delete(m, "shard_set") })
+		}, "a manifest without its shard_set block must be refused", nil},
+		{"row count mismatch", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				shard := m["shards"].([]any)[1].(map[string]any)
+				shard["rows"] = shard["rows"].(float64) + 1
+			})
+		}, "a shard decoding to other rows than the manifest recorded must be refused", nil},
+		{"peptide count mismatch", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) { m["num_peptides"] = m["num_peptides"].(float64) + 1 })
+		}, "a peptide list of another length than the manifest recorded must be refused", nil},
 		{"missing manifest", func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil {
 				t.Fatal(err)
 			}
-		}, "a store without a manifest must be refused"},
+		}, "a store without a manifest must be refused", nil},
 		{"traversal file name", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m map[string]any) {
 				m["mapping"].(map[string]any)["name"] = "../mapping.lbmt"
 			})
-		}, "a manifest name escaping the store directory must be refused"},
+		}, "a manifest name escaping the store directory must be refused", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, _ := storeFixture(t, 2, true)
 			tc.tamper(t, dir)
-			if sess, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: false}); err == nil {
+			sess, _, heapErr := OpenSessionOptions(dir, OpenOptions{MapStore: false})
+			if heapErr == nil {
 				sess.Close()
 				t.Error(tc.message)
 			}
@@ -229,146 +302,259 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			if err == nil {
 				t.Errorf("mapped open: %s", tc.message)
 			}
+			for _, want := range tc.names {
+				for _, err := range []error{heapErr, err} {
+					if err != nil && !strings.Contains(err.Error(), want) {
+						t.Errorf("refusal %q does not name %q", err, want)
+					}
+				}
+			}
 		})
 	}
 }
 
-func TestTuneAdjustsRuntimeKnobs(t *testing.T) {
-	dir, _ := storeFixture(t, 2, false)
-	sess, _, err := OpenSession(dir)
+// TestSetSchedule: the whole value goes in — every field applied as given,
+// zeros included — and a stream already open keeps the pool it started on.
+func TestSetSchedule(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 6, 2, 12)
+	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sess.Tune(3, 128)
-	if cfg := sess.Config(); cfg.ThreadsPerRank != 3 || cfg.BatchSize != 128 {
-		t.Fatalf("Tune did not apply: %+v", cfg)
+	ctx := context.Background()
+
+	st, err := sess.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sess.Tune(0, 0) // zero keeps the current values
-	if cfg := sess.Config(); cfg.ThreadsPerRank != 3 || cfg.BatchSize != 128 {
-		t.Fatalf("Tune(0,0) changed values: %+v", cfg)
+	before := st.pool
+	for _, sc := range []Schedule{
+		{ThreadsPerRank: 3, BatchSize: 5, ChunkSize: 16, Stealing: false, BuildWorkers: 2},
+		{}, // zeros are values, not "keep"
+		{ThreadsPerRank: 1, Stealing: true},
+	} {
+		sess.SetSchedule(sc)
+		if got := sess.Config().Schedule; got != sc {
+			t.Fatalf("SetSchedule(%+v) left %+v", sc, got)
+		}
+		if got := sess.SchedulerStats().Stealing; got != sc.Stealing {
+			t.Fatalf("SetSchedule(%+v): SchedulerStats.Stealing = %v", sc, got)
+		}
 	}
-	sess.TuneScheduler(16, false)
-	if cfg := sess.Config(); cfg.ChunkSize != 16 || cfg.Stealing {
-		t.Fatalf("TuneScheduler did not apply: %+v", cfg)
+	if st.pool != before || sess.pool == before {
+		t.Fatal("an open stream must keep its pool while the session moves to the new one")
 	}
-	sess.TuneScheduler(-1, true) // negative chunk keeps the current value
-	if cfg := sess.Config(); cfg.ChunkSize != 16 || !cfg.Stealing {
-		t.Fatalf("TuneScheduler(-1,true): %+v", cfg)
+	if err := st.Push(queries); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for range st.Results() {
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// BatchSize 0 is one batch per Search, however many queries.
+	sess.SetSchedule(Schedule{Stealing: true})
+	n := sess.Batches()
+	if _, err := sess.Search(ctx, queries); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Batches() - n; got != 1 {
+		t.Fatalf("BatchSize 0: a %d-query Search ran %d batches, want 1", len(queries), got)
+	}
+	sess.SetSchedule(Schedule{BatchSize: 5, Stealing: true})
+	n = sess.Batches()
+	if _, err := sess.Search(ctx, queries); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sess.Batches()-n, int64((len(queries)+4)/5); got != want {
+		t.Fatalf("BatchSize 5: a %d-query Search ran %d batches, want %d", len(queries), got, want)
 	}
 }
 
-// TestStoreRoundTripsSchedulerConfig: the manifest must persist the
-// execution-layer knobs alongside the database-shape config.
-func TestStoreRoundTripsSchedulerConfig(t *testing.T) {
-	peptides, _, _ := testDataset(t, 4, 1, 0)
+// TestOpenedSessionSchedulesForThisMachine: a store records what was
+// built, not how the builder ran — a session opened from it starts on the
+// default schedule of the process that opened it.
+func TestOpenedSessionSchedulesForThisMachine(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 6, 2, 12)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
-	cfg.ChunkSize = 9
-	cfg.Stealing = true
-	sess, err := NewSession(peptides, cfg)
+	cfg.Schedule = Schedule{ThreadsPerRank: 1, ChunkSize: 9, Stealing: false, BatchSize: 17}
+	built, err := NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
+	defer built.Close()
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := sess.Save(dir, peptides); err != nil {
+	if err := built.Save(dir, peptides); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := OpenSession(dir)
+	opened, _, err := OpenSession(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
-	if got := loaded.Config(); got.ChunkSize != 9 || !got.Stealing {
-		t.Fatalf("scheduler config did not survive the store: %+v", got)
+	defer opened.Close()
+	if got, want := opened.Config().Schedule, DefaultSessionConfig().Schedule; got != want {
+		t.Fatalf("opened session runs under %+v, want this process's default %+v", got, want)
 	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("one core: the builder's single worker and this machine's are the same count")
+	}
+	if _, err := opened.Search(context.Background(), queries); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(opened.SchedulerStats().Workers); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("opened session ran %d scheduler workers on a %d-core process", got, runtime.GOMAXPROCS(0))
+	}
+}
+
+// perturb moves one configuration field to another valid value, chosen by
+// the field's kind alone: a field added to Shape or Schedule later is
+// covered without a list to extend (a kind not handled here fails loudly).
+func perturb(t *testing.T, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint8:
+		f.SetUint(f.Uint() ^ 1)
+	case reflect.Slice: // Weights: one per shard of the two-shard fixture
+		f.Set(reflect.ValueOf([]float64{1, 2}))
+	case reflect.Struct: // Params, Group: their first plain int
+		for i := 0; i < f.NumField(); i++ {
+			if f.Field(i).Kind() == reflect.Int {
+				perturb(t, f.Field(i))
+				return
+			}
+		}
+		t.Fatalf("no int field to perturb in %s", f.Type())
+	default:
+		t.Fatalf("no perturbation for a %s field", f.Kind())
+	}
+}
+
+// storeFiles reads every file under dir, keyed by its relative path.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestSessionDigestConsistency pins the digest contract the router's
 // consistency gate is built on: replicas built from the same database
-// with the same shape agree, replicas opened from the same store agree
-// (with each other and with the saver), and changing the shape or the
-// store changes the digest.
+// with the same Shape agree, whatever their Schedule; replicas opened
+// from a store agree with each other and with the saver; every Shape
+// field and the shard count move both the fresh digest and the manifest;
+// and two independent builds save byte-identical stores.
 func TestSessionDigestConsistency(t *testing.T) {
 	peptides, _, _ := testDataset(t, 6, 2, 0)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
 
-	a, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// identity builds cfg and returns its fresh digest and the manifest
+	// it saves.
+	identity := func(cfg SessionConfig) (fresh, manifest string) {
+		t.Helper()
+		sess, err := NewSession(peptides, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		fresh = sess.Digest()
+		dir := t.TempDir()
+		if err := sess.Save(dir, peptides); err != nil {
+			t.Fatal(err)
+		}
+		if sess.Digest() == fresh {
+			t.Fatal("Save did not re-anchor the digest to the manifest")
+		}
+		return fresh, storeFiles(t, dir)[manifestFile]
 	}
-	defer a.Close()
-	if a.Digest() == "" {
+	fresh, manifest := identity(cfg)
+	if fresh == "" {
 		t.Fatal("fresh session has no digest")
 	}
-	b, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
+
+	// Whatever lands in Shape is identity; whatever lands in Schedule is
+	// not, and is not in the store at all.
+	moved := cfg
+	moved.Shards = 3
+	if f, m := identity(moved); f == fresh || m == manifest {
+		t.Error("a different shard count left the digest or the manifest unmoved")
 	}
-	defer b.Close()
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same database, same shape, different digests:\n%s\n%s", a.Digest(), b.Digest())
+	for i := 0; i < reflect.TypeOf(Shape{}).NumField(); i++ {
+		moved := cfg
+		perturb(t, reflect.ValueOf(&moved.Shape).Elem().Field(i))
+		if f, m := identity(moved); f == fresh || m == manifest {
+			t.Errorf("Shape.%s left the digest or the manifest unmoved", reflect.TypeOf(Shape{}).Field(i).Name)
+		}
+	}
+	for i := 0; i < reflect.TypeOf(Schedule{}).NumField(); i++ {
+		name := reflect.TypeOf(Schedule{}).Field(i).Name
+		moved := cfg
+		perturb(t, reflect.ValueOf(&moved.Schedule).Elem().Field(i))
+		if f, m := identity(moved); f != fresh || m != manifest {
+			t.Errorf("Schedule.%s moved the digest or the manifest", name)
+		}
+		if strings.Contains(manifest, name) {
+			t.Errorf("the manifest mentions Schedule.%s", name)
+		}
 	}
 
-	// Runtime knobs must not move the digest; shape knobs must.
-	rcfg := cfg
-	rcfg.ThreadsPerRank = 3
-	rcfg.BatchSize = 17
-	r, err := NewSession(peptides, rcfg)
-	if err != nil {
-		t.Fatal(err)
+	// Two builds that share nothing but their inputs are one store: every
+	// file byte-equal, whole and partitioned (cluster.json included), and
+	// every open of either reports the one digest.
+	var stores, clusters [2]map[string]string
+	var digests []string
+	for i, sc := range []Schedule{{BuildWorkers: 1, ThreadsPerRank: 1}, {BuildWorkers: 3, ThreadsPerRank: 2, Stealing: true}} {
+		bcfg := cfg
+		bcfg.Schedule = sc
+		sess, err := NewSession(peptides, bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		dir, cdir := t.TempDir(), t.TempDir()
+		if _, err := sess.SavePartitioned(cdir, peptides, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Save(dir, peptides); err != nil {
+			t.Fatal(err)
+		}
+		stores[i], clusters[i] = storeFiles(t, dir), storeFiles(t, cdir)
+		digests = append(digests, sess.Digest())
+		for _, mapped := range []bool{true, false} {
+			o, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: mapped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests = append(digests, o.Digest())
+			o.Close()
+		}
 	}
-	defer r.Close()
-	if r.Digest() != a.Digest() {
-		t.Fatal("runtime knobs changed the digest")
+	if !reflect.DeepEqual(stores[0], stores[1]) || len(stores[0]) != 5 {
+		t.Errorf("two builds of one database saved different stores (%d files)", len(stores[0]))
 	}
-	scfg := cfg
-	scfg.Shards = 3
-	s3, err := NewSession(peptides, scfg)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(clusters[0], clusters[1]) || len(clusters[0]) != 9 {
+		t.Errorf("two builds of one database saved different partitioned stores (%d files)", len(clusters[0]))
 	}
-	defer s3.Close()
-	if s3.Digest() == a.Digest() {
-		t.Fatal("different shard count, same digest")
-	}
-
-	// Saving re-anchors the saver to the store manifest, and every open
-	// of that store agrees with it.
-	fresh := a.Digest()
-	dir := filepath.Join(t.TempDir(), "store")
-	if err := a.Save(dir, peptides); err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest() == fresh {
-		t.Fatal("Save did not re-anchor the digest to the manifest")
-	}
-	o1, _, err := OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o1.Close()
-	o2, _, err := OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if o1.Digest() != a.Digest() || o1.Digest() != o2.Digest() {
-		t.Fatalf("store digests disagree: saver %s, opens %s / %s", a.Digest(), o1.Digest(), o2.Digest())
-	}
-
-	// A second store of the same content is still a different manifest
-	// (build timings differ), hence a different cluster contract.
-	dir2 := filepath.Join(t.TempDir(), "store")
-	if err := b.Save(dir2, peptides); err != nil {
-		t.Fatal(err)
-	}
-	o3, _, err := OpenSession(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o3.Close()
-	if o3.Digest() == o1.Digest() {
-		t.Fatal("distinct stores produced the same manifest digest")
+	for _, d := range digests {
+		if d != digests[0] {
+			t.Fatalf("savers and opens of one store disagree on its digest: %v", digests)
+		}
 	}
 }

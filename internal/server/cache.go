@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"lbe/internal/api"
 	"lbe/internal/engine"
@@ -12,8 +10,8 @@ import (
 )
 
 // The answer cache sits in front of the coalescer: per-spectrum PSM
-// lists keyed on (canonical spectrum content × store digest × search
-// knobs). Caching engine results rather than rendered responses lets a
+// lists keyed on (canonical spectrum content × session digest). Caching
+// engine results rather than rendered responses lets a
 // multi-spectrum request hit entry-by-entry — and since every /search
 // reply is rendered through api.BuildSearchResponse from those PSMs, a
 // cached answer is byte-identical to an uncached one by construction
@@ -23,23 +21,12 @@ import (
 // header + backing array of ~40-byte engine.PSM values.
 func psmsSize(ps []engine.PSM) int { return 64 + 40*len(ps) }
 
-// cacheKeyer binds every cache key to the session's serving context.
-// The store digest covers the database; the knobs are rendered
-// explicitly because a warm-started session's digest is its store
-// manifest hash, which does not re-state the serve-time search shape.
+// cacheKeyer binds every cache key to the session's digest, which covers
+// the database and the whole Shape (fresh: canonicalDigest; stored: the
+// manifest hash) — everything that decides an answer's bytes, and nothing
+// a Session can change after construction.
 func cacheKeyer(sess *engine.Session) qcache.Keyer {
-	cfg := sess.Config()
-	params, err := json.Marshal(cfg.Params)
-	if err != nil {
-		// slm.Params is plain data; Marshal cannot fail on it.
-		params = []byte(fmt.Sprintf("%+v", cfg.Params))
-	}
-	return qcache.NewKeyer(
-		sess.Digest(),
-		fmt.Sprintf("topk=%d", cfg.TopK),
-		fmt.Sprintf("policy=%v", cfg.Policy),
-		"params="+string(params),
-	)
+	return qcache.NewKeyer(sess.Digest())
 }
 
 // searchViaQueue submits one query slice through the bounded queue and

@@ -294,11 +294,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // shardSetJSON announces the session's shard-set slice on the wire, nil
-// for a whole-store session. TopK rides along so a scatter router can
-// truncate its merged union to the session's reporting depth.
+// for a whole-store session (the one-set partition). TopK rides along so
+// a scatter router can truncate its merged union to the session's
+// reporting depth.
 func (s *Server) shardSetJSON() *api.ShardSetJSON {
 	info := s.sess.ShardSet()
-	if info == nil {
+	if info.Sets == 1 {
 		return nil
 	}
 	return &api.ShardSetJSON{

@@ -267,8 +267,17 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 
 // --- distributed engine ---
 
-// EngineConfig assembles a distributed run's settings.
+// EngineConfig assembles a distributed run's settings: a Shape and a
+// Schedule.
 type EngineConfig = engine.Config
+
+// Shape is everything that decides which bytes a search returns; a store
+// and a session digest record exactly this.
+type Shape = engine.Shape
+
+// Schedule is how one process spends its cores on a search; results are
+// invariant to it (see Session.SetSchedule).
+type Schedule = engine.Schedule
 
 // Result is the master's view of a finished distributed search.
 type Result = engine.Result
