@@ -57,7 +57,7 @@ func main() {
 	o.Seed = *seed
 
 	// Interrupt cancels the run's root context, so a Ctrl-C mid-figure
-	// tears down streaming sessions instead of abandoning them.
+	// stops the searches in flight instead of abandoning them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	o.Ctx = ctx

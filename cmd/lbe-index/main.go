@@ -32,7 +32,7 @@ func main() {
 	var (
 		in       = flag.String("in", "", "input peptide FASTA (required)")
 		doDigest = flag.Bool("digest", false, "treat -in as proteins and digest in-process")
-		maxMods  = flag.Int("max-mods", 5, "maximum modified residues per peptide")
+		maxMods  = flag.Int("max-mods", cliutil.DefaultMaxMods, "maximum modified residues per peptide")
 		resol    = flag.Float64("resolution", 0.01, "bucket resolution r (Da)")
 		fragTol  = flag.Float64("frag-tol", 0.05, "fragment mass tolerance ∆F (Da)")
 		precTol  = flag.String("prec-tol", "open", "precursor mass tolerance ∆M: e.g. 0.5Da, 20ppm, or open (paper default)")

@@ -1,9 +1,9 @@
 // Command lbe-search runs the LBE peptide search: it reads a peptide
-// FASTA database and an MS2 query file, builds a streaming Session that
-// partitions the database into shards under the chosen policy, pipelines
-// every query batch through it, and writes a TSV report of
+// FASTA database and an MS2 query file, builds a Session that
+// partitions the database into shards under the chosen policy, searches
+// the queries on it -batch at a time, and writes a TSV report of
 // peptide-to-spectrum matches. Per-shard load statistics (the paper's
-// Eq. 1 LI) are printed at the end. Ctrl-C cancels the pipelined query
+// Eq. 1 LI) are printed at the end. Ctrl-C cancels the query
 // phase cleanly; a second Ctrl-C force-kills non-cancellable phases.
 //
 // Usage:
@@ -52,11 +52,11 @@ func main() {
 		policy  = flag.String("policy", "cyclic", "distribution policy: chunk|cyclic|random")
 		seed    = flag.Int64("seed", 0, "seed for the random policy")
 		topK    = flag.Int("topk", 5, "PSMs reported per query")
-		maxMods = flag.Int("max-mods", 2, "max modified residues per peptide")
+		maxMods = flag.Int("max-mods", cliutil.DefaultMaxMods, "max modified residues per peptide")
 		serial  = flag.Bool("serial", false, "run the shared-memory baseline instead")
 		tcp     = flag.Bool("tcp", false, "connect ranks over loopback TCP instead of a Session")
 		threads = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
-		batch   = flag.Int("batch", 256, "pipeline batch size in queries (0 = one batch)")
+		batch   = flag.Int("batch", 256, "queries per engine batch (0 = one batch)")
 		chunk   = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
 		steal   = flag.Bool("steal", true, "work-stealing scheduler (false = static per-shard chunks)")
 		weights = flag.String("weights", "", "comma-separated machine speeds for heterogeneous clusters")

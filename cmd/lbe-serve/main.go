@@ -1,5 +1,5 @@
 // Command lbe-serve runs the LBE search engine as a long-running HTTP
-// service: it builds a streaming Session over a peptide database once,
+// service: it builds a Session over a peptide database once,
 // then serves concurrent POST /search requests, coalescing small
 // requests into merged engine batches (up to -coalesce queries or a
 // -flush window) behind a bounded admission queue that answers 429 when
@@ -54,13 +54,13 @@ func main() {
 		index    = flag.String("index", "", "warm-start from a session store directory written by lbe-index -out")
 		mmap     = flag.Bool("mmap", true, "memory-map the store's shard indexes (page-cache shared, heap fallback); only with -index")
 		doDigest = flag.Bool("digest", false, "treat -db as proteins and digest in-process")
-		maxMods  = flag.Int("max-mods", 2, "max modified residues per peptide")
+		maxMods  = flag.Int("max-mods", cliutil.DefaultMaxMods, "max modified residues per peptide")
 		ranks    = flag.Int("ranks", 4, "shards (virtual cluster size)")
 		policy   = flag.String("policy", "cyclic", "distribution policy: chunk|cyclic|random")
 		seed     = flag.Int64("seed", 0, "seed for the random policy")
 		topK     = flag.Int("topk", 5, "PSMs reported per query")
 		threads  = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
-		batch    = flag.Int("batch", 256, "session pipeline batch size in queries")
+		batch    = flag.Int("batch", 256, "queries per engine batch of one search (0 = one batch)")
 		chunk    = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
 		steal    = flag.Bool("steal", true, "work-stealing scheduler (false = static per-shard chunks)")
 		coalesce = flag.Int("coalesce", 64, "max queries merged into one coalesced batch")

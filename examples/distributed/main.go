@@ -1,6 +1,6 @@
 // Distributed runs a complete LBE search over an 8-shard Session:
 // synthetic proteome, tryptic digestion, grouping, cyclic partitioning,
-// per-shard partial indexes, pipelined concurrent querying, and merging
+// per-shard partial indexes, batched concurrent querying, and merging
 // through the O(1) mapping table (paper Figs. 3 and 4).
 //
 //	go run ./examples/distributed
@@ -44,7 +44,7 @@ func main() {
 	cfg := lbe.DefaultEngineConfig()
 	cfg.Params.Mods.MaxPerPep = 1
 	cfg.TopK = 5
-	cfg.BatchSize = 64 // pipeline granularity: search overlaps merging
+	cfg.BatchSize = 64 // queries preprocessed, searched and merged at a time
 
 	start := time.Now()
 	sess, err := lbe.NewSession(peptides, lbe.SessionConfig{Config: cfg, Shards: ranks})

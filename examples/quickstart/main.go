@@ -1,4 +1,4 @@
-// Quickstart: digest a few proteins, build a streaming search Session
+// Quickstart: digest a few proteins, build a search Session
 // over a 4-shard LBE partition, and identify one noisy query spectrum.
 //
 //	go run ./examples/quickstart

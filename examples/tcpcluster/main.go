@@ -2,7 +2,7 @@
 // multi-process bootstrap protocol: a coordinator (rank 0) and workers
 // that join it, exactly as separate machines would. Here all ranks live in
 // one process for convenience; point workers at a remote address to span
-// hosts. (For single-host serving, prefer the streaming Session API —
+// hosts. (For single-host serving, prefer the Session API —
 // see examples/quickstart; every rank below is a one-shard Session
 // behind its endpoint.)
 //

@@ -264,12 +264,3 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	}
 	return &st, nil
 }
-
-// RouterStats fetches and decodes /stats from an lbe-router front-end.
-func (c *Client) RouterStats(ctx context.Context) (*RouterStatsResponse, error) {
-	var st RouterStatsResponse
-	if err := c.exchangeJSON(ctx, http.MethodGet, "/stats", nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}

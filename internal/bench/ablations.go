@@ -187,11 +187,9 @@ var Figures = []struct {
 	{"hetero", AblationHeterogeneous},
 	{"filtration", FiltrationComparison},
 	// Kept beside the paper's figures because no benchmark/ workload
-	// measures either yet (ROADMAP, Benchmark v2 (b)): the pipeline
-	// batch-size sweep against engine.RunSerial, and work stealing on a
+	// measures it yet (ROADMAP, Benchmark v2 (b)): work stealing on a
 	// deliberately length-skewed proteome — the benchmark's corpus has no
 	// skew to steal across.
-	{"session", SessionThroughput},
 	{"steal", Steal},
 }
 

@@ -87,19 +87,6 @@ func TestCalibrateAndModel(t *testing.T) {
 	if qt <= 0 || et <= qt {
 		t.Errorf("modeled times: query %v, exec %v", qt, et)
 	}
-	prt := model.PerRankQueryTimes(res)
-	if len(prt) != 3 {
-		t.Errorf("per-rank times: %v", prt)
-	}
-	maxT := 0.0
-	for _, v := range prt {
-		if v > maxT {
-			maxT = v
-		}
-	}
-	if maxT != qt {
-		t.Errorf("QueryTime %v must equal max per-rank %v", qt, maxT)
-	}
 }
 
 func TestFigureMarkdown(t *testing.T) {

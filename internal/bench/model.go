@@ -60,14 +60,3 @@ func (m CostModel) ExecutionTime(res *engine.Result, serialSeconds float64) floa
 	}
 	return serialSeconds + maxRows/m.BuildRate + m.QueryTime(res)
 }
-
-// PerRankQueryTimes models each rank's query time; the LI figures may use
-// either these or raw work units (the ratio is identical).
-func (m CostModel) PerRankQueryTimes(res *engine.Result) []float64 {
-	wu := engine.WorkUnits(res.Stats)
-	out := make([]float64, len(wu))
-	for i, w := range wu {
-		out[i] = w / m.QueryRate
-	}
-	return out
-}

@@ -8,6 +8,11 @@ import (
 	"lbe/internal/digest"
 )
 
+// DefaultMaxMods is the -max-mods default of lbe-index, lbe-serve and
+// lbe-search. It decides which rows exist, so one value keeps a store
+// built at default flags the database `-db` at default flags builds.
+const DefaultMaxMods = 2
+
 // ExplicitlySet reports which of the named flags were set on the command
 // line, in flag.Visit (lexical) order. The binaries use it to reject
 // flags that a session store or report mode fixes, instead of silently

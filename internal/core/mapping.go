@@ -52,16 +52,6 @@ func (t MappingTable) Lookup(m int, v uint32) (uint32, error) {
 	return t.entries[i], nil
 }
 
-// MustLookup is like Lookup but panics on out-of-range input; for use on
-// the master hot path after validation.
-func (t MappingTable) MustLookup(m int, v uint32) uint32 {
-	g, err := t.Lookup(m, v)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // MemoryBytes returns the table's memory footprint in bytes, counted for
 // the memory-overhead experiment (Fig. 5): 4 bytes per entry plus offsets.
 func (t MappingTable) MemoryBytes() int {

@@ -4,13 +4,14 @@
 // concurrently, and merges the per-partition best matches through the
 // O(1) mapping table (paper §III-D/E, Fig. 3 and Fig. 4).
 //
-// Every run mode is built on one pipeline, Session's Stream (session.go,
-// pipeline.go): queries flow in configurable batches through preprocess →
-// search → merge stages with context cancellation threaded through every
-// stage. A Session keeps it hot over in-process shards for repeated
-// streaming query batches; RunRank puts a one-shard Session behind a
-// communicator and forwards its merged batches to the master, which only
-// re-sorts the per-rank lists (rank.go, cluster.go).
+// Every run mode is built on one function, Session.searchBatch
+// (session.go): preprocess → search on the scheduler pool → merge through
+// the mapping table, for one batch of queries, on the caller's goroutine.
+// Session.Search loops it over a query set in Schedule.BatchSize slices;
+// RunRank puts a one-shard Session behind a communicator and runs the
+// same loop, shipping each merged batch to the master — which only
+// re-sorts the per-rank lists — while the next one is searched (rank.go,
+// cluster.go).
 //
 // The mapping table is applied where a partition is searched: a rank, like
 // a shard-set holder on the scatter path, maps its own matches through its
@@ -21,15 +22,17 @@
 //
 // The same search can be run serially (RunSerial) as the correctness
 // reference and as the shared-memory baseline for the memory-footprint
-// comparison; it shares no scheduler, pipeline or merge code with Session.
+// comparison; it shares no scheduler, batching or merge code with Session.
 package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
 	"lbe/internal/core"
+	"lbe/internal/sched"
 	"lbe/internal/slm"
 	"lbe/internal/spectrum"
 )
@@ -67,10 +70,11 @@ type Schedule struct {
 	// shares it across every in-process shard, and the in-process cluster
 	// runners divide it among their ranks.
 	ThreadsPerRank int
-	// BatchSize is the pipeline granularity: queries flow through the
-	// preprocess → search → merge stages in batches of this many spectra,
-	// overlapping compute with communication. 0 makes the whole run one
-	// batch (one message per worker, the paper's description).
+	// BatchSize is how many queries of a set are preprocessed, searched and
+	// merged at a time (Session.searchBatch); a rank ships one message per
+	// batch, overlapping the send with the next batch's search. 0 makes
+	// the whole set one batch (one message per worker, the paper's
+	// description).
 	BatchSize int
 	// ChunkSize is the scheduler's task granularity: queries per chunk on
 	// the per-shard work deques. 0 auto-tunes from the observed work per
@@ -85,6 +89,47 @@ type Schedule struct {
 	// one worker per available core. The built index is byte-identical
 	// for any worker count.
 	BuildWorkers int
+}
+
+// effectiveBatch resolves the batch size for an n-query set: BatchSize if
+// set, else the whole set as a single batch.
+func (sc Schedule) effectiveBatch(n int) int {
+	if sc.BatchSize > 0 {
+		return sc.BatchSize
+	}
+	return max(n, 1)
+}
+
+// newPool builds the scheduler pool the schedule describes: ThreadsPerRank
+// workers (0 = one per core) over per-shard chunk deques, stealing or
+// static per sc.Stealing, sc.ChunkSize granularity (0 = auto-tuned). The
+// shape's topK goes down with it: workers hand back, per (shard, query)
+// cell, only the matches that can still reach the merged best topK (ties
+// at the cell's cut included, so sortPSMs still breaks them).
+func newPool(sc Schedule, topK int) *sched.Pool {
+	workers := sc.ThreadsPerRank
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return sched.NewPool(sched.Options{
+		Workers:   workers,
+		ChunkSize: sc.ChunkSize,
+		Stealing:  sc.Stealing,
+		TopK:      topK,
+	})
+}
+
+// divideBudget splits a worker budget (index construction or search; 0
+// means one per available core) across n concurrent users sharing this
+// process, rounding up so every user gets at least one worker.
+func divideBudget(budget, n int) int {
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	if n < 1 {
+		n = 1
+	}
+	return (budget + n - 1) / n
 }
 
 // Config assembles all the knobs of a distributed search run: what is

@@ -23,6 +23,11 @@ type rankReport struct {
 	MappingBytes int
 }
 
+// pipeDepth is how many merged batches a worker rank may have waiting for
+// the wire: enough that a send overlaps the next batch's search, without
+// queueing a slow link's backlog in memory.
+const pipeDepth = 2
+
 // mappingBoundaryBytes is what core.MappingTable.MemoryBytes counts per
 // chunk boundary. Every rank's slice of the table carries its own two;
 // laid end to end the slices share all but the outer pair, which is how
@@ -35,9 +40,9 @@ const mappingBoundaryBytes = 8
 // The master (rank 0) returns the merged Result; workers return nil.
 //
 // A rank is a one-shard Session behind a communicator: it builds the slice
-// of the Size()-way partition that carries its rank, streams the queries
-// through it in cfg.BatchSize batches and ships every merged batch to the
-// master as it leaves the stream, so the next batch's search overlaps the
+// of the Size()-way partition that carries its rank, searches the queries
+// on it in cfg.BatchSize batches (Session.each) and hands every merged
+// batch to a sender goroutine, so the next batch's search overlaps the
 // send. The PSMs it ships are already global (each rank maps through its
 // own subset of the mapping table, as a shard-set holder does on the
 // scatter path; the paper maps at the master) and already cut to TopK, so
@@ -47,7 +52,7 @@ const mappingBoundaryBytes = 8
 // (default: one worker per core), which is right when ranks are separate
 // machines; the in-process cluster runners divide both among their ranks.
 //
-// When ctx is cancelled the stream shuts down between batches and the rank
+// When ctx is cancelled the search stops between chunks and the rank
 // returns ctx's error. A rank blocked in a communicator receive is only
 // released when the communicator is closed; the cluster runners
 // (RunInProcess, RunOverTCP) do that automatically on cancellation.
@@ -55,7 +60,7 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 	start := time.Now()
 	rank, size := c.Rank(), c.Size()
 
-	// Internal cancellation lets the master stop its own stream the
+	// Internal cancellation lets the master stop its own search the
 	// moment merging fails, instead of searching the rest of the run just
 	// to report the error. Remote messages are still drained so no
 	// goroutine is left parked in a communicator receive.
@@ -74,18 +79,8 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 	}
 	queryPhaseStart := time.Now()
 
-	st, err := sess.streamAll(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-
 	if rank != 0 {
-		for br := range st.Results() {
-			if err := mpi.SendGob(c, 0, tagResults, br); err != nil {
-				return nil, err
-			}
-		}
-		if err := st.Err(); err != nil {
+		if err := shipBatches(ctx, c, sess, queries); err != nil {
 			return nil, err
 		}
 		report := rankReport{Stats: sess.Stats()[0], MappingBytes: sess.MappingBytes()}
@@ -110,14 +105,18 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 	mergeCh := make(chan gathered, size)
 	var producers sync.WaitGroup
 
-	// Local feeder: the master's own merged batches.
+	// Local feeder: the master's own merged batches, and the error that
+	// ended its search early if one did. Like the drainer below it sends
+	// unconditionally: the merge loop consumes mergeCh until it closes.
 	producers.Add(1)
 	go func() {
 		defer producers.Done()
-		for br := range st.Results() {
-			if !send(ctx, mergeCh, gathered{from: 0, batch: br}) {
-				return
-			}
+		err := sess.each(ctx, queries, func(br BatchResult) error {
+			mergeCh <- gathered{from: 0, batch: br}
+			return nil
+		})
+		if err != nil {
+			mergeCh <- gathered{err: err}
 		}
 	}()
 	// Remote drainer: every worker owes exactly nb batches; accept them
@@ -125,7 +124,7 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 	// still search. Once a single worker is left owing, the receive names
 	// it: nothing else can arrive on this tag, and a named receive fails
 	// when that peer's link goes down where an any-source one would wait
-	// forever. Sends below are unconditional (no ctx select): the merge
+	// forever. Its sends are unconditional too (no ctx select): the merge
 	// loop consumes mergeCh until it closes even after an error, so the
 	// drainer always runs to completion instead of leaking into a
 	// receive on a still-open communicator.
@@ -181,7 +180,7 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 			mergeErr = appendGathered(res.PSMs, len(peptides), g.from, g.batch)
 		}
 		if mergeErr != nil {
-			// Stop the master's own (expensive) search stream; the
+			// Stop the master's own (expensive) search; the
 			// drainer keeps receiving the remaining (cheap) messages so
 			// the communicator is left without a parked receiver.
 			cancel()
@@ -191,9 +190,6 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 		return nil, mergeErr
 	}
 	if err := outer.Err(); err != nil {
-		return nil, err
-	}
-	if err := st.Err(); err != nil {
 		return nil, err
 	}
 
@@ -216,6 +212,41 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 	res.QueryNanos = time.Since(queryPhaseStart).Nanoseconds()
 	res.TotalNanos = time.Since(start).Nanoseconds()
 	return res, nil
+}
+
+// shipBatches is a worker rank's query phase: the session searches the
+// queries batch by batch while a sender goroutine puts the merged batches
+// on the wire to the master, in order, at most pipeDepth behind. A failed
+// send cancels the search — nobody will receive the batches still to come
+// — and is the error returned.
+func shipBatches(ctx context.Context, c mpi.Comm, sess *Session, queries []spectrum.Experimental) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	outbox := make(chan BatchResult, pipeDepth)
+	sent := make(chan error, 1)
+	go func() {
+		var err error
+		for br := range outbox {
+			if err = mpi.SendGob(c, 0, tagResults, br); err != nil {
+				cancel()
+				break
+			}
+		}
+		sent <- err
+	}()
+	err := sess.each(ctx, queries, func(br BatchResult) error {
+		select {
+		case outbox <- br:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	close(outbox)
+	if sendErr := <-sent; sendErr != nil {
+		return sendErr
+	}
+	return err
 }
 
 // appendGathered adds one rank's merged batch to the master's per-query

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -40,7 +41,7 @@ func (s *spyComm) Recv(from int, tag mpi.Tag) (int, []byte, error) {
 }
 
 // TestRankShipsAtMostTopK: a worker rank ships the batches of its one-shard
-// session, whose merge stage has already cut every query to TopK — ties at
+// session, whose merge has already cut every query to TopK — ties at
 // the cut are broken at the rank, by the global peptide index its mapping
 // subset gives it, not shipped for the master to break. So with TopK 3 no
 // gathered batch carries more than three PSMs for a query, a small
@@ -102,6 +103,49 @@ func TestRankShipsAtMostTopK(t *testing.T) {
 		t.Logf("%s: %d PSMs on the wire from %d workers with TopK=%d, %d candidates scored there (%.1f%%)",
 			tc.name, shipped, ranks-1, topK, scored, 100*float64(shipped)/float64(scored))
 	}
+}
+
+// hangUpComm is a worker endpoint whose master goes away once the first
+// result batch has reached it.
+type hangUpComm struct {
+	mpi.Comm
+	master mpi.Comm
+}
+
+func (h hangUpComm) Send(to int, tag mpi.Tag, data []byte) error {
+	err := h.Comm.Send(to, tag, data)
+	if tag == tagResults {
+		h.master.Close()
+	}
+	return err
+}
+
+// TestWorkerRankStopsWhenSendFails: a worker whose master hangs up after
+// the first batch returns the send error, and stops searching — the
+// batches nobody will receive are not searched just to be dropped.
+func TestWorkerRankStopsWhenSendFails(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 6, 2, 40)
+	cfg := lightConfig()
+	cfg.BatchSize = 1 // forty batches owed
+	cfg.ThreadsPerRank = 1
+	sess, err := buildSession(peptides, cfg, 2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	base := runtime.NumGoroutine()
+	world := mpi.NewWorld(2)
+	defer world.Close()
+	c := hangUpComm{Comm: world.Comm(1), master: world.Comm(0)}
+	err = shipBatches(context.Background(), c, sess, queries)
+	if !errors.Is(err, mpi.ErrClosed) {
+		t.Fatalf("worker returned %v, want the send error", err)
+	}
+	if got := sess.Batches(); got >= int64(len(queries)) {
+		t.Fatalf("worker searched %d of %d batches after its master hung up on the second", got, len(queries))
+	}
+	waitForGoroutines(t, base)
 }
 
 // TestRunInProcessMatchesSession: a cluster of p one-shard rank sessions

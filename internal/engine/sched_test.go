@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -162,96 +160,6 @@ func TestSchedulerCancelledRunsLeakNothing(t *testing.T) {
 		}
 	}
 	waitForGoroutines(t, base)
-}
-
-// TestStreamSentinelErrors: double Close and Push-after-Close must return
-// ErrStreamClosed instead of panicking on the input channel.
-func TestStreamSentinelErrors(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 4, 1, 5)
-	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	st, err := sess.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Push(queries); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	if err := st.Close(); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("second Close = %v, want ErrStreamClosed", err)
-	}
-	if err := st.Push(queries); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("Push after Close = %v, want ErrStreamClosed", err)
-	}
-	for range st.Results() {
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamConcurrentPushCancelClose hammers one stream with racing
-// producers, closers and cancellers (run under -race in CI): whatever the
-// interleaving, nothing may panic, and every error must be a sentinel or
-// the context error.
-func TestStreamConcurrentPushCancelClose(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 20)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
-	cfg.ThreadsPerRank = 2
-	cfg.BatchSize = 4
-	sess, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	for trial := 0; trial < 8; trial++ {
-		st, err := sess.Stream(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errCh := make(chan error, 64)
-		for p := 0; p < 3; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 5; i++ {
-					if err := st.Push(queries); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := st.Close(); err != nil && !errors.Is(err, ErrStreamClosed) {
-				errCh <- fmt.Errorf("close: %w", err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			st.Cancel()
-		}()
-		for range st.Results() {
-		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			if !errors.Is(err, ErrStreamClosed) && !errors.Is(err, context.Canceled) {
-				t.Fatalf("trial %d: unexpected error %v", trial, err)
-			}
-		}
-	}
 }
 
 // skewedDataset builds a corpus whose clustered order concentrates the

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -16,11 +15,6 @@ import (
 	"lbe/internal/slm"
 	"lbe/internal/spectrum"
 )
-
-// ErrStreamClosed is returned by Push after Close and by a redundant
-// Close: the stream's input side is already sealed. It replaces the
-// channel panics a misused stream used to risk.
-var ErrStreamClosed = errors.New("engine: stream is closed")
 
 // SessionConfig configures a Session: the engine knobs plus the number of
 // in-process shards the database is partitioned into.
@@ -34,7 +28,7 @@ type SessionConfig struct {
 
 // DefaultSessionConfig returns a traffic-serving setup: the paper's cyclic
 // policy, one shard, one search thread per available core (ThreadsPerRank
-// 0), and 256-query pipeline batches. Its Schedule is also what a session
+// 0), and 256-query batches. Its Schedule is also what a session
 // opened from a store starts with.
 func DefaultSessionConfig() SessionConfig {
 	cfg := DefaultConfig()
@@ -49,7 +43,7 @@ func DefaultSessionConfig() SessionConfig {
 // took to get there.
 type SchedulerStats struct {
 	Workers   []sched.WorkerStats // lifetime per-worker aggregates
-	Batches   int64               // scheduled pipeline batches
+	Batches   int64               // scheduled batches
 	Chunks    int64               // chunks executed
 	Steals    int64               // steal-half operations
 	Stolen    int64               // chunks acquired by stealing
@@ -60,11 +54,10 @@ type SchedulerStats struct {
 // Session owns a built search engine: the LBE grouping, the policy
 // partition, one SLM index per shard, and the master mapping table. It is
 // constructed once with NewSession and then serves any number of query
-// batches — through Search for whole runs or Stream for continuous
-// streaming — without rebuilding anything.
+// sets through Search without rebuilding anything.
 //
-// A Session is safe for concurrent use: multiple Streams and Searches may
-// run at once over the same immutable indexes.
+// A Session is safe for concurrent use: multiple Searches may run at once
+// over the same immutable indexes.
 type Session struct {
 	shape  Shape // fixed at construction; Digest covers it
 	shards []*slm.Index
@@ -370,8 +363,8 @@ func (s *Session) Searched() int64 {
 	return s.searched
 }
 
-// Batches returns the lifetime number of merged pipeline batches the
-// session emitted across every Search and Stream. A serving layer that
+// Batches returns the lifetime number of batches the session searched and
+// merged across every Search. A serving layer that
 // coalesces requests can read it to verify how much batching it achieved.
 func (s *Session) Batches() int64 {
 	s.mu.Lock()
@@ -390,7 +383,7 @@ func (s *Session) Config() Config {
 // SetSchedule replaces the session's runtime knobs, whole value in: every
 // field means what it means on a fresh build (zeros included), and
 // nothing is kept from the previous schedule. Results are invariant to
-// it. Streams already open keep the pool they snapshotted; BuildWorkers
+// it. A Search in flight finishes on the pool it snapshotted; BuildWorkers
 // has nothing left to build.
 func (s *Session) SetSchedule(sc Schedule) {
 	s.mu.Lock()
@@ -400,7 +393,7 @@ func (s *Session) SetSchedule(sc Schedule) {
 }
 
 // Stats returns the lifetime per-shard load: construction stats plus the
-// query work accumulated over every Search and Stream so far.
+// query work accumulated over every Search so far.
 func (s *Session) Stats() []RankStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -409,7 +402,7 @@ func (s *Session) Stats() []RankStats {
 
 // SchedulerStats returns the lifetime scheduler telemetry: per-worker
 // work/wall-time aggregates plus steal and chunk counters across every
-// Search and Stream the session served.
+// Search the session served.
 func (s *Session) SchedulerStats() SchedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -419,11 +412,11 @@ func (s *Session) SchedulerStats() SchedulerStats {
 	return out
 }
 
-// Close releases the shard indexes. Streams opened later fail; streams
-// already open keep their index references and drain normally. For a
-// mapped session this only drops the references — the underlying file
-// mappings are released when the last index reference is collected
-// (never eagerly, since a draining stream may still be searching them).
+// Close releases the shard indexes. Searches started later fail; searches
+// in flight keep their index references and finish normally. For a mapped
+// session this only drops the references — the underlying file mappings
+// are released when the last index reference is collected (never eagerly,
+// since a search in flight may still be reading them).
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -455,57 +448,16 @@ func (s *Session) record(nq int, sr *sched.Result) {
 	}
 }
 
-// BatchResult is one merged batch emitted by a Stream, in push order.
+// BatchResult is one searched and merged batch of a query set: what
+// searchBatch returns, and what a worker rank ships to the master.
 type BatchResult struct {
-	Seq    int     // 0-based batch sequence number
-	Offset int     // global index of the batch's first query
+	Offset int     // index in the query set of the batch's first query
 	PSMs   [][]PSM // per query in the batch, best-first, TopK applied
 
 	// ShardWork and ShardNanos give the deterministic work and search
 	// wall time each shard spent on this batch.
 	ShardWork  []slm.Work
 	ShardNanos []int64
-}
-
-// Work returns the batch's total deterministic work across shards.
-func (br BatchResult) Work() slm.Work {
-	var w slm.Work
-	for _, sw := range br.ShardWork {
-		w.Add(sw)
-	}
-	return w
-}
-
-// shardSearched is one batch searched on every shard, pre-merge.
-type shardSearched struct {
-	batch
-	sched *sched.Result // [shard][query in batch] matches + telemetry
-}
-
-// Stream is a continuous query pipeline over a Session: batches pushed
-// with Push flow through preprocess → per-shard search → merge stages and
-// come out of Results in push order, so several batches are in flight at
-// once. One goroutine pushes; any number may consume Results.
-type Stream struct {
-	session *Session
-	shards  []*slm.Index // snapshot, so Session.Close cannot race a live stream
-	pool    *sched.Pool  // snapshot, so Session.SetSchedule cannot race a live stream
-	ctx     context.Context
-	cancel  context.CancelFunc
-	in      chan batch
-	out     chan BatchResult
-
-	seq    int
-	pushed int
-
-	// inMu serializes the input side (Push, Close) so a concurrent
-	// Push/Close cannot panic on the closed channel; closed is read and
-	// written only under it.
-	inMu   sync.Mutex
-	closed bool
-
-	mu  sync.Mutex
-	err error
 }
 
 // verifyStore runs the deferred content verification of a mapped store
@@ -537,263 +489,103 @@ func (s *Session) verifyStore() error {
 	return s.verifyErr
 }
 
-// Stream opens a streaming pipeline over the session. Cancel ctx to abort:
-// every stage shuts down promptly and Err reports the cancellation.
+// searchBatch is the engine's whole data path, run on the caller's
+// goroutine: the paper's query preprocessing (top-N peaks, base-peak
+// normalization), the search of every (shard, query-chunk) task on the
+// scheduler pool, and the merge — every shard-local match the workers kept
+// (each cell already cut to what can reach the best TopK, see newPool) is
+// mapped to its global peptide through the mapping table, sorted and cut
+// to TopK. Results are invariant to the schedule; only the telemetry
+// records who did what. shards and pool are the caller's snapshot (see
+// each); offset is the batch's position in the query set.
+func (s *Session) searchBatch(ctx context.Context, shards []*slm.Index, pool *sched.Pool, offset int, qs []spectrum.Experimental) (BatchResult, error) {
+	qs = spectrum.PreprocessAll(qs, s.shape.Params.MaxQueryPeaks)
+	sr, err := pool.Run(ctx, shards, qs)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	br := BatchResult{
+		Offset:     offset,
+		PSMs:       make([][]PSM, len(qs)),
+		ShardWork:  make([]slm.Work, len(sr.Shards)),
+		ShardNanos: make([]int64, len(sr.Shards)),
+	}
+	for q := range qs {
+		n := 0
+		for m := range sr.Matches {
+			n += len(sr.Matches[m][q])
+		}
+		var merged []PSM // stays nil for a query nothing matched
+		if n > 0 {
+			merged = make([]PSM, 0, n)
+		}
+		for m := range sr.Matches {
+			for _, match := range sr.Matches[m][q] {
+				gidx, err := s.table.Lookup(m, match.Peptide)
+				if err != nil {
+					return BatchResult{}, fmt.Errorf("engine: mapping shard %d: %w", m, err)
+				}
+				merged = append(merged, PSM{
+					Peptide:   gidx,
+					Shared:    match.Shared,
+					Score:     match.Score,
+					Precursor: match.Precursor,
+					Origin:    s.shardSet.ShardIDs[m],
+				})
+			}
+		}
+		sortPSMs(merged)
+		if s.shape.TopK > 0 && len(merged) > s.shape.TopK {
+			merged = merged[:s.shape.TopK]
+		}
+		br.PSMs[q] = merged
+	}
+	s.record(len(qs), sr)
+	for m, sh := range sr.Shards {
+		br.ShardWork[m] = sh.Work
+		br.ShardNanos[m] = sh.Nanos
+	}
+	return br, nil
+}
+
+// each answers one query set: it searches queries in Schedule.BatchSize
+// slices, in order, and hands every merged batch to emit before searching
+// the next. It stops at the first error — searchBatch's or emit's — and
+// returns it. The shards, the pool and the batch size are snapshotted once
+// up front, so Close and SetSchedule cannot race a run in flight.
 //
-// For a session warm-started with mapped shards, the first Stream (or
-// Search) runs the store's deferred content verification and fails here
-// if the store is corrupt — after that one check, streams open with no
-// extra cost.
-func (s *Session) Stream(ctx context.Context) (*Stream, error) {
+// For a session warm-started with mapped shards, the first call runs the
+// store's deferred content verification and fails here if the store is
+// corrupt — after that one check, runs start with no extra cost.
+func (s *Session) each(ctx context.Context, queries []spectrum.Experimental, emit func(BatchResult) error) error {
 	if err := s.verifyStore(); err != nil {
-		return nil, err
+		return err
 	}
 	s.mu.Lock()
-	closed := s.closed
-	shards := s.shards
-	pool := s.pool
+	closed, shards, pool := s.closed, s.shards, s.pool
+	size := s.schedule.effectiveBatch(len(queries))
 	s.mu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("engine: session is closed")
+		return fmt.Errorf("engine: session is closed")
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	st := &Stream{
-		session: s,
-		shards:  shards,
-		pool:    pool,
-		ctx:     ctx,
-		cancel:  cancel,
-		in:      make(chan batch, pipeDepth),
-		out:     make(chan BatchResult, pipeDepth),
-	}
-	pp := preprocessStage(ctx, st.in, s.shape.Params.MaxQueryPeaks)
-	sr := st.searchShardsStage(pp)
-	go st.mergeLoop(sr)
-	return st, nil
-}
-
-// searchShardsStage runs each batch through the session's scheduler pool:
-// every (shard, query-chunk) task lands on one shared set of
-// ThreadsPerRank workers, which drain their home shard's deque and steal
-// from the fullest one when it runs dry. Results are invariant to the
-// schedule; only the telemetry records who did what.
-func (st *Stream) searchShardsStage(in <-chan batch) <-chan shardSearched {
-	out := make(chan shardSearched, pipeDepth)
-	go func() {
-		defer close(out)
-		for {
-			b, ok := recv(st.ctx, in)
-			if !ok {
-				return
-			}
-			res, err := st.pool.Run(st.ctx, st.shards, b.qs)
-			if err != nil {
-				return // cancelled; mergeLoop reports ctx.Err()
-			}
-			if !send(st.ctx, out, shardSearched{batch: b, sched: res}) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// mergeLoop is the stream's final stage: it maps every shard-local match
-// the workers kept (each cell already cut to what can reach the best
-// TopK, see newPool) to its global peptide through the mapping
-// table, sorts, applies TopK, and emits the merged batch.
-func (st *Stream) mergeLoop(in <-chan shardSearched) {
-	// Release the stream's derived context once the pipeline finishes, so
-	// long-lived parents don't accumulate one cancelCtx per stream served.
-	defer st.cancel()
-	defer close(st.out)
-	s := st.session
-	for {
-		ss, ok := recv(st.ctx, in)
-		if !ok {
-			if err := st.ctx.Err(); err != nil {
-				st.fail(err)
-			}
-			return
-		}
-		psms := make([][]PSM, len(ss.qs))
-		for q := range ss.qs {
-			n := 0
-			for m := range ss.sched.Matches {
-				n += len(ss.sched.Matches[m][q])
-			}
-			var merged []PSM // stays nil for a query nothing matched
-			if n > 0 {
-				merged = make([]PSM, 0, n)
-			}
-			for m := range ss.sched.Matches {
-				for _, match := range ss.sched.Matches[m][q] {
-					gidx, err := s.table.Lookup(m, match.Peptide)
-					if err != nil {
-						st.fail(fmt.Errorf("engine: mapping shard %d: %w", m, err))
-						return
-					}
-					merged = append(merged, PSM{
-						Peptide:   gidx,
-						Shared:    match.Shared,
-						Score:     match.Score,
-						Precursor: match.Precursor,
-						Origin:    s.shardSet.ShardIDs[m],
-					})
-				}
-			}
-			sortPSMs(merged)
-			if s.shape.TopK > 0 && len(merged) > s.shape.TopK {
-				merged = merged[:s.shape.TopK]
-			}
-			psms[q] = merged
-		}
-		s.record(len(ss.qs), ss.sched)
-		works := make([]slm.Work, len(ss.sched.Shards))
-		nanos := make([]int64, len(ss.sched.Shards))
-		for m, sh := range ss.sched.Shards {
-			works[m] = sh.Work
-			nanos[m] = sh.Nanos
-		}
-		br := BatchResult{
-			Seq:        ss.seq,
-			Offset:     ss.offset,
-			PSMs:       psms,
-			ShardWork:  works,
-			ShardNanos: nanos,
-		}
-		if !send(st.ctx, st.out, br) {
-			if err := st.ctx.Err(); err != nil {
-				st.fail(err)
-			}
-			return
-		}
-	}
-}
-
-// fail records the stream's first error and tears the pipeline down.
-func (st *Stream) fail(err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.mu.Unlock()
-	st.cancel()
-}
-
-// Push submits one batch of query spectra to the pipeline. It blocks only
-// when the pipeline is full, and returns ErrStreamClosed after Close or
-// the stream's error after cancellation. Pushes may race Close and Cancel
-// safely; concurrent Pushes are serialized but their batch order is then
-// unspecified, so a producer that needs deterministic offsets should keep
-// pushing from one goroutine.
-func (st *Stream) Push(qs []spectrum.Experimental) error {
-	st.inMu.Lock()
-	defer st.inMu.Unlock()
-	if st.closed {
-		return ErrStreamClosed
-	}
-	// Fail fast on an already-dead pipeline. This narrows — but cannot
-	// close — the window where a cancellation lands mid-send and a batch
-	// is accepted that no stage will consume; a producer needing exact
-	// accounting must pair Pushes with received BatchResults.
-	if st.ctx.Err() != nil {
-		if err := st.Err(); err != nil {
+	for off := 0; off < len(queries); off += size {
+		br, err := s.searchBatch(ctx, shards, pool, off, queries[off:min(off+size, len(queries))])
+		if err != nil {
 			return err
 		}
-		return st.ctx.Err()
-	}
-	b := batch{seq: st.seq, offset: st.pushed, qs: qs}
-	if !send(st.ctx, st.in, b) {
-		if err := st.Err(); err != nil {
-			return err
-		}
-		return st.ctx.Err()
-	}
-	st.seq++
-	st.pushed += len(qs)
-	return nil
-}
-
-// PushAll slices qs into size-query batches and pushes each one,
-// returning the first push error (size < 1 pushes a single batch).
-func (st *Stream) PushAll(qs []spectrum.Experimental, size int) error {
-	if size < 1 {
-		size = len(qs)
-	}
-	for off := 0; off < len(qs); off += size {
-		if err := st.Push(qs[off:min(off+size, len(qs))]); err != nil {
+		if err := emit(br); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close seals the input end of the stream: in-flight batches drain and
-// the Results channel closes after the last one. A second Close returns
-// ErrStreamClosed and does nothing. Close may race Push and Cancel; a
-// Push blocked on a full pipeline holds the input lock, so Close then
-// waits for it (cancel the stream to unblock both).
-func (st *Stream) Close() error {
-	st.inMu.Lock()
-	defer st.inMu.Unlock()
-	if st.closed {
-		return ErrStreamClosed
-	}
-	st.closed = true
-	close(st.in)
-	return nil
-}
-
-// Cancel aborts the stream immediately: every pipeline stage shuts down,
-// Results closes, and Err reports the cancellation. A consumer that
-// abandons Results before draining it must call Cancel (or cancel the
-// stream's context) — Close alone only ends the input side, leaving
-// in-flight batches blocked on the undrained output.
-func (st *Stream) Cancel() { st.cancel() }
-
-// Results returns the channel of merged batches, emitted in push order.
-// It is closed after Close once every in-flight batch has drained, or on
-// cancellation.
-func (st *Stream) Results() <-chan BatchResult { return st.out }
-
-// Err returns the first error the stream hit (nil while healthy). Check
-// it after Results closes.
-func (st *Stream) Err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
-}
-
-// streamAll opens a stream and feeds it the whole query set in
-// cfg.BatchSize batches from a goroutine of its own, sealing the input
-// after the last one; the caller drains Results. A push only fails once
-// the stream's context is cancelled, which the merge stage reports
-// through Err.
-func (s *Session) streamAll(ctx context.Context, queries []spectrum.Experimental) (*Stream, error) {
-	st, err := s.Stream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		defer st.Close()
-		st.PushAll(queries, s.Config().effectiveBatch(len(queries)))
-	}()
-	return st, nil
-}
-
-// Search runs one whole query set through a fresh stream and assembles
-// the master Result, exactly equal to RunSerial's reference output (up to
-// PSM Origin, which records the owning shard). The session's indexes are
-// reused as-is; nothing is rebuilt.
+// Search answers one whole query set and assembles the master Result,
+// exactly equal to RunSerial's reference output (up to PSM Origin, which
+// records the owning shard). The session's indexes are reused as-is;
+// nothing is rebuilt.
 func (s *Session) Search(ctx context.Context, queries []spectrum.Experimental) (*Result, error) {
 	start := time.Now()
-	st, err := s.streamAll(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-	defer st.cancel()
-
 	res := &Result{
 		PSMs:           make([][]PSM, len(queries)),
 		Stats:          append([]RankStats(nil), s.build...),
@@ -802,14 +594,15 @@ func (s *Session) Search(ctx context.Context, queries []spectrum.Experimental) (
 		PartitionNanos: s.partitionNs,
 		Groups:         s.groups,
 	}
-	for br := range st.Results() {
+	err := s.each(ctx, queries, func(br BatchResult) error {
 		copy(res.PSMs[br.Offset:], br.PSMs)
 		for m := range br.ShardWork {
 			res.Stats[m].Work.Add(br.ShardWork[m])
 			res.Stats[m].QueryNanos += br.ShardNanos[m]
 		}
-	}
-	if err := st.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

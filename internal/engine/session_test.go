@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -36,7 +37,7 @@ func requireSamePSMs(t *testing.T, label string, got, want [][]PSM) {
 }
 
 // TestSessionMatchesSerial is the tentpole equivalence guarantee: the
-// streaming Session returns PSMs exactly equal to the RunSerial reference
+// Session returns PSMs exactly equal to the RunSerial reference
 // for every policy × shard count × thread count × batch size combination.
 func TestSessionMatchesSerial(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 10, 2, 60)
@@ -144,12 +145,14 @@ func TestSessionServesRepeatedBatches(t *testing.T) {
 	}
 }
 
-// TestStreamOrderingAndEquivalence: batches pushed through a Stream come
-// out in push order with the offsets and contents Search would produce.
-func TestStreamOrderingAndEquivalence(t *testing.T) {
+// TestBatchesArriveInOrder: each hands its emit the batches of a query
+// set in order — contiguous offsets, BatchSize queries apiece — and their
+// union is what Search returns.
+func TestBatchesArriveInOrder(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 33)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
 	cfg.ThreadsPerRank = 2
+	cfg.BatchSize = 7
 	sess, err := NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,51 +164,81 @@ func TestStreamOrderingAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := sess.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uneven batch sizes exercise offset bookkeeping.
-	go func() {
-		defer st.Close()
-		sizes := []int{1, 7, 3, 12, 5, 100}
-		off := 0
-		for _, n := range sizes {
-			if off >= len(queries) {
-				return
-			}
-			end := off + n
-			if end > len(queries) {
-				end = len(queries)
-			}
-			if st.Push(queries[off:end]) != nil {
-				return
-			}
-			off = end
-		}
-	}()
-
 	got := make([][]PSM, len(queries))
-	seq := 0
 	covered := 0
-	for br := range st.Results() {
-		if br.Seq != seq {
-			t.Fatalf("batch seq %d arrived, want %d", br.Seq, seq)
-		}
+	err = sess.each(context.Background(), queries, func(br BatchResult) error {
 		if br.Offset != covered {
 			t.Fatalf("batch offset %d, want %d", br.Offset, covered)
 		}
+		if n, want := len(br.PSMs), min(cfg.BatchSize, len(queries)-covered); n != want {
+			t.Fatalf("batch at offset %d holds %d queries, want %d", br.Offset, n, want)
+		}
 		copy(got[br.Offset:], br.PSMs)
 		covered += len(br.PSMs)
-		seq++
-	}
-	if err := st.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if covered != len(queries) {
-		t.Fatalf("stream covered %d of %d queries", covered, len(queries))
+		t.Fatalf("each covered %d of %d queries", covered, len(queries))
 	}
-	requireSamePSMs(t, "stream", got, want.PSMs)
+	requireSamePSMs(t, "each", got, want.PSMs)
+}
+
+// TestEachStopsOnEmitError: emit's error ends the run and is what each
+// returns; no batch after the refused one is searched.
+func TestEachStopsOnEmitError(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 8, 2, 33)
+	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	cfg.BatchSize = 7
+	sess, err := NewSession(peptides, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	refused := errors.New("consumer gave up")
+	emitted := 0
+	before := sess.Batches()
+	err = sess.each(context.Background(), queries, func(BatchResult) error {
+		if emitted++; emitted == 2 {
+			return refused
+		}
+		return nil
+	})
+	if !errors.Is(err, refused) {
+		t.Fatalf("each returned %v, want emit's error", err)
+	}
+	if got := sess.Batches() - before; got != 2 {
+		t.Fatalf("%d batches searched for 2 emitted", got)
+	}
+}
+
+// TestSearchRunsOnCallersGoroutine: with one scheduler worker the whole
+// data path runs where Search was called — while a batch is being handed
+// over, no goroutine exists that did not before the call.
+func TestSearchRunsOnCallersGoroutine(t *testing.T) {
+	peptides, queries, _ := testDataset(t, 6, 2, 12)
+	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	cfg.ThreadsPerRank = 1
+	cfg.BatchSize = 5
+	sess, err := NewSession(peptides, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	base := runtime.NumGoroutine()
+	err = sess.each(context.Background(), queries, func(br BatchResult) error {
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("batch at offset %d: %d goroutines alive, %d before the call", br.Offset, n, base)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // waitForGoroutines polls until the goroutine count drops back to at most
@@ -224,61 +257,6 @@ func waitForGoroutines(t *testing.T, base int) {
 			t.Fatalf("goroutine leak: %d alive, want <= %d\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestStreamCancellation: cancelling a stream's context shuts every
-// pipeline stage down promptly and leaks no goroutines.
-func TestStreamCancellation(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 40)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
-	cfg.ThreadsPerRank = 2
-	cfg.BatchSize = 2
-	sess, err := NewSession(peptides, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	st, err := sess.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep pushing from the background until cancellation rejects a push.
-	pushDone := make(chan struct{})
-	go func() {
-		defer close(pushDone)
-		for {
-			if err := st.Push(queries); err != nil {
-				return
-			}
-		}
-	}()
-	// Let a few batches through, then pull the plug.
-	<-st.Results()
-	cancel()
-
-	select {
-	case <-pushDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Push did not unblock after cancellation")
-	}
-	drained := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-st.Results():
-			if !ok {
-				if err := st.Err(); err != context.Canceled {
-					t.Fatalf("stream error = %v, want context.Canceled", err)
-				}
-				waitForGoroutines(t, base)
-				return
-			}
-		case <-drained:
-			t.Fatal("Results did not close after cancellation")
-		}
 	}
 }
 
@@ -347,8 +325,9 @@ func TestSessionClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Close()
-	if _, err := sess.Stream(context.Background()); err == nil {
-		t.Error("Stream on closed session must fail")
+	emit := func(BatchResult) error { return nil }
+	if err := sess.each(context.Background(), queries, emit); err == nil {
+		t.Error("each on closed session must fail")
 	}
 	if _, err := sess.Search(context.Background(), queries); err == nil {
 		t.Error("Search on closed session must fail")
@@ -454,7 +433,7 @@ func benchCorpus(b *testing.B, n, nspectra int) ([]string, []spectrum.Experiment
 	return peptides, queries
 }
 
-// BenchmarkSessionSearch measures steady-state streaming search over a
+// BenchmarkSessionSearch measures steady-state search over a
 // prebuilt session at increasing database scales.
 func BenchmarkSessionSearch(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 50_000} {

@@ -546,8 +546,8 @@ type OpenOptions struct {
 	// co-located process serving the same store, and clean pages are
 	// reclaimable under memory pressure. Content verification — section
 	// CRCs and the manifest's whole-file CRCs — is deferred to the
-	// session's first query, so a corrupt store surfaces as a Search or
-	// Stream error instead of an open error, always before any result is
+	// session's first query, so a corrupt store surfaces as a Search
+	// error instead of an open error, always before any result is
 	// produced. Results are byte-identical either way. Where shards
 	// cannot be mapped (platforms without mmap) the bytes are read into
 	// the heap instead; Session.MappedShards reports the outcome.

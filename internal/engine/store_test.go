@@ -314,7 +314,8 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 }
 
 // TestSetSchedule: the whole value goes in — every field applied as given,
-// zeros included — and a stream already open keeps the pool it started on.
+// zeros included. SetSchedule swaps the pool; a Search started before it
+// finishes on the pool (and the batch size) it snapshotted.
 func TestSetSchedule(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 12)
 	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
@@ -324,11 +325,6 @@ func TestSetSchedule(t *testing.T) {
 	defer sess.Close()
 	ctx := context.Background()
 
-	st, err := sess.Stream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := st.pool
 	for _, sc := range []Schedule{
 		{ThreadsPerRank: 3, BatchSize: 5, ChunkSize: 16, Stealing: false, BuildWorkers: 2},
 		{}, // zeros are values, not "keep"
@@ -342,22 +338,31 @@ func TestSetSchedule(t *testing.T) {
 			t.Fatalf("SetSchedule(%+v): SchedulerStats.Stealing = %v", sc, got)
 		}
 	}
-	if st.pool != before || sess.pool == before {
-		t.Fatal("an open stream must keep its pool while the session moves to the new one")
-	}
-	if err := st.Push(queries); err != nil {
+
+	// One worker, five queries a batch; the schedule moves to three
+	// workers and one batch a set while the first batch is handed over.
+	sess.SetSchedule(Schedule{ThreadsPerRank: 1, BatchSize: 5, Stealing: true})
+	before, n := sess.pool, sess.Batches()
+	err = sess.each(ctx, queries, func(BatchResult) error {
+		sess.SetSchedule(Schedule{ThreadsPerRank: 3, Stealing: true})
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
-	for range st.Results() {
+	if sess.pool == before {
+		t.Fatal("SetSchedule must move the session to a new pool")
 	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	if got, want := sess.Batches()-n, int64((len(queries)+4)/5); got != want {
+		t.Fatalf("a run in flight ran %d batches, want the %d of the batch size it started with", got, want)
+	}
+	if got := len(sess.SchedulerStats().Workers); got != 1 {
+		t.Fatalf("a run in flight ran on %d workers, want the 1 of the pool it started with", got)
 	}
 
 	// BatchSize 0 is one batch per Search, however many queries.
 	sess.SetSchedule(Schedule{Stealing: true})
-	n := sess.Batches()
+	n = sess.Batches()
 	if _, err := sess.Search(ctx, queries); err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,17 @@ import (
 )
 
 // Keyer derives content-addressed cache keys. The prefix binds every key
-// to the serving context — the store digest plus the result-shaping
-// search knobs (topK, tolerances, policy) — so an entry is valid exactly
-// as long as the digest and knobs it was computed under: change either
-// and every old key becomes unreachable.
+// to the serving context — the store digest, which covers the database
+// and everything that shapes a result (engine.Shape: topK, tolerances,
+// policy) — so an entry is valid exactly as long as the digest it was
+// computed under: change it and every old key becomes unreachable.
 type Keyer struct {
 	prefix [sha256.Size]byte
 }
 
-// NewKeyer builds a Keyer over the serving context parts (store digest,
-// rendered knobs). Part boundaries are delimited so concatenations
-// cannot collide.
+// NewKeyer builds a Keyer over the serving context parts (the server and
+// the router pass the store digest alone). Part boundaries are delimited
+// so concatenations cannot collide.
 func NewKeyer(parts ...string) Keyer {
 	h := sha256.New()
 	for _, p := range parts {

@@ -1,7 +1,7 @@
 // Package qcache is the serving tier's content-addressed answer cache:
 // a byte-budgeted LRU of search results keyed on (canonical spectrum
-// hash × store digest × search knobs), with singleflight collapsing of
-// identical in-flight queries.
+// hash × store digest), with singleflight collapsing of identical
+// in-flight queries.
 //
 // At the traffic scale the ROADMAP targets, query streams are heavily
 // repeated and zipf-skewed, yet the engine happily re-runs the full

@@ -206,20 +206,20 @@ func (s *Server) dispatchBatch(live []*request) {
 		defer bcancel()
 		remaining := new(atomic.Int64)
 		remaining.Store(int64(len(live)))
-		for _, r := range live {
-			go func(rc context.Context) {
-				select {
-				case <-rc.Done():
-					if remaining.Add(-1) == 0 {
-						bcancel()
-					}
-				case <-bctx.Done():
+		stops := make([]func() bool, len(live))
+		for i, r := range live {
+			stops[i] = context.AfterFunc(r.ctx, func() {
+				if remaining.Add(-1) == 0 {
+					bcancel()
 				}
-			}(r.ctx)
+			})
 		}
 
 		res, err := s.searchFn(bctx, merged)
 		bcancel()
+		for _, stop := range stops {
+			stop()
+		}
 
 		off := 0
 		for _, r := range live {

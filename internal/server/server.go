@@ -1,6 +1,6 @@
 // Package server exposes a built engine.Session as a long-running HTTP
 // search service: the always-on serving shape the ROADMAP's north star
-// asks for, on top of the streaming engine from PR 1.
+// asks for, on top of the engine's Session.
 //
 // The service admits POST /search requests (JSON spectra) through a
 // bounded queue, coalesces concurrent small requests into merged engine

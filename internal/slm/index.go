@@ -483,27 +483,3 @@ func (ix *Index) bucketRange(mz float64) (lo, hi uint32) {
 // benchmarks and equivalence tests that measure the two strategies
 // against each other. It must not be flipped concurrently with Search.
 func (ix *Index) SetFullScan(v bool) { ix.fullScan = v }
-
-// WithPrecursorTol returns a read-only view of the index whose searches
-// run under tol instead of the built-in precursor tolerance, sharing
-// every array with the receiver (nothing is copied or rebuilt — the
-// index's content does not depend on the query-time precursor window).
-// The view does not own the receiver's mapping, so it must not outlive
-// it; a mapped receiver is verified here so the view never needs to.
-func (ix *Index) WithPrecursorTol(tol mass.Tolerance) (*Index, error) {
-	if err := ix.Verify(); err != nil {
-		return nil, err
-	}
-	p := ix.params
-	p.PrecursorTol = tol
-	return &Index{
-		params:     p,
-		rows:       ix.rows,
-		offsets:    ix.offsets,
-		ids:        ix.ids,
-		perm:       ix.perm,
-		precs:      ix.precs,
-		numBuckets: ix.numBuckets,
-		buildPeak:  ix.buildPeak,
-	}, nil
-}

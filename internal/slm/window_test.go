@@ -137,46 +137,3 @@ func TestWindowedScanMapped(t *testing.T) {
 		}
 	}
 }
-
-// TestWithPrecursorTol: a tolerance-overridden view must behave exactly
-// like an index built with that tolerance, and leave its parent intact.
-func TestWithPrecursorTol(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	peps := randPeptides(rng, 40)
-	open := DefaultParams()
-	open.Mods.MaxPerPep = 1
-	open.PrecursorTol = mass.Open()
-	parent, err := Build(peps, open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowParams := open
-	narrowParams.PrecursorTol = mass.Da(0.5)
-	want, err := Build(peps, narrowParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := parent.WithPrecursorTol(mass.Da(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.Params().PrecursorTol != (mass.Da(0.5)) {
-		t.Fatalf("view tolerance = %+v", view.Params().PrecursorTol)
-	}
-	if !parent.Params().PrecursorTol.IsOpen() {
-		t.Fatal("WithPrecursorTol mutated its parent")
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := noisyQuery(rng, peps[rng.Intn(len(peps))])
-		a, _ := view.Search(q, 0, nil)
-		b, _ := want.Search(q, 0, nil)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d vs %d matches", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d match %d: %+v vs %+v", trial, i, a[i], b[i])
-			}
-		}
-	}
-}

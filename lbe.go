@@ -9,8 +9,8 @@
 //     modification variants, synthetic data generation;
 //   - the SLM fragment-ion index and its search parameters;
 //   - the LBE layer: peptide grouping, partition policies, mapping table;
-//   - the streaming Session API: build the partitioned engine once, then
-//     serve repeated query batches through a channel-based pipeline;
+//   - the Session API: build the partitioned engine once, then answer
+//     any number of query sets with Search;
 //   - the distributed engine over in-process or TCP communicators;
 //   - the load-balance metrics of the paper's evaluation.
 //
@@ -135,13 +135,6 @@ func BuildIndex(peptides []string, params SearchParams) (*Index, error) {
 	return slm.Build(peptides, params)
 }
 
-// BuildIndexWorkers constructs the index with an explicit construction
-// worker count (0 means one per core). The result is byte-identical for
-// every worker count.
-func BuildIndexWorkers(peptides []string, params SearchParams, workers int) (*Index, error) {
-	return slm.BuildWorkers(peptides, params, workers)
-}
-
 // SaveIndex writes an index to the named file in the checksummed SLMX
 // binary format.
 func SaveIndex(ix *Index, path string) error { return ix.SaveFile(path) }
@@ -202,11 +195,11 @@ func BuildMappingTable(g Grouping, p Partition) MappingTable {
 	return core.BuildMappingTable(g, p)
 }
 
-// --- streaming sessions ---
+// --- sessions ---
 
 // Session owns a built search engine (grouping, partition, one SLM index
-// per shard, mapping table) and serves repeated streaming query batches
-// without rebuilding — the shape a traffic-serving deployment needs.
+// per shard, mapping table) and answers repeated query sets without
+// rebuilding — the shape a traffic-serving deployment needs.
 // Query batches execute on a work-stealing worker pool (internal/sched):
 // results are invariant to the schedule, and Session.SchedulerStats
 // reports the per-worker balance and steal telemetry.
@@ -216,25 +209,14 @@ type Session = engine.Session
 // execution layer (per-worker work/wall-time, steals, chunk counters).
 type SchedulerStats = engine.SchedulerStats
 
-// ErrStreamClosed is returned by Stream.Push after Close and by a
-// redundant Stream.Close.
-var ErrStreamClosed = engine.ErrStreamClosed
-
 // SessionConfig configures a Session: engine knobs plus the shard count.
 type SessionConfig = engine.SessionConfig
-
-// Stream is a continuous query pipeline over a Session: push batches in,
-// receive merged results in push order while later batches are searched.
-type Stream = engine.Stream
-
-// BatchResult is one merged batch emitted by a Stream.
-type BatchResult = engine.BatchResult
 
 // DefaultSessionConfig returns a traffic-serving setup: the paper's
 // cyclic policy, one shard, one search thread per core, 256-query batches.
 func DefaultSessionConfig() SessionConfig { return engine.DefaultSessionConfig() }
 
-// NewSession builds a reusable streaming search session over the peptide
+// NewSession builds a reusable search session over the peptide
 // database. Results are identical to RunSerial for every policy, shard
 // count, thread count and batch size.
 func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
