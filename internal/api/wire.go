@@ -5,10 +5,20 @@
 // package the types lived in internal/server and were re-declared inline
 // by every consumer; now server, router, client, bench and tests all
 // import one definition, so the wire format cannot drift between them.
+//
+// The /search path runs through a reflection-free codec:
+// DecodeSearchRequest turns a request body into sorted, validated
+// spectra in one pass (lbe-serve searches them, lbe-router keys its
+// cache on them), and AppendSearchResponse renders a reply into a
+// caller's buffer (lbe-serve's answers, lbe-router's merges). Both are
+// held to encoding/json — the same bodies accepted, the same values,
+// the same reply bytes — by FuzzDecodeSearchRequest and
+// FuzzAppendSearchResponse.
 package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -316,4 +326,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError renders an ErrorResponse with the given status.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// WriteBodyError answers a request whose body could not be read: 413
+// when it ran past the limit of its http.MaxBytesReader, 400 otherwise.
+func WriteBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the limit of %d bytes", tooLarge.Limit)
+		return
+	}
+	WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 }

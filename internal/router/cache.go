@@ -1,12 +1,10 @@
 package router
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"lbe/internal/api"
 	"lbe/internal/qcache"
-	"lbe/internal/spectrum"
 )
 
 // The router's answer cache stores whole rendered response bodies under
@@ -23,23 +21,16 @@ import (
 // observable in the counters.
 
 // cacheKey canonicalizes one raw /search body into a cache key: the
-// request is decoded and each spectrum normalized exactly as a replica
-// would (sorted peaks, validation), so textually different encodings of
-// the same request share an entry. ok is false when the body does not
-// decode, a spectrum is invalid, or no cluster digest is known — those
-// requests are forwarded uncached (the holder owns the error reply).
+// request is decoded by the function a replica decodes it with
+// (api.DecodeSearchRequest: sorted peaks, validation), so textually
+// different encodings of the same request share an entry. ok is false
+// when the body does not decode, holds no spectra, or no cluster digest
+// is known — those requests are forwarded uncached (the holder owns the
+// error reply).
 func (rt *Router) cacheKey(body []byte) (string, bool) {
-	var req api.SearchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Spectra) == 0 {
+	qs, err := api.DecodeSearchRequest(body)
+	if err != nil || len(qs) == 0 {
 		return "", false
-	}
-	qs := make([]spectrum.Experimental, len(req.Spectra))
-	for i, sj := range req.Spectra {
-		e, err := sj.Experimental()
-		if err != nil {
-			return "", false
-		}
-		qs[i] = e
 	}
 	rt.mu.RLock()
 	digest := rt.clusterDigest

@@ -266,3 +266,37 @@ func TestRouterCacheDigestFlipInvalidates(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedRouterRejectsTrailingBytes: a body with bytes after the
+// request object does not decode into a cache key, so it goes to a
+// replica uncached — and the replica, which decodes with the same
+// function, answers 400, which the router relays.
+func TestCachedRouterRejectsTrailingBytes(t *testing.T) {
+	c := testCorpus(t)
+	r := startCachedReplica(t, c)
+	cfg := fastProbes()
+	cfg.CacheBytes = 4 << 20
+	rt, ts := testRouter(t, cfg, r.ts.URL)
+
+	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{api.FromExperimental(c.queries[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" garbage", "{}", "]"} {
+		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(string(one)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body followed by %q: status %d, want 400; body %s", tail, resp.StatusCode, data)
+		}
+	}
+	if st := rt.Stats(); st.Cache.Entries != 0 || st.Cache.Hits+st.Cache.Misses != 0 {
+		t.Fatalf("undecodable bodies touched the router cache: %+v", st.Cache)
+	}
+	if status, data := postRaw(t, ts.Client(), ts.URL, c.queries[0]); status != http.StatusOK {
+		t.Fatalf("the same body without trailing bytes: status %d: %s", status, data)
+	}
+}

@@ -425,7 +425,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
+		api.WriteBodyError(w, err)
 		return
 	}
 

@@ -682,3 +682,30 @@ func TestRouterRelaysFinalRetryableReply(t *testing.T) {
 		t.Fatal("a 429 must not mark the replica down")
 	}
 }
+
+// TestRouterOversizedBodyIs413: a body past MaxBodyBytes is refused at
+// the router with 413, as a replica refuses it, and never forwarded.
+func TestRouterOversizedBodyIs413(t *testing.T) {
+	f := startFake(t, "d", 0, true)
+	cfg := fastProbes()
+	cfg.MaxBodyBytes = 4096
+	_, ts := testRouter(t, cfg, f.ts.URL)
+
+	// Valid JSON padded past the limit: only the limit can refuse it.
+	padded := append(append([]byte(nil), searchBody...), bytes.Repeat([]byte(" "), 5000)...)
+	resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body over a 4096-byte limit: status %d, want 413; body %s", len(padded), resp.StatusCode, data)
+	}
+	if got := f.searches.Load(); got != 0 {
+		t.Fatalf("an oversized body reached the replica %d times", got)
+	}
+	if status := postBody(t, ts.Client(), ts.URL); status != http.StatusOK {
+		t.Fatalf("a body within the limit: status %d", status)
+	}
+}

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -278,24 +277,22 @@ func (rt *Router) scatterSearch(w http.ResponseWriter, r *http.Request, body []b
 // response; on failure it writes the 502 itself and reports false.
 func (rt *Router) mergeReplies(w http.ResponseWriter, replies []setReply, topK int) ([]byte, bool) {
 	parts := make([]api.SearchResponse, len(replies))
+	size := 0
 	for s, rep := range replies {
 		if err := json.Unmarshal(rep.data, &parts[s]); err != nil {
 			api.WriteError(w, http.StatusBadGateway, "shard-set %d returned an undecodable body: %v", s, err)
 			return nil, false
 		}
+		size += len(rep.data)
 	}
 	merged, err := api.MergeSearchResponses(parts, topK)
 	if err != nil {
 		api.WriteError(w, http.StatusBadGateway, "gather: %v", err)
 		return nil, false
 	}
-	// Encode exactly as api.WriteJSON does (json.Encoder, so the body is
-	// newline-terminated): the merged bytes must be indistinguishable
-	// from a whole-store replica's, cached or not.
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(merged); err != nil {
-		api.WriteError(w, http.StatusInternalServerError, "encoding merged response: %v", err)
-		return nil, false
-	}
-	return buf.Bytes(), true
+	// Rendered with the replicas' own encoder, which writes
+	// json.Encoder's bytes: the merged body must be indistinguishable
+	// from a whole-store replica's, cached or not. The merge keeps a
+	// subset of the replies' rows, so their total size sizes the buffer.
+	return api.AppendSearchResponse(make([]byte, 0, size), merged), true
 }

@@ -24,8 +24,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -237,37 +237,70 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// bodyBuffers recycles the buffers /search bodies are read into and
+// their replies rendered into.
+var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds the buffers bodyBuffers keeps: one outsized
+// request must not pin its body's memory in the pool.
+const maxPooledBody = 64 << 10
+
+// recycleBody returns buf to bodyBuffers unless it grew past
+// maxPooledBody.
+func recycleBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyBuffers.Put(buf)
+	}
+}
+
+// readBody appends r's bytes to b until EOF, growing b as io.ReadAll
+// does.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
 // handleSearch decodes one search request, admits it through the bounded
-// queue, and waits for its slice of a merged batch.
+// queue, and waits for its slice of a merged batch. The body is read
+// into a pooled buffer, which the reply is then rendered into.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		api.WriteError(w, http.StatusMethodNotAllowed, "POST a SearchRequest JSON body")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req api.SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := bodyBuffers.Get().(*[]byte)
+	defer recycleBody(buf)
+	body, err := readBody((*buf)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	*buf = body
+	if err != nil {
+		api.WriteBodyError(w, err)
+		return
+	}
+	qs, err := api.DecodeSearchRequest(body)
+	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(req.Spectra) == 0 {
+	if len(qs) == 0 {
 		api.WriteError(w, http.StatusBadRequest, "request has no spectra")
 		return
 	}
-	if len(req.Spectra) > s.cfg.MaxQueriesPerRequest {
+	if len(qs) > s.cfg.MaxQueriesPerRequest {
 		api.WriteError(w, http.StatusRequestEntityTooLarge,
-			"%d spectra exceeds the per-request limit of %d", len(req.Spectra), s.cfg.MaxQueriesPerRequest)
+			"%d spectra exceeds the per-request limit of %d", len(qs), s.cfg.MaxQueriesPerRequest)
 		return
-	}
-	qs := make([]spectrum.Experimental, len(req.Spectra))
-	for i, sj := range req.Spectra {
-		e, err := sj.Experimental()
-		if err != nil {
-			api.WriteError(w, http.StatusBadRequest, "spectrum %d: %v", i, err)
-			return
-		}
-		qs[i] = e
 	}
 
 	ctx := r.Context()
@@ -279,7 +312,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	psms, err := s.search(ctx, qs)
 	switch {
 	case err == nil:
-		api.WriteJSON(w, http.StatusOK, api.BuildSearchResponse(qs, psms, s.peptides))
+		// The spectra hold no reference into the body, so its buffer
+		// takes the reply.
+		*buf = api.AppendSearchResponse(body[:0], api.BuildSearchResponse(qs, psms, s.peptides))
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(*buf)
 	case errors.Is(err, ErrDraining):
 		api.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 	case errors.Is(err, ErrQueueFull):

@@ -535,6 +535,71 @@ func TestRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid spectrum: status %d, want 400; body %s", resp.StatusCode, body)
 	}
+
+	// A body past MaxBodyBytes is 413, like too many spectra: the
+	// request is well formed, only too big. The padding keeps it valid
+	// JSON, so nothing but the limit can refuse it.
+	small := New(sess, c.peptides, Config{MaxBodyBytes: 4096})
+	defer small.Close()
+	smallTS := httptest.NewServer(small.Handler())
+	defer smallTS.Close()
+	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(one, bytes.Repeat([]byte(" "), 5000)...)
+	resp, err = smallTS.Client().Post(smallTS.URL+"/search", "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "4096 bytes") {
+		t.Errorf("%d-byte body over a 4096-byte limit: status %d, want 413; body %s", len(padded), resp.StatusCode, body)
+	}
+}
+
+// TestRequestRejectsTrailingBytes: anything but whitespace after the
+// request object is a 400 — the whole body is the request, not just its
+// first JSON value.
+func TestRequestRejectsTrailingBytes(t *testing.T) {
+	c := testCorpus(t)
+	sess := testSession(t, c, 1)
+	srv := New(sess, c.peptides, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.queries[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", " \n\t", " garbage", "{}", "]"} {
+		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(string(one)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := http.StatusBadRequest
+		if strings.TrimSpace(tail) == "" {
+			want = http.StatusOK
+		}
+		if resp.StatusCode != want {
+			t.Errorf("body followed by %q: status %d, want %d; body %s", tail, resp.StatusCode, want, body)
+		}
+	}
+}
+
+// TestOutsizedBodyBufferNotPooled: a buffer that grew past
+// maxPooledBody is dropped, so one large request cannot pin its body's
+// memory in the pool.
+func TestOutsizedBodyBufferNotPooled(t *testing.T) {
+	big := make([]byte, 0, maxPooledBody+1)
+	recycleBody(&big)
+	if got := bodyBuffers.Get().(*[]byte); got == &big {
+		t.Fatal("a buffer over maxPooledBody went back to the pool")
+	}
 }
 
 // TestHealthAndStatsEndpoints exercises the operational endpoints before

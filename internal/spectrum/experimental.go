@@ -2,7 +2,7 @@ package spectrum
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Peak is one (m/z, intensity) pair of an experimental spectrum.
@@ -52,7 +52,19 @@ func (e Experimental) Validate() error {
 	return nil
 }
 
-// SortPeaks orders the peak list by ascending m/z in place.
+// SortPeaks orders the peak list by ascending m/z in place, without
+// allocating. Peaks of equal m/z land in the order sort.Slice with a
+// `<` comparison gives them: the comparator is negative exactly when
+// a.MZ < b.MZ, and "is it negative" is the only question pdqsort asks,
+// so both run the same swaps.
 func (e *Experimental) SortPeaks() {
-	sort.Slice(e.Peaks, func(i, j int) bool { return e.Peaks[i].MZ < e.Peaks[j].MZ })
+	slices.SortFunc(e.Peaks, func(a, b Peak) int {
+		switch {
+		case a.MZ < b.MZ:
+			return -1
+		case a.MZ > b.MZ:
+			return 1
+		}
+		return 0
+	})
 }

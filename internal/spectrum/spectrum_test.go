@@ -170,6 +170,50 @@ func TestSortPeaks(t *testing.T) {
 	}
 }
 
+// TestSortPeaksMatchesSortSlice: ties keep the exact permutation the
+// former sort.Slice implementation produced, so generated corpora and
+// pinned answer digests do not move. Intensities tell tied peaks apart;
+// sizes span pdqsort's insertion-sort, ninther and pattern-breaking
+// regimes.
+func TestSortPeaksMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 7, 12, 13, 33, 50, 129, 1000, 5000} {
+		for _, distinct := range []int{1, 3, 17, n} {
+			peaks := make([]Peak, n)
+			for i := range peaks {
+				peaks[i] = Peak{MZ: float64(100 + rng.Intn(distinct)), Intensity: float64(i)}
+			}
+			rng.Shuffle(n, func(i, j int) { peaks[i], peaks[j] = peaks[j], peaks[i] })
+			want := append([]Peak(nil), peaks...)
+			sort.Slice(want, func(i, j int) bool { return want[i].MZ < want[j].MZ })
+			e := Experimental{Peaks: peaks}
+			e.SortPeaks()
+			for i := range want {
+				if e.Peaks[i] != want[i] {
+					t.Fatalf("n=%d distinct=%d: peak %d = %v, sort.Slice gives %v", n, distinct, i, e.Peaks[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSortPeaksZeroAlloc: sorting runs on every /search request's decode
+// path and must not allocate.
+func TestSortPeaksZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	src := make([]Peak, 200)
+	for i := range src {
+		src[i] = Peak{MZ: rng.Float64() * 2000, Intensity: rng.Float64()}
+	}
+	e := Experimental{Peaks: make([]Peak, len(src))}
+	if n := testing.AllocsPerRun(50, func() {
+		copy(e.Peaks, src)
+		e.SortPeaks()
+	}); n != 0 {
+		t.Errorf("SortPeaks allocates %.1f times per run, want 0", n)
+	}
+}
+
 func TestPreprocessTopN(t *testing.T) {
 	e := Experimental{Peaks: []Peak{
 		{100, 5}, {110, 50}, {120, 1}, {130, 100}, {140, 20},
