@@ -85,7 +85,6 @@ func main() {
 		stale    = flag.Duration("stale", 0, "load snapshot age beyond which dispatch falls back to round-robin (0 = 3x probe interval)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown grace period")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "merged-response cache byte budget (0 disables caching)")
-		cacheTTL = flag.Duration("cache-ttl", 0, "cache entry TTL (0 = until evicted or digest change)")
 	)
 	flag.Parse()
 
@@ -104,7 +103,6 @@ func main() {
 		FailoverRetries: *retries,
 		StatsStaleAfter: *stale,
 		CacheBytes:      *cacheB,
-		CacheTTL:        *cacheTTL,
 	})
 	if err != nil {
 		log.Fatal(err)

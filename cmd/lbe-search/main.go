@@ -62,7 +62,6 @@ func main() {
 		weights = flag.String("weights", "", "comma-separated machine speeds for heterogeneous clusters")
 		withFDR = flag.Bool("fdr", false, "append reversed decoys and report q-values per PSM")
 		fdrCut  = flag.Float64("fdr-threshold", 0.01, "FDR acceptance threshold reported with -fdr")
-		noWin   = flag.Bool("full-scan", false, "disable the precursor-windowed postings scan (byte-identical results; for benchmarking and equivalence gates)")
 	)
 	flag.Parse()
 	if *ms2In == "" {
@@ -156,10 +155,6 @@ func main() {
 		stop()
 	}()
 
-	if *noWin && (*serial || *tcp) {
-		log.Fatal("-full-scan applies to session modes only (it toggles the session's shard kernels)")
-	}
-
 	start := time.Now()
 	var res *lbe.Result
 	switch {
@@ -168,7 +163,6 @@ func main() {
 	case *tcp:
 		res, err = lbe.RunOverTCP(ctx, *ranks, peptides, queries, cfg)
 	case sess != nil: // warm-started from -index
-		sess.SetFullScan(*noWin)
 		res, err = sess.Search(ctx, queries)
 	default:
 		sess, err = lbe.NewSession(peptides, lbe.SessionConfig{Config: cfg, Shards: *ranks})
@@ -176,7 +170,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer sess.Close()
-		sess.SetFullScan(*noWin)
 		log.Printf("session ready: %d shards, %d groups, index %.2f MB, built in %v",
 			sess.NumShards(), sess.Groups(), float64(sess.IndexBytes())/(1<<20),
 			time.Since(start).Round(time.Millisecond))

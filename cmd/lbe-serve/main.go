@@ -70,7 +70,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 disables)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown grace period")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "answer cache byte budget (0 disables caching)")
-		cacheTTL = flag.Duration("cache-ttl", 0, "answer cache entry TTL (0 = until evicted)")
 	)
 	flag.Parse()
 	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch, ChunkSize: *chunk, Stealing: *steal}
@@ -150,7 +149,6 @@ func main() {
 		MaxInFlight:    *inflight,
 		RequestTimeout: *timeout,
 		CacheBytes:     *cacheB,
-		CacheTTL:       *cacheTTL,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

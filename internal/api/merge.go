@@ -2,53 +2,34 @@ package api
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"lbe/internal/engine"
 )
 
 // Scatter/gather merge: a scatter router fans one /search body to one
 // holder per shard-set and gathers one SearchResponse per set. Because a
 // peptide lives in exactly one shard of exactly one set, the per-set
-// responses are disjoint candidate lists; re-sorting their union with
-// the engine's deterministic comparator and truncating to the session's
-// TopK reproduces — byte for byte — the response a single whole-store
-// session would have rendered:
+// responses are disjoint candidate lists; re-sorting their union by the
+// engine's one PSM order and truncating to the session's TopK reproduces
+// — byte for byte — the response a single whole-store session would have
+// rendered:
 //
 //   - the per-set top-K union contains the global top-K (a globally
 //     top-K PSM is top-K within its own set a fortiori);
-//   - the comparator (Score desc, Peptide asc, Precursor asc, Shared
-//     desc) mirrors the engine's sortPSMs, and PSMs tying on all four
-//     keys render identical rows (Sequence and Shard are functions of
-//     Peptide), so any tie order yields the same bytes;
+//   - the order is engine.ComparePSM read through the four rendered
+//     fields it compares, and PSMs tying on all four render identical
+//     rows (Sequence and Shard are functions of Peptide), so any tie
+//     order yields the same bytes;
 //   - float64 JSON round-trips exactly (shortest-representation
 //     marshaling), so decode → merge → re-encode preserves every score.
 
-// SortPSMs orders wire PSMs with the engine's deterministic comparator
-// (engine sortPSMs on the rendered fields): Score descending, then
-// Peptide, then Precursor ascending, then Shared descending. It is the
-// ordering every /search response already arrives in; the scatter merge
-// re-applies it to the per-set union.
-func SortPSMs(psms []PSMJSON) {
-	sort.Slice(psms, func(i, j int) bool {
-		a, b := psms[i], psms[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Peptide != b.Peptide {
-			return a.Peptide < b.Peptide
-		}
-		if a.Precursor != b.Precursor {
-			return a.Precursor < b.Precursor
-		}
-		return a.Shared > b.Shared
-	})
-}
-
 // MergeSearchResponses gathers one per-shard-set /search response into
 // the response a whole-store session would produce: per query, the
-// per-set PSM lists are concatenated, re-sorted with SortPSMs, and
-// truncated to topK (topK <= 0 keeps everything). Every part must carry
-// the same number of results with the same scans in the same order —
-// anything else means the sets answered different requests, and the
+// per-set PSM lists are concatenated, re-sorted by engine.ComparePSM,
+// and truncated to topK (topK <= 0 keeps everything). Every part must
+// carry the same number of results with the same scans in the same order
+// — anything else means the sets answered different requests, and the
 // merge refuses rather than guess.
 func MergeSearchResponses(parts []SearchResponse, topK int) (SearchResponse, error) {
 	if len(parts) == 0 {
@@ -78,7 +59,11 @@ func MergeSearchResponses(parts []SearchResponse, topK int) (SearchResponse, err
 		for _, p := range parts {
 			merged = append(merged, p.Results[q].PSMs...)
 		}
-		SortPSMs(merged)
+		slices.SortFunc(merged, func(a, b PSMJSON) int {
+			return engine.ComparePSM(
+				engine.PSM{Peptide: a.Peptide, Shared: a.Shared, Score: a.Score, Precursor: a.Precursor},
+				engine.PSM{Peptide: b.Peptide, Shared: b.Shared, Score: b.Score, Precursor: b.Precursor})
+		})
 		if topK > 0 && len(merged) > topK {
 			merged = merged[:topK]
 		}

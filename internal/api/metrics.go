@@ -59,7 +59,7 @@ func (m *metricsWriter) appendStats(st *StatsResponse) {
 	m.simple("lbe_index_bytes", "Resident shard-index bytes.", "gauge", float64(st.IndexBytes))
 	m.simple("lbe_mapping_bytes", "Master mapping table bytes.", "gauge", float64(st.MappingBytes))
 	m.simple("lbe_queries_searched_total", "Queries served over the session lifetime.", "counter", float64(st.Searched))
-	m.simple("lbe_pruned_postings_total", "Postings skipped by the precursor-windowed scan (full-scan work avoided).", "counter", float64(st.PrunedPostings))
+	m.simple("lbe_pruned_postings_total", "Postings outside the precursor window, skipped unvisited.", "counter", float64(st.PrunedPostings))
 	m.simple("lbe_session_batches_total", "Merged pipeline batches the engine executed.", "counter", float64(st.SessionBatches))
 	m.simple("lbe_requests_accepted_total", "Requests admitted through the bounded queue.", "counter", float64(st.Accepted))
 
@@ -148,7 +148,7 @@ func (m *metricsWriter) appendStats(st *StatsResponse) {
 func (m *metricsWriter) appendCache(prefix string, cs *CacheStatsJSON) {
 	m.simple(prefix+"_hits_total", "Answer cache hits.", "counter", float64(cs.Hits))
 	m.simple(prefix+"_misses_total", "Answer cache misses (caller computed the value).", "counter", float64(cs.Misses))
-	m.simple(prefix+"_evictions_total", "Entries evicted by the byte budget or TTL.", "counter", float64(cs.Evictions))
+	m.simple(prefix+"_evictions_total", "Entries evicted by the byte budget.", "counter", float64(cs.Evictions))
 	m.simple(prefix+"_singleflight_collapsed_total", "Duplicate in-flight queries collapsed onto one computation.", "counter", float64(cs.Collapsed))
 	m.simple(prefix+"_invalidated_total", "Entries dropped by digest-driven invalidation.", "counter", float64(cs.Invalidated))
 	m.simple(prefix+"_entries", "Resident answer cache entries.", "gauge", float64(cs.Entries))

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 )
 
 // Policy selects how the clustered peptide order is distributed across the
@@ -91,81 +90,19 @@ type Partition struct {
 	Assign [][]int
 }
 
-// PartitionClustered distributes n clustered positions over p machines.
-// The grouping is required by the group-aware policies and for n.
+// PartitionClustered distributes n clustered positions over p machines:
+// PartitionWeighted with p equal weights, which deals each policy exactly
+// as the paper describes it (contiguous chunks, round-robin from machine
+// 0, and so on).
 func PartitionClustered(g Grouping, p int, policy Policy, seed int64) (Partition, error) {
 	if p < 1 {
 		return Partition{}, fmt.Errorf("core: machine count %d must be >= 1", p)
 	}
-	n := len(g.Order)
-	part := Partition{Policy: policy, P: p, Assign: make([][]int, p)}
-
-	switch policy {
-	case Chunk:
-		// pep(m) = { i | N/p * m <= i < N/p * (m+1) } with remainder spread
-		// over the leading machines.
-		base, rem := n/p, n%p
-		pos := 0
-		for m := 0; m < p; m++ {
-			sz := base
-			if m < rem {
-				sz++
-			}
-			part.Assign[m] = makeRange(pos, pos+sz)
-			pos += sz
-		}
-
-	case Cyclic:
-		// pep(m) = { i | i mod p == m } over the clustered order.
-		for m := 0; m < p; m++ {
-			part.Assign[m] = make([]int, 0, n/p+1)
-		}
-		for i := 0; i < n; i++ {
-			m := i % p
-			part.Assign[m] = append(part.Assign[m], i)
-		}
-
-	case Random:
-		// chunk(shuffle(i)): shuffle the whole clustered order, then chunk.
-		perm := rand.New(rand.NewSource(seed)).Perm(n)
-		base, rem := n/p, n%p
-		pos := 0
-		for m := 0; m < p; m++ {
-			sz := base
-			if m < rem {
-				sz++
-			}
-			part.Assign[m] = append([]int(nil), perm[pos:pos+sz]...)
-			pos += sz
-		}
-
-	case RandomWithinGroups:
-		// Shuffle within each group, then deal each group's members to
-		// machines round-robin starting at a rotating offset so small
-		// groups do not always favor machine 0.
-		rng := rand.New(rand.NewSource(seed))
-		for m := 0; m < p; m++ {
-			part.Assign[m] = make([]int, 0, n/p+1)
-		}
-		start := 0
-		rot := 0
-		for _, sz := range g.Sizes {
-			members := makeRange(start, start+sz)
-			rng.Shuffle(len(members), func(i, j int) {
-				members[i], members[j] = members[j], members[i]
-			})
-			for k, pos := range members {
-				m := (rot + k) % p
-				part.Assign[m] = append(part.Assign[m], pos)
-			}
-			rot = (rot + sz) % p
-			start += sz
-		}
-
-	default:
-		return Partition{}, fmt.Errorf("core: unknown policy %v", policy)
+	weights := make([]float64, p)
+	for m := range weights {
+		weights[m] = 1
 	}
-	return part, nil
+	return PartitionWeighted(g, weights, policy, seed)
 }
 
 func makeRange(lo, hi int) []int {

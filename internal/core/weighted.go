@@ -12,8 +12,9 @@ import (
 // twice as fast receives twice the peptides, so equal *time* per machine
 // replaces equal *count*.
 //
-// Uniform weights reduce every policy to its PartitionClustered
-// counterpart (cyclic dealing order, contiguous chunks, and so on).
+// PartitionClustered is this function with equal weights: Cyclic then
+// deals i mod p, and Chunk cuts N/p blocks with the remainder on the
+// leading machines.
 func PartitionWeighted(g Grouping, weights []float64, policy Policy, seed int64) (Partition, error) {
 	p := len(weights)
 	if p < 1 {
@@ -31,6 +32,7 @@ func PartitionWeighted(g Grouping, weights []float64, policy Policy, seed int64)
 
 	switch policy {
 	case Chunk:
+		// Contiguous blocks of the clustered order.
 		sizes := apportion(n, weights, sum)
 		pos := 0
 		for m := 0; m < p; m++ {
@@ -51,6 +53,7 @@ func PartitionWeighted(g Grouping, weights []float64, policy Policy, seed int64)
 		}
 
 	case Random:
+		// chunk(shuffle(i)): shuffle the whole clustered order, then chunk.
 		perm := rand.New(rand.NewSource(seed)).Perm(n)
 		sizes := apportion(n, weights, sum)
 		pos := 0
@@ -60,6 +63,9 @@ func PartitionWeighted(g Grouping, weights []float64, policy Policy, seed int64)
 		}
 
 	case RandomWithinGroups:
+		// Shuffle within each group, then deal its members by the
+		// weighted round-robin, continuing where the last group stopped
+		// so small groups do not always favor machine 0.
 		rng := rand.New(rand.NewSource(seed))
 		dealer := newSWRR(weights)
 		for m := 0; m < p; m++ {

@@ -9,8 +9,9 @@
 // the mapping table, for one batch of queries, on the caller's goroutine.
 // Session.Search loops it over a query set in Schedule.BatchSize slices;
 // RunRank puts a one-shard Session behind a communicator and runs the
-// same loop, shipping each merged batch to the master — which only
-// re-sorts the per-rank lists — while the next one is searched (rank.go,
+// same loop: a worker sends each merged batch to the master as it is
+// made, and the master runs its own loop, then takes the workers' batches
+// off the wire and sorts each query's union once by ComparePSM (rank.go,
 // cluster.go).
 //
 // The mapping table is applied where a partition is searched: a rank, like
@@ -26,9 +27,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"lbe/internal/core"
@@ -71,10 +73,9 @@ type Schedule struct {
 	// runners divide it among their ranks.
 	ThreadsPerRank int
 	// BatchSize is how many queries of a set are preprocessed, searched and
-	// merged at a time (Session.searchBatch); a rank ships one message per
-	// batch, overlapping the send with the next batch's search. 0 makes
-	// the whole set one batch (one message per worker, the paper's
-	// description).
+	// merged at a time (Session.searchBatch); a worker rank sends one
+	// message per batch. 0 makes the whole set one batch (one message per
+	// worker, the paper's description).
 	BatchSize int
 	// ChunkSize is the scheduler's task granularity: queries per chunk on
 	// the per-shard work deques. 0 auto-tunes from the observed work per
@@ -226,25 +227,29 @@ func (r *Result) CandidatePSMs() int64 {
 	return n
 }
 
-// sortPSMs orders matches best-first with deterministic tie-breaking over
-// every merge-order-independent field, so the sorted output is identical
-// no matter which path (serial, session shards, distributed gather)
-// produced the unsorted slice.
-func sortPSMs(ms []PSM) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Peptide != b.Peptide {
-			return a.Peptide < b.Peptide
-		}
-		if a.Precursor != b.Precursor {
-			return a.Precursor < b.Precursor
-		}
-		return a.Shared > b.Shared
-	})
+// ComparePSM is the one PSM order, best first: Score descending, then
+// Peptide ascending, then Precursor ascending, then Shared descending. It
+// reads only fields every path computes the same way (Origin is left
+// out), so a list sorted by it is identical whichever path produced it —
+// serial, session shards, a rank master's gather or the scatter router's
+// merge of rendered replies. PSMs that tie on all four keys are equal in
+// every field (a peptide lives in one shard, so Origin follows Peptide),
+// so no order among them is ever visible.
+func ComparePSM(a, b PSM) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Peptide, b.Peptide); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Precursor, b.Precursor); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Shared, a.Shared)
 }
+
+// sortPSMs orders matches by ComparePSM.
+func sortPSMs(ms []PSM) { slices.SortFunc(ms, ComparePSM) }
 
 // RunSerial searches queries against a single shared-memory index over the
 // whole peptide list: the baseline system LBE distributes. The returned

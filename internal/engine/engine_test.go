@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"lbe/internal/core"
@@ -321,6 +325,58 @@ func TestResultPSMsSortedDeterministically(t *testing.T) {
 				t.Fatalf("query %d psm %d differs across runs", q, i)
 			}
 		}
+	}
+}
+
+// TestComparePSMOrder: slices.SortFunc by ComparePSM puts shuffled PSM
+// lists in the order the sort.Slice comparator it replaced gives. Every
+// key draws from three values, so the lists are full of exact four-key
+// ties and of ties broken at each later key.
+func TestComparePSMOrder(t *testing.T) {
+	reference := func(ms []PSM) func(i, j int) bool {
+		return func(i, j int) bool {
+			a, b := ms[i], ms[j]
+			if a.Score != b.Score {
+				return a.Score > b.Score
+			}
+			if a.Peptide != b.Peptide {
+				return a.Peptide < b.Peptide
+			}
+			if a.Precursor != b.Precursor {
+				return a.Precursor < b.Precursor
+			}
+			return a.Shared > b.Shared
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	exactTies := 0
+	for trial := 0; trial < 300; trial++ {
+		ms := make([]PSM, rng.Intn(60))
+		seen := map[PSM]bool{}
+		for i := range ms {
+			m := PSM{
+				Peptide:   uint32(rng.Intn(3)),
+				Shared:    uint16(4 + rng.Intn(3)),
+				Score:     []float64{0, 7.25, 31.5}[rng.Intn(3)],
+				Precursor: 900 + 0.5*float64(rng.Intn(3)),
+			}
+			m.Origin = int(m.Peptide) % 2 // a peptide lives in one shard
+			if seen[m] {
+				exactTies++
+			}
+			seen[m] = true
+			ms[i] = m
+		}
+		want := slices.Clone(ms)
+		sort.Slice(want, reference(want))
+		rng.Shuffle(len(ms), func(i, j int) { ms[i], ms[j] = ms[j], ms[i] })
+		slices.SortFunc(ms, ComparePSM)
+		if !reflect.DeepEqual(ms, want) {
+			t.Fatalf("trial %d:\n got %v\nwant %v", trial, ms, want)
+		}
+	}
+	if exactTies == 0 {
+		t.Fatal("no list held an exact four-key tie")
 	}
 }
 

@@ -106,44 +106,47 @@ func TestRankShipsAtMostTopK(t *testing.T) {
 }
 
 // hangUpComm is a worker endpoint whose master goes away once the first
-// result batch has reached it.
+// result batch has reached it. It counts the result batches the worker
+// tried to send, one per batch searched.
 type hangUpComm struct {
 	mpi.Comm
-	master mpi.Comm
+	master  mpi.Comm
+	batches int
 }
 
-func (h hangUpComm) Send(to int, tag mpi.Tag, data []byte) error {
+func (h *hangUpComm) Send(to int, tag mpi.Tag, data []byte) error {
 	err := h.Comm.Send(to, tag, data)
 	if tag == tagResults {
+		h.batches++
 		h.master.Close()
 	}
 	return err
 }
 
-// TestWorkerRankStopsWhenSendFails: a worker whose master hangs up after
-// the first batch returns the send error, and stops searching — the
+// TestWorkerRankStopsWhenSendFails: a worker rank whose master hangs up
+// after the first batch returns the send error, and stops searching — the
 // batches nobody will receive are not searched just to be dropped.
 func TestWorkerRankStopsWhenSendFails(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 40)
 	cfg := lightConfig()
 	cfg.BatchSize = 1 // forty batches owed
 	cfg.ThreadsPerRank = 1
-	sess, err := buildSession(peptides, cfg, 2, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 
 	base := runtime.NumGoroutine()
 	world := mpi.NewWorld(2)
 	defer world.Close()
-	c := hangUpComm{Comm: world.Comm(1), master: world.Comm(0)}
-	err = shipBatches(context.Background(), c, sess, queries)
+	barrier := make(chan error, 1)
+	go func() { barrier <- mpi.Barrier(world.Comm(0)) }()
+	c := &hangUpComm{Comm: world.Comm(1), master: world.Comm(0)}
+	_, err := RunRank(context.Background(), c, peptides, queries, cfg)
 	if !errors.Is(err, mpi.ErrClosed) {
 		t.Fatalf("worker returned %v, want the send error", err)
 	}
-	if got := sess.Batches(); got >= int64(len(queries)) {
-		t.Fatalf("worker searched %d of %d batches after its master hung up on the second", got, len(queries))
+	if err := <-barrier; err != nil {
+		t.Fatal(err)
+	}
+	if c.batches >= len(queries) {
+		t.Fatalf("worker searched %d of %d batches after its master hung up on the second", c.batches, len(queries))
 	}
 	waitForGoroutines(t, base)
 }

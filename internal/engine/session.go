@@ -304,19 +304,6 @@ func (s *Session) MappedShards() int {
 	return n
 }
 
-// SetFullScan forces (or re-enables windowing on) every shard's phase-1
-// postings scan. The windowed and full scans are byte-identical by
-// construction; the toggle exists so benchmarks and equivalence gates can
-// measure the full-scan cost on the same session. Not safe to flip while
-// queries are in flight.
-func (s *Session) SetFullScan(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ix := range s.shards {
-		ix.SetFullScan(v)
-	}
-}
-
 // ShardSetInfo identifies the slice of a partitioned store a session
 // holds: which shard-set it is, the cluster shape, and the global id of
 // each local shard (see Session.SavePartitioned). A whole store is the

@@ -17,7 +17,8 @@
 // construction, and a key that embeds the store digest is valid exactly
 // as long as that digest — entries computed under a retired digest
 // become unreachable (and are evicted by the LRU) the moment the keys
-// change. Purge exists for the observably-eager version of that
+// change. The digest is the cache's only clock — nothing expires by
+// time — and Purge exists for the observably-eager version of that
 // invalidation.
 //
 // Singleflight contract: Acquire hands exactly one caller per key the
@@ -34,21 +35,15 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Config tunes a Cache.
+// Config sizes a Cache. The byte budget is its one knob: an entry stays
+// valid for as long as the digest in its key names the served store.
 type Config struct {
 	// MaxBytes bounds the resident cache size (keys + values + per-entry
 	// overhead). 0 or negative stores nothing — singleflight collapsing
 	// still works, the LRU is just permanently empty.
 	MaxBytes int64
-	// TTL expires entries this long after they are stored; 0 or negative
-	// means entries live until evicted or purged. The store digest in
-	// the key is the correctness clock; TTL is for bounding staleness of
-	// operational concerns a digest cannot see (e.g. a cache sized far
-	// above the working set).
-	TTL time.Duration
 }
 
 // Outcome is Acquire's three-way result.
@@ -97,7 +92,7 @@ func (f *Flight[V]) Abort() { var zero V; f.cache.resolve(f, zero, false) }
 type Stats struct {
 	Hits        int64 // Acquire found a cached value
 	Misses      int64 // Acquire made the caller a leader
-	Evictions   int64 // entries dropped by the byte budget or TTL
+	Evictions   int64 // entries dropped by the byte budget
 	Collapsed   int64 // Acquire joined an existing flight
 	Invalidated int64 // entries dropped by Purge
 	Entries     int   // resident entries
@@ -107,10 +102,9 @@ type Stats struct {
 
 // entry is one resident cache line.
 type entry[V any] struct {
-	key     string
-	val     V
-	size    int64
-	expires time.Time // zero = never
+	key  string
+	val  V
+	size int64
 }
 
 // entryOverhead approximates the per-entry bookkeeping (list element,
@@ -118,10 +112,10 @@ type entry[V any] struct {
 const entryOverhead = 128
 
 // Cache is a content-addressed answer cache: byte-budgeted LRU with
-// optional TTL and singleflight. Safe for concurrent use.
+// singleflight. Entries live until the budget evicts them or Purge drops
+// them. Safe for concurrent use.
 type Cache[V any] struct {
 	maxBytes int64
-	ttl      time.Duration
 	sizeOf   func(V) int
 
 	mu      sync.Mutex
@@ -142,7 +136,6 @@ type Cache[V any] struct {
 func New[V any](cfg Config, sizeOf func(V) int) *Cache[V] {
 	return &Cache[V]{
 		maxBytes: cfg.MaxBytes,
-		ttl:      cfg.TTL,
 		sizeOf:   sizeOf,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
@@ -156,7 +149,7 @@ func New[V any](cfg Config, sizeOf func(V) int) *Cache[V] {
 // value and resolve the flight.
 func (c *Cache[V]) Acquire(key string) (V, *Flight[V], Outcome) {
 	c.mu.Lock()
-	if v, ok := c.lookupLocked(key, time.Now()); ok {
+	if v, ok := c.lookupLocked(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, nil, Hit
@@ -179,7 +172,7 @@ func (c *Cache[V]) Acquire(key string) (V, *Flight[V], Outcome) {
 // a hit but not a miss — Acquire owns the miss accounting.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
-	v, ok := c.lookupLocked(key, time.Now())
+	v, ok := c.lookupLocked(key)
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -190,7 +183,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put stores a value directly, bypassing the singleflight machinery.
 func (c *Cache[V]) Put(key string, v V) {
 	c.mu.Lock()
-	c.putLocked(key, v, time.Now())
+	c.putLocked(key, v)
 	c.mu.Unlock()
 }
 
@@ -202,35 +195,29 @@ func (c *Cache[V]) resolve(f *Flight[V], v V, ok bool) {
 		delete(c.flights, f.key)
 	}
 	if ok {
-		c.putLocked(f.key, v, time.Now())
+		c.putLocked(f.key, v)
 	}
 	c.mu.Unlock()
 	f.val, f.ok = v, ok
 	close(f.done)
 }
 
-// lookupLocked finds a fresh entry, expiring it instead when its TTL has
-// passed. The caller holds c.mu.
-func (c *Cache[V]) lookupLocked(key string, now time.Time) (V, bool) {
-	var zero V
+// lookupLocked finds an entry and marks it most recently used. The
+// caller holds c.mu.
+func (c *Cache[V]) lookupLocked(key string) (V, bool) {
 	el, ok := c.byKey[key]
 	if !ok {
-		return zero, false
-	}
-	en := el.Value.(*entry[V])
-	if !en.expires.IsZero() && now.After(en.expires) {
-		c.removeLocked(el)
-		c.evictions.Add(1)
+		var zero V
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return en.val, true
+	return el.Value.(*entry[V]).val, true
 }
 
 // putLocked inserts or replaces an entry and evicts from the LRU tail
 // until the budget holds. Values larger than the whole budget are not
 // stored. The caller holds c.mu.
-func (c *Cache[V]) putLocked(key string, v V, now time.Time) {
+func (c *Cache[V]) putLocked(key string, v V) {
 	if c.maxBytes <= 0 {
 		return
 	}
@@ -241,11 +228,7 @@ func (c *Cache[V]) putLocked(key string, v V, now time.Time) {
 	if el, ok := c.byKey[key]; ok {
 		c.removeLocked(el)
 	}
-	en := &entry[V]{key: key, val: v, size: size}
-	if c.ttl > 0 {
-		en.expires = now.Add(c.ttl)
-	}
-	c.byKey[key] = c.ll.PushFront(en)
+	c.byKey[key] = c.ll.PushFront(&entry[V]{key: key, val: v, size: size})
 	c.bytes += size
 	for c.bytes > c.maxBytes {
 		tail := c.ll.Back()

@@ -5,19 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lbe/internal/spectrum"
 )
 
 func bytesSize(v []byte) int { return len(v) }
 
-func newTest(maxBytes int64, ttl time.Duration) *Cache[[]byte] {
-	return New[[]byte](Config{MaxBytes: maxBytes, TTL: ttl}, bytesSize)
+func newTest(maxBytes int64) *Cache[[]byte] {
+	return New[[]byte](Config{MaxBytes: maxBytes}, bytesSize)
 }
 
 func TestAcquireHitMissFlow(t *testing.T) {
-	c := newTest(1<<20, 0)
+	c := newTest(1 << 20)
 
 	_, f, o := c.Acquire("k")
 	if o != Lead {
@@ -40,7 +39,7 @@ func TestAcquireHitMissFlow(t *testing.T) {
 }
 
 func TestSingleflightCollapses(t *testing.T) {
-	c := newTest(1<<20, 0)
+	c := newTest(1 << 20)
 
 	_, lead, o := c.Acquire("k")
 	if o != Lead {
@@ -77,7 +76,7 @@ func TestSingleflightCollapses(t *testing.T) {
 // TestAbortDoesNotPoison: an aborting leader (cancelled caller) caches
 // nothing, and a waiter can retry, lead, and complete normally.
 func TestAbortDoesNotPoison(t *testing.T) {
-	c := newTest(1<<20, 0)
+	c := newTest(1 << 20)
 
 	_, lead, _ := c.Acquire("k")
 	_, wait, o := c.Acquire("k")
@@ -107,7 +106,7 @@ func TestAbortDoesNotPoison(t *testing.T) {
 
 func TestByteBudgetEvictsLRU(t *testing.T) {
 	// Budget fits two entries (value 100 + key 2 + overhead 128 = 230).
-	c := newTest(2*230, 0)
+	c := newTest(2 * 230)
 	val := make([]byte, 100)
 	c.Put("k0", val)
 	c.Put("k1", val)
@@ -132,7 +131,7 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 }
 
 func TestOversizedValueNotStored(t *testing.T) {
-	c := newTest(64, 0)
+	c := newTest(64)
 	c.Put("k", make([]byte, 1024))
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("value larger than the whole budget was stored")
@@ -140,7 +139,7 @@ func TestOversizedValueNotStored(t *testing.T) {
 }
 
 func TestZeroBudgetStoresNothingButCollapses(t *testing.T) {
-	c := newTest(0, 0)
+	c := newTest(0)
 	_, lead, o := c.Acquire("k")
 	if o != Lead {
 		t.Fatalf("outcome %v, want Lead", o)
@@ -159,23 +158,8 @@ func TestZeroBudgetStoresNothingButCollapses(t *testing.T) {
 	}
 }
 
-func TestTTLExpires(t *testing.T) {
-	c := newTest(1<<20, 10*time.Millisecond)
-	c.Put("k", []byte("v"))
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry missing before TTL")
-	}
-	time.Sleep(25 * time.Millisecond)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived its TTL")
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("expiry accounting off: %+v", st)
-	}
-}
-
 func TestPurgeInvalidatesEverything(t *testing.T) {
-	c := newTest(1<<20, 0)
+	c := newTest(1 << 20)
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
@@ -194,7 +178,7 @@ func TestPurgeInvalidatesEverything(t *testing.T) {
 // TestConcurrentAcquire hammers one hot key and a spread of cold keys
 // from many goroutines; run under -race in CI.
 func TestConcurrentAcquire(t *testing.T) {
-	c := newTest(1<<20, 0)
+	c := newTest(1 << 20)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

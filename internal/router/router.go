@@ -81,9 +81,6 @@ type Config struct {
 	// bytes). 0 disables caching — the zero value opts out, it is not
 	// defaulted.
 	CacheBytes int64
-	// CacheTTL expires cache entries after this duration; 0 means
-	// entries live until evicted or invalidated by a digest change.
-	CacheTTL time.Duration
 	// Scatter is ignored: the topology is discovered from the holders'
 	// announcements, and a whole store is the one-set partition.
 	//
@@ -215,7 +212,7 @@ func New(replicaURLs []string, cfg Config) (*Router, error) {
 	rt.probeCtx, rt.stopProbes = context.WithCancel(context.Background())
 	if cfg.CacheBytes > 0 {
 		rt.cache = qcache.New[[]byte](
-			qcache.Config{MaxBytes: cfg.CacheBytes, TTL: cfg.CacheTTL},
+			qcache.Config{MaxBytes: cfg.CacheBytes},
 			func(b []byte) int { return len(b) })
 	}
 	for _, raw := range replicaURLs {

@@ -138,9 +138,6 @@ func NewPool(opts Options) *Pool {
 	return &Pool{opts: opts}
 }
 
-// Options returns the pool's scheduling options.
-func (p *Pool) Options() Options { return p.opts }
-
 // chunk is one schedulable task: queries [lo, hi) against one shard.
 type chunk struct {
 	shard  int

@@ -66,9 +66,6 @@ type Config struct {
 	// bytes). 0 disables caching — the zero value opts out, it is not
 	// defaulted.
 	CacheBytes int64
-	// CacheTTL expires cache entries after this duration; 0 means
-	// entries live until evicted. Meaningful only with CacheBytes > 0.
-	CacheTTL time.Duration
 }
 
 // DefaultConfig returns serving defaults: 64-query merges flushed every
@@ -170,7 +167,7 @@ func New(sess *engine.Session, peptides []string, cfg Config) *Server {
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = qcache.New[[]engine.PSM](
-			qcache.Config{MaxBytes: cfg.CacheBytes, TTL: cfg.CacheTTL}, psmsSize)
+			qcache.Config{MaxBytes: cfg.CacheBytes}, psmsSize)
 		s.keyer = cacheKeyer(sess)
 	}
 	go s.coalesceLoop()

@@ -70,9 +70,9 @@ func recvQualified(fd *ast.FuncDecl) string {
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
 // alloc_test.go actually exercise (Search and SearchCut drive the full
 // annotated call tree:
-// searchScratch, ensure, quantize, bucketRange, bucketSpan,
-// precursorWindow, postingsLowerBound, accumulate, hyperscore, cutTopK,
-// sortMatches, copyMatches). Annotating a new function here without
+// searchScratch, ensure, quantize, bucketSpan, precursorWindow,
+// postingsLowerBound, accumulate, hyperscore, cutTopK, sortMatches,
+// copyMatches). Annotating a new function here without
 // extending the runtime guards — or vice versa — fails this test,
 // keeping the static gate and the dynamic gate in lockstep.
 func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
@@ -80,7 +80,6 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	want := []string{
 		"Index.Search",
 		"Index.SearchCut",
-		"Index.bucketRange",
 		"Index.bucketSpan",
 		"Index.precursorWindow",
 		"Index.searchScratch",

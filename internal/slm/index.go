@@ -149,10 +149,6 @@ type Index struct {
 	numBuckets int
 	buildPeak  int // peak transient bytes observed during construction
 
-	// fullScan forces the flattened full-bucket phase-1 scan even under a
-	// narrow precursor tolerance (see SetFullScan).
-	fullScan bool
-
 	// mapping is non-nil when rows/offsets/ids are zero-copy views into a
 	// memory-mapped store file (see OpenIndexMapped); Close releases it.
 	mapping *mmapio.Mapping
@@ -463,23 +459,3 @@ func (ix *Index) bucketSpan(mz float64) (blo, bhi int) {
 	}
 	return blo, bhi
 }
-
-// bucketRange returns the flattened posting range for the fragment window
-// around mz, for the full scan that walks postings across buckets.
-//
-//lbe:hotpath
-func (ix *Index) bucketRange(mz float64) (lo, hi uint32) {
-	blo, bhi := ix.bucketSpan(mz)
-	if blo > bhi {
-		return 0, 0
-	}
-	return ix.offsets[blo], ix.offsets[bhi+1]
-}
-
-// SetFullScan forces every query on this index to run the flattened
-// full-bucket phase-1 scan even when a narrow precursor tolerance would
-// admit the windowed scan. Results are byte-identical either way — the
-// windowed scan is a strict fast path — so the toggle exists only for
-// benchmarks and equivalence tests that measure the two strategies
-// against each other. It must not be flipped concurrently with Search.
-func (ix *Index) SetFullScan(v bool) { ix.fullScan = v }

@@ -55,8 +55,8 @@ func TestQuantizedScoreBounded(t *testing.T) {
 			// Recompute the exact float intensity sum for this row.
 			exact := 0.0
 			for _, p := range q.Peaks {
-				lo, hi := ix.bucketRange(p.MZ)
-				for i := lo; i < hi; i++ {
+				blo, bhi := ix.bucketSpan(p.MZ)
+				for i := ix.offsets[blo]; i < ix.offsets[bhi+1]; i++ {
 					// Postings hold mass-sorted positions; perm maps
 					// them back to the row id a Match reports.
 					if ix.perm[ix.ids[i]] == m.Row {
@@ -111,8 +111,8 @@ func TestAccumulatorBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	mz := th.Ions[2]
-	if lo, hi := ix.bucketRange(mz); hi-lo != 1 {
-		t.Fatalf("the probe peak hits %d postings, want exactly 1", hi-lo)
+	if blo, bhi := ix.bucketSpan(mz); ix.offsets[bhi+1]-ix.offsets[blo] != 1 {
+		t.Fatalf("the probe peak hits %d postings, want exactly 1", ix.offsets[bhi+1]-ix.offsets[blo])
 	}
 
 	for _, tc := range []struct {

@@ -1,67 +1,93 @@
 package slm
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"lbe/internal/mass"
+	"lbe/internal/spectrum"
 )
 
-// TestWindowedScanMatchesFullScan is the core equivalence property of the
+// requireFilteredOpen checks one query on a narrow-tolerance index
+// against an open-tolerance index over the same peptides: the windowed
+// matches are the open matches PrecursorTol.Contains admits, in emission
+// order at topK 0 and after sortMatches plus the cut at topK 5, and the
+// windowed scan visits or prunes every posting the open scan visits.
+func requireFilteredOpen(t *testing.T, label string, win, open *Index, q spectrum.Experimental) []Match {
+	t.Helper()
+	tol := win.Params().PrecursorTol
+	all, wo := open.Search(q, 0, nil)
+	var want []Match
+	for _, m := range all {
+		if tol.Contains(q.PrecursorMass(), m.Precursor) {
+			want = append(want, m)
+		}
+	}
+	got, wa := win.Search(q, 0, nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s topK 0: windowed %+v, filtered open %+v", label, got, want)
+	}
+	if wa.IonHits+wa.Pruned != wo.IonHits {
+		t.Fatalf("%s: windowed IonHits %d + Pruned %d != open IonHits %d", label, wa.IonHits, wa.Pruned, wo.IonHits)
+	}
+	if wa.Scored != int64(len(want)) || wo.Pruned != 0 {
+		t.Fatalf("%s: windowed Scored %d for %d admitted matches, open Pruned %d", label, wa.Scored, len(want), wo.Pruned)
+	}
+	top, _ := win.Search(q, 5, nil)
+	cut := slices.Clone(want)
+	sortMatches(cut)
+	if len(cut) > 5 {
+		cut = cut[:5]
+	}
+	if !slices.Equal(top, cut) {
+		t.Fatalf("%s topK 5: windowed %+v, filtered open %+v", label, top, cut)
+	}
+	return got
+}
+
+// TestWindowedScanMatchesFilteredOpen is the core property of the
 // precursor-windowed kernel: for every tolerance — narrow, ppm-relative,
-// wider than the indexed mass range, and fully open — the windowed scan
-// and the forced full scan must return byte-identical matches in the same
-// order, at topK=0 (raw emission order) and topK>0 (ranked). The work
-// accounting must also tie out: windowed IonHits + Pruned equals the full
-// scan's IonHits, and the scored-set size never changes.
-func TestWindowedScanMatchesFullScan(t *testing.T) {
+// wider than the indexed mass range, and open itself — a search returns
+// the open search's matches the tolerance admits, and exactly the matches
+// of the index-free slm.BruteForce.
+func TestWindowedScanMatchesFilteredOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	peps := randPeptides(rng, 50)
+	params := DefaultParams()
+	params.Mods.MaxPerPep = 1
+	params.PrecursorTol = mass.Open()
+	open, err := Build(peps, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRow := func(a, b Match) int { return cmp.Compare(a.Row, b.Row) }
 	for _, tol := range []mass.Tolerance{
 		mass.Da(0.01), mass.Da(0.5), mass.Da(3.0),
 		mass.Ppm(10), mass.Ppm(500),
-		mass.Da(1e7), // wider than any indexed mass range: must fall back
+		mass.Da(1e7), // wider than any indexed mass range
 		mass.Open(),
 	} {
-		params := DefaultParams()
-		params.Mods.MaxPerPep = 1
 		params.PrecursorTol = tol
-		ix, err := Build(peps, params)
+		win, err := Build(peps, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Build(peps, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full.SetFullScan(true)
 		for trial := 0; trial < 20; trial++ {
 			q := noisyQuery(rng, peps[rng.Intn(len(peps))])
-			for _, topK := range []int{0, 5} {
-				a, wa := ix.Search(q, topK, nil)
-				b, wb := full.Search(q, topK, nil)
-				if len(a) != len(b) {
-					t.Fatalf("tol %+v topK %d trial %d: %d vs %d matches", tol, topK, trial, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("tol %+v topK %d trial %d match %d: %+v vs %+v", tol, topK, trial, i, a[i], b[i])
-					}
-				}
-				if wa.IonHits+wa.Pruned != wb.IonHits {
-					t.Fatalf("tol %+v trial %d: windowed IonHits %d + Pruned %d != full IonHits %d",
-						tol, trial, wa.IonHits, wa.Pruned, wb.IonHits)
-				}
-				if wa.Scored != wb.Scored {
-					t.Fatalf("tol %+v trial %d: Scored %d vs %d", tol, trial, wa.Scored, wb.Scored)
-				}
-				if wb.Pruned != 0 {
-					t.Fatalf("tol %+v trial %d: full scan reported Pruned = %d", tol, trial, wb.Pruned)
-				}
-				if tol.IsOpen() && wa.Pruned != 0 {
-					t.Fatalf("open search must not prune, got %d", wa.Pruned)
-				}
+			label := fmt.Sprintf("tol %+v trial %d", tol, trial)
+			got := requireFilteredOpen(t, label, win, open, q)
+			slices.SortFunc(got, byRow)
+			want, err := BruteForce(peps, params, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(want, byRow)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: windowed %+v, brute force %+v", label, got, want)
 			}
 		}
 	}
@@ -92,13 +118,18 @@ func TestWindowedScanPrunes(t *testing.T) {
 	}
 }
 
-// TestWindowedScanMapped runs the equivalence check against a mapped v3
-// store: the zero-copy perm/precs views must drive the same windowed
-// results as the heap index that produced the file.
-func TestWindowedScanMapped(t *testing.T) {
+// TestWindowedScanMappedMatchesFilteredOpen runs the same property on a
+// mapped v3 store: the zero-copy perm/precs views must window exactly as
+// the heap index that wrote the file.
+func TestWindowedScanMappedMatchesFilteredOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	peps := randPeptides(rng, 40)
 	params := DefaultParams()
+	params.PrecursorTol = mass.Open()
+	open, err := Build(peps, params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	params.PrecursorTol = mass.Da(0.5)
 	ix, err := Build(peps, params)
 	if err != nil {
@@ -116,24 +147,7 @@ func TestWindowedScanMapped(t *testing.T) {
 	if err := mapped.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := OpenIndexMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	full.SetFullScan(true)
 	for trial := 0; trial < 10; trial++ {
-		q := noisyQuery(rng, peps[rng.Intn(len(peps))])
-		a, _ := mapped.Search(q, 0, nil)
-		b, _ := full.Search(q, 0, nil)
-		c, _ := ix.Search(q, 0, nil)
-		if len(a) != len(b) || len(a) != len(c) {
-			t.Fatalf("trial %d: mapped windowed %d, mapped full %d, heap %d matches", trial, len(a), len(b), len(c))
-		}
-		for i := range a {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("trial %d match %d: %+v / %+v / %+v", trial, i, a[i], b[i], c[i])
-			}
-		}
+		requireFilteredOpen(t, fmt.Sprintf("trial %d", trial), mapped, open, noisyQuery(rng, peps[rng.Intn(len(peps))]))
 	}
 }
