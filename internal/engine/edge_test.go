@@ -81,28 +81,3 @@ func TestSerialEmptyInputs(t *testing.T) {
 		t.Errorf("empty serial run: %+v", res)
 	}
 }
-
-// TestRawOrderStillCorrect: the no-grouping ablation path must preserve
-// result correctness.
-func TestRawOrderStillCorrect(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 5, 1, 15)
-	cfg := lightConfig()
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.RawOrder = true
-	res, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := psmSet(serial.PSMs), psmSet(res.PSMs)
-	if len(a) != len(b) {
-		t.Fatalf("raw order changed results: %d vs %d", len(b), len(a))
-	}
-	for k, n := range a {
-		if b[k] != n {
-			t.Fatalf("raw order changed PSM %s: %d vs %d", k, b[k], n)
-		}
-	}
-}

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -56,102 +54,6 @@ func lightConfig() Config {
 	cfg.Params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
 	cfg.TopK = 0 // keep all matches for exact set comparison
 	return cfg
-}
-
-// psmKey canonicalizes a PSM for cross-run comparison (Origin differs by
-// construction; Row is partition-local).
-func psmKey(p PSM) string {
-	return fmt.Sprintf("%d|%d|%.6f|%.4f", p.Peptide, p.Shared, p.Score, p.Precursor)
-}
-
-func psmSet(psms [][]PSM) map[string]int {
-	set := map[string]int{}
-	for _, qs := range psms {
-		for _, p := range qs {
-			set[psmKey(p)]++
-		}
-	}
-	return set
-}
-
-func TestDistributedMatchesSerial(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 60)
-	cfg := lightConfig()
-
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.PSMs) != len(queries) {
-		t.Fatalf("serial PSMs for %d queries, want %d", len(serial.PSMs), len(queries))
-	}
-	want := psmSet(serial.PSMs)
-	if len(want) == 0 {
-		t.Fatal("serial run found no PSMs; dataset too small")
-	}
-
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
-		for _, p := range []int{1, 2, 4, 7} {
-			cfg := cfg
-			cfg.Policy = policy
-			cfg.Seed = 5
-			res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
-			if err != nil {
-				t.Fatalf("%v p=%d: %v", policy, p, err)
-			}
-			got := psmSet(res.PSMs)
-			if len(got) != len(want) {
-				t.Fatalf("%v p=%d: %d distinct PSMs, serial %d", policy, p, len(got), len(want))
-			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Fatalf("%v p=%d: PSM %s count %d, serial %d", policy, p, k, got[k], n)
-				}
-			}
-			// Per-query counts must match too.
-			for q := range queries {
-				if len(res.PSMs[q]) != len(serial.PSMs[q]) {
-					t.Fatalf("%v p=%d query %d: %d PSMs vs serial %d",
-						policy, p, q, len(res.PSMs[q]), len(serial.PSMs[q]))
-				}
-			}
-		}
-	}
-}
-
-func TestTopKConsistency(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 30)
-	cfg := lightConfig()
-	cfg.TopK = 3
-
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range queries {
-		if len(res.PSMs[q]) > 3 {
-			t.Fatalf("query %d has %d PSMs, topK=3", q, len(res.PSMs[q]))
-		}
-		if len(res.PSMs[q]) != len(serial.PSMs[q]) {
-			t.Fatalf("query %d: %d vs serial %d", q, len(res.PSMs[q]), len(serial.PSMs[q]))
-		}
-		for i := range res.PSMs[q] {
-			a, b := res.PSMs[q][i], serial.PSMs[q][i]
-			if a.Peptide != b.Peptide || a.Shared != b.Shared || math.Abs(a.Score-b.Score) > 1e-9 {
-				t.Fatalf("query %d psm %d: %+v vs serial %+v", q, i, a, b)
-			}
-		}
-		// Scores descending.
-		for i := 1; i < len(res.PSMs[q]); i++ {
-			if res.PSMs[q][i].Score > res.PSMs[q][i-1].Score {
-				t.Fatalf("query %d PSMs not sorted", q)
-			}
-		}
-	}
 }
 
 func TestIdentificationRate(t *testing.T) {
@@ -234,97 +136,6 @@ func TestCyclicBeatsChunkOnSkewedLoad(t *testing.T) {
 	}
 	if li[core.Cyclic] > 0.25 {
 		t.Errorf("cyclic LI %.3f above the paper's <=20%% band (+ margin)", li[core.Cyclic])
-	}
-}
-
-func TestRunOverTCPMatchesInProcess(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 20)
-	cfg := lightConfig()
-	a, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOverTCP(context.Background(), 3, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := psmSet(a.PSMs), psmSet(b.PSMs)
-	if len(sa) != len(sb) {
-		t.Fatalf("PSM sets differ: %d vs %d", len(sa), len(sb))
-	}
-	for k, n := range sa {
-		if sb[k] != n {
-			t.Fatalf("PSM %s: %d vs %d", k, n, sb[k])
-		}
-	}
-}
-
-func TestSingleRankDistributedEqualsSerial(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 1, 15)
-	cfg := lightConfig()
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := RunInProcess(context.Background(), 1, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With one rank the clustered order changes local peptide numbering,
-	// but the mapped global PSM sets must still be identical.
-	sa, sb := psmSet(serial.PSMs), psmSet(dist.PSMs)
-	if len(sa) != len(sb) {
-		t.Fatalf("%d vs %d PSMs", len(sa), len(sb))
-	}
-	for k, n := range sa {
-		if sb[k] != n {
-			t.Fatalf("PSM %s: %d vs %d", k, n, sb[k])
-		}
-	}
-}
-
-func TestWorkConservation(t *testing.T) {
-	// Total scored candidates across ranks must equal the serial run's:
-	// partitioning redistributes work but never changes its total.
-	peptides, queries, _ := testDataset(t, 8, 2, 40)
-	cfg := lightConfig()
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random} {
-		cfg.Policy = policy
-		res, err := RunInProcess(context.Background(), 5, peptides, queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CandidatePSMs() != serial.CandidatePSMs() {
-			t.Errorf("%v: scored %d, serial %d", policy, res.CandidatePSMs(), serial.CandidatePSMs())
-		}
-	}
-}
-
-func TestResultPSMsSortedDeterministically(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 20)
-	cfg := lightConfig()
-	a, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range queries {
-		if len(a.PSMs[q]) != len(b.PSMs[q]) {
-			t.Fatalf("query %d: nondeterministic result count", q)
-		}
-		for i := range a.PSMs[q] {
-			pa, pb := a.PSMs[q][i], b.PSMs[q][i]
-			if pa.Peptide != pb.Peptide || pa.Score != pb.Score {
-				t.Fatalf("query %d psm %d differs across runs", q, i)
-			}
-		}
 	}
 }
 

@@ -11,84 +11,6 @@ import (
 	"lbe/internal/spectrum"
 )
 
-// truncatePSMs is "keep all, sort, truncate": the first k of every
-// already-sorted keep-all answer.
-func truncatePSMs(all [][]PSM, k int) [][]PSM {
-	out := make([][]PSM, len(all))
-	for q, ps := range all {
-		if k > 0 && len(ps) > k {
-			ps = ps[:k]
-		}
-		out[q] = ps
-	}
-	return out
-}
-
-// TestTopKPushdownMatchesKeepAll: a session whose workers cut every
-// (shard, query) cell to its TopK-th best score returns exactly what
-// keeping every match, sorting and truncating returns — and what
-// RunSerial returns — for every policy × shard count × TopK × precursor
-// tolerance × schedule.
-func TestTopKPushdownMatchesKeepAll(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 40)
-	for _, tol := range []mass.Tolerance{mass.Open(), mass.Da(0.5)} {
-		base := lightConfig()
-		base.Params.PrecursorTol = tol
-		keepAll, err := RunSerial(peptides, queries, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, topK := range []int{0, 1, 10} {
-			want := truncatePSMs(keepAll.PSMs, topK)
-			cfg := base
-			cfg.TopK = topK
-			serial, err := RunSerial(peptides, queries, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSamePSMs(t, fmt.Sprintf("%v/topk=%d serial", tol, topK), serial.PSMs, want)
-			if topK == 1 && tol.IsOpen() { // a 0.5 Da window admits one or two PSMs per query anyway
-				kept, all := 0, 0
-				for q := range want {
-					kept += len(want[q])
-					all += len(keepAll.PSMs[q])
-				}
-				if all < 2*kept {
-					t.Fatalf("%v: %d PSMs of %d survive top-1; the dataset gives the cut nothing to drop", tol, kept, all)
-				}
-			}
-			for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
-				for _, shards := range []int{1, 2, 4} {
-					scfg := SessionConfig{Config: cfg, Shards: shards}
-					scfg.Policy = policy
-					scfg.Seed = 5
-					scfg.ThreadsPerRank = 3
-					scfg.BatchSize = 7
-					sess, err := NewSession(peptides, scfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, stealing := range []bool{true, false} {
-						label := fmt.Sprintf("%v/topk=%d/%v/shards=%d/steal=%v", tol, topK, policy, shards, stealing)
-						sc := scfg.Schedule
-						sc.Stealing = stealing
-						sess.SetSchedule(sc)
-						res, err := sess.Search(context.Background(), queries)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						requireSamePSMs(t, label, res.PSMs, want)
-						if res.CandidatePSMs() != keepAll.CandidatePSMs() {
-							t.Fatalf("%s: scored %d, keep-all serial %d: the cut moved the work units", label, res.CandidatePSMs(), keepAll.CandidatePSMs())
-						}
-					}
-					sess.Close()
-				}
-			}
-		}
-	}
-}
-
 // theoreticalQuery is seq's own fragment ladder as a query spectrum.
 func theoreticalQuery(t *testing.T, scan int, seq string) spectrum.Experimental {
 	t.Helper()

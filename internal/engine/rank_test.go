@@ -6,14 +6,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"lbe/internal/core"
 	"lbe/internal/mpi"
 	"lbe/internal/spectrum"
 )
@@ -149,54 +147,6 @@ func TestWorkerRankStopsWhenSendFails(t *testing.T) {
 		t.Fatalf("worker searched %d of %d batches after its master hung up on the second", c.batches, len(queries))
 	}
 	waitForGoroutines(t, base)
-}
-
-// TestRunInProcessMatchesSession: a cluster of p one-shard rank sessions
-// and one p-shard session are the same engine, so they agree on every PSM
-// (Origin included), on the mapping footprint and on every deterministic
-// per-rank counter the paper's figures read.
-func TestRunInProcessMatchesSession(t *testing.T) {
-	const p = 4
-	peptides, queries, _ := testDataset(t, 10, 2, 40)
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random} {
-		for _, weights := range [][]float64{nil, {4, 2, 1, 1}} {
-			label := fmt.Sprintf("%v/weights=%v", policy, weights)
-			cfg := lightConfig()
-			cfg.Policy = policy
-			cfg.Seed = 3
-			cfg.Weights = weights
-			cfg.TopK = 5
-			cfg.BatchSize = 7
-
-			dist, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: p})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			want, err := sess.Search(context.Background(), queries)
-			sess.Close()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-
-			if !reflect.DeepEqual(dist.PSMs, want.PSMs) {
-				t.Fatalf("%s: PSMs differ between the rank cluster and the session", label)
-			}
-			if dist.MappingBytes != want.MappingBytes || dist.Groups != want.Groups {
-				t.Fatalf("%s: mapping bytes %d groups %d, session has %d and %d",
-					label, dist.MappingBytes, dist.Groups, want.MappingBytes, want.Groups)
-			}
-			for r := range want.Stats {
-				g, w := dist.Stats[r], want.Stats[r]
-				if g.Rank != w.Rank || g.Peptides != w.Peptides || g.Rows != w.Rows || g.IndexBytes != w.IndexBytes || g.Work != w.Work {
-					t.Fatalf("%s rank %d: %+v, session shard has %+v", label, r, g, w)
-				}
-			}
-		}
-	}
 }
 
 // TestMisbehavingRankIsAnError plays the worker ranks of a small world by

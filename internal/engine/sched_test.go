@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -11,60 +10,6 @@ import (
 	"lbe/internal/core"
 	"lbe/internal/spectrum"
 )
-
-// TestSchedulerMatchesSerial is the execution layer's equivalence
-// guarantee: for every policy × shard count × worker count × chunk size ×
-// scheduling mode, the session's PSMs are identical to the RunSerial
-// reference in every field (and the deterministic work accounting agrees),
-// no matter how the chunks were scheduled or stolen.
-func TestSchedulerMatchesSerial(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 60)
-	base := lightConfig()
-
-	serial, err := RunSerial(peptides, queries, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPSMs := 0
-	for _, qs := range serial.PSMs {
-		nPSMs += len(qs)
-	}
-	if nPSMs == 0 {
-		t.Fatal("serial reference found no PSMs; dataset too small")
-	}
-
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic} {
-		for _, shards := range []int{1, 3} {
-			cfg := SessionConfig{Config: base, Shards: shards}
-			cfg.Policy = policy
-			cfg.Seed = 5
-			cfg.BatchSize = 17
-			sess, err := NewSession(peptides, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 5} {
-				for _, chunk := range []int{0, 1, 4, 1000} {
-					for _, stealing := range []bool{false, true} {
-						label := fmt.Sprintf("%v/shards=%d/workers=%d/chunk=%d/steal=%v",
-							policy, shards, workers, chunk, stealing)
-						sess.SetSchedule(Schedule{ThreadsPerRank: workers, BatchSize: cfg.BatchSize, ChunkSize: chunk, Stealing: stealing})
-						res, err := sess.Search(context.Background(), queries)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						requireSamePSMs(t, label, res.PSMs, serial.PSMs)
-						if res.CandidatePSMs() != serial.CandidatePSMs() {
-							t.Fatalf("%s: scored %d, serial %d",
-								label, res.CandidatePSMs(), serial.CandidatePSMs())
-						}
-					}
-				}
-			}
-			sess.Close()
-		}
-	}
-}
 
 // TestSchedulerTelemetry: the session's lifetime scheduler stats must
 // account every batch, agree with the per-shard work ledger, and report

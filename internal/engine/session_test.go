@@ -36,77 +36,6 @@ func requireSamePSMs(t *testing.T, label string, got, want [][]PSM) {
 	}
 }
 
-// TestSessionMatchesSerial is the tentpole equivalence guarantee: the
-// Session returns PSMs exactly equal to the RunSerial reference
-// for every policy × shard count × thread count × batch size combination.
-func TestSessionMatchesSerial(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 60)
-	base := lightConfig()
-
-	serial, err := RunSerial(peptides, queries, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPSMs := 0
-	for _, qs := range serial.PSMs {
-		nPSMs += len(qs)
-	}
-	if nPSMs == 0 {
-		t.Fatal("serial reference found no PSMs; dataset too small")
-	}
-
-	type knobs struct{ threads, batch int }
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
-		for _, shards := range []int{1, 3} {
-			for _, k := range []knobs{{1, 1}, {2, 7}, {4, 0}, {3, 1000}} {
-				cfg := SessionConfig{Config: base, Shards: shards}
-				cfg.Policy = policy
-				cfg.Seed = 5
-				cfg.ThreadsPerRank = k.threads
-				cfg.BatchSize = k.batch
-				label := fmt.Sprintf("%v/shards=%d/threads=%d/batch=%d", policy, shards, k.threads, k.batch)
-				sess, err := NewSession(peptides, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				res, err := sess.Search(context.Background(), queries)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				requireSamePSMs(t, label, res.PSMs, serial.PSMs)
-				if res.CandidatePSMs() != serial.CandidatePSMs() {
-					t.Fatalf("%s: scored %d, serial %d", label, res.CandidatePSMs(), serial.CandidatePSMs())
-				}
-				sess.Close()
-			}
-		}
-	}
-}
-
-// TestSessionTopKMatchesSerial covers the truncated-report path end to end.
-func TestSessionTopKMatchesSerial(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 30)
-	cfg := lightConfig()
-	cfg.TopK = 3
-	serial, err := RunSerial(peptides, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := SessionConfig{Config: cfg, Shards: 4}
-	scfg.BatchSize = 8
-	scfg.ThreadsPerRank = 2
-	sess, err := NewSession(peptides, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	res, err := sess.Search(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePSMs(t, "topk", res.PSMs, serial.PSMs)
-}
-
 // TestSessionServesRepeatedBatches: the point of a Session — repeated
 // searches over the same built engine return identical results and the
 // load accounting accumulates.

@@ -3,87 +3,13 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-
-	"lbe/internal/core"
 )
-
-// requireIdenticalPSMs asserts exact equality, Origin included: a session
-// reloaded from a store has the very same sharding as the one that saved
-// it, so even provenance must match.
-func requireIdenticalPSMs(t *testing.T, label string, got, want [][]PSM) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d queries, want %d", label, len(got), len(want))
-	}
-	for q := range want {
-		if !reflect.DeepEqual(got[q], want[q]) {
-			t.Fatalf("%s query %d:\n got %+v\nwant %+v", label, q, got[q], want[q])
-		}
-	}
-}
-
-// TestStoreRoundTripMatchesLiveSession is the tentpole equivalence
-// guarantee of the persistent store: for every policy × shard count, a
-// session opened from a store returns PSMs identical to the session that
-// saved it — same peptide list, same shapes, same provenance.
-func TestStoreRoundTripMatchesLiveSession(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 40)
-	base := lightConfig()
-	ctx := context.Background()
-
-	for _, policy := range []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups} {
-		for _, shards := range []int{1, 3} {
-			label := fmt.Sprintf("%v/shards=%d", policy, shards)
-			cfg := SessionConfig{Config: base, Shards: shards}
-			cfg.Policy = policy
-			cfg.Seed = 7
-			live, err := NewSession(peptides, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			want, err := live.Search(ctx, queries)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-
-			dir := filepath.Join(t.TempDir(), "store")
-			if err := live.Save(dir, peptides); err != nil {
-				t.Fatalf("%s: save: %v", label, err)
-			}
-			loaded, gotPeps, err := OpenSession(dir)
-			if err != nil {
-				t.Fatalf("%s: open: %v", label, err)
-			}
-			if !reflect.DeepEqual(gotPeps, peptides) {
-				t.Fatalf("%s: reloaded peptide list differs", label)
-			}
-			if loaded.NumShards() != live.NumShards() || loaded.Groups() != live.Groups() {
-				t.Fatalf("%s: shape: %d/%d shards, %d/%d groups", label,
-					loaded.NumShards(), live.NumShards(), loaded.Groups(), live.Groups())
-			}
-			if loaded.IndexBytes() != live.IndexBytes() || loaded.MappingBytes() != live.MappingBytes() {
-				t.Fatalf("%s: memory accounting differs after reload", label)
-			}
-			got, err := loaded.Search(ctx, queries)
-			if err != nil {
-				t.Fatalf("%s: search on loaded session: %v", label, err)
-			}
-			requireIdenticalPSMs(t, label, got.PSMs, want.PSMs)
-			if got.CandidatePSMs() != want.CandidatePSMs() {
-				t.Fatalf("%s: scored %d, live %d", label, got.CandidatePSMs(), want.CandidatePSMs())
-			}
-			loaded.Close()
-			live.Close()
-		}
-	}
-}
 
 // storeFixture builds one session, saves it, and hands the store
 // directory to a corruption scenario.

@@ -1,163 +1,22 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbe/internal/api"
 	"lbe/internal/engine"
-	"lbe/internal/mods"
+	"lbe/internal/oracle"
 	"lbe/internal/server"
 )
-
-// startCachedReplica boots a replica with the replica-tier answer cache
-// enabled, warm-started from the corpus store like startReplica.
-func startCachedReplica(t *testing.T, c corpus) *testReplica {
-	t.Helper()
-	sess, peptides, err := engine.OpenSession(c.storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(sess, peptides, server.Config{
-		BatchSize:     8,
-		FlushInterval: 2 * time.Millisecond,
-		CacheBytes:    8 << 20,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	r := &testReplica{sess: sess, srv: srv, ts: ts}
-	t.Cleanup(func() { r.kill() })
-	return r
-}
-
-// zipfReplayOrder builds a duplicate-heavy request order: every query
-// appears at least once (so responses can be checked exhaustively), plus
-// extra zipf-skewed draws concentrating repeats on the head of the pool.
-func zipfReplayOrder(rng *rand.Rand, pool, extra int, s float64) []int {
-	cdf := make([]float64, pool)
-	sum := 0.0
-	for i := 0; i < pool; i++ {
-		sum += math.Pow(float64(i+1), -s)
-		cdf[i] = sum
-	}
-	var order []int
-	for i := 0; i < pool; i++ {
-		order = append(order, i)
-	}
-	for j := 0; j < extra; j++ {
-		k := sort.SearchFloat64s(cdf, rng.Float64()*sum)
-		if k >= pool {
-			k = pool - 1
-		}
-		order = append(order, k)
-	}
-	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-	return order
-}
-
-// replayThrough posts the order through the router from concurrent
-// clients and returns one body per query index, failing on any non-200
-// or on duplicates of the same query receiving different bytes.
-func replayThrough(t *testing.T, ts *httptest.Server, c corpus, order []int) [][]byte {
-	t.Helper()
-	got := make([][]byte, len(c.queries))
-	errs := make([]error, len(order))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for j, qi := range order {
-		wg.Add(1)
-		go func(j, qi int) {
-			defer wg.Done()
-			status, data := postRaw(t, ts.Client(), ts.URL, c.queries[qi])
-			if status != http.StatusOK {
-				errs[j] = fmt.Errorf("replay %d (query %d): status %d: %s", j, qi, status, data)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if got[qi] != nil && !bytes.Equal(got[qi], data) {
-				errs[j] = fmt.Errorf("query %d: concurrent duplicates received different bodies", qi)
-				return
-			}
-			got[qi] = data
-		}(j, qi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return got
-}
-
-// TestCachedRouterMatchesSessionSearch is the two-tier equivalence
-// check: a zipf-skewed duplicate-heavy workload from concurrent clients
-// through a cache-enabled router over cache-enabled replicas must
-// produce responses byte-identical to direct Session.Search, while the
-// router cache demonstrably absorbs the repeats.
-func TestCachedRouterMatchesSessionSearch(t *testing.T) {
-	c := testCorpus(t)
-	r1 := startCachedReplica(t, c)
-	r2 := startCachedReplica(t, c)
-	cfg := fastProbes()
-	cfg.CacheBytes = 8 << 20
-	rt, ts := testRouter(t, cfg, r1.ts.URL, r2.ts.URL)
-
-	ref := referencePSMs(t, c)
-	rng := rand.New(rand.NewSource(43))
-	order := zipfReplayOrder(rng, len(c.queries), 2*len(c.queries), 1.2)
-	got := replayThrough(t, ts, c, order)
-	requireMatchesReference(t, c, ref, got)
-
-	st := rt.Stats()
-	if st.Cache == nil {
-		t.Fatal("cache-enabled router reports no cache stats")
-	}
-	if st.Cache.Hits+st.Cache.Collapsed == 0 {
-		t.Fatalf("duplicate-heavy replay produced no router cache hits or collapses: %+v", st.Cache)
-	}
-	if st.Cache.Misses > int64(len(c.queries)) {
-		t.Errorf("%d router cache misses for a %d-query pool; duplicates were re-proxied",
-			st.Cache.Misses, len(c.queries))
-	}
-	// The replica tier surfaces its own cache blocks through the
-	// aggregate (the router's singleflight may absorb all duplicates, so
-	// only misses are guaranteed there).
-	if st.Aggregate.Cache == nil || st.Aggregate.Cache.Misses == 0 {
-		t.Fatalf("replica cache blocks missing from aggregate: %+v", st.Aggregate.Cache)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d %v", resp.StatusCode, err)
-	}
-	for _, want := range []string{
-		"lbe_router_cache_hits_total", "lbe_router_cache_misses_total",
-		"lbe_router_cache_invalidated_total", "lbe_router_cache_resident_bytes",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("router /metrics missing %q", want)
-		}
-	}
-}
 
 // TestRouterCacheDigestFlipInvalidates swaps the store behind the
 // router's lone replica URL mid-test: once the digest gate observes the
@@ -165,106 +24,64 @@ func TestCachedRouterMatchesSessionSearch(t *testing.T) {
 // subsequent responses must match a direct Session.Search over the NEW
 // store, byte for byte.
 func TestRouterCacheDigestFlipInvalidates(t *testing.T) {
-	c := testCorpus(t)
-
-	sessA, peptidesA, err := engine.OpenSession(c.storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sessA.Close()
-	srvA := server.New(sessA, peptidesA, server.Config{BatchSize: 8, FlushInterval: 2 * time.Millisecond})
-	defer srvA.Close()
-
 	// Store B is a genuinely different database — half the peptides —
 	// built with the same engine knobs, so only the store differs.
-	pepsB := c.peptides[:len(c.peptides)/2]
-	cfgB := engine.DefaultSessionConfig()
-	cfgB.Params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
-	cfgB.TopK = 5
-	cfgB.Shards = 2
-	sessB, err := engine.NewSession(pepsB, cfgB)
-	if err != nil {
-		t.Fatal(err)
+	c := oracle.Generated(t)
+	half := &oracle.Corpus{Name: "half", Peptides: c.Peptides[:len(c.Peptides)/2], Queries: c.Queries}
+	var stores [2]*cluster
+	var handlers [2]http.Handler
+	for i, corpus := range []*oracle.Corpus{c, half} {
+		cell := oracle.Cell{Corpus: corpus, Shape: oracle.Shapes[1]}
+		sess, err := engine.NewSession(corpus.Peptides, engine.SessionConfig{Config: cell.Config(), Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		ref, err := sess.Search(context.Background(), corpus.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(sess, corpus.Peptides, server.Config{BatchSize: 8, FlushInterval: 2 * time.Millisecond})
+		defer srv.Close()
+		stores[i], handlers[i] = &cluster{Cell: cell, ref: ref, digest: sess.Digest()}, srv.Handler()
 	}
-	defer sessB.Close()
-	srvB := server.New(sessB, pepsB, server.Config{BatchSize: 8, FlushInterval: 2 * time.Millisecond})
-	defer srvB.Close()
-
-	digestA, digestB := sessA.Digest(), sessB.Digest()
-	if digestA == digestB || digestA == "" || digestB == "" {
-		t.Fatalf("store digests must be distinct and non-empty: %q vs %q", digestA, digestB)
+	a, b := stores[0], stores[1]
+	if a.digest == b.digest || a.digest == "" || b.digest == "" {
+		t.Fatalf("store digests must be distinct and non-empty: %q vs %q", a.digest, b.digest)
+	}
+	if reflect.DeepEqual(a.ref.PSMs, b.ref.PSMs) {
+		t.Fatal("both stores answer every query identically; the flip would be unobservable")
 	}
 
 	// One replica URL whose backing store can be swapped atomically —
 	// the router sees the same endpoint change databases under it.
 	var backend atomic.Value
-	backend.Store(srvA.Handler())
+	backend.Store(handlers[0])
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		backend.Load().(http.Handler).ServeHTTP(w, r)
 	}))
 	defer front.Close()
-
 	cfg := fastProbes()
 	cfg.CacheBytes = 4 << 20
 	rt, ts := testRouter(t, cfg, front.URL)
 
-	render := func(sess *engine.Session, peps []string) [][]byte {
-		ref, err := sess.Search(context.Background(), c.queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([][]byte, len(c.queries))
-		for i := range c.queries {
-			w, err := json.Marshal(api.BuildSearchResponse(c.queries[i:i+1], ref.PSMs[i:i+1], peps))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = bytes.TrimSpace(w)
-		}
-		return out
-	}
-	wantA, wantB := render(sessA, peptidesA), render(sessB, pepsB)
-	differs := 0
-	for i := range wantA {
-		if !bytes.Equal(wantA[i], wantB[i]) {
-			differs++
-		}
-	}
-	if differs == 0 {
-		t.Fatal("both stores answer every query identically; the flip would be unobservable")
-	}
-
-	rng := rand.New(rand.NewSource(44))
-	order := zipfReplayOrder(rng, len(c.queries), len(c.queries), 1.2)
-
 	// Phase 1: populate and serve from the cache against store A.
-	got := replayThrough(t, ts, c, order)
-	for i := range got {
-		if !bytes.Equal(bytes.TrimSpace(got[i]), wantA[i]) {
-			t.Fatalf("pre-flip query %d differs from store A Session.Search", i)
-		}
-	}
+	drive(t, ts.URL, a, 2, nil)
 	if st := rt.Stats(); st.Cache.Hits+st.Cache.Collapsed == 0 {
 		t.Fatalf("pre-flip replay never exercised the cache: %+v", st.Cache)
 	}
 
 	// Flip the store. The probe loop must observe the digest change and
 	// purge every entry cached under store A.
-	backend.Store(srvB.Handler())
+	backend.Store(handlers[1])
 	waitFor(t, func() bool {
 		st := rt.Stats()
-		return st.Digest == digestB && st.Cache.Invalidated > 0
+		return st.Digest == b.digest && st.Cache.Invalidated > 0
 	}, "digest flip never invalidated the router cache")
 
 	// Phase 2: every response now matches store B — a single stale body
 	// served from the old store's entries would fail the comparison.
-	got = replayThrough(t, ts, c, order)
-	for i := range got {
-		if !bytes.Equal(bytes.TrimSpace(got[i]), wantB[i]) {
-			t.Fatalf("post-flip query %d differs from store B Session.Search\nrouted: %s\ndirect: %s",
-				i, got[i], wantB[i])
-		}
-	}
+	drive(t, ts.URL, b, 2, nil)
 }
 
 // TestCachedRouterRejectsTrailingBytes: a body with bytes after the
@@ -272,13 +89,17 @@ func TestRouterCacheDigestFlipInvalidates(t *testing.T) {
 // replica uncached — and the replica, which decodes with the same
 // function, answers 400, which the router relays.
 func TestCachedRouterRejectsTrailingBytes(t *testing.T) {
-	c := testCorpus(t)
-	r := startCachedReplica(t, c)
+	c := oracle.Generated(t)
+	sess, err := engine.NewSession(c.Peptides, engine.SessionConfig{Config: oracle.Cell{Corpus: c, Shape: oracle.Shapes[1]}.Config(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := startReplica(t, sess, c.Peptides, 4<<20)
 	cfg := fastProbes()
 	cfg.CacheBytes = 4 << 20
 	rt, ts := testRouter(t, cfg, r.ts.URL)
 
-	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{api.FromExperimental(c.queries[0])}})
+	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{api.FromExperimental(c.Queries[0])}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +117,7 @@ func TestCachedRouterRejectsTrailingBytes(t *testing.T) {
 	if st := rt.Stats(); st.Cache.Entries != 0 || st.Cache.Hits+st.Cache.Misses != 0 {
 		t.Fatalf("undecodable bodies touched the router cache: %+v", st.Cache)
 	}
-	if status, data := postRaw(t, ts.Client(), ts.URL, c.queries[0]); status != http.StatusOK {
-		t.Fatalf("the same body without trailing bytes: status %d: %s", status, data)
+	if _, err := post(ts.URL, c.Queries[:1]); err != nil {
+		t.Fatalf("the same body without trailing bytes: %v", err)
 	}
 }

@@ -8,147 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbe/internal/api"
-	"lbe/internal/digest"
-	"lbe/internal/engine"
-	"lbe/internal/gen"
-	"lbe/internal/mods"
-	"lbe/internal/server"
-	"lbe/internal/spectrum"
+	"lbe/internal/oracle"
 )
-
-// corpus is the shared test dataset plus the store directory every
-// replica session warm-starts from (same store => same digest, the
-// gate's requirement for a mixable cluster).
-type corpus struct {
-	peptides []string
-	queries  []spectrum.Experimental
-	storeDir string
-}
-
-var (
-	corpusOnce sync.Once
-	corpusVal  corpus
-	corpusErr  error
-	corpusTmp  string
-)
-
-func testCorpus(t *testing.T) corpus {
-	t.Helper()
-	corpusOnce.Do(func() {
-		recs, err := gen.Proteome(gen.ProteomeConfig{
-			Seed: 21, NumFamilies: 10, Homologs: 3, MeanLen: 300, MutationRate: 0.03,
-		})
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		seqs := make([]string, len(recs))
-		for i, r := range recs {
-			seqs[i] = r.Sequence
-		}
-		peps, err := digest.DefaultConfig().Proteome(seqs)
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		peptides := digest.Sequences(digest.Dedup(peps))
-
-		scfg := gen.DefaultSpectraConfig()
-		scfg.Seed = 22
-		scfg.NumSpectra = 40
-		scfg.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
-		queries, _, err := gen.Spectra(peptides, scfg)
-		if err != nil {
-			corpusErr = err
-			return
-		}
-
-		cfg := engine.DefaultSessionConfig()
-		cfg.Params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
-		cfg.TopK = 5
-		cfg.Shards = 2
-		sess, err := engine.NewSession(peptides, cfg)
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		defer sess.Close()
-		dir := filepath.Join(corpusTmp, "store")
-		if err := sess.Save(dir, peptides); err != nil {
-			corpusErr = err
-			return
-		}
-		corpusVal = corpus{peptides: peptides, queries: queries, storeDir: dir}
-	})
-	if corpusErr != nil {
-		t.Fatal(corpusErr)
-	}
-	return corpusVal
-}
-
-func TestMain(m *testing.M) {
-	// The corpus store must outlive every test that shares it, so it
-	// cannot live in one test's t.TempDir.
-	var err error
-	corpusTmp, err = os.MkdirTemp("", "lbe-router-test-*")
-	if err != nil {
-		panic(err)
-	}
-	code := m.Run()
-	os.RemoveAll(corpusTmp)
-	os.Exit(code)
-}
-
-// testReplica boots one serving replica warm-started from the corpus
-// store and returns its HTTP server.
-type testReplica struct {
-	sess *engine.Session
-	srv  *server.Server
-	ts   *httptest.Server
-}
-
-func startReplica(t *testing.T, c corpus) *testReplica {
-	t.Helper()
-	return startReplicaDir(t, c.storeDir)
-}
-
-// startReplicaDir boots one serving replica warm-started from an
-// arbitrary store directory — a whole store or one shard-set of a
-// partitioned cluster.
-func startReplicaDir(t *testing.T, dir string) *testReplica {
-	t.Helper()
-	sess, peptides, err := engine.OpenSession(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(sess, peptides, server.Config{
-		BatchSize:     8,
-		FlushInterval: 2 * time.Millisecond,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	r := &testReplica{sess: sess, srv: srv, ts: ts}
-	t.Cleanup(func() { r.kill() })
-	return r
-}
-
-// kill tears the replica down abruptly: in-flight searches are
-// cancelled, then the listener closes. Idempotent.
-func (r *testReplica) kill() {
-	if r.srv != nil {
-		r.srv.Close()
-		r.ts.Close()
-		r.sess.Close()
-		r.srv = nil
-	}
-}
 
 func testRouter(t *testing.T, cfg Config, urls ...string) (*Router, *httptest.Server) {
 	t.Helper()
@@ -173,145 +39,16 @@ func fastProbes() Config {
 	}
 }
 
-// referencePSMs runs the direct Session.Search the router's responses
-// must match byte for byte.
-func referencePSMs(t *testing.T, c corpus) *engine.Result {
-	t.Helper()
-	sess, peptides, err := engine.OpenSession(c.storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if len(peptides) == 0 {
-		t.Fatal("corpus store has no peptide list")
-	}
-	ref, err := sess.Search(context.Background(), c.queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
-}
-
-// postRaw posts one single-query /search body and returns status + body.
-func postRaw(t *testing.T, client *http.Client, base string, q spectrum.Experimental) (int, []byte) {
-	t.Helper()
-	body, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{api.FromExperimental(q)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post(base+"/search", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, data
-}
-
-// driveConcurrent sends every corpus query through the router from its
-// own goroutine and returns the response bodies. kill, when non-nil, is
-// invoked once after about a third of the queries have been answered.
-func driveConcurrent(t *testing.T, ts *httptest.Server, c corpus, kill func()) [][]byte {
-	t.Helper()
-	got := make([][]byte, len(c.queries))
-	errs := make([]error, len(c.queries))
-	var done atomic.Int64
-	var killOnce sync.Once
-	var wg sync.WaitGroup
-	for i := range c.queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			status, data := postRaw(t, ts.Client(), ts.URL, c.queries[i])
-			if status != http.StatusOK {
-				errs[i] = fmt.Errorf("query %d: status %d: %s", i, status, data)
-				return
-			}
-			got[i] = data
-			if kill != nil && done.Add(1) == int64(len(c.queries)/3) {
-				killOnce.Do(kill)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return got
-}
-
-// requireMatchesReference asserts every routed response is byte-identical
-// to the direct Session.Search rendering.
-func requireMatchesReference(t *testing.T, c corpus, ref *engine.Result, got [][]byte) {
-	t.Helper()
-	found := 0
-	for i := range c.queries {
-		want, err := json.Marshal(api.BuildSearchResponse(
-			c.queries[i:i+1], ref.PSMs[i:i+1], c.peptides))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bytes.TrimSpace(got[i]), bytes.TrimSpace(want)) {
-			t.Fatalf("query %d: routed response differs from Session.Search\nrouted: %s\ndirect: %s",
-				i, got[i], want)
-		}
-		found += len(ref.PSMs[i])
-	}
-	if found == 0 {
-		t.Fatal("reference search matched nothing; corpus is not exercising the comparison")
-	}
-}
-
-// TestRouterMatchesSessionSearch is the acceptance-criterion test: N
-// concurrent clients through the router over two replicas receive
-// responses byte-identical to a direct Session.Search over the same
-// store, and both replicas actually carry traffic.
-func TestRouterMatchesSessionSearch(t *testing.T) {
-	c := testCorpus(t)
-	r1 := startReplica(t, c)
-	r2 := startReplica(t, c)
-	rt, ts := testRouter(t, fastProbes(), r1.ts.URL, r2.ts.URL)
-
-	ref := referencePSMs(t, c)
-	got := driveConcurrent(t, ts, c, nil)
-	requireMatchesReference(t, c, ref, got)
-
-	st := rt.Stats()
-	if st.Routed != int64(len(c.queries)) {
-		t.Fatalf("routed %d requests, want %d", st.Routed, len(c.queries))
-	}
-	if st.Digest == "" {
-		t.Fatal("router never adopted a cluster digest")
-	}
-	for _, rep := range st.Replicas {
-		if !rep.Healthy || rep.DigestMismatch {
-			t.Fatalf("replica %s not routable in a healthy cluster: %+v", rep.URL, rep)
-		}
-	}
-	if st.Replicas[0].Routed == 0 || st.Replicas[1].Routed == 0 {
-		t.Fatalf("traffic did not spread over the replicas: %d / %d",
-			st.Replicas[0].Routed, st.Replicas[1].Routed)
-	}
-}
-
-// TestRouterSurvivesReplicaKill re-runs the equivalence check while one
-// of three replicas is torn down abruptly mid-run: every response must
-// still be a 200 byte-identical to direct Session.Search, via failover.
+// TestRouterSurvivesReplicaKill drives the generated corpus through
+// three replicas while one is torn down abruptly mid-run: every reply is
+// still a 200 holding the bytes of the store's answer, via failover.
 func TestRouterSurvivesReplicaKill(t *testing.T) {
-	c := testCorpus(t)
-	r1 := startReplica(t, c)
-	r2 := startReplica(t, c)
-	r3 := startReplica(t, c)
+	cl := newCluster(t, oracle.Cell{Corpus: oracle.Generated(t), Shape: oracle.Shapes[1]})
+	r1 := startReplicaDir(t, cl.whole, 0)
+	r2 := startReplicaDir(t, cl.whole, 0)
+	r3 := startReplicaDir(t, cl.whole, 0)
 	rt, ts := testRouter(t, fastProbes(), r1.ts.URL, r2.ts.URL, r3.ts.URL)
-
-	ref := referencePSMs(t, c)
-	got := driveConcurrent(t, ts, c, r3.kill)
-	requireMatchesReference(t, c, ref, got)
+	drive(t, ts.URL, cl, 1, r3.kill)
 
 	// The dead replica must be marked down by a probe shortly after.
 	waitFor(t, func() bool {
@@ -319,13 +56,13 @@ func TestRouterSurvivesReplicaKill(t *testing.T) {
 		return !st.Replicas[2].Healthy
 	}, "killed replica never marked down")
 	st := rt.Stats()
-	if st.Replicas[0].Routed+st.Replicas[1].Routed+st.Replicas[2].Routed < int64(len(c.queries)) {
+	if st.Replicas[0].Routed+st.Replicas[1].Routed+st.Replicas[2].Routed < int64(len(cl.Corpus.Queries)) {
 		t.Fatalf("replica routed counts do not cover the run: %+v", st.Replicas)
 	}
 
 	// The cluster still serves with one replica gone.
-	if status, _ := postRaw(t, ts.Client(), ts.URL, c.queries[0]); status != http.StatusOK {
-		t.Fatalf("post-kill request answered %d", status)
+	if _, err := post(ts.URL, cl.Corpus.Queries[:1]); err != nil {
+		t.Fatalf("post-kill request: %v", err)
 	}
 }
 

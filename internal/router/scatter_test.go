@@ -2,85 +2,19 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbe/internal/api"
 	"lbe/internal/engine"
-	"lbe/internal/mods"
+	"lbe/internal/oracle"
 )
-
-// scatterFixtures is the shared partitioned-store fixture: one 4-shard
-// session over the corpus peptides, saved whole (the byte-identity
-// reference) and partitioned into 1, 2 and 4 shard-sets.
-type scatterFixtures struct {
-	wholeDir string
-	dirs     map[int]string                  // sets -> cluster dir
-	clusters map[int]*engine.ClusterManifest // sets -> manifest
-}
-
-var (
-	scatterOnce sync.Once
-	scatterVal  scatterFixtures
-	scatterErr  error
-)
-
-func testScatterFixtures(t *testing.T) scatterFixtures {
-	t.Helper()
-	c := testCorpus(t)
-	scatterOnce.Do(func() {
-		cfg := engine.DefaultSessionConfig()
-		cfg.Params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
-		cfg.TopK = 5
-		cfg.Shards = 4
-		sess, err := engine.NewSession(c.peptides, cfg)
-		if err != nil {
-			scatterErr = err
-			return
-		}
-		defer sess.Close()
-		whole := filepath.Join(corpusTmp, "scatter-whole")
-		if err := sess.Save(whole, c.peptides); err != nil {
-			scatterErr = err
-			return
-		}
-		dirs := make(map[int]string)
-		cms := make(map[int]*engine.ClusterManifest)
-		for _, sets := range []int{1, 2, 4} {
-			dir := filepath.Join(corpusTmp, fmt.Sprintf("scatter-cluster-%d", sets))
-			cm, err := sess.SavePartitioned(dir, c.peptides, sets)
-			if err != nil {
-				scatterErr = err
-				return
-			}
-			dirs[sets] = dir
-			cms[sets] = cm
-		}
-		scatterVal = scatterFixtures{wholeDir: whole, dirs: dirs, clusters: cms}
-	})
-	if scatterErr != nil {
-		t.Fatal(scatterErr)
-	}
-	return scatterVal
-}
-
-// scatterCorpus is the corpus re-anchored on the 4-shard whole store, so
-// referencePSMs and requireMatchesReference compare against the store
-// the partitions were cut from (shard ids differ from the 2-shard corpus
-// store).
-func scatterCorpus(t *testing.T) (corpus, scatterFixtures) {
-	c := testCorpus(t)
-	f := testScatterFixtures(t)
-	return corpus{peptides: c.peptides, queries: c.queries, storeDir: f.wholeDir}, f
-}
 
 // startSetReplicas boots count replicas per shard-set of the given
 // cluster and returns them with their URLs in set-major order.
@@ -90,7 +24,7 @@ func startSetReplicas(t *testing.T, dir string, sets, count int) ([]*testReplica
 	var urls []string
 	for s := 0; s < sets; s++ {
 		for i := 0; i < count; i++ {
-			rep := startReplicaDir(t, filepath.Join(dir, fmt.Sprintf("set-%02d", s)))
+			rep := startReplicaDir(t, filepath.Join(dir, fmt.Sprintf("set-%02d", s)), 0)
 			reps = append(reps, rep)
 			urls = append(urls, rep.ts.URL)
 		}
@@ -98,130 +32,39 @@ func startSetReplicas(t *testing.T, dir string, sets, count int) ([]*testReplica
 	return reps, urls
 }
 
-// TestScatterMatchesSessionSearch is the tentpole acceptance test: a
-// router over one holder per shard-set, at several partition counts,
-// answers every query with bytes identical to a direct whole-store
-// Session.Search — and adopts the composed cluster digest the indexer
-// recorded. One set is the same path: a SavePartitioned(…, 1) cluster,
-// and the whole-store directory itself behind two replicas that announce
-// no slice at all.
-func TestScatterMatchesSessionSearch(t *testing.T) {
-	cw, f := scatterCorpus(t)
-	ref := referencePSMs(t, cw)
-	whole, _, err := engine.OpenSession(f.wholeDir)
+// TestOneSetRelaysVerbatim: one set means relay, not merge — a 200 body
+// that is valid but not canonical JSON comes back byte for byte, so
+// nothing re-encoded it.
+func TestOneSetRelaysVerbatim(t *testing.T) {
+	odd := []byte("{ \"results\" : [ { \"scan\":7, \"psms\":[ ] } ] }\n\n")
+	holder := startScatterFake(t, 0, 1, "dig-one", 0, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(odd)
+	})
+	_, ts := testRouter(t, fastProbes(), holder.ts.URL)
+	resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wholeDigest := whole.Digest()
-	whole.Close()
-
-	type input struct {
-		name   string
-		sets   int
-		digest string
-		start  func(t *testing.T) []string // boots the holders, returns their URLs
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	inputs := []input{{name: "whole", sets: 1, digest: wholeDigest, start: func(t *testing.T) []string {
-		return []string{startReplicaDir(t, f.wholeDir).ts.URL, startReplicaDir(t, f.wholeDir).ts.URL}
-	}}}
-	for _, sets := range []int{1, 2, 4} {
-		inputs = append(inputs, input{
-			name: fmt.Sprintf("sets=%d", sets), sets: sets, digest: f.clusters[sets].ClusterDigest,
-			start: func(t *testing.T) []string {
-				_, urls := startSetReplicas(t, f.dirs[sets], sets, 1)
-				return urls
-			},
-		})
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, odd) {
+		t.Fatalf("one-set reply was not relayed verbatim: %d %q, want %q", resp.StatusCode, data, odd)
 	}
-	for _, in := range inputs {
-		sets := in.sets
-		t.Run(in.name, func(t *testing.T) {
-			rt, ts := testRouter(t, fastProbes(), in.start(t)...)
-
-			got := driveConcurrent(t, ts, cw, nil)
-			requireMatchesReference(t, cw, ref, got)
-
-			st := rt.Stats()
-			if st.Routed != int64(len(cw.queries)) {
-				t.Fatalf("routed %d merged requests, want %d", st.Routed, len(cw.queries))
-			}
-			if st.Scatter == nil || st.Scatter.Sets != sets || st.Scatter.Covered != sets {
-				t.Fatalf("scatter stats do not show full coverage: %+v", st.Scatter)
-			}
-			if st.Digest != in.digest {
-				t.Fatalf("router digest %q, want composed cluster digest %q",
-					st.Digest, in.digest)
-			}
-			for _, rep := range st.Replicas {
-				if !rep.Healthy || rep.DigestMismatch || rep.ShardSet == nil {
-					t.Fatalf("holder %s not routable in a healthy partition: %+v", rep.URL, rep)
-				}
-				if rep.Routed == 0 {
-					t.Fatalf("holder %s (set %d) carried no traffic", rep.URL, rep.ShardSet.Set)
-				}
-				if rep.BytesSent == 0 || rep.BytesReceived == 0 {
-					t.Fatalf("holder %s carried traffic but counted no bytes: %+v", rep.URL, rep)
-				}
-			}
-
-			// The health view describes the whole logical store.
-			resp, err := ts.Client().Get(ts.URL + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var h api.HealthResponse
-			if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || h.Shards != 4 {
-				t.Fatalf("scatter healthz: %d %+v, want 200 with 4 total shards", resp.StatusCode, h)
-			}
-		})
-	}
-
-	// A one-set cluster is a plain store: its cluster digest is its
-	// store's manifest digest, which is what its holder serves under.
-	if cm := f.clusters[1]; cm.ClusterDigest != cm.SetDigests[0] {
-		t.Fatalf("one-set cluster digest %q is not its store's %q", cm.ClusterDigest, cm.SetDigests[0])
-	}
-
-	// One set means relay, not merge: a 200 body that is valid but not
-	// canonical JSON comes back byte for byte, so nothing re-encoded it.
-	t.Run("one set relays verbatim", func(t *testing.T) {
-		odd := []byte("{ \"results\" : [ { \"scan\":7, \"psms\":[ ] } ] }\n\n")
-		holder := startScatterFake(t, 0, 1, "dig-one", 0, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(odd)
-		})
-		_, ts := testRouter(t, fastProbes(), holder.ts.URL)
-		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(data, odd) {
-			t.Fatalf("one-set reply was not relayed verbatim: %d %q, want %q", resp.StatusCode, data, odd)
-		}
-	})
 }
 
-// TestScatterSurvivesHolderKill re-runs the equivalence check with two
+// TestScatterSurvivesHolderKill drives the generated corpus through two
 // holders per shard-set while one set-0 holder is torn down abruptly
-// mid-run: every response must still be a 200 byte-identical to the
-// whole-store Session.Search, via failover to the set's other replica.
+// mid-run: every reply is still a 200 holding the bytes of the
+// whole-store answer, via failover to the set's other holder.
 func TestScatterSurvivesHolderKill(t *testing.T) {
-	cw, f := scatterCorpus(t)
-	ref := referencePSMs(t, cw)
-	reps, urls := startSetReplicas(t, f.dirs[2], 2, 2)
+	cl := newCluster(t, oracle.Cell{Corpus: oracle.Generated(t), Shape: oracle.Shapes[1]})
+	reps, urls := startSetReplicas(t, cl.sets[2], 2, 2)
 	rt, ts := testRouter(t, fastProbes(), urls...)
-
-	got := driveConcurrent(t, ts, cw, reps[0].kill)
-	requireMatchesReference(t, cw, ref, got)
+	drive(t, ts.URL, cl, 1, reps[0].kill)
 
 	waitFor(t, func() bool {
 		st := rt.Stats()
@@ -229,8 +72,8 @@ func TestScatterSurvivesHolderKill(t *testing.T) {
 	}, "killed holder never marked down")
 
 	// The partition still has every set covered and keeps serving.
-	if status, _ := postRaw(t, ts.Client(), ts.URL, cw.queries[0]); status != http.StatusOK {
-		t.Fatalf("post-kill request answered %d", status)
+	if _, err := post(ts.URL, cl.Corpus.Queries[:1]); err != nil {
+		t.Fatalf("post-kill request: %v", err)
 	}
 	st := rt.Stats()
 	if st.Scatter == nil || st.Scatter.Covered != 2 {

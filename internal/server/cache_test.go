@@ -6,16 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbe/internal/api"
 	"lbe/internal/engine"
+	"lbe/internal/oracle"
 	"lbe/internal/spectrum"
 )
 
@@ -32,88 +31,13 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestCachedServeMatchesSessionSearch replays a duplicate-heavy workload
-// through a cache-enabled server with concurrent clients: every response
-// — first computation, singleflight wait, or cache hit — must be
-// byte-identical to the rendered Session.Search answer.
-func TestCachedServeMatchesSessionSearch(t *testing.T) {
-	c := testCorpus(t)
-	sess := testSession(t, c, 3)
-	srv := New(sess, c.peptides, Config{
-		BatchSize: 8, FlushInterval: 2 * time.Millisecond, CacheBytes: 8 << 20,
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	pool := c.queries[:16]
-	ref, err := sess.Search(context.Background(), pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]byte, len(pool))
-	for i := range pool {
-		w, err := json.Marshal(api.BuildSearchResponse(pool[i:i+1], ref.PSMs[i:i+1], c.peptides))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = bytes.TrimSpace(w)
-	}
-
-	// Each pool query replayed several times, shuffled, all in flight at
-	// once — plenty of duplicates to hit both the collapse and hit paths.
-	rng := rand.New(rand.NewSource(41))
-	var order []int
-	for rep := 0; rep < 3; rep++ {
-		for i := range pool {
-			order = append(order, i)
-		}
-	}
-	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for j, i := range order {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			resp, body := postSearch(t, ts.Client(), ts.URL, toWire(pool[i]))
-			if resp.StatusCode != 200 {
-				errs[j] = fmt.Errorf("replay %d (query %d): status %d: %s", j, i, resp.StatusCode, body)
-				return
-			}
-			if !bytes.Equal(bytes.TrimSpace(body), want[i]) {
-				errs[j] = fmt.Errorf("replay %d (query %d): cached serve differs from Session.Search\nserved: %s\ndirect: %s",
-					j, i, body, want[i])
-			}
-		}(j, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cs := srv.Stats().Cache
-	if cs == nil {
-		t.Fatal("cache-enabled server reports no cache stats")
-	}
-	if cs.Hits+cs.Collapsed == 0 {
-		t.Fatalf("duplicate-heavy replay produced no hits or collapses: %+v", cs)
-	}
-	if cs.Misses > int64(len(pool)) {
-		t.Errorf("%d misses for a %d-query pool; duplicates recomputed", cs.Misses, len(pool))
-	}
-}
-
 // TestCacheCollapsesConcurrentDuplicates parks the engine under the
 // first request for a spectrum and releases it only after N duplicates
 // are waiting: the engine must see the query exactly once.
 func TestCacheCollapsesConcurrentDuplicates(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 2)
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize: 8, FlushInterval: time.Millisecond, CacheBytes: 8 << 20,
 	})
 	defer srv.Close()
@@ -134,7 +58,7 @@ func TestCacheCollapsesConcurrentDuplicates(t *testing.T) {
 	results := make(chan []byte, dup)
 	errs := make(chan error, dup)
 	post := func() {
-		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 		if resp.StatusCode != 200 {
 			errs <- fmt.Errorf("status %d: %s", resp.StatusCode, body)
 			return
@@ -176,9 +100,9 @@ func TestCacheCollapsesConcurrentDuplicates(t *testing.T) {
 // failure must not be cached, and a later request must hit the good
 // entry.
 func TestCacheAbortedLeaderDoesNotPoison(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 2)
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize: 8, FlushInterval: time.Millisecond, CacheBytes: 8 << 20,
 	})
 	defer srv.Close()
@@ -197,7 +121,7 @@ func TestCacheAbortedLeaderDoesNotPoison(t *testing.T) {
 
 	leaderDone := make(chan string, 1)
 	go func() {
-		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 		leaderDone <- fmt.Sprintf("%d %s", resp.StatusCode, body)
 	}()
 	waitUntil(t, "leader to reach the engine", func() bool { return calls.Load() == 1 })
@@ -205,7 +129,7 @@ func TestCacheAbortedLeaderDoesNotPoison(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterBody []byte
 	go func() {
-		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+		resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 		if resp.StatusCode != 200 {
 			waiterDone <- fmt.Errorf("waiter after aborted leader: status %d: %s", resp.StatusCode, body)
 			return
@@ -226,7 +150,7 @@ func TestCacheAbortedLeaderDoesNotPoison(t *testing.T) {
 	}
 
 	// The retry's answer — not the failure — is what got cached.
-	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-retry request: status %d: %s", resp.StatusCode, body)
 	}
@@ -245,9 +169,9 @@ func TestCacheAbortedLeaderDoesNotPoison(t *testing.T) {
 // TestCacheStatsAndMetricsSurface checks the counter block on /stats and
 // /metrics, and its absence when caching is disabled.
 func TestCacheStatsAndMetricsSurface(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 2)
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize: 8, FlushInterval: time.Millisecond, CacheBytes: 4 << 20,
 	})
 	defer srv.Close()
@@ -255,7 +179,7 @@ func TestCacheStatsAndMetricsSurface(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ { // miss then hit
-		if resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0])); resp.StatusCode != 200 {
+		if resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0])); resp.StatusCode != 200 {
 			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
@@ -300,7 +224,7 @@ func TestCacheStatsAndMetricsSurface(t *testing.T) {
 	}
 
 	// Disabled cache: no block, no metric names.
-	off := New(sess, c.peptides, Config{BatchSize: 8, FlushInterval: time.Millisecond})
+	off := New(sess, c.Peptides, Config{BatchSize: 8, FlushInterval: time.Millisecond})
 	defer off.Close()
 	if off.Stats().Cache != nil {
 		t.Fatal("cache-disabled server reports cache stats")

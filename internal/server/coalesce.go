@@ -197,7 +197,6 @@ func (s *Server) dispatchBatch(live []*request) {
 	s.batchWG.Add(1)
 	go func() {
 		defer s.batchWG.Done()
-		defer func() { <-s.sem }()
 
 		// The batch runs under the server's base context but is cancelled
 		// early if every member request's context ends first (all clients
@@ -220,6 +219,10 @@ func (s *Server) dispatchBatch(live []*request) {
 		for _, stop := range stops {
 			stop()
 		}
+		// The slot is the search's, not the replies': free it before any
+		// member is answered, so /stats (and the router's load(), which
+		// reads it) never counts a batch whose every reply is out.
+		<-s.sem
 
 		off := 0
 		for _, r := range live {

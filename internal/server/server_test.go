@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,71 +13,19 @@ import (
 	"time"
 
 	"lbe/internal/api"
-	"lbe/internal/digest"
 	"lbe/internal/engine"
-	"lbe/internal/gen"
 	"lbe/internal/mods"
+	"lbe/internal/oracle"
 	"lbe/internal/spectrum"
 )
 
-// testCorpus generates a small peptide database and query run, shared by
-// every test through sync.Once (construction is the expensive part).
-type corpus struct {
-	peptides []string
-	queries  []spectrum.Experimental
-}
-
-var (
-	corpusOnce sync.Once
-	corpusVal  corpus
-	corpusErr  error
-)
-
-func testCorpus(t *testing.T) corpus {
-	t.Helper()
-	corpusOnce.Do(func() {
-		recs, err := gen.Proteome(gen.ProteomeConfig{
-			Seed: 11, NumFamilies: 10, Homologs: 3, MeanLen: 300, MutationRate: 0.03,
-		})
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		seqs := make([]string, len(recs))
-		for i, r := range recs {
-			seqs[i] = r.Sequence
-		}
-		peps, err := digest.DefaultConfig().Proteome(seqs)
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		peptides := digest.Sequences(digest.Dedup(peps))
-
-		scfg := gen.DefaultSpectraConfig()
-		scfg.Seed = 12
-		scfg.NumSpectra = 48
-		scfg.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
-		queries, _, err := gen.Spectra(peptides, scfg)
-		if err != nil {
-			corpusErr = err
-			return
-		}
-		corpusVal = corpus{peptides: peptides, queries: queries}
-	})
-	if corpusErr != nil {
-		t.Fatal(corpusErr)
-	}
-	return corpusVal
-}
-
-func testSession(t *testing.T, c corpus, shards int) *engine.Session {
+func testSession(t *testing.T, c *oracle.Corpus, shards int) *engine.Session {
 	t.Helper()
 	cfg := engine.DefaultSessionConfig()
 	cfg.Params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}
 	cfg.TopK = 5
 	cfg.Shards = shards
-	sess, err := engine.NewSession(c.peptides, cfg)
+	sess, err := engine.NewSession(c.Peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,87 +56,15 @@ func postSearch(t *testing.T, client *http.Client, url string, spectra ...api.Sp
 	return resp, b
 }
 
-// TestConcurrentServeMatchesSessionSearch is the acceptance-criterion
-// test: N concurrent single-query clients receive, query for query, PSMs
-// byte-equivalent (as rendered JSON) to one Session.Search over the same
-// queries.
-func TestConcurrentServeMatchesSessionSearch(t *testing.T) {
-	c := testCorpus(t)
-	sess := testSession(t, c, 3)
-	srv := New(sess, c.peptides, Config{BatchSize: 8, FlushInterval: 20 * time.Millisecond})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	ref, err := sess.Search(context.Background(), c.queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got := make([][]byte, len(c.queries))
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.queries))
-	for i := range c.queries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.queries[i])}})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("query %d: status %d: %s", i, resp.StatusCode, b)
-				return
-			}
-			got[i] = b
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	found := 0
-	for i := range c.queries {
-		want, err := json.Marshal(api.BuildSearchResponse(
-			c.queries[i:i+1], ref.PSMs[i:i+1], c.peptides))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bytes.TrimSpace(got[i]), bytes.TrimSpace(want)) {
-			t.Fatalf("query %d: served response differs from Session.Search\nserved: %s\ndirect: %s",
-				i, got[i], want)
-		}
-		found += len(ref.PSMs[i])
-	}
-	if found == 0 {
-		t.Fatal("reference search matched nothing; corpus is not exercising the comparison")
-	}
-}
-
 // TestCoalesceMergesConcurrentRequests asserts that concurrent small
 // requests share engine batches: with a flush window much longer than
 // request skew, K single-query requests must arrive in far fewer than K
 // coalesced batches.
 func TestCoalesceMergesConcurrentRequests(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 2)
 	const k = 16
-	srv := New(sess, c.peptides, Config{BatchSize: k, FlushInterval: 300 * time.Millisecond})
+	srv := New(sess, c.Peptides, Config{BatchSize: k, FlushInterval: 300 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -199,7 +74,7 @@ func TestCoalesceMergesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[i%len(c.queries)]))
+			resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[i%len(c.Queries)]))
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
 			}
@@ -234,10 +109,10 @@ func TestCoalesceMergesConcurrentRequests(t *testing.T) {
 // BatchSize queries — except a single request that alone exceeds the
 // cap, which must dispatch as exactly one batch of its own.
 func TestDispatchedBatchesRespectCap(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
 	const maxBatch = 8
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize:     maxBatch,
 		FlushInterval: 200 * time.Millisecond,
 		MaxInFlight:   2,
@@ -259,7 +134,7 @@ func TestDispatchedBatchesRespectCap(t *testing.T) {
 	wire := func(n int) []api.SpectrumJSON {
 		out := make([]api.SpectrumJSON, n)
 		for i := range out {
-			out[i] = toWire(c.queries[i%len(c.queries)])
+			out[i] = toWire(c.Queries[i%len(c.Queries)])
 		}
 		return out
 	}
@@ -337,9 +212,9 @@ func (b *blockingSearch) search(ctx context.Context, qs []spectrum.Experimental)
 // requests queued — and asserts the next request is rejected with 429
 // and a Retry-After header.
 func TestQueueFullReturns429(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize:     1,
 		FlushInterval: time.Millisecond,
 		QueueDepth:    2,
@@ -351,7 +226,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	q := toWire(c.queries[0])
+	q := toWire(c.Queries[0])
 	send := func() {
 		go func() {
 			body, _ := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{q}})
@@ -396,9 +271,9 @@ func TestQueueFullReturns429(t *testing.T) {
 // accepted complete with 200s, requests arriving after Shutdown begins
 // get 503, and Shutdown returns only once everything is answered.
 func TestShutdownDrainsInFlight(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{BatchSize: 4, FlushInterval: time.Millisecond})
+	srv := New(sess, c.Peptides, Config{BatchSize: 4, FlushInterval: time.Millisecond})
 	bs := newBlockingSearch(sess)
 	srv.searchFn = bs.search
 	ts := httptest.NewServer(srv.Handler())
@@ -408,7 +283,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	codes := make(chan int, k)
 	for i := 0; i < k; i++ {
 		go func(i int) {
-			resp, _ := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[i]))
+			resp, _ := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[i]))
 			codes <- resp.StatusCode
 		}(i)
 	}
@@ -432,7 +307,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	waitFor(t, srv.isDraining, "server never started draining")
 
 	// New work is refused while draining.
-	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain: status %d, want 503; body %s", resp.StatusCode, body)
 	}
@@ -452,9 +327,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // every client in a merged batch disconnects, the batch's search context
 // is cancelled instead of burning shard time for nobody.
 func TestClientDisconnectCancelsBatch(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{BatchSize: 1, FlushInterval: time.Millisecond})
+	srv := New(sess, c.Peptides, Config{BatchSize: 1, FlushInterval: time.Millisecond})
 	defer srv.Close()
 
 	cancelled := make(chan struct{})
@@ -466,7 +341,7 @@ func TestClientDisconnectCancelsBatch(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.queries[0])}})
+	body, _ := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.Queries[0])}})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search", bytes.NewReader(body))
 	if err != nil {
@@ -494,9 +369,9 @@ func TestClientDisconnectCancelsBatch(t *testing.T) {
 
 // TestRequestValidation covers the handler's rejection paths.
 func TestRequestValidation(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{MaxQueriesPerRequest: 2})
+	srv := New(sess, c.Peptides, Config{MaxQueriesPerRequest: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -524,7 +399,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Errorf("empty spectra: status %d, want 400; body %s", resp.StatusCode, body)
 	}
 
-	q := toWire(c.queries[0])
+	q := toWire(c.Queries[0])
 	resp, body = postSearch(t, ts.Client(), ts.URL, q, q, q)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized request: status %d, want 413; body %s", resp.StatusCode, body)
@@ -539,7 +414,7 @@ func TestRequestValidation(t *testing.T) {
 	// A body past MaxBodyBytes is 413, like too many spectra: the
 	// request is well formed, only too big. The padding keeps it valid
 	// JSON, so nothing but the limit can refuse it.
-	small := New(sess, c.peptides, Config{MaxBodyBytes: 4096})
+	small := New(sess, c.Peptides, Config{MaxBodyBytes: 4096})
 	defer small.Close()
 	smallTS := httptest.NewServer(small.Handler())
 	defer smallTS.Close()
@@ -563,14 +438,14 @@ func TestRequestValidation(t *testing.T) {
 // request object is a 400 — the whole body is the request, not just its
 // first JSON value.
 func TestRequestRejectsTrailingBytes(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{})
+	srv := New(sess, c.Peptides, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.queries[0])}})
+	one, err := json.Marshal(api.SearchRequest{Spectra: []api.SpectrumJSON{toWire(c.Queries[0])}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,9 +480,9 @@ func TestOutsizedBodyBufferNotPooled(t *testing.T) {
 // TestHealthAndStatsEndpoints exercises the operational endpoints before
 // and during drain.
 func TestHealthAndStatsEndpoints(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 2)
-	srv := New(sess, c.peptides, Config{})
+	srv := New(sess, c.Peptides, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -627,7 +502,7 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 		t.Fatalf("healthz digest %q does not expose the session digest %q", h.Digest, sess.Digest())
 	}
 
-	q := toWire(c.queries[0])
+	q := toWire(c.Queries[0])
 	if r, body := postSearch(t, ts.Client(), ts.URL, q); r.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d: %s", r.StatusCode, body)
 	}
@@ -693,9 +568,9 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 // TestRequestTimeout asserts the per-request deadline turns a stuck
 // search into a 504 for the caller.
 func TestRequestTimeout(t *testing.T) {
-	c := testCorpus(t)
+	c := oracle.Generated(t)
 	sess := testSession(t, c, 1)
-	srv := New(sess, c.peptides, Config{
+	srv := New(sess, c.Peptides, Config{
 		BatchSize:      1,
 		FlushInterval:  time.Millisecond,
 		RequestTimeout: 50 * time.Millisecond,
@@ -708,7 +583,7 @@ func TestRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.queries[0]))
+	resp, body := postSearch(t, ts.Client(), ts.URL, toWire(c.Queries[0]))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", resp.StatusCode, body)
 	}

@@ -2,12 +2,18 @@ package slm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"lbe/internal/mass"
 	"lbe/internal/mods"
+	"lbe/internal/spectrum"
 )
 
 // FuzzDecodeIndex hammers the SLMX decoder with arbitrary images. The
@@ -130,5 +136,178 @@ func FuzzDecodeIndex(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("an accepted %d-byte image re-serializes to %d different bytes", len(data), buf.Len())
 		}
+	})
+}
+
+// Query shapes of FuzzSearchVsBruteForce, bits of its peaks argument.
+const (
+	fuzzJitter = 1 << iota // move every ion peak by up to ±0.02
+	fuzzNoise              // add five peaks anywhere in the scan range
+	fuzzDupes              // repeat every other peak's m/z
+	fuzzAbove              // add peaks at and past the indexed range's end
+	fuzzWide               // pad to MaxQueryPeaks+1 peaks
+	fuzzEmpty              // drop every peak
+)
+
+// edgeMZ returns the charge-1 precursor m/z of the query mass furthest
+// from row on side dir (+1 above, -1 below) whose tol window still admits
+// row — or, with past set, the next float beyond it, which does not. It
+// returns the m/z of row itself when the window has no edge to find.
+func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
+	admits := func(bits uint64) bool {
+		q := spectrum.Experimental{PrecursorMZ: math.Float64frombits(bits), Charge: 1}
+		return tol.Contains(q.PrecursorMass(), row)
+	}
+	on, off := mass.MZ(row, 1), mass.MZ(row+dir*(2*tol.Width(row)+1), 1)
+	a, b := math.Float64bits(on), math.Float64bits(off)
+	if tol.IsOpen() || off <= 0 || !admits(a) || admits(b) {
+		return on
+	}
+	// Positive floats order as their bits; admission is monotone from
+	// the row outwards, so bisect the bits between a (in) and b (out).
+	for a+1 != b && b+1 != a {
+		if m := (a + b) / 2; admits(m) {
+			a = m
+		} else {
+			b = m
+		}
+	}
+	if past {
+		return math.Float64frombits(b)
+	}
+	return math.Float64frombits(a)
+}
+
+// FuzzSearchVsBruteForce holds the index kernel to BruteForce, the one
+// implementation sharing no layout code with it. The input decides all
+// of it: a database of 1–16 peptides cycling through 1 to 16 distinct
+// sequences (a single one is all ties), zero to two mods per peptide, the
+// fragment tolerance, an open, Da or ppm precursor tolerance, the
+// shared-peak threshold, and a query from one row's ion ladder — shaped
+// by the peaks bits — whose precursor is the row's, on an edge of the
+// window around it, or one float step past that edge. For k of 0, 1 or
+// 3, SearchCut on the built index, on the index decoded from its own
+// WriteTo image and, for a bounded tolerance, an open index's SearchCut
+// filtered by Contains must each keep exactly the brute-force matches
+// scoring at least the k-th best.
+func FuzzSearchVsBruteForce(f *testing.F) {
+	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
+	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(5), uint8(1), uint16(500), uint8(3), uint8(0), uint8(fuzzJitter), uint8(0), uint8(2))         // a single row
+	f.Add(int64(3), uint8(9), uint8(9), uint8(2), uint8(5), uint8(0), uint16(0), uint8(0), uint8(4), uint8(fuzzNoise|fuzzWide), uint8(0), uint8(1))   // MaxQueryPeaks+1 peaks
+	f.Add(int64(4), uint8(5), uint8(5), uint8(1), uint8(5), uint8(1), uint16(500), uint8(3), uint8(1), uint8(0), uint8(2), uint8(0))                  // on the window's upper edge
+	f.Add(int64(4), uint8(5), uint8(5), uint8(1), uint8(5), uint8(2), uint16(300), uint8(3), uint8(1), uint8(0), uint8(1|4), uint8(0))                // past the lower edge, ppm
+	f.Add(int64(5), uint8(4), uint8(4), uint8(1), uint8(10), uint8(0), uint16(0), uint8(0), uint8(2), uint8(fuzzAbove|fuzzDupes), uint8(0), uint8(2)) // empty bucket spans
+	f.Add(int64(6), uint8(3), uint8(3), uint8(1), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(fuzzEmpty), uint8(0), uint8(0))            // no peaks
+	f.Fuzz(func(t *testing.T, seed int64, npep, distinct, maxMods, fragTol, tolKind uint8, tolVal uint16, minShared, target, peaks, prec, k uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		base := randPeptides(rng, 1+int(distinct)%(1+int(npep)%16))
+		peps := make([]string, 1+int(npep)%16)
+		for i := range peps {
+			peps[i] = base[i%len(base)]
+		}
+		params := DefaultParams()
+		params.Mods.MaxPerPep = int(maxMods % 3)
+		params.FragmentTol = mass.Da(0.01 * float64(fragTol%11))
+		params.PrecursorTol = []mass.Tolerance{mass.Open(), mass.Da(float64(tolVal) / 1000), mass.Ppm(float64(tolVal) / 10)}[tolKind%3]
+		params.MinSharedPeaks = 1 + int(minShared%6)
+		ix, err := Build(peps, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The query is the target row's ladder, found the way BruteForce
+		// numbers rows: peptides in order, variants in order.
+		rid := int(target) % ix.NumRows()
+		var th spectrum.Theoretical
+		for _, seq := range peps {
+			vs, err := params.Mods.Variants(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rid < len(vs) {
+				th, err = spectrum.PredictIons(seq, vs[rid], params.Mods.Mods, params.series())
+				if err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			rid -= len(vs)
+		}
+		var q spectrum.Experimental
+		for _, ion := range th.Ions {
+			if peaks&fuzzJitter != 0 {
+				ion += (rng.Float64() - 0.5) * 0.04
+			}
+			q.Peaks = append(q.Peaks, spectrum.Peak{MZ: ion, Intensity: 10 + 90*rng.Float64()})
+		}
+		for i := 0; peaks&fuzzNoise != 0 && i < 5; i++ {
+			q.Peaks = append(q.Peaks, spectrum.Peak{MZ: params.MaxFragmentMZ * rng.Float64(), Intensity: 10 * rng.Float64()})
+		}
+		for i := 0; peaks&fuzzDupes != 0 && i < len(th.Ions); i += 2 {
+			q.Peaks = append(q.Peaks, spectrum.Peak{MZ: q.Peaks[i].MZ, Intensity: 1 + rng.Float64()})
+		}
+		for _, mz := range []float64{params.MaxFragmentMZ, params.MaxFragmentMZ + 0.5, 3 * params.MaxFragmentMZ} {
+			if peaks&fuzzAbove != 0 {
+				q.Peaks = append(q.Peaks, spectrum.Peak{MZ: mz, Intensity: 50})
+			}
+		}
+		for peaks&fuzzWide != 0 && len(q.Peaks) <= params.MaxQueryPeaks {
+			q.Peaks = append(q.Peaks, spectrum.Peak{MZ: params.MaxFragmentMZ * rng.Float64(), Intensity: rng.Float64()})
+		}
+		if peaks&fuzzEmpty != 0 {
+			q.Peaks = nil
+		}
+		q.SortPeaks()
+		q.Charge = 1
+		q.PrecursorMZ = edgeMZ(params.PrecursorTol, th.Precursor, []float64{0, 1, -1, 0}[prec&3], prec&4 != 0)
+
+		kk := []int{0, 1, 3}[k%3]
+		byRow := func(a, b Match) int { return cmp.Compare(a.Row, b.Row) }
+		brute, err := BruteForce(peps, params, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cutReference(brute, kk)
+		slices.SortFunc(want, byRow)
+		check := func(label string, got []Match) {
+			t.Helper()
+			slices.SortFunc(got, byRow)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, k=%d, %v window, query mass %v on row precursor %v:\n got %+v\nwant %+v",
+					label, kk, params.PrecursorTol, q.PrecursorMass(), th.Precursor, got, want)
+			}
+		}
+		got, _ := ix.SearchCut(q, kk, nil)
+		check("built index", got)
+
+		var image bytes.Buffer
+		if _, err := ix.WriteTo(&image); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeIndex(image.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ = decoded.SearchCut(q, kk, nil)
+		check("decoded image", got)
+
+		if params.PrecursorTol.IsOpen() {
+			return
+		}
+		openParams := params
+		openParams.PrecursorTol = mass.Open()
+		open, err := Build(peps, openParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, _ := open.SearchCut(q, 0, nil)
+		var admitted []Match
+		for _, m := range all {
+			if params.PrecursorTol.Contains(q.PrecursorMass(), m.Precursor) {
+				admitted = append(admitted, m)
+			}
+		}
+		check("filtered open index", cutReference(admitted, kk))
 	})
 }
