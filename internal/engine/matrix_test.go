@@ -272,6 +272,7 @@ var rows = []struct {
 
 // TestMatrix runs every engine path on every corpus × shape.
 func TestMatrix(t *testing.T) {
+	t.Parallel()
 	for _, c := range oracle.Cells(t) {
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()

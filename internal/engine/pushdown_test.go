@@ -52,6 +52,7 @@ func duplicatesDataset(t *testing.T) ([]string, []spectrum.Experimental) {
 // also looks inside the cells: they must hold more than TopK entries, all
 // but TopK-1 of them tied at the cut.
 func TestTopKPushdownTiesAcrossShards(t *testing.T) {
+	t.Parallel()
 	peptides, queries := duplicatesDataset(t)
 
 	for _, topK := range []int{1, 3, 10} {

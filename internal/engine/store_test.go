@@ -110,6 +110,7 @@ func editManifest(t *testing.T, dir string, fn func(map[string]any)) {
 // query, so it must fail at open or at the first Search — never serve a
 // result from a corrupt store.
 func TestOpenRejectsCorruptStores(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name    string
 		tamper  func(t *testing.T, dir string)
@@ -393,6 +394,7 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 // field and the shard count move both the fresh digest and the manifest;
 // and two independent builds save byte-identical stores.
 func TestSessionDigestConsistency(t *testing.T) {
+	t.Parallel()
 	peptides, _, _ := testDataset(t, 6, 2, 0)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
 
