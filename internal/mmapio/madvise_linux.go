@@ -6,14 +6,9 @@ import "syscall"
 
 // madvise translates an Advice to the corresponding MADV_* hint.
 func madvise(b []byte, a Advice) error {
-	adv := syscall.MADV_NORMAL
-	switch a {
-	case AdviceRandom:
-		adv = syscall.MADV_RANDOM
-	case AdviceSequential:
+	adv := syscall.MADV_RANDOM
+	if a == AdviceSequential {
 		adv = syscall.MADV_SEQUENTIAL
-	case AdviceWillNeed:
-		adv = syscall.MADV_WILLNEED
 	}
 	return syscall.Madvise(b, adv)
 }

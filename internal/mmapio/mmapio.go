@@ -28,14 +28,10 @@ type Advice int
 
 // The supported access-pattern hints.
 const (
-	// AdviceNormal restores the kernel's default readahead.
-	AdviceNormal Advice = iota
 	// AdviceRandom disables readahead for pointer-chasing access.
-	AdviceRandom
+	AdviceRandom Advice = iota
 	// AdviceSequential aggressively reads ahead for linear scans.
 	AdviceSequential
-	// AdviceWillNeed asks the kernel to start faulting pages in now.
-	AdviceWillNeed
 )
 
 // Mapping is one open read-only view of a file: memory-mapped when the
@@ -105,16 +101,6 @@ func (m *Mapping) Bytes() []byte {
 		return nil
 	}
 	return m.data
-}
-
-// Len returns the mapped length in bytes (0 after Close).
-func (m *Mapping) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0
-	}
-	return len(m.data)
 }
 
 // Mapped reports whether the Mapping is backed by mmap rather than a

@@ -268,10 +268,17 @@ func windowEdge() ([]string, []spectrum.Experimental, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if ix.Row(0).Modified() || ix.Row(0).Peptide != 0 {
-		return nil, nil, fmt.Errorf("row 0 is not %s unmodified", peptides[0])
+	// Row ids are places in mass order, so the row has to be looked for.
+	m, tol := -1.0, mass.Da(narrow)
+	for id := range ix.NumRows() {
+		if r := ix.Row(uint32(id)); r.Peptide == 0 && !r.Modified() {
+			m = r.Precursor
+			break
+		}
 	}
-	m, tol := ix.Row(0).Precursor, mass.Da(narrow)
+	if m < 0 {
+		return nil, nil, fmt.Errorf("no row is %s unmodified", peptides[0])
+	}
 	admits := func(mz float64) bool {
 		return tol.Contains(spectrum.Experimental{PrecursorMZ: mz, Charge: 1}.PrecursorMass(), m)
 	}

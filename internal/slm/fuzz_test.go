@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -54,7 +56,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte("NOPE"))
 	// Headers of the retired format versions: refused at the version
 	// field with the rebuild hint, whatever follows.
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		old := append([]byte(nil), valid.Bytes()...)
 		old[len(indexMagic)] = version
 		if _, err := DecodeIndex(old); err == nil || !strings.Contains(err.Error(), "rebuild with `lbe-index -out`") {
@@ -72,55 +74,69 @@ func FuzzDecodeIndex(f *testing.F) {
 	// canonical offsets with a re-fixed header CRC — and a corrupt
 	// section CRC in an otherwise intact file.
 	tableOff, crcOff, headerLen := headerOffsets(plain)
-	var plainV3 bytes.Buffer
-	if _, err := plain.WriteTo(&plainV3); err != nil {
+	var plainImage bytes.Buffer
+	if _, err := plain.WriteTo(&plainImage); err != nil {
 		f.Fatal(err)
 	}
-	forged := append([]byte(nil), plainV3.Bytes()[:headerLen]...)
+	forged := append([]byte(nil), plainImage.Bytes()[:headerLen]...)
 	binary.LittleEndian.PutUint64(forged[tableOff+8:], 1<<27)
 	refixHeaderCRC(forged, crcOff)
 	f.Add(forged)
-	badSec := append([]byte(nil), plainV3.Bytes()...)
+	badSec := append([]byte(nil), plainImage.Bytes()...)
 	badSec[len(badSec)-1] ^= 0xFF
 	f.Add(badSec)
-	f.Add(plainV3.Bytes()[:len(plainV3.Bytes())/2])
+	f.Add(plainImage.Bytes()[:len(plainImage.Bytes())/2])
 	// Bytes after the last section: covered by no checksum, refused.
-	f.Add(append(append([]byte(nil), plainV3.Bytes()...), "JUNKJUNKJUNK"...))
+	f.Add(append(append([]byte(nil), plainImage.Bytes()...), "JUNKJUNKJUNK"...))
 
 	// Semantic-corruption seeds: bytes whose CRCs all verify but whose
-	// precursor-order invariants are broken. The decoder must reject, not
-	// mis-serve, each of them.
-	//   entry 4 (precs): first two entries swapped — non-monotone column,
-	//   and one that also disagrees with the rows it mirrors.
-	//   entry 3 (perm): first entry duplicated — not a permutation.
-	//   entry 3 (perm): count forged to mismatch rows.
-	v3 := plainV3.Bytes()
+	// mass-order invariants are broken. The decoder must reject, not
+	// mis-serve, each of them:
+	//   rows: the first two rows' precursors swapped — out of order;
+	//   ids: the first posting past the last row;
+	//   ids: the first two adjacent distinct postings of one bucket
+	//   swapped — an unsorted bucket list.
+	tableOff, crcOff, _ = headerOffsets(ix)
+	le := binary.LittleEndian
 	secCorrupt := func(sec int, mutate func(d []byte, lo int64)) []byte {
-		d := append([]byte(nil), v3...)
+		d := append([]byte(nil), valid.Bytes()...)
 		entry := d[tableOff+sec*sectionEntryBytes:]
-		lo := int64(binary.LittleEndian.Uint64(entry[0:8]))
-		count := int64(binary.LittleEndian.Uint64(entry[8:16]))
+		lo := int64(le.Uint64(entry[0:8]))
+		count := int64(le.Uint64(entry[8:16]))
 		mutate(d, lo)
-		binary.LittleEndian.PutUint32(entry[16:20],
-			crc32.ChecksumIEEE(d[lo:lo+sectionElemBytes[sec]*count]))
+		le.PutUint32(entry[16:20], crc32.ChecksumIEEE(d[lo:lo+sectionElemBytes[sec]*count]))
 		refixHeaderCRC(d, crcOff)
 		return d
 	}
-	if plain.NumRows() >= 2 {
-		f.Add(secCorrupt(4, func(d []byte, lo int64) {
-			a := binary.LittleEndian.Uint64(d[lo : lo+8])
-			b := binary.LittleEndian.Uint64(d[lo+8 : lo+16])
-			binary.LittleEndian.PutUint64(d[lo:lo+8], b)
-			binary.LittleEndian.PutUint64(d[lo+8:lo+16], a)
-		}))
-		f.Add(secCorrupt(3, func(d []byte, lo int64) {
-			binary.LittleEndian.PutUint32(d[lo:lo+4], binary.LittleEndian.Uint32(d[lo+4:lo+8]))
-		}))
+	if ix.rows[0].Precursor == ix.rows[1].Precursor {
+		f.Fatal("the first two rows share a precursor; swapping them breaks nothing")
 	}
-	permMismatch := append([]byte(nil), v3...)
-	binary.LittleEndian.PutUint64(permMismatch[tableOff+3*sectionEntryBytes+8:], uint64(plain.NumRows())+1)
-	refixHeaderCRC(permMismatch, crcOff)
-	f.Add(permMismatch)
+	f.Add(secCorrupt(0, func(d []byte, lo int64) {
+		a, b := le.Uint64(d[lo:]), le.Uint64(d[lo+rowWireBytes:])
+		le.PutUint64(d[lo:], b)
+		le.PutUint64(d[lo+rowWireBytes:], a)
+	}))
+	f.Add(secCorrupt(2, func(d []byte, lo int64) {
+		le.PutUint32(d[lo:], uint32(ix.NumRows()))
+	}))
+	unsorted := -1
+	for b := 0; b < ix.numBuckets && unsorted < 0; b++ {
+		for i := ix.offsets[b] + 1; i < ix.offsets[b+1]; i++ {
+			if ix.ids[i] != ix.ids[i-1] {
+				unsorted = int(i)
+				break
+			}
+		}
+	}
+	if unsorted < 0 {
+		f.Fatal("no bucket holds two distinct rows")
+	}
+	f.Add(secCorrupt(2, func(d []byte, lo int64) {
+		pa, pb := lo+4*int64(unsorted-1), lo+4*int64(unsorted)
+		a, b := le.Uint32(d[pa:]), le.Uint32(d[pb:])
+		le.PutUint32(d[pa:], b)
+		le.PutUint32(d[pb:], a)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder may alias its input and the engine hands it
@@ -187,9 +203,10 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // by the peaks bits — whose precursor is the row's, on an edge of the
 // window around it, or one float step past that edge. For k of 0, 1 or
 // 3, SearchCut on the built index, on the index decoded from its own
-// WriteTo image and, for a bounded tolerance, an open index's SearchCut
-// filtered by Contains must each keep exactly the brute-force matches
-// scoring at least the k-th best.
+// WriteTo image, on that image written to a file and mapped
+// (OpenIndexMapped, then Verify) and, for a bounded tolerance, an open
+// index's SearchCut filtered by Contains must each keep exactly the
+// brute-force matches scoring at least the k-th best.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -216,8 +233,8 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// The query is the target row's ladder, found the way BruteForce
-		// numbers rows: peptides in order, variants in order.
+		// The query is the ladder of the target-th row in enumeration
+		// order: peptides in order, variants in order.
 		rid := int(target) % ix.NumRows()
 		var th spectrum.Theoretical
 		for _, seq := range peps {
@@ -291,6 +308,21 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		}
 		got, _ = decoded.SearchCut(q, kk, nil)
 		check("decoded image", got)
+
+		path := filepath.Join(t.TempDir(), "image.slmx")
+		if err := os.WriteFile(path, image.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenIndexMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		if err := mapped.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		got, _ = mapped.SearchCut(q, kk, nil)
+		check("mapped image", got)
 
 		if params.PrecursorTol.IsOpen() {
 			return

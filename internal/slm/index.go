@@ -128,26 +128,20 @@ func (r Row) Modified() bool { return r.Flags&rowFlagModified != 0 }
 type Index struct {
 	params Params
 
+	// rows in ascending (precursor, enumeration order): a row's id — in a
+	// posting, an accumulator slot, Match.Row and Row() — is its place in
+	// mass order, so a precursor window is one contiguous id range.
 	rows []Row
 
 	// CSR ion index: for bucket b, rows with an ion in b are
-	// ids[offsets[b]:offsets[b+1]]. Postings hold *mass-sorted row
-	// positions* (indexes into perm/precs, not into rows), and each
-	// bucket's list is ascending — so a narrow precursor window, which is
-	// one contiguous range of sorted positions, can be intersected with a
-	// bucket by binary search (see precursorWindow / searchScratch).
+	// ids[offsets[b]:offsets[b+1]], ascending — so a narrow precursor
+	// window can be intersected with a bucket by binary search (see
+	// precursorWindow / searchScratch).
 	offsets []uint32
 	ids     []uint32
 
-	// Precursor-mass order over the rows: perm[s] is the original row id
-	// of the s-th lightest row (ties broken by row id), and precs[s] is
-	// its neutral precursor mass, ascending. rows itself stays in build
-	// order so row ids in Match.Row and Row() are stable across versions.
-	perm  []uint32
-	precs []float64
-
 	numBuckets int
-	buildPeak  int // peak transient bytes observed during construction
+	buildPeak  int // peak transient bytes of construction; see BuildPeakBytes
 
 	// mapping is non-nil when rows/offsets/ids are zero-copy views into a
 	// memory-mapped store file (see OpenIndexMapped); Close releases it.
@@ -168,7 +162,11 @@ type Index struct {
 // NumRows returns the number of indexed spectra (peptide variants).
 func (ix *Index) NumRows() int { return len(ix.rows) }
 
-// NumPeptides returns the number of distinct local peptides indexed.
+// NumPeptides returns the highest local peptide id any row carries, plus
+// one. It does not count distinct peptides: on a decoded index, ids with
+// no row below the highest still count. It is the length a local-to-
+// global peptide mapping must cover, which is what the engine checks a
+// store shard against when it opens a session.
 func (ix *Index) NumPeptides() int {
 	seen := uint32(0)
 	for _, r := range ix.rows {
@@ -185,80 +183,85 @@ func (ix *Index) NumIons() int { return len(ix.ids) }
 // Params returns the parameters the index was built with.
 func (ix *Index) Params() Params { return ix.params }
 
-// Row returns row metadata by row id.
+// Row returns row metadata by row id, the row's place in precursor order.
 func (ix *Index) Row(id uint32) Row { return ix.rows[id] }
 
-// rowIons is one enumerated index row with its in-range fragment ions,
-// staged until the CSR arrays are assembled.
-type rowIons struct {
-	row  Row
-	ions []float64
+// stagedRow is one enumerated row with its in-range ions' bucket ids (a
+// window of its pass-1 worker's flat buffer), held until pass 2 places it.
+type stagedRow struct {
+	row     Row
+	buckets []uint32
 }
 
-// buildShard is one worker's contiguous slice of the peptide list during
-// parallel construction. Shards are merged in peptide order, so the
-// assembled index is byte-identical to the serial build.
-type buildShard struct {
-	lo, hi    int // peptide range [lo, hi)
-	pending   []rowIons
-	counts    []uint32 // ion count per bucket, len maxBucket+1
-	maxBucket int
-	totalIons int
-	err       error
-}
-
-// enumerate runs pass 1 for one shard: per-peptide variant expansion, ion
-// prediction, scan-range filtering and per-bucket ion counting.
-func (sh *buildShard) enumerate(peptides []string, params Params) {
+// enumerate runs pass 1 over peptides[lo:hi]: variant expansion, ion
+// prediction and scan-range filtering. It returns the rows in enumeration
+// order — peptide, then variant — and the highest bucket any ion fell in
+// (-1 for none).
+func enumerate(peptides []string, lo, hi int, params Params) (rows []stagedRow, maxBucket int, err error) {
 	bucketer := mass.NewBucketer(params.Resolution)
 	capB := params.capBucket()
-	sh.maxBucket = -1
-	for pi := sh.lo; pi < sh.hi; pi++ {
+	maxBucket = -1
+	var buf []uint32
+	for pi := lo; pi < hi; pi++ {
 		seq := peptides[pi]
 		variants, err := params.Mods.Variants(seq)
 		if err != nil {
-			sh.err = fmt.Errorf("slm: peptide %d: %w", pi, err)
-			return
+			return nil, 0, fmt.Errorf("slm: peptide %d: %w", pi, err)
 		}
 		for _, v := range variants {
 			th, err := spectrum.PredictIons(seq, v, params.Mods.Mods, params.series())
 			if err != nil {
-				sh.err = fmt.Errorf("slm: peptide %d (%q): %w", pi, seq, err)
-				return
+				return nil, 0, fmt.Errorf("slm: peptide %d (%q): %w", pi, seq, err)
 			}
-			// Keep only ions inside the instrument scan range.
-			ions := th.Ions[:0:0]
+			first := len(buf)
 			for _, ion := range th.Ions {
-				b := bucketer.Bucket(ion)
-				if b > capB {
-					continue
+				// Keep only ions inside the instrument scan range.
+				if b := bucketer.Bucket(ion); b <= capB {
+					buf = append(buf, uint32(b))
+					maxBucket = max(maxBucket, b)
 				}
-				if b > sh.maxBucket {
-					sh.maxBucket = b
-					for len(sh.counts) <= b {
-						sh.counts = append(sh.counts, 0)
-					}
-				}
-				sh.counts[b]++
-				ions = append(ions, ion)
 			}
-			sh.totalIons += len(ions)
 			var flags uint16
 			if v.IsModified() {
 				flags |= rowFlagModified
 			}
-			sh.pending = append(sh.pending, rowIons{
-				row: Row{
-					Peptide:   uint32(pi),
-					Precursor: th.Precursor,
-					NumIons:   uint16(len(ions)),
-					Flags:     flags,
-				},
-				ions: ions,
-			})
+			rows = append(rows, stagedRow{row: Row{
+				Peptide:   uint32(pi),
+				Precursor: th.Precursor,
+				NumIons:   uint16(len(buf) - first),
+				Flags:     flags,
+			}})
 		}
 	}
+	// buf has stopped growing: cut each row's window out of it.
+	next := 0
+	for i := range rows {
+		n := int(rows[i].row.NumIons)
+		rows[i].buckets = buf[next : next+n : next+n]
+		next += n
+	}
+	return rows, maxBucket, nil
 }
+
+// split runs fn(w, lo, hi) for w in [0, parts) on one goroutine each,
+// part w covering [n*w/parts, n*(w+1)/parts), and waits for all of them.
+func split(n, parts int, fn func(w, lo, hi int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < parts; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, n*w/parts, n*(w+1)/parts)
+		}()
+	}
+	wg.Wait()
+}
+
+// minRangeRows is the fewest sorted positions pass 2 gives one worker: a
+// worker's bucket counts cost 4 B per bucket whatever its range, so a
+// worker count near the row count would spend more on counts than on
+// postings.
+const minRangeRows = 1024
 
 // Build constructs the index over the given peptide sequences. Each
 // peptide contributes one row per modification variant (the unmodified
@@ -277,10 +280,13 @@ func BuildSerial(peptides []string, params Params) (*Index, error) {
 }
 
 // BuildWorkers constructs the index with the given number of worker
-// goroutines (0 or negative means one per available core). Peptides are
-// sharded contiguously; each worker enumerates its shard's rows and
-// per-bucket ion counts, and the shards are merged deterministically into
-// the CSR layout, so the output does not depend on the worker count.
+// goroutines (0 or negative means one per available core). Pass 1 splits
+// the peptides into contiguous shards and stages every row with its ions'
+// bucket ids; one sort puts the rows in precursor order; pass 2 splits
+// the sorted positions into contiguous ranges, counts each range's
+// postings per bucket and then writes rows and postings at prefix-summed
+// cursors. Every bucket's list comes out ascending, and the output does
+// not depend on the worker count.
 func BuildWorkers(peptides []string, params Params, workers int) (*Index, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -294,154 +300,105 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 	if workers < 1 {
 		workers = 1
 	}
-	ix := &Index{params: params}
 
-	// Pass 1 (parallel): enumerate rows and count ions per bucket, one
-	// contiguous peptide shard per worker.
-	shards := make([]*buildShard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(peptides) * w / workers
-		hi := len(peptides) * (w + 1) / workers
-		shards[w] = &buildShard{lo: lo, hi: hi}
-		wg.Add(1)
-		go func(sh *buildShard) {
-			defer wg.Done()
-			sh.enumerate(peptides, params)
-		}(shards[w])
-	}
-	wg.Wait()
+	// Pass 1 (parallel): enumerate rows, one contiguous peptide shard per
+	// worker.
+	shards := make([][]stagedRow, workers)
+	maxBuckets := make([]int, workers)
+	errs := make([]error, workers)
+	split(len(peptides), workers, func(w, lo, hi int) {
+		shards[w], maxBuckets[w], errs[w] = enumerate(peptides, lo, hi, params)
+	})
 	// Shards cover ascending peptide ranges and each stops at its first
 	// error, so the lowest failing shard holds the globally first error —
 	// the same one the serial build would report.
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, sh.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	maxBucket := 0
+	// A row's build id is its place in staged: enumeration order.
+	staged := slices.Concat(shards...)
 	totalIons := 0
-	numRows := 0
-	for _, sh := range shards {
-		if sh.maxBucket > maxBucket {
-			maxBucket = sh.maxBucket
-		}
-		totalIons += sh.totalIons
-		numRows += len(sh.pending)
+	for _, st := range staged {
+		totalIons += len(st.buckets)
 	}
 
-	ix.numBuckets = maxBucket + 1
-	ix.rows = make([]Row, numRows)
-	ix.offsets = make([]uint32, ix.numBuckets+1)
-	ix.ids = make([]uint32, totalIons)
-
-	// CSR offsets from the summed per-shard bucket counts.
-	sum := uint32(0)
-	for b := 0; b < ix.numBuckets; b++ {
-		ix.offsets[b] = sum
-		for _, sh := range shards {
-			if b < len(sh.counts) {
-				sum += sh.counts[b]
-			}
-		}
-	}
-	ix.offsets[ix.numBuckets] = sum
-
-	// Pass 2 (parallel): each shard fills its rows and postings. Row ids
-	// are assigned in shard order, and a shard's write cursor for bucket b
-	// starts after all earlier shards' postings in b, so every bucket's
-	// posting list ends up in ascending row-id order — exactly the serial
-	// fill order.
-	base := make([]uint32, ix.numBuckets)
-	copy(base, ix.offsets[:ix.numBuckets])
-	ridBase := 0
-	for _, sh := range shards {
-		cursor := make([]uint32, len(sh.counts))
-		copy(cursor, base[:len(sh.counts)])
-		for b, c := range sh.counts {
-			base[b] += c
-		}
-		wg.Add(1)
-		go func(sh *buildShard, ridBase int, cursor []uint32) {
-			defer wg.Done()
-			bucketer := mass.NewBucketer(params.Resolution)
-			for i, ri := range sh.pending {
-				rid := uint32(ridBase + i)
-				ix.rows[rid] = ri.row
-				for _, ion := range ri.ions {
-					b := bucketer.Bucket(ion)
-					ix.ids[cursor[b]] = rid
-					cursor[b]++
-				}
-			}
-		}(sh, ridBase, cursor)
-		ridBase += len(sh.pending)
-	}
-	wg.Wait()
-
-	ix.sortByPrecursor()
-
-	// The transient footprint during construction is the pending ion
-	// lists plus the final arrays — the "2x index memory" effect the
-	// paper describes for distributed SLM construction.
-	ix.buildPeak = ix.MemoryBytes() + 8*totalIons
-
-	return ix, nil
-}
-
-// sortByPrecursor derives the precursor-mass order over the rows and
-// rewrites the postings in terms of it: perm/precs are built by sorting
-// row ids on (precursor, id), every posting is remapped from row id to
-// sorted position, and each bucket's posting list is re-sorted ascending.
-// It runs once, at the end of every build; SLMX files persist the result.
-// The input postings may be in any order; the output is deterministic —
-// byte-identical for any build worker count.
-func (ix *Index) sortByPrecursor() {
-	n := len(ix.rows)
-	rows := ix.rows
-	perm := make([]uint32, n)
+	// The one sort: perm[s] is the build id of the s-th lightest row,
+	// ties in enumeration order.
+	perm := make([]uint32, len(staged))
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
 	slices.SortFunc(perm, func(a, b uint32) int {
-		if rows[a].Precursor != rows[b].Precursor {
-			if rows[a].Precursor < rows[b].Precursor {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
+		return cmp.Or(cmp.Compare(staged[a].row.Precursor, staged[b].row.Precursor), cmp.Compare(a, b))
 	})
-	inv := make([]uint32, n)
-	precs := make([]float64, n)
-	for s, o := range perm {
-		inv[o] = uint32(s)
-		precs[s] = rows[o].Precursor
+
+	ix := &Index{params: params, numBuckets: max(slices.Max(maxBuckets), 0) + 1}
+	ix.rows = make([]Row, len(staged))
+	ix.offsets = make([]uint32, ix.numBuckets+1)
+	ix.ids = make([]uint32, totalIons)
+
+	// Pass 2a (parallel): each worker counts the postings of a contiguous
+	// range of sorted positions per bucket.
+	ranges := min(workers, max(1, len(staged)/minRangeRows))
+	counts := make([][]uint32, ranges)
+	split(len(staged), ranges, func(w, lo, hi int) {
+		c := make([]uint32, ix.numBuckets)
+		for _, id := range perm[lo:hi] {
+			for _, b := range staged[id].buckets {
+				c[b]++
+			}
+		}
+		counts[w] = c
+	})
+	// Prefix over (bucket, range): offsets, and each range's cursors — its
+	// postings in bucket b go after every lighter range's.
+	sum := uint32(0)
+	for b := range ix.numBuckets {
+		ix.offsets[b] = sum
+		for _, c := range counts {
+			c[b], sum = sum, sum+c[b]
+		}
 	}
-	for i, rid := range ix.ids {
-		ix.ids[i] = inv[rid]
-	}
-	for b := 0; b < ix.numBuckets; b++ {
-		slices.Sort(ix.ids[ix.offsets[b]:ix.offsets[b+1]])
-	}
-	ix.perm = perm
-	ix.precs = precs
+	ix.offsets[ix.numBuckets] = sum
+
+	// Pass 2b (parallel): each range writes its rows and postings. It
+	// walks its positions in ascending order, so every bucket's list comes
+	// out ascending without being sorted.
+	split(len(staged), ranges, func(w, lo, hi int) {
+		cursor := counts[w]
+		for s := lo; s < hi; s++ {
+			st := &staged[perm[s]]
+			ix.rows[s] = st.row
+			for _, b := range st.buckets {
+				ix.ids[cursor[b]] = uint32(s)
+				cursor[b]++
+			}
+		}
+	})
+
+	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + 4*len(perm)
+	return ix, nil
 }
 
 // MemoryBytes returns the resident size of the index structures in bytes:
-// packed 16-byte rows, offsets (4 per bucket), ion postings (4 each) and
-// the precursor-order columns (12 per row). This is the quantity reported
-// by the Fig. 5 experiment. For a mapped index (OpenIndexMapped) it is
-// the mapped footprint: the bytes are page-cache backed and shared across
-// co-located processes.
+// packed 16-byte rows, offsets (4 per bucket) and ion postings (4 each).
+// This is the quantity reported by the Fig. 5 experiment. For a mapped
+// index (OpenIndexMapped) it is the mapped footprint: the bytes are page-
+// cache backed and shared across co-located processes.
 func (ix *Index) MemoryBytes() int {
-	return rowMemBytes*len(ix.rows) + 4*len(ix.offsets) + 4*len(ix.ids) +
-		4*len(ix.perm) + 8*len(ix.precs)
+	return rowMemBytes*len(ix.rows) + 4*len(ix.offsets) + 4*len(ix.ids)
 }
 
-// BuildPeakBytes returns the peak transient memory observed while the
-// index was constructed (index plus staging ion lists).
+// BuildPeakBytes returns the peak transient memory of the construction
+// that made the index, term by term: the finished index (MemoryBytes),
+// 4 B per staged ion bucket id, one staging record (a Row and its bucket
+// window, 40 B on 64-bit hosts) per row, and 4 B per row of the sort
+// permutation — all alive together while pass 2 writes. Pass 2's per-worker
+// bucket counts (4 B per bucket per worker) are left out so the figure
+// does not depend on the worker count. A decoded or mapped index reports
+// its MemoryBytes.
 func (ix *Index) BuildPeakBytes() int { return ix.buildPeak }
 
 // bucketSpan returns the inclusive bucket index range for the fragment

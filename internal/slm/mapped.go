@@ -7,11 +7,11 @@ import (
 	"lbe/internal/mmapio"
 )
 
-// OpenIndexMapped opens an SLMX file with its rows/offsets/ids and
-// precursor-order (perm/precs) arrays backed by zero-copy views of a
-// read-only memory mapping: no array is allocated or decoded, no section
-// byte is read at open, and the index's resident bytes are kernel page
-// cache shared with every co-located process serving the same store.
+// OpenIndexMapped opens an SLMX file with its rows/offsets/ids arrays
+// backed by zero-copy views of a read-only memory mapping: no array is
+// allocated or decoded, no section byte is read at open, and the index's
+// resident bytes are kernel page cache shared with every co-located
+// process serving the same store.
 //
 // Validation is split so warm-start stays O(header) instead of O(file):
 // the header CRC, the canonical aligned section layout, every count cap
@@ -122,6 +122,5 @@ func (ix *Index) Close() error {
 	ix.verifyMu.Unlock()
 	ix.mapping = nil
 	ix.rows, ix.offsets, ix.ids = nil, nil, nil
-	ix.perm, ix.precs = nil, nil
 	return m.Close()
 }

@@ -131,8 +131,7 @@ func TestCopyDecodeMatchesAliased(t *testing.T) {
 	defer mapped.Close()
 
 	if !reflect.DeepEqual(copied.rows, mapped.rows) || !reflect.DeepEqual(copied.offsets, mapped.offsets) ||
-		!reflect.DeepEqual(copied.ids, mapped.ids) || !reflect.DeepEqual(copied.perm, mapped.perm) ||
-		!reflect.DeepEqual(copied.precs, mapped.precs) || copied.numBuckets != mapped.numBuckets {
+		!reflect.DeepEqual(copied.ids, mapped.ids) || copied.numBuckets != mapped.numBuckets {
 		t.Fatal("copy-decoded arrays differ from the aliased open's")
 	}
 	for _, pep := range []string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"} {

@@ -57,9 +57,7 @@ func TestQuantizedScoreBounded(t *testing.T) {
 			for _, p := range q.Peaks {
 				blo, bhi := ix.bucketSpan(p.MZ)
 				for i := ix.offsets[blo]; i < ix.offsets[bhi+1]; i++ {
-					// Postings hold mass-sorted positions; perm maps
-					// them back to the row id a Match reports.
-					if ix.perm[ix.ids[i]] == m.Row {
+					if ix.ids[i] == m.Row {
 						exact += p.Intensity
 					}
 				}

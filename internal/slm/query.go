@@ -11,7 +11,7 @@ import (
 // Match is one candidate peptide-to-spectrum match (cPSM) produced by a
 // query against the index.
 type Match struct {
-	Row       uint32  // index row (peptide variant)
+	Row       uint32  // index row id (peptide variant): its place in precursor order
 	Peptide   uint32  // local (virtual) peptide index
 	Shared    uint16  // shared peak count
 	Score     float64 // hyperscore-style match score; higher is better
@@ -40,9 +40,9 @@ func (w *Work) Add(w2 Work) {
 // not contend. A zero Scratch is ready for use; one Scratch must not be
 // shared between goroutines.
 //
-// Phase 1 keeps one word per mass-sorted row position in acc: the
-// postings that hit the row (its shared-peak count) in bits 63..32, the
-// sum of their quantized peak intensities in bits 31..0. A posting is one
+// Phase 1 keeps one word per row in acc: the postings that hit the row
+// (its shared-peak count) in bits 63..32, the sum of their quantized peak
+// intensities in bits 31..0. A posting is one
 // load-add-store of 1<<32|intensity; zero means untouched by this query.
 // A word is exact while its row collects at most 65 536 postings from one
 // query (65 536 × 65 535 < 2³²: the sum cannot carry into the count). A
@@ -53,7 +53,7 @@ func (w *Work) Add(w2 Work) {
 // math.MaxUint16 rather than truncating the count.
 type Scratch struct {
 	acc     []uint64  // phase-1 accumulator, all zero between searches
-	touched []uint32  // len(acc)+1 slots: first-touched positions of the current query
+	touched []uint32  // len(acc)+1 slots: first-touched rows of the current query
 	qint    []uint16  // per-peak quantized intensities for the current query
 	matches []Match   // per-query accumulator, reused across searches
 	cut     []float64 // cutTopK's k best scores
@@ -77,8 +77,8 @@ func (s *Scratch) ensure(rows int) {
 			n <<= 1
 		}
 		s.acc = make([]uint64, n)
-		// One slot more than rows: accumulate stores every posting's
-		// position at touched[n] and only then decides whether to keep it.
+		// One slot more than rows: accumulate stores every posting's row
+		// at touched[n] and only then decides whether to keep it.
 		s.touched = make([]uint32, n+1)
 	}
 }
@@ -223,36 +223,36 @@ func (s *Scratch) cutTopK(ms []Match, k int) []Match {
 }
 
 // precursorWindow resolves the query's precursor tolerance to the
-// contiguous range [rlo, rhi) of mass-sorted row positions it admits, via
-// two binary searches over the ascending precursor column: [0, rows) for
-// an open tolerance, an empty index, or a window that covers every row.
+// contiguous range [rlo, rhi) of row ids it admits, via two binary
+// searches over the rows' ascending precursors: [0, rows) for an open
+// tolerance, an empty index, or a window that covers every row.
 // The range is exactly the set PrecursorTol.Contains accepts (both are
 // inclusive on both ends), so intersecting phase 1 with it never changes
 // which rows can score.
 //
 //lbe:hotpath
 func (ix *Index) precursorWindow(qmass float64) (rlo, rhi uint32) {
-	precs := ix.precs
-	if len(precs) == 0 || ix.params.PrecursorTol.IsOpen() {
-		return 0, uint32(len(precs))
+	rows := ix.rows
+	if len(rows) == 0 || ix.params.PrecursorTol.IsOpen() {
+		return 0, uint32(len(rows))
 	}
 	wlo, whi := ix.params.PrecursorTol.Window(qmass)
-	// First sorted position with precs >= wlo.
-	lo, hi := 0, len(precs)
+	// First row with precursor >= wlo.
+	lo, hi := 0, len(rows)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if precs[m] < wlo {
+		if rows[m].Precursor < wlo {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
 	first := lo
-	// First sorted position with precs > whi.
-	hi = len(precs)
+	// First row with precursor > whi.
+	hi = len(rows)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if precs[m] <= whi {
+		if rows[m].Precursor <= whi {
 			lo = m + 1
 		} else {
 			hi = m
@@ -279,11 +279,11 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 }
 
 // accumulate is phase 1's one inner loop: it adds add (1<<32 | quantized
-// intensity) to the word of every posting's row position and appends each
-// position to touched[:n] the first time the query reaches it, returning
-// the new n. First touch is a coin flip on an open search, so it is
-// decided without a branch: the position is always stored at touched[n],
-// and n advances only if the word was zero ((a|-a)>>63 is a != 0).
+// intensity) to the word of every posting's row and appends each row to
+// touched[:n] the first time the query reaches it, returning the new n.
+// First touch is a coin flip on an open search, so it is decided without
+// a branch: the row is always stored at touched[n], and n advances only
+// if the word was zero ((a|-a)>>63 is a != 0).
 //
 // It stays out of line on purpose: inlined into searchScratch the loop
 // spills its counter and the loaded word to the stack on every posting
@@ -292,11 +292,11 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 //lbe:hotpath
 //go:noinline
 func accumulate(acc []uint64, touched []uint32, n int, postings []uint32, add uint64) int {
-	for _, srid := range postings {
-		a := acc[srid]
-		touched[n] = srid
+	for _, rid := range postings {
+		a := acc[rid]
+		touched[n] = rid
 		n += int(1 - (a|-a)>>63)
-		acc[srid] = a + add
+		acc[rid] = a + add
 	}
 	return n
 }
@@ -305,7 +305,7 @@ func accumulate(acc []uint64, touched []uint32, n int, postings []uint32, add ui
 // scratch.matches: valid only until the next search with this Scratch.
 //
 // Phase 1 narrows each bucket's ascending posting list to the precursor
-// window's sorted row positions by binary search, skipping postings that
+// window's row range by binary search, skipping postings that
 // could never survive phase 2's precursor filter. When the window admits
 // every row there is nothing to narrow, and the fragment window's buckets
 // are walked as one flattened span of postings instead: on open search
@@ -326,9 +326,9 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	qmass := q.PrecursorMass()
 
 	// Phase 1: shared-peak counting over the CSR postings, accumulating
-	// quantized intensities. Postings are mass-sorted row positions.
+	// quantized intensities.
 	acc, touched, n := scratch.acc, scratch.touched, 0
-	if rlo, rhi := ix.precursorWindow(qmass); rlo == 0 && int(rhi) == len(ix.precs) {
+	if rlo, rhi := ix.precursorWindow(qmass); rlo == 0 && int(rhi) == len(ix.rows) {
 		for pi, p := range peaks {
 			blo, bhi := ix.bucketSpan(p.MZ)
 			if blo > bhi {
@@ -355,19 +355,16 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 
 	// Phase 2: threshold + precursor filter + scoring, zeroing each touched
 	// word on the way so the accumulator is clean for the next search.
-	// touched holds sorted positions; perm maps them back to the stable row
-	// ids every caller (and every PSM byte downstream) sees.
 	matches := scratch.matches[:0]
 	minShared := uint64(ix.params.MinSharedPeaks)
-	for _, srid := range touched[:n] {
-		a := acc[srid]
-		acc[srid] = 0
+	for _, rid := range touched[:n] {
+		a := acc[rid]
+		acc[rid] = 0
 		c := a >> 32
 		if c < minShared {
 			continue
 		}
 		work.Candidates++
-		rid := ix.perm[srid]
 		row := ix.rows[rid]
 		if !ix.params.PrecursorTol.Contains(qmass, row.Precursor) {
 			continue

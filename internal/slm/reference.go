@@ -1,6 +1,9 @@
 package slm
 
 import (
+	"cmp"
+	"slices"
+
 	"lbe/internal/mass"
 	"lbe/internal/spectrum"
 )
@@ -9,7 +12,9 @@ import (
 // no index: every row's theoretical ions are compared against every query
 // peak through the same bucket discretization. It exists as a correctness
 // oracle for tests and for the filtration-efficiency ablation; results
-// must equal Index.Search exactly (modulo match order).
+// must equal Index.Search exactly (modulo match order), Match.Row included:
+// rows are numbered by place in (precursor, enumeration) order, as an
+// index numbers them.
 func BruteForce(peptides []string, params Params, q spectrum.Experimental) ([]Match, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -34,7 +39,7 @@ func BruteForce(peptides []string, params Params, q spectrum.Experimental) ([]Ma
 	}
 
 	var matches []Match
-	rid := uint32(0)
+	var masses []float64 // every row's precursor, in enumeration order
 	for pi, seq := range peptides {
 		variants, err := params.Mods.Variants(seq)
 		if err != nil {
@@ -72,15 +77,29 @@ func BruteForce(peptides []string, params Params, q spectrum.Experimental) ([]Ma
 			if shared >= params.MinSharedPeaks &&
 				params.PrecursorTol.Contains(qmass, th.Precursor) {
 				matches = append(matches, Match{
-					Row:       rid,
+					Row:       uint32(len(masses)), // enumeration order until renumbered below
 					Peptide:   uint32(pi),
 					Shared:    uint16(shared),
 					Score:     hyperscore(uint16(shared), float64(intenAcc)*invScale, len(ions)),
 					Precursor: th.Precursor,
 				})
 			}
-			rid++
+			masses = append(masses, th.Precursor)
 		}
+	}
+	order := make([]uint32, len(masses))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		return cmp.Or(cmp.Compare(masses[a], masses[b]), cmp.Compare(a, b))
+	})
+	place := make([]uint32, len(masses))
+	for s, id := range order {
+		place[id] = uint32(s)
+	}
+	for i := range matches {
+		matches[i].Row = place[matches[i].Row]
 	}
 	return matches, nil
 }

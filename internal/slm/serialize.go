@@ -20,34 +20,32 @@ import (
 // a compact, checksummed serialization so partial indexes can be spilled
 // and reloaded.
 //
-// Layout (little-endian), version 3 — the only version read or written:
+// Layout (little-endian), version 4 — the only version read or written:
 //
 //	magic "SLMX" | version u32 | params block | numBuckets u32 |
-//	section table (5 × {offset u64, count u64, crc32 u32}) | header crc32 |
-//	padding | rows | padding | offsets | padding | ids |
-//	padding | perm | padding | precs
+//	section table (3 × {offset u64, count u64, crc32 u32}) | header crc32 |
+//	padding | rows | padding | offsets | padding | ids
 //
 // The header CRC covers everything between the magic and itself. Each
 // data section starts at a 64-byte-aligned file offset recorded in the
 // table, holds count fixed-size records (rows are the in-memory 16-byte
-// Row layout; offsets, ids and perm are u32; precs is f64), and carries
-// its own CRC. Section offsets are canonical — derivable from the header
-// size alone — so a table naming overlapping, misordered or misaligned
-// sections is rejected outright. ids postings hold mass-sorted row
-// positions (each bucket ascending), perm maps sorted position → row id,
-// and precs is the ascending precursor column the windowed scan binary
-// searches.
+// Row layout; offsets and ids are u32), and carries its own CRC. Section
+// offsets are canonical — derivable from the header size alone — so a
+// table naming overlapping, misordered or misaligned sections is rejected
+// outright. Rows are in ascending precursor order, which the windowed
+// scan binary searches, and ids postings are row ids, each bucket's
+// ascending.
 //
 // An SLMX file is known here only as that layout over one []byte — its
 // image — for writing and reading alike. WriteTo builds the header into a
-// small buffer and writes it, the zero padding and the five section
+// small buffer and writes it, the zero padding and the three section
 // payloads in order; on a little-endian host a payload is the in-memory
 // array's own bytes (bytesOf), checksummed once and never copied. Every
 // open — DecodeIndex, LoadFile, OpenIndexMapped — is the same three steps
 // over the complete image, heap buffer or memory mapping alike:
 // readHeader parses and CRC-checks the header, pins the section table to
 // the canonical layout and refuses an image longer or shorter than it;
-// indexFromImage takes the five section views (the fixed aligned layout
+// indexFromImage takes the three section views (the fixed aligned layout
 // is what lets them alias the image with no per-element decoding); verify
 // checks the section CRCs, the zero padding and the cross-array shape.
 // Only the mapped open defers verify (see OpenIndexMapped). A big-endian
@@ -62,7 +60,7 @@ import (
 
 const (
 	indexMagic   = "SLMX"
-	indexVersion = 3
+	indexVersion = 4
 
 	// Wire sizes of the variable-length record types.
 	rowWireBytes     = rowMemBytes // the in-memory Row layout
@@ -74,8 +72,8 @@ const (
 	sectionAlign = 64
 
 	// sectionTableEntries and sectionEntryBytes fix the table shape: rows,
-	// offsets, ids, perm, precs — each {offset u64, count u64, crc32 u32}.
-	sectionTableEntries = 5
+	// offsets, ids — each {offset u64, count u64, crc32 u32}.
+	sectionTableEntries = 3
 	sectionEntryBytes   = 8 + 8 + 4
 
 	// Absolute sanity caps on count fields, enforced before any
@@ -110,8 +108,8 @@ func bytesOf[T any](vs []T) []byte {
 }
 
 // sectionElemBytes[i] is the wire size of one element of section i:
-// rows, offsets, ids, perm, precs.
-var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, 4, 4, 8}
+// rows, offsets, ids.
+var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, 4}
 
 // encodeSection is decodeSection's mirror: the wire payload of a section
 // built one elem-byte record at a time, which is how a big-endian host
@@ -133,22 +131,18 @@ func encodeRow(rec []byte, r Row) {
 	le.PutUint16(rec[14:16], r.Flags)
 }
 
-// sectionPayloads returns the wire bytes of the five sections: views of
+// sectionPayloads returns the wire bytes of the three sections: views of
 // the arrays themselves when alias is set (legal only on a little-endian
 // host), fresh per-element encodings otherwise.
 func (ix *Index) sectionPayloads(alias bool) [sectionTableEntries][]byte {
 	if alias {
-		return [sectionTableEntries][]byte{
-			bytesOf(ix.rows), bytesOf(ix.offsets), bytesOf(ix.ids), bytesOf(ix.perm), bytesOf(ix.precs),
-		}
+		return [sectionTableEntries][]byte{bytesOf(ix.rows), bytesOf(ix.offsets), bytesOf(ix.ids)}
 	}
 	le := binary.LittleEndian
 	return [sectionTableEntries][]byte{
 		encodeSection(ix.rows, rowWireBytes, encodeRow),
 		encodeSection(ix.offsets, 4, le.PutUint32),
 		encodeSection(ix.ids, 4, le.PutUint32),
-		encodeSection(ix.perm, 4, le.PutUint32),
-		encodeSection(ix.precs, 8, func(rec []byte, v float64) { le.PutUint64(rec, math.Float64bits(v)) }),
 	}
 }
 
@@ -250,10 +244,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	payloads := ix.sectionPayloads(isLittleEndian)
-	counts := [sectionTableEntries]int64{
-		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
-		int64(len(ix.perm)), int64(len(ix.precs)),
-	}
+	counts := [sectionTableEntries]int64{int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids))}
 
 	le := binary.LittleEndian
 	head := le.AppendUint32([]byte(indexMagic), indexVersion)
@@ -401,11 +392,10 @@ func (c *cursor) params() Params {
 
 // validateShape runs the cross-array sanity checks every open ends with:
 // monotone offsets ending at the posting count, in-range postings, sane
-// row precursors, and the precursor-order invariants — perm a true
-// permutation, precs ascending and agreeing with the rows, every bucket's
-// posting list sorted. The windowed scan trusts all of these, so a
-// corrupt file claiming them must be rejected here rather than silently
-// dropping matches.
+// row precursors in ascending order, and every bucket's posting list
+// sorted. The windowed scan trusts all of these, so a corrupt file
+// claiming them must be rejected here rather than silently dropping
+// matches.
 func (ix *Index) validateShape() error {
 	for i := 1; i < len(ix.offsets); i++ {
 		if ix.offsets[i] < ix.offsets[i-1] {
@@ -420,28 +410,12 @@ func (ix *Index) validateShape() error {
 			return fmt.Errorf("slm: posting %d references row %d of %d", i, v, len(ix.rows))
 		}
 	}
-	for _, r := range ix.rows {
+	for i, r := range ix.rows {
 		if math.IsNaN(r.Precursor) || r.Precursor < 0 {
 			return fmt.Errorf("slm: corrupt row precursor")
 		}
-	}
-	if len(ix.perm) != len(ix.rows) || len(ix.precs) != len(ix.rows) {
-		return fmt.Errorf("slm: precursor-order columns of %d/%d entries do not match %d rows",
-			len(ix.perm), len(ix.precs), len(ix.rows))
-	}
-	seen := make([]bool, len(ix.perm))
-	for s, o := range ix.perm {
-		if int(o) >= len(seen) || seen[o] {
-			return fmt.Errorf("slm: perm is not a permutation at %d", s)
-		}
-		seen[o] = true
-		if ix.rows[o].Precursor != ix.precs[s] {
-			return fmt.Errorf("slm: precursor column disagrees with row %d", o)
-		}
-	}
-	for i := 1; i < len(ix.precs); i++ {
-		if ix.precs[i] < ix.precs[i-1] {
-			return fmt.Errorf("slm: precursor column not monotone at %d", i)
+		if i > 0 && r.Precursor < ix.rows[i-1].Precursor {
+			return fmt.Errorf("slm: row precursors not ascending at %d", i)
 		}
 	}
 	for b := 0; b < ix.numBuckets; b++ {
@@ -467,7 +441,7 @@ type sectionEntry struct {
 type fileHeader struct {
 	params     Params
 	numBuckets uint32
-	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids, perm, precs
+	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids
 	headerLen  int64                             // magic through header CRC
 }
 
@@ -477,10 +451,9 @@ type fileHeader struct {
 // else is looked at. The header CRC is then verified and the section
 // table checked against the canonical layout: ordered, 64-byte aligned,
 // non-overlapping offsets derived from the header size, with counts under
-// the absolute caps and within the bytes present, perm and precs holding
-// exactly one entry per row. An image shorter than its layout is
-// truncated; a longer one carries bytes no checksum covers; both are
-// refused. All of this is O(header) — no section byte is touched — so a
+// the absolute caps and within the bytes present. An image shorter than
+// its layout is truncated; a longer one carries bytes no checksum covers;
+// both are refused. All of this is O(header) — no section byte is touched — so a
 // mapped open stays cheap.
 func readHeader(image []byte) (*fileHeader, error) {
 	c := &cursor{image: image}
@@ -510,7 +483,7 @@ func readHeader(image []byte) (*fileHeader, error) {
 	}
 	h.headerLen = int64(c.pos)
 
-	rows, offs, ids, perm, precs := h.secs[0], h.secs[1], h.secs[2], h.secs[3], h.secs[4]
+	rows, offs, ids := h.secs[0], h.secs[1], h.secs[2]
 	c.checkCount(rows.count, rowWireBytes, maxRowCount, "row")
 	c.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket")
 	if c.err == nil && offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
@@ -518,12 +491,6 @@ func readHeader(image []byte) (*fileHeader, error) {
 	}
 	c.checkCount(offs.count, 4, maxBucketCount+1, "offset")
 	c.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting")
-	if c.err == nil && (perm.count != rows.count || precs.count != rows.count) {
-		return nil, fmt.Errorf("slm: precursor-order sections of %d/%d entries do not match %d rows",
-			perm.count, precs.count, rows.count)
-	}
-	c.checkCount(perm.count, 4, maxRowCount, "perm")
-	c.checkCount(precs.count, 8, maxRowCount, "precursor")
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -585,7 +552,7 @@ func decodeRow(rec []byte) Row {
 
 // indexFromImage builds the index h describes over image, the bytes
 // readHeader parsed h from. On a little-endian host with every section
-// 8-byte aligned in memory the five arrays alias image — no copy, no
+// 8-byte aligned in memory the three arrays alias image — no copy, no
 // decoding; image must then outlive the index and never change — and
 // aliased reports true. Otherwise each section is copy-decoded into a
 // fresh array. No section byte is validated here: that is verify's job.
@@ -603,17 +570,11 @@ func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
 		ix.rows = viewAs[Row](secs[0])
 		ix.offsets = viewAs[uint32](secs[1])
 		ix.ids = viewAs[uint32](secs[2])
-		ix.perm = viewAs[uint32](secs[3])
-		ix.precs = viewAs[float64](secs[4])
 	} else {
 		le := binary.LittleEndian
 		ix.rows = decodeSection(secs[0], rowWireBytes, decodeRow)
 		ix.offsets = decodeSection(secs[1], 4, le.Uint32)
 		ix.ids = decodeSection(secs[2], 4, le.Uint32)
-		ix.perm = decodeSection(secs[3], 4, le.Uint32)
-		ix.precs = decodeSection(secs[4], 8, func(rec []byte) float64 {
-			return math.Float64frombits(le.Uint64(rec))
-		})
 	}
 	ix.buildPeak = ix.MemoryBytes()
 	return ix, aliased

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -215,7 +214,6 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 	tableOff, crcOff, headerLen := headerOffsets(ix)
 	layout := fileLayout(int64(headerLen), [sectionTableEntries]int64{
 		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
-		int64(len(ix.perm)), int64(len(ix.precs)),
 	})
 
 	le := binary.LittleEndian
@@ -236,12 +234,6 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 		{"ids section CRC flipped", func(d []byte) {
 			le.PutUint32(entry(d, 2)[16:], le.Uint32(entry(d, 2)[16:])^1)
 		}},
-		{"perm section CRC flipped", func(d []byte) {
-			le.PutUint32(entry(d, 3)[16:], le.Uint32(entry(d, 3)[16:])^1)
-		}},
-		{"precs section CRC flipped", func(d []byte) {
-			le.PutUint32(entry(d, 4)[16:], le.Uint32(entry(d, 4)[16:])^1)
-		}},
 		{"sections overlap", func(d []byte) {
 			le.PutUint64(entry(d, 1)[0:], uint64(layout.offs[0])) // offsets atop rows
 		}},
@@ -253,19 +245,13 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 			le.PutUint64(entry(d, 0)[0:], uint64(layout.offs[0])+8)
 		}},
 		{"section beyond input", func(d []byte) {
-			le.PutUint64(entry(d, 4)[0:], 1<<40)
+			le.PutUint64(entry(d, 2)[0:], 1<<40)
 		}},
 		{"rows count forged", func(d []byte) {
 			le.PutUint64(entry(d, 0)[8:], uint64(len(ix.rows))+7)
 		}},
 		{"offsets count vs buckets", func(d []byte) {
 			le.PutUint64(entry(d, 1)[8:], uint64(len(ix.offsets))+1)
-		}},
-		{"perm count vs rows", func(d []byte) {
-			le.PutUint64(entry(d, 3)[8:], uint64(len(ix.perm))+1)
-		}},
-		{"precs count vs rows", func(d []byte) {
-			le.PutUint64(entry(d, 4)[8:], uint64(len(ix.precs))-1)
 		}},
 	}
 	for _, tc := range cases {
@@ -289,14 +275,14 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 	}
 
 	// Truncated map: every prefix must be rejected by the mapped open.
-	for _, cut := range []int{7, headerLen - 1, headerLen, int(layout.offs[2]), int(layout.offs[4]), len(valid) - 1} {
+	for _, cut := range []int{7, headerLen - 1, headerLen, int(layout.offs[1]), int(layout.offs[2]), len(valid) - 1} {
 		mustReject(t, fmt.Sprintf("truncated at %d", cut), append([]byte(nil), valid[:cut]...))
 	}
 
 	// Older format versions are refused at the version field — before the
 	// header CRC, which the patched byte would also break — by an error
 	// that names the version and the way out.
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		data = append([]byte(nil), valid...)
 		data[len(indexMagic)] = version
 		want := fmt.Sprintf("version %d (want %d); rebuild with `lbe-index -out`", version, indexVersion)
@@ -331,8 +317,8 @@ func TestWriteToBytesPinned(t *testing.T) {
 		ix   *Index
 		want string
 	}{
-		{"buildTestIndex", buildTestIndex(t), "bc68c7d9bbb45b3b9825dbd143288e277aaf0e3c45662b1e18c9bcf46be71a26"},
-		{"buildPlainIndex", buildPlainIndex(t), "440b6fcc504f389dfb62ef7a1dd7bdabdf9d03886c42e95fdc8f9623942278ca"},
+		{"buildTestIndex", buildTestIndex(t), "eb33081bbbc2606a0b9a49dfaeb0c4be4ca552afd0329a7702dfa1fc6d3ece7f"},
+		{"buildPlainIndex", buildPlainIndex(t), "be4ec8079d59a211129f3f31e2f50c1412dfe1a7b1783cca2cb9f5e3ac541cf2"},
 	} {
 		var buf bytes.Buffer
 		if _, err := tc.ix.WriteTo(&buf); err != nil {
@@ -378,17 +364,16 @@ func TestDecodeIndexAllocationBounded(t *testing.T) {
 	le := binary.LittleEndian
 
 	// 2^28 rows (the cap itself, so only the bytes-present check can
-	// refuse it) — the header requires perm and precs counts to match
-	// rows, so forge all three, every entry moved to its matching
-	// canonical offset and the header CRC re-fixed, so the decoder gets
-	// past the layout checks and must survive the forged counts
-	// themselves — over an image holding the header alone.
+	// refuse it), every entry moved to its matching canonical offset and
+	// the header CRC re-fixed, so the decoder gets past the layout checks
+	// and must survive the forged count itself — over an image holding
+	// the header alone.
 	hugeRows := append([]byte(nil), buf.Bytes()[:headerLen]...)
-	counts := [sectionTableEntries]int64{1 << 28, int64(len(ix.offsets)), int64(len(ix.ids)), 1 << 28, 1 << 28}
+	counts := [sectionTableEntries]int64{1 << 28, int64(len(ix.offsets)), int64(len(ix.ids))}
 	forged := fileLayout(int64(headerLen), counts)
 	for i := 0; i < sectionTableEntries; i++ {
 		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
-		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows/perm/precs claim ~8 GiB
+		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows claim 4 GiB
 	}
 	refixHeaderCRC(hugeRows, crcOff)
 
@@ -437,18 +422,14 @@ func TestEncodeSectionMirrorsDecodeSection(t *testing.T) {
 	if got := decodeSection(encoded[0], rowWireBytes, decodeRow); !reflect.DeepEqual(got, ix.rows) {
 		t.Error("rows do not survive encodeSection then decodeSection")
 	}
-	for i, want := range map[int][]uint32{1: ix.offsets, 2: ix.ids, 3: ix.perm} {
+	for i, want := range map[int][]uint32{1: ix.offsets, 2: ix.ids} {
 		if !reflect.DeepEqual(decodeSection(encoded[i], 4, le.Uint32), want) {
 			t.Errorf("section %d does not survive encodeSection then decodeSection", i)
 		}
 	}
-	precs := decodeSection(encoded[4], 8, func(rec []byte) float64 { return math.Float64frombits(le.Uint64(rec)) })
-	if !reflect.DeepEqual(precs, ix.precs) {
-		t.Error("precs do not survive encodeSection then decodeSection")
-	}
 }
 
-// corruptSection applies mutate to section sec of a valid v3 image, then
+// corruptSection applies mutate to section sec of a valid image, then
 // re-fixes that section's table CRC and the header CRC — so the bytes
 // are internally consistent and only the semantic validation (eager for
 // the heap opens, deferred to Verify for the mapped open) can catch the
@@ -468,10 +449,9 @@ func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(
 	return data
 }
 
-// TestSerializeCorruptPrecursorOrder crafts v3 images whose bytes pass
-// every CRC but violate the invariants the windowed scan relies on: a
-// non-monotone precursor column, a precursor column disagreeing with the
-// rows, a perm that is not a permutation, out-of-range postings and an
+// TestSerializeCorruptPrecursorOrder crafts images whose bytes pass every
+// CRC but violate the invariants the windowed scan relies on: row
+// precursors out of ascending order, out-of-range postings and an
 // unsorted bucket posting list. All must fail at open (heap) or Verify
 // (mapped) — never serve.
 func TestSerializeCorruptPrecursorOrder(t *testing.T) {
@@ -486,37 +466,22 @@ func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 	valid := buf.Bytes()
 	le := binary.LittleEndian
 
-	// Swap the first two precs entries (distinct by construction of the
-	// test corpus): the column is no longer monotone.
-	if ix.precs[0] == ix.precs[1] {
-		t.Fatal("first two precursors equal; pick a corpus with distinct masses")
+	// Swap the precursors of the first two rows whose masses differ: the
+	// rows are no longer in ascending precursor order.
+	r := 1
+	for r < len(ix.rows) && ix.rows[r].Precursor == ix.rows[r-1].Precursor {
+		r++
 	}
-	mustReject(t, "non-monotone precursor column",
-		corruptSection(t, ix, valid, 4, func(d []byte, lo int64) {
-			a := le.Uint64(d[lo : lo+8])
-			b := le.Uint64(d[lo+8 : lo+16])
-			le.PutUint64(d[lo:lo+8], b)
-			le.PutUint64(d[lo+8:lo+16], a)
-		}))
-
-	// Nudge one precs entry without breaking monotonicity: it now
-	// disagrees with the row it claims to mirror.
-	mustReject(t, "precursor column disagrees with rows",
-		corruptSection(t, ix, valid, 4, func(d []byte, lo int64) {
-			v := math.Float64frombits(le.Uint64(d[lo : lo+8]))
-			le.PutUint64(d[lo:lo+8], math.Float64bits(v-0.25))
-		}))
-
-	// Duplicate a perm entry: no longer a permutation.
-	mustReject(t, "perm is not a permutation",
-		corruptSection(t, ix, valid, 3, func(d []byte, lo int64) {
-			le.PutUint32(d[lo:lo+4], le.Uint32(d[lo+4:lo+8]))
-		}))
-
-	// Out-of-range perm entry.
-	mustReject(t, "perm entry out of range",
-		corruptSection(t, ix, valid, 3, func(d []byte, lo int64) {
-			le.PutUint32(d[lo:lo+4], uint32(len(ix.rows)))
+	if r == len(ix.rows) {
+		t.Fatal("every row has the same precursor; pick a corpus with distinct masses")
+	}
+	mustReject(t, "row precursors swapped",
+		corruptSection(t, ix, valid, 0, func(d []byte, lo int64) {
+			pa, pb := lo+rowWireBytes*int64(r-1), lo+rowWireBytes*int64(r)
+			a := le.Uint64(d[pa : pa+8])
+			b := le.Uint64(d[pb : pb+8])
+			le.PutUint64(d[pa:pa+8], b)
+			le.PutUint64(d[pb:pb+8], a)
 		}))
 
 	// Out-of-range posting.
@@ -526,7 +491,7 @@ func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 		}))
 
 	// Reverse a bucket's posting list (the first bucket holding two
-	// distinct sorted positions): the windowed binary search would skip
+	// distinct row ids): the windowed binary search would skip
 	// real matches, so the file must be rejected.
 	swapped := false
 	for b := 0; b < ix.numBuckets && !swapped; b++ {

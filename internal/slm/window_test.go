@@ -119,8 +119,8 @@ func TestWindowedScanPrunes(t *testing.T) {
 }
 
 // TestWindowedScanMappedMatchesFilteredOpen runs the same property on a
-// mapped v3 store: the zero-copy perm/precs views must window exactly as
-// the heap index that wrote the file.
+// mapped store: the zero-copy rows view must window exactly as the heap
+// index that wrote the file.
 func TestWindowedScanMappedMatchesFilteredOpen(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	peps := randPeptides(rng, 40)
