@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,13 @@ func main() {
 	}
 
 	client := api.New(*addr)
+	// One keep-alive connection per worker: with net/http's default of two
+	// idle ones, every reply of a coalesced batch past the second closed
+	// its connection and the worker's next request dialled a new one.
+	client.HTTPClient = &http.Client{Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		MaxIdleConnsPerHost: *workers,
+	}}
 	client.Timeout = *timeout
 	client.Retries = *retries
 

@@ -227,3 +227,23 @@ func TestFormatMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBody: a body read whole, whatever its declared length says —
+// exact, short, long, unknown, or past what is trusted up front — and in
+// one allocation when the declaration holds.
+func TestReadBody(t *testing.T) {
+	body := strings.Repeat("0123456789abcdef", 100)
+	for _, size := range []int64{int64(len(body)), 10, 5000, -1, maxPresize + 1} {
+		got, err := ReadBody(strings.NewReader(body), size)
+		if err != nil || string(got) != body {
+			t.Fatalf("declared %d: read %d bytes, %v", size, len(got), err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := ReadBody(strings.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 { // the buffer, and the strings.Reader
+		t.Errorf("ReadBody of a body of its declared length allocates %.0f times, want 2", n)
+	}
+}

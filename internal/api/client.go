@@ -171,11 +171,47 @@ func (c *Client) attempt(ctx context.Context, method, url string, body []byte) (
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, err
 	}
 	return resp.StatusCode, data, nil
+}
+
+// maxPresize bounds how much of a declared Content-Length ReadBody
+// allocates before a byte has arrived.
+const maxPresize = 1 << 20
+
+// ReadBody reads r to EOF into one buffer sized from size, the body's
+// declared Content-Length (-1 when unknown). A /search body that keeps to
+// its declared length costs one allocation where io.ReadAll's growth from
+// 512 bytes costs four. Unknown or larger sizes start at 512 and grow as
+// io.ReadAll's buffer does.
+func ReadBody(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 || size > maxPresize {
+		size = 511
+	}
+	// One byte past the declared length, so the read that sees EOF needs
+	// no room of its own.
+	return AppendBody(make([]byte, 0, size+1), r)
+}
+
+// AppendBody appends r's bytes to b until EOF, growing b as io.ReadAll
+// does, and returns the extended buffer.
+func AppendBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // errorMessage extracts the server's error string from a non-200 body.
@@ -191,10 +227,10 @@ func errorMessage(data []byte) string {
 	return msg
 }
 
-// exchangeJSON runs one retried request and decodes a 200 reply into
-// out. Non-200 replies that survive the retry budget surface as
+// exchange runs one retried request and hands a 200 reply's body to
+// decode. Non-200 replies that survive the retry budget surface as
 // *StatusError.
-func (c *Client) exchangeJSON(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte, decode func([]byte) error) error {
 	status, data, err := c.Do(ctx, method, path, body)
 	if err != nil {
 		return err
@@ -202,13 +238,14 @@ func (c *Client) exchangeJSON(ctx context.Context, method, path string, body []b
 	if status != http.StatusOK {
 		return &StatusError{Code: status, Message: errorMessage(data)}
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decode(data); err != nil {
 		return fmt.Errorf("api: decoding %s response: %w", path, err)
 	}
 	return nil
 }
 
-// Search posts the request to /search and decodes the response. The
+// Search posts the request to /search and decodes the response with
+// DecodeSearchResponse, as the router decodes its holders' replies. The
 // error is a *StatusError for non-200 replies that made it through the
 // retry budget.
 func (c *Client) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
@@ -217,7 +254,11 @@ func (c *Client) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 		return nil, fmt.Errorf("api: encoding search request: %w", err)
 	}
 	var sr SearchResponse
-	if err := c.exchangeJSON(ctx, http.MethodPost, "/search", body, &sr); err != nil {
+	err = c.exchange(ctx, http.MethodPost, "/search", body, func(data []byte) (err error) {
+		sr, err = DecodeSearchResponse(data)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &sr, nil
@@ -259,7 +300,9 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 // Stats fetches and decodes /stats from an lbe-serve replica.
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	var st StatsResponse
-	if err := c.exchangeJSON(ctx, http.MethodGet, "/stats", nil, &st); err != nil {
+	if err := c.exchange(ctx, http.MethodGet, "/stats", nil, func(data []byte) error {
+		return json.Unmarshal(data, &st)
+	}); err != nil {
 		return nil, err
 	}
 	return &st, nil

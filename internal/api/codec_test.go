@@ -312,7 +312,8 @@ func encodeJSON(t testing.TB, r SearchResponse) []byte {
 
 // FuzzAppendSearchResponse holds the encoder to json.Encoder's bytes
 // over arbitrary finite floats, strings with every escape class, and
-// nil, empty and repeated result and PSM lists.
+// nil, empty and repeated result and PSM lists — and holds
+// DecodeSearchResponse to accepting every one of those bodies.
 func FuzzAppendSearchResponse(f *testing.F) {
 	ls, ps := string(rune(0x2028)), string(rune(0x2029))
 	f.Add("PEPTIDEK", 41.87213306478, 1398.6812330114, uint32(3), uint16(7), 2, 1187, uint8(3))
@@ -351,6 +352,7 @@ func FuzzAppendSearchResponse(f *testing.F) {
 		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
 			t.Fatalf("AppendSearchResponse wrote\n%q\njson.Encoder wrote\n%q", got, want)
 		}
+		checkResponseRoundTrip(t, want)
 	})
 }
 

@@ -10,10 +10,10 @@ import (
 // Scatter/gather merge: a scatter router fans one /search body to one
 // holder per shard-set and gathers one SearchResponse per set. Because a
 // peptide lives in exactly one shard of exactly one set, the per-set
-// responses are disjoint candidate lists; re-sorting their union by the
-// engine's one PSM order and truncating to the session's TopK reproduces
-// — byte for byte — the response a single whole-store session would have
-// rendered:
+// responses are disjoint candidate lists, each already in the engine's
+// one PSM order and cut to TopK; merging them (engine.MergeSorted) and
+// stopping at TopK reproduces — byte for byte — the response a single
+// whole-store session would have rendered:
 //
 //   - the per-set top-K union contains the global top-K (a globally
 //     top-K PSM is top-K within its own set a fortiori);
@@ -26,11 +26,12 @@ import (
 
 // MergeSearchResponses gathers one per-shard-set /search response into
 // the response a whole-store session would produce: per query, the
-// per-set PSM lists are concatenated, re-sorted by engine.ComparePSM,
-// and truncated to topK (topK <= 0 keeps everything). Every part must
-// carry the same number of results with the same scans in the same order
-// — anything else means the sets answered different requests, and the
-// merge refuses rather than guess.
+// per-set PSM lists are merged by engine.ComparePSM and cut to topK
+// (topK <= 0 keeps everything). Every part must carry the same number of
+// results with the same scans in the same order, and every PSM list must
+// be in ComparePSM order — anything else means the sets answered
+// different requests or a holder misbehaved, and the merge refuses
+// rather than guess.
 func MergeSearchResponses(parts []SearchResponse, topK int) (SearchResponse, error) {
 	if len(parts) == 0 {
 		return SearchResponse{}, fmt.Errorf("api: merge: no responses")
@@ -42,32 +43,45 @@ func MergeSearchResponses(parts []SearchResponse, topK int) (SearchResponse, err
 				i+1, len(p.Results), n)
 		}
 	}
-	out := SearchResponse{Results: make([]QueryResult, n)}
+	size := 0
 	for q := 0; q < n; q++ {
-		scan := parts[0].Results[q].Scan
-		total := 0
+		scan, total := parts[0].Results[q].Scan, 0
 		for i, p := range parts {
-			if p.Results[q].Scan != scan {
+			r := p.Results[q]
+			if r.Scan != scan {
 				return SearchResponse{}, fmt.Errorf("api: merge: result %d scan %d in response %d, response 0 says %d",
-					q, p.Results[q].Scan, i, scan)
+					q, r.Scan, i, scan)
 			}
-			total += len(p.Results[q].PSMs)
+			if !slices.IsSortedFunc(r.PSMs, comparePSMJSON) {
+				return SearchResponse{}, fmt.Errorf("api: merge: result %d of response %d is not in engine.ComparePSM order", q, i)
+			}
+			total += len(r.PSMs)
 		}
-		// Non-nil even when empty, so the merged body renders "psms":[]
-		// exactly as BuildSearchResponse does.
-		merged := make([]PSMJSON, 0, total)
-		for _, p := range parts {
-			merged = append(merged, p.Results[q].PSMs...)
+		if topK > 0 {
+			total = min(total, topK)
 		}
-		slices.SortFunc(merged, func(a, b PSMJSON) int {
-			return engine.ComparePSM(
-				engine.PSM{Peptide: a.Peptide, Shared: a.Shared, Score: a.Score, Precursor: a.Precursor},
-				engine.PSM{Peptide: b.Peptide, Shared: b.Shared, Score: b.Score, Precursor: b.Precursor})
-		})
-		if topK > 0 && len(merged) > topK {
-			merged = merged[:topK]
+		size += total
+	}
+	// Every merged list is cut from one backing array, non-nil even when
+	// empty, so the merged body renders "psms":[] exactly as
+	// BuildSearchResponse does.
+	out := SearchResponse{Results: make([]QueryResult, n)}
+	psms := make([]PSMJSON, 0, size)
+	lists := make([][]PSMJSON, len(parts))
+	for q := range out.Results {
+		for i, p := range parts {
+			lists[i] = p.Results[q].PSMs
 		}
-		out.Results[q] = QueryResult{Scan: scan, PSMs: merged}
+		start := len(psms)
+		psms = engine.MergeSorted(psms, lists, topK, comparePSMJSON)
+		out.Results[q] = QueryResult{Scan: parts[0].Results[q].Scan, PSMs: psms[start:len(psms):len(psms)]}
 	}
 	return out, nil
+}
+
+// comparePSMJSON is engine.ComparePSM read through the rendered fields.
+func comparePSMJSON(a, b PSMJSON) int {
+	return engine.ComparePSM(
+		engine.PSM{Peptide: a.Peptide, Shared: a.Shared, Score: a.Score, Precursor: a.Precursor},
+		engine.PSM{Peptide: b.Peptide, Shared: b.Shared, Score: b.Score, Precursor: b.Precursor})
 }

@@ -12,7 +12,7 @@ func psm(peptide uint32, score float64, shard int) PSMJSON {
 
 // TestMergeSearchResponses is the table-driven contract of the
 // scatter/gather merge: ordering, truncation, empty sets, duplicate
-// rows, and the refuse-to-guess error paths.
+// rows, and the refuse-to-guess error paths, an unsorted list among them.
 func TestMergeSearchResponses(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -63,6 +63,14 @@ func TestMergeSearchResponses(t *testing.T) {
 			want: SearchResponse{Results: []QueryResult{
 				{Scan: 1, PSMs: []PSMJSON{psm(4, 8, 1)}},
 			}},
+		},
+		{
+			name: "a list out of ComparePSM order",
+			parts: []SearchResponse{
+				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(0, 9, 0)}}}},
+				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(6, 4, 2), psm(5, 7, 2)}}}},
+			},
+			wantErr: true,
 		},
 		{
 			name:    "no responses",

@@ -223,6 +223,10 @@ func FormatRouterMetrics(st *RouterStatsResponse) []byte {
 			m.value("lbe_router_replica_bytes_total", fmt.Sprintf(`replica=%q,dir="sent"`, r.URL), float64(r.BytesSent))
 			m.value("lbe_router_replica_bytes_total", fmt.Sprintf(`replica=%q,dir="received"`, r.URL), float64(r.BytesReceived))
 		}
+		m.header("lbe_router_replica_connections_dialed_total", "Connections the router opened to the replica, probes included.", "counter")
+		for _, r := range st.Replicas {
+			m.value("lbe_router_replica_connections_dialed_total", fmt.Sprintf(`replica=%q`, r.URL), float64(r.Dials))
+		}
 		m.header("lbe_router_replica_queue_len", "Admission queue length last reported by the replica.", "gauge")
 		for _, r := range st.Replicas {
 			m.value("lbe_router_replica_queue_len", fmt.Sprintf(`replica=%q`, r.URL), float64(r.QueueLen))

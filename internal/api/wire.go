@@ -271,6 +271,11 @@ type RouterReplicaJSON struct {
 	// sent (every attempt) and reply body bytes read back (any status).
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
+	// Connections the router opened to the replica, probes included. The
+	// router keeps them alive, so this stays near the most requests it
+	// ever had outstanding there; one per request means every round paid
+	// a handshake.
+	Dials int64 `json:"connections_dialed"`
 }
 
 // RouterScatterJSON is the topology block of the router's /stats,

@@ -11,8 +11,8 @@
 // RunRank puts a one-shard Session behind a communicator and runs the
 // same loop: a worker sends each merged batch to the master as it is
 // made, and the master runs its own loop, then takes the workers' batches
-// off the wire and sorts each query's union once by ComparePSM (rank.go,
-// cluster.go).
+// off the wire and merges each query's per-rank lists once (MergeSorted;
+// rank.go, cluster.go).
 //
 // The mapping table is applied where a partition is searched: a rank, like
 // a shard-set holder on the scatter path, maps its own matches through its
@@ -250,6 +250,31 @@ func ComparePSM(a, b PSM) int {
 
 // sortPSMs orders matches by ComparePSM.
 func sortPSMs(ms []PSM) { slices.SortFunc(ms, ComparePSM) }
+
+// MergeSorted is the one gather: it appends to dst the first k elements
+// (all of them when k <= 0) of the merge of lists, each already in cmp
+// order, and returns the extended slice. Ties go to the lower-indexed
+// list, so the result is what a stable sort of the lists' concatenation
+// cut to k would be, at one comparison per list per element taken. A
+// gather merges one list per rank or per shard-set, a handful, so a
+// linear scan of the heads beats a heap. The lists are consumed: on
+// return each lists[i] holds what was not taken.
+func MergeSorted[E any](dst []E, lists [][]E, k int, cmp func(a, b E) int) []E {
+	for taken := 0; k <= 0 || taken < k; taken++ {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || cmp(l[0], lists[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		dst = append(dst, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return dst
+}
 
 // RunSerial searches queries against a single shared-memory index over the
 // whole peptide list: the baseline system LBE distributes. The returned

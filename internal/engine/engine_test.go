@@ -191,6 +191,49 @@ func TestComparePSMOrder(t *testing.T) {
 	}
 }
 
+// TestMergeSortedIsSortAndCut: merging lists each in ComparePSM order
+// gives what sorting their concatenation and cutting it to k gives, for
+// zero to five lists (empty ones among them), every k from "all" up past
+// the total, and lists full of exact ties across lists.
+func TestMergeSortedIsSortAndCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		lists := make([][]PSM, rng.Intn(6))
+		var all []PSM
+		for i := range lists {
+			for n := rng.Intn(5); n > 0; n-- {
+				lists[i] = append(lists[i], PSM{
+					Peptide:   uint32(rng.Intn(4)),
+					Shared:    uint16(rng.Intn(2)),
+					Score:     float64(rng.Intn(3)),
+					Precursor: 900,
+				})
+			}
+			slices.SortFunc(lists[i], ComparePSM)
+			all = append(all, lists[i]...)
+		}
+		slices.SortStableFunc(all, ComparePSM)
+		for k := 0; k <= len(all)+1; k++ {
+			want := all
+			if k > 0 && k < len(all) {
+				want = all[:k]
+			}
+			heads := slices.Clone(lists)
+			got := MergeSorted([]PSM{{Peptide: 99}}, heads, k, ComparePSM)
+			if got[0].Peptide != 99 || !slices.Equal(got[1:], want) {
+				t.Fatalf("trial %d, k %d: merge of %v\n got %v\nwant %v", trial, k, lists, got[1:], want)
+			}
+			left := 0
+			for _, h := range heads {
+				left += len(h)
+			}
+			if left != len(all)-len(want) {
+				t.Fatalf("trial %d, k %d: %d elements left in the lists, want %d", trial, k, left, len(all)-len(want))
+			}
+		}
+	}
+}
+
 func TestQueryTimesAndWorkUnitsProjection(t *testing.T) {
 	sts := []RankStats{
 		{QueryNanos: 2e9, Work: slm.Work{IonHits: 100, Scored: 50}},

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"lbe/internal/mpi"
@@ -43,8 +44,8 @@ const mappingBoundaryBytes = 8
 // paper maps at the master) and already cut to TopK. The master searches
 // its own slice first — worker batches wait in its inbox meanwhile, since
 // neither transport pushes back on a sender — then takes exactly its
-// batch count from every worker off the wire, and finally sorts each
-// query's union once by ComparePSM and cuts it to TopK.
+// batch count from every worker off the wire, keeping one list per rank
+// per query, and finally merges each query's lists once (MergeSorted).
 //
 // Each rank uses the full cfg.BuildWorkers and cfg.ThreadsPerRank budgets
 // (default: one worker per core), which is right when ranks are separate
@@ -88,14 +89,20 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 		PartitionNanos: sess.partitionNs,
 		Groups:         sess.groups,
 	}
+	// gathered[r][q] is rank r's list for query q: in ComparePSM order and
+	// cut to TopK, as every rank's Session leaves it.
+	gathered := make([][][]PSM, size)
+	for r := range gathered {
+		gathered[r] = make([][]PSM, len(queries))
+	}
 	err = sess.each(ctx, queries, func(br BatchResult) error {
-		return appendGathered(res.PSMs, len(peptides), 0, br)
+		return gatherBatch(gathered[0], len(peptides), 0, br)
 	})
 	if err != nil {
 		return nil, err
 	}
 	bsize := cfg.effectiveBatch(len(queries))
-	if err := gatherWorkers(c, res.PSMs, len(peptides), (len(queries)+bsize-1)/bsize); err != nil {
+	if err := gatherWorkers(c, gathered, len(peptides), (len(queries)+bsize-1)/bsize); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -112,10 +119,18 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 		res.MappingBytes += report.MappingBytes - mappingBoundaryBytes
 	}
 
+	lists := make([][]PSM, size)
 	for q := range res.PSMs {
-		sortPSMs(res.PSMs[q])
-		if cfg.TopK > 0 && len(res.PSMs[q]) > cfg.TopK {
-			res.PSMs[q] = res.PSMs[q][:cfg.TopK]
+		n := 0
+		for r := range gathered {
+			lists[r] = gathered[r][q]
+			n += len(lists[r])
+		}
+		if cfg.TopK > 0 {
+			n = min(n, cfg.TopK)
+		}
+		if n > 0 { // a query nothing matched stays nil
+			res.PSMs[q] = MergeSorted(make([]PSM, 0, n), lists, cfg.TopK, ComparePSM)
 		}
 	}
 	res.QueryNanos = time.Since(queryPhaseStart).Nanoseconds()
@@ -124,13 +139,13 @@ func RunRank(ctx context.Context, c mpi.Comm, peptides []string, queries []spect
 }
 
 // gatherWorkers takes the nb batches every worker rank owes off the wire
-// and appends them to the master's per-query lists. It accepts them from
+// and files them under their rank in gathered. It accepts them from
 // any source while two or more workers still owe, so whoever finished
 // first is taken first. Once a single worker is left owing, the receive
 // names it: nothing else can arrive on this tag, and a named receive fails
 // when that peer's link goes down where an any-source one would wait
 // forever. The first bad batch is the error returned.
-func gatherWorkers(c mpi.Comm, psms [][]PSM, nPeptides, nb int) error {
+func gatherWorkers(c mpi.Comm, gathered [][][]PSM, nPeptides, nb int) error {
 	owed := make([]int, c.Size()) // batches each worker has yet to send
 	for peer := 1; peer < len(owed); peer++ {
 		owed[peer] = nb
@@ -158,18 +173,19 @@ func gatherWorkers(c mpi.Comm, psms [][]PSM, nPeptides, nb int) error {
 			return fmt.Errorf("engine: rank %d sent more than its %d batches", src, nb)
 		}
 		owed[src]--
-		if err := appendGathered(psms, nPeptides, src, br); err != nil {
+		if err := gatherBatch(gathered[src], nPeptides, src, br); err != nil {
 			return err
 		}
 	}
 }
 
-// appendGathered adds one rank's merged batch to the master's per-query
+// gatherBatch files one rank's merged batch in that rank's per-query
 // lists. The batch arrived off the wire, so its query range and peptide
-// indices are checked before anything is indexed by them.
-func appendGathered(psms [][]PSM, nPeptides, from int, br BatchResult) error {
-	if br.Offset < 0 || br.Offset > len(psms) || len(br.PSMs) > len(psms)-br.Offset {
-		return fmt.Errorf("engine: rank %d sent %d queries at offset %d of a %d-query run", from, len(br.PSMs), br.Offset, len(psms))
+// indices are checked before anything is indexed by them, and its lists'
+// order before the master's merge relies on it.
+func gatherBatch(lists [][]PSM, nPeptides, from int, br BatchResult) error {
+	if br.Offset < 0 || br.Offset > len(lists) || len(br.PSMs) > len(lists)-br.Offset {
+		return fmt.Errorf("engine: rank %d sent %d queries at offset %d of a %d-query run", from, len(br.PSMs), br.Offset, len(lists))
 	}
 	for q, ms := range br.PSMs {
 		for _, m := range ms {
@@ -177,7 +193,10 @@ func appendGathered(psms [][]PSM, nPeptides, from int, br BatchResult) error {
 				return fmt.Errorf("engine: rank %d sent peptide index %d of a %d-peptide database", from, m.Peptide, nPeptides)
 			}
 		}
-		psms[br.Offset+q] = append(psms[br.Offset+q], ms...)
+		if !slices.IsSortedFunc(ms, ComparePSM) {
+			return fmt.Errorf("engine: rank %d sent query %d's matches out of ComparePSM order", from, br.Offset+q)
+		}
+		lists[br.Offset+q] = ms
 	}
 	return nil
 }

@@ -151,10 +151,10 @@ func TestWorkerRankStopsWhenSendFails(t *testing.T) {
 
 // TestMisbehavingRankIsAnError plays the worker ranks of a small world by
 // hand against a real master. Whatever arrives off the wire — a batch
-// outside the query range, a peptide index outside the database, a rank
-// that hangs up early, a rank that sends more than it owes — the master
-// returns an error naming rank 1, leaves no goroutine parked in a receive,
-// and the world closes cleanly.
+// outside the query range, a peptide index outside the database, a list
+// out of ComparePSM order, a rank that hangs up early, a rank that sends
+// more than it owes — the master returns an error naming rank 1, leaves
+// no goroutine parked in a receive, and the world closes cleanly.
 func TestMisbehavingRankIsAnError(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 4, 1, 10)
 	cfg := lightConfig()
@@ -192,6 +192,16 @@ func TestMisbehavingRankIsAnError(t *testing.T) {
 				return err
 			}
 			return c.Close()
+		}},
+		{"matches out of ComparePSM order", 2, func(c mpi.Comm) error {
+			// Everything it owes, closing report included: only the order
+			// of the middle batch's second list is wrong.
+			bad := empty(4, 4)
+			bad.PSMs[1] = []PSM{{Peptide: 1, Score: 1}, {Peptide: 0, Score: 2}}
+			if err := sendAll(c, empty(0, 4), bad, empty(8, 2)); err != nil {
+				return err
+			}
+			return mpi.SendGob(c, 0, tagStats, rankReport{})
 		}},
 		{"hangs up after one batch of three", 2, func(c mpi.Comm) error {
 			if err := sendAll(c, empty(0, 4)); err != nil {

@@ -45,7 +45,7 @@ package router
 import (
 	"context"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -128,10 +128,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxIdlePerHolder is how many idle keep-alive connections the router
+// keeps open to each holder: one per request it may have outstanding
+// there, up to a holder's default admission queue depth (a deeper queue
+// would answer 429 anyway). net/http's default keeps two. A holder's
+// coalescer answers a whole batch of callers at once, so with two idle
+// slots every larger scatter round closed the rest of its connections and
+// the next round paid a TCP handshake per set before its payload.
+const maxIdlePerHolder = 256
+
 // replica is one registry entry: a typed client plus the probed state.
 type replica struct {
 	url    string
-	client *api.Client // Retries: 0 — failover picks a different replica instead
+	client *api.Client // Retries: 0 — failover picks a different replica instead; its own keep-alive pool
 
 	mu       sync.Mutex
 	healthy  bool
@@ -150,6 +159,27 @@ type replica struct {
 	failed    atomic.Int64 // attempts that errored or answered retryably
 	bytesSent atomic.Int64 // /search request body bytes sent, every attempt
 	bytesRecv atomic.Int64 // /search reply body bytes received, any status
+	dials     atomic.Int64 // connections opened to the replica, probes included
+}
+
+// newReplica registers the replica at base with its own client and
+// connection pool.
+func newReplica(base string, requestTimeout time.Duration) *replica {
+	r := &replica{url: base}
+	var dialer net.Dialer
+	r.client = api.New(base)
+	r.client.HTTPClient = &http.Client{Transport: &http.Transport{
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			r.dials.Add(1)
+			return dialer.DialContext(ctx, network, addr)
+		},
+		MaxIdleConnsPerHost: maxIdlePerHolder,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+	r.client.Retries = 0 // the router fails over across replicas instead
+	r.client.Timeout = requestTimeout
+	return r
 }
 
 // markDown records a failed probe or proxied attempt; the next
@@ -225,10 +255,7 @@ func New(replicaURLs []string, cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: replica %s listed twice", base)
 		}
 		seen[base] = true
-		client := api.New(base)
-		client.Retries = 0 // the router fails over across replicas instead
-		client.Timeout = cfg.RequestTimeout
-		rt.replicas = append(rt.replicas, &replica{url: base, client: client})
+		rt.replicas = append(rt.replicas, newReplica(base, cfg.RequestTimeout))
 	}
 	rt.probeAll()
 	go rt.probeLoop()
@@ -420,7 +447,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.reqWG.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := api.ReadBody(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		api.WriteBodyError(w, err)
 		return
@@ -554,6 +581,7 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 			Failed:         rep.failed.Load(),
 			BytesSent:      rep.bytesSent.Load(),
 			BytesReceived:  rep.bytesRecv.Load(),
+			Dials:          rep.dials.Load(),
 			ProbeAgeMillis: ageMillis(rep.probedAt, now),
 			StatsAgeMillis: ageMillis(rep.statsAt, now),
 		}
@@ -596,7 +624,8 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 
 // Shutdown drains the router: admission stops (503), the probe loop
 // exits, and Shutdown returns once every proxied request in flight has
-// been answered, or ctx expires.
+// been answered, or ctx expires. Either way it closes the idle
+// connections to the replicas on its way out.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.mu.Lock()
 	already := rt.draining
@@ -607,6 +636,11 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		rt.stopProbes()
 	}
 	<-rt.probeDone
+	defer func() {
+		for _, r := range rt.replicas {
+			r.client.HTTPClient.CloseIdleConnections()
+		}
+	}()
 
 	done := make(chan struct{})
 	go func() {

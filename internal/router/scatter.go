@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
@@ -19,9 +18,13 @@ import (
 // /search to one healthy holder per set. One set: the holder's reply is
 // the answer and is relayed untouched. Several: the per-set top-K merge
 // with api.MergeSearchResponses into the bytes a whole-store session
-// would have produced. Partial coverage is an explicit failure: a set
-// with no consistent healthy holder fails the query with a 503 naming
-// the set, never a silently truncated answer.
+// would have produced: each reply decoded in one pass
+// (api.DecodeSearchResponse), its already-sorted lists merged, the result
+// re-encoded (api.AppendSearchResponse). A reply that is not what a
+// holder writes — undecodable, or a list out of ComparePSM order — is a
+// 502, never a silently wrong merge. Partial coverage is an explicit
+// failure: a set with no consistent healthy holder fails the query with a
+// 503 naming the set, never a silently truncated answer.
 
 // scatterState is the topology the probe loop discovered: the partition
 // shape, the per-set store digests, and how many sets currently have a
@@ -279,7 +282,8 @@ func (rt *Router) mergeReplies(w http.ResponseWriter, replies []setReply, topK i
 	parts := make([]api.SearchResponse, len(replies))
 	size := 0
 	for s, rep := range replies {
-		if err := json.Unmarshal(rep.data, &parts[s]); err != nil {
+		var err error
+		if parts[s], err = api.DecodeSearchResponse(rep.data); err != nil {
 			api.WriteError(w, http.StatusBadGateway, "shard-set %d returned an undecodable body: %v", s, err)
 			return nil, false
 		}

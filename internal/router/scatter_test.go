@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,13 +87,16 @@ func TestScatterSurvivesHolderKill(t *testing.T) {
 }
 
 // scatterFake is a scripted shard-set holder exposing the probe surface
-// without an engine behind it.
+// without an engine behind it. It counts the connections opened to it and
+// closed.
 type scatterFake struct {
 	searches atomic.Int64
+	opened   atomic.Int64
+	closed   atomic.Int64
 	ts       *httptest.Server
 }
 
-func startScatterFake(t *testing.T, set, sets int, dig string, queueLen int, search http.HandlerFunc) *scatterFake {
+func startScatterFake(t testing.TB, set, sets int, dig string, queueLen int, search http.HandlerFunc) *scatterFake {
 	t.Helper()
 	f := &scatterFake{}
 	ss := &api.ShardSetJSON{Set: set, Sets: sets, TotalShards: sets, TopK: 5}
@@ -106,7 +111,16 @@ func startScatterFake(t *testing.T, set, sets int, dig string, queueLen int, sea
 		f.searches.Add(1)
 		search(w, r)
 	})
-	f.ts = httptest.NewServer(mux)
+	f.ts = httptest.NewUnstartedServer(mux)
+	f.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			f.opened.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			f.closed.Add(1)
+		}
+	}
+	f.ts.Start()
 	t.Cleanup(f.ts.Close)
 	return f
 }
@@ -331,6 +345,29 @@ func TestScatterPartialFailureTable(t *testing.T) {
 	}
 }
 
+// TestScatterRefusesOutOfOrderHolder: a holder whose PSM list is not in
+// ComparePSM order gets its round a 502 naming the order, never a merge
+// that silently trusts it.
+func TestScatterRefusesOutOfOrderHolder(t *testing.T) {
+	psmHi := api.PSMJSON{Peptide: 2, Sequence: "HIK", Score: 9, Shared: 3, Precursor: 500.25, Shard: 0}
+	psmLo := api.PSMJSON{Peptide: 7, Sequence: "LOK", Score: 4, Shared: 2, Precursor: 501.5, Shard: 1}
+	set0 := startScatterFake(t, 0, 2, "set-digest-0", 0, okSet(psmHi))
+	set1 := startScatterFake(t, 1, 2, "set-digest-1", 0, okSet(psmLo, psmHi))
+	_, ts := testRouter(t, fastProbes(), set0.ts.URL, set1.ts.URL)
+	resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || !bytes.Contains(data, []byte("ComparePSM order")) {
+		t.Fatalf("status %d, body %s; want a 502 naming the order", resp.StatusCode, data)
+	}
+}
+
 // TestScatterGateExcludesNonconforming: within a set, holders
 // disagreeing with the set's digest are gated; replicas announcing a
 // different partition shape are gated; the composed digest reflects the
@@ -437,4 +474,138 @@ func TestMixedRegistryNeverTruncates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// togetherSet scripts a holder whose coalescer answers callers requests
+// at once: each /search waits until callers of them are in, or a second
+// has passed, and then they all reply together.
+func togetherSet(callers int, psms ...api.PSMJSON) http.HandlerFunc {
+	var mu sync.Mutex
+	in, release := 0, make(chan struct{})
+	reply := okSet(psms...)
+	return func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		wait := release
+		if in++; in == callers {
+			close(release)
+			in, release = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-wait:
+		case <-time.After(time.Second):
+		}
+		reply(w, r)
+	}
+}
+
+// TestScatterKeepsHolderConnectionsAlive: a scatter round costs its
+// payload, not a TCP handshake. Concurrent callers drive rounds whose
+// replies land together, as a holder's coalescer sends them. Each holder
+// then sees about one connection per request the router had outstanding
+// there — not a fresh set every round — /stats
+// counts them, and closing the router closes them all.
+func TestScatterKeepsHolderConnectionsAlive(t *testing.T) {
+	const callers, rounds = 8, 6
+	psm := api.PSMJSON{Peptide: 2, Sequence: "HIK", Score: 9, Shared: 3, Precursor: 500.25}
+	holders := []*scatterFake{
+		startScatterFake(t, 0, 2, "set-digest-0", 0, togetherSet(callers, psm)),
+		startScatterFake(t, 1, 2, "set-digest-1", 0, togetherSet(callers)),
+	}
+	rt, ts := testRouter(t, fastProbes(), holders[0].ts.URL, holders[1].ts.URL)
+
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+			defer client.CloseIdleConnections()
+			for i := 0; i < rounds; i++ {
+				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("round %d: status %d", i, resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for set, h := range holders {
+		if got := h.searches.Load(); got != callers*rounds {
+			t.Fatalf("set %d holder served %d searches, want %d", set, got, callers*rounds)
+		}
+		// net/http may start a dial for a request that an idle connection
+		// then serves first, and pools the spare: allow one per caller.
+		if got := h.opened.Load(); got > 2*callers {
+			t.Errorf("set %d holder accepted %d connections for %d rounds of %d callers, want at most %d",
+				set, got, rounds, callers, 2*callers)
+		}
+	}
+
+	for set, h := range holders {
+		// A spare dial may still be landing.
+		waitFor(t, func() bool { return rt.Stats().Replicas[set].Dials == h.opened.Load() },
+			fmt.Sprintf("set %d holder: /stats disagrees with the connections it accepted", set))
+	}
+
+	rt.Close()
+	for set, h := range holders {
+		waitFor(t, func() bool { return h.closed.Load() == h.opened.Load() },
+			fmt.Sprintf("set %d holder: router left connections open after Close", set))
+	}
+}
+
+// BenchmarkScatterRound is one /search through a two-set router whose
+// holders answer at once with ten PSMs each: the router's own cost of a
+// round — fan-out, two hops, decode, merge, encode — with no engine.
+func BenchmarkScatterRound(b *testing.B) {
+	reply := func(base uint32) http.HandlerFunc {
+		psms := make([]api.PSMJSON, 10)
+		for i := range psms {
+			psms[i] = api.PSMJSON{Peptide: base + uint32(2*i), Sequence: "VLSEAEKDHMTLR", Score: 40 - float64(i),
+				Shared: 9, Precursor: 1398.6812330114, Shard: int(base)}
+		}
+		body := api.AppendSearchResponse(nil, api.SearchResponse{Results: []api.QueryResult{{Scan: 0, PSMs: psms}}})
+		return func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+		}
+	}
+	var urls []string
+	for set := 0; set < 2; set++ {
+		urls = append(urls, startScatterFake(b, set, 2, fmt.Sprintf("set-digest-%d", set), 0, reply(uint32(set))).ts.URL)
+	}
+	rt, err := New(urls, fastProbes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer func() { rt.Close(); ts.Close() }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+		defer client.CloseIdleConnections()
+		for pb.Next() {
+			resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Errorf("status %d", resp.StatusCode)
+				return
+			}
+		}
+	})
 }

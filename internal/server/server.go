@@ -25,7 +25,6 @@ package server
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -250,24 +249,6 @@ func recycleBody(buf *[]byte) {
 	}
 }
 
-// readBody appends r's bytes to b until EOF, growing b as io.ReadAll
-// does.
-func readBody(b []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
-
 // handleSearch decodes one search request, admits it through the bounded
 // queue, and waits for its slice of a merged batch. The body is read
 // into a pooled buffer, which the reply is then rendered into.
@@ -279,7 +260,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := bodyBuffers.Get().(*[]byte)
 	defer recycleBody(buf)
-	body, err := readBody((*buf)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := api.AppendBody((*buf)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	*buf = body
 	if err != nil {
 		api.WriteBodyError(w, err)
