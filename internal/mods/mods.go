@@ -9,8 +9,9 @@
 package mods
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -111,72 +112,102 @@ type siteOption struct {
 // form first, then all combinations of applied sites with at most MaxPerPep
 // sites (at most one mod per position). Variants are emitted in a
 // deterministic order (increasing site count, then lexicographic by site).
+// Every variant's Sites is a window of one backing array per call.
 func (c Config) Variants(seq string) ([]Variant, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	options := c.siteOptions(seq)
-	out := []Variant{{}} // unmodified
-
 	limit := c.MaxVariant
 	if limit <= 0 {
 		limit = int(^uint(0) >> 1)
 	}
+	// A combination modifies each position at most once, so cur never
+	// holds more sites than seq has residues.
+	e := variantEnum{mods: c.Mods, options: c.siteOptions(seq), limit: limit, n: 1,
+		cur: make([]Site, 0, min(c.MaxPerPep, len(seq)))}
+	// A counting walk sizes both arrays exactly; the emitting walk then
+	// never grows sites, so every window cut from it stays in the one
+	// array. The unmodified variant is out[0].
+	e.rec(0, c.MaxPerPep)
+	e.out = make([]Variant, 1, e.n)
+	e.sites = make([]Site, 0, e.nsites)
+	e.n, e.cur, e.delta = 1, e.cur[:0], 0
+	e.rec(0, c.MaxPerPep)
 
-	// Depth-first enumeration over site options; positions are strictly
-	// increasing along a combination so no position is modified twice.
-	var cur []Site
-	var curDelta float64
-	var rec func(start, budget int) bool
-	rec = func(start, budget int) bool {
-		if budget == 0 {
-			return true
-		}
-		for i := start; i < len(options); i++ {
-			opt := options[i]
-			if len(cur) > 0 && cur[len(cur)-1].Pos == opt.pos {
-				continue // one mod per position
-			}
-			cur = append(cur, Site{Pos: opt.pos, Mod: opt.mod})
-			curDelta += c.Mods[opt.mod].Delta
-			if len(out) >= limit {
-				return false
-			}
-			out = append(out, Variant{Sites: append([]Site(nil), cur...), Delta: curDelta})
-			ok := rec(i+1, budget-1)
-			curDelta -= c.Mods[opt.mod].Delta
-			cur = cur[:len(cur)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, c.MaxPerPep)
-
-	// The DFS above emits combinations ordered by first site; normalize to
-	// (site count, positions) order for a stable, documented layout.
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i].Sites, out[j].Sites
+	// The enumeration emits combinations ordered by first site; normalize
+	// to (site count, positions) order for a stable, documented layout.
+	slices.SortStableFunc(e.out, func(x, y Variant) int {
+		a, b := x.Sites, y.Sites
 		if len(a) != len(b) {
-			return len(a) < len(b)
+			return cmp.Compare(len(a), len(b))
 		}
 		for k := range a {
 			if a[k].Pos != b[k].Pos {
-				return a[k].Pos < b[k].Pos
+				return cmp.Compare(a[k].Pos, b[k].Pos)
 			}
 			if a[k].Mod != b[k].Mod {
-				return a[k].Mod < b[k].Mod
+				return cmp.Compare(a[k].Mod, b[k].Mod)
 			}
 		}
-		return false
+		return 0
 	})
-	return out, nil
+	return e.out, nil
+}
+
+// variantEnum is Variants' depth-first enumeration state. Positions are
+// strictly increasing along a combination so no position is modified
+// twice; cur is the combination being extended. A walk with out nil
+// only counts variants (n) and their sites (nsites); otherwise each
+// emitted variant copies cur to the end of sites.
+type variantEnum struct {
+	mods    []Mod
+	options []siteOption
+	limit   int
+	n       int // variants emitted, the unmodified one included
+	nsites  int
+	out     []Variant
+	sites   []Site
+	cur     []Site
+	delta   float64
+}
+
+// rec extends cur with every option from start on, emitting each
+// combination, up to budget more sites. It returns false once limit
+// variants have been emitted.
+func (e *variantEnum) rec(start, budget int) bool {
+	if budget == 0 {
+		return true
+	}
+	for i := start; i < len(e.options); i++ {
+		opt := e.options[i]
+		if len(e.cur) > 0 && e.cur[len(e.cur)-1].Pos == opt.pos {
+			continue // one mod per position
+		}
+		e.cur = append(e.cur, Site{Pos: opt.pos, Mod: opt.mod})
+		e.delta += e.mods[opt.mod].Delta
+		if e.n >= e.limit {
+			return false
+		}
+		e.n++
+		e.nsites += len(e.cur)
+		if e.out != nil {
+			first := len(e.sites)
+			e.sites = append(e.sites, e.cur...)
+			e.out = append(e.out, Variant{Sites: e.sites[first:len(e.sites):len(e.sites)], Delta: e.delta})
+		}
+		ok := e.rec(i+1, budget-1)
+		e.delta -= e.mods[opt.mod].Delta
+		e.cur = e.cur[:len(e.cur)-1]
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // siteOptions lists eligible (position, mod) pairs in position order.
 func (c Config) siteOptions(seq string) []siteOption {
-	var opts []siteOption
+	opts := make([]siteOption, 0, len(seq)) // exact while no residue has two mods
 	for i := 0; i < len(seq); i++ {
 		for mi, m := range c.Mods {
 			if m.targets(seq[i]) {

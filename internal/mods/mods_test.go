@@ -220,3 +220,26 @@ func TestZeroMaxPerPep(t *testing.T) {
 		t.Errorf("MaxPerPep=0 must yield only the unmodified variant, got %d", len(vs))
 	}
 }
+
+// TestVariantsShareOneSiteArray: Variants cuts every variant's sites from
+// one array, so its allocations do not grow with the variants it returns.
+func TestVariantsShareOneSiteArray(t *testing.T) {
+	cfg := Config{Mods: PaperSet(), MaxPerPep: 3}
+	const seq = "MKNQCMKNQR"
+	vs, err := cfg.Variants(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) < 100 {
+		t.Fatalf("%d variants: too few to tell", len(vs))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := cfg.Variants(seq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d variants, %.0f allocations", len(vs), allocs)
+	if allocs > 5 {
+		t.Errorf("Variants allocates %.0f times for %d variants, want <= 5", allocs, len(vs))
+	}
+}

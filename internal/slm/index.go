@@ -81,15 +81,8 @@ func (p Params) Validate() error {
 	if p.MaxFragmentMZ <= 0 {
 		return fmt.Errorf("slm: MaxFragmentMZ %g must be positive", p.MaxFragmentMZ)
 	}
-	seen := map[spectrum.IonKind]bool{}
-	for _, k := range p.series() {
-		if k > spectrum.IonY2 {
-			return fmt.Errorf("slm: unknown ion kind %d", k)
-		}
-		if seen[k] {
-			return fmt.Errorf("slm: duplicate ion kind %v", k)
-		}
-		seen[k] = true
+	if err := spectrum.ValidateSeries(p.series()); err != nil {
+		return fmt.Errorf("slm: %w", err)
 	}
 	return p.Mods.Validate()
 }
@@ -193,31 +186,50 @@ type stagedRow struct {
 	buckets []uint32
 }
 
+// stageChunk is how many bucket ids one pass-1 staging chunk holds.
+const stageChunk = 1 << 16
+
 // enumerate runs pass 1 over peptides[lo:hi]: variant expansion, ion
-// prediction and scan-range filtering. It returns the rows in enumeration
+// generation and scan-range filtering. It returns the rows in enumeration
 // order — peptide, then variant — and the highest bucket any ion fell in
-// (-1 for none).
+// (-1 for none). Ion order within a row is irrelevant to pass 2, so the
+// generator's unsorted output is bucketed as it comes, through an ion
+// buffer reused for every variant. Bucket ids are staged in fixed chunks:
+// a row that does not fit starts a new one, so no staged id is ever
+// copied again.
 func enumerate(peptides []string, lo, hi int, params Params) (rows []stagedRow, maxBucket int, err error) {
 	bucketer := mass.NewBucketer(params.Resolution)
 	capB := params.capBucket()
+	kinds := params.series()
 	maxBucket = -1
-	var buf []uint32
+	var (
+		frag      spectrum.Fragmenter
+		ions      []float64
+		precursor float64
+		chunk     []uint32
+	)
 	for pi := lo; pi < hi; pi++ {
 		seq := peptides[pi]
 		variants, err := params.Mods.Variants(seq)
 		if err != nil {
 			return nil, 0, fmt.Errorf("slm: peptide %d: %w", pi, err)
 		}
+		if err := frag.Reset(seq); err != nil {
+			return nil, 0, fmt.Errorf("slm: peptide %d (%q): %w", pi, seq, err)
+		}
 		for _, v := range variants {
-			th, err := spectrum.PredictIons(seq, v, params.Mods.Mods, params.series())
+			ions, precursor, err = frag.AppendIons(ions[:0], v, params.Mods.Mods, kinds)
 			if err != nil {
 				return nil, 0, fmt.Errorf("slm: peptide %d (%q): %w", pi, seq, err)
 			}
-			first := len(buf)
-			for _, ion := range th.Ions {
+			if cap(chunk)-len(chunk) < len(ions) {
+				chunk = make([]uint32, 0, max(stageChunk, len(ions)))
+			}
+			first := len(chunk)
+			for _, ion := range ions {
 				// Keep only ions inside the instrument scan range.
 				if b := bucketer.Bucket(ion); b <= capB {
-					buf = append(buf, uint32(b))
+					chunk = append(chunk, uint32(b))
 					maxBucket = max(maxBucket, b)
 				}
 			}
@@ -225,20 +237,16 @@ func enumerate(peptides []string, lo, hi int, params Params) (rows []stagedRow, 
 			if v.IsModified() {
 				flags |= rowFlagModified
 			}
-			rows = append(rows, stagedRow{row: Row{
-				Peptide:   uint32(pi),
-				Precursor: th.Precursor,
-				NumIons:   uint16(len(buf) - first),
-				Flags:     flags,
-			}})
+			rows = append(rows, stagedRow{
+				row: Row{
+					Peptide:   uint32(pi),
+					Precursor: precursor,
+					NumIons:   uint16(len(chunk) - first),
+					Flags:     flags,
+				},
+				buckets: chunk[first:len(chunk):len(chunk)],
+			})
 		}
-	}
-	// buf has stopped growing: cut each row's window out of it.
-	next := 0
-	for i := range rows {
-		n := int(rows[i].row.NumIons)
-		rows[i].buckets = buf[next : next+n : next+n]
-		next += n
 	}
 	return rows, maxBucket, nil
 }
@@ -396,9 +404,10 @@ func (ix *Index) MemoryBytes() int {
 // 4 B per staged ion bucket id, one staging record (a Row and its bucket
 // window, 40 B on 64-bit hosts) per row, and 4 B per row of the sort
 // permutation — all alive together while pass 2 writes. Pass 2's per-worker
-// bucket counts (4 B per bucket per worker) are left out so the figure
-// does not depend on the worker count. A decoded or mapped index reports
-// its MemoryBytes.
+// bucket counts (4 B per bucket per worker) and the unused tails of pass
+// 1's staging chunks (under one chunk per worker) are left out so the
+// figure does not depend on the worker count. A decoded or mapped index
+// reports its MemoryBytes.
 func (ix *Index) BuildPeakBytes() int { return ix.buildPeak }
 
 // bucketSpan returns the inclusive bucket index range for the fragment

@@ -16,6 +16,7 @@ import (
 
 	"lbe/internal/mass"
 	"lbe/internal/mods"
+	"lbe/internal/spectrum"
 )
 
 func buildTestIndex(t *testing.T) *Index {
@@ -144,6 +145,22 @@ func buildPlainIndex(t *testing.T) *Index {
 	params := DefaultParams()
 	params.Mods = mods.Config{}
 	ix, err := Build([]string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// buildSeriesIndex builds an index over all five ion series with a scan
+// range low enough to drop ions: a third pinned encoding, the one whose
+// rows carry a, doubly charged and out-of-range ions.
+func buildSeriesIndex(t *testing.T) *Index {
+	t.Helper()
+	params := DefaultParams()
+	params.Mods.MaxPerPep = 2
+	params.MaxFragmentMZ = 500
+	params.IonSeries = []spectrum.IonKind{spectrum.IonY2, spectrum.IonA, spectrum.IonB, spectrum.IonB2, spectrum.IonY}
+	ix, err := Build([]string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK", "MCNQWYKR"}, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +336,7 @@ func TestWriteToBytesPinned(t *testing.T) {
 	}{
 		{"buildTestIndex", buildTestIndex(t), "eb33081bbbc2606a0b9a49dfaeb0c4be4ca552afd0329a7702dfa1fc6d3ece7f"},
 		{"buildPlainIndex", buildPlainIndex(t), "be4ec8079d59a211129f3f31e2f50c1412dfe1a7b1783cca2cb9f5e3ac541cf2"},
+		{"buildSeriesIndex", buildSeriesIndex(t), "eff435bbdaebb395557959f34b32ffcb567410c8cf7dbbb4250992ad729e8593"},
 	} {
 		var buf bytes.Buffer
 		if _, err := tc.ix.WriteTo(&buf); err != nil {

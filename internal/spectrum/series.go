@@ -2,10 +2,8 @@ package spectrum
 
 import (
 	"fmt"
-	"sort"
 
 	"lbe/internal/mass"
-	"lbe/internal/mods"
 )
 
 // IonKind identifies a fragment-ion series. The CID model of the paper's
@@ -51,88 +49,21 @@ func DefaultSeries() []IonKind { return []IonKind{IonB, IonY} }
 // carbonMonoxide is the a-ion offset below the b ion.
 const carbonMonoxide = mass.Carbon + mass.Oxygen
 
-// PredictIons computes the theoretical spectrum of a (possibly modified)
-// peptide over the requested ion series, sorted ascending. kinds must be
-// non-empty; duplicate kinds are an error.
-func PredictIons(seq string, v mods.Variant, modList []mods.Mod, kinds []IonKind) (Theoretical, error) {
+// ValidateSeries reports whether kinds is a usable ion series: non-empty,
+// known kinds only, none twice.
+func ValidateSeries(kinds []IonKind) error {
 	if len(kinds) == 0 {
-		return Theoretical{}, fmt.Errorf("spectrum: no ion series requested")
+		return fmt.Errorf("spectrum: no ion series requested")
 	}
-	seen := map[IonKind]bool{}
+	var seen uint8
 	for _, k := range kinds {
 		if k > IonY2 {
-			return Theoretical{}, fmt.Errorf("spectrum: unknown ion kind %d", k)
+			return fmt.Errorf("spectrum: unknown ion kind %d", k)
 		}
-		if seen[k] {
-			return Theoretical{}, fmt.Errorf("spectrum: duplicate ion kind %v", k)
+		if seen&(1<<k) != 0 {
+			return fmt.Errorf("spectrum: duplicate ion kind %v", k)
 		}
-		seen[k] = true
+		seen |= 1 << k
 	}
-
-	n := len(seq)
-	if n < 2 {
-		return Theoretical{}, fmt.Errorf("spectrum: peptide %q too short to fragment", seq)
-	}
-	if !mass.ValidSequence(seq) {
-		return Theoretical{}, fmt.Errorf("spectrum: peptide %q has non-standard residues", seq)
-	}
-	res := make([]float64, n)
-	for i := 0; i < n; i++ {
-		res[i] = mass.MustResidue(seq[i])
-	}
-	for _, s := range v.Sites {
-		if s.Pos < 0 || s.Pos >= n {
-			return Theoretical{}, fmt.Errorf("spectrum: mod site %d out of range for %q", s.Pos, seq)
-		}
-		if s.Mod < 0 || s.Mod >= len(modList) {
-			return Theoretical{}, fmt.Errorf("spectrum: mod index %d out of range", s.Mod)
-		}
-		res[s.Pos] += modList[s.Mod].Delta
-	}
-	total := mass.Water
-	for _, r := range res {
-		total += r
-	}
-
-	ions := make([]float64, 0, len(kinds)*(n-1))
-	prefix := 0.0
-	suffix := 0.0
-	prefixes := make([]float64, n-1) // neutral prefix masses
-	suffixes := make([]float64, n-1) // neutral suffix masses + water
-	for i := 0; i < n-1; i++ {
-		prefix += res[i]
-		prefixes[i] = prefix
-	}
-	for i := n - 1; i >= 1; i-- {
-		suffix += res[i]
-		suffixes[n-1-i] = suffix + mass.Water
-	}
-	for _, k := range kinds {
-		switch k {
-		case IonB:
-			for _, p := range prefixes {
-				ions = append(ions, p+mass.Proton)
-			}
-		case IonY:
-			for _, s := range suffixes {
-				ions = append(ions, s+mass.Proton)
-			}
-		case IonA:
-			for _, p := range prefixes {
-				if a := p - carbonMonoxide + mass.Proton; a > 0 {
-					ions = append(ions, a)
-				}
-			}
-		case IonB2:
-			for _, p := range prefixes {
-				ions = append(ions, (p+2*mass.Proton)/2)
-			}
-		case IonY2:
-			for _, s := range suffixes {
-				ions = append(ions, (s+2*mass.Proton)/2)
-			}
-		}
-	}
-	sort.Float64s(ions)
-	return Theoretical{Precursor: total, Ions: ions}, nil
+	return nil
 }

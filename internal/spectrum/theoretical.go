@@ -33,53 +33,128 @@ func Predict(seq string) (Theoretical, error) {
 }
 
 // PredictVariant computes the theoretical spectrum of a modified peptide
-// variant. Site deltas shift every fragment ion containing the modified
-// residue: b-ions with index > pos and y-ions covering the C-terminal side.
-// modList supplies the mass deltas referenced by v.Sites.
+// variant over the paper's b and y series. Site deltas shift every
+// fragment ion containing the modified residue: b-ions with index > pos
+// and y-ions covering the C-terminal side. modList supplies the mass
+// deltas referenced by v.Sites.
 func PredictVariant(seq string, v mods.Variant, modList []mods.Mod) (Theoretical, error) {
-	n := len(seq)
-	if n < 2 {
-		return Theoretical{}, fmt.Errorf("spectrum: peptide %q too short to fragment", seq)
+	return PredictIons(seq, v, modList, DefaultSeries())
+}
+
+// PredictIons computes the theoretical spectrum of a (possibly modified)
+// peptide over the requested ion series, sorted ascending. kinds must be
+// non-empty; duplicate kinds are an error.
+func PredictIons(seq string, v mods.Variant, modList []mods.Mod, kinds []IonKind) (Theoretical, error) {
+	if err := ValidateSeries(kinds); err != nil {
+		return Theoretical{}, err
+	}
+	var f Fragmenter
+	if err := f.Reset(seq); err != nil {
+		return Theoretical{}, err
+	}
+	ions, precursor, err := f.AppendIons(make([]float64, 0, len(kinds)*(len(seq)-1)), v, modList, kinds)
+	if err != nil {
+		return Theoretical{}, err
+	}
+	sort.Float64s(ions)
+	return Theoretical{Precursor: precursor, Ions: ions}, nil
+}
+
+// Fragmenter is the one fragment-ion generator: it writes the ions of a
+// peptide's variants, unsorted, into caller-owned buffers. Reset validates
+// and loads a peptide once; AppendIons then runs per variant and, once the
+// Fragmenter's buffers have grown to the longest peptide, allocates
+// nothing. The zero value is ready to use; a Fragmenter is not safe for
+// concurrent use.
+type Fragmenter struct {
+	seq  string
+	base []float64 // residue masses of seq
+	res  []float64 // base plus the current variant's site deltas
+}
+
+// Reset makes seq the peptide later AppendIons calls fragment. It returns
+// an error if seq is shorter than 2 residues or contains non-standard
+// letters.
+func (f *Fragmenter) Reset(seq string) error {
+	if len(seq) < 2 {
+		return fmt.Errorf("spectrum: peptide %q too short to fragment", seq)
 	}
 	if !mass.ValidSequence(seq) {
-		return Theoretical{}, fmt.Errorf("spectrum: peptide %q has non-standard residues", seq)
+		return fmt.Errorf("spectrum: peptide %q has non-standard residues", seq)
 	}
+	f.seq = seq
+	f.base = f.base[:0]
+	for i := 0; i < len(seq); i++ {
+		f.base = append(f.base, mass.MustResidue(seq[i]))
+	}
+	return nil
+}
 
-	// Per-residue mass including any applied modification.
-	res := make([]float64, n)
-	for i := 0; i < n; i++ {
-		res[i] = mass.MustResidue(seq[i])
-	}
+// AppendIons appends the fragment m/z values of variant v of the Reset
+// peptide to dst, series by series in kinds order and unsorted, and
+// returns the extended dst with the variant's neutral precursor mass.
+// kinds must pass ValidateSeries; modList supplies the deltas v.Sites
+// reference, and a site out of range for either is an error.
+//
+// Every ion is computed by the same float operations in the same order
+// whatever the series set, so a value here is bit-identical to the one
+// PredictIons sorts.
+func (f *Fragmenter) AppendIons(dst []float64, v mods.Variant, modList []mods.Mod, kinds []IonKind) ([]float64, float64, error) {
+	n := len(f.base)
+	res := append(f.res[:0], f.base...)
+	f.res = res
 	for _, s := range v.Sites {
 		if s.Pos < 0 || s.Pos >= n {
-			return Theoretical{}, fmt.Errorf("spectrum: mod site %d out of range for %q", s.Pos, seq)
+			return dst, 0, fmt.Errorf("spectrum: mod site %d out of range for %q", s.Pos, f.seq)
 		}
 		if s.Mod < 0 || s.Mod >= len(modList) {
-			return Theoretical{}, fmt.Errorf("spectrum: mod index %d out of range", s.Mod)
+			return dst, 0, fmt.Errorf("spectrum: mod index %d out of range", s.Mod)
 		}
 		res[s.Pos] += modList[s.Mod].Delta
 	}
-
 	total := mass.Water
 	for _, r := range res {
 		total += r
 	}
 
-	ions := make([]float64, 0, 2*(n-1))
-	// b-ions: prefix sums; b_i = sum(res[0..i-1]) + proton.
-	prefix := 0.0
-	for i := 0; i < n-1; i++ {
-		prefix += res[i]
-		ions = append(ions, prefix+mass.Proton)
+	// Each series walks the n-1 split points itself — prefix: the neutral
+	// mass of res[:i+1]; suffix: that of res[i:] plus water — so no prefix
+	// or suffix array is kept.
+	for _, k := range kinds {
+		prefix, suffix := 0.0, 0.0
+		switch k {
+		case IonB:
+			for _, r := range res[:n-1] {
+				prefix += r
+				dst = append(dst, prefix+mass.Proton)
+			}
+		case IonY:
+			for i := n - 1; i >= 1; i-- {
+				suffix += res[i]
+				s := suffix + mass.Water
+				dst = append(dst, s+mass.Proton)
+			}
+		case IonA:
+			for _, r := range res[:n-1] {
+				prefix += r
+				if a := prefix - carbonMonoxide + mass.Proton; a > 0 {
+					dst = append(dst, a)
+				}
+			}
+		case IonB2:
+			for _, r := range res[:n-1] {
+				prefix += r
+				dst = append(dst, (prefix+2*mass.Proton)/2)
+			}
+		case IonY2:
+			for i := n - 1; i >= 1; i-- {
+				suffix += res[i]
+				s := suffix + mass.Water
+				dst = append(dst, (s+2*mass.Proton)/2)
+			}
+		}
 	}
-	// y-ions: suffix sums; y_i = sum(res[n-i..n-1]) + water + proton.
-	suffix := 0.0
-	for i := n - 1; i >= 1; i-- {
-		suffix += res[i]
-		ions = append(ions, suffix+mass.Water+mass.Proton)
-	}
-	sort.Float64s(ions)
-	return Theoretical{Precursor: total, Ions: ions}, nil
+	return dst, total, nil
 }
 
 // BIon returns the m/z of the singly charged b_k ion (k residues from the
