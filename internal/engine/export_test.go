@@ -1,0 +1,26 @@
+package engine
+
+import (
+	"context"
+
+	"lbe/internal/slm"
+	"lbe/internal/spectrum"
+)
+
+// SearchCells runs qs through the session's scheduler as Search does and
+// returns the (shard, query) cells it would merge, unmerged.
+func (s *Session) SearchCells(ctx context.Context, qs []spectrum.Experimental) ([][][]slm.Match, error) {
+	s.mu.Lock()
+	shards, pool := s.shards, s.pool
+	s.mu.Unlock()
+	sr, err := pool.Run(ctx, shards, spectrum.PreprocessAll(qs, s.shape.Params.MaxQueryPeaks))
+	if err != nil {
+		return nil, err
+	}
+	return sr.Matches, nil
+}
+
+// MergeCells is the merge Search runs over SearchCells' cells.
+func (s *Session) MergeCells(cells [][][]slm.Match, nq int) ([][]PSM, error) {
+	return s.merge(cells, nq)
+}

@@ -479,38 +479,57 @@ func (s *Session) verifyStore() error {
 // searchBatch is the engine's whole data path, run on the caller's
 // goroutine: the paper's query preprocessing (top-N peaks, base-peak
 // normalization), the search of every (shard, query-chunk) task on the
-// scheduler pool, and the merge — every shard-local match the workers kept
-// (each cell already cut to what can reach the best TopK, see newPool) is
-// mapped to its global peptide through the mapping table, sorted and cut
-// to TopK. Results are invariant to the schedule; only the telemetry
-// records who did what. shards and pool are the caller's snapshot (see
-// each); offset is the batch's position in the query set.
+// scheduler pool, and the merge of the cells the workers kept (each
+// already cut to what can reach the best TopK, see newPool). Results are
+// invariant to the schedule; only the telemetry records who did what.
+// shards and pool are the caller's snapshot (see each); offset is the
+// batch's position in the query set.
 func (s *Session) searchBatch(ctx context.Context, shards []*slm.Index, pool *sched.Pool, offset int, qs []spectrum.Experimental) (BatchResult, error) {
 	qs = spectrum.PreprocessAll(qs, s.shape.Params.MaxQueryPeaks)
 	sr, err := pool.Run(ctx, shards, qs)
 	if err != nil {
 		return BatchResult{}, err
 	}
+	psms, err := s.merge(sr.Matches, len(qs))
+	if err != nil {
+		return BatchResult{}, err
+	}
 	br := BatchResult{
 		Offset:     offset,
-		PSMs:       make([][]PSM, len(qs)),
+		PSMs:       psms,
 		ShardWork:  make([]slm.Work, len(sr.Shards)),
 		ShardNanos: make([]int64, len(sr.Shards)),
 	}
-	for q := range qs {
+	s.record(len(qs), sr)
+	for m, sh := range sr.Shards {
+		br.ShardWork[m] = sh.Work
+		br.ShardNanos[m] = sh.Nanos
+	}
+	return br, nil
+}
+
+// merge is searchBatch's last step over the scheduler's cells, cells[m][q]
+// holding shard m's kept matches for query q: every match is mapped to
+// its global peptide through the mapping table, and each query's union is
+// sorted by ComparePSM and cut to TopK. The order of matches within a
+// cell is the index's first-touch order, which the band layout decides;
+// ComparePSM makes the result independent of it.
+func (s *Session) merge(cells [][][]slm.Match, nq int) ([][]PSM, error) {
+	out := make([][]PSM, nq)
+	for q := range out {
 		n := 0
-		for m := range sr.Matches {
-			n += len(sr.Matches[m][q])
+		for m := range cells {
+			n += len(cells[m][q])
 		}
 		var merged []PSM // stays nil for a query nothing matched
 		if n > 0 {
 			merged = make([]PSM, 0, n)
 		}
-		for m := range sr.Matches {
-			for _, match := range sr.Matches[m][q] {
+		for m := range cells {
+			for _, match := range cells[m][q] {
 				gidx, err := s.table.Lookup(m, match.Peptide)
 				if err != nil {
-					return BatchResult{}, fmt.Errorf("engine: mapping shard %d: %w", m, err)
+					return nil, fmt.Errorf("engine: mapping shard %d: %w", m, err)
 				}
 				merged = append(merged, PSM{
 					Peptide:   gidx,
@@ -525,14 +544,9 @@ func (s *Session) searchBatch(ctx context.Context, shards []*slm.Index, pool *sc
 		if s.shape.TopK > 0 && len(merged) > s.shape.TopK {
 			merged = merged[:s.shape.TopK]
 		}
-		br.PSMs[q] = merged
+		out[q] = merged
 	}
-	s.record(len(qs), sr)
-	for m, sh := range sr.Shards {
-		br.ShardWork[m] = sh.Work
-		br.ShardNanos[m] = sh.Nanos
-	}
-	return br, nil
+	return out, nil
 }
 
 // each answers one query set: it searches queries in Schedule.BatchSize

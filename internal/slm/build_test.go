@@ -13,8 +13,9 @@ import (
 // predictedIndex stages an index the slow way, from each variant's sorted
 // PredictIons spectrum: rows in (precursor, enumeration) order, every
 // in-range ion's bucket a posting of its row, each bucket's list in row
-// order. It shares nothing with the build but Params and Variants.
-func predictedIndex(t *testing.T, peptides []string, params Params) (rows []Row, offsets, ids []uint32) {
+// order, cut into bands of band(rows) rows with band-local postings. It
+// shares nothing with the build but Params and Variants.
+func predictedIndex(t *testing.T, peptides []string, params Params, band func(rows int) int) (rows []Row, offsets []uint32, ids []uint16) {
 	t.Helper()
 	bucketer := mass.NewBucketer(params.Resolution)
 	capB := params.capBucket()
@@ -50,18 +51,23 @@ func predictedIndex(t *testing.T, peptides []string, params Params) (rows []Row,
 	}
 	slices.SortStableFunc(all, func(a, b staged) int { return cmp.Compare(a.row.Precursor, b.row.Precursor) })
 
-	lists := make([][]uint32, numBuckets)
-	for s, st := range all {
-		rows = append(rows, st.row)
-		for _, b := range st.buckets {
-			lists[b] = append(lists[b], uint32(s))
+	ids = []uint16{}
+	size := band(len(all))
+	for base := 0; base < len(all); base += size {
+		lists := make([][]uint16, numBuckets)
+		for s := base; s < min(base+size, len(all)); s++ {
+			for _, b := range all[s].buckets {
+				lists[b] = append(lists[b], uint16(s-base))
+			}
 		}
-	}
-	offsets = []uint32{0}
-	ids = []uint32{}
-	for _, l := range lists {
-		ids = append(ids, l...)
+		for _, l := range lists {
+			offsets = append(offsets, uint32(len(ids)))
+			ids = append(ids, l...)
+		}
 		offsets = append(offsets, uint32(len(ids)))
+	}
+	for _, st := range all {
+		rows = append(rows, st.row)
 	}
 	return rows, offsets, ids
 }
@@ -70,7 +76,9 @@ func predictedIndex(t *testing.T, peptides []string, params Params) (rows []Row,
 // the sorted theoretical spectra every other consumer sees: for each ion
 // series set, with and without variants, and a scan range low enough to
 // drop ions, the serial and a parallel build must give exactly the rows,
-// offsets and postings staged from PredictIons.
+// offsets and postings staged from PredictIons — in one band, as the
+// format rule cuts a corpus this small, and in three bands, whose edges
+// fall inside the parallel build's worker ranges.
 func TestBuildMatchesPredictIons(t *testing.T) {
 	peptides := buildCorpus(t, 3, 1)
 	for _, series := range [][]spectrum.IonKind{
@@ -84,31 +92,33 @@ func TestBuildMatchesPredictIons(t *testing.T) {
 			params.IonSeries = series
 			params.Mods.MaxPerPep = maxPerPep
 			params.MaxFragmentMZ = 900
-			rows, offsets, ids := predictedIndex(t, peptides, params)
-			if len(rows) == 0 || len(ids) == 0 {
-				t.Fatal("degenerate corpus")
-			}
-			dropped := 0
-			for _, r := range rows {
-				dropped += len(peptides[r.Peptide])*len(series) - int(r.NumIons)
-			}
-			if dropped == 0 {
-				t.Fatal("MaxFragmentMZ drops no ion")
-			}
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%v/MaxPerPep=%d/workers=%d", series, maxPerPep, workers)
-				ix, err := BuildWorkers(peptides, params, workers)
-				if err != nil {
-					t.Fatal(err)
+			for bands, rule := range []func(int) int{bandRows, func(rows int) int { return rows/3 + 1 }} {
+				rows, offsets, ids := predictedIndex(t, peptides, params, rule)
+				if len(rows) == 0 || len(ids) == 0 {
+					t.Fatal("degenerate corpus")
 				}
-				if !slices.Equal(ix.rows, rows) {
-					t.Errorf("%s: rows differ from the PredictIons staging", name)
+				dropped := 0
+				for _, r := range rows {
+					dropped += len(peptides[r.Peptide])*len(series) - int(r.NumIons)
 				}
-				if !slices.Equal(ix.offsets, offsets) {
-					t.Errorf("%s: offsets differ from the PredictIons staging", name)
+				if dropped == 0 {
+					t.Fatal("MaxFragmentMZ drops no ion")
 				}
-				if !slices.Equal(ix.ids, ids) {
-					t.Errorf("%s: postings differ from the PredictIons staging", name)
+				for _, workers := range []int{1, 3} {
+					name := fmt.Sprintf("%v/MaxPerPep=%d/bands=%d/workers=%d", series, maxPerPep, 1+2*bands, workers)
+					ix, err := build(peptides, params, workers, rule)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(ix.rows, rows) {
+						t.Errorf("%s: rows differ from the PredictIons staging", name)
+					}
+					if !slices.Equal(ix.offsets, offsets) {
+						t.Errorf("%s: offsets differ from the PredictIons staging", name)
+					}
+					if !slices.Equal(ix.ids, ids) {
+						t.Errorf("%s: postings differ from the PredictIons staging", name)
+					}
 				}
 			}
 		}

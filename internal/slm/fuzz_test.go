@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -56,7 +57,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Add([]byte("NOPE"))
 	// Headers of the retired format versions: refused at the version
 	// field with the rebuild hint, whatever follows.
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		old := append([]byte(nil), valid.Bytes()...)
 		old[len(indexMagic)] = version
 		if _, err := DecodeIndex(old); err == nil || !strings.Contains(err.Error(), "rebuild with `lbe-index -out`") {
@@ -117,26 +118,24 @@ func FuzzDecodeIndex(f *testing.F) {
 		le.PutUint64(d[lo+rowWireBytes:], a)
 	}))
 	f.Add(secCorrupt(2, func(d []byte, lo int64) {
-		le.PutUint32(d[lo:], uint32(ix.NumRows()))
+		le.PutUint16(d[lo:], uint16(ix.NumRows()))
 	}))
-	unsorted := -1
-	for b := 0; b < ix.numBuckets && unsorted < 0; b++ {
-		for i := ix.offsets[b] + 1; i < ix.offsets[b+1]; i++ {
-			if ix.ids[i] != ix.ids[i-1] {
-				unsorted = int(i)
-				break
-			}
-		}
-	}
+	unsorted := firstDistinctPair(ix)
 	if unsorted < 0 {
 		f.Fatal("no bucket holds two distinct rows")
 	}
-	f.Add(secCorrupt(2, func(d []byte, lo int64) {
-		pa, pb := lo+4*int64(unsorted-1), lo+4*int64(unsorted)
-		a, b := le.Uint32(d[pa:]), le.Uint32(d[pb:])
-		le.PutUint32(d[pa:], b)
-		le.PutUint32(d[pb:], a)
-	}))
+	f.Add(secCorrupt(2, func(d []byte, lo int64) { swapPostings(d, lo, unsorted) }))
+
+	// A valid image cut into bands of three rows: band edges, band-local
+	// postings and a short last band for the mutator to start from.
+	banded, err := build([]string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK", "MCNQWYKR"}, params, 1, func(int) int { return 3 })
+	if err != nil {
+		f.Fatal(err)
+	}
+	if banded.numBands() < 3 || banded.NumRows()%3 == 0 {
+		f.Fatalf("%d rows in %d bands: want three or more bands, the last one short", banded.NumRows(), banded.numBands())
+	}
+	f.Add(indexBytes(f, banded))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder may alias its input and the engine hands it
@@ -201,12 +200,17 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // fragment tolerance, an open, Da or ppm precursor tolerance, the
 // shared-peak threshold, and a query from one row's ion ladder — shaped
 // by the peaks bits — whose precursor is the row's, on an edge of the
-// window around it, or one float step past that edge. For k of 0, 1 or
-// 3, SearchCut on the built index, on the index decoded from its own
+// window around it, or one float step past that edge. For k%3 of 0, 1
+// or 3, SearchCut on the built index, on the index decoded from its own
 // WriteTo image, on that image written to a file and mapped
 // (OpenIndexMapped, then Verify) and, for a bounded tolerance, an open
 // index's SearchCut filtered by Contains must each keep exactly the
-// brute-force matches scoring at least the k-th best.
+// brute-force matches scoring at least the k-th best. All four run twice:
+// on indexes cut into bands by the format's rule — one band at this size
+// — and on indexes cut into bands of 1 + k/3%8 rows, so window edges,
+// band edges and short last bands meet. Each band costs a row of ~200 000
+// offsets, so a database too big for 4 such bands gets bands of a
+// quarter of its rows instead.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -216,6 +220,9 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 	f.Add(int64(4), uint8(5), uint8(5), uint8(1), uint8(5), uint8(2), uint16(300), uint8(3), uint8(1), uint8(0), uint8(1|4), uint8(0))                // past the lower edge, ppm
 	f.Add(int64(5), uint8(4), uint8(4), uint8(1), uint8(10), uint8(0), uint16(0), uint8(0), uint8(2), uint8(fuzzAbove|fuzzDupes), uint8(0), uint8(2)) // empty bucket spans
 	f.Add(int64(6), uint8(3), uint8(3), uint8(1), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(fuzzEmpty), uint8(0), uint8(0))            // no peaks
+	f.Add(int64(7), uint8(15), uint8(15), uint8(2), uint8(5), uint8(1), uint16(3000), uint8(2), uint8(9), uint8(fuzzNoise), uint8(1), uint8(7))       // 3 Da window over bands of 3 rows
+	f.Add(int64(8), uint8(15), uint8(11), uint8(1), uint8(5), uint8(2), uint16(9000), uint8(1), uint8(3), uint8(fuzzJitter), uint8(2), uint8(12))     // 900 ppm over bands of 5 rows
+	f.Add(int64(9), uint8(13), uint8(13), uint8(2), uint8(5), uint8(0), uint16(0), uint8(2), uint8(6), uint8(fuzzDupes), uint8(0), uint8(23))         // open search over bands of 8 rows
 	f.Fuzz(func(t *testing.T, seed int64, npep, distinct, maxMods, fragTol, tolKind uint8, tolVal uint16, minShared, target, peaks, prec, k uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		base := randPeptides(rng, 1+int(distinct)%(1+int(npep)%16))
@@ -231,6 +238,9 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		ix, err := Build(peps, params)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ix.numBands() > 1 {
+			t.Fatalf("%d rows in %d bands: the format rule cuts no band under 65 536 rows", ix.NumRows(), ix.numBands())
 		}
 
 		// The query is the ladder of the target-th row in enumeration
@@ -295,51 +305,56 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 					label, kk, params.PrecursorTol, q.PrecursorMass(), th.Precursor, got, want)
 			}
 		}
-		got, _ := ix.SearchCut(q, kk, nil)
-		check("built index", got)
-
-		var image bytes.Buffer
-		if _, err := ix.WriteTo(&image); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeIndex(image.Bytes())
+		small := max(1+int(k/3)%8, (ix.NumRows()+3)/4)
+		banded, err := build(peps, params, 0, func(int) int { return small })
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ = decoded.SearchCut(q, kk, nil)
-		check("decoded image", got)
+		for _, ix := range []*Index{ix, banded} {
+			bands := fmt.Sprintf("%d rows in bands of %d", ix.NumRows(), ix.bandRows)
+			got, _ := ix.SearchCut(q, kk, nil)
+			check(bands+", built index", got)
 
-		path := filepath.Join(t.TempDir(), "image.slmx")
-		if err := os.WriteFile(path, image.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := OpenIndexMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mapped.Close()
-		if err := mapped.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		got, _ = mapped.SearchCut(q, kk, nil)
-		check("mapped image", got)
-
-		if params.PrecursorTol.IsOpen() {
-			return
-		}
-		openParams := params
-		openParams.PrecursorTol = mass.Open()
-		open, err := Build(peps, openParams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, _ := open.SearchCut(q, 0, nil)
-		var admitted []Match
-		for _, m := range all {
-			if params.PrecursorTol.Contains(q.PrecursorMass(), m.Precursor) {
-				admitted = append(admitted, m)
+			image := indexBytes(t, ix)
+			decoded, err := DecodeIndex(image)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, _ = decoded.SearchCut(q, kk, nil)
+			check(bands+", decoded image", got)
+
+			path := filepath.Join(t.TempDir(), "image.slmx")
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := OpenIndexMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mapped.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			got, _ = mapped.SearchCut(q, kk, nil)
+			mapped.Close()
+			check(bands+", mapped image", got)
+
+			if params.PrecursorTol.IsOpen() {
+				continue
+			}
+			openParams := params
+			openParams.PrecursorTol = mass.Open()
+			open, err := build(peps, openParams, 0, func(int) int { return ix.bandRows })
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, _ := open.SearchCut(q, 0, nil)
+			var admitted []Match
+			for _, m := range all {
+				if params.PrecursorTol.Contains(q.PrecursorMass(), m.Precursor) {
+					admitted = append(admitted, m)
+				}
+			}
+			check(bands+", filtered open index", cutReference(admitted, kk))
 		}
-		check("filtered open index", cutReference(admitted, kk))
 	})
 }

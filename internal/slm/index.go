@@ -5,11 +5,13 @@
 // The index discretizes every theoretical fragment ion of every indexed
 // peptide variant into mass buckets of width Resolution and stores, per
 // bucket, the list of spectrum rows containing such an ion (a CSR layout:
-// one offsets array over buckets, one flat row-id array). Querying walks,
-// for each experimental peak, the bucket window covering the fragment-mass
-// tolerance, accumulates shared-peak counts on a scorecard, filters rows by
-// the shared-peak threshold and the precursor window, and scores the
-// survivors.
+// one offsets array over buckets, one flat row-id array), cut into bands
+// of at most 65 536 rows in precursor order so a posting is a 2-byte
+// band-local row id (the paper's Fig. 1 internal data partitioning).
+// Querying walks, for each experimental peak, the bucket window covering
+// the fragment-mass tolerance, accumulates shared-peak counts on a
+// scorecard, filters rows by the shared-peak threshold and the precursor
+// window, and scores the survivors.
 package slm
 
 import (
@@ -126,14 +128,19 @@ type Index struct {
 	// mass order, so a precursor window is one contiguous id range.
 	rows []Row
 
-	// CSR ion index: for bucket b, rows with an ion in b are
-	// ids[offsets[b]:offsets[b+1]], ascending — so a narrow precursor
-	// window can be intersected with a bucket by binary search (see
-	// precursorWindow / searchScratch).
+	// Banded CSR ion index. Rows are cut into bands of bandRows rows (the
+	// last band may be shorter); band k holds rows [k·bandRows,
+	// (k+1)·bandRows). For band k and bucket b, with off =
+	// offsets[k·(numBuckets+1):], the band's rows with an ion in b are
+	// ids[off[b]:off[b+1]] as band-local ids (row − k·bandRows),
+	// ascending — so a narrow precursor window can be intersected with a
+	// bucket by binary search (see precursorWindow / searchScratch).
+	// Bands follow each other in ids: band k ends where band k+1 starts.
 	offsets []uint32
-	ids     []uint32
+	ids     []uint16
 
 	numBuckets int
+	bandRows   int
 	buildPeak  int // peak transient bytes of construction; see BuildPeakBytes
 
 	// mapping is non-nil when rows/offsets/ids are zero-copy views into a
@@ -251,15 +258,25 @@ func enumerate(peptides []string, lo, hi int, params Params) (rows []stagedRow, 
 	return rows, maxBucket, nil
 }
 
-// split runs fn(w, lo, hi) for w in [0, parts) on one goroutine each,
-// part w covering [n*w/parts, n*(w+1)/parts), and waits for all of them.
-func split(n, parts int, fn func(w, lo, hi int)) {
+// evenCuts returns the parts+1 ascending bounds that split [0, n) into
+// parts near-equal ranges, range w being [n*w/parts, n*(w+1)/parts).
+func evenCuts(n, parts int) []int {
+	cuts := make([]int, parts+1)
+	for w := range cuts {
+		cuts[w] = n * w / parts
+	}
+	return cuts
+}
+
+// split runs fn(w, cuts[w], cuts[w+1]) for every range of cuts on one
+// goroutine each, and waits for all of them.
+func split(cuts []int, fn func(w, lo, hi int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < parts; w++ {
+	for w := 0; w+1 < len(cuts); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(w, n*w/parts, n*(w+1)/parts)
+			fn(w, cuts[w], cuts[w+1])
 		}()
 	}
 	wg.Wait()
@@ -270,6 +287,25 @@ func split(n, parts int, fn func(w, lo, hi int)) {
 // worker count near the row count would spend more on counts than on
 // postings.
 const minRangeRows = 1024
+
+// maxBandRows is the most rows one band may hold: a band-local row id
+// is a uint16.
+const maxBandRows = 1 << 16
+
+// bandRows is the format's band size for an index of rows rows: the
+// fewest bands of at most maxBandRows rows, as equal as ceil makes them
+// (ceil(rows / ceil(rows/65 536))), so a shard just over a multiple of
+// 65 536 rows gets no sliver band. An empty index has bands of 1 row.
+func bandRows(rows int) int {
+	if rows == 0 {
+		return 1
+	}
+	bands := (rows + maxBandRows - 1) / maxBandRows
+	return (rows + bands - 1) / bands
+}
+
+// numBands returns the number of row bands.
+func (ix *Index) numBands() int { return (len(ix.rows) + ix.bandRows - 1) / ix.bandRows }
 
 // Build constructs the index over the given peptide sequences. Each
 // peptide contributes one row per modification variant (the unmodified
@@ -291,11 +327,19 @@ func BuildSerial(peptides []string, params Params) (*Index, error) {
 // goroutines (0 or negative means one per available core). Pass 1 splits
 // the peptides into contiguous shards and stages every row with its ions'
 // bucket ids; one sort puts the rows in precursor order; pass 2 splits
-// the sorted positions into contiguous ranges, counts each range's
-// postings per bucket and then writes rows and postings at prefix-summed
-// cursors. Every bucket's list comes out ascending, and the output does
-// not depend on the worker count.
+// the sorted positions into contiguous ranges, cut again at band edges,
+// counts each piece's postings per bucket and then writes rows and
+// band-local postings at cursors prefix-summed over (band, bucket,
+// piece). Every list comes out ascending, and the output does not depend
+// on the worker count.
 func BuildWorkers(peptides []string, params Params, workers int) (*Index, error) {
+	return build(peptides, params, workers, bandRows)
+}
+
+// build is BuildWorkers with the band size given as a rule of the row
+// count: the format's bandRows for every index the package builds, a
+// few rows in tests that need band edges inside a small index.
+func build(peptides []string, params Params, workers int, band func(rows int) int) (*Index, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,7 +358,7 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 	shards := make([][]stagedRow, workers)
 	maxBuckets := make([]int, workers)
 	errs := make([]error, workers)
-	split(len(peptides), workers, func(w, lo, hi int) {
+	split(evenCuts(len(peptides), workers), func(w, lo, hi int) {
 		shards[w], maxBuckets[w], errs[w] = enumerate(peptides, lo, hi, params)
 	})
 	// Shards cover ascending peptide ranges and each stops at its first
@@ -331,6 +375,10 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 	for _, st := range staged {
 		totalIons += len(st.buckets)
 	}
+	rowsPerBand := band(len(staged))
+	if rowsPerBand < 1 || rowsPerBand > maxBandRows {
+		return nil, fmt.Errorf("slm: band of %d rows outside [1, %d]", rowsPerBand, maxBandRows)
+	}
 
 	// The one sort: perm[s] is the build id of the s-th lightest row,
 	// ties in enumeration order.
@@ -342,45 +390,71 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 		return cmp.Or(cmp.Compare(staged[a].row.Precursor, staged[b].row.Precursor), cmp.Compare(a, b))
 	})
 
-	ix := &Index{params: params, numBuckets: max(slices.Max(maxBuckets), 0) + 1}
+	ix := &Index{params: params, numBuckets: max(slices.Max(maxBuckets), 0) + 1, bandRows: rowsPerBand}
+	nb1 := ix.numBuckets + 1
 	ix.rows = make([]Row, len(staged))
-	ix.offsets = make([]uint32, ix.numBuckets+1)
-	ix.ids = make([]uint32, totalIons)
+	ix.offsets = make([]uint32, ix.numBands()*nb1)
+	ix.ids = make([]uint16, totalIons)
 
-	// Pass 2a (parallel): each worker counts the postings of a contiguous
-	// range of sorted positions per bucket.
-	ranges := min(workers, max(1, len(staged)/minRangeRows))
-	counts := make([][]uint32, ranges)
-	split(len(staged), ranges, func(w, lo, hi int) {
+	// Pass 2 works on pieces: the workers' contiguous ranges of sorted
+	// positions, cut again at band edges so each piece lies in one band.
+	ranges := evenCuts(len(staged), min(workers, max(1, len(staged)/minRangeRows)))
+	cuts := slices.Clone(ranges)
+	for edge := rowsPerBand; edge < len(staged); edge += rowsPerBand {
+		cuts = append(cuts, edge)
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	// eachPiece runs fn over the pieces of every worker range, one
+	// goroutine per range.
+	eachPiece := func(fn func(p, lo, hi int)) {
+		split(ranges, func(_, lo, hi int) {
+			p, _ := slices.BinarySearch(cuts, lo)
+			for ; p+1 < len(cuts) && cuts[p] < hi; p++ {
+				fn(p, cuts[p], cuts[p+1])
+			}
+		})
+	}
+
+	// Pass 2a (parallel): count each piece's postings per bucket.
+	counts := make([][]uint32, len(cuts)-1)
+	eachPiece(func(p, lo, hi int) {
 		c := make([]uint32, ix.numBuckets)
 		for _, id := range perm[lo:hi] {
 			for _, b := range staged[id].buckets {
 				c[b]++
 			}
 		}
-		counts[w] = c
+		counts[p] = c
 	})
-	// Prefix over (bucket, range): offsets, and each range's cursors — its
-	// postings in bucket b go after every lighter range's.
-	sum := uint32(0)
-	for b := range ix.numBuckets {
-		ix.offsets[b] = sum
-		for _, c := range counts {
-			c[b], sum = sum, sum+c[b]
+	// Prefix over (band, bucket, piece): offsets, and each piece's cursors
+	// — its postings in a band's bucket go after every lighter piece's.
+	sum, p := uint32(0), 0
+	for k := range ix.numBands() {
+		first := p
+		for p+1 < len(cuts) && cuts[p] < (k+1)*rowsPerBand {
+			p++
 		}
+		off := ix.offsets[k*nb1 : (k+1)*nb1]
+		for b := range ix.numBuckets {
+			off[b] = sum
+			for _, c := range counts[first:p] {
+				c[b], sum = sum, sum+c[b]
+			}
+		}
+		off[ix.numBuckets] = sum
 	}
-	ix.offsets[ix.numBuckets] = sum
 
-	// Pass 2b (parallel): each range writes its rows and postings. It
-	// walks its positions in ascending order, so every bucket's list comes
-	// out ascending without being sorted.
-	split(len(staged), ranges, func(w, lo, hi int) {
-		cursor := counts[w]
+	// Pass 2b (parallel): each piece writes its rows and postings. It
+	// walks its positions in ascending order, so every list comes out
+	// ascending without being sorted.
+	eachPiece(func(p, lo, hi int) {
+		cursor, base := counts[p], lo/rowsPerBand*rowsPerBand
 		for s := lo; s < hi; s++ {
 			st := &staged[perm[s]]
 			ix.rows[s] = st.row
 			for _, b := range st.buckets {
-				ix.ids[cursor[b]] = uint32(s)
+				ix.ids[cursor[b]] = uint16(s - base)
 				cursor[b]++
 			}
 		}
@@ -391,20 +465,20 @@ func BuildWorkers(peptides []string, params Params, workers int) (*Index, error)
 }
 
 // MemoryBytes returns the resident size of the index structures in bytes:
-// packed 16-byte rows, offsets (4 per bucket) and ion postings (4 each).
-// This is the quantity reported by the Fig. 5 experiment. For a mapped
-// index (OpenIndexMapped) it is the mapped footprint: the bytes are page-
-// cache backed and shared across co-located processes.
+// packed 16-byte rows, offsets (4 per bucket per band) and ion postings
+// (2 each). This is the quantity reported by the Fig. 5 experiment. For a
+// mapped index (OpenIndexMapped) it is the mapped footprint: the bytes are
+// page-cache backed and shared across co-located processes.
 func (ix *Index) MemoryBytes() int {
-	return rowMemBytes*len(ix.rows) + 4*len(ix.offsets) + 4*len(ix.ids)
+	return rowMemBytes*len(ix.rows) + 4*len(ix.offsets) + 2*len(ix.ids)
 }
 
 // BuildPeakBytes returns the peak transient memory of the construction
 // that made the index, term by term: the finished index (MemoryBytes),
 // 4 B per staged ion bucket id, one staging record (a Row and its bucket
 // window, 40 B on 64-bit hosts) per row, and 4 B per row of the sort
-// permutation — all alive together while pass 2 writes. Pass 2's per-worker
-// bucket counts (4 B per bucket per worker) and the unused tails of pass
+// permutation — all alive together while pass 2 writes. Pass 2's per-piece
+// bucket counts (4 B per bucket per piece) and the unused tails of pass
 // 1's staging chunks (under one chunk per worker) are left out so the
 // figure does not depend on the worker count. A decoded or mapped index
 // reports its MemoryBytes.

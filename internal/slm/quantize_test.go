@@ -52,12 +52,15 @@ func TestQuantizedScoreBounded(t *testing.T) {
 			t.Fatalf("%s: no matches", pep)
 		}
 		for _, m := range matches {
-			// Recompute the exact float intensity sum for this row.
+			// Recompute the exact float intensity sum for this row from
+			// its band's postings.
+			k := int(m.Row) / ix.bandRows
+			off := ix.offsets[k*(ix.numBuckets+1):]
 			exact := 0.0
 			for _, p := range q.Peaks {
 				blo, bhi := ix.bucketSpan(p.MZ)
-				for i := ix.offsets[blo]; i < ix.offsets[bhi+1]; i++ {
-					if ix.ids[i] == m.Row {
+				for i := off[blo]; i < off[bhi+1]; i++ {
+					if int(ix.ids[i]) == int(m.Row)-k*ix.bandRows {
 						exact += p.Intensity
 					}
 				}

@@ -52,11 +52,19 @@ func (w *Work) Add(w2 Work) {
 // that row's own word can be wrong. Match.Shared saturates at
 // math.MaxUint16 rather than truncating the count.
 type Scratch struct {
-	acc     []uint64  // phase-1 accumulator, all zero between searches
-	touched []uint32  // len(acc)+1 slots: first-touched rows of the current query
-	qint    []uint16  // per-peak quantized intensities for the current query
-	matches []Match   // per-query accumulator, reused across searches
-	cut     []float64 // cutTopK's k best scores
+	acc     []uint64   // phase-1 accumulator, all zero between searches
+	touched []uint32   // len(acc)+1 slots: first-touched rows of the current query
+	qint    []uint16   // per-peak quantized intensities for the current query
+	spans   []peakSpan // the current query's peaks that reach a bucket
+	matches []Match    // per-query accumulator, reused across searches
+	cut     []float64  // cutTopK's k best scores
+}
+
+// peakSpan is one query peak as phase 1 walks it in every band: its
+// fragment window's buckets [lo, hi) and the word each posting adds.
+type peakSpan struct {
+	lo, hi uint32
+	add    uint64
 }
 
 // maxQueryPeaks is the most peaks one query may bring to phase 1; see the
@@ -266,10 +274,10 @@ func (ix *Index) precursorWindow(qmass float64) (rlo, rhi uint32) {
 // overflow.
 //
 //lbe:hotpath
-func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
+func postingsLowerBound(ids []uint16, lo, hi, v uint32) uint32 {
 	for lo < hi {
 		m := (lo + hi) >> 1
-		if ids[m] < v {
+		if uint32(ids[m]) < v {
 			lo = m + 1
 		} else {
 			hi = m
@@ -278,9 +286,11 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 	return lo
 }
 
-// accumulate is phase 1's one inner loop: it adds add (1<<32 | quantized
-// intensity) to the word of every posting's row and appends each row to
-// touched[:n] the first time the query reaches it, returning the new n.
+// accumulate is phase 1's one inner loop over one band: it adds add
+// (1<<32 | quantized intensity) to the band's word (acc is the band's
+// tile of the accumulator) of every posting's row and appends each row,
+// as the row id base+posting, to touched[:n] the first time the query
+// reaches it, returning the new n.
 // First touch is a coin flip on an open search, so it is decided without
 // a branch: the row is always stored at touched[n], and n advances only
 // if the word was zero ((a|-a)>>63 is a != 0).
@@ -291,10 +301,10 @@ func postingsLowerBound(ids []uint32, lo, hi, v uint32) uint32 {
 //
 //lbe:hotpath
 //go:noinline
-func accumulate(acc []uint64, touched []uint32, n int, postings []uint32, add uint64) int {
+func accumulate(acc []uint64, touched []uint32, n int, postings []uint16, base uint32, add uint64) int {
 	for _, rid := range postings {
 		a := acc[rid]
-		touched[n] = rid
+		touched[n] = base + uint32(rid)
 		n += int(1 - (a|-a)>>63)
 		acc[rid] = a + add
 	}
@@ -304,19 +314,26 @@ func accumulate(acc []uint64, touched []uint32, n int, postings []uint32, add ui
 // searchScratch runs the two search phases and returns matches backed by
 // scratch.matches: valid only until the next search with this Scratch.
 //
-// Phase 1 narrows each bucket's ascending posting list to the precursor
-// window's row range, skipping postings that could never survive phase
-// 2's precursor filter: one binary search finds the first posting at or
-// after the window, and a forward walk finds its end. A narrow window
-// holds a few hundredths of a posting per bucket, so the walk reads only
-// postings accumulate is about to touch, where a second binary search
-// paid its full depth. When the window admits every row there is nothing
-// to narrow, and the fragment window's buckets are walked as one
-// flattened span of postings instead: on open search
-// the per-bucket loop lost every one of 4 alternating BenchmarkSearchOpen
-// pairs, 4.00–4.78 ns/posting against the flattened span's 3.57–4.31
-// (2-vCPU Xeon VM). Both paths hand accumulate the same postings in the
-// same order.
+// Phase 1 is one loop over the row bands, each searched against the
+// precursor window's row range in one of three ways:
+//   - a band wholly outside the window is not read: its postings under
+//     the query's peaks go to Pruned;
+//   - a band wholly inside it — every band on open search — is walked
+//     peak by peak as one flattened span of postings per peak, which beat
+//     the per-bucket loop on every one of 4 alternating
+//     BenchmarkSearchOpen pairs, 3.57–4.31 ns/posting against 4.00–4.78
+//     (2-vCPU Xeon VM);
+//   - a band a window edge cuts narrows each bucket's ascending list to
+//     the window: one binary search finds the first posting at or after
+//     it, and a forward walk finds its end. A narrow window holds a few
+//     hundredths of a posting per bucket, so the walk reads only postings
+//     accumulate is about to touch, where a second binary search paid its
+//     full depth.
+//
+// So IonHits + Pruned is the open scan's IonHits, and a band's postings
+// reach accumulate peak by peak in list order whichever way it is
+// walked: a windowed search touches rows in the order the open search
+// does.
 //
 //lbe:hotpath
 func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Match, Work) {
@@ -329,33 +346,48 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	var work Work
 	qmass := q.PrecursorMass()
 
-	// Phase 1: shared-peak counting over the CSR postings, accumulating
-	// quantized intensities.
-	acc, touched, n := scratch.acc, scratch.touched, 0
-	if rlo, rhi := ix.precursorWindow(qmass); rlo == 0 && int(rhi) == len(ix.rows) {
-		for pi, p := range peaks {
-			blo, bhi := ix.bucketSpan(p.MZ)
-			if blo > bhi {
-				continue
-			}
-			lo, hi := ix.offsets[blo], ix.offsets[bhi+1]
-			n = accumulate(acc, touched, n, ix.ids[lo:hi], 1<<32|uint64(scratch.qint[pi]))
-			work.IonHits += int64(hi - lo)
+	spans := scratch.spans[:0]
+	for pi, p := range peaks {
+		if blo, bhi := ix.bucketSpan(p.MZ); blo <= bhi {
+			spans = append(spans, peakSpan{lo: uint32(blo), hi: uint32(bhi + 1), add: 1<<32 | uint64(scratch.qint[pi])})
 		}
-	} else {
-		for pi, p := range peaks {
-			add := 1<<32 | uint64(scratch.qint[pi])
-			blo, bhi := ix.bucketSpan(p.MZ)
-			for b := blo; b <= bhi; b++ {
-				s, e := ix.offsets[b], ix.offsets[b+1]
-				lo := postingsLowerBound(ix.ids, s, e, rlo)
-				hi := lo
-				for hi < e && ix.ids[hi] < rhi {
-					hi++
-				}
-				n = accumulate(acc, touched, n, ix.ids[lo:hi], add)
+	}
+	scratch.spans = spans
+
+	// Phase 1: shared-peak counting over the banded postings,
+	// accumulating quantized intensities.
+	acc, touched, n := scratch.acc, scratch.touched, 0
+	rlo, rhi := ix.precursorWindow(qmass)
+	rows, band, nb1 := uint32(len(ix.rows)), uint32(ix.bandRows), ix.numBuckets+1
+	for k, base := 0, uint32(0); base < rows; k, base = k+1, base+band {
+		end := min(base+band, rows)
+		off := ix.offsets[k*nb1 : (k+1)*nb1]
+		tile := acc[base:end]
+		switch {
+		case rlo == rhi || end <= rlo || rhi <= base:
+			for _, sp := range spans {
+				work.Pruned += int64(off[sp.hi] - off[sp.lo])
+			}
+		case rlo <= base && end <= rhi:
+			for _, sp := range spans {
+				lo, hi := off[sp.lo], off[sp.hi]
+				n = accumulate(tile, touched, n, ix.ids[lo:hi], base, sp.add)
 				work.IonHits += int64(hi - lo)
-				work.Pruned += int64(e-s) - int64(hi-lo)
+			}
+		default:
+			wlo, whi := max(rlo, base)-base, min(rhi, end)-base
+			for _, sp := range spans {
+				for b := sp.lo; b < sp.hi; b++ {
+					s, e := off[b], off[b+1]
+					lo := postingsLowerBound(ix.ids, s, e, wlo)
+					hi := lo
+					for hi < e && uint32(ix.ids[hi]) < whi {
+						hi++
+					}
+					n = accumulate(tile, touched, n, ix.ids[lo:hi], base, sp.add)
+					work.IonHits += int64(hi - lo)
+					work.Pruned += int64(e-s) - int64(hi-lo)
+				}
 			}
 		}
 	}

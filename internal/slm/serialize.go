@@ -20,21 +20,23 @@ import (
 // a compact, checksummed serialization so partial indexes can be spilled
 // and reloaded.
 //
-// Layout (little-endian), version 4 — the only version read or written:
+// Layout (little-endian), version 5 — the only version read or written:
 //
 //	magic "SLMX" | version u32 | params block | numBuckets u32 |
-//	section table (3 × {offset u64, count u64, crc32 u32}) | header crc32 |
-//	padding | rows | padding | offsets | padding | ids
+//	bandRows u32 | section table (3 × {offset u64, count u64, crc32 u32}) |
+//	header crc32 | padding | rows | padding | offsets | padding | ids
 //
 // The header CRC covers everything between the magic and itself. Each
 // data section starts at a 64-byte-aligned file offset recorded in the
 // table, holds count fixed-size records (rows are the in-memory 16-byte
-// Row layout; offsets and ids are u32), and carries its own CRC. Section
+// Row layout; offsets are u32, ids u16), and carries its own CRC. Section
 // offsets are canonical — derivable from the header size alone — so a
 // table naming overlapping, misordered or misaligned sections is rejected
 // outright. Rows are in ascending precursor order, which the windowed
-// scan binary searches, and ids postings are row ids, each bucket's
-// ascending.
+// scan binary searches, cut into bands of bandRows rows (1 to 65 536; the
+// writer uses bandRows(rows)). offsets holds numBuckets+1 entries per
+// band, band-major, and ids postings are band-local row ids, each
+// (band, bucket) list ascending.
 //
 // An SLMX file is known here only as that layout over one []byte — its
 // image — for writing and reading alike. WriteTo builds the header into a
@@ -60,11 +62,11 @@ import (
 
 const (
 	indexMagic   = "SLMX"
-	indexVersion = 4
+	indexVersion = 5
 
 	// Wire sizes of the variable-length record types.
 	rowWireBytes     = rowMemBytes // the in-memory Row layout
-	postingWireBytes = 4
+	postingWireBytes = 2
 
 	// sectionAlign is the file-offset alignment of every data section:
 	// a cache line, and a divisor of the page size, so a page-aligned
@@ -85,6 +87,7 @@ const (
 	maxSeriesCount  = 16
 	maxRowCount     = 1 << 28
 	maxBucketCount  = 1 << 30
+	maxOffsetCount  = 1 << 30
 	maxPostingCount = 1 << 30
 )
 
@@ -109,7 +112,7 @@ func bytesOf[T any](vs []T) []byte {
 
 // sectionElemBytes[i] is the wire size of one element of section i:
 // rows, offsets, ids.
-var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, 4}
+var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, postingWireBytes}
 
 // encodeSection is decodeSection's mirror: the wire payload of a section
 // built one elem-byte record at a time, which is how a big-endian host
@@ -142,7 +145,7 @@ func (ix *Index) sectionPayloads(alias bool) [sectionTableEntries][]byte {
 	return [sectionTableEntries][]byte{
 		encodeSection(ix.rows, rowWireBytes, encodeRow),
 		encodeSection(ix.offsets, 4, le.PutUint32),
-		encodeSection(ix.ids, 4, le.PutUint32),
+		encodeSection(ix.ids, postingWireBytes, le.PutUint16),
 	}
 }
 
@@ -182,8 +185,11 @@ func (ix *Index) checkEncodable() error {
 	if len(ix.rows) > maxRowCount {
 		return fmt.Errorf("slm: %d rows exceed the serializable cap %d", len(ix.rows), maxRowCount)
 	}
-	if ix.numBuckets > maxBucketCount || len(ix.offsets) > maxBucketCount+1 {
+	if ix.numBuckets > maxBucketCount {
 		return fmt.Errorf("slm: %d buckets exceed the serializable cap %d", ix.numBuckets, maxBucketCount)
+	}
+	if len(ix.offsets) > maxOffsetCount {
+		return fmt.Errorf("slm: %d offsets exceed the serializable cap %d", len(ix.offsets), maxOffsetCount)
 	}
 	if len(ix.ids) > maxPostingCount {
 		return fmt.Errorf("slm: %d postings exceed the serializable cap %d", len(ix.ids), maxPostingCount)
@@ -250,6 +256,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	head := le.AppendUint32([]byte(indexMagic), indexVersion)
 	head = appendParams(head, ix.params)
 	head = le.AppendUint32(head, uint32(ix.numBuckets))
+	head = le.AppendUint32(head, uint32(ix.bandRows))
 	layout := fileLayout(int64(len(head))+sectionTableEntries*sectionEntryBytes+4, counts)
 	for i, p := range payloads {
 		head = le.AppendUint64(head, uint64(layout.offs[i]))
@@ -391,23 +398,43 @@ func (c *cursor) params() Params {
 }
 
 // validateShape runs the cross-array sanity checks every open ends with:
-// monotone offsets ending at the posting count, in-range postings, sane
-// row precursors in ascending order, and every bucket's posting list
-// sorted. The windowed scan trusts all of these, so a corrupt file
-// claiming them must be rejected here rather than silently dropping
-// matches.
+// monotone offsets from 0 to the posting count, each band's postings
+// starting where the previous band's stop, in-range band-local postings,
+// sane row precursors in ascending order, and every (band, bucket)
+// posting list sorted. The windowed scan trusts all of these, so a
+// corrupt file claiming them must be rejected here rather than silently
+// dropping matches. readHeader has already matched the offsets count to
+// the bands and buckets.
 func (ix *Index) validateShape() error {
 	for i := 1; i < len(ix.offsets); i++ {
 		if ix.offsets[i] < ix.offsets[i-1] {
 			return fmt.Errorf("slm: corrupt offsets at %d", i)
 		}
 	}
-	if len(ix.offsets) > 0 && ix.offsets[len(ix.offsets)-1] != uint32(len(ix.ids)) {
-		return fmt.Errorf("slm: offsets end %d != %d postings", ix.offsets[len(ix.offsets)-1], len(ix.ids))
+	if len(ix.offsets) == 0 && len(ix.ids) != 0 {
+		return fmt.Errorf("slm: %d postings in an index without bands", len(ix.ids))
 	}
-	for i, v := range ix.ids {
-		if v >= uint32(len(ix.rows)) {
-			return fmt.Errorf("slm: posting %d references row %d of %d", i, v, len(ix.rows))
+	if len(ix.offsets) > 0 && (ix.offsets[0] != 0 || ix.offsets[len(ix.offsets)-1] != uint32(len(ix.ids))) {
+		return fmt.Errorf("slm: offsets span [%d, %d], want [0, %d postings]",
+			ix.offsets[0], ix.offsets[len(ix.offsets)-1], len(ix.ids))
+	}
+	nb1 := ix.numBuckets + 1
+	for k := range ix.numBands() {
+		off := ix.offsets[k*nb1 : (k+1)*nb1]
+		if k > 0 && off[0] != ix.offsets[k*nb1-1] {
+			return fmt.Errorf("slm: band %d postings start at %d, band %d's end at %d", k, off[0], k-1, ix.offsets[k*nb1-1])
+		}
+		size := min(ix.bandRows, len(ix.rows)-k*ix.bandRows)
+		for b := range ix.numBuckets {
+			list := ix.ids[off[b]:off[b+1]]
+			for i, v := range list {
+				if int(v) >= size {
+					return fmt.Errorf("slm: band %d bucket %d posting references row %d of %d", k, b, v, size)
+				}
+				if i > 0 && v < list[i-1] {
+					return fmt.Errorf("slm: band %d bucket %d posting list not sorted", k, b)
+				}
+			}
 		}
 	}
 	for i, r := range ix.rows {
@@ -416,13 +443,6 @@ func (ix *Index) validateShape() error {
 		}
 		if i > 0 && r.Precursor < ix.rows[i-1].Precursor {
 			return fmt.Errorf("slm: row precursors not ascending at %d", i)
-		}
-	}
-	for b := 0; b < ix.numBuckets; b++ {
-		for i := ix.offsets[b] + 1; i < ix.offsets[b+1]; i++ {
-			if ix.ids[i] < ix.ids[i-1] {
-				return fmt.Errorf("slm: bucket %d posting list not sorted", b)
-			}
 		}
 	}
 	return nil
@@ -441,6 +461,7 @@ type sectionEntry struct {
 type fileHeader struct {
 	params     Params
 	numBuckets uint32
+	bandRows   uint32
 	secs       [sectionTableEntries]sectionEntry // rows, offsets, ids
 	headerLen  int64                             // magic through header CRC
 }
@@ -470,6 +491,7 @@ func readHeader(image []byte) (*fileHeader, error) {
 
 	h := &fileHeader{params: c.params()}
 	h.numBuckets = c.u32()
+	h.bandRows = c.u32()
 	for i := range h.secs {
 		h.secs[i] = sectionEntry{off: c.u64(), count: c.u64(), crc: c.u32()}
 	}
@@ -486,10 +508,17 @@ func readHeader(image []byte) (*fileHeader, error) {
 	rows, offs, ids := h.secs[0], h.secs[1], h.secs[2]
 	c.checkCount(rows.count, rowWireBytes, maxRowCount, "row")
 	c.checkCount(uint64(h.numBuckets), 4, maxBucketCount, "bucket")
-	if c.err == nil && offs.count != uint64(h.numBuckets)+1 && !(h.numBuckets == 0 && offs.count <= 1) {
-		return nil, fmt.Errorf("slm: offsets length %d does not match %d buckets", offs.count, h.numBuckets)
+	if c.err != nil {
+		return nil, c.err
 	}
-	c.checkCount(offs.count, 4, maxBucketCount+1, "offset")
+	if h.bandRows < 1 || h.bandRows > maxBandRows {
+		return nil, fmt.Errorf("slm: band of %d rows outside [1, %d]", h.bandRows, maxBandRows)
+	}
+	// Rows are capped at 2^28 and buckets at 2^30, so this cannot overflow.
+	if bands := (rows.count + uint64(h.bandRows) - 1) / uint64(h.bandRows); offs.count != bands*(uint64(h.numBuckets)+1) {
+		return nil, fmt.Errorf("slm: offsets length %d does not match %d bands of %d buckets", offs.count, bands, h.numBuckets)
+	}
+	c.checkCount(offs.count, 4, maxOffsetCount, "offset")
 	c.checkCount(ids.count, postingWireBytes, maxPostingCount, "posting")
 	if c.err != nil {
 		return nil, c.err
@@ -565,16 +594,16 @@ func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
 			aliased = false
 		}
 	}
-	ix = &Index{params: h.params, numBuckets: int(h.numBuckets)}
+	ix = &Index{params: h.params, numBuckets: int(h.numBuckets), bandRows: int(h.bandRows)}
 	if aliased {
 		ix.rows = viewAs[Row](secs[0])
 		ix.offsets = viewAs[uint32](secs[1])
-		ix.ids = viewAs[uint32](secs[2])
+		ix.ids = viewAs[uint16](secs[2])
 	} else {
 		le := binary.LittleEndian
 		ix.rows = decodeSection(secs[0], rowWireBytes, decodeRow)
 		ix.offsets = decodeSection(secs[1], 4, le.Uint32)
-		ix.ids = decodeSection(secs[2], 4, le.Uint32)
+		ix.ids = decodeSection(secs[2], postingWireBytes, le.Uint16)
 	}
 	ix.buildPeak = ix.MemoryBytes()
 	return ix, aliased

@@ -171,7 +171,7 @@ func buildSeriesIndex(t *testing.T) *Index {
 // file offsets of the section table and the header CRC, and the total
 // header length.
 func headerOffsets(ix *Index) (tableOff, crcOff, headerLen int) {
-	tableOff = len(indexMagic) + 4 + len(appendParams(nil, ix.params)) + 4
+	tableOff = len(indexMagic) + 4 + len(appendParams(nil, ix.params)) + 4 + 4
 	crcOff = tableOff + sectionTableEntries*sectionEntryBytes
 	headerLen = crcOff + 4
 	return
@@ -219,8 +219,9 @@ func mustReject(t *testing.T, name string, data []byte) {
 
 // TestSerializeCorruptSectionTable drives the section-table defenses: a
 // corrupt section CRC, overlapping / misordered / misaligned section
-// offsets, forged counts, a violated header CRC and nonzero padding must
-// all be rejected by every opener.
+// offsets, forged counts, a band size out of range or at odds with the
+// offsets count, a violated header CRC and nonzero padding must all be
+// rejected by every opener.
 func TestSerializeCorruptSectionTable(t *testing.T) {
 	ix := buildTestIndex(t)
 	var buf bytes.Buffer
@@ -270,6 +271,15 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 		{"offsets count vs buckets", func(d []byte) {
 			le.PutUint64(entry(d, 1)[8:], uint64(len(ix.offsets))+1)
 		}},
+		{"band of 0 rows", func(d []byte) {
+			le.PutUint32(d[tableOff-4:], 0)
+		}},
+		{"band of 65 537 rows", func(d []byte) {
+			le.PutUint32(d[tableOff-4:], maxBandRows+1)
+		}},
+		{"offsets count vs bands", func(d []byte) {
+			le.PutUint32(d[tableOff-4:], uint32(len(ix.rows)-1)) // two bands
+		}},
 	}
 	for _, tc := range cases {
 		data := append([]byte(nil), valid...)
@@ -299,7 +309,7 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 	// Older format versions are refused at the version field — before the
 	// header CRC, which the patched byte would also break — by an error
 	// that names the version and the way out.
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		data = append([]byte(nil), valid...)
 		data[len(indexMagic)] = version
 		want := fmt.Sprintf("version %d (want %d); rebuild with `lbe-index -out`", version, indexVersion)
@@ -334,9 +344,9 @@ func TestWriteToBytesPinned(t *testing.T) {
 		ix   *Index
 		want string
 	}{
-		{"buildTestIndex", buildTestIndex(t), "eb33081bbbc2606a0b9a49dfaeb0c4be4ca552afd0329a7702dfa1fc6d3ece7f"},
-		{"buildPlainIndex", buildPlainIndex(t), "be4ec8079d59a211129f3f31e2f50c1412dfe1a7b1783cca2cb9f5e3ac541cf2"},
-		{"buildSeriesIndex", buildSeriesIndex(t), "eff435bbdaebb395557959f34b32ffcb567410c8cf7dbbb4250992ad729e8593"},
+		{"buildTestIndex", buildTestIndex(t), "bedbbb3138e0e5892544df4d2bf245233d05802a47779b9be39e02838127f60f"},
+		{"buildPlainIndex", buildPlainIndex(t), "c8a80f7ef4c081f656608ef3b271146ad33bb42780df55f106e0d256963b8ef8"},
+		{"buildSeriesIndex", buildSeriesIndex(t), "da87508856ca0ac0dcbb01e2a1c303f117050214fd813c2bc280e51de2eab3a7"},
 	} {
 		var buf bytes.Buffer
 		if _, err := tc.ix.WriteTo(&buf); err != nil {
@@ -440,10 +450,11 @@ func TestEncodeSectionMirrorsDecodeSection(t *testing.T) {
 	if got := decodeSection(encoded[0], rowWireBytes, decodeRow); !reflect.DeepEqual(got, ix.rows) {
 		t.Error("rows do not survive encodeSection then decodeSection")
 	}
-	for i, want := range map[int][]uint32{1: ix.offsets, 2: ix.ids} {
-		if !reflect.DeepEqual(decodeSection(encoded[i], 4, le.Uint32), want) {
-			t.Errorf("section %d does not survive encodeSection then decodeSection", i)
-		}
+	if !reflect.DeepEqual(decodeSection(encoded[1], 4, le.Uint32), ix.offsets) {
+		t.Error("offsets do not survive encodeSection then decodeSection")
+	}
+	if !reflect.DeepEqual(decodeSection(encoded[2], postingWireBytes, le.Uint16), ix.ids) {
+		t.Error("ids do not survive encodeSection then decodeSection")
 	}
 }
 
@@ -502,36 +513,67 @@ func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 			le.PutUint64(d[pb:pb+8], a)
 		}))
 
-	// Out-of-range posting.
+	// Out-of-range posting: past the band's (here the index's) last row.
 	mustReject(t, "posting out of range",
 		corruptSection(t, ix, valid, 2, func(d []byte, lo int64) {
-			le.PutUint32(d[lo:lo+4], uint32(len(ix.rows)))
+			le.PutUint16(d[lo:lo+2], uint16(len(ix.rows)))
 		}))
 
 	// Reverse a bucket's posting list (the first bucket holding two
 	// distinct row ids): the windowed binary search would skip
 	// real matches, so the file must be rejected.
-	swapped := false
-	for b := 0; b < ix.numBuckets && !swapped; b++ {
-		s, e := ix.offsets[b], ix.offsets[b+1]
-		for i := s + 1; i < e; i++ {
+	if i := firstDistinctPair(ix); i < 0 {
+		t.Error("no bucket with two distinct postings; unsorted-bucket case not exercised")
+	} else {
+		mustReject(t, "unsorted bucket posting list",
+			corruptSection(t, ix, valid, 2, func(d []byte, lo int64) { swapPostings(d, lo, i) }))
+	}
+
+	// The band structure itself: a posting moved from the first band's
+	// end into the gap before the second band's start, on an index cut
+	// into bands of two rows. Every posting stays in range and every list
+	// sorted; only the band chain breaks.
+	banded, err := build([]string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"}, ix.params, 1, func(int) int { return 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bandedImage := indexBytes(t, banded)
+	if _, err := DecodeIndex(bandedImage); err != nil {
+		t.Fatalf("an image of bands of two rows: %v", err)
+	}
+	gap := corruptSection(t, banded, bandedImage, 1, func(d []byte, lo int64) {
+		end := banded.offsets[banded.numBuckets] // band 0's end
+		for b := banded.numBuckets; b >= 0 && banded.offsets[b] == end; b-- {
+			le.PutUint32(d[lo+4*int64(b):], end-1)
+		}
+	})
+	mustReject(t, "band 0 ends before band 1 starts", gap)
+	if _, err := DecodeIndex(gap); err == nil || !strings.Contains(err.Error(), "band 1 postings start") {
+		t.Errorf("a gap between bands: %v, want the band chain refused", err)
+	}
+}
+
+// firstDistinctPair returns the position in ix.ids of the first posting
+// that differs from the one before it in the same (band, bucket) list,
+// or -1 if no list holds two distinct rows.
+func firstDistinctPair(ix *Index) int {
+	for b := 0; b+1 < len(ix.offsets); b++ {
+		for i := ix.offsets[b] + 1; i < ix.offsets[b+1]; i++ {
 			if ix.ids[i] != ix.ids[i-1] {
-				mustReject(t, "unsorted bucket posting list",
-					corruptSection(t, ix, valid, 2, func(d []byte, lo int64) {
-						pa, pb := lo+4*int64(i-1), lo+4*int64(i)
-						a := le.Uint32(d[pa : pa+4])
-						bv := le.Uint32(d[pb : pb+4])
-						le.PutUint32(d[pa:pa+4], bv)
-						le.PutUint32(d[pb:pb+4], a)
-					}))
-				swapped = true
-				break
+				return int(i)
 			}
 		}
 	}
-	if !swapped {
-		t.Error("no bucket with two distinct postings; unsorted-bucket case not exercised")
-	}
+	return -1
+}
+
+// swapPostings swaps postings i-1 and i of the ids section at lo of d.
+func swapPostings(d []byte, lo int64, i int) {
+	le := binary.LittleEndian
+	pa, pb := lo+postingWireBytes*int64(i-1), lo+postingWireBytes*int64(i)
+	a, b := le.Uint16(d[pa:]), le.Uint16(d[pb:])
+	le.PutUint16(d[pa:], b)
+	le.PutUint16(d[pb:], a)
 }
 
 // failAfterWriter accepts exactly budget bytes, then fails.

@@ -151,3 +151,77 @@ func TestWindowedScanMappedMatchesFilteredOpen(t *testing.T) {
 		requireFilteredOpen(t, fmt.Sprintf("trial %d", trial), mapped, open, noisyQuery(rng, peps[rng.Intn(len(peps))]))
 	}
 }
+
+// TestWindowedScanAcrossBandEdges holds the same properties where the
+// banded layout makes them hard: on indexes cut into bands of 4 rows, a
+// window inside one band, one straddling a band edge, one admitting one
+// whole band and nothing else, and one cutting two bands with whole bands
+// between them. Each window admits exactly its intended rows, and every
+// query matches something there.
+func TestWindowedScanAcrossBandEdges(t *testing.T) {
+	const band = 4
+	rule := func(int) int { return band }
+	rng := rand.New(rand.NewSource(137))
+	peps := randPeptides(rng, 60)
+	params := noModParams()
+	open, err := build(peps, params, 0, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := open.rows
+	for _, tc := range []struct {
+		name        string
+		first, last int // the rows the window admits, inclusive
+	}{
+		{"inside band 3", 3*band + 1, 3*band + 2},
+		{"straddling bands 3 and 4", 4*band - 1, 4 * band},
+		{"band 4 whole", 4 * band, 5*band - 1},
+		{"cutting bands 3 and 7 around 4-6", 3*band + 2, 8*band - 2},
+	} {
+		lo, hi := rows[tc.first].Precursor, rows[tc.last].Precursor
+		gap := min(lo-rows[tc.first-1].Precursor, rows[tc.last+1].Precursor-hi)
+		if gap <= 0 {
+			t.Fatalf("%s: rows %d..%d share a precursor with a neighbour", tc.name, tc.first, tc.last)
+		}
+		params.PrecursorTol = mass.Da((hi-lo)/2 + gap/4)
+		win, err := build(peps, params, 0, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 5; trial++ {
+			q := noisyQuery(rng, peps[rows[tc.first+rng.Intn(tc.last-tc.first+1)].Peptide])
+			q.PrecursorMZ = mass.MZ((lo+hi)/2, 1)
+			label := fmt.Sprintf("%s trial %d", tc.name, trial)
+			if rlo, rhi := win.precursorWindow(q.PrecursorMass()); int(rlo) != tc.first || int(rhi) != tc.last+1 {
+				t.Fatalf("%s: window admits rows [%d, %d), want [%d, %d]", label, rlo, rhi, tc.first, tc.last)
+			}
+			if got := requireFilteredOpen(t, label, win, open, q); len(got) == 0 {
+				t.Fatalf("%s: no match; the case checks nothing", label)
+			}
+			if _, w := win.Search(q, 0, nil); w.IonHits != windowPostings(open, q, tc.first, tc.last+1) {
+				t.Fatalf("%s: IonHits %d, want the %d postings of the window's rows", label, w.IonHits, windowPostings(open, q, tc.first, tc.last+1))
+			}
+		}
+	}
+}
+
+// windowPostings counts the postings q's peaks reach in ix whose row lies
+// in [rlo, rhi): what a windowed scan visits, no more and no less.
+func windowPostings(ix *Index, q spectrum.Experimental, rlo, rhi int) int64 {
+	var n int64
+	for _, p := range q.Peaks {
+		blo, bhi := ix.bucketSpan(p.MZ)
+		if blo > bhi {
+			continue
+		}
+		for k := range ix.numBands() {
+			off := ix.offsets[k*(ix.numBuckets+1):]
+			for _, id := range ix.ids[off[blo]:off[bhi+1]] {
+				if row := k*ix.bandRows + int(id); rlo <= row && row < rhi {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
