@@ -11,11 +11,11 @@ import (
 	"lbe/internal/spectrum"
 )
 
-// TestMergeIgnoresEmissionOrder: an index emits a cell's matches in
-// first-touch order, which the band layout decides, so no answer may
-// depend on it. On every oracle cell, a three-shard session's (shard,
-// query) cells merged as emitted and merged with every cell reversed give
-// exactly the PSMs Search gives.
+// TestMergeIgnoresEmissionOrder: an index emits a cell's matches in the
+// order they reach the shared-peak threshold, which the band layout
+// decides, so no answer may depend on it. On every oracle cell, a
+// three-shard session's (shard, query) cells merged as emitted and merged
+// with every cell reversed give exactly the PSMs Search gives.
 func TestMergeIgnoresEmissionOrder(t *testing.T) {
 	ctx := context.Background()
 	reordered := 0
@@ -60,12 +60,12 @@ func TestMergeIgnoresEmissionOrder(t *testing.T) {
 	}
 }
 
-// TestTwinEmittedInTouchOrder confirms what the ties corpus says of its
-// twin query (internal/oracle): its index is one band, in which the
-// oxidized MPEPTIDER row, heavier, is touched first by the query's lowest
-// peak, so the index emits it first; the engine's answer lists it second,
-// by ComparePSM's precursor key alone.
-func TestTwinEmittedInTouchOrder(t *testing.T) {
+// TestTwinEmittedInThresholdOrder confirms what the ties corpus says of
+// its twin query (internal/oracle): its index is one band, in which the
+// oxidized MPEPTIDER row, heavier, is hit alone by the query's lowest peak
+// and so reaches the threshold first, and the index emits it first; the
+// engine's answer lists it second, by ComparePSM's precursor key alone.
+func TestTwinEmittedInThresholdOrder(t *testing.T) {
 	var ties oracle.Cell
 	for _, c := range oracle.Cells(t) {
 		if c.Corpus.Name == "ties" {

@@ -512,8 +512,9 @@ func (s *Session) searchBatch(ctx context.Context, shards []*slm.Index, pool *sc
 // holding shard m's kept matches for query q: every match is mapped to
 // its global peptide through the mapping table, and each query's union is
 // sorted by ComparePSM and cut to TopK. The order of matches within a
-// cell is the index's first-touch order, which the band layout decides;
-// ComparePSM makes the result independent of it.
+// cell is the order the index's rows reach the shared-peak threshold,
+// which the band layout decides; ComparePSM makes the result independent
+// of it.
 func (s *Session) merge(cells [][][]slm.Match, nq int) ([][]PSM, error) {
 	out := make([][]PSM, nq)
 	for q := range out {

@@ -224,8 +224,8 @@ func ties() ([]string, []spectrum.Experimental, error) {
 	// MPEPTIDER's y ions hold no M, so both variants match all eight;
 	// one more peak each — the oxidized b1 below every other peak, the
 	// unmodified b8 above — gives both the same shared count and score.
-	// The oxidized row, heavier, is touched first, so the index emits it
-	// first and only the precursor key puts it second.
+	// The oxidized row, heavier, reaches the threshold first, so the index
+	// emits it first and only the precursor key puts it second.
 	const twin = "MPEPTIDER"
 	variants, err := mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}.Variants(twin)
 	if err != nil || len(variants) != 2 {

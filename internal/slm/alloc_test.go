@@ -119,21 +119,21 @@ func TestScratchGrowthAmortized(t *testing.T) {
 
 // TestScratchEnsureRoundsCapacityUp pins the growth policy: capacity is
 // rounded to the next power of two so a monotone-increasing run of shard
-// sizes costs O(log n) reallocations, not one per size — and the touched
+// sizes costs O(log n) reallocations, not one per size — and the candidate
 // list grows at the same site, one slot longer than the accumulator.
 func TestScratchEnsureRoundsCapacityUp(t *testing.T) {
 	var s Scratch
 	s.ensure(65)
-	if len(s.acc) != 128 || len(s.touched) != 129 {
-		t.Fatalf("ensure(65) sized acc/touched to %d/%d, want 128/129 (next power of two, plus the always-store slot)", len(s.acc), len(s.touched))
+	if len(s.acc) != 128 || len(s.cands) != 129 {
+		t.Fatalf("ensure(65) sized acc/cands to %d/%d, want 128/129 (next power of two, plus the always-store slot)", len(s.acc), len(s.cands))
 	}
-	acc, touched := &s.acc[0], &s.touched[0]
+	acc, cands := &s.acc[0], &s.cands[0]
 	s.ensure(100)
-	if &s.acc[0] != acc || &s.touched[0] != touched {
+	if &s.acc[0] != acc || &s.cands[0] != cands {
 		t.Fatal("ensure(100) reallocated a buffer that already had capacity for it")
 	}
 	s.ensure(3)
-	if len(s.acc) != 128 || len(s.touched) != 129 {
+	if len(s.acc) != 128 || len(s.cands) != 129 {
 		t.Fatal("ensure shrank the buffers")
 	}
 }

@@ -210,7 +210,8 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // — and on indexes cut into bands of 1 + k/3%8 rows, so window edges,
 // band edges and short last bands meet. Each band costs a row of ~200 000
 // offsets, so a database too big for 4 such bands gets bands of a
-// quarter of its rows instead.
+// quarter of its rows instead. One Scratch serves every search of an
+// input, so a search that leaves its accumulator dirty fails the next.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -310,9 +311,10 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var scratch Scratch
 		for _, ix := range []*Index{ix, banded} {
 			bands := fmt.Sprintf("%d rows in bands of %d", ix.NumRows(), ix.bandRows)
-			got, _ := ix.SearchCut(q, kk, nil)
+			got, _ := ix.SearchCut(q, kk, &scratch)
 			check(bands+", built index", got)
 
 			image := indexBytes(t, ix)
@@ -320,7 +322,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ = decoded.SearchCut(q, kk, nil)
+			got, _ = decoded.SearchCut(q, kk, &scratch)
 			check(bands+", decoded image", got)
 
 			path := filepath.Join(t.TempDir(), "image.slmx")
@@ -334,7 +336,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if err := mapped.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			got, _ = mapped.SearchCut(q, kk, nil)
+			got, _ = mapped.SearchCut(q, kk, &scratch)
 			mapped.Close()
 			check(bands+", mapped image", got)
 
@@ -347,7 +349,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all, _ := open.SearchCut(q, 0, nil)
+			all, _ := open.SearchCut(q, 0, &scratch)
 			var admitted []Match
 			for _, m := range all {
 				if params.PrecursorTol.Contains(q.PrecursorMass(), m.Precursor) {

@@ -1,7 +1,11 @@
 package slm
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lbe/internal/mass"
@@ -154,6 +158,61 @@ func TestAccumulatorBounds(t *testing.T) {
 			if a != 0 {
 				t.Fatalf("%d peaks: accumulator word %d left at %#x", tc.peaks, i, a)
 			}
+		}
+	}
+}
+
+// TestCandidatesCrossThresholdOnce holds phase 1's candidate list to its
+// definition: a row is listed once, at the posting that lifts its count
+// to MinSharedPeaks. At threshold 1 (crossing is first touch), 4 and 6,
+// on queries with every other peak tripled and 0.6 Da fragment windows,
+// which carry rows several postings past the threshold, and at a
+// threshold no row reaches, Work.Candidates and the match rows are
+// BruteForce's rows sharing at least the threshold, each once.
+func TestCandidatesCrossThresholdOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	peps := randPeptides(rng, 40)
+	params := DefaultParams()
+	params.Mods.MaxPerPep = 1
+	params.FragmentTol = mass.Da(0.6)
+	byRow := func(a, b Match) int { return cmp.Compare(a.Row, b.Row) }
+	var scratch Scratch
+	for _, minShared := range []int{1, 4, 6, 1000} {
+		params.MinSharedPeaks = minShared
+		ix, err := Build(peps, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, past := 0, 0 // candidates, and those whose count ends past the threshold
+		for trial := 0; trial < 8; trial++ {
+			q := noisyQuery(rng, peps[rng.Intn(len(peps))])
+			for i, n := 0, len(q.Peaks); i < n; i += 2 {
+				q.Peaks = append(q.Peaks, q.Peaks[i], q.Peaks[i])
+			}
+			q.SortPeaks()
+			label := fmt.Sprintf("threshold %d, trial %d", minShared, trial)
+			got, w := ix.SearchCut(q, 0, &scratch)
+			want, err := BruteForce(peps, params, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got, byRow)
+			slices.SortFunc(want, byRow)
+			if w.Candidates != int64(len(want)) || !slices.Equal(got, want) {
+				t.Fatalf("%s: %d candidates, matches %+v; brute force %+v", label, w.Candidates, got, want)
+			}
+			total += len(want)
+			for _, m := range want {
+				if int(m.Shared) > minShared+1 {
+					past++
+				}
+			}
+		}
+		if minShared == 1000 && total != 0 {
+			t.Errorf("threshold %d: %d rows reached it, want none", minShared, total)
+		}
+		if minShared < 1000 && past == 0 {
+			t.Errorf("threshold %d: no row passed it by several postings", minShared)
 		}
 	}
 }

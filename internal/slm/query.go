@@ -42,18 +42,19 @@ func (w *Work) Add(w2 Work) {
 //
 // Phase 1 keeps one word per row in acc: the postings that hit the row
 // (its shared-peak count) in bits 63..32, the sum of their quantized peak
-// intensities in bits 31..0. A posting is one
-// load-add-store of 1<<32|intensity; zero means untouched by this query.
-// A word is exact while its row collects at most 65 536 postings from one
-// query (65 536 × 65 535 < 2³²: the sum cannot carry into the count). A
-// row collects one posting per (peak, own ion in that peak's fragment
+// intensities in bits 31..0. A posting is one load-add-store of
+// 1<<32|intensity, and a row becomes a candidate at the posting that
+// lifts its word to MinSharedPeaks<<32 or past it. A word is exact while
+// its row collects at most 65 536 postings from one query
+// (65 536 × 65 535 < 2³²: the sum cannot carry into the count). A row
+// collects one posting per (peak, own ion in that peak's fragment
 // window) pair, so searchScratch admits at most maxQueryPeaks peaks — the
 // bound at one ion per window, which real tolerances give; past it only
 // that row's own word can be wrong. Match.Shared saturates at
 // math.MaxUint16 rather than truncating the count.
 type Scratch struct {
 	acc     []uint64   // phase-1 accumulator, all zero between searches
-	touched []uint32   // len(acc)+1 slots: first-touched rows of the current query
+	cands   []uint32   // len(acc)+1 slots: the current query's candidate rows
 	qint    []uint16   // per-peak quantized intensities for the current query
 	spans   []peakSpan // the current query's peaks that reach a bucket
 	matches []Match    // per-query accumulator, reused across searches
@@ -71,7 +72,7 @@ type peakSpan struct {
 // accumulator bounds on Scratch.
 const maxQueryPeaks = 1 << 16
 
-// ensure sizes the accumulator and its touched list for an index with
+// ensure sizes the accumulator and its candidate list for an index with
 // rows rows; a warm scratch (already at capacity) does not allocate.
 //
 //lbe:hotpath
@@ -86,8 +87,8 @@ func (s *Scratch) ensure(rows int) {
 		}
 		s.acc = make([]uint64, n)
 		// One slot more than rows: accumulate stores every posting's row
-		// at touched[n] and only then decides whether to keep it.
-		s.touched = make([]uint32, n+1)
+		// at cands[n] and only then decides whether to keep it.
+		s.cands = make([]uint32, n+1)
 	}
 }
 
@@ -287,26 +288,34 @@ func postingsLowerBound(ids []uint16, lo, hi, v uint32) uint32 {
 }
 
 // accumulate is phase 1's one inner loop over one band: it adds add
-// (1<<32 | quantized intensity) to the band's word (acc is the band's
-// tile of the accumulator) of every posting's row and appends each row,
-// as the row id base+posting, to touched[:n] the first time the query
-// reaches it, returning the new n.
-// First touch is a coin flip on an open search, so it is decided without
-// a branch: the row is always stored at touched[n], and n advances only
-// if the word was zero ((a|-a)>>63 is a != 0).
+// (1<<32 | quantized intensity) to the word of every posting's row in acc,
+// the band's tile of the accumulator, and appends the row's band-local id
+// to cands[:n] at the posting that lifts its word from below t
+// (MinSharedPeaks<<32) to t or past it, returning the new n. A word only
+// grows, so a row is appended once, when it becomes a candidate, even
+// past the 65 536-posting exactness bound where the sum can carry into
+// the count. The test has no branch: the row is always stored at
+// cands[n], a slot that stays in cache, and n advances only if a-t and
+// a+add-t differ in sign, which is exact while t and the word stay below
+// 2⁶³ (under 2³¹ postings on one row). The caller adds the band's first
+// row to the ids it appended: adding it here costs the loop a register,
+// and it then spills on every posting (BenchmarkSearchOpen 4.30–4.79
+// against 3.66–3.91 ns/posting, 3 alternating runs, same VM).
 //
 // It stays out of line on purpose: inlined into searchScratch the loop
-// spills its counter and the loaded word to the stack on every posting
-// (batch-open 1 360 qps inlined, 1 850 out of line, same machine).
+// spills to the stack on every posting (batch-open, 6 alternating pairs
+// on a 2-vCPU VM: 1 640 qps and 1.21 cpu ms/query out of line, 1 074 and
+// 1.82 inlined).
 //
 //lbe:hotpath
 //go:noinline
-func accumulate(acc []uint64, touched []uint32, n int, postings []uint16, base uint32, add uint64) int {
+func accumulate(acc []uint64, cands []uint32, n int, postings []uint16, add, t uint64) int {
 	for _, rid := range postings {
-		a := acc[rid]
-		touched[n] = base + uint32(rid)
-		n += int(1 - (a|-a)>>63)
-		acc[rid] = a + add
+		d := acc[rid] - t
+		e := d + add
+		cands[n] = uint32(rid)
+		n += int((d ^ e) >> 63)
+		acc[rid] = e + t
 	}
 	return n
 }
@@ -332,8 +341,13 @@ func accumulate(acc []uint64, touched []uint32, n int, postings []uint16, base u
 //
 // So IonHits + Pruned is the open scan's IonHits, and a band's postings
 // reach accumulate peak by peak in list order whichever way it is
-// walked: a windowed search touches rows in the order the open search
-// does.
+// walked: a windowed search lists its candidates in the order the open
+// search lists those rows, the order they reach MinSharedPeaks.
+//
+// Phase 2 scores only that list, each word final by then, and one clear
+// of the window's rows [rlo, rhi) — every row phase 1 can reach: the
+// whole index on open search, a few dozen rows in a 0.5 Da window —
+// leaves the accumulator all zero for the next search.
 //
 //lbe:hotpath
 func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Match, Work) {
@@ -355,14 +369,18 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	scratch.spans = spans
 
 	// Phase 1: shared-peak counting over the banded postings,
-	// accumulating quantized intensities.
-	acc, touched, n := scratch.acc, scratch.touched, 0
+	// accumulating quantized intensities and listing the candidates in the
+	// order they reach the threshold. Clamping it keeps t below 2⁶³ for
+	// accumulate's sign test; only a row past 2³¹ − 1 postings, far beyond
+	// its word's exactness bound, could tell the difference.
+	acc, cands, n := scratch.acc, scratch.cands, 0
+	t := min(uint64(ix.params.MinSharedPeaks), 1<<31-1) << 32
 	rlo, rhi := ix.precursorWindow(qmass)
 	rows, band, nb1 := uint32(len(ix.rows)), uint32(ix.bandRows), ix.numBuckets+1
 	for k, base := 0, uint32(0); base < rows; k, base = k+1, base+band {
 		end := min(base+band, rows)
 		off := ix.offsets[k*nb1 : (k+1)*nb1]
-		tile := acc[base:end]
+		tile, first := acc[base:end], n
 		switch {
 		case rlo == rhi || end <= rlo || rhi <= base:
 			for _, sp := range spans {
@@ -371,7 +389,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 		case rlo <= base && end <= rhi:
 			for _, sp := range spans {
 				lo, hi := off[sp.lo], off[sp.hi]
-				n = accumulate(tile, touched, n, ix.ids[lo:hi], base, sp.add)
+				n = accumulate(tile, cands, n, ix.ids[lo:hi], sp.add, t)
 				work.IonHits += int64(hi - lo)
 			}
 		default:
@@ -384,32 +402,29 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 					for hi < e && uint32(ix.ids[hi]) < whi {
 						hi++
 					}
-					n = accumulate(tile, touched, n, ix.ids[lo:hi], base, sp.add)
+					n = accumulate(tile, cands, n, ix.ids[lo:hi], sp.add, t)
 					work.IonHits += int64(hi - lo)
 					work.Pruned += int64(e-s) - int64(hi-lo)
 				}
 			}
 		}
+		for i := first; i < n; i++ {
+			cands[i] += base // band-local to row id
+		}
 	}
 
-	// Phase 2: threshold + precursor filter + scoring, zeroing each touched
-	// word on the way so the accumulator is clean for the next search.
+	// Phase 2: precursor filter + scoring of the candidates, then the
+	// window's clear.
+	work.Candidates = int64(n)
 	matches := scratch.matches[:0]
-	minShared := uint64(ix.params.MinSharedPeaks)
-	for _, rid := range touched[:n] {
+	for _, rid := range cands[:n] {
 		a := acc[rid]
-		acc[rid] = 0
-		c := a >> 32
-		if c < minShared {
-			continue
-		}
-		work.Candidates++
 		row := ix.rows[rid]
 		if !ix.params.PrecursorTol.Contains(qmass, row.Precursor) {
 			continue
 		}
 		work.Scored++
-		shared := uint16(min(c, math.MaxUint16))
+		shared := uint16(min(a>>32, math.MaxUint16))
 		matches = append(matches, Match{
 			Row:       rid,
 			Peptide:   row.Peptide,
@@ -418,6 +433,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 			Precursor: row.Precursor,
 		})
 	}
+	clear(acc[rlo:rhi])
 
 	scratch.matches = matches[:0] // retain grown capacity for reuse
 	return matches, work

@@ -225,3 +225,78 @@ func windowPostings(ix *Index, q spectrum.Experimental, rlo, rhi int) int64 {
 	}
 	return n
 }
+
+// TestScratchCleanAfterSearch holds the invariant every later search
+// rests on: phase 2 clears only the precursor window's rows, so those
+// must be all the rows phase 1 reaches. One Scratch runs an open search,
+// windows inside one band, straddling a band edge and spanning whole
+// bands, an empty window and a query with no peaks, on indexes cut into
+// bands of 4 rows; after each its accumulator is all zero, and its answer
+// and Work are a fresh Scratch's.
+func TestScratchCleanAfterSearch(t *testing.T) {
+	const band = 4
+	rule := func(int) int { return band }
+	rng := rand.New(rand.NewSource(139))
+	peps := randPeptides(rng, 60)
+	params := noModParams()
+	open, err := build(peps, params, 0, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := open.rows
+	var scratch Scratch
+	search := func(label string, ix *Index, q spectrum.Experimental, wantHits bool) {
+		t.Helper()
+		got, gw := ix.SearchCut(q, 0, &scratch)
+		for i, a := range scratch.acc {
+			if a != 0 {
+				t.Fatalf("%s: accumulator word %d left at %#x", label, i, a)
+			}
+		}
+		want, ww := ix.SearchCut(q, 0, nil)
+		if !slices.Equal(got, want) || gw != ww {
+			t.Fatalf("%s: warm scratch %+v %+v, fresh scratch %+v %+v", label, got, gw, want, ww)
+		}
+		if wantHits && gw.Candidates == 0 {
+			t.Fatalf("%s: no candidate; the case checks nothing", label)
+		}
+	}
+
+	search("open", open, noisyQuery(rng, peps[0]), true)
+	for _, tc := range []struct {
+		name        string
+		first, last int // the rows the window admits, inclusive
+	}{
+		{"inside band 3", 3*band + 1, 3*band + 2},
+		{"straddling bands 3 and 4", 4*band - 1, 4 * band},
+		{"bands 4 to 6 whole", 4 * band, 7*band - 1},
+	} {
+		lo, hi := rows[tc.first].Precursor, rows[tc.last].Precursor
+		gap := min(lo-rows[tc.first-1].Precursor, rows[tc.last+1].Precursor-hi)
+		if gap <= 0 {
+			t.Fatalf("%s: rows %d..%d share a precursor with a neighbour", tc.name, tc.first, tc.last)
+		}
+		params.PrecursorTol = mass.Da((hi-lo)/2 + gap/4)
+		win, err := build(peps, params, 0, rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := noisyQuery(rng, peps[rows[tc.first].Peptide])
+		q.PrecursorMZ = mass.MZ((lo+hi)/2, 1)
+		if rlo, rhi := win.precursorWindow(q.PrecursorMass()); int(rlo) != tc.first || int(rhi) != tc.last+1 {
+			t.Fatalf("%s: window admits rows [%d, %d), want [%d, %d]", tc.name, rlo, rhi, tc.first, tc.last)
+		}
+		search(tc.name, win, q, true)
+		search(tc.name+", then open", open, noisyQuery(rng, peps[rows[tc.last].Peptide]), true)
+
+		if tc.first == 4*band {
+			// Below every row, the same window admits none.
+			q.PrecursorMZ = mass.MZ(rows[0].Precursor-3*(hi-lo)-gap, 1)
+			if rlo, rhi := win.precursorWindow(q.PrecursorMass()); rlo != rhi {
+				t.Fatalf("empty window: admits rows [%d, %d)", rlo, rhi)
+			}
+			search("empty window", win, q, false)
+		}
+	}
+	search("no peaks", open, spectrum.Experimental{PrecursorMZ: mass.MZ(rows[0].Precursor, 1), Charge: 1}, false)
+}
