@@ -1,9 +1,7 @@
-// Top-level benchmarks: one per figure/table of the paper's evaluation.
-// Each benchmark drives the corresponding experiment runner from
-// internal/bench at a reduced scale and reports the figure's headline
-// quantity as a custom metric, so `go test -bench` regenerates the whole
-// evaluation. cmd/lbe-bench runs the same experiments at configurable
-// scale and prints the full series.
+// Top-level microbenchmarks of the hot paths behind the paper's figures.
+// The figures themselves are pure functions of their options, pinned by
+// the committed docs/figures/BENCH_<id>.json files and regenerated by
+// cmd/lbe-bench; the numbers PRs are gated on come from ./benchmark.
 package lbe_test
 
 import (
@@ -13,184 +11,10 @@ import (
 	"lbe/internal/core"
 	"lbe/internal/engine"
 	"lbe/internal/mods"
-	"lbe/internal/stats"
 )
 
-// benchOptions keeps each iteration in the hundreds of milliseconds.
-func benchOptions() bench.Options {
-	return bench.Options{
-		Scale:     1.0 / 10000,
-		Ranks:     8,
-		RankSweep: []int{2, 4, 8},
-		Queries:   150,
-		Seed:      4,
-	}
-}
-
-// BenchmarkFig5MemoryFootprint regenerates the shared vs distributed
-// memory comparison; metrics: MB at the largest notch and overhead ratio.
-func BenchmarkFig5MemoryFootprint(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig5(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(fig.Series[0].Y) - 1
-		b.ReportMetric(fig.Series[0].Y[last], "shared-MB")
-		b.ReportMetric(fig.Series[1].Y[last], "dist-MB")
-		b.ReportMetric(fig.Series[1].Y[last]/fig.Series[0].Y[last], "overhead-ratio")
-	}
-}
-
-// BenchmarkFig6LoadImbalance regenerates the LI comparison; metrics: LI%
-// per policy at the largest index notch.
-func BenchmarkFig6LoadImbalance(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig6(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := len(fig.Series[0].Y) - 1
-		b.ReportMetric(fig.Series[0].Y[last], "LI%-chunk")
-		b.ReportMetric(fig.Series[1].Y[last], "LI%-cyclic")
-		b.ReportMetric(fig.Series[2].Y[last], "LI%-random")
-	}
-}
-
-// BenchmarkFig7QueryTime regenerates query time vs CPUs; metric: modeled
-// query seconds at the largest size and rank count.
-func BenchmarkFig7QueryTime(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig7(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := fig.Series[len(fig.Series)-1]
-		b.ReportMetric(s.Y[0], "sec-at-minCPU")
-		b.ReportMetric(s.Y[len(s.Y)-1], "sec-at-maxCPU")
-	}
-}
-
-// BenchmarkFig8QuerySpeedup regenerates the near-linear query speedup;
-// metric: speedup at max CPUs (ideal = CPU count).
-func BenchmarkFig8QuerySpeedup(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := fig.Series[len(fig.Series)-1] // largest index size
-		b.ReportMetric(s.Y[len(s.Y)-1], "speedup-at-maxCPU")
-		b.ReportMetric(s.X[len(s.X)-1], "ideal")
-	}
-}
-
-// BenchmarkFig9ExecutionTime regenerates total execution time vs CPUs.
-func BenchmarkFig9ExecutionTime(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := fig.Series[len(fig.Series)-1]
-		b.ReportMetric(s.Y[0], "sec-at-minCPU")
-		b.ReportMetric(s.Y[len(s.Y)-1], "sec-at-maxCPU")
-	}
-}
-
-// BenchmarkFig10ExecSpeedup regenerates the Amdahl-bounded execution
-// speedup; metrics: exec speedup at max CPUs and the fitted serial
-// fraction.
-func BenchmarkFig10ExecSpeedup(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := fig.Series[len(fig.Series)-1]
-		last := len(s.Y) - 1
-		b.ReportMetric(s.Y[last], "speedup-at-maxCPU")
-		b.ReportMetric(stats.FitSerialFraction(s.Y[last], int(s.X[last])), "serial-fraction")
-	}
-}
-
-// BenchmarkFig11SpeedupByLB regenerates the CPU-time speedup of LBE
-// policies over chunk; metrics: the average speedups the paper reports as
-// ~8.6x (cyclic) and ~7.5x (random).
-func BenchmarkFig11SpeedupByLB(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg := func(ys []float64) float64 {
-			s := 0.0
-			for _, y := range ys {
-				s += y
-			}
-			return s / float64(len(ys))
-		}
-		b.ReportMetric(avg(fig.Series[1].Y), "cyclic-x")
-		b.ReportMetric(avg(fig.Series[2].Y), "random-x")
-	}
-}
-
-// BenchmarkTableSetupStats regenerates the §V-A in-text statistics;
-// metric: candidate PSMs per query (paper: ~73,723 at full scale).
-func BenchmarkTableSetupStats(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.SetupStats(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ys := fig.Series[0].Y
-		b.ReportMetric(ys[5], "cPSM-per-query")
-		b.ReportMetric(ys[6], "id-rate-%")
-	}
-}
-
-// BenchmarkAblationGrouping regenerates the grouping design-choice sweep;
-// metric: chunk LI% under the paper's grouping vs no grouping.
-func BenchmarkAblationGrouping(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationGrouping(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fig.Series[0].Y[0], "chunk-LI%-raw")
-		b.ReportMetric(fig.Series[0].Y[2], "chunk-LI%-paper")
-		b.ReportMetric(fig.Series[1].Y[2], "cyclic-LI%-paper")
-	}
-}
-
-// BenchmarkAblationTransport regenerates the transport comparison;
-// metric: TCP slowdown over in-process channels at 4 ranks.
-func BenchmarkAblationTransport(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationTransport(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inproc := fig.Series[0].Y[1]
-		tcp := fig.Series[1].Y[1]
-		b.ReportMetric(tcp/inproc, "tcp-slowdown-x")
-	}
-}
-
-// --- microbenchmarks of the hot paths behind the figures ---
-
-// BenchmarkIndexBuild measures SLM index construction throughput
-// (rows/sec govern the build portion of Fig. 9).
+// BenchmarkIndexBuild measures serial SLM index construction throughput
+// (the build every rank runs over its partition).
 func BenchmarkIndexBuild(b *testing.B) {
 	c, err := bench.SizedCorpus(3000, 0, 11, mods.Config{Mods: mods.PaperSet(), MaxPerPep: 2})
 	if err != nil {
@@ -207,7 +31,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkQueryThroughput measures spectra searched per second against a
-// fixed serial index (the per-rank inner loop of Fig. 7).
+// fixed serial index (the per-rank inner loop whose work Fig. 7 counts).
 func BenchmarkQueryThroughput(b *testing.B) {
 	c, err := bench.SizedCorpus(3000, 64, 12, mods.Config{Mods: mods.PaperSet(), MaxPerPep: 2})
 	if err != nil {
@@ -224,7 +48,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 }
 
 // BenchmarkGrouping measures Algorithm 1 over a realistic peptide set
-// (the replicated serial phase that bounds Fig. 10).
+// (the serial phase every rank replicates before its build).
 func BenchmarkGrouping(b *testing.B) {
 	c, err := bench.SizedCorpus(5000, 0, 13, mods.Config{Mods: mods.PaperSet(), MaxPerPep: 2})
 	if err != nil {

@@ -144,10 +144,17 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("lbe-convert output: %s", out)
 	}
 
-	// 8. One quick benchmark figure.
-	out = run(tool("lbe-bench"), "-fig", "transport", "-scale", "0.00005", "-queries", "30", "-ranks", "2")
-	if !strings.Contains(out, "Transport ablation") {
+	// 8. One quick benchmark figure, and a meaningless flag refused as a
+	// usage error that names it.
+	out = run(tool("lbe-bench"), "-fig", "6", "-scale", "0.00005", "-queries", "30", "-ranks", "2")
+	if !strings.Contains(out, "Normalized load imbalance, 2 partitions") {
 		t.Fatalf("lbe-bench output: %s", out)
+	}
+	bad := exec.Command(tool("lbe-bench"), "-fig", "6", "-ranks", "0")
+	bad.Dir = dir
+	badOut, err := bad.CombinedOutput()
+	if code := bad.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(badOut), "-ranks 0") {
+		t.Fatalf("lbe-bench -ranks 0: exit %d (%v), want 2 naming the flag:\n%s", code, err, badOut)
 	}
 
 	// 9. Serve the database over HTTP two ways — a fresh build from

@@ -1,23 +1,18 @@
-// Command lbe-bench regenerates the paper's evaluation: every figure
-// (Figs. 5-11), the in-text setup statistics, and the design-choice
-// ablations, printing markdown tables suitable for EXPERIMENTS.md.
+// Command lbe-bench regenerates the paper's evaluation: Figs. 5-8 and 11,
+// the in-text setup statistics, and the design-choice ablations, printing
+// markdown tables. Every figure is a pure function of the flags; at the
+// defaults its JSON is committed as docs/figures/BENCH_<id>.json.
 //
 // Usage:
 //
-//	lbe-bench                    # everything, laptop scale (1/1000 of paper)
-//	lbe-bench -fig 6             # just the load-imbalance figure
-//	lbe-bench -scale 0.01 -out EXPERIMENTS.md
-//	lbe-bench -fig steal -json artifacts/
-//
-// Besides the markdown tables, every figure is also written as a
-// machine-readable BENCH_<id>.json artifact (series plus headline
-// metrics) into the -json directory, "" to disable — the hook for
-// tracking perf trajectories across commits without scraping tables.
+//	lbe-bench                        # everything, laptop scale (1/1000 of paper)
+//	lbe-bench -fig 6                 # just the load-imbalance figure
+//	lbe-bench -scale 0.01 > EXPERIMENTS.md
+//	lbe-bench -json docs/figures     # re-record the committed figures
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -41,14 +36,27 @@ func main() {
 
 	var (
 		fig     = flag.String("fig", "all", "which experiment: "+strings.Join(figNames, "|"))
-		scale   = flag.Float64("scale", 1.0/1000, "fraction of the paper's index sizes")
+		scale   = flag.Float64("scale", 1.0/1000, "fraction of the paper's index sizes, in (0, 1]")
 		ranks   = flag.Int("ranks", 16, "partitions for the LI figures")
 		queries = flag.Int("queries", 800, "query spectra per run")
 		seed    = flag.Uint64("seed", 1, "dataset seed")
-		out     = flag.String("out", "", "write markdown to this file instead of stdout")
-		jsonDir = flag.String("json", ".", "directory for machine-readable BENCH_<id>.json artifacts ('' disables)")
+		jsonDir = flag.String("json", "", "also write each figure as BENCH_<id>.json into this directory")
 	)
 	flag.Parse()
+
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "lbe-bench: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case *ranks < 1:
+		usage("-ranks %d: need at least one partition", *ranks)
+	case *queries < 1:
+		usage("-queries %d: need at least one query spectrum", *queries)
+	case !(*scale > 0 && *scale <= 1):
+		usage("-scale %g: must be in (0, 1]", *scale)
+	}
 
 	o := bench.DefaultOptions()
 	o.Scale = *scale
@@ -62,18 +70,12 @@ func main() {
 	defer stop()
 	o.Ctx = ctx
 
-	var sb strings.Builder
 	var figs []bench.Figure
 	start := time.Now()
 	if *fig == "all" {
 		var err error
-		figs, err = bench.All(o)
-		if err != nil {
+		if figs, err = bench.All(o); err != nil {
 			log.Fatal(err)
-		}
-		for _, f := range figs {
-			sb.WriteString(f.Markdown())
-			sb.WriteString("\n")
 		}
 	} else {
 		var run func(bench.Options) (bench.Figure, error)
@@ -91,33 +93,29 @@ func main() {
 			log.Fatal(err)
 		}
 		figs = append(figs, f)
-		sb.WriteString(f.Markdown())
 	}
 	log.Printf("experiments completed in %v", time.Since(start).Round(time.Millisecond))
 
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			log.Fatal(err)
+	for i, f := range figs {
+		if i > 0 {
+			fmt.Println()
 		}
-		for _, f := range figs {
-			doc, err := json.MarshalIndent(f, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			path := filepath.Join(*jsonDir, "BENCH_"+f.ID+".json")
-			if err := os.WriteFile(path, append(doc, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", path)
-		}
+		fmt.Print(f.Markdown())
 	}
 
-	if *out == "" {
-		fmt.Print(sb.String())
+	if *jsonDir == "" {
 		return
 	}
-	if err := os.WriteFile(*out, []byte(sb.String()), 0o644); err != nil {
+	if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s", *out)
+	for _, f := range figs {
+		doc, err := f.JSON()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(*jsonDir, "BENCH_"+f.ID+".json"), doc, 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
 }

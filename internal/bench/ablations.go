@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"lbe/internal/core"
 	"lbe/internal/engine"
@@ -68,44 +67,6 @@ func AblationGrouping(o Options) (Figure, error) {
 	return fig, nil
 }
 
-// AblationTransport compares the in-process transport against real TCP
-// loopback links for the same distributed search, isolating the messaging
-// overhead of the runtime (§IV discusses the MPI port).
-func AblationTransport(o Options) (Figure, error) {
-	fig := Figure{
-		ID:     "ablation-transport",
-		Title:  "Transport ablation: in-process vs TCP loopback",
-		XLabel: "ranks",
-		YLabel: "wall time (s)",
-	}
-	c, err := o.corpusAt(paperSizesM[0])
-	if err != nil {
-		return fig, err
-	}
-	inproc := Series{Label: "in-process"}
-	tcp := Series{Label: "tcp"}
-	for _, p := range []int{2, 4} {
-		cfg := engineConfig()
-		start := time.Now()
-		if _, err := engine.RunInProcess(o.ctx(), p, c.Peptides, c.Queries, cfg); err != nil {
-			return fig, err
-		}
-		inproc.X = append(inproc.X, float64(p))
-		inproc.Y = append(inproc.Y, time.Since(start).Seconds())
-
-		start = time.Now()
-		if _, err := engine.RunOverTCP(o.ctx(), p, c.Peptides, c.Queries, cfg); err != nil {
-			return fig, err
-		}
-		tcp.X = append(tcp.X, float64(p))
-		tcp.Y = append(tcp.Y, time.Since(start).Seconds())
-	}
-	fig.Series = []Series{inproc, tcp}
-	fig.Notes = append(fig.Notes,
-		"result correctness across transports is asserted by the engine test suite")
-	return fig, nil
-}
-
 // AblationHeterogeneous evaluates the §VIII load-predicting model on a
 // simulated heterogeneous cluster: the first machine is 4x and the second
 // 2x the speed of the rest. Modeled per-rank time is work/speed; the
@@ -127,39 +88,29 @@ func AblationHeterogeneous(o Options) (Figure, error) {
 		speeds[1] = 2
 	}
 
-	uniform := Series{Label: "uniform partition"}
-	weighted := Series{Label: "speed-weighted partition"}
+	series := []Series{{Label: "uniform partition"}, {Label: "speed-weighted partition"}}
 	for _, sizeM := range paperSizesM[:2] { // two notches keep it quick
 		c, err := o.corpusAt(sizeM)
 		if err != nil {
 			return fig, err
 		}
-		for _, useWeights := range []bool{false, true} {
+		for i, weights := range [][]float64{nil, speeds} {
 			cfg := engineConfig()
 			cfg.Policy = core.Cyclic
-			if useWeights {
-				cfg.Weights = speeds
-			}
+			cfg.Weights = weights
 			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
 			if err != nil {
 				return fig, err
 			}
-			wu := engine.WorkUnits(res.Stats)
-			times := make([]float64, len(wu))
-			for i := range wu {
-				times[i] = wu[i] / speeds[i]
+			times := engine.WorkUnits(res.Stats)
+			for r := range times {
+				times[r] /= speeds[r]
 			}
-			li := 100 * stats.LoadImbalance(times)
-			if useWeights {
-				weighted.X = append(weighted.X, float64(c.Rows))
-				weighted.Y = append(weighted.Y, li)
-			} else {
-				uniform.X = append(uniform.X, float64(c.Rows))
-				uniform.Y = append(uniform.Y, li)
-			}
+			series[i].X = append(series[i].X, float64(c.Rows))
+			series[i].Y = append(series[i].Y, 100*stats.LoadImbalance(times))
 		}
 	}
-	fig.Series = []Series{uniform, weighted}
+	fig.Series = series
 	fig.Notes = append(fig.Notes,
 		"future-work feature (§VIII): peptide shares proportional to machine speed")
 	return fig, nil
@@ -179,11 +130,8 @@ var Figures = []struct {
 	{"6", Fig6},
 	{"7", Fig7},
 	{"8", Fig8},
-	{"9", Fig9},
-	{"10", Fig10},
 	{"11", Fig11},
 	{"grouping", AblationGrouping},
-	{"transport", AblationTransport},
 	{"hetero", AblationHeterogeneous},
 	{"filtration", FiltrationComparison},
 	// Kept beside the paper's figures because no benchmark/ workload

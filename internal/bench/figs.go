@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"lbe/internal/core"
 	"lbe/internal/engine"
@@ -50,7 +49,7 @@ func DefaultOptions() Options {
 // spectra.
 var paperSizesM = []float64{18, 30, 41, 49.45}
 
-// sizeRows converts a paper size notch to a row target under opts.Scale.
+// sizeRows converts a paper size notch to a row target under o.Scale.
 func (o Options) sizeRows(sizeM float64) int {
 	rows := int(sizeM * 1e6 * o.Scale)
 	if rows < 200 {
@@ -71,7 +70,7 @@ func engineConfig() engine.Config {
 
 func modConfig() mods.Config { return engineConfig().Params.Mods }
 
-// corpusAt builds (and caches per call site) the corpus for a size notch.
+// corpusAt builds the corpus for a size notch.
 func (o Options) corpusAt(sizeM float64) (Corpus, error) {
 	return SizedCorpus(o.sizeRows(sizeM), o.Queries, o.Seed, modConfig())
 }
@@ -135,6 +134,51 @@ func Fig5(o Options) (Figure, error) {
 	return fig, nil
 }
 
+// run is one distributed search of a sweep: a shard count and the
+// configuration to partition and search with.
+type run struct {
+	shards int
+	cfg    engine.Config
+}
+
+// workSweep performs every run at every paper size notch and returns each
+// notch's index rows and each run's per-rank work units, indexed
+// [notch][run]: the deterministic accounting Figs. 6-8 and 11 are
+// computed from.
+func (o Options) workSweep(runs []run) (rows []float64, work [][][]float64, err error) {
+	for _, sizeM := range paperSizesM {
+		c, err := o.corpusAt(sizeM)
+		if err != nil {
+			return nil, nil, err
+		}
+		notch := make([][]float64, len(runs))
+		for i, r := range runs {
+			res, err := o.partitioned(r.shards, c.Peptides, c.Queries, r.cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			notch[i] = engine.WorkUnits(res.Stats)
+		}
+		rows = append(rows, float64(c.Rows))
+		work = append(work, notch)
+	}
+	return rows, work, nil
+}
+
+// paperPolicies are the three distribution policies Figs. 6 and 11 compare.
+var paperPolicies = []core.Policy{core.Chunk, core.Cyclic, core.Random}
+
+// policySweep runs each paper policy o.Ranks-way at every notch.
+func (o Options) policySweep() (rows []float64, work [][][]float64, err error) {
+	runs := make([]run, len(paperPolicies))
+	for i, p := range paperPolicies {
+		runs[i] = run{shards: o.Ranks, cfg: engineConfig()}
+		runs[i].cfg.Policy = p
+		runs[i].cfg.Seed = int64(o.Seed)
+	}
+	return o.workSweep(runs)
+}
+
 // Fig6 reproduces the normalized load-imbalance comparison across the
 // three distribution policies for growing index size at o.Ranks
 // partitions. LI is computed from deterministic per-rank work units.
@@ -145,179 +189,99 @@ func Fig6(o Options) (Figure, error) {
 		XLabel: "index size (rows)",
 		YLabel: "LI %",
 	}
-	policies := []core.Policy{core.Chunk, core.Cyclic, core.Random}
-	series := make([]Series, len(policies))
-	for i, p := range policies {
-		series[i] = Series{Label: p.String()}
+	rows, work, err := o.policySweep()
+	if err != nil {
+		return fig, err
 	}
-	for _, sizeM := range paperSizesM {
-		c, err := o.corpusAt(sizeM)
-		if err != nil {
-			return fig, err
+	for i, p := range paperPolicies {
+		s := Series{Label: p.String(), X: rows}
+		for _, notch := range work {
+			s.Y = append(s.Y, 100*stats.LoadImbalance(notch[i]))
 		}
-		for i, policy := range policies {
-			cfg := engineConfig()
-			cfg.Policy = policy
-			cfg.Seed = int64(o.Seed)
-			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
-			if err != nil {
-				return fig, err
-			}
-			li := stats.LoadImbalance(engine.WorkUnits(res.Stats))
-			series[i].X = append(series[i].X, float64(c.Rows))
-			series[i].Y = append(series[i].Y, 100*li)
-		}
+		fig.Series = append(fig.Series, s)
 	}
-	fig.Series = series
 	fig.Notes = append(fig.Notes,
 		"paper: chunk ~120%, cyclic and random <= 20%; shape criterion is chunk >> cyclic/random")
 	return fig, nil
 }
 
-// scalabilityRuns performs the shared sweep behind Figs. 7-10: for each
-// index size and each rank count, one cyclic-policy distributed run, plus
-// one serial run per size for model calibration.
-type scalabilityRun struct {
-	sizeM     float64
-	rows      int
-	queryTime []float64 // per RankSweep entry, seconds (modeled)
-	execTime  []float64
-}
-
-func (o Options) scalability() ([]scalabilityRun, error) {
-	var out []scalabilityRun
-	for _, sizeM := range paperSizesM {
-		c, err := o.corpusAt(sizeM)
-		if err != nil {
-			return nil, err
-		}
-		cfg := engineConfig()
-		serial, err := engine.RunSerial(c.Peptides, c.Queries, cfg)
-		if err != nil {
-			return nil, err
-		}
-		model := Calibrate(serial)
-
-		// The replicated serial LBE preprocessing, timed once without any
-		// competing rank goroutines; this is the Amdahl serial fraction.
-		serialStart := time.Now()
-		grouping, err := core.Group(c.Peptides, cfg.Group)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := core.PartitionClustered(grouping, o.Ranks, cfg.Policy, cfg.Seed); err != nil {
-			return nil, err
-		}
-		serialSeconds := time.Since(serialStart).Seconds()
-
-		run := scalabilityRun{sizeM: sizeM, rows: c.Rows}
-		for _, p := range o.RankSweep {
-			res, err := o.partitioned(p, c.Peptides, c.Queries, cfg)
-			if err != nil {
-				return nil, err
-			}
-			run.queryTime = append(run.queryTime, model.QueryTime(res))
-			run.execTime = append(run.execTime, model.ExecutionTime(res, serialSeconds))
-		}
-		out = append(out, run)
+// scalability is the sweep behind Figs. 7 and 8: at every notch, one
+// cyclic-policy run per o.RankSweep entry, reduced to its slowest rank's
+// work in million units — the distributed query phase ends when that
+// rank does — indexed [notch][rank count].
+func (o Options) scalability() ([][]float64, error) {
+	runs := make([]run, len(o.RankSweep))
+	for i, p := range o.RankSweep {
+		runs[i] = run{shards: p, cfg: engineConfig()}
 	}
-	return out, nil
-}
-
-func (o Options) sizeLabel(sizeM float64) string {
-	return fmt.Sprintf("%gM-scaled", sizeM)
+	_, work, err := o.workSweep(runs)
+	if err != nil {
+		return nil, err
+	}
+	slowest := make([][]float64, len(work))
+	for n, notch := range work {
+		for _, w := range notch {
+			slowest[n] = append(slowest[n], stats.Max(w)/1e6)
+		}
+	}
+	return slowest, nil
 }
 
 // Fig7 reproduces query time vs number of ranks for each index size
-// (cyclic policy).
+// (cyclic policy), as the slowest rank's work: the rate that would turn
+// it into seconds is one constant per machine, so the curves' shape is
+// the paper's.
 func Fig7(o Options) (Figure, error) {
-	runs, err := o.scalability()
+	fig := Figure{ID: "fig7", Title: "Query work vs CPUs (cyclic policy)",
+		XLabel: "ranks (CPUs)", YLabel: "slowest rank's work (M units)"}
+	slowest, err := o.scalability()
 	if err != nil {
-		return Figure{}, err
+		return fig, err
 	}
-	return o.timeFigure("fig7", "Query time vs CPUs (cyclic policy)", "query time (s)", runs, false), nil
-}
-
-// Fig9 reproduces total execution time vs number of ranks.
-func Fig9(o Options) (Figure, error) {
-	runs, err := o.scalability()
-	if err != nil {
-		return Figure{}, err
+	for n, work := range slowest {
+		fig.Series = append(fig.Series, Series{Label: sizeLabel(n), X: o.sweepX(), Y: work})
 	}
-	return o.timeFigure("fig9", "Execution time vs CPUs (cyclic policy)", "execution time (s)", runs, true), nil
-}
-
-func (o Options) timeFigure(id, title, ylabel string, runs []scalabilityRun, exec bool) Figure {
-	fig := Figure{ID: id, Title: title, XLabel: "ranks (CPUs)", YLabel: ylabel}
-	for _, run := range runs {
-		s := Series{Label: o.sizeLabel(run.sizeM)}
-		times := run.queryTime
-		if exec {
-			times = run.execTime
-		}
-		for i, p := range o.RankSweep {
-			s.X = append(s.X, float64(p))
-			s.Y = append(s.Y, times[i])
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	return fig, nil
 }
 
 // Fig8 reproduces the query-time speedup (near-linear in the paper). The
 // base case follows the paper: the smallest rank count is assumed to run
 // at ideal efficiency.
 func Fig8(o Options) (Figure, error) {
-	runs, err := o.scalability()
+	fig := Figure{ID: "fig8", Title: "Query speedup vs CPUs (cyclic policy)",
+		XLabel: "ranks (CPUs)", YLabel: "speedup"}
+	slowest, err := o.scalability()
 	if err != nil {
-		return Figure{}, err
+		return fig, err
 	}
-	return o.speedupFigure("fig8", "Query speedup vs CPUs (cyclic policy)", runs, false), nil
-}
-
-// Fig10 reproduces the total-execution speedup, which saturates per
-// Amdahl's law because grouping/partitioning are replicated serial work.
-func Fig10(o Options) (Figure, error) {
-	runs, err := o.scalability()
-	if err != nil {
-		return Figure{}, err
-	}
-	return o.speedupFigure("fig10", "Execution speedup vs CPUs (cyclic policy)", runs, true), nil
-}
-
-func (o Options) speedupFigure(id, title string, runs []scalabilityRun, exec bool) Figure {
-	fig := Figure{ID: id, Title: title, XLabel: "ranks (CPUs)", YLabel: "speedup"}
-	ideal := Series{Label: "ideal"}
-	for _, p := range o.RankSweep {
-		ideal.X = append(ideal.X, float64(p))
-		ideal.Y = append(ideal.Y, float64(p))
-	}
-	fig.Series = append(fig.Series, ideal)
-	for _, run := range runs {
-		s := Series{Label: o.sizeLabel(run.sizeM)}
-		times := run.queryTime
-		if exec {
-			times = run.execTime
-		}
-		base := times[0] * float64(o.RankSweep[0])
-		for i, p := range o.RankSweep {
-			s.X = append(s.X, float64(p))
-			if times[i] > 0 {
-				s.Y = append(s.Y, base/times[i])
-			} else {
-				s.Y = append(s.Y, 0)
+	fig.Series = append(fig.Series, Series{Label: "ideal", X: o.sweepX(), Y: o.sweepX()})
+	for n, work := range slowest {
+		s := Series{Label: sizeLabel(n), X: o.sweepX()}
+		base := work[0] * float64(o.RankSweep[0])
+		for _, w := range work {
+			sp := 0.0
+			if w > 0 {
+				sp = base / w
 			}
+			s.Y = append(s.Y, sp)
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	if exec {
-		fig.Notes = append(fig.Notes,
-			"paper: saturating (Amdahl); serial fraction = replicated grouping/partitioning")
-	} else {
-		fig.Notes = append(fig.Notes, "paper: near-linear")
-	}
-	return fig
+	fig.Notes = append(fig.Notes, "paper: near-linear")
+	return fig, nil
 }
+
+// sweepX returns o.RankSweep as a figure axis.
+func (o Options) sweepX() []float64 {
+	xs := make([]float64, len(o.RankSweep))
+	for i, p := range o.RankSweep {
+		xs[i] = float64(p)
+	}
+	return xs
+}
+
+// sizeLabel names the n-th paper size notch.
+func sizeLabel(n int) string { return fmt.Sprintf("%gM-scaled", paperSizesM[n]) }
 
 // Fig11 reproduces the CPU-time speedup of LBE partitioning over the
 // conventional chunk baseline: the ratio of wasted CPU time
@@ -329,39 +293,23 @@ func Fig11(o Options) (Figure, error) {
 		XLabel: "index size (rows)",
 		YLabel: "speedup",
 	}
-	policies := []core.Policy{core.Chunk, core.Cyclic, core.Random}
-	series := make([]Series, len(policies))
-	for i, p := range policies {
-		series[i] = Series{Label: p.String()}
+	rows, work, err := o.policySweep()
+	if err != nil {
+		return fig, err
 	}
-	var avg [3]float64
-	for _, sizeM := range paperSizesM {
-		c, err := o.corpusAt(sizeM)
-		if err != nil {
-			return fig, err
-		}
-		var wasted [3]float64
-		for i, policy := range policies {
-			cfg := engineConfig()
-			cfg.Policy = policy
-			cfg.Seed = int64(o.Seed)
-			res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
-			if err != nil {
-				return fig, err
-			}
-			wasted[i] = stats.WastedCPUTime(engine.WorkUnits(res.Stats))
-		}
-		for i := range policies {
+	avg := make([]float64, len(paperPolicies))
+	for i, p := range paperPolicies {
+		s := Series{Label: p.String(), X: rows}
+		for _, notch := range work {
 			sp := 0.0
-			if wasted[i] > 0 {
-				sp = wasted[0] / wasted[i]
+			if wasted := stats.WastedCPUTime(notch[i]); wasted > 0 {
+				sp = stats.WastedCPUTime(notch[0]) / wasted
 			}
-			series[i].X = append(series[i].X, float64(c.Rows))
-			series[i].Y = append(series[i].Y, sp)
+			s.Y = append(s.Y, sp)
 			avg[i] += sp / float64(len(paperSizesM))
 		}
+		fig.Series = append(fig.Series, s)
 	}
-	fig.Series = series
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"average speedup over chunk: cyclic %.1fx, random %.1fx (paper: ~8.6x and ~7.5x)",
 		avg[1], avg[2]))
@@ -381,14 +329,10 @@ func SetupStats(o Options) (Figure, error) {
 	if err != nil {
 		return fig, err
 	}
-	cfg := engineConfig()
-	cfg.TopK = 10
-	start := time.Now()
-	res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, cfg)
+	res, err := o.partitioned(o.Ranks, c.Peptides, c.Queries, engineConfig())
 	if err != nil {
 		return fig, err
 	}
-	wall := time.Since(start).Seconds()
 
 	hit := 0
 	for q := range c.Queries {
@@ -413,7 +357,6 @@ func SetupStats(o Options) (Figure, error) {
 	add("total cPSMs", float64(cpsms))
 	add("cPSMs per query", float64(cpsms)/float64(len(c.Queries)))
 	add("top-10 identification rate %", 100*float64(hit)/float64(len(c.Queries)))
-	add("wall time (s)", wall)
 	fig.Series = []Series{s}
 	return fig, nil
 }

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -14,9 +14,9 @@ type Series struct {
 }
 
 // Figure is a reproduced paper figure: axis metadata plus its curves.
-// The JSON encoding is the machine-readable BENCH_<id>.json artifact
-// lbe-bench writes next to the markdown, so perf trajectories can be
-// tracked across commits without parsing tables.
+// Every figure is a pure function of its Options, so its JSON encoding
+// at DefaultOptions is committed as docs/figures/BENCH_<id>.json and
+// diffed by TestCommittedFigures.
 type Figure struct {
 	ID     string   `json:"id"` // e.g. "fig6"
 	Title  string   `json:"title"`
@@ -24,11 +24,16 @@ type Figure struct {
 	YLabel string   `json:"y_label"`
 	Series []Series `json:"series"`
 	Notes  []string `json:"notes,omitempty"`
+}
 
-	// Metrics are the figure's headline scalars (speedups, deltas) keyed
-	// by a stable snake_case name, for dashboards and CI assertions that
-	// should not scrape Notes prose.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+// JSON encodes the figure as its BENCH_<id>.json file: the bytes
+// lbe-bench -json writes and TestCommittedFigures compares.
+func (f Figure) JSON() ([]byte, error) {
+	doc, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(doc, '\n'), nil
 }
 
 // Markdown renders the figure as a markdown table with one column per
@@ -73,16 +78,6 @@ func (f Figure) Markdown() string {
 	}
 	for _, n := range f.Notes {
 		fmt.Fprintf(&sb, "\n> %s\n", n)
-	}
-	if len(f.Metrics) > 0 {
-		keys := make([]string, 0, len(f.Metrics))
-		for k := range f.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "\n> %s = %s\n", k, trimFloat(f.Metrics[k]))
-		}
 	}
 	return sb.String()
 }

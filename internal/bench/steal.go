@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"lbe/internal/core"
-	"lbe/internal/engine"
 	"lbe/internal/sched"
 	"lbe/internal/slm"
 	"lbe/internal/spectrum"
@@ -23,12 +19,9 @@ import (
 // grind (the intra-node re-run of the paper's Fig. 6 chunk-policy skew).
 //
 // Both schedules are replayed deterministically in virtual time over
-// measured per-chunk work units (sched.Estimate), converted to batch
-// throughput through a rate calibrated from a real serial pass — the same
-// CostModel methodology as the scalability figures, since wall clock on a
-// small container cannot express 8-way parallelism. A real measured run
-// of each schedule at the machine's own core count is reported in the
-// notes alongside the model.
+// counted per-chunk work units (sched.Estimate); throughput is queries
+// per million work units of makespan, so the figure needs no clock and
+// no more cores than the machine has.
 func Steal(o Options) (Figure, error) {
 	const shards = 8
 	workerSweep := []int{1, 2, 4, 8}
@@ -37,7 +30,7 @@ func Steal(o Options) (Figure, error) {
 		ID:     "steal",
 		Title:  fmt.Sprintf("Work-stealing vs static scheduling, %d skewed shards", shards),
 		XLabel: "scheduler workers",
-		YLabel: "batch throughput (queries/s, modeled)",
+		YLabel: "batch throughput (queries per M units of makespan)",
 	}
 	c, err := o.corpusAt(paperSizesM[1])
 	if err != nil {
@@ -60,13 +53,10 @@ func Steal(o Options) (Figure, error) {
 		return fig, err
 	}
 
-	// Build the shard indexes and measure the deterministic work of every
-	// (shard, query) cell with one serial pass, which doubles as the rate
-	// calibration (work units per second on this machine).
+	// Build the shard indexes and count the work of every (shard, query)
+	// cell with one serial pass.
 	qs := spectrum.PreprocessAll(c.Queries, cfg.Params.MaxQueryPeaks)
 	perQuery := make([][]int64, shards)
-	var totalWork int64
-	serialStart := time.Now()
 	for m := 0; m < shards; m++ {
 		mine := partition.GlobalIndices(grouping, m)
 		local := make([]string, len(mine))
@@ -82,13 +72,7 @@ func Steal(o Options) (Figure, error) {
 		for q := range qs {
 			_, w := ix.Search(qs[q], 0, &scratch)
 			perQuery[m][q] = w.IonHits + w.Scored
-			totalWork += perQuery[m][q]
 		}
-	}
-	serialSeconds := time.Since(serialStart).Seconds()
-	rate := float64(totalWork) / serialSeconds // work units per second
-	if rate <= 0 {
-		return fig, fmt.Errorf("bench: steal: degenerate calibration rate")
 	}
 
 	// Shard skew in the figure's own currency.
@@ -116,59 +100,17 @@ func Steal(o Options) (Figure, error) {
 			return fig, fmt.Errorf("bench: steal: empty makespan at %d workers", w)
 		}
 		static.X = append(static.X, float64(w))
-		static.Y = append(static.Y, float64(len(qs))*rate/float64(ms))
+		static.Y = append(static.Y, float64(len(qs))*1e6/float64(ms))
 		stealing.X = append(stealing.X, float64(w))
-		stealing.Y = append(stealing.Y, float64(len(qs))*rate/float64(mw))
+		stealing.Y = append(stealing.Y, float64(len(qs))*1e6/float64(mw))
 		ratioAtMax = float64(ms) / float64(mw)
 	}
 	fig.Series = []Series{static, stealing}
-	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"shard work skew: max/avg = %.2f (chunk partition over length-sorted peptides); "+
-			"modeled via sched.Estimate over measured per-chunk work units at %.0f units/s",
-		maxShard/avgShard, rate))
-	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"stealing vs static batch throughput at %d workers: %.2fx (acceptance floor 1.2x)",
-		workerSweep[len(workerSweep)-1], ratioAtMax))
-
-	// One real measured pair at the machine's own width, so the model is
-	// anchored to an actual run (on few-core containers the two coincide).
-	measured, err := measuredStealPair(o.ctx(), peptides, c.Queries, cfg, shards)
-	if err != nil {
-		return fig, err
-	}
-	fig.Notes = append(fig.Notes, measured)
+	fig.Notes = append(fig.Notes,
+		fmt.Sprintf("shard work skew: max/avg = %.2f (chunk partition over length-sorted peptides)",
+			maxShard/avgShard),
+		"both schedules replayed by sched.Estimate over counted per-chunk work units",
+		fmt.Sprintf("stealing vs static batch throughput at %d workers: %.2fx (acceptance floor 1.2x)",
+			workerSweep[len(workerSweep)-1], ratioAtMax))
 	return fig, nil
-}
-
-// measuredStealPair runs the real engine once per schedule at
-// GOMAXPROCS workers and reports wall time and steal counts.
-func measuredStealPair(ctx context.Context, peptides []string, queries []spectrum.Experimental, cfg engine.Config, shards int) (string, error) {
-	workers := runtime.GOMAXPROCS(0)
-	var walls [2]float64
-	var steals int64
-	for i, stealingMode := range []bool{false, true} {
-		scfg := engine.SessionConfig{Config: cfg, Shards: shards}
-		scfg.Policy = core.Chunk
-		scfg.RawOrder = true
-		scfg.ThreadsPerRank = workers
-		scfg.Stealing = stealingMode
-		sess, err := engine.NewSession(peptides, scfg)
-		if err != nil {
-			return "", err
-		}
-		start := time.Now()
-		if _, err := sess.Search(ctx, queries); err != nil {
-			sess.Close()
-			return "", err
-		}
-		walls[i] = time.Since(start).Seconds() * 1e3
-		if stealingMode {
-			steals = sess.SchedulerStats().Steals
-		}
-		sess.Close()
-	}
-	return fmt.Sprintf(
-		"measured on this machine (%d cores): static %.1fms, stealing %.1fms, %d steals — "+
-			"wall comparison needs as many cores as workers; the modeled series is the portable figure",
-		workers, walls[0], walls[1], steals), nil
 }

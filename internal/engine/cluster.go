@@ -22,8 +22,8 @@ func RunInProcess(ctx context.Context, p int, peptides []string, queries []spect
 }
 
 // RunOverTCP runs the same search with the p ranks connected through real
-// loopback TCP links, demonstrating wire-level operation; used by the
-// transport ablation. Cancellation behaves as in RunInProcess.
+// loopback TCP links, demonstrating wire-level operation (lbe-search
+// -tcp). Cancellation behaves as in RunInProcess.
 func RunOverTCP(ctx context.Context, p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
 	comms, err := mpi.NewTCPCluster(p)
 	if err != nil {

@@ -282,10 +282,10 @@ func MergeSorted[E any](dst []E, lists [][]E, k int, cmp func(a, b E) int) []E {
 func RunSerial(peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
 	start := time.Now()
 	buildStart := time.Now()
-	// The baseline is serial end to end — including construction — so its
-	// BuildNanos stays meaningful as the calibration input of the
-	// execution-time model (internal/bench). The parallel build is proven
-	// byte-identical, so results are unaffected either way.
+	// The baseline is serial end to end — including construction — so it
+	// stays the independent reference the parallel paths are checked
+	// against: it shares no build workers with them, and the parallel
+	// build is proven byte-identical to this one.
 	ix, err := slm.BuildSerial(peptides, cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("engine: serial build: %w", err)

@@ -1,12 +1,11 @@
 package sched
 
 // Deterministic schedule estimation. Wall-clock comparisons of the static
-// and stealing schedules need as many real cores as workers, which the
-// containers this reproduction runs on rarely have; the bench figures
-// therefore replay both schedules in virtual time over deterministic
-// per-chunk work units (the repo's CostModel convention: work over a
-// calibrated rate stands in for wall time, and load-balance effects are
-// preserved exactly). The replay shares the real executor's dealing and
+// and stealing schedules need as many real cores as workers, which small
+// machines rarely have; the bench figures therefore replay both schedules
+// in virtual time over deterministic per-chunk work units, so a makespan
+// is counted work rather than seconds and load-balance effects are
+// preserved exactly. The replay shares the real executor's dealing and
 // stealing rules, so it is the algorithm itself being evaluated — only
 // the nondeterministic OS interleaving is idealized away: each virtual
 // worker acts the moment its clock frees, i.e. dedicated-core execution.

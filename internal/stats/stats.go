@@ -1,12 +1,7 @@
-// Package stats computes the performance metrics of the paper's
-// evaluation: the normalized load imbalance of Eq. 1, the wasted-CPU-time
-// model of §VI, and speedup/efficiency series for the scalability figures.
+// Package stats computes the load-balance metrics of the paper's
+// evaluation: the normalized load imbalance of Eq. 1 and the
+// wasted-CPU-time model of §VI.
 package stats
-
-import (
-	"fmt"
-	"math"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -34,34 +29,24 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// LoadImbalance computes Eq. 1 of the paper: LI = ∆Tmax / Tavg, where
-// ∆Tmax is the maximum positive deviation of a machine's compute time from
-// the average. It returns 0 for empty input or zero average (an idle
-// system is balanced).
-func LoadImbalance(times []float64) float64 {
-	avg := Mean(times)
-	if avg == 0 {
-		return 0
-	}
-	dmax := 0.0
+// maxDeviation returns ∆Tmax, the largest positive deviation of a
+// machine's compute time from the average, and that average.
+func maxDeviation(times []float64) (dmax, avg float64) {
+	avg = Mean(times)
 	for _, t := range times {
 		if d := t - avg; d > dmax {
 			dmax = d
 		}
+	}
+	return dmax, avg
+}
+
+// LoadImbalance computes Eq. 1 of the paper: LI = ∆Tmax / Tavg. It
+// returns 0 for empty input or zero average (an idle system is balanced).
+func LoadImbalance(times []float64) float64 {
+	dmax, avg := maxDeviation(times)
+	if avg == 0 {
+		return 0
 	}
 	return dmax / avg
 }
@@ -69,65 +54,6 @@ func LoadImbalance(times []float64) float64 {
 // WastedCPUTime computes the §VI model: Twst = N * ∆Tmax, the total CPU
 // time the system spends idle waiting for the slowest machine.
 func WastedCPUTime(times []float64) float64 {
-	n := float64(len(times))
-	avg := Mean(times)
-	dmax := 0.0
-	for _, t := range times {
-		if d := t - avg; d > dmax {
-			dmax = d
-		}
-	}
-	return n * dmax
-}
-
-// Speedup returns base/t for each t in times; base is the measured time at
-// the reference configuration. Zero times map to NaN.
-func Speedup(base float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t == 0 {
-			out[i] = math.NaN()
-		} else {
-			out[i] = base / t
-		}
-	}
-	return out
-}
-
-// Efficiency converts a speedup series into parallel efficiency given the
-// CPU counts used per point: eff = speedup/(cpus/baseCPUs).
-func Efficiency(speedups []float64, cpus []int, baseCPUs int) ([]float64, error) {
-	if len(speedups) != len(cpus) {
-		return nil, fmt.Errorf("stats: %d speedups vs %d cpu counts", len(speedups), len(cpus))
-	}
-	if baseCPUs <= 0 {
-		return nil, fmt.Errorf("stats: base CPU count %d must be positive", baseCPUs)
-	}
-	out := make([]float64, len(speedups))
-	for i := range speedups {
-		scale := float64(cpus[i]) / float64(baseCPUs)
-		if scale == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = speedups[i] / scale
-	}
-	return out, nil
-}
-
-// AmdahlSpeedup returns the ideal speedup of a workload with serial
-// fraction s on n processors: 1 / (s + (1-s)/n). Used by the Fig. 10
-// analysis to fit the observed saturation.
-func AmdahlSpeedup(serialFraction float64, n int) float64 {
-	return 1 / (serialFraction + (1-serialFraction)/float64(n))
-}
-
-// FitSerialFraction estimates the serial fraction from a measured speedup
-// at n processors by inverting Amdahl's law.
-func FitSerialFraction(speedup float64, n int) float64 {
-	if n <= 1 || speedup <= 0 {
-		return 1
-	}
-	fn := float64(n)
-	return (fn/speedup - 1) / (fn - 1)
+	dmax, _ := maxDeviation(times)
+	return float64(len(times)) * dmax
 }

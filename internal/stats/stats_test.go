@@ -8,15 +8,15 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeanMaxMin(t *testing.T) {
+func TestMeanMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if !approx(Mean(xs), 2.8) {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if Max(xs) != 5 || Min(xs) != 1 {
-		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
+	if Max(xs) != 5 {
+		t.Errorf("Max = %v", Max(xs))
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-slice conventions broken")
 	}
 }
@@ -84,65 +84,5 @@ func TestWastedCPUTimeEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	s := Speedup(100, []float64{100, 50, 25, 0})
-	if !approx(s[0], 1) || !approx(s[1], 2) || !approx(s[2], 4) {
-		t.Errorf("speedups = %v", s)
-	}
-	if !math.IsNaN(s[3]) {
-		t.Error("zero time must map to NaN")
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	eff, err := Efficiency([]float64{1, 1.9, 3.6}, []int{4, 8, 16}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(eff[0], 1) || !approx(eff[1], 0.95) || !approx(eff[2], 0.9) {
-		t.Errorf("efficiency = %v", eff)
-	}
-	if _, err := Efficiency([]float64{1}, []int{1, 2}, 1); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := Efficiency([]float64{1}, []int{1}, 0); err == nil {
-		t.Error("zero base CPUs must fail")
-	}
-}
-
-func TestAmdahl(t *testing.T) {
-	// No serial part: perfect scaling.
-	if !approx(AmdahlSpeedup(0, 16), 16) {
-		t.Errorf("Amdahl(0,16) = %v", AmdahlSpeedup(0, 16))
-	}
-	// Fully serial: no scaling.
-	if !approx(AmdahlSpeedup(1, 16), 1) {
-		t.Errorf("Amdahl(1,16) = %v", AmdahlSpeedup(1, 16))
-	}
-	// 10% serial at 16 CPUs: 1/(0.1 + 0.9/16) ≈ 6.4.
-	if got := AmdahlSpeedup(0.1, 16); math.Abs(got-6.4) > 0.01 {
-		t.Errorf("Amdahl(0.1,16) = %v", got)
-	}
-}
-
-func TestFitSerialFractionRoundTrip(t *testing.T) {
-	f := func(sRaw, nRaw uint8) bool {
-		s := float64(sRaw%100) / 100
-		n := int(nRaw%30) + 2
-		sp := AmdahlSpeedup(s, n)
-		got := FitSerialFraction(sp, n)
-		return math.Abs(got-s) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if FitSerialFraction(5, 1) != 1 {
-		t.Error("n=1 convention broken")
-	}
-	if FitSerialFraction(0, 4) != 1 {
-		t.Error("zero speedup convention broken")
 	}
 }
