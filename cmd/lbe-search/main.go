@@ -11,13 +11,11 @@
 //	lbe-search -db peptides.fasta -ms2 run.ms2 -ranks 16 -policy cyclic -out psms.tsv
 //	lbe-search -index store -ms2 run.ms2 -out psms.tsv
 //
-// The -tcp flag runs the same search as a virtual cluster over loopback
-// TCP links instead of the in-process Session, and -serial runs the
-// single-index shared-memory baseline. With -index the session is
-// warm-started from a persistent store written by lbe-index -out
-// instead of rebuilt from FASTA; the store fixes the database-shape
-// knobs and nothing else: -threads, -batch, -chunk and -steal mean the
-// same as on a fresh build.
+// The -serial flag runs the single-index shared-memory baseline instead
+// of the Session. With -index the session is warm-started from a
+// persistent store written by lbe-index -out instead of rebuilt from
+// FASTA; the store fixes the database-shape knobs and nothing else:
+// -threads, -batch, -chunk and -steal mean the same as on a fresh build.
 package main
 
 import (
@@ -54,7 +52,6 @@ func main() {
 		topK    = flag.Int("topk", 5, "PSMs reported per query")
 		maxMods = flag.Int("max-mods", cliutil.DefaultMaxMods, "max modified residues per peptide")
 		serial  = flag.Bool("serial", false, "run the shared-memory baseline instead")
-		tcp     = flag.Bool("tcp", false, "connect ranks over loopback TCP instead of a Session")
 		threads = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
 		batch   = flag.Int("batch", 256, "queries per engine batch (0 = one batch)")
 		chunk   = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
@@ -71,7 +68,7 @@ func main() {
 		// The store fixes everything that shapes the built database;
 		// combining it with build-time flags (or the rebuild-only modes)
 		// would silently ignore them.
-		if bad := cliutil.ExplicitlySet("db", "serial", "tcp", "fdr", "fdr-threshold",
+		if bad := cliutil.ExplicitlySet("db", "serial", "fdr", "fdr-threshold",
 			"ranks", "policy", "seed", "max-mods", "topk", "weights"); len(bad) > 0 {
 			log.Fatalf("-%s cannot be combined with -index: the store fixes it", bad[0])
 		}
@@ -160,8 +157,6 @@ func main() {
 	switch {
 	case *serial:
 		res, err = lbe.RunSerial(peptides, queries, cfg)
-	case *tcp:
-		res, err = lbe.RunOverTCP(ctx, *ranks, peptides, queries, cfg)
 	case sess != nil: // warm-started from -index
 		res, err = sess.Search(ctx, queries)
 	default:

@@ -141,8 +141,9 @@ var Figures = []struct {
 	{"steal", Steal},
 }
 
-// All runs every experiment in Figures order.
+// All runs every experiment in Figures order, each shared sweep once.
 func All(o Options) ([]Figure, error) {
+	o.shared = &sweeps{}
 	var figs []Figure
 	for _, r := range Figures {
 		f, err := r.Run(o)

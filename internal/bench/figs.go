@@ -23,6 +23,16 @@ type Options struct {
 	// Ctx cancels long figure runs mid-flight (lbe-bench threads a
 	// signal-cancelled root); nil falls back to an uncancellable run.
 	Ctx context.Context
+
+	shared *sweeps // set by All; nil runs every sweep afresh
+}
+
+// sweeps keeps the sweeps two figures each read — policySweep for Figs. 6
+// and 11, scalability for Figs. 7 and 8 — so All runs each one once.
+type sweeps struct {
+	policyRows []float64
+	policyWork [][][]float64
+	slowest    [][]float64
 }
 
 // ctx returns the run's cancellation context.
@@ -170,13 +180,20 @@ var paperPolicies = []core.Policy{core.Chunk, core.Cyclic, core.Random}
 
 // policySweep runs each paper policy o.Ranks-way at every notch.
 func (o Options) policySweep() (rows []float64, work [][][]float64, err error) {
+	if o.shared != nil && o.shared.policyWork != nil {
+		return o.shared.policyRows, o.shared.policyWork, nil
+	}
 	runs := make([]run, len(paperPolicies))
 	for i, p := range paperPolicies {
 		runs[i] = run{shards: o.Ranks, cfg: engineConfig()}
 		runs[i].cfg.Policy = p
 		runs[i].cfg.Seed = int64(o.Seed)
 	}
-	return o.workSweep(runs)
+	rows, work, err = o.workSweep(runs)
+	if err == nil && o.shared != nil {
+		o.shared.policyRows, o.shared.policyWork = rows, work
+	}
+	return rows, work, err
 }
 
 // Fig6 reproduces the normalized load-imbalance comparison across the
@@ -210,6 +227,9 @@ func Fig6(o Options) (Figure, error) {
 // work in million units — the distributed query phase ends when that
 // rank does — indexed [notch][rank count].
 func (o Options) scalability() ([][]float64, error) {
+	if o.shared != nil && o.shared.slowest != nil {
+		return o.shared.slowest, nil
+	}
 	runs := make([]run, len(o.RankSweep))
 	for i, p := range o.RankSweep {
 		runs[i] = run{shards: p, cfg: engineConfig()}
@@ -223,6 +243,9 @@ func (o Options) scalability() ([][]float64, error) {
 		for _, w := range notch {
 			slowest[n] = append(slowest[n], stats.Max(w)/1e6)
 		}
+	}
+	if o.shared != nil {
+		o.shared.slowest = slowest
 	}
 	return slowest, nil
 }

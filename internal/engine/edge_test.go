@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"lbe/internal/core"
@@ -13,7 +12,7 @@ import (
 func TestEmptyQueries(t *testing.T) {
 	peptides, _, _ := testDataset(t, 4, 1, 0)
 	cfg := lightConfig()
-	res, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
+	res, err := searchShards(3, peptides, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestEmptyQueries(t *testing.T) {
 func TestEmptyDatabase(t *testing.T) {
 	_, queries, _ := testDataset(t, 4, 1, 5)
 	cfg := lightConfig()
-	res, err := RunInProcess(context.Background(), 2, nil, queries, cfg)
+	res, err := searchShards(2, nil, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,23 +48,23 @@ func TestEmptyDatabase(t *testing.T) {
 	}
 }
 
-// TestInvalidConfigFailsAllPolicies: a broken grouping config must fail
-// the run, not hang the cluster.
+// TestInvalidConfigFails: a broken grouping config, index parameter or
+// policy fails the session build.
 func TestInvalidConfigFails(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 4, 1, 3)
 	cfg := lightConfig()
 	cfg.Group = core.GroupConfig{GroupSize: 0}
-	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
+	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
 		t.Error("invalid grouping config must fail")
 	}
 	cfg = lightConfig()
 	cfg.Params.Resolution = -1
-	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
+	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
 		t.Error("invalid index params must fail")
 	}
 	cfg = lightConfig()
 	cfg.Policy = core.Policy(99)
-	if _, err := RunInProcess(context.Background(), 3, peptides, queries, cfg); err == nil {
+	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
 		t.Error("unknown policy must fail")
 	}
 }

@@ -7,19 +7,16 @@
 // Every run mode is built on one function, Session.searchBatch
 // (session.go): preprocess → search on the scheduler pool → merge through
 // the mapping table, for one batch of queries, on the caller's goroutine.
-// Session.Search loops it over a query set in Schedule.BatchSize slices;
-// RunRank puts a one-shard Session behind a communicator and runs the
-// same loop: a worker sends each merged batch to the master as it is
-// made, and the master runs its own loop, then takes the workers' batches
-// off the wire and merges each query's per-rank lists once (MergeSorted;
-// rank.go, cluster.go).
+// Session.Search loops it over a query set in Schedule.BatchSize slices.
+// The paper's p ranks are a p-shard Session in one process, or the
+// shard-sets of a p-shard store (Session.SavePartitioned), each a Session
+// in its own process, behind a scatter router that merges their lists
+// once per query (MergeSorted).
 //
-// The mapping table is applied where a partition is searched: a rank, like
-// a shard-set holder on the scatter path, maps its own matches through its
-// MappingTable.Subset and ships global peptide indices. The paper maps at
-// the master, which holds the whole table; here no process does, and
-// Result.MappingBytes is the per-rank subsets added up — the footprint of
-// that one table, so the memory figures read the same number either way.
+// The mapping table is applied where a partition is searched: a shard-set
+// holder maps its own matches through its MappingTable.Subset and ships
+// global peptide indices. The paper maps at the master, which holds the
+// whole table; a shard-set holder keeps only its own chunks of it.
 //
 // The same search can be run serially (RunSerial) as the correctness
 // reference and as the shared-memory baseline for the memory-footprint
@@ -57,7 +54,7 @@ type Shape struct {
 	// Weights gives relative machine speeds for heterogeneous clusters
 	// (§VIII's load-predicting model); peptide shares are proportional.
 	// Nil or empty means a symmetric cluster. When set, its length must
-	// equal the communicator size.
+	// equal the shard count.
 	Weights []float64 `json:",omitempty"`
 }
 
@@ -66,16 +63,14 @@ type Shape struct {
 // process sets its own (Session.SetSchedule) whatever built the index.
 type Schedule struct {
 	// ThreadsPerRank enables the hybrid "OpenMP within MPI" parallelism
-	// of the paper's future work (§VIII): each rank searches its query
+	// of the paper's future work (§VIII): a process searches its query
 	// batch with a pool of this many scheduler workers (internal/sched);
 	// 0 means one worker per core. The budget is per process: a Session
-	// shares it across every in-process shard, and the in-process cluster
-	// runners divide it among their ranks.
+	// shares it across every shard it holds.
 	ThreadsPerRank int
 	// BatchSize is how many queries of a set are preprocessed, searched and
-	// merged at a time (Session.searchBatch); a worker rank sends one
-	// message per batch. 0 makes the whole set one batch (one message per
-	// worker, the paper's description).
+	// merged at a time (Session.searchBatch). 0 makes the whole set one
+	// batch (the paper's description).
 	BatchSize int
 	// ChunkSize is the scheduler's task granularity: queries per chunk on
 	// the per-shard work deques. 0 auto-tunes from the observed work per
@@ -160,7 +155,7 @@ type PSM struct {
 	Shared    uint16  // shared-peak count
 	Score     float64 // match score
 	Precursor float64 // matched variant's neutral mass
-	Origin    int     // rank whose partition produced the match
+	Origin    int     // shard whose partition produced the match
 }
 
 // RankStats describes one rank's share of the run; the load-balance
@@ -201,17 +196,15 @@ type Result struct {
 	PSMs [][]PSM
 	// Stats holds one entry per rank.
 	Stats []RankStats
-	// MappingBytes is the mapping table footprint: the whole table in a
-	// Session, the per-rank subsets added up in a distributed run (the
-	// same number).
+	// MappingBytes is the footprint of the mapping table the searching
+	// session holds: the whole table, or a shard-set's own chunks of it.
 	MappingBytes int
 	// GroupingNanos, PartitionNanos cover the serial LBE preprocessing.
 	GroupingNanos  int64
 	PartitionNanos int64
-	// QueryNanos is the master-observed wall time of the distributed
-	// query phase (barrier to last result gathered).
+	// QueryNanos is the wall time of the query phase.
 	QueryNanos int64
-	// TotalNanos is the master-observed wall time of the whole run.
+	// TotalNanos is the wall time of the whole run.
 	TotalNanos int64
 	// Groups is the number of LBE groups formed.
 	Groups int
@@ -231,10 +224,10 @@ func (r *Result) CandidatePSMs() int64 {
 // Peptide ascending, then Precursor ascending, then Shared descending. It
 // reads only fields every path computes the same way (Origin is left
 // out), so a list sorted by it is identical whichever path produced it —
-// serial, session shards, a rank master's gather or the scatter router's
-// merge of rendered replies. PSMs that tie on all four keys are equal in
-// every field (a peptide lives in one shard, so Origin follows Peptide),
-// so no order among them is ever visible.
+// serial, session shards or the scatter router's merge of rendered
+// replies. PSMs that tie on all four keys are equal in every field (a
+// peptide lives in one shard, so Origin follows Peptide), so no order
+// among them is ever visible.
 func ComparePSM(a, b PSM) int {
 	if c := cmp.Compare(b.Score, a.Score); c != 0 {
 		return c
@@ -256,9 +249,9 @@ func sortPSMs(ms []PSM) { slices.SortFunc(ms, ComparePSM) }
 // order, and returns the extended slice. Ties go to the lower-indexed
 // list, so the result is what a stable sort of the lists' concatenation
 // cut to k would be, at one comparison per list per element taken. A
-// gather merges one list per rank or per shard-set, a handful, so a
-// linear scan of the heads beats a heap. The lists are consumed: on
-// return each lists[i] holds what was not taken.
+// gather merges one list per shard-set, a handful, so a linear scan of
+// the heads beats a heap. The lists are consumed: on return each
+// lists[i] holds what was not taken.
 func MergeSorted[E any](dst []E, lists [][]E, k int, cmp func(a, b E) int) []E {
 	for taken := 0; k <= 0 || taken < k; taken++ {
 		best := -1

@@ -48,6 +48,17 @@ func testDataset(t testing.TB, families, homologs, nspectra int) ([]string, []sp
 	return peptides, queries, truth
 }
 
+// searchShards builds a p-shard Session over peptides, searches queries
+// on it and closes it: the one-process form of the paper's p-rank run.
+func searchShards(p int, peptides []string, queries []spectrum.Experimental, cfg Config) (*Result, error) {
+	sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: p})
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.Search(context.Background(), queries)
+}
+
 // lightConfig keeps mod fan-out small so tests stay fast.
 func lightConfig() Config {
 	cfg := DefaultConfig()
@@ -62,7 +73,7 @@ func TestIdentificationRate(t *testing.T) {
 	peptides, queries, truth := testDataset(t, 10, 2, 80)
 	cfg := lightConfig()
 	cfg.TopK = 5
-	res, err := RunInProcess(context.Background(), 3, peptides, queries, cfg)
+	res, err := searchShards(3, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +96,7 @@ func TestPartitionStatsShape(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 20)
 	cfg := lightConfig()
 	const p = 4
-	res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
+	res, err := searchShards(p, peptides, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +135,7 @@ func TestCyclicBeatsChunkOnSkewedLoad(t *testing.T) {
 	li := map[core.Policy]float64{}
 	for _, policy := range []core.Policy{core.Chunk, core.Cyclic} {
 		cfg.Policy = policy
-		res, err := RunInProcess(context.Background(), p, peptides, queries, cfg)
+		res, err := searchShards(p, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"lbe/internal/core"
@@ -19,7 +18,7 @@ func TestWeightedBalancesHeterogeneousCluster(t *testing.T) {
 		cfg := lightConfig()
 		cfg.Policy = core.Cyclic
 		cfg.Weights = weights
-		res, err := RunInProcess(context.Background(), 4, peptides, queries, cfg)
+		res, err := searchShards(4, peptides, queries, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,22 +47,22 @@ func TestWeightsLengthMismatch(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 4, 1, 5)
 	cfg := lightConfig()
 	cfg.Weights = []float64{1, 2}
-	if _, err := RunInProcess(context.Background(), 4, peptides, queries, cfg); err == nil {
+	if _, err := searchShards(4, peptides, queries, cfg); err == nil {
 		t.Error("mismatched weights must fail")
 	}
 }
 
-// TestBatchSizeWithNoQueries: streaming mode with an empty query set
-// must not deadlock the exchange.
+// TestBatchSizeWithNoQueries: a batched search of an empty query set
+// returns no PSMs and every shard's stats.
 func TestBatchSizeWithNoQueries(t *testing.T) {
 	peptides, _, _ := testDataset(t, 4, 1, 0)
 	cfg := lightConfig()
 	cfg.BatchSize = 8
-	res, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
+	res, err := searchShards(3, peptides, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.PSMs) != 0 || len(res.Stats) != 3 {
-		t.Errorf("empty streaming run: %+v", res)
+		t.Errorf("empty batched run: %+v", res)
 	}
 }

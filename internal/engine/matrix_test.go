@@ -87,7 +87,18 @@ var schedules = []engine.Schedule{
 	{ThreadsPerRank: 4, ChunkSize: 4, Stealing: true},
 }
 
-var policies = []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups}
+// sessionCells are the (policy, shards) pairs the session row builds:
+// every policy at one and three shards, two shards under Random and four
+// under RandomWithinGroups.
+var sessionCells = []struct {
+	policy core.Policy
+	shards int
+}{
+	{core.Chunk, 1}, {core.Chunk, 3},
+	{core.Cyclic, 1}, {core.Cyclic, 3},
+	{core.Random, 1}, {core.Random, 2}, {core.Random, 3},
+	{core.RandomWithinGroups, 1}, {core.RandomWithinGroups, 3}, {core.RandomWithinGroups, 4},
+}
 
 // storeRow opens the saved store on the heap or mapped.
 func storeRow(mapped bool) func(t *testing.T, f *fixture) {
@@ -153,30 +164,23 @@ var rows = []struct {
 		}
 	}},
 	{"session", func(t *testing.T, f *fixture) {
-		for _, policy := range policies {
-			for _, shards := range []int{1, 3} {
-				b := f.session(t, policy, shards)
-				for _, sc := range schedules {
-					b.sess.SetSchedule(sc)
-					f.Check(t, fmt.Sprintf("%v/shards=%d/%+v", policy, shards, sc), search(t, b.sess, f))
-				}
+		for _, c := range sessionCells {
+			b := f.session(t, c.policy, c.shards)
+			for _, sc := range schedules {
+				b.sess.SetSchedule(sc)
+				f.Check(t, fmt.Sprintf("%v/shards=%d/%+v", c.policy, c.shards, sc), search(t, b.sess, f))
 			}
 		}
 	}},
 	{"weighted", func(t *testing.T, f *fixture) {
 		cfg := f.config(core.Cyclic)
 		cfg.Weights = []float64{4, 2, 1, 1}
-		res, err := engine.RunInProcess(context.Background(), 4, f.Corpus.Peptides, f.Corpus.Queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Check(t, "weighted ranks", res)
 		sess, err := engine.NewSession(f.Corpus.Peptides, engine.SessionConfig{Config: cfg, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		oracle.Same(t, "weighted ranks vs the weighted session", res, search(t, sess, f))
+		f.Check(t, "weighted session", search(t, sess, f))
 	}},
 	{"raw-order", func(t *testing.T, f *fixture) {
 		cfg := f.config(core.Cyclic)
@@ -236,37 +240,6 @@ var rows = []struct {
 			oracle.PSMs(t, label+" vs the whole session", merged, live.res.PSMs, true)
 			oracle.Ranks(t, label+" vs the whole session", stats, live.res.Stats)
 		}
-	}},
-	{"rank/inproc", func(t *testing.T, f *fixture) {
-		// The ranks run under a different policy per size, so every
-		// policy crosses the communicator.
-		for _, r := range []struct {
-			p      int
-			policy core.Policy
-		}{{1, core.Chunk}, {2, core.Random}, {4, core.RandomWithinGroups}} {
-			want := f.session(t, r.policy, r.p).res
-			for _, batch := range []int{0, 7} {
-				cfg := f.config(r.policy)
-				cfg.BatchSize = batch
-				res, err := engine.RunInProcess(context.Background(), r.p, f.Corpus.Peptides, f.Corpus.Queries, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%d %v ranks, batch %d", r.p, r.policy, batch)
-				f.Check(t, label, res)
-				oracle.Same(t, label+" vs the session", res, want)
-			}
-		}
-	}},
-	{"rank/tcp", func(t *testing.T, f *fixture) {
-		cfg := f.config(core.Cyclic)
-		cfg.BatchSize = 3
-		res, err := engine.RunOverTCP(context.Background(), 3, f.Corpus.Peptides, f.Corpus.Queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Check(t, "3 ranks over TCP", res)
-		oracle.Same(t, "3 ranks over TCP vs the session", res, f.session(t, core.Cyclic, 3).res)
 	}},
 }
 

@@ -112,8 +112,7 @@ func setOf(set, sets, p int) ShardSetInfo {
 
 // buildSession builds shard-set `set` of `sets` over a p-way partition of
 // the database, the slice SavePartitioned would store under that number
-// (sets <= p). NewSession builds the one
-// set that is everything; a distributed rank builds set rank of p (RunRank).
+// (sets <= p). NewSession builds the one set that is everything.
 // Grouping and partitioning always cover the whole database — they are the
 // deterministic preprocessing every holder of a slice replicates — but only
 // the set's own shards are indexed and only their chunks of the mapping
@@ -173,8 +172,9 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 	// and reports matches under the shards' global ids.
 	s.table, err = core.BuildMappingTable(prep.grouping, prep.partition).Subset(ss.ShardIDs)
 	if err == nil && sets == 1 {
-		// A slice has no digest: that names a store a replica can serve,
-		// and a slice built in memory is only ever one rank of one run.
+		// A slice has no digest: a digest names a store a replica can
+		// serve, and a slice is served from the store SavePartitioned
+		// writes, whose manifest gives it one.
 		s.digest, err = canonicalDigest(peptides, cfg.Shape, p)
 	}
 	if err != nil {
@@ -213,7 +213,7 @@ func prepare(peptides []string, cfg Config, p int) (lbePrep, error) {
 	var err error
 	if len(cfg.Weights) > 0 {
 		if len(cfg.Weights) != p {
-			return out, fmt.Errorf("engine: %d weights for %d ranks", len(cfg.Weights), p)
+			return out, fmt.Errorf("engine: %d weights for %d shards", len(cfg.Weights), p)
 		}
 		out.partition, err = core.PartitionWeighted(out.grouping, cfg.Weights, cfg.Policy, cfg.Seed)
 	} else {
@@ -436,7 +436,7 @@ func (s *Session) record(nq int, sr *sched.Result) {
 }
 
 // BatchResult is one searched and merged batch of a query set: what
-// searchBatch returns, and what a worker rank ships to the master.
+// searchBatch returns and each hands to its emit.
 type BatchResult struct {
 	Offset int     // index in the query set of the batch's first query
 	PSMs   [][]PSM // per query in the batch, best-first, TopK applied

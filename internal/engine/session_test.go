@@ -222,12 +222,18 @@ func TestSearchCancellation(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunInProcessCancellation: the distributed runner must unblock all
-// ranks and return promptly when cancelled.
-func TestRunInProcessCancellation(t *testing.T) {
+// TestFourShardSearchCancellation: a search spread over four in-process
+// shards must unblock every shard and return promptly when cancelled
+// mid-run, leaving no goroutine behind.
+func TestFourShardSearchCancellation(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 10, 2, 80)
-	cfg := lightConfig()
+	cfg := SessionConfig{Config: lightConfig(), Shards: 4}
 	cfg.BatchSize = 1
+	sess, err := NewSession(peptides, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -236,7 +242,7 @@ func TestRunInProcessCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := RunInProcess(ctx, 4, peptides, queries, cfg)
+	res, err := sess.Search(ctx, queries)
 	if err == nil && res == nil {
 		t.Fatal("nil result without error")
 	}
@@ -297,10 +303,10 @@ func TestSessionEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestSingleRankFailureDoesNotHang: an error on one rank only (a bad
-// peptide in its partition) must tear the cluster down and surface the
-// root cause, not leave the healthy ranks deadlocked in the barrier.
-func TestSingleRankFailureDoesNotHang(t *testing.T) {
+// TestSessionBuildFailureNamesTheBuild: an error in one shard only (a
+// bad peptide in its partition) fails NewSession with the root cause,
+// naming the build and the shard.
+func TestSessionBuildFailureNamesTheBuild(t *testing.T) {
 	peptides := make([]string, 30)
 	for i := range peptides {
 		peptides[i] = "ACDEFGHIKLMNPQRSTVWY"
@@ -310,21 +316,13 @@ func TestSingleRankFailureDoesNotHang(t *testing.T) {
 	cfg.RawOrder = true
 	cfg.Policy = core.Chunk
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunInProcess(context.Background(), 3, peptides, nil, cfg)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("run with an invalid peptide succeeded")
-		}
-		if !strings.Contains(err.Error(), "build") {
-			t.Fatalf("error does not name the build failure: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("single-rank failure deadlocked the cluster")
+	sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: 3})
+	if err == nil {
+		sess.Close()
+		t.Fatal("session over an invalid peptide built")
+	}
+	if !strings.Contains(err.Error(), "shard 2 build") {
+		t.Fatalf("error does not name shard 2's build: %v", err)
 	}
 }
 

@@ -130,10 +130,14 @@ func okSet(psms ...api.PSMJSON) http.HandlerFunc {
 	if psms == nil {
 		psms = []api.PSMJSON{}
 	}
+	return replySet(api.QueryResult{Scan: 0, PSMs: psms})
+}
+
+// replySet scripts a holder answering every request with these results,
+// whatever it was asked.
+func replySet(results ...api.QueryResult) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, api.SearchResponse{
-			Results: []api.QueryResult{{Scan: 0, PSMs: psms}},
-		})
+		api.WriteJSON(w, http.StatusOK, api.SearchResponse{Results: results})
 	}
 }
 
@@ -157,7 +161,11 @@ func hangSet(w http.ResponseWriter, r *http.Request) {
 // partial-failure paths with scripted holders: an uncovered set, a
 // holder failing over within its set, a final retryable reply, a
 // definitive client error, duplicate and empty per-set results, an
-// undecodable body, and a holder outliving the per-attempt deadline.
+// undecodable body, a holder outliving the per-attempt deadline, and
+// holders whose 200 replies cannot be merged: a list out of ComparePSM
+// order (in the first result or a later one), result counts that differ
+// (a set answering long or short, or one of three overrunning), scans
+// that disagree.
 // Rows marked oneSetToo put their faulty holder on set 0 and run a
 // second time as a one-set topology (only the set-0 holders, announcing
 // {0 of 1}): the one loop must answer alike on both shapes.
@@ -181,6 +189,7 @@ func TestScatterPartialFailureTable(t *testing.T) {
 		wantFailovers  bool
 		wantRetryAfter bool
 		requestTimeout time.Duration // per-attempt deadline; 0 keeps fastProbes'
+		sets           int           // shard sets in the topology; 0 means 2
 		oneSetToo      bool
 	}{
 		{
@@ -270,6 +279,70 @@ func TestScatterPartialFailureTable(t *testing.T) {
 			oneSetToo:      true,
 		},
 		{
+			name: "out-of-order holder list is a gateway error",
+			holders: []holder{
+				{set: 0, search: okSet(psmHi)},
+				{set: 1, search: okSet(psmLo, psmHi)},
+			},
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "ComparePSM order",
+		},
+		{
+			name: "different result counts are a gateway error",
+			holders: []holder{
+				{set: 0, search: okSet(psmHi)},
+				{set: 1, search: replySet(
+					api.QueryResult{Scan: 0, PSMs: []api.PSMJSON{psmLo}},
+					api.QueryResult{Scan: 1, PSMs: []api.PSMJSON{}})},
+			},
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "gather: api: merge: response 1 has 2 results, response 0 has 1",
+		},
+		{
+			name: "out-of-order list in a later result is a gateway error",
+			holders: []holder{
+				{set: 0, search: replySet(
+					api.QueryResult{Scan: 0, PSMs: []api.PSMJSON{psmHi}},
+					api.QueryResult{Scan: 1, PSMs: []api.PSMJSON{psmHi}})},
+				{set: 1, search: replySet(
+					api.QueryResult{Scan: 0, PSMs: []api.PSMJSON{psmLo}},
+					api.QueryResult{Scan: 1, PSMs: []api.PSMJSON{psmLo, psmHi}})},
+			},
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "result 1 of response 1 is not in engine.ComparePSM order",
+		},
+		{
+			name: "a set answering short is a gateway error",
+			holders: []holder{
+				{set: 0, search: okSet(psmHi)},
+				{set: 1, search: replySet()},
+			},
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "gather: api: merge: response 1 has 0 results, response 0 has 1",
+		},
+		{
+			name: "one of three sets overrunning is a gateway error",
+			holders: []holder{
+				{set: 0, search: okSet(psmHi)},
+				{set: 1, search: replySet(
+					api.QueryResult{Scan: 0, PSMs: []api.PSMJSON{psmLo}},
+					api.QueryResult{Scan: 1, PSMs: []api.PSMJSON{}})},
+				{set: 2, search: okSet(psmLo)},
+			},
+			sets:         3,
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "gather: api: merge: response 1 has 2 results, response 0 has 1",
+		},
+		{
+			name: "holders disagreeing on a scan is a gateway error",
+			holders: []holder{
+				{set: 0, search: okSet(psmHi)},
+				{set: 1, search: replySet(api.QueryResult{Scan: 3, PSMs: []api.PSMJSON{psmLo}})},
+			},
+			wantStatus:   http.StatusBadGateway,
+			wantContains: "gather: api: merge: result 0 scan 3 in response 1",
+		},
+		{
 			name: "relayed client error counts as routed",
 			holders: []holder{
 				{set: 0, search: failSet(http.StatusBadRequest, "spectrum 0: no peaks")},
@@ -282,7 +355,11 @@ func TestScatterPartialFailureTable(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, sets := range []int{2, 1} {
+		full := tc.sets
+		if full == 0 {
+			full = 2
+		}
+		for _, sets := range []int{full, 1} {
 			name := tc.name
 			if sets == 1 {
 				if !tc.oneSetToo {
@@ -342,29 +419,6 @@ func TestScatterPartialFailureTable(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestScatterRefusesOutOfOrderHolder: a holder whose PSM list is not in
-// ComparePSM order gets its round a 502 naming the order, never a merge
-// that silently trusts it.
-func TestScatterRefusesOutOfOrderHolder(t *testing.T) {
-	psmHi := api.PSMJSON{Peptide: 2, Sequence: "HIK", Score: 9, Shared: 3, Precursor: 500.25, Shard: 0}
-	psmLo := api.PSMJSON{Peptide: 7, Sequence: "LOK", Score: 4, Shared: 2, Precursor: 501.5, Shard: 1}
-	set0 := startScatterFake(t, 0, 2, "set-digest-0", 0, okSet(psmHi))
-	set1 := startScatterFake(t, 1, 2, "set-digest-1", 0, okSet(psmLo, psmHi))
-	_, ts := testRouter(t, fastProbes(), set0.ts.URL, set1.ts.URL)
-	resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(searchBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadGateway || !bytes.Contains(data, []byte("ComparePSM order")) {
-		t.Fatalf("status %d, body %s; want a 502 naming the order", resp.StatusCode, data)
 	}
 }
 

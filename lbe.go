@@ -10,8 +10,9 @@
 //   - the SLM fragment-ion index and its search parameters;
 //   - the LBE layer: peptide grouping, partition policies, mapping table;
 //   - the Session API: build the partitioned engine once, then answer
-//     any number of query sets with Search;
-//   - the distributed engine over in-process or TCP communicators;
+//     any number of query sets with Search (p shards in one process; a
+//     store saved with Session.SavePartitioned serves the same partition
+//     from p processes behind lbe-router);
 //   - the load-balance metrics of the paper's evaluation.
 //
 // Quick start (see examples/quickstart for the runnable version):
@@ -24,8 +25,6 @@
 package lbe
 
 import (
-	"context"
-
 	"lbe/internal/core"
 	"lbe/internal/digest"
 	"lbe/internal/engine"
@@ -35,7 +34,6 @@ import (
 	"lbe/internal/gen"
 	"lbe/internal/mass"
 	"lbe/internal/mods"
-	"lbe/internal/mpi"
 	"lbe/internal/ms2"
 	"lbe/internal/mzml"
 	"lbe/internal/slm"
@@ -247,10 +245,9 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	return engine.OpenSessionOptions(dir, opts)
 }
 
-// --- distributed engine ---
+// --- engine configuration and results ---
 
-// EngineConfig assembles a distributed run's settings: a Shape and a
-// Schedule.
+// EngineConfig assembles a search's settings: a Shape and a Schedule.
 type EngineConfig = engine.Config
 
 // Shape is everything that decides which bytes a search returns; a store
@@ -261,17 +258,14 @@ type Shape = engine.Shape
 // invariant to it (see Session.SetSchedule).
 type Schedule = engine.Schedule
 
-// Result is the master's view of a finished distributed search.
+// Result is a finished search: every query's PSMs and per-shard load.
 type Result = engine.Result
 
 // PSM is a globally resolved peptide-to-spectrum match.
 type PSM = engine.PSM
 
-// RankStats carries one rank's load accounting.
+// RankStats carries one shard's load accounting.
 type RankStats = engine.RankStats
-
-// Comm is a message-passing endpoint (see NewWorld, NewTCPCluster).
-type Comm = mpi.Comm
 
 // DefaultEngineConfig returns the paper's setup with the cyclic policy.
 func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
@@ -280,36 +274,6 @@ func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 func RunSerial(peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
 	return engine.RunSerial(peptides, queries, cfg)
 }
-
-// RunInProcess runs the distributed search on p in-process ranks;
-// cancelling ctx unblocks every rank and returns ctx's error.
-func RunInProcess(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunInProcess(ctx, p, peptides, queries, cfg)
-}
-
-// RunOverTCP is RunInProcess over loopback TCP links.
-func RunOverTCP(ctx context.Context, p int, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunOverTCP(ctx, p, peptides, queries, cfg)
-}
-
-// RunRank executes one rank of the distributed search on an existing
-// communicator (for multi-process deployments via HostTCP/JoinTCP),
-// stopping between batches once ctx is cancelled.
-func RunRank(ctx context.Context, c Comm, peptides []string, queries []Spectrum, cfg EngineConfig) (*Result, error) {
-	return engine.RunRank(ctx, c, peptides, queries, cfg)
-}
-
-// NewWorld creates p in-process communicator endpoints.
-func NewWorld(p int) []Comm { return mpi.NewWorld(p).Comms() }
-
-// NewTCPCluster creates p endpoints meshed over loopback TCP.
-func NewTCPCluster(p int) ([]Comm, error) { return mpi.NewTCPCluster(p) }
-
-// HostTCP starts the rank-0 side of a multi-process TCP cluster.
-func HostTCP(addr string, size int) (Comm, error) { return mpi.HostTCP(addr, size) }
-
-// JoinTCP joins a multi-process TCP cluster as a worker rank.
-func JoinTCP(addr string) (Comm, error) { return mpi.JoinTCP(addr) }
 
 // --- metrics ---
 

@@ -44,7 +44,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	ecfg := lbe.DefaultEngineConfig()
 	ecfg.Params.Mods.MaxPerPep = 1
 	ecfg.TopK = 5
-	res, err := lbe.RunInProcess(context.Background(), 4, peptides, queries, ecfg)
+	sess, err := lbe.NewSession(peptides, lbe.SessionConfig{Config: ecfg, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +264,12 @@ func TestFacadeHybridAndWeightedRun(t *testing.T) {
 	cfg.Params.Mods.MaxPerPep = 1
 	cfg.ThreadsPerRank = 2
 	cfg.Weights = []float64{2, 1, 1}
-	res, err := lbe.RunInProcess(context.Background(), 3, peptides, queries, cfg)
+	sess, err := lbe.NewSession(peptides, lbe.SessionConfig{Config: cfg, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
