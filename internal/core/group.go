@@ -10,8 +10,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"lbe/internal/editdist"
 )
@@ -141,6 +143,13 @@ func (c GroupConfig) joins(seed, s string) bool {
 // the criterion fails or the group size cap is hit. It returns the
 // clustered ordering and group sizes.
 //
+// The sort is by the total order (length, sequence, input index), so equal
+// sequences keep their input order, as a stable two-key sort would. The
+// distance test is editdist.Within, whose bit-parallel kernel makes each
+// candidate cost O(len) word operations whatever the cutoff: criterion 2's
+// default cutoff, floor(0.86 * len), would leave a banded DP nearly the
+// whole table.
+//
 // The input slice is not modified.
 func Group(seqs []string, cfg GroupConfig) (Grouping, error) {
 	if err := cfg.Validate(); err != nil {
@@ -150,13 +159,9 @@ func Group(seqs []string, cfg GroupConfig) (Grouping, error) {
 	for i := range order {
 		order[i] = i
 	}
-	// SortByLength then LexSort (stable two-key sort).
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := seqs[order[a]], seqs[order[b]]
-		if len(sa) != len(sb) {
-			return len(sa) < len(sb)
-		}
-		return sa < sb
+	slices.SortFunc(order, func(a, b int) int {
+		sa, sb := seqs[a], seqs[b]
+		return cmp.Or(cmp.Compare(len(sa), len(sb)), strings.Compare(sa, sb), cmp.Compare(a, b))
 	})
 
 	g := Grouping{Order: order}

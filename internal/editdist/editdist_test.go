@@ -41,12 +41,22 @@ func randSeq(rng *rand.Rand, n int) string {
 	return sb.String()
 }
 
+// TestDistanceMatchesNaive covers both length classes: pairs whose shorter
+// side fits in a word (the bit-parallel kernel) and pairs past it (the
+// banded one), with cutoffs from tight to loose.
 func TestDistanceMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 2000; trial++ {
-		a := randSeq(rng, rng.Intn(25))
-		b := randSeq(rng, rng.Intn(25))
+	for trial := 0; trial < 4000; trial++ {
+		n := 25
+		if trial%2 == 1 {
+			n = 100
+		}
+		a := randSeq(rng, rng.Intn(n))
+		b := randSeq(rng, rng.Intn(n))
 		maxDist := rng.Intn(8)
+		if trial%4 >= 2 {
+			maxDist = rng.Intn(n)
+		}
 		exact := Naive(a, b)
 		got := Distance(a, b, maxDist)
 		if exact <= maxDist {
@@ -75,6 +85,39 @@ func TestWithin(t *testing.T) {
 	if !Within("", "", 0) {
 		t.Error("empty pair is within 0")
 	}
+}
+
+// TestWithinAllocatesNothing: the grouping loop calls Within once per
+// peptide, and every digested peptide is shorter than a word.
+func TestWithinAllocatesNothing(t *testing.T) {
+	a, b := strings.Repeat("PEPTIDEK", 8), strings.Repeat("PEPTIDAK", 8)
+	if allocs := testing.AllocsPerRun(100, func() { Within(a, b, 40) }); allocs != 0 {
+		t.Errorf("Within allocates %v times per call, want 0", allocs)
+	}
+}
+
+// FuzzWithin holds Within, both kernels and every early exit, to the full
+// dynamic program: for byte strings up to 130 long and any cutoff in
+// [-1, 140], Within(a, b, k) == (Naive(a, b) <= k).
+func FuzzWithin(f *testing.F) {
+	for _, n := range []int{0, 1, 63, 64, 65, 100} {
+		for _, m := range []int{0, 1, 63, 64, 65, 100} {
+			for _, alphabet := range []string{"A", alpha} {
+				a := strings.Repeat(alphabet, n/len(alphabet)+1)[:n]
+				b := strings.Repeat(alphabet[len(alphabet)/2:]+alphabet, m/len(alphabet)+1)[:m]
+				f.Add(a, b, (n+m)/4)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b string, k int) {
+		if len(a) > 130 || len(b) > 130 || k < -1 || k > 140 {
+			t.Skip()
+		}
+		want := Naive(a, b) <= k
+		if got := Within(a, b, k); got != want {
+			t.Fatalf("Within(%q, %q, %d) = %v, Naive distance %d", a, b, k, got, Naive(a, b))
+		}
+	})
 }
 
 func TestSymmetryProperty(t *testing.T) {
@@ -145,11 +188,29 @@ func TestDistanceLengthGapShortCircuit(t *testing.T) {
 	}
 }
 
-func BenchmarkDistanceBanded(b *testing.B) {
+// BenchmarkWithin is the grouping's call: a tryptic-length pair under
+// criterion 2's default cutoff, floor(0.86 * 20).
+func BenchmarkWithin(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pairs := make([][2]string, 256)
 	for i := range pairs {
 		pairs[i] = [2]string{randSeq(rng, 20), randSeq(rng, 20)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		sink = Within(p[0], p[1], 17)
+	}
+}
+
+var sink bool
+
+// BenchmarkDistanceBanded times the kernel for pairs past one word.
+func BenchmarkDistanceBanded(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]string, 256)
+	for i := range pairs {
+		pairs[i] = [2]string{randSeq(rng, 100), randSeq(rng, 100)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -146,15 +147,24 @@ func (cw *checksumWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeStoreFile creates dir/name, streams fill through a CRC accountant,
-// and returns the manifest record.
+// storeWriteBuffer is the buffer between a store file's CRC accountant
+// and the file: the peptide list arrives one short line at a time, and
+// each line would otherwise be its own syscall.
+const storeWriteBuffer = 64 << 10
+
+// writeStoreFile creates dir/name, streams fill through a CRC accountant
+// and a write buffer, and returns the manifest record.
 func writeStoreFile(dir, name string, fill func(io.Writer) error) (storedFile, error) {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return storedFile{}, err
 	}
-	cw := &checksumWriter{w: f}
-	if err := fill(cw); err != nil {
+	bw := bufio.NewWriterSize(f, storeWriteBuffer)
+	cw := &checksumWriter{w: bw}
+	if err = fill(cw); err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return storedFile{}, fmt.Errorf("engine: writing %s: %w", name, err)
 	}

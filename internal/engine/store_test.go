@@ -82,6 +82,36 @@ func TestSaveRejectsWrongPeptideList(t *testing.T) {
 	}
 }
 
+// TestSaveReportsFlushError: store files are written through a buffer, so
+// a peptide list shorter than the buffer reaches the disk only when it is
+// flushed. A flush that fails (here: peptides.txt is /dev/full) must fail
+// Save with an error naming the file, and leave no manifest behind.
+func TestSaveReportsFlushError(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /dev/full")
+	}
+	peptides, _, _ := testDataset(t, 6, 2, 0)
+	if n := len(strings.Join(peptides, "\n")) + 1; n >= storeWriteBuffer {
+		t.Fatalf("peptide list of %d bytes fills the %d-byte write buffer before the flush", n, storeWriteBuffer)
+	}
+	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, peptidesFile)); err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Save(dir, peptides)
+	if err == nil || !strings.Contains(err.Error(), "engine: writing "+peptidesFile) {
+		t.Fatalf("Save into a full device: error %v, want one naming %s", err, peptidesFile)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+		t.Fatalf("a failed Save left a manifest (stat error %v)", err)
+	}
+}
+
 // editManifest applies fn to the parsed manifest JSON and writes it back.
 func editManifest(t *testing.T, dir string, fn func(map[string]any)) {
 	t.Helper()

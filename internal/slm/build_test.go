@@ -3,10 +3,13 @@ package slm
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"lbe/internal/mass"
+	"lbe/internal/mods"
 	"lbe/internal/spectrum"
 )
 
@@ -145,5 +148,74 @@ func TestBuildAllocsPerRow(t *testing.T) {
 	t.Logf("%.0f allocations for %d rows", allocs, rows)
 	if allocs > float64(rows) {
 		t.Errorf("BuildSerial allocates %.0f times for %d rows (%.2f per row), want <= 1 per row", allocs, rows, allocs/float64(rows))
+	}
+}
+
+// TestRadixOrderMatchesSortFunc: the build's radix sort of precursor keys
+// gives the permutation slices.SortFunc gives by (precursor, build id), on
+// the shapes that stress it — no rows, one row, every precursor equal
+// (every byte position skipped), neighbours one ULP apart (only the lowest
+// byte differs, across an exponent step too) and an enumerated corpus past
+// 65 536 rows.
+func TestRadixOrderMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ulps := make([]float64, 0, 4000)
+	for _, base := range []float64{1234.5678, 1024} {
+		m := base
+		for range 6 {
+			m = math.Nextafter(m, 0)
+		}
+		for k := range 12 {
+			for range 1 + k%3 {
+				ulps = append(ulps, m)
+			}
+			m = math.Nextafter(m, math.Inf(1))
+		}
+	}
+	rng.Shuffle(len(ulps), func(i, j int) { ulps[i], ulps[j] = ulps[j], ulps[i] })
+	equal := make([]float64, 3000)
+	for i := range equal {
+		equal[i] = 987.654
+	}
+
+	params := DefaultParams()
+	params.Mods = mods.Config{Mods: mods.PaperSet(), MaxPerPep: 2}
+	peptides := buildCorpus(t, 40, 3)
+	staged, _, err := enumerate(peptides, 0, len(peptides), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := make([]float64, len(staged))
+	for i, st := range staged {
+		corpus[i] = st.row.Precursor
+	}
+	if len(corpus) <= maxBandRows {
+		t.Fatalf("corpus has %d rows, want more than %d", len(corpus), maxBandRows)
+	}
+
+	for _, tc := range []struct {
+		name       string
+		precursors []float64
+	}{
+		{"empty", nil},
+		{"one", []float64{500.25}},
+		{"all-equal", equal},
+		{"one-ulp-apart", ulps},
+		{"corpus", corpus},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := make([]uint64, len(tc.precursors))
+			want := make([]uint32, len(tc.precursors))
+			for i, m := range tc.precursors {
+				keys[i] = precursorKey(m)
+				want[i] = uint32(i)
+			}
+			slices.SortFunc(want, func(a, b uint32) int {
+				return cmp.Or(cmp.Compare(tc.precursors[a], tc.precursors[b]), cmp.Compare(a, b))
+			})
+			if got := radixOrder(keys); !slices.Equal(got, want) {
+				t.Fatal("radix order differs from slices.SortFunc by (precursor, build id)")
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@
 package slm
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -326,12 +326,12 @@ func BuildSerial(peptides []string, params Params) (*Index, error) {
 // BuildWorkers constructs the index with the given number of worker
 // goroutines (0 or negative means one per available core). Pass 1 splits
 // the peptides into contiguous shards and stages every row with its ions'
-// bucket ids; one sort puts the rows in precursor order; pass 2 splits
-// the sorted positions into contiguous ranges, cut again at band edges,
-// counts each piece's postings per bucket and then writes rows and
-// band-local postings at cursors prefix-summed over (band, bucket,
-// piece). Every list comes out ascending, and the output does not depend
-// on the worker count.
+// bucket ids; one stable radix sort of build ids by precursor key puts
+// the rows in precursor order; pass 2 splits the sorted positions into
+// contiguous ranges, cut again at band edges, counts each piece's
+// postings per bucket and then writes rows and band-local postings at
+// cursors prefix-summed over (band, bucket, piece). Every list comes out
+// ascending, and the output does not depend on the worker count.
 func BuildWorkers(peptides []string, params Params, workers int) (*Index, error) {
 	return build(peptides, params, workers, bandRows)
 }
@@ -382,13 +382,11 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 
 	// The one sort: perm[s] is the build id of the s-th lightest row,
 	// ties in enumeration order.
-	perm := make([]uint32, len(staged))
-	for i := range perm {
-		perm[i] = uint32(i)
+	keys := make([]uint64, len(staged))
+	for i := range staged {
+		keys[i] = precursorKey(staged[i].row.Precursor)
 	}
-	slices.SortFunc(perm, func(a, b uint32) int {
-		return cmp.Or(cmp.Compare(staged[a].row.Precursor, staged[b].row.Precursor), cmp.Compare(a, b))
-	})
+	perm := radixOrder(keys)
 
 	ix := &Index{params: params, numBuckets: max(slices.Max(maxBuckets), 0) + 1, bandRows: rowsPerBand}
 	nb1 := ix.numBuckets + 1
@@ -460,8 +458,65 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 		}
 	})
 
-	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + 4*len(perm)
+	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + radixBytesPerRow*len(perm)
 	return ix, nil
+}
+
+// precursorKey maps a precursor mass to a uint64 whose unsigned order is
+// the mass's order: the sign bit of a positive value is flipped, every
+// bit of a negative one. For finite, non-zero values the keys compare as
+// cmp.Compare compares the floats; a precursor is a positive peptide mass.
+func precursorKey(m float64) uint64 {
+	b := math.Float64bits(m)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixBytesPerRow is radixOrder's footprint per key: the keys and their
+// scratch copy (8 B each), the permutation and its scratch copy (4 B
+// each).
+const radixBytesPerRow = 8 + 8 + 4 + 4
+
+// radixOrder returns the permutation that sorts keys ascending, ties in
+// index order: a stable LSD radix sort, one byte per pass, that skips
+// every byte position all keys share. keys serves as scratch and is
+// overwritten.
+func radixOrder(keys []uint64) []uint32 {
+	n := len(keys)
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	if n < 2 {
+		return perm
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	keys2, perm2 := make([]uint64, n), make([]uint32, n)
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0]>>(8*d))] == n {
+			continue // every key has this byte: the pass would move nothing
+		}
+		sum := 0
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for i, k := range keys {
+			b := byte(k >> (8 * d))
+			keys2[c[b]], perm2[c[b]] = k, perm[i]
+			c[b]++
+		}
+		keys, keys2 = keys2, keys
+		perm, perm2 = perm2, perm
+	}
+	return perm
 }
 
 // MemoryBytes returns the resident size of the index structures in bytes:
@@ -473,15 +528,17 @@ func (ix *Index) MemoryBytes() int {
 	return rowMemBytes*len(ix.rows) + 4*len(ix.offsets) + 2*len(ix.ids)
 }
 
-// BuildPeakBytes returns the peak transient memory of the construction
-// that made the index, term by term: the finished index (MemoryBytes),
-// 4 B per staged ion bucket id, one staging record (a Row and its bucket
-// window, 40 B on 64-bit hosts) per row, and 4 B per row of the sort
-// permutation — all alive together while pass 2 writes. Pass 2's per-piece
-// bucket counts (4 B per bucket per piece) and the unused tails of pass
-// 1's staging chunks (under one chunk per worker) are left out so the
-// figure does not depend on the worker count. A decoded or mapped index
-// reports its MemoryBytes.
+// BuildPeakBytes returns the peak transient memory of the construction that
+// made the index, term by term: the finished index (MemoryBytes), 4 B per
+// staged ion bucket id, one staging record (a Row and its bucket window, 40
+// B on 64-bit hosts) per row, and 24 B per row of the radix sort — the
+// permutation pass 2 reads (4 B) beside its scratch copy (4 B), the
+// precursor keys and their scratch copy (8 B each), garbage no collection
+// need have reclaimed yet — all alive together while pass 2 writes. Pass
+// 2's per-piece bucket counts (4 B per bucket per piece) and the unused
+// tails of pass 1's staging chunks (under one chunk per worker) are left
+// out so the figure does not depend on the worker count. A decoded or
+// mapped index reports its MemoryBytes.
 func (ix *Index) BuildPeakBytes() int { return ix.buildPeak }
 
 // bucketSpan returns the inclusive bucket index range for the fragment
