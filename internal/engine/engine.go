@@ -79,7 +79,8 @@ type Schedule struct {
 	// Stealing selects the work-stealing scheduler: idle workers steal
 	// half of the fullest shard deque instead of idling beside a skewed
 	// partition. False keeps the chunks statically pre-dealt (the legacy
-	// strided/per-shard baseline measured by bench.Steal).
+	// strided/per-shard baseline, which bench.Steal replays beside
+	// stealing in virtual time through sched.Estimate).
 	Stealing bool
 	// BuildWorkers is the per-rank index construction parallelism; 0 uses
 	// one worker per available core. The built index is byte-identical

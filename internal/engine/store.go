@@ -490,7 +490,8 @@ func openStoredFile(dir string, sf storedFile) ([]byte, error) {
 // section table) are checked here — no section byte is read, which is
 // what makes a mapped warm start O(header) per shard instead of O(file) —
 // and content verification (section CRCs and the manifest's whole-file
-// CRC) is left to the session's first query via shardVerifier. Otherwise the file is read and checked against the
+// CRC, both over the mapped bytes) is left to the session's first query
+// via shardVerifier. Otherwise the file is read and checked against the
 // manifest's size and CRC like any stored file, then decoded and fully
 // verified in place.
 //
@@ -519,26 +520,19 @@ func openShard(dir string, sf storedFile, mapped bool) (ix *slm.Index, err error
 }
 
 // shardVerifier is the deferred half of a mapped shard open, run once by
-// the session before its first query: the index's own content checks
-// (section CRCs, padding, CSR shape — this pass also faults the mapping
-// in, so the first search runs warm), then the manifest's whole-file CRC
-// over the store file, which catches shard files swapped between slots
-// or replaced wholesale — corruptions the file-internal checksums cannot
-// see because the files stay self-consistent.
-func shardVerifier(dir string, sf storedFile, ix *slm.Index) func() error {
+// the session before its first query: the manifest's whole-file CRC and
+// size, checked over the bytes the index serves. WriteTo runs the index's
+// own content checks first (section CRCs, padding, CSR shape — this pass
+// also faults the mapping in, so the first search runs warm), then writes
+// the mapped image to the checksum, which catches shard files swapped
+// between slots or replaced wholesale — corruptions the file-internal
+// checksums cannot see because the files stay self-consistent. The file
+// is not read again: what is checked is what was mapped.
+func shardVerifier(sf storedFile, ix *slm.Index) func() error {
 	return func() error {
-		if err := ix.Verify(); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
-		f, err := os.Open(filepath.Join(dir, sf.Name))
-		if err != nil {
-			return fmt.Errorf("engine: verify: %w", err)
-		}
 		cw := &checksumWriter{w: io.Discard}
-		_, err = io.Copy(cw, f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("engine: verify: %s: %w", sf.Name, err)
+		if _, err := ix.WriteTo(cw); err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
 		if cw.n != sf.Size || cw.crc != sf.CRC32 {
 			return fmt.Errorf("engine: verify: %s checksum %08x does not match manifest %08x", sf.Name, cw.crc, sf.CRC32)
@@ -710,7 +704,7 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	}
 	if opts.MapStore {
 		for m, ix := range shards {
-			lazy = append(lazy, shardVerifier(dir, man.Shards[m].storedFile, ix))
+			lazy = append(lazy, shardVerifier(man.Shards[m].storedFile, ix))
 		}
 	}
 

@@ -268,6 +268,45 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 		})
 	}
+
+	// The same swap after a mapped open moves no byte the session serves:
+	// the deferred check runs over the mappings, which still hold the
+	// originals, so the first Search must answer as a heap open of the
+	// untouched store does.
+	t.Run("shard files swapped after a mapped open", func(t *testing.T) {
+		dir, _ := storeFixture(t, 2, true)
+		_, queries, _ := testDataset(t, 6, 2, 8)
+		ctx := context.Background()
+		heap, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := heap.Search(ctx, queries)
+		heap.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, _, err := OpenSession(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if runtime.GOOS == "linux" && sess.MappedShards() != 2 {
+			t.Fatalf("%d of 2 shards mapped", sess.MappedShards())
+		}
+		for _, tc := range cases {
+			if tc.name == "swapped shard files" {
+				tc.tamper(t, dir)
+			}
+		}
+		got, err := sess.Search(ctx, queries)
+		if err != nil {
+			t.Fatalf("the mapped originals were refused: %v", err)
+		}
+		if !reflect.DeepEqual(got.PSMs, want.PSMs) {
+			t.Error("the mapped session answers differently from the untouched store")
+		}
+	})
 }
 
 // TestSetSchedule: the whole value goes in — every field applied as given,

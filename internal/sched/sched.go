@@ -26,7 +26,8 @@
 //   - With Stealing disabled the same chunks are pre-dealt statically:
 //     the workers homed on a shard stride over its chunk list and never
 //     look elsewhere. This is the old per-shard/strided behavior, kept
-//     as the measured baseline (see bench.Steal).
+//     as the baseline; bench.Steal compares the two by replaying both
+//     in virtual time through Estimate, not by running this pool.
 //
 // Results are deterministic by construction: every (shard, query) cell of
 // the output is written by exactly one chunk, and a query's matches depend

@@ -57,6 +57,17 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 		t.Fatal("reference index is empty; corpus too small")
 	}
 	want := indexBytes(t, ref)
+	requireImage(t, ref)
+	// Serial images of the first peptides cut into bands of 1 to 8 rows,
+	// which every worker count below must reproduce.
+	var bandedRefs [8][]byte
+	for band := range bandedRefs {
+		banded, err := build(peptides[:3], params, 1, func(int) int { return 1 + band })
+		if err != nil {
+			t.Fatal(err)
+		}
+		bandedRefs[band] = requireImage(t, banded).image
+	}
 
 	for _, workers := range []int{0, 2, 3, 5, 8, 64, len(peptides) + 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -78,6 +89,16 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 			}
 			if got := indexBytes(t, ix); !bytes.Equal(got, want) {
 				t.Fatal("serialized index differs from serial build")
+			}
+			requireImage(t, ix)
+			for band := range bandedRefs {
+				banded, err := build(peptides[:3], params, workers, func(int) int { return 1 + band })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(requireImage(t, banded).image, bandedRefs[band]) {
+					t.Fatalf("bands of %d rows: image differs from serial build", 1+band)
+				}
 			}
 		})
 	}

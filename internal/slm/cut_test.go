@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -41,7 +42,7 @@ func TestCutTopKMatchesSortReference(t *testing.T) {
 		for i := range ms {
 			ms[i] = Match{Row: uint32(i), Score: float64(rng.Intn(distinct))}
 		}
-		for _, k := range []int{-1, 0, 1, 2, n / 2, n - 1, n, n + 1, 1 << 40} {
+		for _, k := range []int{-1, 0, 1, 2, n / 2, n - 1, n, n + 1, math.MaxInt} {
 			want := append([]Match(nil), cutReference(ms, k)...)
 			got := s.cutTopK(append([]Match(nil), ms...), k)
 			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {

@@ -143,8 +143,13 @@ type Index struct {
 	bandRows   int
 	buildPeak  int // peak transient bytes of construction; see BuildPeakBytes
 
-	// mapping is non-nil when rows/offsets/ids are zero-copy views into a
-	// memory-mapped store file (see OpenIndexMapped); Close releases it.
+	// image is the index's SLMX file: rows, offsets and ids are views of
+	// its sections, whether a build wrote it, DecodeIndex was handed it
+	// or mapping maps it. WriteTo writes it.
+	image []byte
+
+	// mapping is non-nil when image is a memory-mapped store file (see
+	// OpenIndexMapped); Close releases it.
 	mapping *mmapio.Mapping
 
 	// verifyFn holds the deferred content validation of a mapped open
@@ -330,8 +335,10 @@ func BuildSerial(peptides []string, params Params) (*Index, error) {
 // the rows in precursor order; pass 2 splits the sorted positions into
 // contiguous ranges, cut again at band edges, counts each piece's
 // postings per bucket and then writes rows and band-local postings at
-// cursors prefix-summed over (band, bucket, piece). Every list comes out
-// ascending, and the output does not depend on the worker count.
+// cursors prefix-summed over (band, bucket, piece), straight into the
+// index's SLMX image, whose checksums are sealed once at the end. Every
+// list comes out ascending, and the output does not depend on the worker
+// count.
 func BuildWorkers(peptides []string, params Params, workers int) (*Index, error) {
 	return build(peptides, params, workers, bandRows)
 }
@@ -388,11 +395,20 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 	}
 	perm := radixOrder(keys)
 
-	ix := &Index{params: params, numBuckets: max(slices.Max(maxBuckets), 0) + 1, bandRows: rowsPerBand}
-	nb1 := ix.numBuckets + 1
-	ix.rows = make([]Row, len(staged))
-	ix.offsets = make([]uint32, ix.numBands()*nb1)
-	ix.ids = make([]uint16, totalIons)
+	// Pass 2 writes straight into the index's image, through the views
+	// every open takes of one.
+	numBuckets := max(slices.Max(maxBuckets), 0) + 1
+	nb1 := numBuckets + 1
+	bands := (len(staged) + rowsPerBand - 1) / rowsPerBand
+	lens := [sectionTableEntries]int64{int64(len(staged)), int64(bands * nb1), int64(totalIons)}
+	if err := checkEncodable(params, numBuckets, lens); err != nil {
+		return nil, err
+	}
+	image, h := newImage(params, numBuckets, rowsPerBand, lens)
+	ix, err := indexFromImage(h, image)
+	if err != nil {
+		return nil, err
+	}
 
 	// Pass 2 works on pieces: the workers' contiguous ranges of sorted
 	// positions, cut again at band edges so each piece lies in one band.
@@ -458,6 +474,7 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 		}
 	})
 
+	seal(h, image)
 	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + radixBytesPerRow*len(perm)
 	return ix, nil
 }

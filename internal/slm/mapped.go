@@ -23,12 +23,9 @@ import (
 // engine calls Verify on its error path before the first query instead.
 //
 // The returned index owns the mapping: it stays valid until the index is
-// garbage-collected or Close is called, and must not be used after
-// Close. Where the mapped bytes cannot back typed views — a big-endian
-// host, or a platform without usable mmap whose heap-read fallback came
-// back unaligned — the sections are copy-decoded and verified here, the
-// mapping is released, and the result is an ordinary heap index
-// (identical results; Mapped reports false, Verify is a no-op).
+// garbage-collected or Close is called. On a platform without usable
+// mmap the file is read into the heap instead (identical results; Mapped
+// reports false), still with Verify deferred.
 func OpenIndexMapped(path string) (*Index, error) {
 	m, err := mmapio.Open(path)
 	if err != nil {
@@ -36,18 +33,13 @@ func OpenIndexMapped(path string) (*Index, error) {
 	}
 	data := m.Bytes()
 	h, err := readHeader(data)
+	var ix *Index
+	if err == nil {
+		ix, err = indexFromImage(h, data)
+	}
 	if err != nil {
 		m.Close()
 		return nil, fmt.Errorf("mapped open %s: %w", path, err)
-	}
-	ix, aliased := indexFromImage(h, data)
-	if !aliased {
-		err := ix.verify(h, data)
-		m.Close()
-		if err != nil {
-			return nil, fmt.Errorf("mapped open %s: %w", path, err)
-		}
-		return ix, nil
 	}
 	ix.mapping = m
 	// The pass faults in the whole file, so the first Search after it
@@ -56,7 +48,7 @@ func OpenIndexMapped(path string) (*Index, error) {
 	ix.verifyFn = func() error {
 		m.Advise(mmapio.AdviceSequential)
 		defer m.Advise(mmapio.AdviceRandom)
-		if err := ix.verify(h, data); err != nil {
+		if err := ix.verify(h); err != nil {
 			return fmt.Errorf("mapped index %s: %w", path, err)
 		}
 		return nil
@@ -101,26 +93,24 @@ func (ix *Index) Mapped() bool {
 }
 
 // Close releases the mapping backing a mapped index; it is a no-op for
-// heap-loaded indexes. After Close the index must not be searched — its
-// arrays alias the released mapping. Callers that share an index with
-// concurrent searchers should drop their references instead and let the
-// mapping's finalizer release it when the index becomes unreachable.
+// heap-loaded indexes. After Close, Verify and WriteTo return an error
+// and Search panics, as for a corrupt mapping. Callers that share an
+// index with concurrent searchers should drop their references instead
+// and let the mapping's finalizer release it when the index becomes
+// unreachable.
 func (ix *Index) Close() error {
 	m := ix.mapping
 	if m == nil {
 		return nil
 	}
-	// Latch verification closed so a later Verify (or Search) can never
-	// touch the released mapping; if it already ran, this is a no-op.
+	// Latch verification closed so a later Verify — and with it Search
+	// and WriteTo — refuses the index instead of touching the released
+	// mapping, whether or not verification already ran.
 	ix.verifyMu.Lock()
-	if !ix.verifyDone.Load() {
-		if ix.verifyFn != nil {
-			ix.verifyErr = errors.New("slm: index closed before verification")
-		}
-		ix.verifyDone.Store(true)
-	}
+	ix.verifyErr = errors.New("slm: index closed")
+	ix.verifyDone.Store(true)
 	ix.verifyMu.Unlock()
-	ix.mapping = nil
+	ix.mapping, ix.image = nil, nil
 	ix.rows, ix.offsets, ix.ids = nil, nil, nil
 	return m.Close()
 }

@@ -96,64 +96,74 @@ func TestOpenIndexMappedEmpty(t *testing.T) {
 	}
 }
 
-// TestCopyDecodeMatchesAliased drives the per-element decode that
-// big-endian hosts and unaligned buffers take — a path no little-endian
-// runner reaches through a file — by handing the decoder a deliberately
-// misaligned image: the arrays must equal the aliased open's exactly and
-// answer the same queries byte-identically.
-func TestCopyDecodeMatchesAliased(t *testing.T) {
+// TestDecodeIndexMisaligned hands DecodeIndex an image that starts one
+// byte past an 8-aligned address, where no section can be viewed in
+// place: it must be copied once into an aligned image whose arrays equal
+// the aligned open's exactly and answer the same queries byte-identically.
+func TestDecodeIndexMisaligned(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := buildTestIndex(t).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// One byte past an 8-aligned address: no section can be aliased.
-	image := bytesOf(make([]uint64, buf.Len()/8+2))[1 : 1+buf.Len()]
+	image := alignedBytes(int64(buf.Len()) + 8)[1 : 1+buf.Len()]
 	copy(image, buf.Bytes())
-
-	h, err := readHeader(image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, aliased := indexFromImage(h, image); aliased {
-		t.Fatal("an odd-address image was aliased")
+	if isAligned(image) {
+		t.Fatal("the test image is aligned")
 	}
 	copied, err := DecodeIndex(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied.Mapped() {
-		t.Error("copy-decoded index claims to be mapped")
+	if !isAligned(copied.image) || !bytes.Equal(copied.image, image) {
+		t.Fatal("a misaligned image was not copied into an aligned one")
 	}
-	mapped, err := OpenIndexMapped(saveTestIndex(t, buildTestIndex(t)))
+	aligned, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Close()
-
-	if !reflect.DeepEqual(copied.rows, mapped.rows) || !reflect.DeepEqual(copied.offsets, mapped.offsets) ||
-		!reflect.DeepEqual(copied.ids, mapped.ids) || copied.numBuckets != mapped.numBuckets {
-		t.Fatal("copy-decoded arrays differ from the aliased open's")
+	if &aligned.image[0] != &buf.Bytes()[0] {
+		t.Error("an aligned image was copied")
+	}
+	if !reflect.DeepEqual(copied.rows, aligned.rows) || !reflect.DeepEqual(copied.offsets, aligned.offsets) ||
+		!reflect.DeepEqual(copied.ids, aligned.ids) || copied.numBuckets != aligned.numBuckets {
+		t.Fatal("the copied image's arrays differ from the aligned open's")
 	}
 	for _, pep := range []string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"} {
 		q := queryFor(t, pep)
-		a, wa := mapped.Search(q, 0, nil)
+		a, wa := aligned.Search(q, 0, nil)
 		b, wb := copied.Search(q, 0, nil)
 		if !reflect.DeepEqual(a, b) || wa != wb {
-			t.Fatalf("%s: aliased %+v (widened %v), copy-decoded %+v (widened %v)", pep, a, wa, b, wb)
+			t.Fatalf("%s: aligned %+v (widened %v), copied %+v (widened %v)", pep, a, wa, b, wb)
 		}
 	}
 }
 
-// TestMappedIndexClose: Close releases the views and is idempotent;
+// TestMappedIndexClose: Close releases the views and is idempotent; a
+// closed index neither writes nor searches, even after a clean Verify;
 // searching a heap index after (no-op) Close still works.
 func TestMappedIndexClose(t *testing.T) {
 	mapped, err := OpenIndexMapped(saveTestIndex(t, buildTestIndex(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := mapped.Verify(); err != nil {
+		t.Fatal(err)
+	}
 	if err := mapped.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if n, err := mapped.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Errorf("WriteTo on a closed index: %d bytes, %v", n, err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SearchCut on a closed index did not panic")
+			}
+		}()
+		mapped.SearchCut(queryFor(t, "PEPTIDEK"), 0, nil)
+	}()
 	if mapped.Mapped() {
 		t.Error("closed index still claims to be mapped")
 	}

@@ -38,27 +38,28 @@ import (
 // band, band-major, and ids postings are band-local row ids, each
 // (band, bucket) list ascending.
 //
-// An SLMX file is known here only as that layout over one []byte — its
-// image — for writing and reading alike. WriteTo builds the header into a
-// small buffer and writes it, the zero padding and the three section
-// payloads in order; on a little-endian host a payload is the in-memory
-// array's own bytes (bytesOf), checksummed once and never copied. Every
-// open — DecodeIndex, LoadFile, OpenIndexMapped — is the same three steps
-// over the complete image, heap buffer or memory mapping alike:
-// readHeader parses and CRC-checks the header, pins the section table to
-// the canonical layout and refuses an image longer or shorter than it;
-// indexFromImage takes the three section views (the fixed aligned layout
-// is what lets them alias the image with no per-element decoding); verify
-// checks the section CRCs, the zero padding and the cross-array shape.
-// Only the mapped open defers verify (see OpenIndexMapped). A big-endian
-// host, or an unaligned image, goes through encodeSection/decodeSection
-// element by element instead — the only path there.
+// An index is its image: one 8-byte-aligned []byte in exactly this
+// layout, whose three sections rows, offsets and ids view in place. A
+// built, a decoded and a mapped index differ only in where that buffer
+// came from. Build lays the header out with newImage, takes the views
+// through indexFromImage, writes pass 2 into them and seals the CRCs
+// once (seal); WriteTo is Verify plus one write of the image. Every open
+// — DecodeIndex, LoadFile, OpenIndexMapped — is three steps over the
+// complete image, heap buffer or memory mapping alike: readHeader parses
+// and CRC-checks the header, pins the section table to the canonical
+// layout and refuses an image longer or shorter than it; indexFromImage
+// takes the same views Build does; verify checks the section CRCs, the
+// zero padding and the cross-array shape. Only the mapped open defers
+// verify (see OpenIndexMapped). The views are the wire layout only on a
+// little-endian host, so a big-endian host is refused by Build and by
+// every open (checkByteOrder); a DecodeIndex input that does not start
+// 8-byte aligned is copied once into one that does.
 //
 // Counts come from the (not yet checksum-verified) input, so the reader
 // treats them as hostile: each is bounded by an absolute cap AND by the
 // bytes actually present — the image's size is a fact, never a claim — so
-// an open allocates O(header) when it aliases and at most the image's own
-// size when it copy-decodes.
+// an open allocates O(header), plus one copy of the image when DecodeIndex
+// has to align it.
 
 const (
 	indexMagic   = "SLMX"
@@ -91,63 +92,29 @@ const (
 	maxPostingCount = 1 << 30
 )
 
-// isLittleEndian reports whether the host lays out multi-byte integers
-// the way the SLMX wire format does; when true, section payloads are
-// written from, and aliased as, the in-memory arrays without per-element
-// coding.
-var isLittleEndian = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// bytesOf returns the raw byte view of an element slice — its wire
-// encoding on little-endian hosts, where the in-memory layout is the wire
-// layout, and only there. viewAs is its inverse.
-func bytesOf[T any](vs []T) []byte {
-	if len(vs) == 0 {
-		return nil
+// checkByteOrder refuses a host whose byte order is not the SLMX wire
+// order: an index's arrays are views of its little-endian image, so only
+// a little-endian host can build, open or search one. Build and every
+// open call it with binary.NativeEndian.
+func checkByteOrder(order binary.ByteOrder) error {
+	if order.Uint16([]byte{1, 0}) != 1 {
+		return errors.New("slm: SLMX indexes are little-endian images; a big-endian host cannot build or open one")
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&vs[0])), len(vs)*int(unsafe.Sizeof(vs[0])))
+	return nil
 }
+
+// alignedBytes returns n zero bytes that start 8-byte aligned, as the
+// views of an image need.
+func alignedBytes(n int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]uint64, (n+7)/8)))), n)
+}
+
+// isAligned reports whether b starts 8-byte aligned.
+func isAligned(b []byte) bool { return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0 }
 
 // sectionElemBytes[i] is the wire size of one element of section i:
 // rows, offsets, ids.
 var sectionElemBytes = [sectionTableEntries]int64{rowWireBytes, 4, postingWireBytes}
-
-// encodeSection is decodeSection's mirror: the wire payload of a section
-// built one elem-byte record at a time, which is how a big-endian host
-// writes — there the in-memory array is not the wire layout.
-func encodeSection[T any](vs []T, elem int, put func(rec []byte, v T)) []byte {
-	out := make([]byte, len(vs)*elem)
-	for i, v := range vs {
-		put(out[i*elem:], v)
-	}
-	return out
-}
-
-// encodeRow encodes one 16-byte wire row record.
-func encodeRow(rec []byte, r Row) {
-	le := binary.LittleEndian
-	le.PutUint64(rec[0:8], math.Float64bits(r.Precursor))
-	le.PutUint32(rec[8:12], r.Peptide)
-	le.PutUint16(rec[12:14], r.NumIons)
-	le.PutUint16(rec[14:16], r.Flags)
-}
-
-// sectionPayloads returns the wire bytes of the three sections: views of
-// the arrays themselves when alias is set (legal only on a little-endian
-// host), fresh per-element encodings otherwise.
-func (ix *Index) sectionPayloads(alias bool) [sectionTableEntries][]byte {
-	if alias {
-		return [sectionTableEntries][]byte{bytesOf(ix.rows), bytesOf(ix.offsets), bytesOf(ix.ids)}
-	}
-	le := binary.LittleEndian
-	return [sectionTableEntries][]byte{
-		encodeSection(ix.rows, rowWireBytes, encodeRow),
-		encodeSection(ix.offsets, 4, le.PutUint32),
-		encodeSection(ix.ids, postingWireBytes, le.PutUint16),
-	}
-}
 
 // appendParams appends the params block to b.
 func appendParams(b []byte, p Params) []byte {
@@ -179,27 +146,24 @@ func appendParams(b []byte, p Params) []byte {
 }
 
 // checkEncodable rejects an index whose counts exceed the decoder caps,
-// so WriteTo can never persist an image readHeader refuses (or, past
-// uint32, silently truncates).
-func (ix *Index) checkEncodable() error {
-	if len(ix.rows) > maxRowCount {
-		return fmt.Errorf("slm: %d rows exceed the serializable cap %d", len(ix.rows), maxRowCount)
+// so build can never lay out an image readHeader refuses (or, past
+// uint32, silently truncates). Params.Validate, which build runs first,
+// already holds the ion series under their cap.
+func checkEncodable(p Params, numBuckets int, counts [sectionTableEntries]int64) error {
+	if counts[0] > maxRowCount {
+		return fmt.Errorf("slm: %d rows exceed the serializable cap %d", counts[0], maxRowCount)
 	}
-	if ix.numBuckets > maxBucketCount {
-		return fmt.Errorf("slm: %d buckets exceed the serializable cap %d", ix.numBuckets, maxBucketCount)
+	if numBuckets > maxBucketCount {
+		return fmt.Errorf("slm: %d buckets exceed the serializable cap %d", numBuckets, maxBucketCount)
 	}
-	if len(ix.offsets) > maxOffsetCount {
-		return fmt.Errorf("slm: %d offsets exceed the serializable cap %d", len(ix.offsets), maxOffsetCount)
+	if counts[1] > maxOffsetCount {
+		return fmt.Errorf("slm: %d offsets exceed the serializable cap %d", counts[1], maxOffsetCount)
 	}
-	if len(ix.ids) > maxPostingCount {
-		return fmt.Errorf("slm: %d postings exceed the serializable cap %d", len(ix.ids), maxPostingCount)
+	if counts[2] > maxPostingCount {
+		return fmt.Errorf("slm: %d postings exceed the serializable cap %d", counts[2], maxPostingCount)
 	}
-	p := ix.params
 	if len(p.Mods.Mods) > maxModCount {
 		return fmt.Errorf("slm: %d mods exceed the serializable cap %d", len(p.Mods.Mods), maxModCount)
-	}
-	if len(p.IonSeries) > maxSeriesCount {
-		return fmt.Errorf("slm: %d ion series exceed the serializable cap %d", len(p.IonSeries), maxSeriesCount)
 	}
 	for _, m := range p.Mods.Mods {
 		if len(m.Name) > maxStringLen || len(m.Residues) > maxStringLen {
@@ -209,13 +173,6 @@ func (ix *Index) checkEncodable() error {
 	return nil
 }
 
-// sectionLayout is the computed file geometry: canonical aligned section
-// offsets derived from the header size.
-type sectionLayout struct {
-	offs [sectionTableEntries]int64
-	end  int64 // total file size
-}
-
 // alignUp rounds n up to the next multiple of sectionAlign.
 func alignUp(n int64) int64 {
 	return (n + sectionAlign - 1) &^ (sectionAlign - 1)
@@ -223,78 +180,75 @@ func alignUp(n int64) int64 {
 
 // fileLayout derives the canonical section offsets for an index whose
 // header (magic through header CRC) spans headerLen bytes and whose
-// sections hold counts[i] elements each.
-func fileLayout(headerLen int64, counts [sectionTableEntries]int64) sectionLayout {
-	var l sectionLayout
-	off := headerLen
+// sections hold counts[i] elements each, and the image size they imply.
+func fileLayout(headerLen int64, counts [sectionTableEntries]int64) (offs [sectionTableEntries]int64, end int64) {
+	end = headerLen
 	for i := range counts {
-		off = alignUp(off)
-		l.offs[i] = off
-		off += sectionElemBytes[i] * counts[i]
+		end = alignUp(end)
+		offs[i] = end
+		end += sectionElemBytes[i] * counts[i]
 	}
-	l.end = off
-	return l
+	return offs, end
 }
 
-// WriteTo serializes the index in the section-table format. It
-// implements io.WriterTo: on error it returns the number of bytes the
-// underlying writer actually accepted before the failure, not zero.
+// section returns section i of image: the bytes h's table places there.
+func (h *fileHeader) section(image []byte, i int) []byte {
+	e := h.secs[i]
+	return image[e.off : int64(e.off)+sectionElemBytes[i]*int64(e.count)]
+}
+
+// newImage lays out the image of an index with counts[i] elements in
+// section i: a zeroed, 8-byte-aligned buffer of the canonical size
+// holding the header up to its section table, and the header that
+// describes it. The sections, their CRCs and the header CRC are the
+// builder's to fill in; seal writes the last two.
+func newImage(p Params, numBuckets, bandRows int, counts [sectionTableEntries]int64) ([]byte, *fileHeader) {
+	le := binary.LittleEndian
+	head := le.AppendUint32([]byte(indexMagic), indexVersion)
+	head = appendParams(head, p)
+	head = le.AppendUint32(head, uint32(numBuckets))
+	head = le.AppendUint32(head, uint32(bandRows))
+	h := &fileHeader{params: p, numBuckets: uint32(numBuckets), bandRows: uint32(bandRows),
+		headerLen: int64(len(head)) + sectionTableEntries*sectionEntryBytes + 4}
+	offs, end := fileLayout(h.headerLen, counts)
+	for i := range h.secs {
+		h.secs[i] = sectionEntry{off: uint64(offs[i]), count: uint64(counts[i])}
+	}
+	image := alignedBytes(end)
+	copy(image, head)
+	return image, h
+}
+
+// seal finishes an image newImage laid out once its sections are
+// written: it checksums each section into the section table, then the
+// header into the header CRC.
+func seal(h *fileHeader, image []byte) {
+	le := binary.LittleEndian
+	// Appends write in place: the section table and header CRC fit in
+	// image's capacity right where newImage stopped.
+	b := image[:h.headerLen-sectionTableEntries*sectionEntryBytes-4]
+	for i, e := range h.secs {
+		b = le.AppendUint64(b, e.off)
+		b = le.AppendUint64(b, e.count)
+		b = le.AppendUint32(b, crc32.ChecksumIEEE(h.section(image, i)))
+	}
+	le.AppendUint32(b, crc32.ChecksumIEEE(b[len(indexMagic):])) // covers version..section table
+}
+
+// WriteTo writes the index's image: the SLMX file. It implements
+// io.WriterTo: on error it returns the number of bytes the underlying
+// writer actually accepted before the failure, not zero.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	// A mapped index defers content validation; run it before
-	// re-encoding, or a corrupt mapping would be rewritten under fresh
-	// CRCs that bless the corruption.
+	// A mapped index defers content validation; run it first, or a
+	// corrupt (or closed) mapping would be written out as a store.
 	if err := ix.Verify(); err != nil {
 		return 0, err
 	}
-	if err := ix.checkEncodable(); err != nil {
-		return 0, err
+	n, err := w.Write(ix.image)
+	if err == nil && n < len(ix.image) {
+		err = io.ErrShortWrite
 	}
-	payloads := ix.sectionPayloads(isLittleEndian)
-	counts := [sectionTableEntries]int64{int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids))}
-
-	le := binary.LittleEndian
-	head := le.AppendUint32([]byte(indexMagic), indexVersion)
-	head = appendParams(head, ix.params)
-	head = le.AppendUint32(head, uint32(ix.numBuckets))
-	head = le.AppendUint32(head, uint32(ix.bandRows))
-	layout := fileLayout(int64(len(head))+sectionTableEntries*sectionEntryBytes+4, counts)
-	for i, p := range payloads {
-		head = le.AppendUint64(head, uint64(layout.offs[i]))
-		head = le.AppendUint64(head, uint64(counts[i]))
-		head = le.AppendUint32(head, crc32.ChecksumIEEE(p))
-	}
-	head = le.AppendUint32(head, crc32.ChecksumIEEE(head[len(indexMagic):])) // covers version..section table
-
-	var wrote int64
-	put := func(b []byte) error {
-		if len(b) == 0 {
-			return nil
-		}
-		n, err := w.Write(b)
-		wrote += int64(n)
-		if err == nil && n < len(b) {
-			err = io.ErrShortWrite // or wrote would stop being the file position
-		}
-		return err
-	}
-	if err := put(head); err != nil {
-		return wrote, err
-	}
-	var zeros [sectionAlign]byte
-	for i, p := range payloads {
-		// Every put so far was accepted whole, so wrote is the file
-		// position and the gap to the next section is under one alignment.
-		if err := put(zeros[:layout.offs[i]-wrote]); err != nil {
-			return wrote, err
-		}
-		if err := put(p); err != nil {
-			return wrote, err
-		}
-	}
-	if wrote != layout.end {
-		return wrote, fmt.Errorf("slm: internal: wrote %d bytes, layout says %d", wrote, layout.end)
-	}
-	return wrote, nil
+	return int64(n), err
 }
 
 // cursor walks the header of an image. Every read is bounds-checked
@@ -527,18 +481,18 @@ func readHeader(image []byte) (*fileHeader, error) {
 	for i, s := range h.secs {
 		counts[i] = int64(s.count)
 	}
-	layout := fileLayout(h.headerLen, counts)
+	canon, end := fileLayout(h.headerLen, counts)
 	for i, s := range h.secs {
-		if int64(s.off) != layout.offs[i] {
+		if int64(s.off) != canon[i] {
 			return nil, fmt.Errorf("slm: section %d at offset %d, canonical layout says %d (overlapping, misordered or misaligned sections)",
-				i, s.off, layout.offs[i])
+				i, s.off, canon[i])
 		}
 	}
 	// No byte of a store file may escape the checksums, at either end.
-	switch extra := int64(len(image)) - layout.end; {
+	switch extra := int64(len(image)) - end; {
 	case extra < 0:
 		return nil, fmt.Errorf("slm: sections end at byte %d but only %d are present (truncated or corrupt)",
-			layout.end, len(image))
+			end, len(image))
 	case extra > 0:
 		return nil, fmt.Errorf("slm: %d trailing bytes after the last section", extra)
 	}
@@ -554,66 +508,39 @@ func viewAs[T any](b []byte) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(*new(T))))
 }
 
-// decodeSection copy-decodes a section payload of elem-byte records one
-// element at a time: the only way in on a big-endian host or from an
-// unaligned buffer, where the payload cannot be aliased.
-func decodeSection[T any](b []byte, elem int, get func(rec []byte) T) []T {
-	if len(b) == 0 {
-		return nil
+// indexFromImage returns the index h describes over image — the bytes
+// readHeader parsed h from, or newImage laid out for it. Its three arrays
+// are views of image's sections, so image must outlive the index and
+// change under it only while a build writes it. image must start 8-byte
+// aligned; sections start 64-byte aligned within it. No section byte is
+// read here: that is verify's job.
+func indexFromImage(h *fileHeader, image []byte) (*Index, error) {
+	if err := checkByteOrder(binary.NativeEndian); err != nil {
+		return nil, err
 	}
-	out := make([]T, len(b)/elem)
-	for i := range out {
-		out[i] = get(b[i*elem:])
+	if !isAligned(image) {
+		return nil, errors.New("slm: index image is not 8-byte aligned")
 	}
-	return out
-}
-
-// decodeRow decodes one 16-byte wire row record.
-func decodeRow(rec []byte) Row {
-	le := binary.LittleEndian
-	return Row{
-		Precursor: math.Float64frombits(le.Uint64(rec[0:8])),
-		Peptide:   le.Uint32(rec[8:12]),
-		NumIons:   le.Uint16(rec[12:14]),
-		Flags:     le.Uint16(rec[14:16]),
-	}
-}
-
-// indexFromImage builds the index h describes over image, the bytes
-// readHeader parsed h from. On a little-endian host with every section
-// 8-byte aligned in memory the three arrays alias image — no copy, no
-// decoding; image must then outlive the index and never change — and
-// aliased reports true. Otherwise each section is copy-decoded into a
-// fresh array. No section byte is validated here: that is verify's job.
-func indexFromImage(h *fileHeader, image []byte) (ix *Index, aliased bool) {
-	var secs [sectionTableEntries][]byte
-	aliased = isLittleEndian
-	for i, e := range h.secs {
-		secs[i] = image[e.off : int64(e.off)+sectionElemBytes[i]*int64(e.count)]
-		if len(secs[i]) > 0 && uintptr(unsafe.Pointer(&secs[i][0]))%8 != 0 {
-			aliased = false
-		}
-	}
-	ix = &Index{params: h.params, numBuckets: int(h.numBuckets), bandRows: int(h.bandRows)}
-	if aliased {
-		ix.rows = viewAs[Row](secs[0])
-		ix.offsets = viewAs[uint32](secs[1])
-		ix.ids = viewAs[uint16](secs[2])
-	} else {
-		le := binary.LittleEndian
-		ix.rows = decodeSection(secs[0], rowWireBytes, decodeRow)
-		ix.offsets = decodeSection(secs[1], 4, le.Uint32)
-		ix.ids = decodeSection(secs[2], postingWireBytes, le.Uint16)
+	ix := &Index{
+		params:     h.params,
+		image:      image,
+		rows:       viewAs[Row](h.section(image, 0)),
+		offsets:    viewAs[uint32](h.section(image, 1)),
+		ids:        viewAs[uint16](h.section(image, 2)),
+		numBuckets: int(h.numBuckets),
+		bandRows:   int(h.bandRows),
 	}
 	ix.buildPeak = ix.MemoryBytes()
-	return ix, aliased
+	return ix, nil
 }
 
 // verify is the content half of every open: one sequential pass over
-// image checking each section's CRC and requiring the alignment padding
-// between sections — the one region no CRC covers — to be zero, so any
-// flipped byte of the image is detected, then the cross-array shape.
-func (ix *Index) verify(h *fileHeader, image []byte) error {
+// the image h was read from, checking each section's CRC and requiring
+// the alignment padding between sections — the one region no CRC covers
+// — to be zero, so any flipped byte of the image is detected, then the
+// cross-array shape.
+func (ix *Index) verify(h *fileHeader) error {
+	image := ix.image
 	end := h.headerLen // end of the previously verified region
 	for i, e := range h.secs {
 		lo := int64(e.off)
@@ -633,32 +560,35 @@ func (ix *Index) verify(h *fileHeader, image []byte) error {
 // DecodeIndex deserializes an index from the complete bytes of a store
 // file — the index and nothing after it — verifying every checksum and
 // the format version; files written by an older format version are
-// refused with a hint to rebuild them. Where the host allows it the
-// returned index aliases image instead of copying it, so the caller must
-// not modify image afterwards.
+// refused with a hint to rebuild them. The returned index is a view of
+// image, so the caller must not modify image afterwards; an image that
+// does not start 8-byte aligned is copied once into one that does.
 func DecodeIndex(image []byte) (*Index, error) {
 	h, err := readHeader(image)
 	if err != nil {
 		return nil, err
 	}
-	ix, _ := indexFromImage(h, image)
-	if err := ix.verify(h, image); err != nil {
+	if !isAligned(image) {
+		aligned := alignedBytes(int64(len(image)))
+		copy(aligned, image)
+		image = aligned
+	}
+	ix, err := indexFromImage(h, image)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.verify(h); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// SaveFile writes the index to the named file.
+// SaveFile writes the index's image to the named file.
 func (ix *Index) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	if err := ix.Verify(); err != nil {
 		return err
 	}
-	if _, err := ix.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, ix.image, 0o666)
 }
 
 // LoadFile reads an index from the named file, which must hold nothing

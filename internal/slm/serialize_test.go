@@ -30,8 +30,11 @@ func buildTestIndex(t *testing.T) *Index {
 	return ix
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	ix := buildTestIndex(t)
+// requireImage asserts that ix is its image: the bytes WriteTo emits are
+// the image the build laid out, and decoding them gives back the same
+// arrays. It returns the decoded index.
+func requireImage(t *testing.T, ix *Index) *Index {
+	t.Helper()
 	var buf bytes.Buffer
 	n, err := ix.WriteTo(&buf)
 	if err != nil {
@@ -40,10 +43,30 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
+	if !bytes.Equal(buf.Bytes(), ix.image) {
+		t.Fatal("WriteTo bytes differ from the built image")
+	}
 	got, err := DecodeIndex(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(got.rows, ix.rows) || !reflect.DeepEqual(got.offsets, ix.offsets) ||
+		!reflect.DeepEqual(got.ids, ix.ids) || got.numBuckets != ix.numBuckets || got.bandRows != ix.bandRows {
+		t.Fatal("decoded arrays differ from the built index's")
+	}
+	return got
+}
+
+func TestSerializeRoundTrip(t *testing.T) {
+	ix := buildTestIndex(t)
+	for band := 1; band <= 8; band++ {
+		banded, err := build([]string{"PEPTIDEK", "NQKCMAAR", "AAAAGGGGK"}, ix.params, 0, func(int) int { return band })
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireImage(t, banded)
+	}
+	got := requireImage(t, ix)
 	if got.NumRows() != ix.NumRows() || got.NumIons() != ix.NumIons() {
 		t.Fatalf("shape: %d/%d rows, %d/%d ions",
 			got.NumRows(), ix.NumRows(), got.NumIons(), ix.NumIons())
@@ -230,15 +253,15 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 	}
 	valid := buf.Bytes()
 	tableOff, crcOff, headerLen := headerOffsets(ix)
-	layout := fileLayout(int64(headerLen), [sectionTableEntries]int64{
+	offs, _ := fileLayout(int64(headerLen), [sectionTableEntries]int64{
 		int64(len(ix.rows)), int64(len(ix.offsets)), int64(len(ix.ids)),
 	})
 
 	le := binary.LittleEndian
 	// Layout sanity: entry 0's offset field must hold the canonical
 	// rows offset before we start mutating.
-	if got := le.Uint64(valid[tableOff:]); got != uint64(layout.offs[0]) {
-		t.Fatalf("layout drift: rows offset field holds %d, want %d", got, layout.offs[0])
+	if got := le.Uint64(valid[tableOff:]); got != uint64(offs[0]) {
+		t.Fatalf("layout drift: rows offset field holds %d, want %d", got, offs[0])
 	}
 
 	entry := func(data []byte, i int) []byte { return data[tableOff+i*sectionEntryBytes:] }
@@ -253,14 +276,14 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 			le.PutUint32(entry(d, 2)[16:], le.Uint32(entry(d, 2)[16:])^1)
 		}},
 		{"sections overlap", func(d []byte) {
-			le.PutUint64(entry(d, 1)[0:], uint64(layout.offs[0])) // offsets atop rows
+			le.PutUint64(entry(d, 1)[0:], uint64(offs[0])) // offsets atop rows
 		}},
 		{"sections misordered", func(d []byte) {
-			le.PutUint64(entry(d, 0)[0:], uint64(layout.offs[2]))
-			le.PutUint64(entry(d, 2)[0:], uint64(layout.offs[0]))
+			le.PutUint64(entry(d, 0)[0:], uint64(offs[2]))
+			le.PutUint64(entry(d, 2)[0:], uint64(offs[0]))
 		}},
 		{"section misaligned", func(d []byte) {
-			le.PutUint64(entry(d, 0)[0:], uint64(layout.offs[0])+8)
+			le.PutUint64(entry(d, 0)[0:], uint64(offs[0])+8)
 		}},
 		{"section beyond input", func(d []byte) {
 			le.PutUint64(entry(d, 2)[0:], 1<<40)
@@ -295,14 +318,14 @@ func TestSerializeCorruptSectionTable(t *testing.T) {
 
 	// Nonzero padding: the byte right after the header is inside the
 	// alignment gap (the params block guarantees headerLen < rows offset).
-	if int64(headerLen) < layout.offs[0] {
+	if int64(headerLen) < offs[0] {
 		data = append([]byte(nil), valid...)
 		data[headerLen] = 0xAA
 		mustReject(t, "nonzero padding", data)
 	}
 
 	// Truncated map: every prefix must be rejected by the mapped open.
-	for _, cut := range []int{7, headerLen - 1, headerLen, int(layout.offs[1]), int(layout.offs[2]), len(valid) - 1} {
+	for _, cut := range []int{7, headerLen - 1, headerLen, int(offs[1]), int(offs[2]), len(valid) - 1} {
 		mustReject(t, fmt.Sprintf("truncated at %d", cut), append([]byte(nil), valid[:cut]...))
 	}
 
@@ -398,9 +421,9 @@ func TestDecodeIndexAllocationBounded(t *testing.T) {
 	// the header alone.
 	hugeRows := append([]byte(nil), buf.Bytes()[:headerLen]...)
 	counts := [sectionTableEntries]int64{1 << 28, int64(len(ix.offsets)), int64(len(ix.ids))}
-	forged := fileLayout(int64(headerLen), counts)
+	forged, _ := fileLayout(int64(headerLen), counts)
 	for i := 0; i < sectionTableEntries; i++ {
-		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes:], uint64(forged.offs[i]))
+		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes:], uint64(forged[i]))
 		le.PutUint64(hugeRows[tableOff+i*sectionEntryBytes+8:], uint64(counts[i])) // rows claim 4 GiB
 	}
 	refixHeaderCRC(hugeRows, crcOff)
@@ -430,31 +453,14 @@ func TestDecodeIndexAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestEncodeSectionMirrorsDecodeSection drives the per-element encoder a
-// big-endian host writes with — a path no little-endian runner reaches
-// through WriteTo — the way TestCopyDecodeMatchesAliased drives its
-// mirror: every section of the test index must encode to exactly the
-// bytes the aliasing writer emits, and decode back to the array.
-func TestEncodeSectionMirrorsDecodeSection(t *testing.T) {
-	if !isLittleEndian {
-		t.Skip("bytesOf is the wire layout only on little-endian hosts")
+// TestCheckByteOrder: only a little-endian host can hold an index, whose
+// arrays are views of its little-endian image.
+func TestCheckByteOrder(t *testing.T) {
+	if err := checkByteOrder(binary.LittleEndian); err != nil {
+		t.Errorf("little-endian refused: %v", err)
 	}
-	ix := buildTestIndex(t)
-	encoded, aliased := ix.sectionPayloads(false), ix.sectionPayloads(true)
-	for i := range encoded {
-		if len(encoded[i]) == 0 || !bytes.Equal(encoded[i], aliased[i]) {
-			t.Errorf("section %d: per-element encoding differs from the array's own bytes", i)
-		}
-	}
-	le := binary.LittleEndian
-	if got := decodeSection(encoded[0], rowWireBytes, decodeRow); !reflect.DeepEqual(got, ix.rows) {
-		t.Error("rows do not survive encodeSection then decodeSection")
-	}
-	if !reflect.DeepEqual(decodeSection(encoded[1], 4, le.Uint32), ix.offsets) {
-		t.Error("offsets do not survive encodeSection then decodeSection")
-	}
-	if !reflect.DeepEqual(decodeSection(encoded[2], postingWireBytes, le.Uint16), ix.ids) {
-		t.Error("ids do not survive encodeSection then decodeSection")
+	if err := checkByteOrder(binary.BigEndian); err == nil || !strings.Contains(err.Error(), "big-endian host") {
+		t.Errorf("big-endian: %v, want a refusal naming the host", err)
 	}
 }
 
