@@ -3,10 +3,12 @@ package lbe_test
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +100,40 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "scan\t") || !strings.Contains(lines[0], "qvalue") {
 		t.Fatalf("psms.tsv header: %s", lines[0])
+	}
+	// Target-decoy competition runs over each query's best PSM: an
+	// accepted count is a count of spectra, and only rank-1 rows carry a
+	// q-value.
+	count := func(format string) int {
+		t.Helper()
+		var n int
+		i := strings.Index(out, strings.Fields(format)[0])
+		if i < 0 {
+			t.Fatalf("lbe-search output has no %q line: %s", format, out)
+		}
+		if _, err := fmt.Sscanf(out[i:], format, &n); err != nil {
+			t.Fatalf("lbe-search output %q: %v: %s", format, err, out)
+		}
+		return n
+	}
+	spectra, accepted := count("queries: %d spectra"), count("FDR: %d")
+	if accepted > spectra {
+		t.Fatalf("-fdr accepted %d PSMs for %d spectra: deeper ranks entered the competition", accepted, spectra)
+	}
+	deeper := 0
+	for _, line := range lines[1:] {
+		f := strings.Split(line, "\t")
+		if qv := f[len(f)-1]; f[1] != "1" {
+			deeper++
+			if qv != "NA" {
+				t.Fatalf("rank %s row has q-value %s, want NA: %s", f[1], qv, line)
+			}
+		} else if _, err := strconv.ParseFloat(qv, 64); err != nil {
+			t.Fatalf("rank-1 row has no q-value: %s", line)
+		}
+	}
+	if deeper == 0 {
+		t.Fatal("psms.tsv has no rank > 1 rows; the NA check needs some")
 	}
 
 	// 6. Serial baseline produces the same PSM count.

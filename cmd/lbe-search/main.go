@@ -15,7 +15,12 @@
 // of the Session. With -index the session is warm-started from a
 // persistent store written by lbe-index -out instead of rebuilt from
 // FASTA; the store fixes the database-shape knobs and nothing else:
-// -threads, -batch, -chunk and -steal mean the same as on a fresh build.
+// -threads and -batch mean the same as on a fresh build. Queries run on
+// the work-stealing scheduler, which sizes its own chunks.
+//
+// With -fdr the database gains reversed decoys and target-decoy
+// competition runs over each query's best PSM: its rank-1 row carries
+// the q-value, and deeper rows read NA.
 package main
 
 import (
@@ -54,10 +59,8 @@ func main() {
 		serial  = flag.Bool("serial", false, "run the shared-memory baseline instead")
 		threads = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
 		batch   = flag.Int("batch", 256, "queries per engine batch (0 = one batch)")
-		chunk   = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
-		steal   = flag.Bool("steal", true, "work-stealing scheduler (false = static per-shard chunks)")
 		weights = flag.String("weights", "", "comma-separated machine speeds for heterogeneous clusters")
-		withFDR = flag.Bool("fdr", false, "append reversed decoys and report q-values per PSM")
+		withFDR = flag.Bool("fdr", false, "append reversed decoys and report q-values over each query's best PSM")
 		fdrCut  = flag.Float64("fdr-threshold", 0.01, "FDR acceptance threshold reported with -fdr")
 	)
 	flag.Parse()
@@ -84,7 +87,7 @@ func main() {
 	var peptides []string
 	var sess *lbe.Session
 	cfg := lbe.DefaultEngineConfig()
-	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch, ChunkSize: *chunk, Stealing: *steal}
+	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch}
 	if *index == "" {
 		recs, err := lbe.ReadFasta(*db)
 		if err != nil {
@@ -187,30 +190,24 @@ func main() {
 		defer f.Close()
 		w = bufio.NewWriter(f)
 	}
-	// With -fdr, compute q-values over the best PSM per query.
+	// With -fdr, compute q-values over the best PSM per query: a query
+	// is one identification, so only its rank-1 PSM enters target-decoy
+	// competition. best and qvals run in query order.
+	var best []lbe.ScoredPSM
 	var qvals []float64
-	var flat []lbe.ScoredPSM
-	psmQval := map[[2]int]float64{} // (query, rank within query) -> q
 	if *withFDR {
 		for q, psms := range res.PSMs {
-			for i, p := range psms {
-				flat = append(flat, lbe.ScoredPSM{
-					Query:   q,
-					Peptide: p.Peptide,
-					Score:   p.Score,
-					IsDecoy: int(p.Peptide) >= firstDecoy,
-				})
-				psmQval[[2]int{q, i}] = 1
+			if len(psms) == 0 {
+				continue
 			}
+			best = append(best, lbe.ScoredPSM{
+				Query:   q,
+				Peptide: psms[0].Peptide,
+				Score:   psms[0].Score,
+				IsDecoy: int(psms[0].Peptide) >= firstDecoy,
+			})
 		}
-		qvals = lbe.QValues(flat)
-		k := 0
-		for q, psms := range res.PSMs {
-			for i := range psms {
-				psmQval[[2]int{q, i}] = qvals[k]
-				k++
-			}
-		}
+		qvals = lbe.QValues(best)
 	}
 
 	if *withFDR {
@@ -218,7 +215,7 @@ func main() {
 	} else {
 		fmt.Fprintln(w, "scan\trank\tpeptide\tsequence\tshared\tscore\tprecursor")
 	}
-	reported := 0
+	reported, identified := 0, 0
 	for q, psms := range res.PSMs {
 		for rank, p := range psms {
 			if *withFDR {
@@ -226,9 +223,14 @@ func main() {
 				if int(p.Peptide) >= firstDecoy {
 					decoy = 1
 				}
-				fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%d\t%.4f\t%.4f\t%d\t%.4f\n",
+				qval := "NA"
+				if rank == 0 {
+					qval = strconv.FormatFloat(qvals[identified], 'f', 4, 64)
+					identified++
+				}
+				fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%d\t%.4f\t%.4f\t%d\t%s\n",
 					queries[q].Scan, rank+1, p.Peptide, peptides[p.Peptide],
-					p.Shared, p.Score, p.Precursor, decoy, psmQval[[2]int{q, rank}])
+					p.Shared, p.Score, p.Precursor, decoy, qval)
 			} else {
 				fmt.Fprintf(w, "%d\t%d\t%d\t%s\t%d\t%.4f\t%.4f\n",
 					queries[q].Scan, rank+1, p.Peptide, peptides[p.Peptide], p.Shared, p.Score, p.Precursor)
@@ -240,7 +242,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *withFDR {
-		accepted, err := lbe.AcceptedAt(flat, qvals, *fdrCut)
+		accepted, err := lbe.AcceptedAt(best, qvals, *fdrCut)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,8 +17,9 @@
 // every shard index (minutes of cold start on real databases), the
 // saved indexes are loaded in parallel — O(index bytes) instead of
 // O(database). The store fixes the database-shape knobs (shards,
-// policy, mods, topk) and nothing else: -threads, -batch, -chunk, -steal
-// and the serving flags mean the same as on a fresh build.
+// policy, mods, topk) and nothing else: -threads, -batch and the serving
+// flags mean the same as on a fresh build. Queries run on the
+// work-stealing scheduler, which sizes its own chunks.
 //
 // The first SIGINT/SIGTERM drains gracefully: admission stops (503),
 // queued and in-flight requests complete, then the process exits. A
@@ -61,8 +62,6 @@ func main() {
 		topK     = flag.Int("topk", 5, "PSMs reported per query")
 		threads  = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
 		batch    = flag.Int("batch", 256, "queries per engine batch of one search (0 = one batch)")
-		chunk    = flag.Int("chunk", 0, "scheduler chunk size in queries (0 = auto-tune from observed work)")
-		steal    = flag.Bool("steal", true, "work-stealing scheduler (false = static per-shard chunks)")
 		coalesce = flag.Int("coalesce", 64, "max queries merged into one coalesced batch")
 		flush    = flag.Duration("flush", 2*time.Millisecond, "max wait before a partial batch is searched")
 		queue    = flag.Int("queue", 256, "admission queue depth in requests (full = 429)")
@@ -72,7 +71,7 @@ func main() {
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "answer cache byte budget (0 disables caching)")
 	)
 	flag.Parse()
-	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch, ChunkSize: *chunk, Stealing: *steal}
+	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch}
 
 	var sess *lbe.Session
 	var peptides []string

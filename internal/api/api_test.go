@@ -183,7 +183,7 @@ func TestFormatMetrics(t *testing.T) {
 		QueueLen: 3,
 		PerShard: []ShardStatsJSON{{Rank: 0, WorkUnits: 10}, {Rank: 1, WorkUnits: 20}},
 		Scheduler: SchedulerStatsJSON{
-			Stealing:  true,
+			ChunkSize: 4,
 			PerWorker: []WorkerStatsJSON{{Worker: 0, WorkUnits: 30}},
 		},
 	}
@@ -196,7 +196,7 @@ func TestFormatMetrics(t *testing.T) {
 		"lbe_queue_len 3",
 		`lbe_shard_work_units_total{shard="1"} 20`,
 		`lbe_worker_work_units_total{worker="0"} 30`,
-		"lbe_sched_stealing 1",
+		"lbe_sched_chunk_size 4",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

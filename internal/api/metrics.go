@@ -108,7 +108,6 @@ func (m *metricsWriter) appendStats(st *StatsResponse) {
 		m.appendCache("lbe_cache", st.Cache)
 	}
 
-	m.simple("lbe_sched_stealing", "Whether work stealing is enabled.", "gauge", b2f(sc.Stealing))
 	m.simple("lbe_sched_chunk_size", "Effective scheduler chunk granularity (queries).", "gauge", float64(sc.ChunkSize))
 	m.simple("lbe_sched_batches_total", "Query batches the scheduler executed.", "counter", float64(sc.Batches))
 	m.simple("lbe_sched_chunks_total", "Scheduler chunks executed.", "counter", float64(sc.Chunks))

@@ -186,7 +186,6 @@ type WorkerStatsJSON struct {
 // SchedulerStatsJSON summarizes a session's work-stealing execution
 // layer in /stats.
 type SchedulerStatsJSON struct {
-	Stealing  bool              `json:"stealing"`
 	ChunkSize int               `json:"chunk_size"`
 	Batches   int64             `json:"batches"`
 	Chunks    int64             `json:"chunks"`

@@ -59,7 +59,7 @@ type Shape struct {
 }
 
 // Schedule is how this process spends its cores. Results are invariant
-// to all five fields, so none of them is part of a store or a digest: a
+// to all three fields, so none of them is part of a store or a digest: a
 // process sets its own (Session.SetSchedule) whatever built the index.
 type Schedule struct {
 	// ThreadsPerRank enables the hybrid "OpenMP within MPI" parallelism
@@ -72,16 +72,6 @@ type Schedule struct {
 	// merged at a time (Session.searchBatch). 0 makes the whole set one
 	// batch (the paper's description).
 	BatchSize int
-	// ChunkSize is the scheduler's task granularity: queries per chunk on
-	// the per-shard work deques. 0 auto-tunes from the observed work per
-	// query (sched.Tuner).
-	ChunkSize int
-	// Stealing selects the work-stealing scheduler: idle workers steal
-	// half of the fullest shard deque instead of idling beside a skewed
-	// partition. False keeps the chunks statically pre-dealt (the legacy
-	// strided/per-shard baseline, which bench.Steal replays beside
-	// stealing in virtual time through sched.Estimate).
-	Stealing bool
 	// BuildWorkers is the per-rank index construction parallelism; 0 uses
 	// one worker per available core. The built index is byte-identical
 	// for any worker count.
@@ -98,22 +88,17 @@ func (sc Schedule) effectiveBatch(n int) int {
 }
 
 // newPool builds the scheduler pool the schedule describes: ThreadsPerRank
-// workers (0 = one per core) over per-shard chunk deques, stealing or
-// static per sc.Stealing, sc.ChunkSize granularity (0 = auto-tuned). The
-// shape's topK goes down with it: workers hand back, per (shard, query)
-// cell, only the matches that can still reach the merged best topK (ties
-// at the cell's cut included, so sortPSMs still breaks them).
+// workers (0 = one per core) stealing over per-shard chunk deques whose
+// granularity the pool tunes itself. The shape's topK goes down with it:
+// workers hand back, per (shard, query) cell, only the matches that can
+// still reach the merged best topK (ties at the cell's cut included, so
+// sortPSMs still breaks them).
 func newPool(sc Schedule, topK int) *sched.Pool {
 	workers := sc.ThreadsPerRank
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return sched.NewPool(sched.Options{
-		Workers:   workers,
-		ChunkSize: sc.ChunkSize,
-		Stealing:  sc.Stealing,
-		TopK:      topK,
-	})
+	return sched.NewPool(sched.Options{Workers: workers, TopK: topK})
 }
 
 // divideBudget splits a worker budget (index construction or search; 0
@@ -137,7 +122,9 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the paper's experimental setup with the cyclic
-// policy and top-10 PSMs per query.
+// policy and top-10 PSMs per query. Its Schedule is the zero value: one
+// scheduler worker and one build worker per core and one batch per query
+// set, on the work-stealing pool every schedule runs.
 func DefaultConfig() Config {
 	return Config{
 		Shape: Shape{
@@ -146,7 +133,6 @@ func DefaultConfig() Config {
 			Policy: core.Cyclic,
 			TopK:   10,
 		},
-		Schedule: Schedule{Stealing: true},
 	}
 }
 

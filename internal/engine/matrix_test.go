@@ -82,9 +82,9 @@ func search(t *testing.T, sess *engine.Session, f *fixture) *engine.Result {
 
 // schedules are the runtime knobs every session row searches under.
 var schedules = []engine.Schedule{
-	{ThreadsPerRank: 1, BatchSize: 1, Stealing: true},
-	{ThreadsPerRank: 2, BatchSize: 7, ChunkSize: 1},
-	{ThreadsPerRank: 4, ChunkSize: 4, Stealing: true},
+	{ThreadsPerRank: 1, BatchSize: 1},
+	{ThreadsPerRank: 2, BatchSize: 7},
+	{ThreadsPerRank: 4},
 }
 
 // sessionCells are the (policy, shards) pairs the session row builds:

@@ -3,23 +3,19 @@ package engine
 import (
 	"context"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
-	"lbe/internal/core"
-	"lbe/internal/spectrum"
+	"lbe/internal/sched"
 )
 
 // TestSchedulerTelemetry: the session's lifetime scheduler stats must
-// account every batch, agree with the per-shard work ledger, and report
-// steals only in stealing mode.
+// account every batch, report the granularity the pool's Tuner picked,
+// and agree with the per-shard work ledger.
 func TestSchedulerTelemetry(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 30)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
 	cfg.ThreadsPerRank = 4
-	cfg.ChunkSize = 2
-	cfg.Stealing = true
 	cfg.BatchSize = 10
 	sess, err := NewSession(peptides, cfg)
 	if err != nil {
@@ -34,8 +30,15 @@ func TestSchedulerTelemetry(t *testing.T) {
 	if st.Batches == 0 || st.Chunks == 0 {
 		t.Fatalf("scheduler stats did not accumulate: %+v", st)
 	}
-	if !st.Stealing || st.ChunkSize != 2 {
-		t.Fatalf("scheduler config not reflected: %+v", st)
+	// A 10-query batch over 3 shards and 4 workers sits on the Tuner's
+	// granularity floor from the first batch on, and observed work can
+	// only lower a chunk size, so every batch uses the cold pick.
+	chunk := (&sched.Tuner{}).ChunkSize(cfg.BatchSize, cfg.Shards, cfg.ThreadsPerRank)
+	if st.ChunkSize != chunk {
+		t.Fatalf("scheduler stats report chunk size %d, the Tuner picks %d", st.ChunkSize, chunk)
+	}
+	if want := st.Batches * int64(cfg.Shards*((cfg.BatchSize+chunk-1)/chunk)); st.Chunks != want {
+		t.Fatalf("%d chunks over %d batches, want %d at chunk size %d", st.Chunks, st.Batches, want, chunk)
 	}
 	if len(st.Workers) != 4 {
 		t.Fatalf("%d lifetime workers, want 4", len(st.Workers))
@@ -56,26 +59,10 @@ func TestSchedulerTelemetry(t *testing.T) {
 	if workSum != shardScored {
 		t.Fatalf("worker work %d != shard work %d", workSum, shardScored)
 	}
-
-	// Static mode must stay steal-free.
-	static := sess.Config().Schedule
-	static.ChunkSize, static.Stealing = 2, false
-	sess.SetSchedule(static)
-	before := sess.SchedulerStats().Steals
-	if _, err := sess.Search(context.Background(), queries); err != nil {
-		t.Fatal(err)
-	}
-	after := sess.SchedulerStats()
-	if after.Steals != before {
-		t.Fatalf("static run stole: %d -> %d", before, after.Steals)
-	}
-	if after.Stealing {
-		t.Fatal("SchedulerStats.Stealing must track the tuned mode")
-	}
 }
 
-// TestSchedulerCancelledRunsLeakNothing: repeated cancelled searches under
-// both scheduling modes must leave the goroutine count where it started.
+// TestSchedulerCancelledRunsLeakNothing: repeated cancelled searches must
+// leave the goroutine count where it started.
 func TestSchedulerCancelledRunsLeakNothing(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 8, 2, 60)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
@@ -88,74 +75,16 @@ func TestSchedulerCancelledRunsLeakNothing(t *testing.T) {
 	defer sess.Close()
 
 	base := runtime.NumGoroutine()
-	for _, stealing := range []bool{true, false} {
-		sc := cfg.Schedule
-		sc.ChunkSize, sc.Stealing = 1, stealing
-		sess.SetSchedule(sc)
-		for i := 0; i < 3; i++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(time.Duration(i) * time.Millisecond)
-				cancel()
-			}()
-			if _, err := sess.Search(ctx, queries); err == nil {
-				t.Logf("steal=%v run %d finished before cancellation", stealing, i)
-			}
+	for i := 0; i < 6; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(time.Duration(i%3) * time.Millisecond)
 			cancel()
+		}()
+		if _, err := sess.Search(ctx, queries); err == nil {
+			t.Logf("run %d finished before cancellation", i)
 		}
+		cancel()
 	}
 	waitForGoroutines(t, base)
-}
-
-// skewedDataset builds a corpus whose clustered order concentrates the
-// expensive peptides: sorted by ascending length, the Chunk policy hands
-// the last shard the longest peptides (the most variants and ion
-// postings), reproducing the skew LBE's figures show for chunk
-// partitioning.
-func skewedDataset(tb testing.TB, families, homologs, nspectra int) ([]string, []spectrum.Experimental) {
-	peptides, queries, _ := testDataset(tb, families, homologs, nspectra)
-	sort.Slice(peptides, func(i, j int) bool {
-		if len(peptides[i]) != len(peptides[j]) {
-			return len(peptides[i]) < len(peptides[j])
-		}
-		return peptides[i] < peptides[j]
-	})
-	return peptides, queries
-}
-
-// BenchmarkStealVsStatic measures the same skewed multi-shard search under
-// the static baseline and the stealing scheduler. CI runs it once
-// (-benchtime=1x) for the artifact; locally, -benchtime=5x+ gives stable
-// ratios on multi-core machines.
-func BenchmarkStealVsStatic(b *testing.B) {
-	peptides, queries := skewedDataset(b, 12, 2, 200)
-	for _, stealing := range []bool{false, true} {
-		name := "static"
-		if stealing {
-			name = "stealing"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := SessionConfig{Config: lightConfig(), Shards: 4}
-			cfg.Policy = core.Chunk
-			cfg.RawOrder = true
-			cfg.ThreadsPerRank = runtime.GOMAXPROCS(0)
-			cfg.Stealing = stealing
-			cfg.TopK = 5
-			sess, err := NewSession(peptides, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sess.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Search(context.Background(), queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := sess.SchedulerStats()
-			b.ReportMetric(float64(st.Steals)/float64(b.N), "steals/op")
-			b.ReportMetric(float64(len(queries)), "queries/op")
-		})
-	}
 }

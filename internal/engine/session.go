@@ -47,8 +47,7 @@ type SchedulerStats struct {
 	Chunks    int64               // chunks executed
 	Steals    int64               // steal-half operations
 	Stolen    int64               // chunks acquired by stealing
-	ChunkSize int                 // last effective granularity (auto-tuned when cfg.ChunkSize is 0)
-	Stealing  bool                // current scheduling mode
+	ChunkSize int                 // the granularity the pool's Tuner picked for the last batch
 }
 
 // Session owns a built search engine: the LBE grouping, the policy
@@ -395,7 +394,6 @@ func (s *Session) SchedulerStats() SchedulerStats {
 	defer s.mu.Unlock()
 	out := s.sched
 	out.Workers = append([]sched.WorkerStats(nil), s.sched.Workers...)
-	out.Stealing = s.schedule.Stealing
 	return out
 }
 

@@ -322,25 +322,22 @@ func TestSetSchedule(t *testing.T) {
 	ctx := context.Background()
 
 	for _, sc := range []Schedule{
-		{ThreadsPerRank: 3, BatchSize: 5, ChunkSize: 16, Stealing: false, BuildWorkers: 2},
+		{ThreadsPerRank: 3, BatchSize: 5, BuildWorkers: 2},
 		{}, // zeros are values, not "keep"
-		{ThreadsPerRank: 1, Stealing: true},
+		{ThreadsPerRank: 1},
 	} {
 		sess.SetSchedule(sc)
 		if got := sess.Config().Schedule; got != sc {
 			t.Fatalf("SetSchedule(%+v) left %+v", sc, got)
 		}
-		if got := sess.SchedulerStats().Stealing; got != sc.Stealing {
-			t.Fatalf("SetSchedule(%+v): SchedulerStats.Stealing = %v", sc, got)
-		}
 	}
 
 	// One worker, five queries a batch; the schedule moves to three
 	// workers and one batch a set while the first batch is handed over.
-	sess.SetSchedule(Schedule{ThreadsPerRank: 1, BatchSize: 5, Stealing: true})
+	sess.SetSchedule(Schedule{ThreadsPerRank: 1, BatchSize: 5})
 	before, n := sess.pool, sess.Batches()
 	err = sess.each(ctx, queries, func(BatchResult) error {
-		sess.SetSchedule(Schedule{ThreadsPerRank: 3, Stealing: true})
+		sess.SetSchedule(Schedule{ThreadsPerRank: 3})
 		return nil
 	})
 	if err != nil {
@@ -357,7 +354,7 @@ func TestSetSchedule(t *testing.T) {
 	}
 
 	// BatchSize 0 is one batch per Search, however many queries.
-	sess.SetSchedule(Schedule{Stealing: true})
+	sess.SetSchedule(Schedule{})
 	n = sess.Batches()
 	if _, err := sess.Search(ctx, queries); err != nil {
 		t.Fatal(err)
@@ -365,7 +362,7 @@ func TestSetSchedule(t *testing.T) {
 	if got := sess.Batches() - n; got != 1 {
 		t.Fatalf("BatchSize 0: a %d-query Search ran %d batches, want 1", len(queries), got)
 	}
-	sess.SetSchedule(Schedule{BatchSize: 5, Stealing: true})
+	sess.SetSchedule(Schedule{BatchSize: 5})
 	n = sess.Batches()
 	if _, err := sess.Search(ctx, queries); err != nil {
 		t.Fatal(err)
@@ -381,7 +378,7 @@ func TestSetSchedule(t *testing.T) {
 func TestOpenedSessionSchedulesForThisMachine(t *testing.T) {
 	peptides, queries, _ := testDataset(t, 6, 2, 12)
 	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
-	cfg.Schedule = Schedule{ThreadsPerRank: 1, ChunkSize: 9, Stealing: false, BatchSize: 17}
+	cfg.Schedule = Schedule{ThreadsPerRank: 1, BatchSize: 17}
 	built, err := NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +519,7 @@ func TestSessionDigestConsistency(t *testing.T) {
 	// every open of either reports the one digest.
 	var stores, clusters [2]map[string]string
 	var digests []string
-	for i, sc := range []Schedule{{BuildWorkers: 1, ThreadsPerRank: 1}, {BuildWorkers: 3, ThreadsPerRank: 2, Stealing: true}} {
+	for i, sc := range []Schedule{{BuildWorkers: 1, ThreadsPerRank: 1}, {BuildWorkers: 3, ThreadsPerRank: 2}} {
 		bcfg := cfg
 		bcfg.Schedule = sc
 		sess, err := NewSession(peptides, bcfg)

@@ -604,7 +604,6 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 			agg.QueueDepth += st.QueueDepth
 			agg.InFlight += st.InFlight
 			agg.MaxInFlight += st.MaxInFlight
-			agg.Scheduler.Stealing = st.Scheduler.Stealing
 			agg.Scheduler.ChunkSize = st.Scheduler.ChunkSize
 			agg.Scheduler.Batches += st.Scheduler.Batches
 			agg.Scheduler.Chunks += st.Scheduler.Chunks

@@ -5,8 +5,9 @@ package sched
 // machines rarely have; the bench figures therefore replay both schedules
 // in virtual time over deterministic per-chunk work units, so a makespan
 // is counted work rather than seconds and load-balance effects are
-// preserved exactly. The replay shares the real executor's dealing and
-// stealing rules, so it is the algorithm itself being evaluated — only
+// preserved exactly. The stealing replay shares the pool's homing and
+// stealing rules, and the static one deals chunks as the pre-stealing
+// executor did, so it is the algorithms themselves being evaluated — only
 // the nondeterministic OS interleaving is idealized away: each virtual
 // worker acts the moment its clock frees, i.e. dedicated-core execution.
 
@@ -31,6 +32,30 @@ func ChunkCosts(perQuery [][]int64, chunkSize int) [][]int64 {
 		}
 	}
 	return out
+}
+
+// dealStatic assigns every chunk to a fixed worker, the static baseline
+// Estimate replays: the workers homed on a shard stride over its chunk
+// list; when there are more shards than workers, ownerless shards fold
+// onto the worker their ring position points at. With one shard and
+// chunk size 1 this is the legacy strided search; with threads/shards
+// workers per shard it is the legacy goroutine-per-shard split.
+func dealStatic(perShard [][]chunk, workers int) [][]chunk {
+	plans := make([][]chunk, workers)
+	owners := make([][]int, len(perShard)) // workers homed on each shard
+	for t := 0; t < workers; t++ {
+		owners[homeShard(t, len(perShard))] = append(owners[homeShard(t, len(perShard))], t)
+	}
+	for s := range perShard {
+		own := owners[s]
+		if len(own) == 0 {
+			own = []int{homeShard(s, workers)}
+		}
+		for i, c := range perShard[s] {
+			plans[own[i%len(own)]] = append(plans[own[i%len(own)]], c)
+		}
+	}
+	return plans
 }
 
 // Estimate returns the virtual-time makespan (in work units) of executing

@@ -128,25 +128,23 @@ func TestRunChunkZeroAllocWarm(t *testing.T) {
 func TestWarmPoolRunAllocatesHeadersOnly(t *testing.T) {
 	shards, qs := crowdedShards(t, 3)
 	const workers = 2
-	for _, stealing := range []bool{false, true} {
-		p := NewPool(Options{Workers: workers, ChunkSize: 2, Stealing: stealing, TopK: 2})
-		run := func() {
-			if _, err := p.Run(context.Background(), shards, qs); err != nil {
-				t.Fatal(err)
-			}
+	p := NewPool(Options{Workers: workers, TopK: 2, chunkSize: 2})
+	run := func() {
+		if _, err := p.Run(context.Background(), shards, qs); err != nil {
+			t.Fatal(err)
 		}
-		run() // warm: the pool now owns one sized scratch per worker
-		warm := append([]*workerState(nil), p.free...)
-		if len(warm) != workers {
-			t.Fatalf("stealing=%v: %d idle states after one Run, want %d", stealing, len(warm), workers)
-		}
+	}
+	run() // warm: the pool now owns one sized scratch per worker
+	warm := append([]*workerState(nil), p.free...)
+	if len(warm) != workers {
+		t.Fatalf("%d idle states after one Run, want %d", len(warm), workers)
+	}
 
-		bound := float64(16 + 4*workers + 4*len(shards) + len(shards)*len(qs))
-		if n := testing.AllocsPerRun(20, run); n > bound {
-			t.Errorf("stealing=%v: warm Run allocates %.0f times, want <= %.0f", stealing, n, bound)
-		}
-		if len(p.free) != workers || !slices.Contains(warm, p.free[0]) || !slices.Contains(warm, p.free[1]) {
-			t.Errorf("stealing=%v: later Runs did not reuse the warm worker states", stealing)
-		}
+	bound := float64(16 + 4*workers + 4*len(shards) + len(shards)*len(qs))
+	if n := testing.AllocsPerRun(20, run); n > bound {
+		t.Errorf("warm Run allocates %.0f times, want <= %.0f", n, bound)
+	}
+	if len(p.free) != workers || !slices.Contains(warm, p.free[0]) || !slices.Contains(warm, p.free[1]) {
+		t.Errorf("later Runs did not reuse the warm worker states")
 	}
 }

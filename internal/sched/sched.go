@@ -1,6 +1,6 @@
-// Package sched is the engine's query-time execution layer: a shared,
-// load-aware worker pool that replaces the static per-shard / strided
-// goroutine scheduling the run modes used to carry individually.
+// Package sched is the engine's query-time execution layer: one shared,
+// load-aware work-stealing pool per process, which sizes its own chunks
+// from the work it observes (Tuner).
 //
 // LBE balances the *data* across shards ahead of time, but per-query cost
 // still varies wildly at search time (open-search candidate counts are
@@ -23,11 +23,10 @@
 //   - When a worker's deque runs dry it finds the deque with the most
 //     remaining chunks and steals the back half into a private run queue
 //     (steal-half: one steal amortizes over many chunks).
-//   - With Stealing disabled the same chunks are pre-dealt statically:
-//     the workers homed on a shard stride over its chunk list and never
-//     look elsewhere. This is the old per-shard/strided behavior, kept
-//     as the baseline; bench.Steal compares the two by replaying both
-//     in virtual time through Estimate, not by running this pool.
+//   - Estimate replays this schedule in virtual time beside the static
+//     baseline (the workers homed on a shard stride over its chunk list
+//     and never look elsewhere), for bench.Steal; the pool itself never
+//     runs the baseline.
 //
 // Results are deterministic by construction: every (shard, query) cell of
 // the output is written by exactly one chunk, and a query's matches depend
@@ -51,17 +50,16 @@ type Options struct {
 	// Workers is the pool size. Values <= 1 run the batch serially on the
 	// caller's goroutine.
 	Workers int
-	// ChunkSize is the task granularity in queries per chunk. 0 auto-tunes
-	// from the observed work per query (see Tuner).
-	ChunkSize int
-	// Stealing selects the work-stealing schedule. False pre-deals chunks
-	// statically (the strided baseline) and never rebalances.
-	Stealing bool
 	// TopK is how many matches per query the caller keeps after merging
 	// the shards: workers keep, per (shard, query) cell, only the matches
 	// scoring at least the cell's TopK-th best (slm.Index.SearchCut).
 	// 0 keeps every match.
 	TopK int
+
+	// chunkSize pins the task granularity in queries per chunk, so the
+	// package's tests can sweep it; 0 (always, outside them) lets the
+	// Tuner size chunks from the observed work per query.
+	chunkSize int
 }
 
 // ShardStats is one shard's share of a scheduled batch. Work is
@@ -107,8 +105,8 @@ type Result struct {
 	Matches [][][]slm.Match
 	Shards  []ShardStats
 	Workers []WorkerStats
-	// ChunkSize is the granularity this batch actually used (after
-	// auto-tuning when Options.ChunkSize is 0).
+	// ChunkSize is the granularity, in queries per chunk, the Tuner
+	// picked for this batch.
 	ChunkSize int
 }
 
@@ -121,7 +119,7 @@ func (r *Result) Work() slm.Work {
 	return w
 }
 
-// Pool runs query batches under one scheduling policy. A Pool is safe for
+// Pool runs query batches on the work-stealing schedule. A Pool is safe for
 // concurrent Run calls; the embedded tuner is shared across them so chunk
 // sizing keeps learning over a session's lifetime, and so are the worker
 // states: a Run borrows one per worker and returns them, so their search
@@ -280,7 +278,7 @@ func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []spectrum.Exper
 	if workers < 1 {
 		workers = 1
 	}
-	csize := p.opts.ChunkSize
+	csize := p.opts.chunkSize
 	if csize <= 0 {
 		csize = p.tuner.ChunkSize(nq, ns, workers)
 	}
@@ -317,10 +315,8 @@ func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []spectrum.Exper
 				ws.runChunk(c, shards[c.shard], qs, res.Matches)
 			}
 		}
-	} else if p.opts.Stealing {
-		runStealing(ctx, shards, qs, perShard, states, res.Matches)
 	} else {
-		runStatic(ctx, shards, qs, perShard, states, res.Matches)
+		runStealing(ctx, shards, qs, perShard, states, res.Matches)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -333,56 +329,8 @@ func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []spectrum.Exper
 // homeShard assigns workers to shards round-robin.
 func homeShard(worker, shards int) int { return worker % shards }
 
-// dealStatic assigns every chunk to a fixed worker: the workers homed on
-// a shard stride over its chunk list; when there are more shards than
-// workers, ownerless shards fold onto the worker their ring position
-// points at. Shared by the static executor and Estimate.
-func dealStatic(perShard [][]chunk, workers int) [][]chunk {
-	plans := make([][]chunk, workers)
-	owners := make([][]int, len(perShard)) // workers homed on each shard
-	for t := 0; t < workers; t++ {
-		owners[homeShard(t, len(perShard))] = append(owners[homeShard(t, len(perShard))], t)
-	}
-	for s := range perShard {
-		own := owners[s]
-		if len(own) == 0 {
-			own = []int{homeShard(s, workers)}
-		}
-		for i, c := range perShard[s] {
-			plans[own[i%len(own)]] = append(plans[own[i%len(own)]], c)
-		}
-	}
-	return plans
-}
-
-// runStatic pre-deals every chunk to a fixed worker and never rebalances.
-// With one shard and chunk size 1 this is exactly the legacy strided
-// searchAll; with threads/shards workers per shard it is the legacy
-// goroutine-per-shard split. It exists as the measured baseline for the
-// stealing schedule.
-func runStatic(ctx context.Context, shards []*slm.Index, qs []spectrum.Experimental, perShard [][]chunk, states []*workerState, out [][][]slm.Match) {
-	workers := len(states)
-	plans := dealStatic(perShard, workers)
-
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			ws := states[t]
-			for _, c := range plans[t] {
-				if ctx.Err() != nil {
-					return
-				}
-				ws.runChunk(c, shards[c.shard], qs, out)
-			}
-		}(t)
-	}
-	wg.Wait()
-}
-
-// runStealing is the load-aware schedule: per-shard deques, home-first
-// popping, steal-half on empty.
+// runStealing is the schedule: per-shard deques, home-first popping,
+// steal-half on empty.
 func runStealing(ctx context.Context, shards []*slm.Index, qs []spectrum.Experimental, perShard [][]chunk, states []*workerState, out [][][]slm.Match) {
 	deques := make([]*deque, len(perShard))
 	for s := range perShard {
@@ -435,8 +383,8 @@ func runStealing(ctx context.Context, shards []*slm.Index, qs []spectrum.Experim
 }
 
 // reduce folds the workers' accounting into the result. Work is summed in
-// integer units, so per-shard and total figures are identical for every
-// schedule.
+// integer units, so per-shard and total figures are identical however the
+// chunks were dealt.
 func reduce(states []*workerState, res *Result) {
 	res.Workers = make([]WorkerStats, len(states))
 	for t, ws := range states {

@@ -72,28 +72,26 @@ func serialReference(shards []*slm.Index, qs []spectrum.Experimental) ([][][]slm
 }
 
 // TestRunMatchesSerial: the scheduled match matrix and the deterministic
-// work accounting must equal the serial reference for every worker count,
-// chunk size, and scheduling mode.
+// work accounting must equal the serial reference for every worker count
+// and chunk size (0 is the Tuner's pick).
 func TestRunMatchesSerial(t *testing.T) {
 	for _, ns := range []int{1, 3, 5} {
 		shards, qs := testShards(t, ns)
 		want, wantWork := serialReference(shards, qs)
 		for _, workers := range []int{1, 2, 4, 9} {
 			for _, chunkSize := range []int{0, 1, 3, 1000} {
-				for _, stealing := range []bool{false, true} {
-					label := fmt.Sprintf("shards=%d/workers=%d/chunk=%d/steal=%v", ns, workers, chunkSize, stealing)
-					p := NewPool(Options{Workers: workers, ChunkSize: chunkSize, Stealing: stealing})
-					res, err := p.Run(context.Background(), shards, qs)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !reflect.DeepEqual(res.Matches, want) {
-						t.Fatalf("%s: match matrix differs from serial reference", label)
-					}
-					for s := range wantWork {
-						if res.Shards[s].Work != wantWork[s] {
-							t.Fatalf("%s: shard %d work %+v, serial %+v", label, s, res.Shards[s].Work, wantWork[s])
-						}
+				label := fmt.Sprintf("shards=%d/workers=%d/chunk=%d", ns, workers, chunkSize)
+				p := NewPool(Options{Workers: workers, chunkSize: chunkSize})
+				res, err := p.Run(context.Background(), shards, qs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !reflect.DeepEqual(res.Matches, want) {
+					t.Fatalf("%s: match matrix differs from serial reference", label)
+				}
+				for s := range wantWork {
+					if res.Shards[s].Work != wantWork[s] {
+						t.Fatalf("%s: shard %d work %+v, serial %+v", label, s, res.Shards[s].Work, wantWork[s])
 					}
 				}
 			}
@@ -158,8 +156,8 @@ func cutCell(cell []slm.Match, k int) []slm.Match {
 
 // TestRunTopKCutsCells: with Options.TopK set, every (shard, query) cell
 // holds exactly the serial cell's matches scoring at least its TopK-th
-// best score — ties at the cut kept, order kept — for every schedule,
-// and the deterministic work accounting does not move.
+// best score — ties at the cut kept, order kept — for every worker
+// count, and the deterministic work accounting does not move.
 func TestRunTopKCutsCells(t *testing.T) {
 	shards, qs := crowdedShards(t, 3)
 	full, wantWork := serialReference(shards, qs)
@@ -180,20 +178,18 @@ func TestRunTopKCutsCells(t *testing.T) {
 			t.Fatalf("topk=%d dropped %d matches and kept %d ties; the test needs crowded cells with ties at the cut", k, dropped, ties)
 		}
 		for _, workers := range []int{1, 4} {
-			for _, stealing := range []bool{false, true} {
-				p := NewPool(Options{Workers: workers, ChunkSize: 2, Stealing: stealing, TopK: k})
-				for round := 0; round < 2; round++ { // the second Run reuses the first's worker states
-					res, err := p.Run(context.Background(), shards, qs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(res.Matches, want) {
-						t.Fatalf("topk=%d workers=%d steal=%v round %d: cells differ from the cut serial reference", k, workers, stealing, round)
-					}
-					for s := range wantWork {
-						if res.Shards[s].Work != wantWork[s] {
-							t.Fatalf("topk=%d: shard %d work %+v, serial %+v", k, s, res.Shards[s].Work, wantWork[s])
-						}
+			p := NewPool(Options{Workers: workers, TopK: k, chunkSize: 2})
+			for round := 0; round < 2; round++ { // the second Run reuses the first's worker states
+				res, err := p.Run(context.Background(), shards, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Matches, want) {
+					t.Fatalf("topk=%d workers=%d round %d: cells differ from the cut serial reference", k, workers, round)
+				}
+				for s := range wantWork {
+					if res.Shards[s].Work != wantWork[s] {
+						t.Fatalf("topk=%d: shard %d work %+v, serial %+v", k, s, res.Shards[s].Work, wantWork[s])
 					}
 				}
 			}
@@ -209,7 +205,7 @@ func TestConcurrentRunsShareWorkerStates(t *testing.T) {
 	shards, qs := testShards(t, 3)
 	want, _ := serialReference(shards, qs)
 	const workers, callers, rounds = 3, 4, 8
-	p := NewPool(Options{Workers: workers, ChunkSize: 1, Stealing: true})
+	p := NewPool(Options{Workers: workers, chunkSize: 1})
 	wantChunks := len(shards) * len(qs)
 
 	var wg sync.WaitGroup
@@ -254,7 +250,7 @@ func TestConcurrentRunsShareWorkerStates(t *testing.T) {
 // whole batch, and every chunk must be accounted to exactly one worker.
 func TestTelemetryAccounting(t *testing.T) {
 	shards, qs := testShards(t, 3)
-	p := NewPool(Options{Workers: 4, ChunkSize: 2, Stealing: true})
+	p := NewPool(Options{Workers: 4, chunkSize: 2})
 	res, err := p.Run(context.Background(), shards, qs)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +273,7 @@ func TestTelemetryAccounting(t *testing.T) {
 		t.Fatalf("work accounting: workers %+v, shards %+v", workerWork, shardWork)
 	}
 	if res.ChunkSize != 2 {
-		t.Fatalf("chunk size %d, want the explicit 2", res.ChunkSize)
+		t.Fatalf("chunk size %d, want the pinned 2", res.ChunkSize)
 	}
 }
 
@@ -287,7 +283,7 @@ func TestTelemetryAccounting(t *testing.T) {
 // holds on any machine, however the goroutines are actually interleaved.
 func TestStealingReachesOrphanShards(t *testing.T) {
 	shards, qs := testShards(t, 5)
-	p := NewPool(Options{Workers: 2, ChunkSize: 1, Stealing: true})
+	p := NewPool(Options{Workers: 2, chunkSize: 1})
 	res, err := p.Run(context.Background(), shards, qs)
 	if err != nil {
 		t.Fatal(err)
@@ -326,21 +322,6 @@ func TestStealHalf(t *testing.T) {
 	}
 }
 
-// TestStaticNeverSteals: the baseline schedule must report zero steals.
-func TestStaticNeverSteals(t *testing.T) {
-	shards, qs := testShards(t, 3)
-	p := NewPool(Options{Workers: 6, ChunkSize: 1, Stealing: false})
-	res, err := p.Run(context.Background(), shards, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range res.Workers {
-		if w.Steals != 0 || w.Stolen != 0 {
-			t.Fatalf("static worker %d stole: %+v", w.Worker, w)
-		}
-	}
-}
-
 // TestRunCancellation: a cancelled context must surface as ctx.Err() and
 // leave no goroutines behind.
 func TestRunCancellation(t *testing.T) {
@@ -349,7 +330,7 @@ func TestRunCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := NewPool(Options{Workers: 4, ChunkSize: 1, Stealing: true})
+	p := NewPool(Options{Workers: 4, chunkSize: 1})
 	if _, err := p.Run(ctx, shards, qs); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v", err)
 	}
@@ -366,7 +347,7 @@ func TestRunCancellation(t *testing.T) {
 // TestEmptyInputs: zero shards or zero queries complete without work.
 func TestEmptyInputs(t *testing.T) {
 	shards, qs := testShards(t, 2)
-	p := NewPool(Options{Workers: 4, Stealing: true})
+	p := NewPool(Options{Workers: 4})
 	res, err := p.Run(context.Background(), nil, qs)
 	if err != nil || len(res.Matches) != 0 {
 		t.Fatalf("no shards: %v %+v", err, res)

@@ -396,7 +396,6 @@ func (s *Server) Stats() api.StatsResponse {
 	}
 	ss := s.sess.SchedulerStats()
 	st.Scheduler = api.SchedulerStatsJSON{
-		Stealing:  ss.Stealing,
 		ChunkSize: ss.ChunkSize,
 		Batches:   ss.Batches,
 		Chunks:    ss.Chunks,
