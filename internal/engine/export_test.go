@@ -24,3 +24,15 @@ func (s *Session) SearchCells(ctx context.Context, qs []spectrum.Experimental) (
 func (s *Session) MergeCells(cells [][][]slm.Match, nq int) ([][]PSM, error) {
 	return s.merge(cells, nq)
 }
+
+// WaitRowViews blocks until the session's background row-view build, if
+// one was started, has stopped, and reports whether one was started.
+func (s *Session) WaitRowViews() bool {
+	s.mu.Lock()
+	done, started := s.viewDone, s.viewStop != nil
+	s.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+	return started
+}

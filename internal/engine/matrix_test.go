@@ -192,6 +192,18 @@ var rows = []struct {
 		defer sess.Close()
 		f.Check(t, "raw order", search(t, sess, f))
 	}},
+	{"row-views", func(t *testing.T, f *fixture) {
+		sess, err := engine.NewSession(f.Corpus.Peptides, engine.SessionConfig{Config: f.config(core.Cyclic), Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		search(t, sess, f) // starts the background row-view build
+		if sess.WaitRowViews() == f.Shape.Tol.IsOpen() {
+			t.Fatalf("a %v session started a row-view build: %v", f.Shape.Tol, !f.Shape.Tol.IsOpen())
+		}
+		f.Check(t, "session with its row views", search(t, sess, f))
+	}},
 	{"store/heap", storeRow(false)},
 	{"store/mapped", storeRow(true)},
 	{"partitioned", func(t *testing.T, f *fixture) {

@@ -75,6 +75,13 @@ type Session struct {
 	verifyOnce  sync.Once
 	verifyErr   error
 
+	// viewStop and viewDone run the build of the shards' row views
+	// (slm.Index.BuildRowView) in the background: started once the first
+	// batch has been answered, cancelled and waited for by Close. Both are
+	// guarded by mu.
+	viewStop context.CancelFunc
+	viewDone chan struct{}
+
 	mu       sync.Mutex
 	schedule Schedule    // this process's runtime knobs; see SetSchedule
 	pool     *sched.Pool // query-time execution layer; swapped by SetSchedule
@@ -402,11 +409,55 @@ func (s *Session) SchedulerStats() SchedulerStats {
 // session this only drops the references — the underlying file mappings
 // are released when the last index reference is collected (never eagerly,
 // since a search in flight may still be reading them).
+//
+// Close also cancels the background build of the shards' row views and
+// waits for it to stop.
 func (s *Session) Close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
 	s.shards = nil
+	stop, done := s.viewStop, s.viewDone
+	s.mu.Unlock()
+	if stop != nil {
+		stop()
+		<-done
+	}
+}
+
+// startRowViews starts, at most once per session and never after Close,
+// one goroutine that builds the row view of every shard that needs one
+// (slm.Index.BuildRowView), one shard after another. Until a shard's view
+// is published its windowed searches take the per-bucket walk; the
+// answers are the same either way, so nothing waits for it. An
+// open-tolerance session needs no view and starts nothing.
+func (s *Session) startRowViews() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.viewDone != nil {
+		return
+	}
+	s.viewDone = make(chan struct{})
+	var todo []*slm.Index
+	for _, ix := range s.shards {
+		if ix.NeedsRowView() {
+			todo = append(todo, ix)
+		}
+	}
+	if len(todo) == 0 {
+		close(s.viewDone)
+		return
+	}
+	//lbe:ignore ctxflow the row views live as long as the session; Close cancels this root and waits for the build to stop
+	ctx, stop := context.WithCancel(context.Background())
+	s.viewStop = stop
+	go func(done chan struct{}) {
+		defer close(done)
+		for _, ix := range todo {
+			if ix.BuildRowView(ctx) != nil {
+				return
+			}
+		}
+	}(s.viewDone)
 }
 
 // record accumulates one merged batch into the lifetime load accounting:
@@ -556,7 +607,9 @@ func (s *Session) merge(cells [][][]slm.Match, nq int) ([][]PSM, error) {
 //
 // For a session warm-started with mapped shards, the first call runs the
 // store's deferred content verification and fails here if the store is
-// corrupt — after that one check, runs start with no extra cost.
+// corrupt — after that one check, runs start with no extra cost. Once
+// the first batch has been answered, the background build of the shards'
+// row views starts (see startRowViews), so it never delays a first answer.
 func (s *Session) each(ctx context.Context, queries []spectrum.Experimental, emit func(BatchResult) error) error {
 	if err := s.verifyStore(); err != nil {
 		return err
@@ -575,6 +628,9 @@ func (s *Session) each(ctx context.Context, queries []spectrum.Experimental, emi
 		}
 		if err := emit(br); err != nil {
 			return err
+		}
+		if off == 0 {
+			s.startRowViews()
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // benchKernel times warm Index.Search over a fixed seeded index (6 000
 // random peptides, two variable mods per peptide: ~100 k rows, so the
-// accumulator is larger than L2 as it is in production shards) and reports
+// accumulator is larger than L2 as it is in production shards), with its
+// row view built as a serving session builds it, and reports
 // the phase-1 unit cost as ns/posting — wall time over Work.IonHits, the
 // same ratio the repository benchmark prints as slm.ns_per_posting.
 func benchKernel(b *testing.B, tol mass.Tolerance) {
@@ -24,6 +26,9 @@ func benchKernel(b *testing.B, tol mass.Tolerance) {
 	params.PrecursorTol = tol
 	ix, err := Build(peps, params)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.BuildRowView(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	qs := make([]spectrum.Experimental, 64)
@@ -54,6 +59,11 @@ func benchKernel(b *testing.B, tol mass.Tolerance) {
 // BenchmarkSearchOpen is the open-search kernel: the flattened full scan.
 func BenchmarkSearchOpen(b *testing.B) { benchKernel(b, mass.Open()) }
 
-// BenchmarkSearchNarrow is the 0.5 Da kernel: the windowed scan, where
-// bucket binary searches and per-call overhead outweigh the postings.
+// BenchmarkSearchNarrow is the 0.5 Da kernel: a few dozen rows per cut
+// band, which the row scan reads in row order, and per-call overhead.
 func BenchmarkSearchNarrow(b *testing.B) { benchKernel(b, mass.Da(0.5)) }
+
+// BenchmarkSearchWide is a 20 Da window: hundreds of rows per cut band,
+// more postings than the per-bucket walk's probes are worth, so the rule
+// picks the walk there.
+func BenchmarkSearchWide(b *testing.B) { benchKernel(b, mass.Da(20)) }

@@ -3,6 +3,7 @@ package slm
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -212,6 +213,9 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // offsets, so a database too big for 4 such bands gets bands of a
 // quarter of its rows instead. One Scratch serves every search of an
 // input, so a search that leaves its accumulator dirty fails the next.
+// The built index is searched once more after BuildRowView, and must
+// give the same matches in the same order and the same Work with its
+// row view as without it.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -314,8 +318,16 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		var scratch Scratch
 		for _, ix := range []*Index{ix, banded} {
 			bands := fmt.Sprintf("%d rows in bands of %d", ix.NumRows(), ix.bandRows)
-			got, _ := ix.SearchCut(q, kk, &scratch)
+			got, walked := ix.SearchCut(q, kk, &scratch)
+			emitted := slices.Clone(got)
 			check(bands+", built index", got)
+			if err := ix.BuildRowView(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got, scanned := ix.SearchCut(q, kk, &scratch)
+			if !slices.Equal(got, emitted) || scanned != walked {
+				t.Fatalf("%s, k=%d: with the row view %+v %+v, without it %+v %+v", bands, kk, got, scanned, emitted, walked)
+			}
 
 			image := indexBytes(t, ix)
 			decoded, err := DecodeIndex(image)

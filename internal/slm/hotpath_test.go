@@ -71,10 +71,12 @@ func recvQualified(fd *ast.FuncDecl) string {
 // alloc_test.go actually exercise (Search and SearchCut drive the full
 // annotated call tree:
 // searchScratch, ensure, quantize, bucketSpan, precursorWindow,
-// postingsLowerBound, accumulate, hyperscore, cutTopK, sortMatches,
-// copyMatches). Annotating a new function here without
-// extending the runtime guards — or vice versa — fails this test,
-// keeping the static gate and the dynamic gate in lockstep.
+// postingsLowerBound, accumulate, nextHit, hyperscore, cutTopK,
+// sortMatches, copyMatches; nextHit only with a row view built, as
+// TestRowScanZeroAllocWarmScratch builds one). Annotating a new
+// function here without extending the runtime guards — or vice versa —
+// fails this test, keeping the static gate and the dynamic gate in
+// lockstep.
 func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	got := hotpathFuncs(t, ".")
 	want := []string{
@@ -89,6 +91,7 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 		"accumulate",
 		"copyMatches",
 		"hyperscore",
+		"nextHit",
 		"postingsLowerBound",
 		"sortMatches",
 	}

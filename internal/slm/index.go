@@ -162,6 +162,10 @@ type Index struct {
 	verifyMu   sync.Mutex
 	verifyDone atomic.Bool
 	verifyErr  error
+
+	// view is the row-major transpose of the postings, published once by
+	// BuildRowView; nil until then, and always on open tolerance.
+	view atomic.Pointer[rowView]
 }
 
 // NumRows returns the number of indexed spectra (peptide variants).
@@ -244,6 +248,9 @@ func enumerate(peptides []string, lo, hi int, params Params) (rows []stagedRow, 
 					chunk = append(chunk, uint32(b))
 					maxBucket = max(maxBucket, b)
 				}
+			}
+			if n := len(chunk) - first; n > math.MaxUint16 {
+				return nil, 0, fmt.Errorf("slm: peptide %d (%q): %d fragment ions in range, a row holds at most %d", pi, seq, n, math.MaxUint16)
 			}
 			var flags uint16
 			if v.IsModified() {

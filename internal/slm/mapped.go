@@ -112,5 +112,6 @@ func (ix *Index) Close() error {
 	ix.verifyMu.Unlock()
 	ix.mapping, ix.image = nil, nil
 	ix.rows, ix.offsets, ix.ids = nil, nil, nil
+	ix.view.Store(nil)
 	return m.Close()
 }

@@ -59,6 +59,14 @@ type Scratch struct {
 	spans   []peakSpan // the current query's peaks that reach a bucket
 	matches []Match    // per-query accumulator, reused across searches
 	cut     []float64  // cutTopK's k best scores
+
+	// The row scan's buffers (see searchScratch): a bitset over the
+	// buckets, set under the current query's peaks while it runs and all
+	// zero between searches; a scanned band's candidates as (span, bucket,
+	// row) keys; one candidate row's (span, bucket) hits.
+	under []uint64
+	keys  []uint64
+	pairs []uint64
 }
 
 // peakSpan is one query peak as phase 1 walks it in every band: its
@@ -320,6 +328,35 @@ func accumulate(acc []uint64, cands []uint32, n int, postings []uint16, add, t u
 	return n
 }
 
+// nextHit returns the position of the first of buckets[i:] whose bit is
+// set in under, or len(buckets): the row scan's inner loop, one load and
+// one bit test per posting. It stays out of line for the reason
+// accumulate does: inlined into searchScratch, the loop reloads its
+// slices from the stack on every posting.
+//
+//lbe:hotpath
+//go:noinline
+func nextHit(buckets []uint32, under []uint64, i int) int {
+	for ; i < len(buckets); i++ {
+		if b := buckets[i]; under[b>>6]&(1<<(b&63)) != 0 {
+			return i
+		}
+	}
+	return len(buckets)
+}
+
+// scanPerProbe is how many postings the row scan reads in the time the
+// per-bucket walk spends on one probed bucket: a binary search over the
+// bucket's list in the band, then a forward walk. searchScratch scans a
+// cut band's window slice when its postings are at most this many per
+// probe. On BenchmarkSearchNarrow's index (2-vCPU VM, 3 alternating
+// runs each) the scan alone and the walk alone cost about the same at a
+// 3 Da window, a median of 22 slice postings per probe, and the walk is
+// 1.3–1.6× faster at 4 and 5 Da; 16 leaves the scan to the slices where
+// it clearly wins. BenchmarkSearchNarrow (0.5 Da, about 3 per probe)
+// scans; BenchmarkSearchWide (20 Da, about 150) walks.
+const scanPerProbe = 16
+
 // searchScratch runs the two search phases and returns matches backed by
 // scratch.matches: valid only until the next search with this Scratch.
 //
@@ -332,17 +369,26 @@ func accumulate(acc []uint64, cands []uint32, n int, postings []uint16, add, t u
 //     the per-bucket loop on every one of 4 alternating
 //     BenchmarkSearchOpen pairs, 3.57–4.31 ns/posting against 4.00–4.78
 //     (2-vCPU Xeon VM);
-//   - a band a window edge cuts narrows each bucket's ascending list to
-//     the window: one binary search finds the first posting at or after
-//     it, and a forward walk finds its end. A narrow window holds a few
-//     hundredths of a posting per bucket, so the walk reads only postings
-//     accumulate is about to touch, where a second binary search paid its
-//     full depth.
+//   - a band a window edge cuts is read only on the window's rows. Once
+//     BuildRowView has published the row-major view, the window slice's
+//     rows are scanned in row order: each of a row's buckets is tested
+//     against a bitset of the buckets under the query's peaks, and a hit
+//     adds every covering peak's word, as accumulate would. A 0.5 Da
+//     window holds a few dozen rows, so this reads a thousand or so
+//     sequential postings where the walk below pays one binary search
+//     per probed bucket, several hundred of them. The choice is made per
+//     cut band from counts known before either runs: the slice's
+//     postings against scanPerProbe per probed bucket. A wide slice, or a
+//     band of an index with no view yet, takes the per-bucket walk: one
+//     binary search finds each bucket's first posting at or after the
+//     window, and a forward walk finds its end. The row scan lists its
+//     candidates by the (peak, bucket, row) of the posting that lifted
+//     each to the threshold — the order the walk reaches them.
 //
 // So IonHits + Pruned is the open scan's IonHits, and a band's postings
-// reach accumulate peak by peak in list order whichever way it is
-// walked: a windowed search lists its candidates in the order the open
-// search lists those rows, the order they reach MinSharedPeaks.
+// are counted peak by peak in list order whichever way it is read: a
+// windowed search lists its candidates in the order the open search
+// lists those rows, the order they reach MinSharedPeaks.
 //
 // Phase 2 scores only that list, each word final by then, and one clear
 // of the window's rows [rlo, rhi) — every row phase 1 can reach: the
@@ -360,10 +406,19 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	var work Work
 	qmass := q.PrecursorMass()
 
-	spans := scratch.spans[:0]
+	// The row scan finds the peaks covering a bucket by binary search, so
+	// it needs their spans in ascending order at both ends, which sorted
+	// peaks give; a query that breaks it walks every band.
+	view := ix.view.Load()
+	spans, probes := scratch.spans[:0], int64(0)
 	for pi, p := range peaks {
 		if blo, bhi := ix.bucketSpan(p.MZ); blo <= bhi {
-			spans = append(spans, peakSpan{lo: uint32(blo), hi: uint32(bhi + 1), add: 1<<32 | uint64(scratch.qint[pi])})
+			sp := peakSpan{lo: uint32(blo), hi: uint32(bhi + 1), add: 1<<32 | uint64(scratch.qint[pi])}
+			if len(spans) > 0 && (sp.lo < spans[len(spans)-1].lo || sp.hi < spans[len(spans)-1].hi) {
+				view = nil
+			}
+			spans = append(spans, sp)
+			probes += int64(sp.hi - sp.lo)
 		}
 	}
 	scratch.spans = spans
@@ -377,6 +432,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	t := min(uint64(ix.params.MinSharedPeaks), 1<<31-1) << 32
 	rlo, rhi := ix.precursorWindow(qmass)
 	rows, band, nb1 := uint32(len(ix.rows)), uint32(ix.bandRows), ix.numBuckets+1
+	under := []uint64(nil) // the bitset, once a band is scanned
 	for k, base := 0, uint32(0); base < rows; k, base = k+1, base+band {
 		end := min(base+band, rows)
 		off := ix.offsets[k*nb1 : (k+1)*nb1]
@@ -392,6 +448,83 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 				n = accumulate(tile, cands, n, ix.ids[lo:hi], sp.add, t)
 				work.IonHits += int64(hi - lo)
 			}
+		case view != nil && int64(view.start[min(rhi, end)]-view.start[max(rlo, base)]) <= scanPerProbe*probes:
+			if under == nil {
+				words := (ix.numBuckets + 63) >> 6
+				if len(scratch.under) < words {
+					scratch.under = make([]uint64, words)
+				}
+				under = scratch.under
+				for _, sp := range spans {
+					for b := sp.lo; b < sp.hi; {
+						e := min(sp.hi, (b|63)+1)
+						under[b>>6] |= ^uint64(0) >> (64 - (e - b)) << (b & 63)
+						b = e
+					}
+				}
+			}
+			// One pass over the slice's postings, hit to hit: a row's word
+			// is settled when the first hit past it arrives, or the end.
+			lo, hi := max(rlo, base), min(rhi, end)
+			postings := view.buckets[:view.start[hi]]
+			hits, keys, pairs := int64(0), scratch.keys[:0], scratch.pairs[:0]
+			r, a := lo, uint64(0)
+			for p := nextHit(postings, under, int(view.start[lo])); ; p = nextHit(postings, under, p+1) {
+				if uint32(p) >= view.start[r+1] {
+					if a != 0 {
+						acc[r], hits = a, hits+int64(len(pairs))
+						if a >= t {
+							// A candidate: replay its hits in the walk's
+							// (peak, bucket) order to find the one that
+							// lifted it to t.
+							slices.Sort(pairs)
+							w, lift := uint64(0), uint64(0)
+							for _, hit := range pairs {
+								if w += spans[hit>>32].add; w >= t {
+									lift = hit
+									break
+								}
+							}
+							keys = append(keys, lift<<16|uint64(r-base))
+						}
+						a, pairs = 0, pairs[:0]
+					}
+					if p == len(postings) {
+						break
+					}
+					for uint32(p) >= view.start[r+1] {
+						r++
+					}
+				}
+				// The peaks covering b: from the first whose span ends
+				// past b, while they start at or before it.
+				b := postings[p]
+				i, j := 0, len(spans)
+				for i < j {
+					if m := int(uint(i+j) >> 1); spans[m].hi <= b {
+						i = m + 1
+					} else {
+						j = m
+					}
+				}
+				for ; i < len(spans) && spans[i].lo <= b; i++ {
+					a += spans[i].add
+					pairs = append(pairs, uint64(i)<<32|uint64(b))
+				}
+			}
+			scratch.pairs = pairs
+			slices.Sort(keys)
+			for _, key := range keys {
+				cands[n] = uint32(key & 0xffff)
+				n++
+			}
+			scratch.keys = keys
+			total := int64(0)
+			for _, sp := range spans {
+				total += int64(off[sp.hi] - off[sp.lo])
+			}
+			work.IonHits += hits
+			work.Pruned += total - hits
 		default:
 			wlo, whi := max(rlo, base)-base, min(rhi, end)-base
 			for _, sp := range spans {
@@ -410,6 +543,11 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 		}
 		for i := first; i < n; i++ {
 			cands[i] += base // band-local to row id
+		}
+	}
+	if under != nil {
+		for _, sp := range spans {
+			clear(under[sp.lo>>6 : (sp.hi-1)>>6+1])
 		}
 	}
 

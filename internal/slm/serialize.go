@@ -354,11 +354,13 @@ func (c *cursor) params() Params {
 // validateShape runs the cross-array sanity checks every open ends with:
 // monotone offsets from 0 to the posting count, each band's postings
 // starting where the previous band's stop, in-range band-local postings,
-// sane row precursors in ascending order, and every (band, bucket)
-// posting list sorted. The windowed scan trusts all of these, so a
+// every row holding exactly Row.NumIons postings, sane row precursors in
+// ascending order, and every (band, bucket) posting list sorted. The
+// windowed scan trusts all of these — the row view lays rows out at
+// NumIons prefix sums, and hyperscore scores a row by its NumIons — so a
 // corrupt file claiming them must be rejected here rather than silently
-// dropping matches. readHeader has already matched the offsets count to
-// the bands and buckets.
+// dropping or misscoring matches. readHeader has already matched the
+// offsets count to the bands and buckets.
 func (ix *Index) validateShape() error {
 	for i := 1; i < len(ix.offsets); i++ {
 		if ix.offsets[i] < ix.offsets[i-1] {
@@ -373,12 +375,21 @@ func (ix *Index) validateShape() error {
 			ix.offsets[0], ix.offsets[len(ix.offsets)-1], len(ix.ids))
 	}
 	nb1 := ix.numBuckets + 1
+	var perRow []uint32 // one band's postings per row
+	if len(ix.rows) > 0 {
+		perRow = make([]uint32, ix.bandRows)
+	}
+	for k := 1; k < ix.numBands(); k++ {
+		if start, prev := ix.offsets[k*nb1], ix.offsets[k*nb1-1]; start != prev {
+			return fmt.Errorf("slm: band %d postings start at %d, band %d's end at %d", k, start, k-1, prev)
+		}
+	}
 	for k := range ix.numBands() {
 		off := ix.offsets[k*nb1 : (k+1)*nb1]
-		if k > 0 && off[0] != ix.offsets[k*nb1-1] {
-			return fmt.Errorf("slm: band %d postings start at %d, band %d's end at %d", k, off[0], k-1, ix.offsets[k*nb1-1])
-		}
-		size := min(ix.bandRows, len(ix.rows)-k*ix.bandRows)
+		base := k * ix.bandRows
+		size := min(ix.bandRows, len(ix.rows)-base)
+		counts := perRow[:size]
+		clear(counts)
 		for b := range ix.numBuckets {
 			list := ix.ids[off[b]:off[b+1]]
 			for i, v := range list {
@@ -388,6 +399,12 @@ func (ix *Index) validateShape() error {
 				if i > 0 && v < list[i-1] {
 					return fmt.Errorf("slm: band %d bucket %d posting list not sorted", k, b)
 				}
+				counts[v]++
+			}
+		}
+		for i, c := range counts {
+			if n := ix.rows[base+i].NumIons; c != uint32(n) {
+				return fmt.Errorf("slm: row %d holds %d postings but claims NumIons %d", base+i, c, n)
 			}
 		}
 	}

@@ -486,9 +486,9 @@ func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(
 
 // TestSerializeCorruptPrecursorOrder crafts images whose bytes pass every
 // CRC but violate the invariants the windowed scan relies on: row
-// precursors out of ascending order, out-of-range postings and an
-// unsorted bucket posting list. All must fail at open (heap) or Verify
-// (mapped) — never serve.
+// precursors out of ascending order, out-of-range postings, a row whose
+// NumIons is not its posting count and an unsorted bucket posting list.
+// All must fail at open (heap) or Verify (mapped) — never serve.
 func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 	ix := buildTestIndex(t)
 	if len(ix.rows) < 3 || len(ix.ids) < 2 {
@@ -524,6 +524,22 @@ func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 		corruptSection(t, ix, valid, 2, func(d []byte, lo int64) {
 			le.PutUint16(d[lo:lo+2], uint16(len(ix.rows)))
 		}))
+
+	// A row claiming one ion more than it holds postings, and the next
+	// one fewer: the total still matches the ids section, but hyperscore
+	// would score both rows with the wrong ion count and the row view
+	// would place them at the wrong offsets.
+	if ix.rows[1].NumIons == 0 {
+		t.Fatal("row 1 holds no postings to move")
+	}
+	ions := corruptSection(t, ix, valid, 0, func(d []byte, lo int64) {
+		le.PutUint16(d[lo+12:], ix.rows[0].NumIons+1)
+		le.PutUint16(d[lo+rowWireBytes+12:], ix.rows[1].NumIons-1)
+	})
+	mustReject(t, "row NumIons at odds with its postings", ions)
+	if _, err := DecodeIndex(ions); err == nil || !strings.Contains(err.Error(), "claims NumIons") {
+		t.Errorf("a row's NumIons off by one: %v, want the row's count refused", err)
+	}
 
 	// Reverse a bucket's posting list (the first bucket holding two
 	// distinct row ids): the windowed binary search would skip
