@@ -13,7 +13,7 @@ func (s *Session) SearchCells(ctx context.Context, qs []spectrum.Experimental) (
 	s.mu.Lock()
 	shards, pool := s.shards, s.pool
 	s.mu.Unlock()
-	sr, err := pool.Run(ctx, shards, spectrum.PreprocessAll(qs, s.shape.Params.MaxQueryPeaks))
+	sr, err := pool.Run(ctx, shards, new(queryBuffers).prepare(qs, s.shape.Params))
 	if err != nil {
 		return nil, err
 	}

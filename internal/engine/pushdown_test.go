@@ -86,7 +86,7 @@ func TestTopKPushdownTiesAcrossShards(t *testing.T) {
 					}
 					requireSamePSMs(t, label, res.PSMs, serial.PSMs)
 
-					cells, err := sess.pool.Run(context.Background(), sess.shards, spectrum.PreprocessAll(queries, cfg.Params.MaxQueryPeaks))
+					cells, err := sess.pool.Run(context.Background(), sess.shards, new(queryBuffers).prepare(queries, cfg.Params))
 					if err != nil {
 						t.Fatal(err)
 					}

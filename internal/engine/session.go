@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,6 +92,10 @@ type Session struct {
 	batches  int64          // lifetime merged batches emitted
 	load     []RankStats    // lifetime per-shard load (build + accumulated query work)
 	sched    SchedulerStats // lifetime scheduler telemetry
+
+	// idle holds finished batches' query buffers for the next batches to
+	// reuse (see searchBatch): as many as batches ever ran at once.
+	idle []*queryBuffers
 }
 
 // NewSession groups and partitions the peptide database under cfg and
@@ -525,17 +530,54 @@ func (s *Session) verifyStore() error {
 	return s.verifyErr
 }
 
+// queryBuffers is one batch's prepared queries and the peak buffer each
+// spectrum is preprocessed into on its way to them. A session keeps the
+// buffers of finished batches (Session.idle), so a warm batch prepares its
+// queries without allocating.
+type queryBuffers struct {
+	peaks   []spectrum.Peak
+	queries []slm.Query
+}
+
+// prepare runs the paper's query preprocessing (top-N peaks, base-peak
+// normalization) on each of qs and resolves the result under params into
+// a query every shard can search (slm.Query): once per query, not once
+// per (shard, query) cell. Every shard of a session was built under, or
+// checked at open to hold, the session's Params. The returned slice is
+// b's and valid until b prepares again.
+func (b *queryBuffers) prepare(qs []spectrum.Experimental, params slm.Params) []slm.Query {
+	if cap(b.queries) < len(qs) {
+		// Keep the queries already grown: their span buffers are warm.
+		b.queries = slices.Grow(b.queries[:cap(b.queries)], len(qs)-cap(b.queries))
+	}
+	b.queries = b.queries[:len(qs)]
+	for i, e := range qs {
+		e = spectrum.PreprocessInto(b.peaks, e, params.MaxQueryPeaks)
+		b.peaks = e.Peaks
+		b.queries[i].Prepare(e, params)
+	}
+	return b.queries
+}
+
 // searchBatch is the engine's whole data path, run on the caller's
-// goroutine: the paper's query preprocessing (top-N peaks, base-peak
-// normalization), the search of every (shard, query-chunk) task on the
-// scheduler pool, and the merge of the cells the workers kept (each
-// already cut to what can reach the best TopK, see newPool). Results are
-// invariant to the schedule; only the telemetry records who did what.
-// shards and pool are the caller's snapshot (see each); offset is the
-// batch's position in the query set.
+// goroutine: each query's preparation, once (queryBuffers.prepare), the
+// search of every (shard, query-chunk) task on the scheduler pool, and
+// the merge of the cells the workers kept (each already cut to what can
+// reach the best TopK, see newPool). Results are invariant to the
+// schedule; only the telemetry records who did what. shards and pool are
+// the caller's snapshot (see each); offset is the batch's position in the
+// query set.
 func (s *Session) searchBatch(ctx context.Context, shards []*slm.Index, pool *sched.Pool, offset int, qs []spectrum.Experimental) (BatchResult, error) {
-	qs = spectrum.PreprocessAll(qs, s.shape.Params.MaxQueryPeaks)
-	sr, err := pool.Run(ctx, shards, qs)
+	s.mu.Lock()
+	b := &queryBuffers{}
+	if n := len(s.idle); n > 0 {
+		b, s.idle = s.idle[n-1], s.idle[:n-1]
+	}
+	s.mu.Unlock()
+	sr, err := pool.Run(ctx, shards, b.prepare(qs, s.shape.Params))
+	s.mu.Lock()
+	s.idle = append(s.idle, b)
+	s.mu.Unlock()
 	if err != nil {
 		return BatchResult{}, err
 	}

@@ -84,9 +84,9 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 }
 
 // TestRunChunkZeroAllocWarm guards the per-chunk worker loop: with a
-// warm Scratch, searching a chunk of queries that match nothing must not
-// allocate at all (the result copy-out is the only allowed allocation,
-// and it only happens for queries with matches).
+// warm Scratch, searching a chunk of prepared queries that match nothing
+// must not allocate at all (the result copy-out is the only allowed
+// allocation, and it only happens for queries with matches).
 func TestRunChunkZeroAllocWarm(t *testing.T) {
 	shards, _ := testShards(t, 1)
 
@@ -99,14 +99,15 @@ func TestRunChunkZeroAllocWarm(t *testing.T) {
 		q.SortPeaks()
 		misses = append(misses, spectrum.Preprocess(q, 50))
 	}
+	qs := prepared(misses)
 
 	ws := NewPool(Options{}).acquire(1, 1)[0]
 	out := [][][]slm.Match{make([][]slm.Match, len(misses))}
 	c := chunk{shard: 0, lo: 0, hi: len(misses)}
-	ws.runChunk(c, shards[0], misses, out) // warm the scratch
+	ws.runChunk(c, shards[0], qs, out) // warm the scratch
 
 	if n := testing.AllocsPerRun(50, func() {
-		ws.runChunk(c, shards[0], misses, out)
+		ws.runChunk(c, shards[0], qs, out)
 	}); n != 0 {
 		t.Errorf("runChunk on all-miss chunk allocates %.1f times per run, want 0", n)
 	}
@@ -129,8 +130,9 @@ func TestWarmPoolRunAllocatesHeadersOnly(t *testing.T) {
 	shards, qs := crowdedShards(t, 3)
 	const workers = 2
 	p := NewPool(Options{Workers: workers, TopK: 2, chunkSize: 2})
+	pqs := prepared(qs)
 	run := func() {
-		if _, err := p.Run(context.Background(), shards, qs); err != nil {
+		if _, err := p.Run(context.Background(), shards, pqs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"lbe/internal/slm"
-	"lbe/internal/spectrum"
 )
 
 // Options configures a Pool.
@@ -52,7 +51,7 @@ type Options struct {
 	Workers int
 	// TopK is how many matches per query the caller keeps after merging
 	// the shards: workers keep, per (shard, query) cell, only the matches
-	// scoring at least the cell's TopK-th best (slm.Index.SearchCut).
+	// scoring at least the cell's TopK-th best (slm.Index.SearchQuery).
 	// 0 keeps every match.
 	TopK int
 
@@ -184,15 +183,16 @@ func (p *Pool) release(states []*workerState) {
 	p.mu.Unlock()
 }
 
-// runChunk searches one chunk's queries against its shard, writing each
-// query's matches into the (shard, query) cell owned by this chunk alone.
+// runChunk searches one chunk's prepared queries against its shard,
+// writing each query's matches into the (shard, query) cell owned by this
+// chunk alone.
 //
 //lbe:hotpath
-func (ws *workerState) runChunk(c chunk, ix *slm.Index, qs []spectrum.Experimental, out [][][]slm.Match) {
+func (ws *workerState) runChunk(c chunk, ix *slm.Index, qs []slm.Query, out [][][]slm.Match) {
 	start := time.Now()
 	var work slm.Work
 	for q := c.lo; q < c.hi; q++ {
-		m, w := ix.SearchCut(qs[q], ws.topK, &ws.scratch)
+		m, w := ix.SearchQuery(&qs[q], ws.topK, &ws.scratch)
 		out[c.shard][q] = m
 		work.Add(w)
 	}
@@ -254,11 +254,20 @@ func (d *deque) size() int {
 	return len(d.chunks)
 }
 
-// Run searches qs against every shard and returns the full match matrix
-// plus telemetry. Matches are identical to the serial reference for every
-// worker count and chunk size. On context cancellation Run stops between
-// chunks and returns ctx.Err() with a nil result.
-func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []spectrum.Experimental) (*Result, error) {
+// Run searches the prepared queries qs (slm.Query, prepared under the
+// shards' Resolution and FragmentTol) against every shard and returns the
+// full match matrix plus telemetry. Matches are identical to the serial
+// reference for every worker count and chunk size. It runs every shard's
+// Verify first, once per run, and returns the first error with a nil
+// result, so a corrupt mapped shard fails the run rather than panicking a
+// worker. On context cancellation Run stops between chunks and returns
+// ctx.Err() with a nil result.
+func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []slm.Query) (*Result, error) {
+	for _, ix := range shards {
+		if err := ix.Verify(); err != nil {
+			return nil, err
+		}
+	}
 	nq := len(qs)
 	ns := len(shards)
 	res := &Result{
@@ -331,7 +340,7 @@ func homeShard(worker, shards int) int { return worker % shards }
 
 // runStealing is the schedule: per-shard deques, home-first popping,
 // steal-half on empty.
-func runStealing(ctx context.Context, shards []*slm.Index, qs []spectrum.Experimental, perShard [][]chunk, states []*workerState, out [][][]slm.Match) {
+func runStealing(ctx context.Context, shards []*slm.Index, qs []slm.Query, perShard [][]chunk, states []*workerState, out [][][]slm.Match) {
 	deques := make([]*deque, len(perShard))
 	for s := range perShard {
 		deques[s] = &deque{chunks: perShard[s]}

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -60,6 +62,16 @@ func testShards(t testing.TB, ns int) ([]*slm.Index, []spectrum.Experimental) {
 	return shards, queries
 }
 
+// prepared resolves qs as the engine does before a Run, under the
+// parameters that decide spans, which every test shard here shares.
+func prepared(qs []spectrum.Experimental) []slm.Query {
+	out := make([]slm.Query, len(qs))
+	for i, q := range qs {
+		out[i].Prepare(q, slm.DefaultParams())
+	}
+	return out
+}
+
 // serialReference computes the ground-truth match matrix and per-shard
 // work with the plain serial scanner.
 func serialReference(shards []*slm.Index, qs []spectrum.Experimental) ([][][]slm.Match, []slm.Work) {
@@ -82,7 +94,7 @@ func TestRunMatchesSerial(t *testing.T) {
 			for _, chunkSize := range []int{0, 1, 3, 1000} {
 				label := fmt.Sprintf("shards=%d/workers=%d/chunk=%d", ns, workers, chunkSize)
 				p := NewPool(Options{Workers: workers, chunkSize: chunkSize})
-				res, err := p.Run(context.Background(), shards, qs)
+				res, err := p.Run(context.Background(), shards, prepared(qs))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -180,7 +192,7 @@ func TestRunTopKCutsCells(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := NewPool(Options{Workers: workers, TopK: k, chunkSize: 2})
 			for round := 0; round < 2; round++ { // the second Run reuses the first's worker states
-				res, err := p.Run(context.Background(), shards, qs)
+				res, err := p.Run(context.Background(), shards, prepared(qs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,7 +226,7 @@ func TestConcurrentRunsShareWorkerStates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				res, err := p.Run(context.Background(), shards, qs)
+				res, err := p.Run(context.Background(), shards, prepared(qs))
 				if err != nil {
 					t.Error(err)
 					return
@@ -251,7 +263,7 @@ func TestConcurrentRunsShareWorkerStates(t *testing.T) {
 func TestTelemetryAccounting(t *testing.T) {
 	shards, qs := testShards(t, 3)
 	p := NewPool(Options{Workers: 4, chunkSize: 2})
-	res, err := p.Run(context.Background(), shards, qs)
+	res, err := p.Run(context.Background(), shards, prepared(qs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +296,7 @@ func TestTelemetryAccounting(t *testing.T) {
 func TestStealingReachesOrphanShards(t *testing.T) {
 	shards, qs := testShards(t, 5)
 	p := NewPool(Options{Workers: 2, chunkSize: 1})
-	res, err := p.Run(context.Background(), shards, qs)
+	res, err := p.Run(context.Background(), shards, prepared(qs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +343,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := NewPool(Options{Workers: 4, chunkSize: 1})
-	if _, err := p.Run(ctx, shards, qs); err != context.Canceled {
+	if _, err := p.Run(ctx, shards, prepared(qs)); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v", err)
 	}
 
@@ -344,11 +356,45 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunReturnsVerifyError: a mapped shard whose content fails its
+// deferred verification fails the Run with that error, once per run,
+// rather than panicking the worker that first searches it.
+func TestRunReturnsVerifyError(t *testing.T) {
+	shards, qs := testShards(t, 2)
+	path := filepath.Join(t.TempDir(), "shard.slmx")
+	if err := shards[1].SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image[len(image)-1] ^= 0xFF // a posting byte: the ids section's CRC fails
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt, err := slm.OpenIndexMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corrupt.Close()
+	for _, workers := range []int{1, 3} {
+		p := NewPool(Options{Workers: workers})
+		res, err := p.Run(context.Background(), []*slm.Index{shards[0], corrupt}, prepared(qs))
+		if err == nil || res != nil {
+			t.Fatalf("%d workers: a corrupt shard ran: %v, %+v", workers, err, res)
+		}
+		if verr := corrupt.Verify(); err != verr {
+			t.Fatalf("%d workers: Run returned %v, want the shard's Verify error %v", workers, err, verr)
+		}
+	}
+}
+
 // TestEmptyInputs: zero shards or zero queries complete without work.
 func TestEmptyInputs(t *testing.T) {
 	shards, qs := testShards(t, 2)
 	p := NewPool(Options{Workers: 4})
-	res, err := p.Run(context.Background(), nil, qs)
+	res, err := p.Run(context.Background(), nil, prepared(qs))
 	if err != nil || len(res.Matches) != 0 {
 		t.Fatalf("no shards: %v %+v", err, res)
 	}

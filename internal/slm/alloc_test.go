@@ -39,6 +39,39 @@ func warmSearchAllocs(t *testing.T, label string, ix *Index, wantPruned bool) {
 	}); n != 0 {
 		t.Errorf("%s: searches without matches allocate %.1f times per run, want 0", label, n)
 	}
+
+	// The scheduler's entry: a query prepared once, searched again.
+	var hitQ, missQ Query
+	hitQ.Prepare(hit, ix.params)
+	missQ.Prepare(miss, ix.params)
+	if n := testing.AllocsPerRun(100, func() {
+		ix.SearchQuery(&hitQ, 1, &scratch)
+	}); n > 1 {
+		t.Errorf("%s: SearchQuery with matches allocates %.1f times per run, want <= 1 (result copy only)", label, n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ix.SearchQuery(&missQ, 1, &scratch)
+	}); n != 0 {
+		t.Errorf("%s: SearchQuery without matches allocates %.1f times per run, want 0", label, n)
+	}
+}
+
+// TestPrepareZeroAllocWarm guards Query.Prepare: once a Query's span
+// buffer has grown to a spectrum's peaks, preparing it again allocates
+// nothing.
+func TestPrepareZeroAllocWarm(t *testing.T) {
+	params := DefaultParams()
+	hit := queryFor(t, "PEPTIDEK")
+	var q Query
+	q.Prepare(hit, params)
+	if len(q.spans) != len(hit.Peaks) {
+		t.Fatalf("%d spans for %d peaks in range", len(q.spans), len(hit.Peaks))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		q.Prepare(hit, params)
+	}); n != 0 {
+		t.Errorf("warm Prepare allocates %.1f times per run, want 0", n)
+	}
 }
 
 // scanParams returns the two parameter sets that exercise the two phase-1

@@ -215,7 +215,10 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // input, so a search that leaves its accumulator dirty fails the next.
 // The built index is searched once more after BuildRowView, and must
 // give the same matches in the same order and the same Work with its
-// row view as without it.
+// row view as without it. The query is also prepared once (Query) and
+// searched against every index the input builds, with SearchQuery,
+// which must give that index's own search: its matches in order and
+// its Work.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -316,11 +319,22 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			t.Fatal(err)
 		}
 		var scratch Scratch
+		var prepared Query
+		prepared.Prepare(q, params)
+		samePrepared := func(label string, ix *Index) {
+			t.Helper()
+			got, gw := ix.SearchQuery(&prepared, kk, &scratch)
+			want, ww := ix.SearchCut(q, kk, &scratch)
+			if !slices.Equal(got, want) || gw != ww {
+				t.Fatalf("%s, k=%d: prepared once %+v %+v, the index's own search %+v %+v", label, kk, got, gw, want, ww)
+			}
+		}
 		for _, ix := range []*Index{ix, banded} {
 			bands := fmt.Sprintf("%d rows in bands of %d", ix.NumRows(), ix.bandRows)
 			got, walked := ix.SearchCut(q, kk, &scratch)
 			emitted := slices.Clone(got)
 			check(bands+", built index", got)
+			samePrepared(bands+", built index", ix)
 			if err := ix.BuildRowView(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -328,6 +342,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if !slices.Equal(got, emitted) || scanned != walked {
 				t.Fatalf("%s, k=%d: with the row view %+v %+v, without it %+v %+v", bands, kk, got, scanned, emitted, walked)
 			}
+			samePrepared(bands+", built index with its row view", ix)
 
 			image := indexBytes(t, ix)
 			decoded, err := DecodeIndex(image)
@@ -336,6 +351,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			}
 			got, _ = decoded.SearchCut(q, kk, &scratch)
 			check(bands+", decoded image", got)
+			samePrepared(bands+", decoded image", decoded)
 
 			path := filepath.Join(t.TempDir(), "image.slmx")
 			if err := os.WriteFile(path, image, 0o644); err != nil {
@@ -349,6 +365,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 				t.Fatal(err)
 			}
 			got, _ = mapped.SearchCut(q, kk, &scratch)
+			samePrepared(bands+", mapped image", mapped)
 			mapped.Close()
 			check(bands+", mapped image", got)
 
@@ -361,6 +378,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			samePrepared(bands+", open index", open)
 			all, _ := open.SearchCut(q, 0, &scratch)
 			var admitted []Match
 			for _, m := range all {

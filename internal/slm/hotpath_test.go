@@ -70,10 +70,11 @@ func recvQualified(fd *ast.FuncDecl) string {
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
 // alloc_test.go actually exercise (Search and SearchCut drive the full
 // annotated call tree:
-// searchScratch, ensure, quantize, bucketSpan, precursorWindow,
+// Query.Prepare, SearchQuery, searchScratch, ensure, precursorWindow,
 // postingsLowerBound, accumulate, nextHit, hyperscore, cutTopK,
 // sortMatches, copyMatches; nextHit only with a row view built, as
-// TestRowScanZeroAllocWarmScratch builds one). Annotating a new
+// TestRowScanZeroAllocWarmScratch builds one; TestPrepareZeroAllocWarm
+// guards Prepare and SearchQuery on their own). Annotating a new
 // function here without extending the runtime guards — or vice versa —
 // fails this test, keeping the static gate and the dynamic gate in
 // lockstep.
@@ -82,12 +83,12 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	want := []string{
 		"Index.Search",
 		"Index.SearchCut",
-		"Index.bucketSpan",
+		"Index.SearchQuery",
 		"Index.precursorWindow",
 		"Index.searchScratch",
+		"Query.Prepare",
 		"Scratch.cutTopK",
 		"Scratch.ensure",
-		"Scratch.quantize",
 		"accumulate",
 		"copyMatches",
 		"hyperscore",

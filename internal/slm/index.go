@@ -163,6 +163,15 @@ type Index struct {
 	verifyDone atomic.Bool
 	verifyErr  error
 
+	// cum is the cross-band prefix row of a bounded-tolerance index:
+	// cum[b] is the number of postings in buckets below b, summed over
+	// every band, so the postings a span [lo, hi) reaches across the
+	// whole index are cum[hi] − cum[lo] (see searchScratch's Pruned).
+	// It lives on the heap beside the image, 4 bytes per bucket; set by
+	// build and by the content check of every open (verify), nil on open
+	// tolerance, whose searches prune nothing.
+	cum []uint32
+
 	// view is the row-major transpose of the postings, published once by
 	// BuildRowView; nil until then, and always on open tolerance.
 	view atomic.Pointer[rowView]
@@ -482,8 +491,28 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 	})
 
 	seal(h, image)
+	ix.cum = ix.prefixRow()
 	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + radixBytesPerRow*len(perm)
 	return ix, nil
+}
+
+// prefixRow sums the bands' offsets rows into the index's cross-band
+// prefix row (see Index.cum), one pass over bands × buckets; nil for an
+// open tolerance. The offsets must have passed validateShape: they
+// ascend, so no band's term wraps.
+func (ix *Index) prefixRow() []uint32 {
+	if ix.params.PrecursorTol.IsOpen() {
+		return nil
+	}
+	nb1 := ix.numBuckets + 1
+	cum := make([]uint32, nb1)
+	for k := range ix.numBands() {
+		off := ix.offsets[k*nb1 : (k+1)*nb1]
+		for b, o := range off {
+			cum[b] += o - off[0]
+		}
+	}
+	return cum
 }
 
 // precursorKey maps a precursor mass to a uint64 whose unsigned order is
@@ -564,19 +593,3 @@ func (ix *Index) MemoryBytes() int {
 // out so the figure does not depend on the worker count. A decoded or
 // mapped index reports its MemoryBytes.
 func (ix *Index) BuildPeakBytes() int { return ix.buildPeak }
-
-// bucketSpan returns the inclusive bucket index range for the fragment
-// window around mz, clamped to the index; blo > bhi means no buckets.
-//
-//lbe:hotpath
-func (ix *Index) bucketSpan(mz float64) (blo, bhi int) {
-	bucketer := mass.NewBucketer(ix.params.Resolution)
-	blo, bhi = bucketer.Range(mz, ix.params.FragmentTol)
-	if blo < 0 {
-		blo = 0
-	}
-	if bhi >= ix.numBuckets {
-		bhi = ix.numBuckets - 1
-	}
-	return blo, bhi
-}

@@ -111,7 +111,7 @@ func (ix *Index) Close() error {
 	ix.verifyDone.Store(true)
 	ix.verifyMu.Unlock()
 	ix.mapping, ix.image = nil, nil
-	ix.rows, ix.offsets, ix.ids = nil, nil, nil
+	ix.rows, ix.offsets, ix.ids, ix.cum = nil, nil, nil, nil
 	ix.view.Store(nil)
 	return m.Close()
 }

@@ -79,24 +79,26 @@ func TestQuantizedScoreBounded(t *testing.T) {
 	}
 }
 
-// TestQuantizeScratchReuse: growing and reusing the qint buffer across
-// differently-sized queries must keep results independent of history.
+// TestQuantizeScratchReuse: growing and reusing a Query's span buffer
+// across differently-sized spectra must keep each preparation
+// independent of the one before.
 func TestQuantizeScratchReuse(t *testing.T) {
-	var s Scratch
-	big := make([]spectrum.Peak, 300)
-	for i := range big {
-		big[i] = spectrum.Peak{MZ: float64(i + 100), Intensity: float64(i%7) / 7}
+	params := DefaultParams()
+	var q Query
+	big := spectrum.Experimental{Peaks: make([]spectrum.Peak, 300)}
+	for i := range big.Peaks {
+		big.Peaks[i] = spectrum.Peak{MZ: float64(i + 100), Intensity: float64(i%7) / 7}
 	}
-	s.quantize(big)
-	small := []spectrum.Peak{{MZ: 100, Intensity: 0.25}, {MZ: 200, Intensity: 0.5}}
-	inv := s.quantize(small)
-	if len(s.qint) != len(small) {
-		t.Fatalf("qint len %d, want %d", len(s.qint), len(small))
+	q.Prepare(big, params)
+	small := spectrum.Experimental{Peaks: []spectrum.Peak{{MZ: 100, Intensity: 0.25}, {MZ: 200, Intensity: 0.5}}}
+	q.Prepare(small, params)
+	if len(q.spans) != len(small.Peaks) {
+		t.Fatalf("%d spans, want %d", len(q.spans), len(small.Peaks))
 	}
-	if s.qint[1] != intensityQuantLevels {
-		t.Errorf("strongest peak = %d levels, want %d", s.qint[1], intensityQuantLevels)
+	if level := uint16(q.spans[1].add); level != intensityQuantLevels {
+		t.Errorf("strongest peak = %d levels, want %d", level, intensityQuantLevels)
 	}
-	if got := float64(s.qint[0]) * inv; math.Abs(got-0.25) > 0.5*inv {
+	if got := float64(uint16(q.spans[0].add)) * q.invScale; math.Abs(got-0.25) > 0.5*q.invScale {
 		t.Errorf("dequantized %v, want ~0.25", got)
 	}
 }

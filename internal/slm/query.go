@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"lbe/internal/mass"
 	"lbe/internal/spectrum"
 )
 
@@ -48,15 +49,15 @@ func (w *Work) Add(w2 Work) {
 // its row collects at most 65 536 postings from one query
 // (65 536 × 65 535 < 2³²: the sum cannot carry into the count). A row
 // collects one posting per (peak, own ion in that peak's fragment
-// window) pair, so searchScratch admits at most maxQueryPeaks peaks — the
+// window) pair, so Query.Prepare admits at most maxQueryPeaks peaks — the
 // bound at one ion per window, which real tolerances give; past it only
 // that row's own word can be wrong. Match.Shared saturates at
 // math.MaxUint16 rather than truncating the count.
 type Scratch struct {
 	acc     []uint64   // phase-1 accumulator, all zero between searches
 	cands   []uint32   // len(acc)+1 slots: the current query's candidate rows
-	qint    []uint16   // per-peak quantized intensities for the current query
-	spans   []peakSpan // the current query's peaks that reach a bucket
+	query   Query      // Search and SearchCut prepare their spectrum here
+	spans   []peakSpan // the current query's spans clamped to the index's buckets
 	matches []Match    // per-query accumulator, reused across searches
 	cut     []float64  // cutTopK's k best scores
 
@@ -74,6 +75,24 @@ type Scratch struct {
 type peakSpan struct {
 	lo, hi uint32
 	add    uint64
+}
+
+// Query is one spectrum resolved under the two index parameters that
+// decide its spans, Resolution and FragmentTol: each peak's bucket span
+// and quantized word, the precursor mass, and whether the spans ascend.
+// An LBE session searches every query against every shard, and the
+// shards share those parameters, so it prepares a query once and
+// searches it p times; only the clamp to an index's bucket count, which
+// each shard's data decides, is left to the search. Prepare fills one,
+// reusing its buffers; SearchQuery searches it.
+type Query struct {
+	spans     []peakSpan // peaks that can reach a bucket, in peak order; hi not clamped to any index
+	mass      float64    // neutral precursor mass
+	invScale  float64    // dequantizes the intensity half of a word
+	ascending bool       // spans ascend at both ends, so the row scan may binary search them
+
+	resolution  float64        // the parameters the spans were resolved under
+	fragmentTol mass.Tolerance // (see SearchQuery)
 }
 
 // maxQueryPeaks is the most peaks one query may bring to phase 1; see the
@@ -127,22 +146,21 @@ func quantizeIntensity(v, scale float64) uint16 {
 	return uint16(q)
 }
 
-// quantize fills s.qint with the query's peak intensities quantized to
-// u16 levels and returns the dequantization factor. Phase 1 then sums
-// integers in the low half of the row's accumulator word (see Scratch),
-// and the sum is converted back to intensity units once per scored
-// candidate.
+// Prepare resolves the preprocessed spectrum e (peaks sorted by m/z, see
+// spectrum.Preprocess) under params into q, replacing what q held: the
+// first maxQueryPeaks peaks quantized to u16 levels of the strongest —
+// phase 1 sums integers in the low half of a row's word (see Scratch),
+// converted back to intensity once per scored candidate — each with its
+// fragment window's bucket span. A peak whose span is empty, or starts
+// past every bucket an index can hold, is dropped. A warm Query (one
+// that has held as many spans before) does not allocate.
 //
 //lbe:hotpath
-func (s *Scratch) quantize(peaks []spectrum.Peak) float64 {
-	if cap(s.qint) < len(peaks) {
-		n := 64
-		for n < len(peaks) {
-			n <<= 1
-		}
-		s.qint = make([]uint16, n)
+func (q *Query) Prepare(e spectrum.Experimental, params Params) {
+	peaks := e.Peaks
+	if len(peaks) > maxQueryPeaks {
+		peaks = peaks[:maxQueryPeaks]
 	}
-	s.qint = s.qint[:len(peaks)]
 	maxI := 0.0
 	for _, p := range peaks {
 		if p.Intensity > maxI {
@@ -150,10 +168,28 @@ func (s *Scratch) quantize(peaks []spectrum.Peak) float64 {
 		}
 	}
 	scale, invScale := quantScales(maxI)
-	for i, p := range peaks {
-		s.qint[i] = quantizeIntensity(p.Intensity, scale)
+	bucketer := mass.NewBucketer(params.Resolution)
+	spans, ascending := q.spans[:0], true
+	for _, p := range peaks {
+		blo, bhi := bucketer.Range(p.MZ, params.FragmentTol)
+		blo, bhi = max(blo, 0), min(bhi, maxBucketCount-1)
+		if blo > bhi {
+			continue
+		}
+		sp := peakSpan{lo: uint32(blo), hi: uint32(bhi + 1), add: 1<<32 | uint64(quantizeIntensity(p.Intensity, scale))}
+		if len(spans) > 0 && (sp.lo < spans[len(spans)-1].lo || sp.hi < spans[len(spans)-1].hi) {
+			ascending = false
+		}
+		spans = append(spans, sp)
 	}
-	return invScale
+	*q = Query{
+		spans:       spans,
+		mass:        e.PrecursorMass(),
+		invScale:    invScale,
+		ascending:   ascending,
+		resolution:  params.Resolution,
+		fragmentTol: params.FragmentTol,
+	}
 }
 
 // Search queries one preprocessed experimental spectrum against the index
@@ -181,18 +217,38 @@ func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]
 }
 
 // SearchCut is Search for a caller that merges several indexes' answers
-// under an ordering of its own (the scheduler's workers, whose cells the
-// engine merges by score, then global peptide): rather than sort and
-// truncate, it returns, unordered, every match scoring at least the k-th
-// best score of this (index, query) cell. Ties at the cut are all kept,
-// so a dropped match has k strictly better ones in this index alone and
+// under an ordering of its own: rather than sort and truncate, it
+// returns, unordered, every match scoring at least the k-th best score
+// of this (index, query) cell. Ties at the cut are all kept, so a
+// dropped match has k strictly better ones in this index alone and
 // cannot be among any merged best k, whatever breaks ties there. k <= 0
-// keeps everything.
+// keeps everything. It prepares q in the scratch and runs SearchQuery,
+// after the Verify that Search documents.
 //
 //lbe:hotpath
 func (ix *Index) SearchCut(q spectrum.Experimental, k int, scratch *Scratch) ([]Match, Work) {
 	if err := ix.Verify(); err != nil {
 		panic(err)
+	}
+	if scratch == nil {
+		scratch = &Scratch{}
+	}
+	scratch.query.Prepare(q, ix.params)
+	return ix.SearchQuery(&scratch.query, k, scratch)
+}
+
+// SearchQuery is the kernel's one entry: SearchCut's answer and Work for
+// a query prepared under this index's Resolution and FragmentTol, as the
+// scheduler's workers search each prepared query against every shard
+// (the engine merges their cells by score, then global peptide). It
+// panics on a query prepared under other values of those two: its spans
+// would name other buckets. It does not run Verify: a caller searching a
+// mapped index verifies it first, once (sched.Pool.Run does per run).
+//
+//lbe:hotpath
+func (ix *Index) SearchQuery(q *Query, k int, scratch *Scratch) ([]Match, Work) {
+	if q.resolution != ix.params.Resolution || q.fragmentTol != ix.params.FragmentTol {
+		panic("slm: query prepared under another Resolution or FragmentTol")
 	}
 	if scratch == nil {
 		scratch = &Scratch{}
@@ -360,13 +416,16 @@ const scanPerProbe = 16
 // searchScratch runs the two search phases and returns matches backed by
 // scratch.matches: valid only until the next search with this Scratch.
 //
-// Phase 1 is one loop over the row bands, each searched against the
-// precursor window's row range in one of three ways:
-//   - a band wholly outside the window is not read: its postings under
-//     the query's peaks go to Pruned;
-//   - a band wholly inside it — every band on open search — is walked
-//     peak by peak as one flattened span of postings per peak, which beat
-//     the per-bucket loop on every one of 4 alternating
+// The query's spans arrive prepared (see Query); the search only clamps
+// them to this index's buckets, dropping a span that starts past the
+// last one.
+//
+// Phase 1 is one loop over the row bands the precursor window overlaps —
+// a band wholly outside it holds no row the search may read, so it is
+// not visited — each searched in one of three ways:
+//   - a band wholly inside the window — every band on open search — is
+//     walked peak by peak as one flattened span of postings per peak,
+//     which beat the per-bucket loop on every one of 4 alternating
 //     BenchmarkSearchOpen pairs, 3.57–4.31 ns/posting against 4.00–4.78
 //     (2-vCPU Xeon VM);
 //   - a band a window edge cuts is read only on the window's rows. Once
@@ -385,10 +444,14 @@ const scanPerProbe = 16
 //     candidates by the (peak, bucket, row) of the posting that lifted
 //     each to the threshold — the order the walk reaches them.
 //
-// So IonHits + Pruned is the open scan's IonHits, and a band's postings
-// are counted peak by peak in list order whichever way it is read: a
-// windowed search lists its candidates in the order the open search
-// lists those rows, the order they reach MinSharedPeaks.
+// A band's postings are counted peak by peak in list order whichever way
+// it is read, so a windowed search lists its candidates in the order the
+// open search lists those rows, the order they reach MinSharedPeaks.
+// Pruned is the conservation identity, IonHits + Pruned = the open
+// scan's IonHits: the postings under the spans, read off the index's
+// cross-band prefix row in two loads per span, less IonHits. No band case
+// counts it. An open-tolerance index reads every posting it reaches and
+// has no prefix row, so its Pruned is 0.
 //
 // Phase 2 scores only that list, each word final by then, and one clear
 // of the window's rows [rlo, rhi) — every row phase 1 can reach: the
@@ -396,27 +459,23 @@ const scanPerProbe = 16
 // leaves the accumulator all zero for the next search.
 //
 //lbe:hotpath
-func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Match, Work) {
-	peaks := q.Peaks
-	if len(peaks) > maxQueryPeaks {
-		peaks = peaks[:maxQueryPeaks]
-	}
+func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 	scratch.ensure(len(ix.rows))
-	invScale := scratch.quantize(peaks)
 	var work Work
-	qmass := q.PrecursorMass()
 
 	// The row scan finds the peaks covering a bucket by binary search, so
 	// it needs their spans in ascending order at both ends, which sorted
-	// peaks give; a query that breaks it walks every band.
+	// peaks give; a query that breaks it walks every band. Clamping keeps
+	// the order.
 	view := ix.view.Load()
+	if !q.ascending {
+		view = nil
+	}
+	nb := uint32(ix.numBuckets)
 	spans, probes := scratch.spans[:0], int64(0)
-	for pi, p := range peaks {
-		if blo, bhi := ix.bucketSpan(p.MZ); blo <= bhi {
-			sp := peakSpan{lo: uint32(blo), hi: uint32(bhi + 1), add: 1<<32 | uint64(scratch.qint[pi])}
-			if len(spans) > 0 && (sp.lo < spans[len(spans)-1].lo || sp.hi < spans[len(spans)-1].hi) {
-				view = nil
-			}
+	for _, sp := range q.spans {
+		if sp.lo < nb {
+			sp.hi = min(sp.hi, nb)
 			spans = append(spans, sp)
 			probes += int64(sp.hi - sp.lo)
 		}
@@ -430,18 +489,19 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	// its word's exactness bound, could tell the difference.
 	acc, cands, n := scratch.acc, scratch.cands, 0
 	t := min(uint64(ix.params.MinSharedPeaks), 1<<31-1) << 32
-	rlo, rhi := ix.precursorWindow(qmass)
+	rlo, rhi := ix.precursorWindow(q.mass)
 	rows, band, nb1 := uint32(len(ix.rows)), uint32(ix.bandRows), ix.numBuckets+1
 	under := []uint64(nil) // the bitset, once a band is scanned
-	for k, base := 0, uint32(0); base < rows; k, base = k+1, base+band {
+	base := rhi            // an empty window visits no band
+	if rlo < rhi {
+		base = rlo - rlo%band
+	}
+	for ; base < rhi; base += band {
+		k := int(base / band)
 		end := min(base+band, rows)
 		off := ix.offsets[k*nb1 : (k+1)*nb1]
 		tile, first := acc[base:end], n
 		switch {
-		case rlo == rhi || end <= rlo || rhi <= base:
-			for _, sp := range spans {
-				work.Pruned += int64(off[sp.hi] - off[sp.lo])
-			}
 		case rlo <= base && end <= rhi:
 			for _, sp := range spans {
 				lo, hi := off[sp.lo], off[sp.hi]
@@ -519,12 +579,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 				n++
 			}
 			scratch.keys = keys
-			total := int64(0)
-			for _, sp := range spans {
-				total += int64(off[sp.hi] - off[sp.lo])
-			}
 			work.IonHits += hits
-			work.Pruned += total - hits
 		default:
 			wlo, whi := max(rlo, base)-base, min(rhi, end)-base
 			for _, sp := range spans {
@@ -537,7 +592,6 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 					}
 					n = accumulate(tile, cands, n, ix.ids[lo:hi], sp.add, t)
 					work.IonHits += int64(hi - lo)
-					work.Pruned += int64(e-s) - int64(hi-lo)
 				}
 			}
 		}
@@ -550,6 +604,13 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 			clear(under[sp.lo>>6 : (sp.hi-1)>>6+1])
 		}
 	}
+	if ix.cum != nil {
+		reached := int64(0)
+		for _, sp := range spans {
+			reached += int64(ix.cum[sp.hi] - ix.cum[sp.lo])
+		}
+		work.Pruned = reached - work.IonHits
+	}
 
 	// Phase 2: precursor filter + scoring of the candidates, then the
 	// window's clear.
@@ -558,7 +619,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 	for _, rid := range cands[:n] {
 		a := acc[rid]
 		row := ix.rows[rid]
-		if !ix.params.PrecursorTol.Contains(qmass, row.Precursor) {
+		if !ix.params.PrecursorTol.Contains(q.mass, row.Precursor) {
 			continue
 		}
 		work.Scored++
@@ -567,7 +628,7 @@ func (ix *Index) searchScratch(q spectrum.Experimental, scratch *Scratch) ([]Mat
 			Row:       rid,
 			Peptide:   row.Peptide,
 			Shared:    shared,
-			Score:     hyperscore(shared, float64(uint32(a))*invScale, int(row.NumIons)),
+			Score:     hyperscore(shared, float64(uint32(a))*q.invScale, int(row.NumIons)),
 			Precursor: row.Precursor,
 		})
 	}

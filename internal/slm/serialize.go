@@ -555,7 +555,8 @@ func indexFromImage(h *fileHeader, image []byte) (*Index, error) {
 // the image h was read from, checking each section's CRC and requiring
 // the alignment padding between sections — the one region no CRC covers
 // — to be zero, so any flipped byte of the image is detected, then the
-// cross-array shape.
+// cross-array shape. It then builds the prefix row (Index.cum) from the
+// verified offsets, so every open index that passed it has one.
 func (ix *Index) verify(h *fileHeader) error {
 	image := ix.image
 	end := h.headerLen // end of the previously verified region
@@ -571,7 +572,11 @@ func (ix *Index) verify(h *fileHeader) error {
 			return fmt.Errorf("slm: section %d checksum mismatch: file %08x, computed %08x", i, e.crc, crc)
 		}
 	}
-	return ix.validateShape()
+	if err := ix.validateShape(); err != nil {
+		return err
+	}
+	ix.cum = ix.prefixRow()
+	return nil
 }
 
 // DecodeIndex deserializes an index from the complete bytes of a store

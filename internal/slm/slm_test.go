@@ -42,6 +42,15 @@ func queryFor(t *testing.T, seq string) spectrum.Experimental {
 	return q
 }
 
+// bucketSpan returns the inclusive bucket range the fragment window
+// around mz reaches in ix, clamped to the index; blo > bhi means none. It
+// is the span Query.Prepare and SearchQuery resolve between them,
+// computed here on its own for the tests that count postings by hand.
+func (ix *Index) bucketSpan(mz float64) (blo, bhi int) {
+	blo, bhi = mass.NewBucketer(ix.params.Resolution).Range(mz, ix.params.FragmentTol)
+	return max(blo, 0), min(bhi, ix.numBuckets-1)
+}
+
 func TestBuildBasicShape(t *testing.T) {
 	peps := []string{"PEPTIDEK", "AAAAGGGGK"}
 	ix, err := Build(peps, noModParams())

@@ -122,12 +122,12 @@ func TestRowScanMatchesWalk(t *testing.T) {
 }
 
 // withTolerance returns ix searched under the bounded tolerance tol: the
-// same rows, postings and row view — a tolerance changes no byte of an
+// same rows, postings, prefix row and row view — a tolerance changes no byte of an
 // index but its header's — without a build per tolerance.
 func withTolerance(ix *Index, tol mass.Tolerance) *Index {
 	params := ix.params
 	params.PrecursorTol = tol
-	out := &Index{params: params, rows: ix.rows, offsets: ix.offsets, ids: ix.ids, numBuckets: ix.numBuckets, bandRows: ix.bandRows}
+	out := &Index{params: params, rows: ix.rows, offsets: ix.offsets, ids: ix.ids, numBuckets: ix.numBuckets, bandRows: ix.bandRows, cum: ix.cum}
 	out.view.Store(ix.view.Load())
 	return out
 }

@@ -8,8 +8,17 @@ import "sort"
 //
 // It returns a new Experimental; the input is not modified.
 func Preprocess(e Experimental, topN int) Experimental {
+	return PreprocessInto(nil, e, topN)
+}
+
+// PreprocessInto is Preprocess writing the result's peaks into dst's
+// backing array, which it grows if it is too short: a caller that
+// preprocesses one spectrum after another reuses one buffer. The result
+// aliases that array, so it is valid until dst is reused; e is not
+// modified.
+func PreprocessInto(dst []Peak, e Experimental, topN int) Experimental {
 	out := e
-	out.Peaks = append([]Peak(nil), e.Peaks...)
+	out.Peaks = append(dst[:0], e.Peaks...)
 
 	if topN > 0 && len(out.Peaks) > topN {
 		// Select the topN by intensity.
