@@ -48,7 +48,6 @@ func main() {
 	var (
 		db      = flag.String("db", "", "peptide FASTA database (required unless -index is set)")
 		index   = flag.String("index", "", "warm-start from a session store directory written by lbe-index -out")
-		mmap    = flag.Bool("mmap", true, "memory-map the store's shard indexes (page-cache shared, heap fallback); only with -index")
 		ms2In   = flag.String("ms2", "", "MS2 query file (required)")
 		out     = flag.String("out", "", "output TSV report ('-' or empty for stdout)")
 		ranks   = flag.Int("ranks", 4, "shards (virtual cluster size)")
@@ -75,13 +74,8 @@ func main() {
 			"ranks", "policy", "seed", "max-mods", "topk", "weights"); len(bad) > 0 {
 			log.Fatalf("-%s cannot be combined with -index: the store fixes it", bad[0])
 		}
-	} else {
-		if *db == "" {
-			log.Fatal("-db or -index is required")
-		}
-		if bad := cliutil.ExplicitlySet("mmap"); len(bad) > 0 {
-			log.Fatalf("-%s requires -index: only a stored index can be memory-mapped", bad[0])
-		}
+	} else if *db == "" {
+		log.Fatal("-db or -index is required")
 	}
 
 	var peptides []string
@@ -119,7 +113,7 @@ func main() {
 	} else {
 		loadStart := time.Now()
 		var err error
-		sess, peptides, err = lbe.OpenSessionOptions(*index, lbe.OpenOptions{MapStore: *mmap})
+		sess, peptides, err = lbe.OpenSession(*index)
 		if err != nil {
 			log.Fatal(err)
 		}

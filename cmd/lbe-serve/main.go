@@ -53,7 +53,6 @@ func main() {
 		addr     = flag.String("addr", ":8417", "listen address (host:port; port 0 picks a free port)")
 		db       = flag.String("db", "", "peptide FASTA database (required unless -index is set)")
 		index    = flag.String("index", "", "warm-start from a session store directory written by lbe-index -out")
-		mmap     = flag.Bool("mmap", true, "memory-map the store's shard indexes (page-cache shared, heap fallback); only with -index")
 		doDigest = flag.Bool("digest", false, "treat -db as proteins and digest in-process")
 		maxMods  = flag.Int("max-mods", cliutil.DefaultMaxMods, "max modified residues per peptide")
 		ranks    = flag.Int("ranks", 4, "shards (virtual cluster size)")
@@ -83,7 +82,7 @@ func main() {
 		}
 		loadStart := time.Now()
 		var err error
-		sess, peptides, err = lbe.OpenSessionOptions(*index, lbe.OpenOptions{MapStore: *mmap})
+		sess, peptides, err = lbe.OpenSession(*index)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,9 +96,6 @@ func main() {
 	} else {
 		if *db == "" {
 			log.Fatal("-db or -index is required")
-		}
-		if bad := cliutil.ExplicitlySet("mmap"); len(bad) > 0 {
-			log.Fatalf("-%s requires -index: only a stored index can be memory-mapped", bad[0])
 		}
 		recs, err := lbe.ReadFasta(*db)
 		if err != nil {

@@ -69,13 +69,6 @@ type Session struct {
 	build         []RankStats  // per-shard construction stats (zero query load)
 	shardSet      ShardSetInfo // the slice of the partition held; a whole store is set 0 of 1
 
-	// storeVerify holds the deferred content verification of mapped shard
-	// opens (section CRCs + manifest whole-file CRCs); verifyOnce runs it
-	// before the first query and latches the outcome into verifyErr.
-	storeVerify []func() error
-	verifyOnce  sync.Once
-	verifyErr   error
-
 	// viewStop and viewDone run the build of the shards' row views
 	// (slm.Index.BuildRowView) in the background: started once the first
 	// batch has been answered, cancelled and waited for by Close. Both are
@@ -501,35 +494,6 @@ type BatchResult struct {
 	ShardNanos []int64
 }
 
-// verifyStore runs the deferred content verification of a mapped store
-// open exactly once — every lazily-opened shard in parallel — and
-// returns the same outcome on later calls. Sessions built in-process or
-// heap-loaded verified everything eagerly and return nil immediately.
-func (s *Session) verifyStore() error {
-	s.verifyOnce.Do(func() {
-		if len(s.storeVerify) == 0 {
-			return
-		}
-		errs := make([]error, len(s.storeVerify))
-		var wg sync.WaitGroup
-		for i, fn := range s.storeVerify {
-			wg.Add(1)
-			go func(i int, fn func() error) {
-				defer wg.Done()
-				errs[i] = fn()
-			}(i, fn)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				s.verifyErr = err
-				return
-			}
-		}
-	})
-	return s.verifyErr
-}
-
 // queryBuffers is one batch's prepared queries and the peak buffer each
 // spectrum is preprocessed into on its way to them. A session keeps the
 // buffers of finished batches (Session.idle), so a warm batch prepares its
@@ -647,15 +611,10 @@ func (s *Session) merge(cells [][][]slm.Match, nq int) ([][]PSM, error) {
 // returns it. The shards, the pool and the batch size are snapshotted once
 // up front, so Close and SetSchedule cannot race a run in flight.
 //
-// For a session warm-started with mapped shards, the first call runs the
-// store's deferred content verification and fails here if the store is
-// corrupt — after that one check, runs start with no extra cost. Once
-// the first batch has been answered, the background build of the shards'
-// row views starts (see startRowViews), so it never delays a first answer.
+// Once the first batch has been answered, the background build of the
+// shards' row views starts (see startRowViews), so it never delays a
+// first answer.
 func (s *Session) each(ctx context.Context, queries []spectrum.Experimental, emit func(BatchResult) error) error {
-	if err := s.verifyStore(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	closed, shards, pool := s.closed, s.shards, s.pool
 	size := s.schedule.effectiveBatch(len(queries))

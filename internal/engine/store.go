@@ -274,7 +274,7 @@ func (s *Session) saveSet(dir string, shards []*slm.Index, table core.MappingTab
 // files in it are overwritten. Saving a shard-set session preserves its
 // shard-set identity.
 func (s *Session) Save(dir string, peptides []string) error {
-	shards, err := s.verifiedShards()
+	shards, err := s.liveShards()
 	if err != nil {
 		return err
 	}
@@ -290,14 +290,9 @@ func (s *Session) Save(dir string, peptides []string) error {
 	return nil
 }
 
-// verifiedShards returns the shard indexes a save may encode. A mapped
-// session may not have run its deferred store verification yet; saving
-// would re-encode the mapped bytes under fresh checksums, so verify first
-// rather than bless latent corruption.
-func (s *Session) verifiedShards() ([]*slm.Index, error) {
-	if err := s.verifyStore(); err != nil {
-		return nil, err
-	}
+// liveShards returns the shard indexes a save may encode: every one was
+// verified when it was built or opened, so only a closed session has none.
+func (s *Session) liveShards() ([]*slm.Index, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -355,7 +350,7 @@ func ComposeClusterDigest(setDigests []string) string {
 // left untouched — the partitioning creates sets new store identities,
 // not a new identity for this session.
 func (s *Session) SavePartitioned(dir string, peptides []string, sets int) (*ClusterManifest, error) {
-	shards, err := s.verifiedShards()
+	shards, err := s.liveShards()
 	if err != nil {
 		return nil, err
 	}
@@ -485,74 +480,55 @@ func openStoredFile(dir string, sf storedFile) ([]byte, error) {
 	return data, nil
 }
 
-// openShard loads one SLMX shard file. With mapped set it is a zero-copy
-// mapped open: only the manifest's size and the SLMX header (CRC-protected
-// section table) are checked here — no section byte is read, which is
-// what makes a mapped warm start O(header) per shard instead of O(file) —
-// and content verification (section CRCs and the manifest's whole-file
-// CRC, both over the mapped bytes) is left to the session's first query
-// via shardVerifier. Otherwise the file is read and checked against the
-// manifest's size and CRC like any stored file, then decoded and fully
-// verified in place.
+// openShard opens one SLMX shard file — memory-mapped, or read into the
+// heap when mapped is false — and checks it against the manifest's size
+// and whole-file CRC. Both opens decode and verify the whole image (section
+// CRCs, padding, CSR shape) before they return; the manifest check then
+// runs over the bytes the index serves, not a second read of the file,
+// and catches shard files swapped between slots or replaced wholesale,
+// which stay self-consistent and pass their own checksums. A shard that
+// fails the check is closed before openShard returns.
 //
 // A failed mapped open is final, not retried on the heap: both opens run
 // the same slm decoder over the same bytes, and mmapio.Open itself falls
 // back to a heap read when the mapping syscall fails, so a retry could
 // only reproduce the error.
-func openShard(dir string, sf storedFile, mapped bool) (ix *slm.Index, err error) {
+func openShard(dir string, sf storedFile, mapped bool) (*slm.Index, error) {
+	path, err := storedPath(dir, sf)
+	if err != nil {
+		return nil, err
+	}
+	var ix *slm.Index
 	if mapped {
-		var path string
-		if path, err = storedPath(dir, sf); err != nil {
-			return nil, err
-		}
 		ix, err = slm.OpenIndexMapped(path)
 	} else {
-		var data []byte
-		if data, err = openStoredFile(dir, sf); err != nil {
-			return nil, err
-		}
-		ix, err = slm.DecodeIndex(data)
+		ix, err = slm.LoadFile(path)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
 	}
+	cw := &checksumWriter{w: io.Discard}
+	if _, err := ix.WriteTo(cw); err != nil {
+		ix.Close()
+		return nil, fmt.Errorf("engine: open: %s: %w", sf.Name, err)
+	}
+	if cw.n != sf.Size || cw.crc != sf.CRC32 {
+		ix.Close()
+		return nil, fmt.Errorf("engine: open: %s checksum %08x does not match manifest %08x", sf.Name, cw.crc, sf.CRC32)
+	}
 	return ix, nil
 }
 
-// shardVerifier is the deferred half of a mapped shard open, run once by
-// the session before its first query: the manifest's whole-file CRC and
-// size, checked over the bytes the index serves. WriteTo runs the index's
-// own content checks first (section CRCs, padding, CSR shape — this pass
-// also faults the mapping in, so the first search runs warm), then writes
-// the mapped image to the checksum, which catches shard files swapped
-// between slots or replaced wholesale — corruptions the file-internal
-// checksums cannot see because the files stay self-consistent. The file
-// is not read again: what is checked is what was mapped.
-func shardVerifier(sf storedFile, ix *slm.Index) func() error {
-	return func() error {
-		cw := &checksumWriter{w: io.Discard}
-		if _, err := ix.WriteTo(cw); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
-		if cw.n != sf.Size || cw.crc != sf.CRC32 {
-			return fmt.Errorf("engine: verify: %s checksum %08x does not match manifest %08x", sf.Name, cw.crc, sf.CRC32)
-		}
-		return nil
-	}
-}
-
-// OpenOptions controls how OpenSession backs the loaded store.
+// OpenOptions controls how OpenSession backs the loaded store. Only the
+// repository benchmark's heap-load probe sets MapStore false; the type
+// and OpenSessionOptions go with ROADMAP item 1 (e).
 type OpenOptions struct {
 	// MapStore backs each shard index with a read-only memory mapping of
-	// its SLMX file instead of decoding it into the heap: opening reads
-	// only each file's CRC-protected header (near-instant warm start),
-	// the index's resident bytes are kernel page cache shared with every
-	// co-located process serving the same store, and clean pages are
-	// reclaimable under memory pressure. Content verification — section
-	// CRCs and the manifest's whole-file CRCs — is deferred to the
-	// session's first query, so a corrupt store surfaces as a Search
-	// error instead of an open error, always before any result is
-	// produced. Results are byte-identical either way. Where shards
+	// its SLMX file instead of reading it into the heap: the index's
+	// resident bytes are kernel page cache shared with every co-located
+	// process serving the same store, and clean pages are reclaimable
+	// under memory pressure. Either way every shard is verified before
+	// the open returns, and results are byte-identical. Where shards
 	// cannot be mapped (platforms without mmap) the bytes are read into
 	// the heap instead; Session.MappedShards reports the outcome.
 	MapStore bool
@@ -560,15 +536,15 @@ type OpenOptions struct {
 
 // OpenSession warm-starts a session from a store directory written by
 // Save: the manifest is validated, the mapping table and every shard
-// index are reloaded (shards in parallel), and the cross-file shape is
-// checked before the session is assembled. Mapped shards defer their
-// content checksums to the session's first query (see
-// OpenOptions.MapStore); everything else is verified here. The returned
-// peptide list is the one saved alongside the session, or nil when the
-// store was saved without peptides.
+// index are reloaded and verified against the manifest (shards in
+// parallel), and the cross-file shape is checked before the session is
+// assembled: a store that returns is one every byte of which has been
+// checked, and a store that fails any check leaves nothing mapped. The
+// returned peptide list is the one saved alongside the session, or nil
+// when the store was saved without peptides.
 //
 // Shard indexes are memory-mapped when the platform allows it (with
-// automatic heap fallback); use OpenSessionOptions to force heap loads.
+// automatic heap fallback).
 //
 // The loaded session serves queries exactly as the session that saved it
 // would: the indexes and mapping table are byte-for-byte the saved ones.
@@ -578,7 +554,7 @@ func OpenSession(dir string) (*Session, []string, error) {
 
 // OpenSessionOptions is OpenSession with explicit control over the store
 // backing.
-func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error) {
+func OpenSessionOptions(dir string, opts OpenOptions) (_ *Session, _ []string, err error) {
 	f, err := os.Open(filepath.Join(dir, manifestFile))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -681,12 +657,19 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 		}
 	}
 
-	// Shards load in parallel. Heap opens decode and verify everything
-	// here (O(index bytes)); mapped opens validate headers only
-	// (O(header) — the near-instant warm start) and push their content
-	// verification into lazy, run by the session before its first query.
+	// Shards open and verify in parallel, each in O(index bytes). A store
+	// refused from here on releases every shard that did open now, rather
+	// than when the collector finds its mapping.
 	shards := make([]*slm.Index, p)
-	var lazy []func() error
+	defer func() {
+		if err != nil {
+			for _, ix := range shards {
+				if ix != nil {
+					ix.Close()
+				}
+			}
+		}
+	}()
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for m := 0; m < p; m++ {
@@ -700,11 +683,6 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
-		}
-	}
-	if opts.MapStore {
-		for m, ix := range shards {
-			lazy = append(lazy, shardVerifier(man.Shards[m].storedFile, ix))
 		}
 	}
 
@@ -734,16 +712,15 @@ func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error
 	// business, so the session starts on the default schedule whatever the
 	// builder ran under.
 	s := &Session{
-		shape:       man.Config.Shape,
-		schedule:    DefaultSessionConfig().Schedule,
-		shards:      shards,
-		table:       table,
-		groups:      man.Groups,
-		build:       build,
-		shardSet:    ss,
-		load:        append([]RankStats(nil), build...),
-		digest:      manifestDigest(doc),
-		storeVerify: lazy,
+		shape:    man.Config.Shape,
+		schedule: DefaultSessionConfig().Schedule,
+		shards:   shards,
+		table:    table,
+		groups:   man.Groups,
+		build:    build,
+		shardSet: ss,
+		load:     append([]RankStats(nil), build...),
+		digest:   manifestDigest(doc),
 	}
 	s.pool = newPool(s.schedule, s.shape.TopK)
 	return s, peptides, nil

@@ -134,11 +134,11 @@ func editManifest(t *testing.T, dir string, fn func(map[string]any)) {
 	}
 }
 
-// TestOpenRejectsCorruptStores drives the corruption suite. A heap open
-// (MapStore false) must fail at OpenSessionOptions for every tampered
-// store; a mapped open defers shard-content checksums to the first
-// query, so it must fail at open or at the first Search — never serve a
-// result from a corrupt store.
+// TestOpenRejectsCorruptStores drives the corruption suite. Every open,
+// heap (MapStore false) and mapped alike, verifies the whole store before
+// it returns, so each must fail at OpenSessionOptions for every tampered
+// store — "bit-flipped shard" and "swapped shard files" included, which a
+// mapped open once let through to the first Search.
 func TestOpenRejectsCorruptStores(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -253,10 +253,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 			sess, _, err := OpenSession(dir)
 			if err == nil {
-				_, err = sess.Search(context.Background(), nil)
 				sess.Close()
-			}
-			if err == nil {
 				t.Errorf("mapped open: %s", tc.message)
 			}
 			for _, want := range tc.names {
@@ -307,6 +304,90 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			t.Error("the mapped session answers differently from the untouched store")
 		}
 	})
+}
+
+// TestRefusedOpenReleasesMappings: a store refused after some of its
+// shards mapped — shard 1 fails its checksum while shard 0 maps cleanly,
+// both map and a cross-file check refuses them, or shard 0 maps and then
+// fails the manifest's CRC — leaves no mapping of its shard files behind,
+// as /proc/self/maps lists them.
+func TestRefusedOpenReleasesMappings(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	// mapsOf returns the lines of /proc/self/maps naming a file in dir.
+	mapsOf := func(t *testing.T, dir string) []string {
+		t.Helper()
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(string(maps), "\n") {
+			if strings.Contains(line, dir+string(filepath.Separator)) {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	store := func(t *testing.T) string {
+		t.Helper()
+		dir, _ := storeFixture(t, 2, true)
+		dir, err := filepath.EvalSymlinks(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	// The check sees a live session's mappings.
+	dir := store(t)
+	sess, _, err := OpenSession(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.MappedShards() == 2 && len(mapsOf(t, dir)) == 0 {
+		t.Fatal("/proc/self/maps lists no mapping of an open store")
+	}
+	sess.Close()
+
+	for name, tamper := range map[string]func(t *testing.T, dir string){
+		"shard 1 corrupt": func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "shard-0001.slmx")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"row count mismatch": func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				shard := m["shards"].([]any)[1].(map[string]any)
+				shard["rows"] = shard["rows"].(float64) + 1
+			})
+		},
+		"shard 0 off its manifest CRC": func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m map[string]any) {
+				shard := m["shards"].([]any)[0].(map[string]any)
+				shard["crc32"] = float64(uint32(shard["crc32"].(float64)) ^ 1)
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := store(t)
+			tamper(t, dir)
+			if sess, _, err := OpenSession(dir); err == nil {
+				sess.Close()
+				t.Fatal("a tampered store opened")
+			}
+			if maps := mapsOf(t, dir); len(maps) > 0 {
+				t.Errorf("a refused open left its shard files mapped:\n%s", strings.Join(maps, "\n"))
+			}
+		})
+	}
 }
 
 // TestSetSchedule: the whole value goes in — every field applied as given,

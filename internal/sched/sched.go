@@ -257,17 +257,11 @@ func (d *deque) size() int {
 // Run searches the prepared queries qs (slm.Query, prepared under the
 // shards' Resolution and FragmentTol) against every shard and returns the
 // full match matrix plus telemetry. Matches are identical to the serial
-// reference for every worker count and chunk size. It runs every shard's
-// Verify first, once per run, and returns the first error with a nil
-// result, so a corrupt mapped shard fails the run rather than panicking a
-// worker. On context cancellation Run stops between chunks and returns
-// ctx.Err() with a nil result.
+// reference for every worker count and chunk size. The shards are open
+// indexes, each checked whole when it was built or opened. On context
+// cancellation Run stops between chunks and returns ctx.Err() with a nil
+// result.
 func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []slm.Query) (*Result, error) {
-	for _, ix := range shards {
-		if err := ix.Verify(); err != nil {
-			return nil, err
-		}
-	}
 	nq := len(qs)
 	ns := len(shards)
 	res := &Result{

@@ -3,8 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -353,40 +351,6 @@ func TestRunCancellation(t *testing.T) {
 			t.Fatalf("goroutine leak after cancellation: %d > %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestRunReturnsVerifyError: a mapped shard whose content fails its
-// deferred verification fails the Run with that error, once per run,
-// rather than panicking the worker that first searches it.
-func TestRunReturnsVerifyError(t *testing.T) {
-	shards, qs := testShards(t, 2)
-	path := filepath.Join(t.TempDir(), "shard.slmx")
-	if err := shards[1].SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	image, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	image[len(image)-1] ^= 0xFF // a posting byte: the ids section's CRC fails
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt, err := slm.OpenIndexMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer corrupt.Close()
-	for _, workers := range []int{1, 3} {
-		p := NewPool(Options{Workers: workers})
-		res, err := p.Run(context.Background(), []*slm.Index{shards[0], corrupt}, prepared(qs))
-		if err == nil || res != nil {
-			t.Fatalf("%d workers: a corrupt shard ran: %v, %+v", workers, err, res)
-		}
-		if verr := corrupt.Verify(); err != verr {
-			t.Fatalf("%d workers: Run returned %v, want the shard's Verify error %v", workers, err, verr)
-		}
 	}
 }
 

@@ -151,17 +151,7 @@ type Index struct {
 	// mapping is non-nil when image is a memory-mapped store file (see
 	// OpenIndexMapped); Close releases it.
 	mapping *mmapio.Mapping
-
-	// verifyFn holds the deferred content validation of a mapped open
-	// (section CRCs, padding, shape); nil for indexes validated at build
-	// or decode time. verifyDone/verifyMu latch its one execution into
-	// verifyErr with closure-free double-checked locking, keeping the
-	// warm Verify fast path (an atomic load) legal inside //lbe:hotpath
-	// Search.
-	verifyFn   func() error
-	verifyMu   sync.Mutex
-	verifyDone atomic.Bool
-	verifyErr  error
+	closed  bool // set by Close: the views are released
 
 	// cum is the cross-band prefix row of a bounded-tolerance index:
 	// cum[b] is the number of postings in buckets below b, summed over

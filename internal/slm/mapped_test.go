@@ -42,7 +42,7 @@ func TestOpenIndexMappedMatchesHeap(t *testing.T) {
 	if err := heap.Verify(); err != nil {
 		t.Errorf("heap Verify must be a no-op: %v", err)
 	}
-	// Deferred content validation of a clean file succeeds, repeatedly.
+	// An open index verifies, repeatedly.
 	if err := mapped.Verify(); err != nil {
 		t.Fatalf("mapped Verify: %v", err)
 	}

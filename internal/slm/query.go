@@ -200,10 +200,6 @@ func (q *Query) Prepare(e spectrum.Experimental, params Params) {
 //
 // The query's peaks must be sorted by m/z (see spectrum.Preprocess).
 //
-// On a mapped index the first Search triggers the deferred content
-// validation (see Verify) and panics if the file is corrupt; callers
-// that need an error instead must call Verify themselves first.
-//
 //lbe:hotpath
 func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]Match, Work) {
 	matches, work := ix.SearchCut(q, topK, scratch)
@@ -222,14 +218,10 @@ func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]
 // of this (index, query) cell. Ties at the cut are all kept, so a
 // dropped match has k strictly better ones in this index alone and
 // cannot be among any merged best k, whatever breaks ties there. k <= 0
-// keeps everything. It prepares q in the scratch and runs SearchQuery,
-// after the Verify that Search documents.
+// keeps everything. It prepares q in the scratch and runs SearchQuery.
 //
 //lbe:hotpath
 func (ix *Index) SearchCut(q spectrum.Experimental, k int, scratch *Scratch) ([]Match, Work) {
-	if err := ix.Verify(); err != nil {
-		panic(err)
-	}
 	if scratch == nil {
 		scratch = &Scratch{}
 	}
@@ -241,12 +233,14 @@ func (ix *Index) SearchCut(q spectrum.Experimental, k int, scratch *Scratch) ([]
 // a query prepared under this index's Resolution and FragmentTol, as the
 // scheduler's workers search each prepared query against every shard
 // (the engine merges their cells by score, then global peptide). It
-// panics on a query prepared under other values of those two: its spans
-// would name other buckets. It does not run Verify: a caller searching a
-// mapped index verifies it first, once (sched.Pool.Run does per run).
+// panics on a query prepared under other values of those two, whose spans
+// would name other buckets, and on an index that Close has released.
 //
 //lbe:hotpath
 func (ix *Index) SearchQuery(q *Query, k int, scratch *Scratch) ([]Match, Work) {
+	if ix.closed {
+		panic(errClosed)
+	}
 	if q.resolution != ix.params.Resolution || q.fragmentTol != ix.params.FragmentTol {
 		panic("slm: query prepared under another Resolution or FragmentTol")
 	}

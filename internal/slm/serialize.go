@@ -43,17 +43,17 @@ import (
 // built, a decoded and a mapped index differ only in where that buffer
 // came from. Build lays the header out with newImage, takes the views
 // through indexFromImage, writes pass 2 into them and seals the CRCs
-// once (seal); WriteTo is Verify plus one write of the image. Every open
+// once (seal); WriteTo is one write of the image. Every open
 // — DecodeIndex, LoadFile, OpenIndexMapped — is three steps over the
 // complete image, heap buffer or memory mapping alike: readHeader parses
 // and CRC-checks the header, pins the section table to the canonical
 // layout and refuses an image longer or shorter than it; indexFromImage
 // takes the same views Build does; verify checks the section CRCs, the
-// zero padding and the cross-array shape. Only the mapped open defers
-// verify (see OpenIndexMapped). The views are the wire layout only on a
-// little-endian host, so a big-endian host is refused by Build and by
-// every open (checkByteOrder); a DecodeIndex input that does not start
-// 8-byte aligned is copied once into one that does.
+// zero padding and the cross-array shape, all before the open returns.
+// The views are the wire layout only on a little-endian host, so a
+// big-endian host is refused by Build and by every open
+// (checkByteOrder); a DecodeIndex input that does not start 8-byte
+// aligned is copied once into one that does.
 //
 // Counts come from the (not yet checksum-verified) input, so the reader
 // treats them as hostile: each is bounded by an absolute cap AND by the
@@ -239,10 +239,8 @@ func seal(h *fileHeader, image []byte) {
 // io.WriterTo: on error it returns the number of bytes the underlying
 // writer actually accepted before the failure, not zero.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	// A mapped index defers content validation; run it first, or a
-	// corrupt (or closed) mapping would be written out as a store.
-	if err := ix.Verify(); err != nil {
-		return 0, err
+	if ix.closed {
+		return 0, errClosed
 	}
 	n, err := w.Write(ix.image)
 	if err == nil && n < len(ix.image) {
@@ -607,8 +605,8 @@ func DecodeIndex(image []byte) (*Index, error) {
 
 // SaveFile writes the index's image to the named file.
 func (ix *Index) SaveFile(path string) error {
-	if err := ix.Verify(); err != nil {
-		return err
+	if ix.closed {
+		return errClosed
 	}
 	return os.WriteFile(path, ix.image, 0o666)
 }

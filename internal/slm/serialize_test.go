@@ -135,6 +135,11 @@ func TestSerializeDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xFF
 	mustReject(t, "byte flipped mid-payload", data)
+	// The file ends with the ids section, so its last byte is a posting
+	// byte that only the ids section CRC covers.
+	data[len(data)/2] ^= 0xFF
+	data[len(data)-1] ^= 0xFF
+	mustReject(t, "last posting byte flipped", data)
 }
 
 func TestSerializeRejectsBadMagicAndVersion(t *testing.T) {
@@ -210,8 +215,8 @@ func refixHeaderCRC(data []byte, crcOff int) {
 
 // openAll runs data through every opener — DecodeIndex over the bytes,
 // LoadFile and the mapped open over a file holding them — and returns
-// each one's error by name. The mapped open validates the header eagerly
-// and section content lazily, so its verdict is OpenIndexMapped + Verify.
+// each one's error by name. Every open checks the whole image before it
+// returns, so each verdict is the opener's own error.
 func openAll(t *testing.T, data []byte) map[string]error {
 	t.Helper()
 	errs := map[string]error{}
@@ -223,10 +228,9 @@ func openAll(t *testing.T, data []byte) map[string]error {
 	_, errs["LoadFile"] = LoadFile(path)
 	ix, err := OpenIndexMapped(path)
 	if err == nil {
-		err = ix.Verify()
 		ix.Close()
 	}
-	errs["OpenIndexMapped+Verify"] = err
+	errs["OpenIndexMapped"] = err
 	return errs
 }
 
@@ -466,9 +470,8 @@ func TestCheckByteOrder(t *testing.T) {
 
 // corruptSection applies mutate to section sec of a valid image, then
 // re-fixes that section's table CRC and the header CRC — so the bytes
-// are internally consistent and only the semantic validation (eager for
-// the heap opens, deferred to Verify for the mapped open) can catch the
-// corruption.
+// are internally consistent and only the semantic validation can catch
+// the corruption.
 func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(data []byte, lo int64)) []byte {
 	t.Helper()
 	tableOff, crcOff, _ := headerOffsets(ix)
@@ -488,7 +491,7 @@ func corruptSection(t *testing.T, ix *Index, valid []byte, sec int, mutate func(
 // CRC but violate the invariants the windowed scan relies on: row
 // precursors out of ascending order, out-of-range postings, a row whose
 // NumIons is not its posting count and an unsorted bucket posting list.
-// All must fail at open (heap) or Verify (mapped) — never serve.
+// Every open must refuse them — never serve.
 func TestSerializeCorruptPrecursorOrder(t *testing.T) {
 	ix := buildTestIndex(t)
 	if len(ix.rows) < 3 || len(ix.ids) < 2 {

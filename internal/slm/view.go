@@ -30,8 +30,7 @@ func (ix *Index) NeedsRowView() bool {
 // after it returns scan a cut band's rows instead of binary searching
 // each bucket under the query's peaks. Answers and Work are the same
 // with and without it. It is a no-op when NeedsRowView is false, and
-// returns ctx's error, publishing nothing, if ctx ends first; on a mapped
-// index it runs the deferred Verify first and returns its error.
+// returns ctx's error, publishing nothing, if ctx ends first.
 //
 // Row offsets are prefix sums of Row.NumIons, which every open checks
 // against the postings (validateShape). The transpose scatters one
@@ -41,9 +40,6 @@ func (ix *Index) NeedsRowView() bool {
 func (ix *Index) BuildRowView(ctx context.Context) error {
 	if !ix.NeedsRowView() {
 		return nil
-	}
-	if err := ix.Verify(); err != nil {
-		return err
 	}
 	rows := ix.rows
 	// start[r+1] is row r's write cursor while postings are placed, and

@@ -58,13 +58,29 @@ func (e Experimental) Validate() error {
 // a.MZ < b.MZ, and "is it negative" is the only question pdqsort asks,
 // so both run the same swaps.
 func (e *Experimental) SortPeaks() {
-	slices.SortFunc(e.Peaks, func(a, b Peak) int {
-		switch {
-		case a.MZ < b.MZ:
-			return -1
-		case a.MZ > b.MZ:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(e.Peaks, byMZ)
+}
+
+// byMZ orders peaks by ascending m/z; it is negative exactly when
+// a.MZ < b.MZ.
+func byMZ(a, b Peak) int {
+	switch {
+	case a.MZ < b.MZ:
+		return -1
+	case a.MZ > b.MZ:
+		return 1
+	}
+	return 0
+}
+
+// byIntensityDesc orders peaks by descending intensity; it is negative
+// exactly when a.Intensity > b.Intensity.
+func byIntensityDesc(a, b Peak) int {
+	switch {
+	case a.Intensity > b.Intensity:
+		return -1
+	case a.Intensity < b.Intensity:
+		return 1
+	}
+	return 0
 }

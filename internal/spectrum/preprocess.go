@@ -1,6 +1,6 @@
 package spectrum
 
-import "sort"
+import "slices"
 
 // Preprocess mirrors the paper's query preprocessing (§V-A3): keep the
 // topN most intense peaks (the paper uses 100), then re-sort by m/z and
@@ -15,19 +15,23 @@ func Preprocess(e Experimental, topN int) Experimental {
 // backing array, which it grows if it is too short: a caller that
 // preprocesses one spectrum after another reuses one buffer. The result
 // aliases that array, so it is valid until dst is reused; e is not
-// modified.
+// modified. With dst long enough it does not allocate.
+//
+// Both sorts are slices.SortFunc with comparators negative exactly where
+// sort.Slice's `>` intensity and `<` m/z comparisons are true. pdqsort
+// asks only that question, so the sorts make sort.Slice's swaps: the
+// same peaks survive a top-N cut through tied intensities, in the same
+// order.
 func PreprocessInto(dst []Peak, e Experimental, topN int) Experimental {
 	out := e
 	out.Peaks = append(dst[:0], e.Peaks...)
 
 	if topN > 0 && len(out.Peaks) > topN {
 		// Select the topN by intensity.
-		sort.Slice(out.Peaks, func(i, j int) bool {
-			return out.Peaks[i].Intensity > out.Peaks[j].Intensity
-		})
+		slices.SortFunc(out.Peaks, byIntensityDesc)
 		out.Peaks = out.Peaks[:topN]
 	}
-	sort.Slice(out.Peaks, func(i, j int) bool { return out.Peaks[i].MZ < out.Peaks[j].MZ })
+	slices.SortFunc(out.Peaks, byMZ)
 
 	// Base-peak normalization.
 	maxI := 0.0

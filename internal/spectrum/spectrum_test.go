@@ -3,6 +3,7 @@ package spectrum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -211,6 +212,77 @@ func TestSortPeaksZeroAlloc(t *testing.T) {
 		e.SortPeaks()
 	}); n != 0 {
 		t.Errorf("SortPeaks allocates %.1f times per run, want 0", n)
+	}
+}
+
+// preprocessSortSlice is PreprocessInto as it stood on sort.Slice: the
+// reference whose top-N ties PreprocessInto must keep.
+func preprocessSortSlice(e Experimental, topN int) Experimental {
+	out := e
+	out.Peaks = append([]Peak(nil), e.Peaks...)
+	if topN > 0 && len(out.Peaks) > topN {
+		sort.Slice(out.Peaks, func(i, j int) bool {
+			return out.Peaks[i].Intensity > out.Peaks[j].Intensity
+		})
+		out.Peaks = out.Peaks[:topN]
+	}
+	sort.Slice(out.Peaks, func(i, j int) bool { return out.Peaks[i].MZ < out.Peaks[j].MZ })
+	maxI := 0.0
+	for _, p := range out.Peaks {
+		maxI = max(maxI, p.Intensity)
+	}
+	if maxI > 0 {
+		for i := range out.Peaks {
+			out.Peaks[i].Intensity /= maxI
+		}
+	}
+	return out
+}
+
+// TestPreprocessMatchesSortSlice: over seeded spectra whose peaks share a
+// handful of intensities and m/z values — so a top-N cut goes through
+// ties and equal m/z peaks keep some order — PreprocessInto gives the
+// sort.Slice version's peaks in the same order, through one reused buffer.
+func TestPreprocessMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var buf []Peak
+	for trial := 0; trial < 2000; trial++ {
+		e := Experimental{Peaks: make([]Peak, rng.Intn(300))}
+		levels, sites := 1+rng.Intn(6), 1+rng.Intn(60)
+		for i := range e.Peaks {
+			e.Peaks[i] = Peak{
+				MZ:        100 + float64(rng.Intn(sites))*0.5,
+				Intensity: float64(1 + rng.Intn(levels)),
+			}
+			if rng.Intn(4) == 0 {
+				e.Peaks[i].Intensity += float64(i) // some distinct ones among the ties
+			}
+		}
+		topN := rng.Intn(120)
+		want := preprocessSortSlice(e, topN)
+		got := PreprocessInto(buf, e, topN)
+		buf = got.Peaks
+		if !slices.Equal(got.Peaks, want.Peaks) {
+			t.Fatalf("trial %d (%d peaks, top %d):\n got  %v\n want %v", trial, len(e.Peaks), topN, got.Peaks, want.Peaks)
+		}
+	}
+}
+
+// TestPreprocessIntoZeroAlloc: with a buffer large enough, preprocessing a
+// spectrum — cut to its top peaks or not — does not allocate.
+func TestPreprocessIntoZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	e := Experimental{Peaks: make([]Peak, 150)}
+	for i := range e.Peaks {
+		e.Peaks[i] = Peak{MZ: rng.Float64() * 2000, Intensity: float64(rng.Intn(20))}
+	}
+	buf := make([]Peak, len(e.Peaks))
+	for _, topN := range []int{100, 200} {
+		if n := testing.AllocsPerRun(50, func() {
+			PreprocessInto(buf, e, topN)
+		}); n != 0 {
+			t.Errorf("top %d: PreprocessInto allocates %.1f times per run, want 0", topN, n)
+		}
 	}
 }
 

@@ -221,28 +221,18 @@ func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
 	return engine.NewSession(peptides, cfg)
 }
 
-// OpenOptions controls how OpenSession backs a loaded store (mapped vs
-// heap shard indexes).
-type OpenOptions = engine.OpenOptions
-
 // OpenSession warm-starts a Session from a persistent store directory
 // written by Session.Save (or lbe-index -out): the manifest, mapping
 // table and per-shard SLMX indexes are reloaded — shards in parallel —
-// with every checksum verified. The returned peptide list is the one
+// with every checksum verified before it returns, so a corrupt store
+// fails here and never serves. The returned peptide list is the one
 // saved alongside the session (nil when the store omitted it). The
 // loaded session serves queries exactly as the session that saved it.
 //
 // Shard indexes are backed by read-only memory mappings where the
-// platform allows (heap fallback otherwise); OpenSessionOptions makes
-// the choice explicit.
+// platform allows (heap fallback otherwise).
 func OpenSession(dir string) (*Session, []string, error) {
 	return engine.OpenSession(dir)
-}
-
-// OpenSessionOptions is OpenSession with explicit control over the
-// store backing.
-func OpenSessionOptions(dir string, opts OpenOptions) (*Session, []string, error) {
-	return engine.OpenSessionOptions(dir, opts)
 }
 
 // --- engine configuration and results ---
