@@ -17,9 +17,10 @@
 // every shard index (minutes of cold start on real databases), the
 // saved indexes are loaded in parallel — O(index bytes) instead of
 // O(database). The store fixes the database-shape knobs (shards,
-// policy, mods, topk) and nothing else: -threads, -batch and the serving
-// flags mean the same as on a fresh build. Queries run on the
-// work-stealing scheduler, which sizes its own chunks.
+// policy, mods, topk) and nothing else: -threads and the serving flags
+// mean the same as on a fresh build. Each coalesced group, at most
+// -coalesce queries, is searched as one engine batch on the work-stealing
+// scheduler, which sizes its own chunks.
 //
 // The first SIGINT/SIGTERM drains gracefully: admission stops (503),
 // queued and in-flight requests complete, then the process exits. A
@@ -60,7 +61,6 @@ func main() {
 		seed     = flag.Int64("seed", 0, "seed for the random policy")
 		topK     = flag.Int("topk", 5, "PSMs reported per query")
 		threads  = flag.Int("threads", 0, "scheduler workers per query batch (0 = one per core)")
-		batch    = flag.Int("batch", 256, "queries per engine batch of one search (0 = one batch)")
 		coalesce = flag.Int("coalesce", 64, "max queries merged into one coalesced batch")
 		flush    = flag.Duration("flush", 2*time.Millisecond, "max wait before a partial batch is searched")
 		queue    = flag.Int("queue", 256, "admission queue depth in requests (full = 429)")
@@ -70,7 +70,7 @@ func main() {
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "answer cache byte budget (0 disables caching)")
 	)
 	flag.Parse()
-	schedule := lbe.Schedule{ThreadsPerRank: *threads, BatchSize: *batch}
+	schedule := lbe.Schedule{ThreadsPerRank: *threads}
 
 	var sess *lbe.Session
 	var peptides []string

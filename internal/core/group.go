@@ -93,14 +93,6 @@ type Grouping struct {
 // NumGroups returns the number of groups.
 func (g Grouping) NumGroups() int { return len(g.Sizes) }
 
-// Bounds returns the half-open [start, end) range of group gi within Order.
-func (g Grouping) Bounds(gi int) (start, end int) {
-	for i := 0; i < gi; i++ {
-		start += g.Sizes[i]
-	}
-	return start, start + g.Sizes[gi]
-}
-
 // GroupOf returns, for each clustered position, the group it belongs to.
 func (g Grouping) GroupOf() []int {
 	out := make([]int, len(g.Order))

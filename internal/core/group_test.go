@@ -182,14 +182,8 @@ func TestGroupMembersSatisfyCriterion(t *testing.T) {
 	}
 }
 
-func TestGroupBoundsAndGroupOf(t *testing.T) {
+func TestGroupOf(t *testing.T) {
 	g := Grouping{Order: []int{3, 1, 0, 2, 4}, Sizes: []int{2, 3}}
-	if s, e := g.Bounds(0); s != 0 || e != 2 {
-		t.Errorf("Bounds(0) = [%d,%d)", s, e)
-	}
-	if s, e := g.Bounds(1); s != 2 || e != 5 {
-		t.Errorf("Bounds(1) = [%d,%d)", s, e)
-	}
 	want := []int{0, 0, 1, 1, 1}
 	for i, gi := range g.GroupOf() {
 		if gi != want[i] {

@@ -113,22 +113,6 @@ func makeRange(lo, hi int) []int {
 	return out
 }
 
-// MachineOf returns, for every clustered position, the machine that owns
-// it. It is the inverse view of Assign.
-func (p Partition) MachineOf() []int {
-	n := 0
-	for _, a := range p.Assign {
-		n += len(a)
-	}
-	out := make([]int, n)
-	for m, a := range p.Assign {
-		for _, pos := range a {
-			out[pos] = m
-		}
-	}
-	return out
-}
-
 // Sizes returns the number of peptides per machine.
 func (p Partition) Sizes() []int {
 	out := make([]int, p.P)

@@ -96,7 +96,7 @@ func TestWeightedCyclicSpreadsGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machineOf := part.MachineOf()
+	machineOf := machineOf(part)
 	counts := [2]int{}
 	for pos := 0; pos < 16; pos++ {
 		counts[machineOf[pos]]++

@@ -236,18 +236,3 @@ func (f *Tag) Candidates(q spectrum.Experimental) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Reduction reports the candidate-reduction factor of a filter over a
-// query batch: total database size divided by mean candidates per query.
-// Infinite when no query yields candidates.
-func Reduction(f Filter, dbSize int, qs []spectrum.Experimental) float64 {
-	total := 0
-	for _, q := range qs {
-		total += len(f.Candidates(q))
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(qs))
-	return float64(dbSize) / mean
-}

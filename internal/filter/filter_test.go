@@ -277,23 +277,3 @@ func TestTagCandidatesSortedUniqueProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestReduction(t *testing.T) {
-	peps := []string{"PEPTIDEK", "PEPTIDEKK", "AAAAGGGGK", "WWYYFFLLK"}
-	f, _ := NewPrecursor(peps, mass.Da(0.5))
-	qs := []spectrum.Experimental{
-		queryFromPeptide(t, "PEPTIDEK"),
-		queryFromPeptide(t, "AAAAGGGGK"),
-	}
-	// Each query has exactly 1 candidate -> reduction = 4/1 = 4.
-	if got := Reduction(f, len(peps), qs); got != 4 {
-		t.Errorf("reduction = %v, want 4", got)
-	}
-	// No candidates at all -> 0 by convention.
-	empty, _ := NewPrecursor(peps, mass.Da(1e-9))
-	q := queryFromPeptide(t, "PEPTIDEK")
-	q.PrecursorMZ += 500
-	if got := Reduction(empty, len(peps), []spectrum.Experimental{q}); got != 0 {
-		t.Errorf("empty reduction = %v", got)
-	}
-}

@@ -130,9 +130,3 @@ func MZ(neutral float64, charge int) float64 {
 	z := float64(charge)
 	return (neutral + z*Proton) / z
 }
-
-// Neutral converts an observed m/z at the given charge back to neutral mass.
-func Neutral(mz float64, charge int) float64 {
-	z := float64(charge)
-	return mz*z - z*Proton
-}

@@ -151,8 +151,3 @@ func (b Bucketer) Range(m float64, tol Tolerance) (lo, hi int) {
 	}
 	return b.Bucket(wlo), b.Bucket(whi)
 }
-
-// Center returns the representative mass at the center of bucket i.
-func (b Bucketer) Center(i int) float64 {
-	return float64(i) * b.Resolution
-}

@@ -58,24 +58,6 @@ type Variant struct {
 // IsModified reports whether the variant carries at least one modification.
 func (v Variant) IsModified() bool { return len(v.Sites) > 0 }
 
-// Annotate renders the variant applied to seq in the conventional
-// bracketed notation, e.g. "PEPTM[Oxidation]IDE".
-func (v Variant) Annotate(seq string, mods []Mod) string {
-	if len(v.Sites) == 0 {
-		return seq
-	}
-	var sb strings.Builder
-	next := 0
-	for i := 0; i < len(seq); i++ {
-		sb.WriteByte(seq[i])
-		if next < len(v.Sites) && v.Sites[next].Pos == i {
-			fmt.Fprintf(&sb, "[%s]", mods[v.Sites[next].Mod].Name)
-			next++
-		}
-	}
-	return sb.String()
-}
-
 // Config controls variant enumeration.
 type Config struct {
 	Mods       []Mod

@@ -185,17 +185,6 @@ func TestVariantsDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestAnnotate(t *testing.T) {
-	cfg := Config{Mods: []Mod{OxidationM}, MaxPerPep: 2}
-	vs, _ := cfg.Variants("AMA")
-	if got := vs[0].Annotate("AMA", cfg.Mods); got != "AMA" {
-		t.Errorf("unmodified annotate = %q", got)
-	}
-	if got := vs[1].Annotate("AMA", cfg.Mods); got != "AM[Oxidation]A" {
-		t.Errorf("annotate = %q", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	bad := Config{Mods: []Mod{{Name: "x"}}, MaxPerPep: 1}
 	if err := bad.Validate(); err == nil {

@@ -168,18 +168,6 @@ func (c *Cache[V]) Acquire(key string) (V, *Flight[V], Outcome) {
 	return zero, f, Lead
 }
 
-// Get looks the key up without joining or creating a flight. It counts
-// a hit but not a miss — Acquire owns the miss accounting.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	v, ok := c.lookupLocked(key)
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
 // Put stores a value directly, bypassing the singleflight machinery.
 func (c *Cache[V]) Put(key string, v V) {
 	c.mu.Lock()

@@ -104,21 +104,30 @@ func TestAbortDoesNotPoison(t *testing.T) {
 	}
 }
 
+// get looks key up through Acquire, aborting the flight a miss leads.
+func get(c *Cache[[]byte], key string) ([]byte, bool) {
+	v, f, o := c.Acquire(key)
+	if o == Lead {
+		f.Abort()
+	}
+	return v, o == Hit
+}
+
 func TestByteBudgetEvictsLRU(t *testing.T) {
 	// Budget fits two entries (value 100 + key 2 + overhead 128 = 230).
 	c := newTest(2 * 230)
 	val := make([]byte, 100)
 	c.Put("k0", val)
 	c.Put("k1", val)
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok := get(c, "k0"); !ok {
 		t.Fatal("k0 evicted before budget pressure")
 	}
 	// k0 was just touched, so inserting k2 must evict k1.
 	c.Put("k2", val)
-	if _, ok := c.Get("k1"); ok {
+	if _, ok := get(c, "k1"); ok {
 		t.Fatal("LRU kept k1 over the more recently used k0")
 	}
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok := get(c, "k0"); !ok {
 		t.Fatal("recently used k0 was evicted")
 	}
 	st := c.Stats()
@@ -133,7 +142,7 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 func TestOversizedValueNotStored(t *testing.T) {
 	c := newTest(64)
 	c.Put("k", make([]byte, 1024))
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("value larger than the whole budget was stored")
 	}
 }
@@ -170,7 +179,7 @@ func TestPurgeInvalidatesEverything(t *testing.T) {
 	if st.Entries != 0 || st.Bytes != 0 || st.Invalidated != 5 {
 		t.Fatalf("post-purge stats %+v", st)
 	}
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := get(c, "k0"); ok {
 		t.Fatal("purged entry still served")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // warmSearchAllocs is the guard both open kinds share: with a warm Scratch
-// the only allocation Search or SearchCut may make is the single copy-out
+// the only allocation Search or SearchQuery may make is the single copy-out
 // of the result slice, and none at all when nothing matches. wantPruned
 // says which phase-1 scan the index must have run for the hit.
 func warmSearchAllocs(t *testing.T, label string, ix *Index, wantPruned bool) {
@@ -21,23 +21,15 @@ func warmSearchAllocs(t *testing.T, label string, ix *Index, wantPruned bool) {
 	if len(ms) == 0 || (w.Pruned > 0) != wantPruned {
 		t.Fatalf("%s: %d matches, %d postings pruned; want a hit, windowed scan = %v", label, len(ms), w.Pruned, wantPruned)
 	}
-	ix.SearchCut(hit, 1, &scratch) // and the cut's heap
-
 	if n := testing.AllocsPerRun(100, func() {
 		ix.Search(hit, 5, &scratch)
 	}); n > 1 {
 		t.Errorf("%s: Search with matches allocates %.1f times per run, want <= 1 (result copy only)", label, n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		ix.SearchCut(hit, 1, &scratch)
-	}); n > 1 {
-		t.Errorf("%s: SearchCut with matches allocates %.1f times per run, want <= 1 (result copy only)", label, n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
 		ix.Search(miss, 5, &scratch)
-		ix.SearchCut(miss, 1, &scratch)
 	}); n != 0 {
-		t.Errorf("%s: searches without matches allocate %.1f times per run, want 0", label, n)
+		t.Errorf("%s: Search without matches allocates %.1f times per run, want 0", label, n)
 	}
 
 	// The scheduler's entry: a query prepared once, searched again.

@@ -43,7 +43,8 @@ func benchKernel(b *testing.B, tol mass.Tolerance) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			_, w := ix.SearchCut(q, 10, &scratch)
+			scratch.query.Prepare(q, ix.params)
+			_, w := ix.SearchQuery(&scratch.query, 10, &scratch)
 			postings += w.IonHits
 			scored += w.Scored
 		}

@@ -23,10 +23,14 @@ import (
 // FuzzDecodeIndex hammers the SLMX decoder with arbitrary images. The
 // decoder must never panic, hang, or allocate proportionally to a forged
 // count field; any image it does accept must re-serialize to the same
-// bytes — the writer emits exactly the layout the reader pins.
+// bytes — the writer emits exactly the layout the reader pins. The seed
+// images index a small bucket universe (0.5 wide buckets up to m/z 400),
+// so each is a few KB and the mutator and minimizer work on every byte
+// at full speed.
 func FuzzDecodeIndex(f *testing.F) {
 	params := DefaultParams()
 	params.Mods.MaxPerPep = 1
+	params.Resolution, params.MaxFragmentMZ = 0.5, 400
 	ix, err := Build([]string{"PEPTIDEK", "NQKCMAAR"}, params)
 	if err != nil {
 		f.Fatal(err)
@@ -35,7 +39,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	if _, err := ix.WriteTo(&valid); err != nil {
 		f.Fatal(err)
 	}
-	empty, err := Build(nil, DefaultParams())
+	empty, err := Build(nil, params)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	plainParams := DefaultParams()
+	plainParams := params
 	plainParams.Mods = mods.Config{}
 	plain, err := Build([]string{"PEPTIDEK"}, plainParams)
 	if err != nil {
@@ -202,23 +206,29 @@ func edgeMZ(tol mass.Tolerance, row, dir float64, past bool) float64 {
 // shared-peak threshold, and a query from one row's ion ladder — shaped
 // by the peaks bits — whose precursor is the row's, on an edge of the
 // window around it, or one float step past that edge. For k%3 of 0, 1
-// or 3, SearchCut on the built index, on the index decoded from its own
-// WriteTo image, on that image written to a file and mapped
-// (OpenIndexMapped, then Verify) and, for a bounded tolerance, an open
-// index's SearchCut filtered by Contains must each keep exactly the
-// brute-force matches scoring at least the k-th best. All four run twice:
-// on indexes cut into bands by the format's rule — one band at this size
-// — and on indexes cut into bands of 1 + k/3%8 rows, so window edges,
-// band edges and short last bands meet. Each band costs a row of ~200 000
-// offsets, so a database too big for 4 such bands gets bands of a
-// quarter of its rows instead. One Scratch serves every search of an
-// input, so a search that leaves its accumulator dirty fails the next.
-// The built index is searched once more after BuildRowView, and must
-// give the same matches in the same order and the same Work with its
-// row view as without it. The query is also prepared once (Query) and
-// searched against every index the input builds, with SearchQuery,
-// which must give that index's own search: its matches in order and
-// its Work.
+// or 3, SearchQuery on the built index, on the index decoded from its own
+// WriteTo image, on a stored copy of that image and, for a bounded
+// tolerance, an open index's search filtered by Contains must each keep
+// exactly the brute-force matches scoring at least the k-th best. All
+// four run twice: on indexes cut into bands by the format's rule — one
+// band at this size — and on indexes cut into bands of 1 + k/3%8 rows, so
+// window edges, band edges and short last bands meet. Each band costs a
+// row of offsets, one per bucket, so a database too big for 4 such bands
+// gets bands of a quarter of its rows instead. One Scratch serves every
+// search of an input, so a search that leaves its accumulator dirty fails
+// the next. The built index is searched once more after BuildRowView, and
+// must give the same match set and the same Work with its row view as
+// without it. The query is also prepared once (Query) and searched
+// against every index the input builds, with SearchQuery, which must give
+// that index's own search: its match set and its Work.
+//
+// Seven inputs in eight (seed%8 != 0) index a small bucket universe of
+// 2 000–5 600 buckets: a MaxFragmentMZ of 300–555 over 0.1-wide buckets,
+// or the whole m/z range over buckets 0.4–1.1 wide. Their offsets rows
+// are a few KB, and the stored copy of an image is the decoded index's
+// own image decoded again. The eighth keeps the defaults, ~200 000
+// buckets of 0.01, and stores the image in a file it maps
+// (OpenIndexMapped, then Verify).
 func FuzzSearchVsBruteForce(f *testing.F) {
 	// seed, npep, distinct, maxMods, fragTol, tolKind, tolVal, minShared, target, peaks, prec, k
 	f.Add(int64(1), uint8(7), uint8(0), uint8(1), uint8(5), uint8(0), uint16(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(1))                    // all ties: 8 copies
@@ -243,6 +253,15 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		params.FragmentTol = mass.Da(0.01 * float64(fragTol%11))
 		params.PrecursorTol = []mass.Tolerance{mass.Open(), mass.Da(float64(tolVal) / 1000), mass.Ppm(float64(tolVal) / 10)}[tolKind%3]
 		params.MinSharedPeaks = 1 + int(minShared%6)
+		mapFile := seed%8 == 0
+		switch {
+		case mapFile:
+		case seed&1 != 0:
+			params.MaxFragmentMZ = float64(300 + seed>>3&0xff)
+			params.Resolution = 0.1
+		default:
+			params.Resolution = 0.1 * float64(4+seed>>3&7)
+		}
 		ix, err := Build(peps, params)
 		if err != nil {
 			t.Fatal(err)
@@ -324,23 +343,23 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		samePrepared := func(label string, ix *Index) {
 			t.Helper()
 			got, gw := ix.SearchQuery(&prepared, kk, &scratch)
-			want, ww := ix.SearchCut(q, kk, &scratch)
-			if !slices.Equal(got, want) || gw != ww {
+			want, ww := searchCut(ix, q, kk, &scratch)
+			if !sameMatchSet(got, want) || gw != ww {
 				t.Fatalf("%s, k=%d: prepared once %+v %+v, the index's own search %+v %+v", label, kk, got, gw, want, ww)
 			}
 		}
 		for _, ix := range []*Index{ix, banded} {
 			bands := fmt.Sprintf("%d rows in bands of %d", ix.NumRows(), ix.bandRows)
-			got, walked := ix.SearchCut(q, kk, &scratch)
-			emitted := slices.Clone(got)
+			got, walked := searchCut(ix, q, kk, &scratch)
+			walkedSet := slices.Clone(got)
 			check(bands+", built index", got)
 			samePrepared(bands+", built index", ix)
 			if err := ix.BuildRowView(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			got, scanned := ix.SearchCut(q, kk, &scratch)
-			if !slices.Equal(got, emitted) || scanned != walked {
-				t.Fatalf("%s, k=%d: with the row view %+v %+v, without it %+v %+v", bands, kk, got, scanned, emitted, walked)
+			got, scanned := searchCut(ix, q, kk, &scratch)
+			if !sameMatchSet(got, walkedSet) || scanned != walked {
+				t.Fatalf("%s, k=%d: with the row view %+v %+v, without it %+v %+v", bands, kk, got, scanned, walkedSet, walked)
 			}
 			samePrepared(bands+", built index with its row view", ix)
 
@@ -349,25 +368,29 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ = decoded.SearchCut(q, kk, &scratch)
+			got, _ = searchCut(decoded, q, kk, &scratch)
 			check(bands+", decoded image", got)
 			samePrepared(bands+", decoded image", decoded)
 
-			path := filepath.Join(t.TempDir(), "image.slmx")
-			if err := os.WriteFile(path, image, 0o644); err != nil {
-				t.Fatal(err)
+			var stored *Index
+			if mapFile {
+				path := filepath.Join(t.TempDir(), "image.slmx")
+				if err := os.WriteFile(path, image, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if stored, err = OpenIndexMapped(path); err == nil {
+					err = stored.Verify()
+				}
+			} else {
+				stored, err = DecodeIndex(indexBytes(t, decoded))
 			}
-			mapped, err := OpenIndexMapped(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mapped.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			got, _ = mapped.SearchCut(q, kk, &scratch)
-			samePrepared(bands+", mapped image", mapped)
-			mapped.Close()
-			check(bands+", mapped image", got)
+			got, _ = searchCut(stored, q, kk, &scratch)
+			samePrepared(bands+", stored image", stored)
+			stored.Close()
+			check(bands+", stored image", got)
 
 			if params.PrecursorTol.IsOpen() {
 				continue
@@ -379,7 +402,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 				t.Fatal(err)
 			}
 			samePrepared(bands+", open index", open)
-			all, _ := open.SearchCut(q, 0, &scratch)
+			all, _ := open.Search(q, 0, &scratch)
 			var admitted []Match
 			for _, m := range all {
 				if params.PrecursorTol.Contains(q.PrecursorMass(), m.Precursor) {

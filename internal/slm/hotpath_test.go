@@ -68,8 +68,8 @@ func recvQualified(fd *ast.FuncDecl) string {
 
 // TestHotpathAnnotationsMatchAllocGuards pins the //lbe:hotpath set to
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
-// alloc_test.go actually exercise (Search and SearchCut drive the full
-// annotated call tree:
+// alloc_test.go actually exercise (Search drives the full annotated
+// call tree:
 // Query.Prepare, SearchQuery, searchScratch, ensure, precursorWindow,
 // postingsLowerBound, accumulate, nextHit, hyperscore, cutTopK,
 // sortMatches, copyMatches; nextHit only with a row view built, as
@@ -82,7 +82,6 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 	got := hotpathFuncs(t, ".")
 	want := []string{
 		"Index.Search",
-		"Index.SearchCut",
 		"Index.SearchQuery",
 		"Index.precursorWindow",
 		"Index.searchScratch",

@@ -159,10 +159,10 @@ func TestMappedIndexClose(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("SearchCut on a closed index did not panic")
+				t.Error("Search on a closed index did not panic")
 			}
 		}()
-		mapped.SearchCut(queryFor(t, "PEPTIDEK"), 0, nil)
+		mapped.Search(queryFor(t, "PEPTIDEK"), 0, nil)
 	}()
 	if mapped.Mapped() {
 		t.Error("closed index still claims to be mapped")

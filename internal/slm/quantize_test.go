@@ -193,7 +193,7 @@ func TestCandidatesCrossThresholdOnce(t *testing.T) {
 			}
 			q.SortPeaks()
 			label := fmt.Sprintf("threshold %d, trial %d", minShared, trial)
-			got, w := ix.SearchCut(q, 0, &scratch)
+			got, w := ix.Search(q, 0, &scratch)
 			want, err := BruteForce(peps, params, q)
 			if err != nil {
 				t.Fatal(err)

@@ -56,18 +56,11 @@ func (w *Work) Add(w2 Work) {
 type Scratch struct {
 	acc     []uint64   // phase-1 accumulator, all zero between searches
 	cands   []uint32   // len(acc)+1 slots: the current query's candidate rows
-	query   Query      // Search and SearchCut prepare their spectrum here
+	query   Query      // Search prepares its spectrum here
 	spans   []peakSpan // the current query's spans clamped to the index's buckets
 	matches []Match    // per-query accumulator, reused across searches
 	cut     []float64  // cutTopK's k best scores
-
-	// The row scan's buffers (see searchScratch): a bitset over the
-	// buckets, set under the current query's peaks while it runs and all
-	// zero between searches; a scanned band's candidates as (span, bucket,
-	// row) keys; one candidate row's (span, bucket) hits.
-	under []uint64
-	keys  []uint64
-	pairs []uint64
+	under   []uint64   // the row scan's bitset over the buckets (see searchScratch), zero between searches
 }
 
 // peakSpan is one query peak as phase 1 walks it in every band: its
@@ -192,17 +185,21 @@ func (q *Query) Prepare(e spectrum.Experimental, params Params) {
 	}
 }
 
-// Search queries one preprocessed experimental spectrum against the index
-// and returns the candidate matches (unordered unless topK > 0, in which
-// case the best topK by score are returned in descending score order).
-// The returned slice is owned by the caller and survives later searches
-// with the same Scratch.
+// Search queries one preprocessed experimental spectrum against the index:
+// it prepares q in the scratch and runs SearchQuery, then, if topK > 0,
+// returns the best topK in descending score order, ties by ascending row.
+// With topK <= 0 it returns every match, unordered. The returned slice is
+// owned by the caller and survives later searches with the same Scratch.
 //
 // The query's peaks must be sorted by m/z (see spectrum.Preprocess).
 //
 //lbe:hotpath
 func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]Match, Work) {
-	matches, work := ix.SearchCut(q, topK, scratch)
+	if scratch == nil {
+		scratch = &Scratch{}
+	}
+	scratch.query.Prepare(q, ix.params)
+	matches, work := ix.SearchQuery(&scratch.query, topK, scratch)
 	if topK > 0 && len(matches) > 0 {
 		sortMatches(matches)
 		if len(matches) > topK {
@@ -212,29 +209,17 @@ func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]
 	return matches, work
 }
 
-// SearchCut is Search for a caller that merges several indexes' answers
-// under an ordering of its own: rather than sort and truncate, it
-// returns, unordered, every match scoring at least the k-th best score
-// of this (index, query) cell. Ties at the cut are all kept, so a
-// dropped match has k strictly better ones in this index alone and
-// cannot be among any merged best k, whatever breaks ties there. k <= 0
-// keeps everything. It prepares q in the scratch and runs SearchQuery.
-//
-//lbe:hotpath
-func (ix *Index) SearchCut(q spectrum.Experimental, k int, scratch *Scratch) ([]Match, Work) {
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
-	scratch.query.Prepare(q, ix.params)
-	return ix.SearchQuery(&scratch.query, k, scratch)
-}
-
-// SearchQuery is the kernel's one entry: SearchCut's answer and Work for
-// a query prepared under this index's Resolution and FragmentTol, as the
-// scheduler's workers search each prepared query against every shard
-// (the engine merges their cells by score, then global peptide). It
-// panics on a query prepared under other values of those two, whose spans
-// would name other buckets, and on an index that Close has released.
+// SearchQuery is the kernel's one entry, the one the scheduler's workers
+// call with each prepared query against every shard: for a query prepared
+// under this index's Resolution and FragmentTol, it returns the Work and
+// the set of matches, unordered, scoring at least the k-th best score of
+// this (index, query) cell. Ties at the cut are all kept, so a dropped
+// match has k strictly better ones in this index alone and cannot be
+// among any merged best k, whatever breaks ties there (the engine merges
+// the cells by score, then global peptide). k <= 0 keeps everything. It
+// panics on a query prepared under other values of those two parameters,
+// whose spans would name other buckets, and on an index that Close has
+// released.
 //
 //lbe:hotpath
 func (ix *Index) SearchQuery(q *Query, k int, scratch *Scratch) ([]Match, Work) {
@@ -251,11 +236,11 @@ func (ix *Index) SearchQuery(q *Query, k int, scratch *Scratch) ([]Match, Work) 
 	return copyMatches(scratch.cutTopK(matches, k)), work
 }
 
-// cutTopK keeps, in place and in their phase-2 order, the matches scoring
-// at least the k-th best score in ms. It tracks the k best scores seen in
-// a descending insertion-sorted array: phase-2 order is unrelated to
-// score, so past the first k matches almost every score fails the one
-// comparison against the current k-th best.
+// cutTopK keeps, in place, the matches scoring at least the k-th best
+// score in ms. It tracks the k best scores seen in a descending
+// insertion-sorted array: phase-2 order is unrelated to score, so past
+// the first k matches almost every score fails the one comparison
+// against the current k-th best.
 //
 //lbe:hotpath
 func (s *Scratch) cutTopK(ms []Match, k int) []Match {
@@ -426,7 +411,8 @@ const scanPerProbe = 16
 //     BuildRowView has published the row-major view, the window slice's
 //     rows are scanned in row order: each of a row's buckets is tested
 //     against a bitset of the buckets under the query's peaks, and a hit
-//     adds every covering peak's word, as accumulate would. A 0.5 Da
+//     adds every covering peak's word, as accumulate would; a row whose
+//     settled word reaches the threshold is a candidate. A 0.5 Da
 //     window holds a few dozen rows, so this reads a thousand or so
 //     sequential postings where the walk below pays one binary search
 //     per probed bucket, several hundred of them. The choice is made per
@@ -434,17 +420,14 @@ const scanPerProbe = 16
 //     postings against scanPerProbe per probed bucket. A wide slice, or a
 //     band of an index with no view yet, takes the per-bucket walk: one
 //     binary search finds each bucket's first posting at or after the
-//     window, and a forward walk finds its end. The row scan lists its
-//     candidates by the (peak, bucket, row) of the posting that lifted
-//     each to the threshold — the order the walk reaches them.
+//     window, and a forward walk finds its end.
 //
-// A band's postings are counted peak by peak in list order whichever way
-// it is read, so a windowed search lists its candidates in the order the
-// open search lists those rows, the order they reach MinSharedPeaks.
-// Pruned is the conservation identity, IonHits + Pruned = the open
-// scan's IonHits: the postings under the spans, read off the index's
-// cross-band prefix row in two loads per span, less IonHits. No band case
-// counts it. An open-tolerance index reads every posting it reaches and
+// Every way reads the window's postings under the spans, so the words,
+// the candidate set and Work do not depend on the way; only the order of
+// the candidates does, and SearchQuery answers a set. Pruned is the
+// conservation identity, IonHits + Pruned = the open scan's IonHits: the
+// postings under the spans, read off the index's cross-band prefix row
+// in two loads per span, less IonHits. No band case counts it. An open-tolerance index reads every posting it reaches and
 // has no prefix row, so its Pruned is 0.
 //
 // Phase 2 scores only that list, each word final by then, and one clear
@@ -477,10 +460,10 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 	scratch.spans = spans
 
 	// Phase 1: shared-peak counting over the banded postings,
-	// accumulating quantized intensities and listing the candidates in the
-	// order they reach the threshold. Clamping it keeps t below 2⁶³ for
-	// accumulate's sign test; only a row past 2³¹ − 1 postings, far beyond
-	// its word's exactness bound, could tell the difference.
+	// accumulating quantized intensities and listing the rows that reach
+	// the threshold. Clamping it keeps t below 2⁶³ for accumulate's sign
+	// test; only a row past 2³¹ − 1 postings, far beyond its word's
+	// exactness bound, could tell the difference.
 	acc, cands, n := scratch.acc, scratch.cands, 0
 	t := min(uint64(ix.params.MinSharedPeaks), 1<<31-1) << 32
 	rlo, rhi := ix.precursorWindow(q.mass)
@@ -521,27 +504,16 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 			// is settled when the first hit past it arrives, or the end.
 			lo, hi := max(rlo, base), min(rhi, end)
 			postings := view.buckets[:view.start[hi]]
-			hits, keys, pairs := int64(0), scratch.keys[:0], scratch.pairs[:0]
 			r, a := lo, uint64(0)
 			for p := nextHit(postings, under, int(view.start[lo])); ; p = nextHit(postings, under, p+1) {
 				if uint32(p) >= view.start[r+1] {
 					if a != 0 {
-						acc[r], hits = a, hits+int64(len(pairs))
+						acc[r] = a
 						if a >= t {
-							// A candidate: replay its hits in the walk's
-							// (peak, bucket) order to find the one that
-							// lifted it to t.
-							slices.Sort(pairs)
-							w, lift := uint64(0), uint64(0)
-							for _, hit := range pairs {
-								if w += spans[hit>>32].add; w >= t {
-									lift = hit
-									break
-								}
-							}
-							keys = append(keys, lift<<16|uint64(r-base))
+							cands[n] = r - base
+							n++
 						}
-						a, pairs = 0, pairs[:0]
+						a = 0
 					}
 					if p == len(postings) {
 						break
@@ -563,17 +535,9 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 				}
 				for ; i < len(spans) && spans[i].lo <= b; i++ {
 					a += spans[i].add
-					pairs = append(pairs, uint64(i)<<32|uint64(b))
+					work.IonHits++
 				}
 			}
-			scratch.pairs = pairs
-			slices.Sort(keys)
-			for _, key := range keys {
-				cands[n] = uint32(key & 0xffff)
-				n++
-			}
-			scratch.keys = keys
-			work.IonHits += hits
 		default:
 			wlo, whi := max(rlo, base)-base, min(rhi, end)-base
 			for _, sp := range spans {

@@ -17,9 +17,9 @@ import (
 // straddles and another's starts past, and a long-peptide index that
 // holds both spans whole. Each index is searched heap-built and mapped,
 // without and with its row view, in bands of the format's size and of 3
-// rows. On each, SearchQuery must give the index's own SearchCut (its
-// own preparation of the spectrum): the matches in emission order, the
-// top-5 cut, and every Work field; and the matches must be BruteForce's.
+// rows. On each, SearchQuery must give the index's own search (its own
+// preparation of the spectrum): the match set, the top-5 cut, and every
+// Work field; and the matches must be BruteForce's.
 func TestPreparedQueryAcrossShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
 	params := DefaultParams()
@@ -52,7 +52,7 @@ func TestPreparedQueryAcrossShards(t *testing.T) {
 	// last bucket and one 50 buckets past it.
 	e := noisyQuery(rng, shared)
 	bucketer := mass.NewBucketer(params.Resolution)
-	straddle, past := bucketer.Center(small-1), bucketer.Center(small+50)
+	straddle, past := float64(small-1)*params.Resolution, float64(small+50)*params.Resolution
 	e.Peaks = append(e.Peaks, spectrum.Peak{MZ: straddle, Intensity: 40}, spectrum.Peak{MZ: past, Intensity: 60})
 	e.SortPeaks()
 	if lo, hi := bucketer.Range(straddle, params.FragmentTol); lo >= small || hi < small {
@@ -90,12 +90,11 @@ func TestPreparedQueryAcrossShards(t *testing.T) {
 				label := fmt.Sprintf("%d buckets in bands of %d, mapped %v, row view %v", ix.numBuckets, ix.bandRows, ix == mapped, viewed)
 				for _, k := range []int{0, 5} {
 					got, gw := ix.SearchQuery(&q, k, &scratch)
-					want, ww := ix.SearchCut(e, k, &scratch)
-					if !slices.Equal(got, want) || gw != ww {
+					want, ww := searchCut(ix, e, k, &scratch)
+					if !sameMatchSet(got, want) || gw != ww {
 						t.Fatalf("%s, k=%d: prepared query %+v %+v, own search %+v %+v", label, k, got, gw, want, ww)
 					}
 					if k == 0 {
-						slices.SortFunc(got, byRow)
 						if !slices.Equal(got, brute) {
 							t.Fatalf("%s: prepared query %+v, brute force %+v", label, got, brute)
 						}

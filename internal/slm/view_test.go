@@ -26,17 +26,17 @@ func withRowView(t *testing.T, ix *Index) *Index {
 
 // searchBothWays searches q on ix, which has its row view, once with the
 // view and once with it absent, and fails unless both searches agree on
-// the matches in emission order (at topK 0) and after the cut at topK 5,
-// and on every Work field. It returns the viewed search's Work.
+// the match set (at topK 0), on the sorted top 5, and on every Work field.
+// It returns the viewed search's Work.
 func searchBothWays(t *testing.T, label string, ix *Index, q spectrum.Experimental, scratch *Scratch) Work {
 	t.Helper()
-	got, gw := ix.SearchCut(q, 0, scratch)
+	got, gw := ix.Search(q, 0, scratch)
 	top, _ := ix.Search(q, 5, scratch)
 	view := ix.view.Swap(nil)
-	want, ww := ix.SearchCut(q, 0, scratch)
+	want, ww := ix.Search(q, 0, scratch)
 	wantTop, _ := ix.Search(q, 5, scratch)
 	ix.view.Store(view)
-	if !slices.Equal(got, want) || gw != ww {
+	if !sameMatchSet(got, want) || gw != ww {
 		t.Fatalf("%s topK 0: row scan %+v %+v, per-bucket walk %+v %+v", label, got, gw, want, ww)
 	}
 	if !slices.Equal(top, wantTop) {
@@ -49,7 +49,7 @@ func searchBothWays(t *testing.T, label string, ix *Index, q spectrum.Experiment
 // replaces in cut bands: for every tolerance TestWindowedScanMatchesFilteredOpen
 // covers, on indexes cut into bands of the format's size and of 1 to 8
 // rows, a search with the row view and one without it give the same
-// matches in the same emission order and the same Work, and the viewed
+// match set and the same Work, and the viewed
 // search is the open search filtered by the window (requireFilteredOpen).
 // Where windows cut bands, a view whose rows hold no bucket the queries
 // reach must change some answer's Work: the scan really ran.
@@ -145,9 +145,9 @@ func readsView(ix *Index, qs []spectrum.Experimental, scratch *Scratch) bool {
 	defer ix.view.Store(view)
 	for _, q := range qs {
 		ix.view.Store(view)
-		_, w := ix.SearchCut(q, 0, scratch)
+		_, w := ix.Search(q, 0, scratch)
 		ix.view.Store(blind)
-		if _, bw := ix.SearchCut(q, 0, scratch); bw != w {
+		if _, bw := ix.Search(q, 0, scratch); bw != w {
 			return true
 		}
 	}
@@ -155,8 +155,8 @@ func readsView(ix *Index, qs []spectrum.Experimental, scratch *Scratch) bool {
 }
 
 // TestRowScanZeroAllocWarmScratch extends the warm zero-alloc guard to
-// the row scan: its bitset, candidate keys and hit pairs grow once, and a
-// warm search allocates only the result copy.
+// the row scan: its bitset grows once, and a warm search allocates only
+// the result copy.
 func TestRowScanZeroAllocWarmScratch(t *testing.T) {
 	params := noModParams()
 	params.PrecursorTol = mass.Da(0.5)
@@ -275,7 +275,7 @@ func TestRowViewPublishesUnderSearch(t *testing.T) {
 	want := make([]answer, len(queries))
 	for i := range queries {
 		queries[i] = noisyQuery(rng, peps[rng.Intn(len(peps))])
-		want[i].matches, want[i].work = ix.SearchCut(queries[i], 0, nil)
+		want[i].matches, want[i].work = ix.Search(queries[i], 0, nil)
 	}
 	var wg sync.WaitGroup
 	for g := range 3 {
@@ -285,8 +285,8 @@ func TestRowViewPublishesUnderSearch(t *testing.T) {
 			var scratch Scratch
 			for round := range 20 {
 				for i, q := range queries {
-					got, w := ix.SearchCut(q, 0, &scratch)
-					if !slices.Equal(got, want[i].matches) || w != want[i].work {
+					got, w := ix.Search(q, 0, &scratch)
+					if !sameMatchSet(got, slices.Clone(want[i].matches)) || w != want[i].work {
 						t.Errorf("searcher %d round %d query %d: %+v %+v, want %+v %+v", g, round, i, got, w, want[i].matches, want[i].work)
 						return
 					}
