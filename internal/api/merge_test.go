@@ -1,74 +1,83 @@
-package api
+package api_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"lbe/internal/api"
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
 
-func psm(peptide uint32, score float64, shard int) PSMJSON {
-	return PSMJSON{Peptide: peptide, Score: score, Shared: 3, Precursor: 500.25, Shard: shard}
+func psm(peptide uint32, score float64, shard int) api.PSMJSON {
+	return api.PSMJSON{Peptide: peptide, Score: score, Shared: 3, Precursor: 500.25, Shard: shard}
 }
 
-// TestMergeSearchResponses is the table-driven contract of the
-// scatter/gather merge: ordering, truncation, empty sets, duplicate
-// rows, and the refuse-to-guess error paths, an unsorted list among them.
+// TestMergeSearchResponses is the contract of the scatter/gather merge.
+// On every oracle cell, the cell's RunSerial matches are split by peptide
+// into 2 and into 3 disjoint sets, as shard-sets partition a database;
+// each set's answer, cut to TopK, is rendered as its holder renders it,
+// and the merge must render byte for byte what the whole RunSerial answer
+// renders. Hand-built cases keep a duplicated row deterministic and hold
+// the refuse-to-guess paths: no responses, mismatched result counts,
+// mismatched scans and a list out of ComparePSM order.
 func TestMergeSearchResponses(t *testing.T) {
+	for _, c := range oracle.Cells(t) {
+		t.Run(c.Name(), func(t *testing.T) {
+			qs, peptides := c.Corpus.Queries, c.Corpus.Peptides
+			every := oracle.Cell{Corpus: c.Corpus, Shape: oracle.Shape{Name: c.Shape.Name + "/every-match", Tol: c.Shape.Tol}}
+			all := every.Serial(t).PSMs
+			for _, sets := range []int{2, 3} {
+				parts := make([]api.SearchResponse, sets)
+				for set := range parts {
+					psms := make([][]engine.PSM, len(all))
+					for q, ms := range all {
+						psms[q] = []engine.PSM{}
+						for _, m := range ms {
+							if int(m.Peptide)%sets == set {
+								psms[q] = append(psms[q], m)
+							}
+						}
+						if k := c.Shape.TopK; k > 0 && len(psms[q]) > k {
+							psms[q] = psms[q][:k]
+						}
+					}
+					parts[set] = api.BuildSearchResponse(qs, psms, peptides)
+				}
+				merged, err := api.MergeSearchResponses(parts, c.Shape.TopK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle.Wire(t, fmt.Sprint(sets, " sets merged"), api.AppendSearchResponse(nil, merged), qs, c.Serial(t).PSMs, peptides)
+			}
+		})
+	}
+
 	cases := []struct {
 		name    string
-		parts   []SearchResponse
+		parts   []api.SearchResponse
 		topK    int
-		want    SearchResponse
+		want    api.SearchResponse
 		wantErr bool
 	}{
 		{
-			name: "interleaves by score and truncates to topK",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(0, 9, 0), psm(2, 5, 0)}}}},
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(5, 7, 2), psm(6, 4, 2)}}}},
-			},
-			topK: 3,
-			want: SearchResponse{Results: []QueryResult{
-				{Scan: 1, PSMs: []PSMJSON{psm(0, 9, 0), psm(5, 7, 2), psm(2, 5, 0)}},
-			}},
-		},
-		{
-			name: "equal scores order by peptide index",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 4, PSMs: []PSMJSON{psm(9, 6, 1)}}}},
-				{Results: []QueryResult{{Scan: 4, PSMs: []PSMJSON{psm(3, 6, 2)}}}},
-			},
-			want: SearchResponse{Results: []QueryResult{
-				{Scan: 4, PSMs: []PSMJSON{psm(3, 6, 2), psm(9, 6, 1)}},
-			}},
-		},
-		{
-			name: "empty shard-set results merge cleanly",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 2, PSMs: []PSMJSON{}}, {Scan: 3, PSMs: []PSMJSON{psm(1, 2, 0)}}}},
-				{Results: []QueryResult{{Scan: 2, PSMs: []PSMJSON{}}, {Scan: 3, PSMs: []PSMJSON{}}}},
-			},
-			want: SearchResponse{Results: []QueryResult{
-				{Scan: 2, PSMs: []PSMJSON{}},
-				{Scan: 3, PSMs: []PSMJSON{psm(1, 2, 0)}},
-			}},
-		},
-		{
 			name: "duplicate rows from a misbehaving set stay deterministic",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(4, 8, 1)}}}},
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(4, 8, 1)}}}},
+			parts: []api.SearchResponse{
+				{Results: []api.QueryResult{{Scan: 1, PSMs: []api.PSMJSON{psm(4, 8, 1)}}}},
+				{Results: []api.QueryResult{{Scan: 1, PSMs: []api.PSMJSON{psm(4, 8, 1)}}}},
 			},
 			topK: 1,
-			want: SearchResponse{Results: []QueryResult{
-				{Scan: 1, PSMs: []PSMJSON{psm(4, 8, 1)}},
+			want: api.SearchResponse{Results: []api.QueryResult{
+				{Scan: 1, PSMs: []api.PSMJSON{psm(4, 8, 1)}},
 			}},
 		},
 		{
 			name: "a list out of ComparePSM order",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(0, 9, 0)}}}},
-				{Results: []QueryResult{{Scan: 1, PSMs: []PSMJSON{psm(6, 4, 2), psm(5, 7, 2)}}}},
+			parts: []api.SearchResponse{
+				{Results: []api.QueryResult{{Scan: 1, PSMs: []api.PSMJSON{psm(0, 9, 0)}}}},
+				{Results: []api.QueryResult{{Scan: 1, PSMs: []api.PSMJSON{psm(6, 4, 2), psm(5, 7, 2)}}}},
 			},
 			wantErr: true,
 		},
@@ -79,24 +88,24 @@ func TestMergeSearchResponses(t *testing.T) {
 		},
 		{
 			name: "result count mismatch",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 1}, {Scan: 2}}},
-				{Results: []QueryResult{{Scan: 1}}},
+			parts: []api.SearchResponse{
+				{Results: []api.QueryResult{{Scan: 1}, {Scan: 2}}},
+				{Results: []api.QueryResult{{Scan: 1}}},
 			},
 			wantErr: true,
 		},
 		{
 			name: "scan mismatch",
-			parts: []SearchResponse{
-				{Results: []QueryResult{{Scan: 1}}},
-				{Results: []QueryResult{{Scan: 2}}},
+			parts: []api.SearchResponse{
+				{Results: []api.QueryResult{{Scan: 1}}},
+				{Results: []api.QueryResult{{Scan: 2}}},
 			},
 			wantErr: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := MergeSearchResponses(tc.parts, tc.topK)
+			got, err := api.MergeSearchResponses(tc.parts, tc.topK)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("expected an error")
@@ -115,10 +124,10 @@ func TestMergeSearchResponses(t *testing.T) {
 
 // TestMergeRendersEmptyPSMsAsArray pins the byte-level detail the
 // scatter path depends on: a query with no matches must render
-// "psms":[] exactly as BuildSearchResponse does, never "psms":null.
+// "psms":[] exactly as api.BuildSearchResponse does, never "psms":null.
 func TestMergeRendersEmptyPSMsAsArray(t *testing.T) {
-	merged, err := MergeSearchResponses([]SearchResponse{
-		{Results: []QueryResult{{Scan: 7, PSMs: []PSMJSON{}}}},
+	merged, err := api.MergeSearchResponses([]api.SearchResponse{
+		{Results: []api.QueryResult{{Scan: 7, PSMs: []api.PSMJSON{}}}},
 	}, 5)
 	if err != nil {
 		t.Fatal(err)

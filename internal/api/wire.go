@@ -23,6 +23,7 @@ import (
 	"net/http"
 
 	"lbe/internal/engine"
+	"lbe/internal/qcache"
 	"lbe/internal/spectrum"
 )
 
@@ -221,6 +222,25 @@ func (c *CacheStatsJSON) Add(o CacheStatsJSON) {
 	c.CapacityBytes += o.CapacityBytes
 }
 
+// CacheStats snapshots c's counters as the /stats cache block, or nil
+// when c is nil (caching disabled): the one conversion both tiers use.
+func CacheStats[V any](c *qcache.Cache[V]) *CacheStatsJSON {
+	if c == nil {
+		return nil
+	}
+	cs := c.Stats()
+	return &CacheStatsJSON{
+		Hits:          cs.Hits,
+		Misses:        cs.Misses,
+		Evictions:     cs.Evictions,
+		Collapsed:     cs.Collapsed,
+		Invalidated:   cs.Invalidated,
+		Entries:       cs.Entries,
+		ResidentBytes: cs.Bytes,
+		CapacityBytes: cs.MaxBytes,
+	}
+}
+
 // StatsResponse is the JSON body of /stats on lbe-serve: session-lifetime
 // engine figures plus the server's admission and coalescing counters.
 // QueueLen and InFlight are the live load figures a router's least-loaded
@@ -250,6 +270,40 @@ type StatsResponse struct {
 	PerShard       []ShardStatsJSON   `json:"per_shard"`
 	Scheduler      SchedulerStatsJSON `json:"scheduler"`
 	Cache          *CacheStatsJSON    `json:"cache,omitempty"`
+}
+
+// Add accumulates a replica's snapshot o into s, the router's aggregate:
+// every counter and gauge sums, the scheduler's chunk size is o's (the
+// last replica added wins), and o's cache block, if any, adds into s's.
+// Identity and configuration (Status, Digest, ShardSet, Shards, Groups,
+// BatchSize, FlushMicros) and the per-shard and per-worker detail are
+// not summed: they stay on the replicas.
+func (s *StatsResponse) Add(o StatsResponse) {
+	s.IndexBytes += o.IndexBytes
+	s.MappingBytes += o.MappingBytes
+	s.Searched += o.Searched
+	s.PrunedPostings += o.PrunedPostings
+	s.SessionBatches += o.SessionBatches
+	s.Accepted += o.Accepted
+	s.RejectedQueue += o.RejectedQueue
+	s.RejectedDrain += o.RejectedDrain
+	s.Batches += o.Batches
+	s.BatchedQueries += o.BatchedQueries
+	s.QueueLen += o.QueueLen
+	s.QueueDepth += o.QueueDepth
+	s.InFlight += o.InFlight
+	s.MaxInFlight += o.MaxInFlight
+	s.Scheduler.ChunkSize = o.Scheduler.ChunkSize
+	s.Scheduler.Batches += o.Scheduler.Batches
+	s.Scheduler.Chunks += o.Scheduler.Chunks
+	s.Scheduler.Steals += o.Scheduler.Steals
+	s.Scheduler.Stolen += o.Scheduler.Stolen
+	if o.Cache != nil {
+		if s.Cache == nil {
+			s.Cache = &CacheStatsJSON{}
+		}
+		s.Cache.Add(*o.Cache)
+	}
 }
 
 // RouterReplicaJSON is one replica's view in the router's /stats.

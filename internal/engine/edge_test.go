@@ -1,18 +1,25 @@
-package engine
+package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"lbe/internal/core"
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
 
 // TestEmptyQueries: a run with no queries must still build, partition and
 // return empty results with valid stats (the Fig. 5 memory experiment
 // relies on this).
 func TestEmptyQueries(t *testing.T) {
-	peptides, _, _ := testDataset(t, 4, 1, 0)
-	cfg := lightConfig()
-	res, err := searchShards(3, peptides, nil, cfg)
+	c := oracle.CellOf(t, "generated", "open-all")
+	sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: c.Config(), Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +42,13 @@ func TestEmptyQueries(t *testing.T) {
 // TestEmptyDatabase: searching an empty peptide database yields empty
 // PSMs for every query.
 func TestEmptyDatabase(t *testing.T) {
-	_, queries, _ := testDataset(t, 4, 1, 5)
-	cfg := lightConfig()
-	res, err := searchShards(2, nil, queries, cfg)
+	c := oracle.CellOf(t, "generated", "open-all")
+	sess, err := engine.NewSession(nil, engine.SessionConfig{Config: c.Config(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search(context.Background(), c.Corpus.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,28 +62,24 @@ func TestEmptyDatabase(t *testing.T) {
 // TestInvalidConfigFails: a broken grouping config, index parameter or
 // policy fails the session build.
 func TestInvalidConfigFails(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 4, 1, 3)
-	cfg := lightConfig()
-	cfg.Group = core.GroupConfig{GroupSize: 0}
-	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
-		t.Error("invalid grouping config must fail")
-	}
-	cfg = lightConfig()
-	cfg.Params.Resolution = -1
-	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
-		t.Error("invalid index params must fail")
-	}
-	cfg = lightConfig()
-	cfg.Policy = core.Policy(99)
-	if _, err := searchShards(3, peptides, queries, cfg); err == nil {
-		t.Error("unknown policy must fail")
+	c := oracle.CellOf(t, "generated", "open-all")
+	for name, broken := range map[string]func(*engine.Config){
+		"invalid grouping config": func(cfg *engine.Config) { cfg.Group = core.GroupConfig{GroupSize: 0} },
+		"invalid index params":    func(cfg *engine.Config) { cfg.Params.Resolution = -1 },
+		"unknown policy":          func(cfg *engine.Config) { cfg.Policy = core.Policy(99) },
+	} {
+		cfg := c.Config()
+		broken(&cfg)
+		if sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: cfg, Shards: 3}); err == nil {
+			sess.Close()
+			t.Errorf("%s must fail", name)
+		}
 	}
 }
 
 // TestSerialEmptyInputs covers the baseline's edge cases.
 func TestSerialEmptyInputs(t *testing.T) {
-	cfg := lightConfig()
-	res, err := RunSerial(nil, nil, cfg)
+	res, err := engine.RunSerial(nil, nil, oracle.CellOf(t, "single-row", "open-all").Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,13 +66,7 @@ func TestMergeIgnoresEmissionOrder(t *testing.T) {
 // and so reaches the threshold first, and the index emits it first; the
 // engine's answer lists it second, by ComparePSM's precursor key alone.
 func TestTwinEmittedInThresholdOrder(t *testing.T) {
-	var ties oracle.Cell
-	for _, c := range oracle.Cells(t) {
-		if c.Corpus.Name == "ties" {
-			ties = c
-			break
-		}
-	}
+	ties := oracle.CellOf(t, "ties", "open-all")
 	peptides, cfg := ties.Corpus.Peptides, ties.Config()
 	twin := uint32(len(peptides) - 1)
 	if peptides[twin] != "MPEPTIDER" {

@@ -3,8 +3,18 @@ package engine
 import (
 	"context"
 
+	"lbe/internal/sched"
 	"lbe/internal/slm"
 	"lbe/internal/spectrum"
+)
+
+// The store's file names, format version and write buffer, for the tests
+// that tamper with a saved store.
+const (
+	ManifestFile       = manifestFile
+	PeptidesFile       = peptidesFile
+	StoreFormatVersion = storeFormatVersion
+	StoreWriteBuffer   = storeWriteBuffer
 )
 
 // SearchCells runs qs through the session's scheduler as Search does and
@@ -36,3 +46,29 @@ func (s *Session) WaitRowViews() bool {
 	}
 	return started
 }
+
+// Each is each: the batch loop under Search, emit seeing every batch.
+func (s *Session) Each(ctx context.Context, qs []spectrum.Experimental, emit func(BatchResult) error) error {
+	return s.each(ctx, qs, emit)
+}
+
+// NeedsRowViews reports, per shard, whether it still lacks its row view.
+func (s *Session) NeedsRowViews() []bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]bool, len(s.shards))
+	for m, ix := range s.shards {
+		out[m] = ix.NeedsRowView()
+	}
+	return out
+}
+
+// Pool is the scheduler pool the next search will run on.
+func (s *Session) Pool() *sched.Pool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pool
+}
+
+// MappingLen is the number of entries in the session's mapping table.
+func (s *Session) MappingLen() int { return s.table.Len() }

@@ -1,9 +1,12 @@
-package engine
+package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"lbe/internal/core"
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 	"lbe/internal/stats"
 )
 
@@ -11,18 +14,23 @@ import (
 // 0 is 4x faster: with uniform partitioning the modeled per-rank times
 // (work divided by speed) are imbalanced; weighted partitioning fixes it.
 func TestWeightedBalancesHeterogeneousCluster(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 12, 3, 150)
+	c := oracle.CellOf(t, "generated", "open-all")
 	speeds := []float64{4, 1, 1, 1}
 
 	modeledLI := func(weights []float64) float64 {
-		cfg := lightConfig()
+		cfg := c.Config()
 		cfg.Policy = core.Cyclic
 		cfg.Weights = weights
-		res, err := searchShards(4, peptides, queries, cfg)
+		sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: cfg, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wu := WorkUnits(res.Stats)
+		defer sess.Close()
+		res, err := sess.Search(context.Background(), c.Corpus.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wu := engine.WorkUnits(res.Stats)
 		times := make([]float64, len(wu))
 		for i := range wu {
 			times[i] = wu[i] / speeds[i] // modeled wall time on machine i
@@ -44,10 +52,11 @@ func TestWeightedBalancesHeterogeneousCluster(t *testing.T) {
 // TestWeightsLengthMismatch: a weights vector of the wrong length must be
 // rejected before any work starts.
 func TestWeightsLengthMismatch(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 4, 1, 5)
-	cfg := lightConfig()
+	c := oracle.CellOf(t, "generated", "open-all")
+	cfg := c.Config()
 	cfg.Weights = []float64{1, 2}
-	if _, err := searchShards(4, peptides, queries, cfg); err == nil {
+	if sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: cfg, Shards: 4}); err == nil {
+		sess.Close()
 		t.Error("mismatched weights must fail")
 	}
 }
@@ -55,10 +64,15 @@ func TestWeightsLengthMismatch(t *testing.T) {
 // TestBatchSizeWithNoQueries: a batched search of an empty query set
 // returns no PSMs and every shard's stats.
 func TestBatchSizeWithNoQueries(t *testing.T) {
-	peptides, _, _ := testDataset(t, 4, 1, 0)
-	cfg := lightConfig()
+	c := oracle.CellOf(t, "generated", "open-all")
+	cfg := c.Config()
 	cfg.BatchSize = 8
-	res, err := searchShards(3, peptides, nil, cfg)
+	sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: cfg, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Search(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -214,10 +213,8 @@ var rows = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reread, err := engine.ReadClusterManifest(dir)
-			if err != nil || !reflect.DeepEqual(reread, cm) || cm.Sets != sets || cm.TotalShards != 3 ||
-				cm.ClusterDigest != engine.ComposeClusterDigest(cm.SetDigests) {
-				t.Fatalf("sets=%d: cluster manifest %+v, reread %+v (%v)", sets, cm, reread, err)
+			if cm.Sets != sets || cm.TotalShards != 3 || cm.ClusterDigest != engine.ComposeClusterDigest(cm.SetDigests) {
+				t.Fatalf("sets=%d: cluster manifest %+v", sets, cm)
 			}
 			if sets == 1 && cm.ClusterDigest != cm.SetDigests[0] {
 				t.Fatalf("a one-set cluster's digest %s is not its store's %s", cm.ClusterDigest, cm.SetDigests[0])

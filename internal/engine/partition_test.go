@@ -1,19 +1,22 @@
-package engine
+package engine_test
 
 import (
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
 
 // TestSavePartitionedRejectsBadShapes covers the partitioning error
 // paths: out-of-range set counts, re-partitioning a slice, and the
 // cluster-directory hint from OpenSession.
 func TestSavePartitionedRejectsBadShapes(t *testing.T) {
-	peptides, _, _ := testDataset(t, 6, 2, 0)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
-	sess, err := NewSession(peptides, cfg)
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides := c.Corpus.Peptides
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: c.Config(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +34,13 @@ func TestSavePartitionedRejectsBadShapes(t *testing.T) {
 	}
 
 	// Opening the cluster directory itself must point at the set layout.
-	if _, _, err := OpenSession(dir); err == nil || !strings.Contains(err.Error(), "partitioned cluster") {
+	if _, _, err := engine.OpenSession(dir); err == nil || !strings.Contains(err.Error(), "partitioned cluster") {
 		t.Fatalf("opening the cluster dir: %v", err)
 	}
 
 	// A slice session cannot be re-partitioned, but saves itself whole
 	// with its shard-set identity intact.
-	slice, _, err := OpenSession(filepath.Join(dir, cm.SetDirs[1]))
+	slice, _, err := engine.OpenSession(filepath.Join(dir, cm.SetDirs[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestSavePartitionedRejectsBadShapes(t *testing.T) {
 	if err := slice.Save(resaved, peptides); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := OpenSession(resaved)
+	again, _, err := engine.OpenSession(resaved)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -6,26 +6,17 @@ import (
 	"runtime"
 	"testing"
 
-	"lbe/internal/mass"
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
-
-// narrowConfig is lightConfig with a 0.5 Da precursor window: the
-// tolerance whose shards build row views.
-func narrowConfig() Config {
-	cfg := lightConfig()
-	cfg.Params.PrecursorTol = mass.Da(0.5)
-	return cfg
-}
 
 // requireRowViews fails unless every shard of s has published its row
 // view (want) or none has (!want).
-func requireRowViews(t *testing.T, label string, s *Session, want bool) {
+func requireRowViews(t *testing.T, label string, s *engine.Session, want bool) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for m, ix := range s.shards {
-		if ix.NeedsRowView() == want {
-			t.Fatalf("%s: shard %d has a row view: %v, want %v", label, m, !ix.NeedsRowView(), want)
+	for m, needs := range s.NeedsRowViews() {
+		if needs == want {
+			t.Fatalf("%s: shard %d has a row view: %v, want %v", label, m, !needs, want)
 		}
 	}
 }
@@ -35,8 +26,10 @@ func requireRowViews(t *testing.T, label string, s *Session, want bool) {
 // once it has queries to answer — not at construction, not for an empty
 // query set — and answers the same before and after they are published.
 func TestSessionBuildsRowViews(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 30)
-	built, err := NewSession(peptides, SessionConfig{Config: narrowConfig(), Shards: 3})
+	c := oracle.CellOf(t, "generated", "0.5Da-top10")
+	peptides, queries, cfg := c.Corpus.Peptides, c.Corpus.Queries, c.Config()
+	cfg.TopK = 0 // every match, before and after
+	built, err := engine.NewSession(peptides, engine.SessionConfig{Config: cfg, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +38,14 @@ func TestSessionBuildsRowViews(t *testing.T) {
 	if err := built.Save(dir, peptides); err != nil {
 		t.Fatal(err)
 	}
-	mapped, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: true})
+	mapped, _, err := engine.OpenSession(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
 
 	ctx := context.Background()
-	for label, s := range map[string]*Session{"built": built, "mapped": mapped} {
+	for label, s := range map[string]*engine.Session{"built": built, "mapped": mapped} {
 		if _, err := s.Search(ctx, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -87,9 +80,10 @@ func TestSessionBuildsRowViews(t *testing.T) {
 // flight or done, and waits for it, leaving no goroutine behind; an
 // open-tolerance session starts none.
 func TestSessionCloseStopsRowViews(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 4)
+	narrow := oracle.CellOf(t, "generated", "0.5Da-top10")
+	peptides, queries := narrow.Corpus.Peptides, narrow.Corpus.Queries[:4]
 	base := runtime.NumGoroutine()
-	sess, err := NewSession(peptides, SessionConfig{Config: narrowConfig(), Shards: 2})
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: narrow.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +96,7 @@ func TestSessionCloseStopsRowViews(t *testing.T) {
 		t.Fatal("a closed session answered")
 	}
 
-	open, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	open, err := engine.NewSession(peptides, engine.SessionConfig{Config: oracle.CellOf(t, "generated", "open-all").Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

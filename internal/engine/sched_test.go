@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 	"lbe/internal/sched"
 )
 
@@ -13,11 +15,12 @@ import (
 // account every batch, report the granularity the pool's Tuner picked,
 // and agree with the per-shard work ledger.
 func TestSchedulerTelemetry(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 30)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
+	c := oracle.CellOf(t, "generated", "open-all")
+	queries := c.Corpus.Queries[:30]
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 3}
 	cfg.ThreadsPerRank = 4
 	cfg.BatchSize = 10
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(c.Corpus.Peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,12 @@ func TestSchedulerTelemetry(t *testing.T) {
 // TestSchedulerCancelledRunsLeakNothing: repeated cancelled searches must
 // leave the goroutine count where it started.
 func TestSchedulerCancelledRunsLeakNothing(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 60)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
+	c := oracle.CellOf(t, "generated", "open-all")
+	queries := c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 3}
 	cfg.ThreadsPerRank = 4
 	cfg.BatchSize = 2
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(c.Corpus.Peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

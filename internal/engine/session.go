@@ -93,35 +93,11 @@ type Session struct {
 
 // NewSession groups and partitions the peptide database under cfg and
 // builds every shard's partial index (shards build concurrently, sharing
-// cfg.BuildWorkers construction workers).
-func NewSession(peptides []string, cfg SessionConfig) (*Session, error) {
-	p := cfg.Shards
-	if p < 1 {
-		p = 1
-	}
-	return buildSession(peptides, cfg.Config, p, 0, 1)
-}
-
-// setOf names shard-set `set` of `sets` over a p-way partition: the
-// contiguous shards [set·p/sets, (set+1)·p/sets), at least one when
-// sets <= p. buildSession and SavePartitioned share this one layout.
-func setOf(set, sets, p int) ShardSetInfo {
-	lo, hi := set*p/sets, (set+1)*p/sets
-	ids := make([]int, hi-lo)
-	for i := range ids {
-		ids[i] = lo + i
-	}
-	return ShardSetInfo{Set: set, Sets: sets, TotalShards: p, ShardIDs: ids}
-}
-
-// buildSession builds shard-set `set` of `sets` over a p-way partition of
-// the database, the slice SavePartitioned would store under that number
-// (sets <= p). NewSession builds the one set that is everything.
-// Grouping and partitioning always cover the whole database — they are the
-// deterministic preprocessing every holder of a slice replicates — but only
-// the set's own shards are indexed and only their chunks of the mapping
-// table are kept.
-func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, error) {
+// cfg.BuildWorkers construction workers). The session is the one set of
+// a cfg.Shards-way partition: SavePartitioned cuts it into the sets a
+// slice holder serves.
+func NewSession(peptides []string, scfg SessionConfig) (*Session, error) {
+	cfg, p := scfg.Config, max(scfg.Shards, 1)
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
@@ -129,40 +105,37 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 	if err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
-	ss := setOf(set, sets, p)
-	lo, n := ss.ShardIDs[0], len(ss.ShardIDs)
-
 	s := &Session{
 		shape:         cfg.Shape,
 		schedule:      cfg.Schedule,
-		shardSet:      ss,
-		shards:        make([]*slm.Index, n),
+		shardSet:      setOf(0, 1, p),
+		shards:        make([]*slm.Index, p),
 		groups:        prep.grouping.NumGroups(),
 		groupingNanos: prep.groupNs,
 		partitionNs:   prep.partNs,
-		build:         make([]RankStats, n),
+		build:         make([]RankStats, p),
 	}
 	// Shards build concurrently, so split the construction worker budget
 	// across them rather than multiplying it (the index is byte-identical
 	// for any worker count).
-	buildWorkers := divideBudget(cfg.BuildWorkers, n)
+	buildWorkers := divideBudget(cfg.BuildWorkers, p)
 
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	errs := make([]error, p)
+	for m := 0; m < p; m++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(m int) {
 			defer wg.Done()
-			local := prep.localPeptides(peptides, lo+i)
+			local := prep.localPeptides(peptides, m)
 			buildStart := time.Now()
 			ix, err := slm.BuildWorkers(local, cfg.Params, buildWorkers)
 			if err != nil {
-				errs[i] = fmt.Errorf("engine: session shard %d build: %w", lo+i, err)
+				errs[m] = fmt.Errorf("engine: session shard %d build: %w", m, err)
 				return
 			}
-			s.shards[i] = ix
-			s.build[i] = rankStats(lo+i, len(local), ix, time.Since(buildStart).Nanoseconds())
-		}(i)
+			s.shards[m] = ix
+			s.build[m] = rankStats(m, len(local), ix, time.Since(buildStart).Nanoseconds())
+		}(m)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -172,24 +145,27 @@ func buildSession(peptides []string, cfg Config, p, set, sets int) (*Session, er
 	}
 	s.load = append([]RankStats(nil), s.build...)
 	s.pool = newPool(s.schedule, s.shape.TopK)
-	// A session keeps its own chunks of the table, renumbered from zero,
-	// and reports matches under the shards' global ids.
-	s.table, err = core.BuildMappingTable(prep.grouping, prep.partition).Subset(ss.ShardIDs)
-	if err == nil && sets == 1 {
-		// A slice has no digest: a digest names a store a replica can
-		// serve, and a slice is served from the store SavePartitioned
-		// writes, whose manifest gives it one.
-		s.digest, err = canonicalDigest(peptides, cfg.Shape, p)
-	}
-	if err != nil {
+	s.table = core.BuildMappingTable(prep.grouping, prep.partition)
+	if s.digest, err = canonicalDigest(peptides, cfg.Shape, p); err != nil {
 		return nil, fmt.Errorf("engine: session: %w", err)
 	}
 	return s, nil
 }
 
-// lbePrep is the deterministic serial LBE preprocessing every holder of a
-// slice of the database replicates: Algorithm 1 grouping plus the policy
-// partition.
+// setOf names shard-set `set` of `sets` over a p-way partition: the
+// contiguous shards [set·p/sets, (set+1)·p/sets), at least one when
+// sets <= p. NewSession and SavePartitioned share this one layout.
+func setOf(set, sets, p int) ShardSetInfo {
+	lo, hi := set*p/sets, (set+1)*p/sets
+	ids := make([]int, hi-lo)
+	for i := range ids {
+		ids[i] = lo + i
+	}
+	return ShardSetInfo{Set: set, Sets: sets, TotalShards: p, ShardIDs: ids}
+}
+
+// lbePrep is the deterministic serial LBE preprocessing of the database:
+// Algorithm 1 grouping plus the policy partition.
 type lbePrep struct {
 	grouping  core.Grouping
 	partition core.Partition

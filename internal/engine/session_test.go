@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -9,41 +9,21 @@ import (
 	"testing"
 	"time"
 
+	"lbe/internal/bench"
 	"lbe/internal/core"
-	"lbe/internal/digest"
-	"lbe/internal/gen"
-	"lbe/internal/spectrum"
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
-
-// requireSamePSMs asserts that got matches want query-for-query and
-// PSM-for-PSM in every field except Origin (which records provenance and
-// legitimately differs between a serial run and a sharded one).
-func requireSamePSMs(t *testing.T, label string, got, want [][]PSM) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d queries, want %d", label, len(got), len(want))
-	}
-	for q := range want {
-		if len(got[q]) != len(want[q]) {
-			t.Fatalf("%s query %d: %d PSMs, want %d", label, q, len(got[q]), len(want[q]))
-		}
-		for i := range want[q] {
-			g, w := got[q][i], want[q][i]
-			if g.Peptide != w.Peptide || g.Shared != w.Shared || g.Score != w.Score || g.Precursor != w.Precursor {
-				t.Fatalf("%s query %d psm %d: %+v, want %+v", label, q, i, g, w)
-			}
-		}
-	}
-}
 
 // TestSessionServesRepeatedBatches: the point of a Session — repeated
 // searches over the same built engine return identical results and the
 // load accounting accumulates.
 func TestSessionServesRepeatedBatches(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 24)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 3}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 3}
 	cfg.BatchSize = 5
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +37,7 @@ func TestSessionServesRepeatedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSamePSMs(t, "repeat", b.PSMs, a.PSMs)
+	oracle.PSMs(t, "repeat", b.PSMs, a.PSMs, true)
 	if got := sess.Searched(); got != int64(2*len(queries)) {
 		t.Errorf("lifetime searched = %d, want %d", got, 2*len(queries))
 	}
@@ -78,11 +58,12 @@ func TestSessionServesRepeatedBatches(t *testing.T) {
 // set in order — contiguous offsets, BatchSize queries apiece — and their
 // union is what Search returns.
 func TestBatchesArriveInOrder(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 33)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
 	cfg.ThreadsPerRank = 2
 	cfg.BatchSize = 7
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +74,9 @@ func TestBatchesArriveInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := make([][]PSM, len(queries))
+	got := make([][]engine.PSM, len(queries))
 	covered := 0
-	err = sess.each(context.Background(), queries, func(br BatchResult) error {
+	err = sess.Each(context.Background(), queries, func(br engine.BatchResult) error {
 		if br.Offset != covered {
 			t.Fatalf("batch offset %d, want %d", br.Offset, covered)
 		}
@@ -112,16 +93,17 @@ func TestBatchesArriveInOrder(t *testing.T) {
 	if covered != len(queries) {
 		t.Fatalf("each covered %d of %d queries", covered, len(queries))
 	}
-	requireSamePSMs(t, "each", got, want.PSMs)
+	oracle.PSMs(t, "each", got, want.PSMs, true)
 }
 
 // TestEachStopsOnEmitError: emit's error ends the run and is what each
 // returns; no batch after the refused one is searched.
 func TestEachStopsOnEmitError(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 33)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
 	cfg.BatchSize = 7
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +112,7 @@ func TestEachStopsOnEmitError(t *testing.T) {
 	refused := errors.New("consumer gave up")
 	emitted := 0
 	before := sess.Batches()
-	err = sess.each(context.Background(), queries, func(BatchResult) error {
+	err = sess.Each(context.Background(), queries, func(engine.BatchResult) error {
 		if emitted++; emitted == 2 {
 			return refused
 		}
@@ -148,18 +130,19 @@ func TestEachStopsOnEmitError(t *testing.T) {
 // data path runs where Search was called — while a batch is being handed
 // over, no goroutine exists that did not before the call.
 func TestSearchRunsOnCallersGoroutine(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 12)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
 	cfg.ThreadsPerRank = 1
 	cfg.BatchSize = 5
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
 	base := runtime.NumGoroutine()
-	err = sess.each(context.Background(), queries, func(br BatchResult) error {
+	err = sess.Each(context.Background(), queries, func(br engine.BatchResult) error {
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("batch at offset %d: %d goroutines alive, %d before the call", br.Offset, n, base)
 		}
@@ -192,10 +175,11 @@ func waitForGoroutines(t *testing.T, base int) {
 // TestSearchCancellation: Session.Search must return the context error and
 // leak nothing when cancelled mid-run.
 func TestSearchCancellation(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 8, 2, 60)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
 	cfg.BatchSize = 1
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +210,11 @@ func TestSearchCancellation(t *testing.T) {
 // shards must unblock every shard and return promptly when cancelled
 // mid-run, leaving no goroutine behind.
 func TestFourShardSearchCancellation(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 10, 2, 80)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 4}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 4}
 	cfg.BatchSize = 1
-	sess, err := NewSession(peptides, cfg)
+	sess, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +239,15 @@ func TestFourShardSearchCancellation(t *testing.T) {
 
 // TestSessionClosed: a closed session refuses new work.
 func TestSessionClosed(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 4, 1, 5)
-	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: c.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
-	emit := func(BatchResult) error { return nil }
-	if err := sess.each(context.Background(), queries, emit); err == nil {
+	emit := func(engine.BatchResult) error { return nil }
+	if err := sess.Each(context.Background(), queries, emit); err == nil {
 		t.Error("each on closed session must fail")
 	}
 	if _, err := sess.Search(context.Background(), queries); err == nil {
@@ -272,12 +258,12 @@ func TestSessionClosed(t *testing.T) {
 // TestSessionEmptyInputs: sessions over empty databases and empty query
 // sets behave like the serial baseline.
 func TestSessionEmptyInputs(t *testing.T) {
-	_, queries, _ := testDataset(t, 4, 1, 5)
-	sess, err := NewSession(nil, SessionConfig{Config: lightConfig(), Shards: 2})
+	c := oracle.CellOf(t, "generated", "open-all")
+	sess, err := engine.NewSession(nil, engine.SessionConfig{Config: c.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Search(context.Background(), queries)
+	res, err := sess.Search(context.Background(), c.Corpus.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +274,7 @@ func TestSessionEmptyInputs(t *testing.T) {
 	}
 	sess.Close()
 
-	peptides, _, _ := testDataset(t, 4, 1, 0)
-	sess, err = NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 3})
+	sess, err = engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: c.Config(), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +297,11 @@ func TestSessionBuildFailureNamesTheBuild(t *testing.T) {
 		peptides[i] = "ACDEFGHIKLMNPQRSTVWY"
 	}
 	peptides[29] = "PEPT!DEK" // invalid residue, lands in the last chunk only
-	cfg := lightConfig()
+	cfg := oracle.CellOf(t, "single-row", "open-all").Config()
 	cfg.RawOrder = true
 	cfg.Policy = core.Chunk
 
-	sess, err := NewSession(peptides, SessionConfig{Config: cfg, Shards: 3})
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: cfg, Shards: 3})
 	if err == nil {
 		sess.Close()
 		t.Fatal("session over an invalid peptide built")
@@ -326,50 +311,20 @@ func TestSessionBuildFailureNamesTheBuild(t *testing.T) {
 	}
 }
 
-// benchCorpus generates approximately n deduplicated peptides (sliced to
-// exactly n) plus a query run.
-func benchCorpus(b *testing.B, n, nspectra int) ([]string, []spectrum.Experimental) {
-	b.Helper()
-	families := n/20 + 1
-	recs, err := gen.Proteome(gen.ProteomeConfig{
-		Seed: 41, NumFamilies: families, Homologs: 2, MeanLen: 300, MutationRate: 0.03,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seqs := make([]string, len(recs))
-	for i, r := range recs {
-		seqs[i] = r.Sequence
-	}
-	peps, err := digest.DefaultConfig().Proteome(seqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	peptides := digest.Sequences(digest.Dedup(peps))
-	if len(peptides) < n {
-		b.Fatalf("corpus too small: %d peptides for target %d", len(peptides), n)
-	}
-	peptides = peptides[:n]
-	scfg := gen.DefaultSpectraConfig()
-	scfg.NumSpectra = nspectra
-	scfg.Seed = 42
-	queries, _, err := gen.Spectra(peptides, scfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return peptides, queries
-}
-
 // BenchmarkSessionSearch measures steady-state search over a
 // prebuilt session at increasing database scales.
 func BenchmarkSessionSearch(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 50_000} {
 		b.Run(fmt.Sprintf("peptides=%d", n), func(b *testing.B) {
-			peptides, queries := benchCorpus(b, n, 200)
-			cfg := DefaultSessionConfig()
+			cfg := engine.DefaultSessionConfig()
 			cfg.Params.Mods.MaxPerPep = 0 // unmodified index keeps setup fast
 			cfg.Shards = 4
-			sess, err := NewSession(peptides, cfg)
+			c, err := bench.SizedCorpus(n, 200, 41, cfg.Params.Mods)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries := c.Queries
+			sess, err := engine.NewSession(c.Peptides, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -107,9 +107,9 @@ type storeManifest struct {
 	Shards        []storedShard `json:"shards"`
 }
 
-// checkFormatVersion refuses a manifest (or cluster.json) of another
-// format version; an older one names the way forward.
-func checkFormatVersion(what string, v int) error {
+// checkFormatVersion refuses a manifest of another format version; an
+// older one names the way forward.
+func checkFormatVersion(v int) error {
 	if v == storeFormatVersion {
 		return nil
 	}
@@ -117,7 +117,7 @@ func checkFormatVersion(what string, v int) error {
 	if v < storeFormatVersion {
 		hint = "; rebuild with `lbe-index -out`"
 	}
-	return fmt.Errorf("engine: open: unsupported %s format version %d (want %d)%s", what, v, storeFormatVersion, hint)
+	return fmt.Errorf("engine: open: unsupported store format version %d (want %d)%s", v, storeFormatVersion, hint)
 }
 
 // checkPeptides holds a store's peptide list against its mapping table.
@@ -402,32 +402,6 @@ func (s *Session) SavePartitioned(dir string, peptides []string, sets int) (*Clu
 	return cm, nil
 }
 
-// ReadClusterManifest loads and validates dir/cluster.json, the manifest
-// tying a partitioned store's shard-set directories together.
-func ReadClusterManifest(dir string) (*ClusterManifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, clusterFile))
-	if err != nil {
-		return nil, fmt.Errorf("engine: open: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var cm ClusterManifest
-	if err := dec.Decode(&cm); err != nil {
-		return nil, fmt.Errorf("engine: open: parsing %s: %w", clusterFile, err)
-	}
-	if err := checkFormatVersion("cluster", cm.FormatVersion); err != nil {
-		return nil, err
-	}
-	if cm.Sets < 1 || len(cm.SetDirs) != cm.Sets || len(cm.SetDigests) != cm.Sets {
-		return nil, fmt.Errorf("engine: open: %s lists %d dirs / %d digests for %d sets",
-			clusterFile, len(cm.SetDirs), len(cm.SetDigests), cm.Sets)
-	}
-	if want := ComposeClusterDigest(cm.SetDigests); cm.ClusterDigest != want {
-		return nil, fmt.Errorf("engine: open: %s cluster digest does not compose from its set digests", clusterFile)
-	}
-	return &cm, nil
-}
-
 // manifestDigest fingerprints a store by its manifest bytes. Every
 // replica that opens the same store computes the same value, and any
 // difference in shape, content checksums or format version changes it —
@@ -581,7 +555,7 @@ func OpenSessionOptions(dir string, opts OpenOptions) (_ *Session, _ []string, e
 	if err := json.Unmarshal(doc, &ver); err != nil {
 		return nil, nil, fmt.Errorf("engine: open: parsing manifest: %w", err)
 	}
-	if err := checkFormatVersion("store", ver.FormatVersion); err != nil {
+	if err := checkFormatVersion(ver.FormatVersion); err != nil {
 		return nil, nil, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(doc))

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -7,17 +7,21 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"lbe/internal/engine"
+	"lbe/internal/oracle"
 )
 
-// storeFixture builds one session, saves it, and hands the store
-// directory to a corruption scenario.
+// storeFixture builds one session of the generated corpus, saves it, and
+// hands the store directory to a corruption scenario.
 func storeFixture(t *testing.T, shards int, withPeptides bool) (dir string, peptides []string) {
 	t.Helper()
-	peptides, _, _ = testDataset(t, 6, 2, 0)
-	cfg := SessionConfig{Config: lightConfig(), Shards: shards}
-	sess, err := NewSession(peptides, cfg)
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides = c.Corpus.Peptides
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: c.Config(), Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func storeFixture(t *testing.T, shards int, withPeptides bool) (dir string, pept
 
 func TestStoreWithoutPeptides(t *testing.T) {
 	dir, _ := storeFixture(t, 2, false)
-	sess, peps, err := OpenSession(dir)
+	sess, peps, err := engine.OpenSession(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,30 +54,36 @@ func TestStoreWithoutPeptides(t *testing.T) {
 
 // TestSaveRejectsWrongPeptideList: one rule, keyed on the set count — a
 // whole store's list is exactly the mapped peptides, a slice's is the
-// global list that covers them.
+// global list that covers them. The slice is set 1 of a two-set store.
 func TestSaveRejectsWrongPeptideList(t *testing.T) {
-	peptides, _, _ := testDataset(t, 6, 2, 0)
-	whole, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides := c.Corpus.Peptides
+	whole, err := engine.NewSession(peptides, engine.SessionConfig{Config: c.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer whole.Close()
-	slice, err := buildSession(peptides, lightConfig(), 2, 1, 2)
+	dir := t.TempDir()
+	cm, err := whole.SavePartitioned(dir, peptides, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, _, err := engine.OpenSession(filepath.Join(dir, cm.SetDirs[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slice.Close()
-	longer := append(append([]string(nil), peptides...), "PEPTIDEK")
+	longer := append(slices.Clone(peptides), "PEPTIDEK")
 	for _, tc := range []struct {
 		name string
-		sess *Session
+		sess *engine.Session
 		list []string
 		ok   bool
 	}{
 		{"whole/short", whole, peptides[:len(peptides)-1], false},
 		{"whole/long", whole, longer, false},
 		{"whole/exact", whole, peptides, true},
-		{"slice/short", slice, peptides[:slice.table.Len()-1], false},
+		{"slice/short", slice, peptides[:slice.MappingLen()-1], false},
 		{"slice/global", slice, peptides, true},
 	} {
 		if err := tc.sess.Save(t.TempDir(), tc.list); (err == nil) != tc.ok {
@@ -90,24 +100,25 @@ func TestSaveReportsFlushError(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("needs /dev/full")
 	}
-	peptides, _, _ := testDataset(t, 6, 2, 0)
-	if n := len(strings.Join(peptides, "\n")) + 1; n >= storeWriteBuffer {
-		t.Fatalf("peptide list of %d bytes fills the %d-byte write buffer before the flush", n, storeWriteBuffer)
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides := c.Corpus.Peptides
+	if n := len(strings.Join(peptides, "\n")) + 1; n >= engine.StoreWriteBuffer {
+		t.Fatalf("peptide list of %d bytes fills the %d-byte write buffer before the flush", n, engine.StoreWriteBuffer)
 	}
-	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: c.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	dir := t.TempDir()
-	if err := os.Symlink("/dev/full", filepath.Join(dir, peptidesFile)); err != nil {
+	if err := os.Symlink("/dev/full", filepath.Join(dir, engine.PeptidesFile)); err != nil {
 		t.Fatal(err)
 	}
 	err = sess.Save(dir, peptides)
-	if err == nil || !strings.Contains(err.Error(), "engine: writing "+peptidesFile) {
-		t.Fatalf("Save into a full device: error %v, want one naming %s", err, peptidesFile)
+	if err == nil || !strings.Contains(err.Error(), "engine: writing "+engine.PeptidesFile) {
+		t.Fatalf("Save into a full device: error %v, want one naming %s", err, engine.PeptidesFile)
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, engine.ManifestFile)); !os.IsNotExist(err) {
 		t.Fatalf("a failed Save left a manifest (stat error %v)", err)
 	}
 }
@@ -169,7 +180,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 		}, "a truncated shard file must fail", nil},
 		{"version bump", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m map[string]any) { m["format_version"] = storeFormatVersion + 1 })
+			editManifest(t, dir, func(m map[string]any) { m["format_version"] = engine.StoreFormatVersion + 1 })
 		}, "a future manifest version must be refused", nil},
 		{"format version 1", func(t *testing.T, dir string) {
 			// With a field only a v1 manifest had, so the refusal has to
@@ -246,12 +257,12 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, _ := storeFixture(t, 2, true)
 			tc.tamper(t, dir)
-			sess, _, heapErr := OpenSessionOptions(dir, OpenOptions{MapStore: false})
+			sess, _, heapErr := engine.OpenSessionOptions(dir, engine.OpenOptions{MapStore: false})
 			if heapErr == nil {
 				sess.Close()
 				t.Error(tc.message)
 			}
-			sess, _, err := OpenSession(dir)
+			sess, _, err := engine.OpenSession(dir)
 			if err == nil {
 				sess.Close()
 				t.Errorf("mapped open: %s", tc.message)
@@ -272,9 +283,9 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	// untouched store does.
 	t.Run("shard files swapped after a mapped open", func(t *testing.T) {
 		dir, _ := storeFixture(t, 2, true)
-		_, queries, _ := testDataset(t, 6, 2, 8)
+		queries := oracle.Generated(t).Queries
 		ctx := context.Background()
-		heap, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: false})
+		heap, _, err := engine.OpenSessionOptions(dir, engine.OpenOptions{MapStore: false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +294,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, _, err := OpenSession(dir)
+		sess, _, err := engine.OpenSession(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +353,7 @@ func TestRefusedOpenReleasesMappings(t *testing.T) {
 
 	// The check sees a live session's mappings.
 	dir := store(t)
-	sess, _, err := OpenSession(dir)
+	sess, _, err := engine.OpenSession(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +390,7 @@ func TestRefusedOpenReleasesMappings(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := store(t)
 			tamper(t, dir)
-			if sess, _, err := OpenSession(dir); err == nil {
+			if sess, _, err := engine.OpenSession(dir); err == nil {
 				sess.Close()
 				t.Fatal("a tampered store opened")
 			}
@@ -394,15 +405,16 @@ func TestRefusedOpenReleasesMappings(t *testing.T) {
 // zeros included. SetSchedule swaps the pool; a Search started before it
 // finishes on the pool (and the batch size) it snapshotted.
 func TestSetSchedule(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 12)
-	sess, err := NewSession(peptides, SessionConfig{Config: lightConfig(), Shards: 2})
+	c := oracle.CellOf(t, "generated", "open-all")
+	queries := c.Corpus.Queries
+	sess, err := engine.NewSession(c.Corpus.Peptides, engine.SessionConfig{Config: c.Config(), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	ctx := context.Background()
 
-	for _, sc := range []Schedule{
+	for _, sc := range []engine.Schedule{
 		{ThreadsPerRank: 3, BatchSize: 5, BuildWorkers: 2},
 		{}, // zeros are values, not "keep"
 		{ThreadsPerRank: 1},
@@ -415,16 +427,16 @@ func TestSetSchedule(t *testing.T) {
 
 	// One worker, five queries a batch; the schedule moves to three
 	// workers and one batch a set while the first batch is handed over.
-	sess.SetSchedule(Schedule{ThreadsPerRank: 1, BatchSize: 5})
-	before, n := sess.pool, sess.Batches()
-	err = sess.each(ctx, queries, func(BatchResult) error {
-		sess.SetSchedule(Schedule{ThreadsPerRank: 3})
+	sess.SetSchedule(engine.Schedule{ThreadsPerRank: 1, BatchSize: 5})
+	before, n := sess.Pool(), sess.Batches()
+	err = sess.Each(ctx, queries, func(engine.BatchResult) error {
+		sess.SetSchedule(engine.Schedule{ThreadsPerRank: 3})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.pool == before {
+	if sess.Pool() == before {
 		t.Fatal("SetSchedule must move the session to a new pool")
 	}
 	if got, want := sess.Batches()-n, int64((len(queries)+4)/5); got != want {
@@ -435,7 +447,7 @@ func TestSetSchedule(t *testing.T) {
 	}
 
 	// BatchSize 0 is one batch per Search, however many queries.
-	sess.SetSchedule(Schedule{})
+	sess.SetSchedule(engine.Schedule{})
 	n = sess.Batches()
 	if _, err := sess.Search(ctx, queries); err != nil {
 		t.Fatal(err)
@@ -443,7 +455,7 @@ func TestSetSchedule(t *testing.T) {
 	if got := sess.Batches() - n; got != 1 {
 		t.Fatalf("BatchSize 0: a %d-query Search ran %d batches, want 1", len(queries), got)
 	}
-	sess.SetSchedule(Schedule{BatchSize: 5})
+	sess.SetSchedule(engine.Schedule{BatchSize: 5})
 	n = sess.Batches()
 	if _, err := sess.Search(ctx, queries); err != nil {
 		t.Fatal(err)
@@ -457,10 +469,11 @@ func TestSetSchedule(t *testing.T) {
 // built, not how the builder ran — a session opened from it starts on the
 // default schedule of the process that opened it.
 func TestOpenedSessionSchedulesForThisMachine(t *testing.T) {
-	peptides, queries, _ := testDataset(t, 6, 2, 12)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
-	cfg.Schedule = Schedule{ThreadsPerRank: 1, BatchSize: 17}
-	built, err := NewSession(peptides, cfg)
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides, queries := c.Corpus.Peptides, c.Corpus.Queries
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
+	cfg.Schedule = engine.Schedule{ThreadsPerRank: 1, BatchSize: 17}
+	built, err := engine.NewSession(peptides, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,12 +482,12 @@ func TestOpenedSessionSchedulesForThisMachine(t *testing.T) {
 	if err := built.Save(dir, peptides); err != nil {
 		t.Fatal(err)
 	}
-	opened, _, err := OpenSession(dir)
+	opened, _, err := engine.OpenSession(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	if got, want := opened.Config().Schedule, DefaultSessionConfig().Schedule; got != want {
+	if got, want := opened.Config().Schedule, engine.DefaultSessionConfig().Schedule; got != want {
 		t.Fatalf("opened session runs under %+v, want this process's default %+v", got, want)
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -542,14 +555,15 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 // and two independent builds save byte-identical stores.
 func TestSessionDigestConsistency(t *testing.T) {
 	t.Parallel()
-	peptides, _, _ := testDataset(t, 6, 2, 0)
-	cfg := SessionConfig{Config: lightConfig(), Shards: 2}
+	c := oracle.CellOf(t, "generated", "open-all")
+	peptides := c.Corpus.Peptides
+	cfg := engine.SessionConfig{Config: c.Config(), Shards: 2}
 
 	// identity builds cfg and returns its fresh digest and the manifest
 	// it saves.
-	identity := func(cfg SessionConfig) (fresh, manifest string) {
+	identity := func(cfg engine.SessionConfig) (fresh, manifest string) {
 		t.Helper()
-		sess, err := NewSession(peptides, cfg)
+		sess, err := engine.NewSession(peptides, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,7 +576,7 @@ func TestSessionDigestConsistency(t *testing.T) {
 		if sess.Digest() == fresh {
 			t.Fatal("Save did not re-anchor the digest to the manifest")
 		}
-		return fresh, storeFiles(t, dir)[manifestFile]
+		return fresh, storeFiles(t, dir)[engine.ManifestFile]
 	}
 	fresh, manifest := identity(cfg)
 	if fresh == "" {
@@ -576,15 +590,15 @@ func TestSessionDigestConsistency(t *testing.T) {
 	if f, m := identity(moved); f == fresh || m == manifest {
 		t.Error("a different shard count left the digest or the manifest unmoved")
 	}
-	for i := 0; i < reflect.TypeOf(Shape{}).NumField(); i++ {
+	for i := 0; i < reflect.TypeOf(engine.Shape{}).NumField(); i++ {
 		moved := cfg
 		perturb(t, reflect.ValueOf(&moved.Shape).Elem().Field(i))
 		if f, m := identity(moved); f == fresh || m == manifest {
-			t.Errorf("Shape.%s left the digest or the manifest unmoved", reflect.TypeOf(Shape{}).Field(i).Name)
+			t.Errorf("Shape.%s left the digest or the manifest unmoved", reflect.TypeOf(engine.Shape{}).Field(i).Name)
 		}
 	}
-	for i := 0; i < reflect.TypeOf(Schedule{}).NumField(); i++ {
-		name := reflect.TypeOf(Schedule{}).Field(i).Name
+	for i := 0; i < reflect.TypeOf(engine.Schedule{}).NumField(); i++ {
+		name := reflect.TypeOf(engine.Schedule{}).Field(i).Name
 		moved := cfg
 		perturb(t, reflect.ValueOf(&moved.Schedule).Elem().Field(i))
 		if f, m := identity(moved); f != fresh || m != manifest {
@@ -600,10 +614,10 @@ func TestSessionDigestConsistency(t *testing.T) {
 	// every open of either reports the one digest.
 	var stores, clusters [2]map[string]string
 	var digests []string
-	for i, sc := range []Schedule{{BuildWorkers: 1, ThreadsPerRank: 1}, {BuildWorkers: 3, ThreadsPerRank: 2}} {
+	for i, sc := range []engine.Schedule{{BuildWorkers: 1, ThreadsPerRank: 1}, {BuildWorkers: 3, ThreadsPerRank: 2}} {
 		bcfg := cfg
 		bcfg.Schedule = sc
-		sess, err := NewSession(peptides, bcfg)
+		sess, err := engine.NewSession(peptides, bcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -618,7 +632,7 @@ func TestSessionDigestConsistency(t *testing.T) {
 		stores[i], clusters[i] = storeFiles(t, dir), storeFiles(t, cdir)
 		digests = append(digests, sess.Digest())
 		for _, mapped := range []bool{true, false} {
-			o, _, err := OpenSessionOptions(dir, OpenOptions{MapStore: mapped})
+			o, _, err := engine.OpenSessionOptions(dir, engine.OpenOptions{MapStore: mapped})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,6 +17,11 @@
 // the row. To add a corpus, append its builder to builders: it returns
 // peptides and queries, and the three extra spectra every corpus carries
 // are appended to it. Every row in every table then runs on it.
+//
+// The engine's other tests and fuzz targets search these corpora too
+// (CellOf names one cell), and compare with PSMs: there is no second
+// corpus and no second comparator. The corpora are built once per test
+// binary and shared, so no test may write to their slices.
 package oracle
 
 import (
@@ -39,10 +44,15 @@ import (
 )
 
 // Corpus is one named search input: a peptide database and its queries.
+// Tests share one Corpus per test binary, so they treat its slices as
+// read-only and copy before they append.
 type Corpus struct {
 	Name     string
 	Peptides []string
 	Queries  []spectrum.Experimental
+	// Truth is the peptide each generated query was sampled from, on the
+	// generated corpus only; the three extras have none.
+	Truth []gen.GroundTruth
 	// brute indexes the queries the brute-force reference searches: all
 	// of them except on generated, where slm.BruteForce costs ~35 ms a
 	// query, so there it is the first one and the three extras.
@@ -91,7 +101,7 @@ func (c Cell) Config() engine.Config {
 // Cells returns every corpus × shape pair.
 func Cells(t testing.TB) []Cell {
 	var out []Cell
-	for _, c := range corpora(t) {
+	for _, c := range Corpora(t) {
 		for _, s := range Shapes {
 			out = append(out, Cell{c, s})
 		}
@@ -101,35 +111,51 @@ func Cells(t testing.TB) []Cell {
 
 // Generated returns the generated corpus, for tests outside the matrix
 // that need a realistic database.
-func Generated(t testing.TB) *Corpus { return corpora(t)[0] }
+func Generated(t testing.TB) *Corpus { return Corpora(t)[0] }
+
+// CellOf returns the cell of the named corpus under the named shape, for
+// tests outside the matrix that need one corpus under one configuration.
+func CellOf(t testing.TB, corpus, shape string) Cell {
+	t.Helper()
+	for _, c := range Corpora(t) {
+		for _, s := range Shapes {
+			if c.Name == corpus && s.Name == shape {
+				return Cell{c, s}
+			}
+		}
+	}
+	t.Fatalf("oracle: no cell %s/%s", corpus, shape)
+	return Cell{}
+}
 
 var builders = []struct {
 	name  string
-	build func() ([]string, []spectrum.Experimental, error)
+	build func() (Corpus, error)
 	brute int // leading queries the brute-force reference searches; 0 = all
 }{
 	// A synthetic proteome's tryptic digest and a skewed query run.
-	{"generated", func() ([]string, []spectrum.Experimental, error) { return generated(10, 2, 0, 60) }, 1},
+	{"generated", func() (Corpus, error) { return generated(10, 2, 0, 60) }, 1},
 	// Every family query's best score is shared by eight copies of one
 	// sequence, and the twin query's by two variants of one peptide, a
 	// tie only the precursor key of engine.ComparePSM breaks.
 	{"ties", ties, 0},
 	// One peptide with no modifiable residue: an index of one row.
-	{"single-row", func() ([]string, []spectrum.Experimental, error) {
+	{"single-row", func() (Corpus, error) {
 		q, err := ladder(1, "PEPTIDER", 1)
-		return []string{"PEPTIDER"}, []spectrum.Experimental{q}, err
+		return Corpus{Peptides: []string{"PEPTIDER"}, Queries: []spectrum.Experimental{q}}, err
 	}, 0},
 	// Queries exactly on, and one float step past, each edge of the
 	// narrow window around a row's precursor.
 	{"window-edge", windowEdge, 0},
 	// A smaller digest sorted by length, so the chunk policy deals the
 	// longest peptides (most variants, most postings) to the last shard.
-	{"skewed", func() ([]string, []spectrum.Experimental, error) {
-		peptides, queries, err := generated(1, 1, 48, 8)
-		slices.SortFunc(peptides, func(a, b string) int {
+	{"skewed", func() (Corpus, error) {
+		c, err := generated(1, 1, 48, 8)
+		slices.SortFunc(c.Peptides, func(a, b string) int {
 			return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 		})
-		return peptides, queries, err
+		c.Truth = nil // sorting moved the peptides it names
+		return c, err
 	}, 0},
 }
 
@@ -139,26 +165,26 @@ var (
 	corporaErr  error
 )
 
-// corpora returns the corpora, built once per test binary.
-func corpora(t testing.TB) []*Corpus {
+// Corpora returns the corpora, built once per test binary.
+func Corpora(t testing.TB) []*Corpus {
 	t.Helper()
 	corporaOnce.Do(func() {
 		for _, b := range builders {
-			peptides, queries, err := b.build()
+			c, err := b.build()
 			if err == nil {
-				queries, err = withExtras(peptides[0], queries)
+				c.Queries, err = withExtras(c.Peptides[0], c.Queries)
 			}
 			if err != nil {
 				corporaErr = fmt.Errorf("oracle: corpus %s: %w", b.name, err)
 				return
 			}
-			c := &Corpus{Name: b.name, Peptides: peptides, Queries: queries}
-			for i := range queries {
-				if b.brute == 0 || i < b.brute || i >= len(queries)-3 {
+			c.Name = b.name
+			for i := range c.Queries {
+				if b.brute == 0 || i < b.brute || i >= len(c.Queries)-3 {
 					c.brute = append(c.brute, i)
 				}
 			}
-			corporaVal = append(corporaVal, c)
+			corporaVal = append(corporaVal, &c)
 		}
 	})
 	if corporaErr != nil {
@@ -169,13 +195,13 @@ func corpora(t testing.TB) []*Corpus {
 
 // generated is a synthetic proteome's deduplicated tryptic digest, cut
 // to its first limit peptides when limit > 0, and a query run sampled
-// from it.
-func generated(families, homologs, limit, spectra int) ([]string, []spectrum.Experimental, error) {
+// from it with its ground truth.
+func generated(families, homologs, limit, spectra int) (Corpus, error) {
 	recs, err := gen.Proteome(gen.ProteomeConfig{
 		Seed: 21, NumFamilies: families, Homologs: homologs, MeanLen: 300, MutationRate: 0.03,
 	})
 	if err != nil {
-		return nil, nil, err
+		return Corpus{}, err
 	}
 	seqs := make([]string, len(recs))
 	for i, r := range recs {
@@ -183,7 +209,7 @@ func generated(families, homologs, limit, spectra int) ([]string, []spectrum.Exp
 	}
 	peps, err := digest.DefaultConfig().Proteome(seqs)
 	if err != nil {
-		return nil, nil, err
+		return Corpus{}, err
 	}
 	peptides := digest.Sequences(digest.Dedup(peps))
 	if limit > 0 {
@@ -192,8 +218,8 @@ func generated(families, homologs, limit, spectra int) ([]string, []spectrum.Exp
 	scfg := gen.DefaultSpectraConfig()
 	scfg.NumSpectra = spectra
 	scfg.Seed = 22
-	queries, _, err := gen.Spectra(peptides, scfg)
-	return peptides, queries, err
+	queries, truth, err := gen.Spectra(peptides, scfg)
+	return Corpus{Peptides: peptides, Queries: queries, Truth: truth}, err
 }
 
 // ladder is seq's unmodified fragment ladder as a query at charge z.
@@ -206,7 +232,7 @@ func ladder(scan int, seq string, z int) (spectrum.Experimental, error) {
 	return q, err
 }
 
-func ties() ([]string, []spectrum.Experimental, error) {
+func ties() (Corpus, error) {
 	family := []string{"LGEYGFQNALIVR", "LGEYGFQNAIIVR", "VGEYGFQNALIVR"}
 	var peptides []string
 	var queries []spectrum.Experimental
@@ -216,7 +242,7 @@ func ties() ([]string, []spectrum.Experimental, error) {
 	for i, seq := range family {
 		q, err := ladder(i+1, seq, 2)
 		if err != nil {
-			return nil, nil, err
+			return Corpus{}, err
 		}
 		queries = append(queries, q)
 	}
@@ -229,11 +255,11 @@ func ties() ([]string, []spectrum.Experimental, error) {
 	const twin = "MPEPTIDER"
 	variants, err := mods.Config{Mods: mods.PaperSet(), MaxPerPep: 1}.Variants(twin)
 	if err != nil || len(variants) != 2 {
-		return nil, nil, fmt.Errorf("%s has %d variants (%v), want 2", twin, len(variants), err)
+		return Corpus{}, fmt.Errorf("%s has %d variants (%v), want 2", twin, len(variants), err)
 	}
 	th, err := spectrum.Predict(twin)
 	if err != nil {
-		return nil, nil, err
+		return Corpus{}, err
 	}
 	q := spectrum.Experimental{Scan: len(family) + 1, PrecursorMZ: mass.MZ(th.Precursor, 2), Charge: 2}
 	for _, mz := range []float64{spectrum.BIon(twin, 1) + variants[1].Delta, spectrum.BIon(twin, 8)} {
@@ -247,26 +273,26 @@ func ties() ([]string, []spectrum.Experimental, error) {
 	params.Mods.MaxPerPep = 1
 	ms, err := slm.BruteForce([]string{twin}, params, q)
 	if err != nil || len(ms) != 2 || ms[0].Score != ms[1].Score || ms[0].Shared != ms[1].Shared {
-		return nil, nil, fmt.Errorf("twin query matches %+v (%v), want two variants tied on score and shared peaks", ms, err)
+		return Corpus{}, fmt.Errorf("twin query matches %+v (%v), want two variants tied on score and shared peaks", ms, err)
 	}
-	return append(peptides, twin), append(queries, q), nil
+	return Corpus{Peptides: append(peptides, twin), Queries: append(queries, q)}, nil
 }
 
 // windowEdge puts four queries around the unmodified row of its first
 // peptide, whose deamidated variants sit 0.98 Da above it: one whose
 // narrow window's upper edge is exactly that row's precursor, one whose
 // lower edge is, and each of those moved one float step outwards.
-func windowEdge() ([]string, []spectrum.Experimental, error) {
+func windowEdge() (Corpus, error) {
 	peptides := []string{"LGEYGFQNALIVR", "PEPTIDER"}
 	q, err := ladder(0, peptides[0], 1)
 	if err != nil {
-		return nil, nil, err
+		return Corpus{}, err
 	}
 	params := slm.DefaultParams()
 	params.Mods.MaxPerPep = 1
 	ix, err := slm.Build(peptides, params)
 	if err != nil {
-		return nil, nil, err
+		return Corpus{}, err
 	}
 	// Row ids are places in mass order, so the row has to be looked for.
 	m, tol := -1.0, mass.Da(narrow)
@@ -277,7 +303,7 @@ func windowEdge() ([]string, []spectrum.Experimental, error) {
 		}
 	}
 	if m < 0 {
-		return nil, nil, fmt.Errorf("no row is %s unmodified", peptides[0])
+		return Corpus{}, fmt.Errorf("no row is %s unmodified", peptides[0])
 	}
 	admits := func(mz float64) bool {
 		return tol.Contains(spectrum.Experimental{PrecursorMZ: mz, Charge: 1}.PrecursorMass(), m)
@@ -287,7 +313,7 @@ func windowEdge() ([]string, []spectrum.Experimental, error) {
 		in, away := mass.MZ(m+dir*narrow, 1), math.Inf(int(dir))
 		for i := 0; !admits(in); i++ {
 			if in = math.Nextafter(in, m); i > 64 {
-				return nil, nil, fmt.Errorf("no precursor admits %v", m)
+				return Corpus{}, fmt.Errorf("no precursor admits %v", m)
 			}
 		}
 		for admits(math.Nextafter(in, away)) {
@@ -298,7 +324,7 @@ func windowEdge() ([]string, []spectrum.Experimental, error) {
 			queries = append(queries, q)
 		}
 	}
-	return peptides, queries, nil
+	return Corpus{Peptides: peptides, Queries: queries}, nil
 }
 
 // withExtras appends the three spectra every corpus carries, numbered

@@ -90,22 +90,3 @@ func (rt *Router) searchCached(w http.ResponseWriter, r *http.Request, body []by
 		}
 	}
 }
-
-// cacheStats snapshots the router's own cache block, or nil when caching
-// is disabled.
-func (rt *Router) cacheStats() *api.CacheStatsJSON {
-	if rt.cache == nil {
-		return nil
-	}
-	cs := rt.cache.Stats()
-	return &api.CacheStatsJSON{
-		Hits:          cs.Hits,
-		Misses:        cs.Misses,
-		Evictions:     cs.Evictions,
-		Collapsed:     cs.Collapsed,
-		Invalidated:   cs.Invalidated,
-		Entries:       cs.Entries,
-		ResidentBytes: cs.Bytes,
-		CapacityBytes: cs.MaxBytes,
-	}
-}

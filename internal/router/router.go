@@ -544,7 +544,7 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 		Failovers:         rt.failovers.Load(),
 		RejectedDrain:     rt.rejectedDrain.Load(),
 		RejectedNoReplica: rt.rejectedNoReplica.Load(),
-		Cache:             rt.cacheStats(),
+		Cache:             api.CacheStats(rt.cache),
 	}
 	agg := &out.Aggregate
 	if sc != nil {
@@ -590,31 +590,7 @@ func (rt *Router) Stats() api.RouterStatsResponse {
 		out.BytesSent += rj.BytesSent
 		out.BytesReceived += rj.BytesReceived
 		if hasStats {
-			agg.IndexBytes += st.IndexBytes
-			agg.MappingBytes += st.MappingBytes
-			agg.Searched += st.Searched
-			agg.PrunedPostings += st.PrunedPostings
-			agg.SessionBatches += st.SessionBatches
-			agg.Accepted += st.Accepted
-			agg.RejectedQueue += st.RejectedQueue
-			agg.RejectedDrain += st.RejectedDrain
-			agg.Batches += st.Batches
-			agg.BatchedQueries += st.BatchedQueries
-			agg.QueueLen += st.QueueLen
-			agg.QueueDepth += st.QueueDepth
-			agg.InFlight += st.InFlight
-			agg.MaxInFlight += st.MaxInFlight
-			agg.Scheduler.ChunkSize = st.Scheduler.ChunkSize
-			agg.Scheduler.Batches += st.Scheduler.Batches
-			agg.Scheduler.Chunks += st.Scheduler.Chunks
-			agg.Scheduler.Steals += st.Scheduler.Steals
-			agg.Scheduler.Stolen += st.Scheduler.Stolen
-			if st.Cache != nil {
-				if agg.Cache == nil {
-					agg.Cache = &api.CacheStatsJSON{}
-				}
-				agg.Cache.Add(*st.Cache)
-			}
+			agg.Add(st)
 		}
 		out.Replicas = append(out.Replicas, rj)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 
-	"lbe/internal/api"
 	"lbe/internal/engine"
 	"lbe/internal/qcache"
 	"lbe/internal/spectrum"
@@ -121,23 +120,4 @@ func (s *Server) searchCached(ctx context.Context, qs []spectrum.Experimental) (
 		}
 	}
 	return out, nil
-}
-
-// cacheStats snapshots the cache block for /stats, or nil when caching
-// is disabled.
-func (s *Server) cacheStats() *api.CacheStatsJSON {
-	if s.cache == nil {
-		return nil
-	}
-	cs := s.cache.Stats()
-	return &api.CacheStatsJSON{
-		Hits:          cs.Hits,
-		Misses:        cs.Misses,
-		Evictions:     cs.Evictions,
-		Collapsed:     cs.Collapsed,
-		Invalidated:   cs.Invalidated,
-		Entries:       cs.Entries,
-		ResidentBytes: cs.Bytes,
-		CapacityBytes: cs.MaxBytes,
-	}
 }

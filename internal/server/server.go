@@ -381,7 +381,7 @@ func (s *Server) Stats() api.StatsResponse {
 	if s.isDraining() {
 		st.Status = "draining"
 	}
-	st.Cache = s.cacheStats()
+	st.Cache = api.CacheStats(s.cache)
 	for _, rs := range s.sess.Stats() {
 		st.PrunedPostings += rs.Work.Pruned
 		st.PerShard = append(st.PerShard, api.ShardStatsJSON{
