@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,6 +58,34 @@ func fuzzCorpus(t *testing.T, source uint8, seed int64, npep, distinct uint8) *o
 	return c
 }
 
+// answers returns s's answers to qs: its first, and under a bounded
+// tolerance a second, asked once the shards' row views, whose build the
+// first answer starts, are all built — so the second runs the kernel's
+// row scan wherever a window cuts a band.
+func answers(t *testing.T, s *engine.Session, qs []spectrum.Experimental, bounded bool) []*engine.Result {
+	t.Helper()
+	search := func() *engine.Result {
+		t.Helper()
+		res, err := s.Search(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	need := slices.Contains(s.NeedsRowViews(), true)
+	out := []*engine.Result{search()}
+	if !bounded {
+		return out
+	}
+	if !s.WaitRowViews() && need {
+		t.Fatal("a session whose shards need row views started no build")
+	}
+	if slices.Contains(s.NeedsRowViews(), true) {
+		t.Fatalf("shards still without a row view after the build: %v", s.NeedsRowViews())
+	}
+	return append(out, search())
+}
+
 // FuzzSessionVsSerial holds every way a session answers to RunSerial,
 // with the oracle's comparator, on the input's database under the input's
 // shard count, policy, Schedule, TopK and tolerance: the session itself,
@@ -64,7 +93,14 @@ func fuzzCorpus(t *testing.T, source uint8, seed int64, npep, distinct uint8) *o
 // SavePartitioned cut of it into sets ≤ shards, each set opened and
 // answered alone, rendered as a holder renders it and merged as the
 // router merges it. The merged reply is held to RunSerial on its wire
-// fields and, byte for byte, to the session's own rendering.
+// fields and, byte for byte, to the session's own rendering. Under a
+// bounded tolerance each of them answers twice, the second time with its
+// shards' row views built (answers), and both answers are held.
+//
+// Seven random-corpus inputs in eight (seed%8 != 0) index a small bucket
+// universe, as FuzzSearchVsBruteForce's do: a MaxFragmentMZ of 300–555
+// over 0.1-wide buckets, or the whole m/z range over buckets 0.4–1.1
+// wide. The eighth, and every oracle-corpus input, keep the defaults.
 func FuzzSessionVsSerial(f *testing.F) {
 	// source, seed, npep, distinct, shards, policy, threads, batch, workers, topK, tolKind, tolVal
 	f.Add(uint8(0), int64(1), uint8(7), uint8(0), uint8(2), uint8(1), uint8(1), uint8(3), uint8(0), uint8(1), uint8(0), uint16(0))    // eight copies of one peptide
@@ -81,6 +117,15 @@ func FuzzSessionVsSerial(f *testing.F) {
 			TopK: []int{0, 1, 3, 10}[topK%4],
 		}
 		cfg := oracle.Cell{Corpus: c, Shape: shape}.Config()
+		switch {
+		case source != 0 || seed%8 == 0:
+		case seed&1 != 0:
+			cfg.Params.MaxFragmentMZ = float64(300 + seed>>3&0xff)
+			cfg.Params.Resolution = 0.1
+		default:
+			cfg.Params.Resolution = 0.1 * float64(4+seed>>3&7)
+		}
+		bounded := !shape.Tol.IsOpen()
 		cfg.Policy = []core.Policy{core.Chunk, core.Cyclic, core.Random, core.RandomWithinGroups}[policy%4]
 		cfg.Seed = seed
 		cfg.Schedule = engine.Schedule{ThreadsPerRank: 1 + int(threads%4), BatchSize: int(batch % 8), BuildWorkers: 1 + int(workers%2)}
@@ -90,17 +135,16 @@ func FuzzSessionVsSerial(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
 		sess, err := engine.NewSession(peptides, engine.SessionConfig{Config: cfg, Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		res, err := sess.Search(ctx, qs)
-		if err != nil {
-			t.Fatal(err)
+		sessAnswers := answers(t, sess, qs, bounded)
+		res := sessAnswers[0]
+		for i, r := range sessAnswers {
+			oracle.PSMs(t, fmt.Sprint("session answer ", i+1, " vs RunSerial"), r.PSMs, ref.PSMs, false)
 		}
-		oracle.PSMs(t, "session vs RunSerial", res.PSMs, ref.PSMs, false)
 
 		dir := t.TempDir()
 		if err := sess.Save(filepath.Join(dir, "store"), peptides); err != nil {
@@ -112,11 +156,9 @@ func FuzzSessionVsSerial(f *testing.F) {
 		}
 		defer opened.Close()
 		opened.SetSchedule(cfg.Schedule)
-		got, err := opened.Search(ctx, qs)
-		if err != nil {
-			t.Fatal(err)
+		for i, r := range answers(t, opened, qs, bounded) {
+			oracle.PSMs(t, fmt.Sprint("opened store answer ", i+1, " vs RunSerial"), r.PSMs, ref.PSMs, false)
 		}
-		oracle.PSMs(t, "opened store vs RunSerial", got.PSMs, ref.PSMs, false)
 
 		for sets := 1; sets <= p; sets++ {
 			cdir := filepath.Join(dir, fmt.Sprint("sets-", sets))
@@ -124,32 +166,36 @@ func FuzzSessionVsSerial(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := make([]api.SearchResponse, sets)
-			for i, setDir := range cm.SetDirs {
+			// parts[pass][set] is a set's answer on its first or second pass.
+			parts := make([][]api.SearchResponse, 2)
+			for _, setDir := range cm.SetDirs {
 				slice, stored, err := engine.OpenSession(filepath.Join(cdir, setDir))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := slice.Search(ctx, qs)
+				for pass, got := range answers(t, slice, qs, bounded) {
+					parts[pass] = append(parts[pass], api.BuildSearchResponse(qs, got.PSMs, stored))
+				}
 				slice.Close()
+			}
+			for pass, setParts := range parts {
+				if len(setParts) == 0 {
+					continue
+				}
+				merged, err := api.MergeSearchResponses(setParts, cfg.TopK)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts[i] = api.BuildSearchResponse(qs, got.PSMs, stored)
-			}
-			merged, err := api.MergeSearchResponses(parts, cfg.TopK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprint("merged sets=", sets)
-			wire := make([][]engine.PSM, len(merged.Results))
-			for q, r := range merged.Results {
-				for _, pj := range r.PSMs {
-					wire[q] = append(wire[q], engine.PSM{Peptide: pj.Peptide, Shared: pj.Shared, Score: pj.Score, Precursor: pj.Precursor})
+				label := fmt.Sprint("merged sets=", sets, ", answer ", pass+1)
+				wire := make([][]engine.PSM, len(merged.Results))
+				for q, r := range merged.Results {
+					for _, pj := range r.PSMs {
+						wire[q] = append(wire[q], engine.PSM{Peptide: pj.Peptide, Shared: pj.Shared, Score: pj.Score, Precursor: pj.Precursor})
+					}
 				}
+				oracle.PSMs(t, label+" vs RunSerial", wire, ref.PSMs, false)
+				oracle.Wire(t, label+" vs the session", api.AppendSearchResponse(nil, merged), qs, res.PSMs, peptides)
 			}
-			oracle.PSMs(t, label+" vs RunSerial", wire, ref.PSMs, false)
-			oracle.Wire(t, label+" vs the session", api.AppendSearchResponse(nil, merged), qs, res.PSMs, peptides)
 		}
 	})
 }

@@ -255,12 +255,12 @@ func (d *deque) size() int {
 }
 
 // Run searches the prepared queries qs (slm.Query, prepared under the
-// shards' Resolution and FragmentTol) against every shard and returns the
-// full match matrix plus telemetry. Matches are identical to the serial
-// reference for every worker count and chunk size. The shards are open
-// indexes, each checked whole when it was built or opened. On context
-// cancellation Run stops between chunks and returns ctx.Err() with a nil
-// result.
+// shards' Resolution, FragmentTol and MaxFragmentMZ) against every shard
+// and returns the full match matrix plus telemetry. Matches are identical
+// to the serial reference for every worker count and chunk size. The
+// shards are open indexes, each checked whole when it was built or
+// opened. On context cancellation Run stops between chunks and returns
+// ctx.Err() with a nil result.
 func (p *Pool) Run(ctx context.Context, shards []*slm.Index, qs []slm.Query) (*Result, error) {
 	nq := len(qs)
 	ns := len(shards)

@@ -49,20 +49,26 @@ func warmSearchAllocs(t *testing.T, label string, ix *Index, wantPruned bool) {
 }
 
 // TestPrepareZeroAllocWarm guards Query.Prepare: once a Query's span
-// buffer has grown to a spectrum's peaks, preparing it again allocates
-// nothing.
+// buffer, and under a bounded tolerance its word list, has grown to a
+// spectrum's peaks, preparing it again allocates nothing.
 func TestPrepareZeroAllocWarm(t *testing.T) {
-	params := DefaultParams()
+	narrow := DefaultParams()
+	narrow.PrecursorTol = mass.Da(0.5)
 	hit := queryFor(t, "PEPTIDEK")
-	var q Query
-	q.Prepare(hit, params)
-	if len(q.spans) != len(hit.Peaks) {
-		t.Fatalf("%d spans for %d peaks in range", len(q.spans), len(hit.Peaks))
-	}
-	if n := testing.AllocsPerRun(100, func() {
+	for label, params := range map[string]Params{"open": DefaultParams(), "bounded": narrow} {
+		var q Query
 		q.Prepare(hit, params)
-	}); n != 0 {
-		t.Errorf("warm Prepare allocates %.1f times per run, want 0", n)
+		if len(q.spans) != len(hit.Peaks) {
+			t.Fatalf("%s: %d spans for %d peaks in range", label, len(q.spans), len(hit.Peaks))
+		}
+		if (len(q.words) > 0) != (label == "bounded") {
+			t.Fatalf("%s: %d bitset words prepared", label, len(q.words))
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			q.Prepare(hit, params)
+		}); n != 0 {
+			t.Errorf("%s: warm Prepare allocates %.1f times per run, want 0", label, n)
+		}
 	}
 }
 

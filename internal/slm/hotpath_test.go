@@ -70,11 +70,12 @@ func recvQualified(fd *ast.FuncDecl) string {
 // the functions whose zero-alloc behavior the AllocsPerRun guards in
 // alloc_test.go actually exercise (Search drives the full annotated
 // call tree:
-// Query.Prepare, SearchQuery, searchScratch, ensure, precursorWindow,
-// postingsLowerBound, accumulate, nextHit, hyperscore, cutTopK,
-// sortMatches, copyMatches; nextHit only with a row view built, as
-// TestRowScanZeroAllocWarmScratch builds one; TestPrepareZeroAllocWarm
-// guards Prepare and SearchQuery on their own). Annotating a new
+// Query.Prepare, appendWords, SearchQuery, searchScratch, ensure,
+// precursorWindow, rowsBelow, postingsLowerBound, accumulate, nextHit,
+// hyperscore, cutTopK, sortMatches, copyMatches; nextHit only with a row
+// view built, as TestRowScanZeroAllocWarmScratch builds one;
+// TestPrepareZeroAllocWarm guards Prepare, with its words, and
+// SearchQuery on their own). Annotating a new
 // function here without extending the runtime guards — or vice versa —
 // fails this test, keeping the static gate and the dynamic gate in
 // lockstep.
@@ -84,11 +85,13 @@ func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {
 		"Index.Search",
 		"Index.SearchQuery",
 		"Index.precursorWindow",
+		"Index.rowsBelow",
 		"Index.searchScratch",
 		"Query.Prepare",
 		"Scratch.cutTopK",
 		"Scratch.ensure",
 		"accumulate",
+		"appendWords",
 		"copyMatches",
 		"hyperscore",
 		"nextHit",

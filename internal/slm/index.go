@@ -162,6 +162,12 @@ type Index struct {
 	// tolerance, whose searches prune nothing.
 	cum []uint32
 
+	// marks holds every markRows-th row's precursor, marks[j] =
+	// rows[j·markRows].Precursor, so precursorWindow binary searches 1 B
+	// per row on the heap instead of the image's 16 B rows. Set with cum,
+	// nil with it on open tolerance.
+	marks []float64
+
 	// view is the row-major transpose of the postings, published once by
 	// BuildRowView; nil until then, and always on open tolerance.
 	view atomic.Pointer[rowView]
@@ -481,7 +487,7 @@ func build(peptides []string, params Params, workers int, band func(rows int) in
 	})
 
 	seal(h, image)
-	ix.cum = ix.prefixRow()
+	ix.cum, ix.marks = ix.prefixRow(), ix.precursorMarks()
 	ix.buildPeak = ix.MemoryBytes() + 4*totalIons + int(unsafe.Sizeof(stagedRow{}))*len(staged) + radixBytesPerRow*len(perm)
 	return ix, nil
 }
@@ -503,6 +509,24 @@ func (ix *Index) prefixRow() []uint32 {
 		}
 	}
 	return cum
+}
+
+// markRows is the row stride of an index's precursor marks (Index.marks):
+// a window edge is found by a binary search over the marks and a read of
+// at most markRows rows.
+const markRows = 8
+
+// precursorMarks returns the index's precursor marks (see Index.marks),
+// one pass over every markRows-th row; nil for an open tolerance.
+func (ix *Index) precursorMarks() []float64 {
+	if ix.params.PrecursorTol.IsOpen() {
+		return nil
+	}
+	marks := make([]float64, (len(ix.rows)+markRows-1)/markRows)
+	for j := range marks {
+		marks[j] = ix.rows[j*markRows].Precursor
+	}
+	return marks
 }
 
 // precursorKey maps a precursor mass to a uint64 whose unsigned order is

@@ -71,7 +71,7 @@ func (ix *Index) Close() error {
 	}
 	ix.closed = true
 	ix.mapping, ix.image = nil, nil
-	ix.rows, ix.offsets, ix.ids, ix.cum = nil, nil, nil, nil
+	ix.rows, ix.offsets, ix.ids, ix.cum, ix.marks = nil, nil, nil, nil, nil
 	ix.view.Store(nil)
 	return m.Close()
 }

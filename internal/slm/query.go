@@ -61,6 +61,7 @@ type Scratch struct {
 	matches []Match    // per-query accumulator, reused across searches
 	cut     []float64  // cutTopK's k best scores
 	under   []uint64   // the row scan's bitset over the buckets (see searchScratch), zero between searches
+	first   []uint16   // per bitset word set in under, the query's first span reaching it (queryWord.first)
 }
 
 // peakSpan is one query peak as phase 1 walks it in every band: its
@@ -70,22 +71,36 @@ type peakSpan struct {
 	add    uint64
 }
 
-// Query is one spectrum resolved under the two index parameters that
-// decide its spans, Resolution and FragmentTol: each peak's bucket span
-// and quantized word, the precursor mass, and whether the spans ascend.
-// An LBE session searches every query against every shard, and the
-// shards share those parameters, so it prepares a query once and
-// searches it p times; only the clamp to an index's bucket count, which
-// each shard's data decides, is left to the search. Prepare fills one,
-// reusing its buffers; SearchQuery searches it.
+// Query is one spectrum resolved under the three index parameters that
+// decide its spans, Resolution, FragmentTol and MaxFragmentMZ: each
+// peak's bucket span and quantized word, the precursor mass, and the row
+// scan's bitset words. An LBE session searches every query against every
+// shard, and the shards share those parameters, so it prepares a query
+// once and searches it p times; only the clamp to an index's bucket
+// count, which each shard's data decides, is left to the search. Prepare
+// fills one, reusing its buffers; SearchQuery searches it.
 type Query struct {
-	spans     []peakSpan // peaks that can reach a bucket, in peak order; hi not clamped to any index
-	mass      float64    // neutral precursor mass
-	invScale  float64    // dequantizes the intensity half of a word
-	ascending bool       // spans ascend at both ends, so the row scan may binary search them
+	spans    []peakSpan  // peaks that can reach a bucket, in peak order; hi not clamped to any index's count
+	words    []queryWord // the row scan's bitset words under the spans, ascending; none unless the scan may run
+	mass     float64     // neutral precursor mass
+	invScale float64     // dequantizes the intensity half of a word
+	probes   int64       // buckets under the spans: Σ hi − lo
+	maxHi    uint32      // the largest span end: an index of at least this many buckets clamps no span
 
-	resolution  float64        // the parameters the spans were resolved under
-	fragmentTol mass.Tolerance // (see SearchQuery)
+	resolution    float64        // the parameters the spans were resolved under
+	fragmentTol   mass.Tolerance // (see SearchQuery)
+	maxFragmentMZ float64
+}
+
+// queryWord is one 64-bucket word of the row scan's bitset that a query's
+// spans reach: its index, the bits of the buckets under them, and the
+// first span, in order, that reaches it. Spans ascend at both ends, so
+// the spans covering a bucket of the word are found by walking from first
+// while they start at or before the bucket (see searchScratch).
+type queryWord struct {
+	mask  uint64
+	word  uint32
+	first uint16 // a query has at most maxQueryPeaks spans
 }
 
 // maxQueryPeaks is the most peaks one query may bring to phase 1; see the
@@ -144,9 +159,12 @@ func quantizeIntensity(v, scale float64) uint16 {
 // first maxQueryPeaks peaks quantized to u16 levels of the strongest —
 // phase 1 sums integers in the low half of a row's word (see Scratch),
 // converted back to intensity once per scored candidate — each with its
-// fragment window's bucket span. A peak whose span is empty, or starts
-// past every bucket an index can hold, is dropped. A warm Query (one
-// that has held as many spans before) does not allocate.
+// fragment window's bucket span, cut at the last bucket MaxFragmentMZ
+// lets an index hold. A peak whose span is empty, or starts past that
+// bucket, is dropped. Under a bounded precursor tolerance, when the spans
+// ascend, it also lists the row scan's bitset words (appendWords), which
+// every shard's cut bands then share. A warm Query (one that has held as
+// many spans and words before) does not allocate.
 //
 //lbe:hotpath
 func (q *Query) Prepare(e spectrum.Experimental, params Params) {
@@ -162,10 +180,12 @@ func (q *Query) Prepare(e spectrum.Experimental, params Params) {
 	}
 	scale, invScale := quantScales(maxI)
 	bucketer := mass.NewBucketer(params.Resolution)
+	capB := min(params.capBucket(), maxBucketCount-1)
 	spans, ascending := q.spans[:0], true
+	probes, maxHi := int64(0), uint32(0)
 	for _, p := range peaks {
 		blo, bhi := bucketer.Range(p.MZ, params.FragmentTol)
-		blo, bhi = max(blo, 0), min(bhi, maxBucketCount-1)
+		blo, bhi = max(blo, 0), min(bhi, capB)
 		if blo > bhi {
 			continue
 		}
@@ -174,15 +194,52 @@ func (q *Query) Prepare(e spectrum.Experimental, params Params) {
 			ascending = false
 		}
 		spans = append(spans, sp)
+		probes += int64(sp.hi - sp.lo)
+		maxHi = max(maxHi, sp.hi)
+	}
+	words := q.words[:0]
+	if ascending && !params.PrecursorTol.IsOpen() {
+		words = appendWords(words, spans)
 	}
 	*q = Query{
-		spans:       spans,
-		mass:        e.PrecursorMass(),
-		invScale:    invScale,
-		ascending:   ascending,
-		resolution:  params.Resolution,
-		fragmentTol: params.FragmentTol,
+		spans:         spans,
+		words:         words,
+		mass:          e.PrecursorMass(),
+		invScale:      invScale,
+		probes:        probes,
+		maxHi:         maxHi,
+		resolution:    params.Resolution,
+		fragmentTol:   params.FragmentTol,
+		maxFragmentMZ: params.MaxFragmentMZ,
 	}
+}
+
+// appendWords appends to words, in ascending word order, one entry per
+// 64-bucket bitset word that the spans, ascending at both ends, reach.
+// It only appends or ORs into the last entries: the words a span reaches
+// that an earlier span reached too are the tail of words from the span's
+// first word on, since the span before it, which starts no later and ends
+// last so far, reaches every one of them.
+//
+//lbe:hotpath
+func appendWords(words []queryWord, spans []peakSpan) []queryWord {
+	for i, sp := range spans {
+		j := len(words)
+		for j > 0 && words[j-1].word >= sp.lo>>6 {
+			j--
+		}
+		for b := sp.lo; b < sp.hi; j++ {
+			e := min(sp.hi, (b|63)+1)
+			mask := ^uint64(0) >> (64 - (e - b)) << (b & 63)
+			if j < len(words) {
+				words[j].mask |= mask
+			} else {
+				words = append(words, queryWord{mask: mask, word: b >> 6, first: uint16(i)})
+			}
+			b = e
+		}
+	}
+	return words
 }
 
 // Search queries one preprocessed experimental spectrum against the index:
@@ -210,24 +267,24 @@ func (ix *Index) Search(q spectrum.Experimental, topK int, scratch *Scratch) ([]
 }
 
 // SearchQuery is the kernel's one entry, the one the scheduler's workers
-// call with each prepared query against every shard: for a query prepared
-// under this index's Resolution and FragmentTol, it returns the Work and
-// the set of matches, unordered, scoring at least the k-th best score of
-// this (index, query) cell. Ties at the cut are all kept, so a dropped
+// call with each prepared query against every shard: for a query
+// prepared under this index's Resolution, FragmentTol and MaxFragmentMZ,
+// it returns the Work and the set of matches, unordered, scoring at
+// least the k-th best score of this (index, query) cell. Ties at the cut are all kept, so a dropped
 // match has k strictly better ones in this index alone and cannot be
 // among any merged best k, whatever breaks ties there (the engine merges
 // the cells by score, then global peptide). k <= 0 keeps everything. It
-// panics on a query prepared under other values of those two parameters,
-// whose spans would name other buckets, and on an index that Close has
-// released.
+// panics on a query prepared under other values of those three
+// parameters, whose spans would name or drop other buckets, and on an
+// index that Close has released.
 //
 //lbe:hotpath
 func (ix *Index) SearchQuery(q *Query, k int, scratch *Scratch) ([]Match, Work) {
 	if ix.closed {
 		panic(errClosed)
 	}
-	if q.resolution != ix.params.Resolution || q.fragmentTol != ix.params.FragmentTol {
-		panic("slm: query prepared under another Resolution or FragmentTol")
+	if q.resolution != ix.params.Resolution || q.fragmentTol != ix.params.FragmentTol || q.maxFragmentMZ != ix.params.MaxFragmentMZ {
+		panic("slm: query prepared under another Resolution, FragmentTol or MaxFragmentMZ")
 	}
 	if scratch == nil {
 		scratch = &Scratch{}
@@ -275,42 +332,72 @@ func (s *Scratch) cutTopK(ms []Match, k int) []Match {
 }
 
 // precursorWindow resolves the query's precursor tolerance to the
-// contiguous range [rlo, rhi) of row ids it admits, via two binary
-// searches over the rows' ascending precursors: [0, rows) for an open
-// tolerance, an empty index, or a window that covers every row.
-// The range is exactly the set PrecursorTol.Contains accepts (both are
-// inclusive on both ends), so intersecting phase 1 with it never changes
-// which rows can score.
+// contiguous range [rlo, rhi) of row ids it admits, through the index's
+// precursor marks (rowsBelow): [0, rows) for an open tolerance, an empty
+// index, or a window that covers every row. The range is exactly the set
+// PrecursorTol.Contains accepts (both are inclusive on both ends), so
+// intersecting phase 1 with it never changes which rows can score.
+//
+// The lower edge is a binary search over every mark. The upper edge lies
+// a few marks past it, so it gallops from the lower edge's mark — marks
+// 1, 3, 7, ... past it, cache lines the first search has just read — to
+// a bracket, and bisects that: every mark before the lower edge's is
+// below wlo, so at most whi whenever whi >= wlo. Only a negative query
+// mass under a tolerance of 10⁶ ppm or more puts whi below wlo; that
+// window admits no row, and rhi is raised to rlo, as a second search over
+// the rows from rlo on would give it. On
+// BenchmarkSearchNarrowShards (2-vCPU VM) the gallop beat a second full
+// search on 6 of 6 alternating runs, 16.5–18.3 µs against 17.6–19.9 µs
+// per query.
 //
 //lbe:hotpath
 func (ix *Index) precursorWindow(qmass float64) (rlo, rhi uint32) {
-	rows := ix.rows
-	if len(rows) == 0 || ix.params.PrecursorTol.IsOpen() {
-		return 0, uint32(len(rows))
+	if len(ix.rows) == 0 || ix.params.PrecursorTol.IsOpen() {
+		return 0, uint32(len(ix.rows))
 	}
 	wlo, whi := ix.params.PrecursorTol.Window(qmass)
-	// First row with precursor >= wlo.
-	lo, hi := 0, len(rows)
+	marks := ix.marks
+	rlo = ix.rowsBelow(wlo, false, 0, len(marks))
+	lo, step := int(rlo)/markRows, 1
+	for lo+step < len(marks) && marks[lo+step] <= whi {
+		lo += step
+		step <<= 1
+	}
+	return rlo, max(rlo, ix.rowsBelow(whi, true, lo, min(lo+step, len(marks))))
+}
+
+// rowsBelow returns the number of rows whose precursor is below v, or at
+// most v if incl: the first row past them in ascending precursor order.
+// A binary search over the marks (Index.marks, every markRows-th row's
+// precursor) in [lo, hi) finds the first mark not below v — the caller
+// knows every mark before lo is below v and mark hi, if any, is not —
+// and the edge is that mark's row or one of the markRows−1 rows before
+// it, which a forward read finds. The rows ascend, so this is the row a
+// binary search over every row would find, without its cold reads of a
+// shard's row array.
+//
+//lbe:hotpath
+func (ix *Index) rowsBelow(v float64, incl bool, lo, hi int) uint32 {
+	marks, rows := ix.marks, ix.rows
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if rows[m].Precursor < wlo {
+		if x := marks[m]; x < v || incl && x == v {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	first := lo
-	// First row with precursor > whi.
-	hi = len(rows)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if rows[m].Precursor <= whi {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	if lo == 0 {
+		return 0
 	}
-	return uint32(first), uint32(lo)
+	r, end := (lo-1)*markRows+1, min(lo*markRows, len(rows))
+	for r < end {
+		if x := rows[r].Precursor; !(x < v || incl && x == v) {
+			break
+		}
+		r++
+	}
+	return uint32(r)
 }
 
 // postingsLowerBound returns the first position in ids[lo:hi) holding a
@@ -385,19 +472,21 @@ func nextHit(buckets []uint32, under []uint64, i int) int {
 // bucket's list in the band, then a forward walk. searchScratch scans a
 // cut band's window slice when its postings are at most this many per
 // probe. On BenchmarkSearchNarrow's index (2-vCPU VM, 3 alternating
-// runs each) the scan alone and the walk alone cost about the same at a
-// 3 Da window, a median of 22 slice postings per probe, and the walk is
-// 1.3–1.6× faster at 4 and 5 Da; 16 leaves the scan to the slices where
-// it clearly wins. BenchmarkSearchNarrow (0.5 Da, about 3 per probe)
-// scans; BenchmarkSearchWide (20 Da, about 150) walks.
-const scanPerProbe = 16
+// runs each), with the query's bitset words and first spans prepared
+// once, the scan alone beats the walk alone by 1.2–1.4× at a 3 Da window
+// (a median of 22 slice postings per probe) and by 1.0–1.4× at 4 Da
+// (29), and the walk wins by up to 1.15× at 5 Da (35); with the rule at
+// 32 the mixed search's median beat the rule at 16 or 24 at all three.
+// BenchmarkSearchNarrow (0.5 Da, about 3 per probe) scans;
+// BenchmarkSearchWide (20 Da, about 150) walks.
+const scanPerProbe = 32
 
 // searchScratch runs the two search phases and returns matches backed by
 // scratch.matches: valid only until the next search with this Scratch.
 //
 // The query's spans arrive prepared (see Query); the search only clamps
 // them to this index's buckets, dropping a span that starts past the
-// last one.
+// last one, and only when some span reaches past them.
 //
 // Phase 1 is one loop over the row bands the precursor window overlaps —
 // a band wholly outside it holds no row the search may read, so it is
@@ -410,9 +499,11 @@ const scanPerProbe = 16
 //   - a band a window edge cuts is read only on the window's rows. Once
 //     BuildRowView has published the row-major view, the window slice's
 //     rows are scanned in row order: each of a row's buckets is tested
-//     against a bitset of the buckets under the query's peaks, and a hit
-//     adds every covering peak's word, as accumulate would; a row whose
-//     settled word reaches the threshold is a candidate. A 0.5 Da
+//     against a bitset of the buckets under the query's peaks, set from
+//     the words Prepare listed (Query.words), and a hit adds every
+//     covering peak's word, as accumulate would, walking the spans from
+//     the first that reaches the bucket's word; a row whose settled
+//     word reaches the threshold is a candidate. A 0.5 Da
 //     window holds a few dozen rows, so this reads a thousand or so
 //     sequential postings where the walk below pays one binary search
 //     per probed bucket, several hundred of them. The choice is made per
@@ -440,24 +531,28 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 	scratch.ensure(len(ix.rows))
 	var work Work
 
-	// The row scan finds the peaks covering a bucket by binary search, so
-	// it needs their spans in ascending order at both ends, which sorted
-	// peaks give; a query that breaks it walks every band. Clamping keeps
-	// the order.
+	// The row scan reads the query's prepared bitset words, which only a
+	// bounded-tolerance query whose spans ascend at both ends has; any
+	// other query walks every band, as one with no span may.
 	view := ix.view.Load()
-	if !q.ascending {
+	if len(q.words) == 0 {
 		view = nil
 	}
+	// Spans are clamped to this index's buckets only when one reaches past
+	// them; otherwise the cell reads the query's own.
 	nb := uint32(ix.numBuckets)
-	spans, probes := scratch.spans[:0], int64(0)
-	for _, sp := range q.spans {
-		if sp.lo < nb {
-			sp.hi = min(sp.hi, nb)
-			spans = append(spans, sp)
-			probes += int64(sp.hi - sp.lo)
+	spans, probes := q.spans, q.probes
+	if q.maxHi > nb {
+		spans, probes = scratch.spans[:0], 0
+		for _, sp := range q.spans {
+			if sp.lo < nb {
+				sp.hi = min(sp.hi, nb)
+				spans = append(spans, sp)
+				probes += int64(sp.hi - sp.lo)
+			}
 		}
+		scratch.spans = spans
 	}
-	scratch.spans = spans
 
 	// Phase 1: shared-peak counting over the banded postings,
 	// accumulating quantized intensities and listing the rows that reach
@@ -468,7 +563,8 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 	t := min(uint64(ix.params.MinSharedPeaks), 1<<31-1) << 32
 	rlo, rhi := ix.precursorWindow(q.mass)
 	rows, band, nb1 := uint32(len(ix.rows)), uint32(ix.bandRows), ix.numBuckets+1
-	under := []uint64(nil) // the bitset, once a band is scanned
+	var under []uint64     // the bitset, once a band is scanned
+	var firstSpan []uint16 // beside it, each set word's first span
 	base := rhi            // an empty window visits no band
 	if rlo < rhi {
 		base = rlo - rlo%band
@@ -490,14 +586,14 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 				words := (ix.numBuckets + 63) >> 6
 				if len(scratch.under) < words {
 					scratch.under = make([]uint64, words)
+					scratch.first = make([]uint16, words)
 				}
-				under = scratch.under
-				for _, sp := range spans {
-					for b := sp.lo; b < sp.hi; {
-						e := min(sp.hi, (b|63)+1)
-						under[b>>6] |= ^uint64(0) >> (64 - (e - b)) << (b & 63)
-						b = e
+				under, firstSpan = scratch.under[:words], scratch.first[:words]
+				for _, w := range q.words {
+					if int(w.word) >= words {
+						break
 					}
+					under[w.word], firstSpan[w.word] = w.mask, w.first
 				}
 			}
 			// One pass over the slice's postings, hit to hit: a row's word
@@ -522,20 +618,16 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 						r++
 					}
 				}
-				// The peaks covering b: from the first whose span ends
-				// past b, while they start at or before it.
+				// The peaks covering b: from the first span reaching b's
+				// word, while they start at or before b, each that ends past
+				// it. b is below the index's bucket count, so the query's
+				// own spans cover it as the clamped ones do.
 				b := postings[p]
-				i, j := 0, len(spans)
-				for i < j {
-					if m := int(uint(i+j) >> 1); spans[m].hi <= b {
-						i = m + 1
-					} else {
-						j = m
+				for i := int(firstSpan[b>>6]); i < len(q.spans) && q.spans[i].lo <= b; i++ {
+					if q.spans[i].hi > b {
+						a += q.spans[i].add
+						work.IonHits++
 					}
-				}
-				for ; i < len(spans) && spans[i].lo <= b; i++ {
-					a += spans[i].add
-					work.IonHits++
 				}
 			}
 		default:
@@ -557,10 +649,13 @@ func (ix *Index) searchScratch(q *Query, scratch *Scratch) ([]Match, Work) {
 			cands[i] += base // band-local to row id
 		}
 	}
-	if under != nil {
-		for _, sp := range spans {
-			clear(under[sp.lo>>6 : (sp.hi-1)>>6+1])
+	// Zero the words the scan set: none if no band was scanned (under is
+	// nil).
+	for _, w := range q.words {
+		if int(w.word) >= len(under) {
+			break
 		}
+		under[w.word] = 0
 	}
 	if ix.cum != nil {
 		reached := int64(0)

@@ -554,7 +554,8 @@ func indexFromImage(h *fileHeader, image []byte) (*Index, error) {
 // the alignment padding between sections — the one region no CRC covers
 // — to be zero, so any flipped byte of the image is detected, then the
 // cross-array shape. It then builds the prefix row (Index.cum) from the
-// verified offsets, so every open index that passed it has one.
+// verified offsets and the precursor marks (Index.marks) from the
+// verified rows, so every open index that passed it has both.
 func (ix *Index) verify(h *fileHeader) error {
 	image := ix.image
 	end := h.headerLen // end of the previously verified region
@@ -573,7 +574,7 @@ func (ix *Index) verify(h *fileHeader) error {
 	if err := ix.validateShape(); err != nil {
 		return err
 	}
-	ix.cum = ix.prefixRow()
+	ix.cum, ix.marks = ix.prefixRow(), ix.precursorMarks()
 	return nil
 }
 

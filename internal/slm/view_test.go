@@ -122,12 +122,13 @@ func TestRowScanMatchesWalk(t *testing.T) {
 }
 
 // withTolerance returns ix searched under the bounded tolerance tol: the
-// same rows, postings, prefix row and row view — a tolerance changes no byte of an
-// index but its header's — without a build per tolerance.
+// same rows, postings, prefix row, precursor marks and row view — a
+// tolerance changes no byte of an index but its header's — without a
+// build per tolerance.
 func withTolerance(ix *Index, tol mass.Tolerance) *Index {
 	params := ix.params
 	params.PrecursorTol = tol
-	out := &Index{params: params, rows: ix.rows, offsets: ix.offsets, ids: ix.ids, numBuckets: ix.numBuckets, bandRows: ix.bandRows, cum: ix.cum}
+	out := &Index{params: params, rows: ix.rows, offsets: ix.offsets, ids: ix.ids, numBuckets: ix.numBuckets, bandRows: ix.bandRows, cum: ix.cum, marks: ix.marks}
 	out.view.Store(ix.view.Load())
 	return out
 }
@@ -155,8 +156,9 @@ func readsView(ix *Index, qs []spectrum.Experimental, scratch *Scratch) bool {
 }
 
 // TestRowScanZeroAllocWarmScratch extends the warm zero-alloc guard to
-// the row scan: its bitset grows once, and a warm search allocates only
-// the result copy.
+// the row scan: its bitset and first-span words grow once, a warm search
+// allocates only the result copy, and the scan itself (searchScratch,
+// before the copy) allocates nothing.
 func TestRowScanZeroAllocWarmScratch(t *testing.T) {
 	params := noModParams()
 	params.PrecursorTol = mass.Da(0.5)
@@ -165,10 +167,23 @@ func TestRowScanZeroAllocWarmScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	withRowView(t, ix)
-	if !readsView(ix, []spectrum.Experimental{queryFor(t, "PEPTIDEK")}, &Scratch{}) {
+	hit := queryFor(t, "PEPTIDEK")
+	if !readsView(ix, []spectrum.Experimental{hit}, &Scratch{}) {
 		t.Fatal("the guarded search does not read the row view")
 	}
 	warmSearchAllocs(t, "row scan", ix, true)
+
+	var q Query
+	var scratch Scratch
+	q.Prepare(hit, params)
+	if ms, _ := ix.searchScratch(&q, &scratch); len(ms) == 0 {
+		t.Fatal("the guarded scan matches nothing")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ix.searchScratch(&q, &scratch)
+	}); n != 0 {
+		t.Errorf("warm row scan allocates %.1f times per run, want 0", n)
+	}
 }
 
 // TestBuildRowViewTransposes pins the view to its definition on an index
